@@ -46,7 +46,7 @@ from .errors import (
     WindowIncomplete,
 )
 from .homology import HomologyTable, assemble_slice, homology_dims, quasi_iso_check
-from .linalg import SliceMatrix, solve_linear
+from .linalg import SliceMatrix, solve_linear, verify_certificate
 from .modules import (
     LiftResult,
     ModTensorElement,

@@ -23,7 +23,7 @@ from .bar import (
 )
 from .errors import DgresError, ObstructionNonzero, ParseError, UsageError
 from .homology import homology_dims, quasi_iso_check
-from .linalg import SliceMatrix
+from .linalg import SliceMatrix, verify_certificate
 from .modules import (
     ModTensorElement,
     NTElement,
@@ -292,11 +292,14 @@ def cmd_lift(args, problem) -> Report:
         rep.add_check("lambda-splitting-identities", ok_lam, f"n 2..3, degrees 0..{D}")
     else:
         cert = res.certificate
-        ok_cert = cert is not None
-        rep.add_check("infeasibility-certificate", ok_cert, "",
-                      "" if ok_cert else "solver returned no certificate")
-        rep.tables["certificate"] = [("first-row", cert.first_row),
-                                     ("rows", ",".join(str(r) for r in sorted(cert.row_combination)))]
+        if cert is None:
+            rep.add_check("infeasibility-certificate", False, "", "solver returned no certificate")
+        else:
+            ok_cert = verify_certificate(res.system, res.rhs, cert)
+            rep.add_check("infeasibility-certificate", ok_cert, "",
+                          "" if ok_cert else "certificate fails lambda^T A = 0, lambda^T b != 0")
+            rep.tables["certificate"] = [("first-row", cert.first_row),
+                                         ("rows", ",".join(str(r) for r in sorted(cert.row_combination)))]
     seed = _opt_int(problem, args, "seed", 0)
     samples = _opt_int(problem, args, "samples", 100)
     rep.add_validation("concat-sign-lemma", lemma_sign_check(N, samples, seed), f"{samples} samples, seed {seed}")

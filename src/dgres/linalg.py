@@ -1,18 +1,61 @@
 """Exact sparse linear algebra over ℚ and F_p.
 
-Ranks over ℚ go through fraction-free Bareiss elimination on integer-cleared
-rows; prime-field ranks use straight modular elimination.  Nullspaces and
-linear solves use reduced row echelon form over the field, so every answer
-is exact and deterministic (pivots are chosen in canonical column order).
+One elimination routine, `echelon`, answers every question.  A matrix is
+eliminated as a list of row dicts {column: value}, never densified: rows are
+fed in shortest first and each is reduced against the pivot rows found so
+far, which are monic and keyed by their lead (smallest) column.  The number
+of pivot rows is the rank.  Back-substitution turns them into the reduced
+row echelon form (RREF), which is unique, so the nullspace basis (free
+variables in column order) and the solution or infeasibility certificate of
+a linear system do not depend on the order rows are fed in.  Values are
+`Fraction`s over ℚ and ints in [0, p) over F_p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from .scalars import Field
+
+
+def _axpy(row: dict, c, piv: dict, p: int | None) -> None:
+    """row += c·piv in place, dropping entries that cancel."""
+    get = row.get
+    for j, v in piv.items():
+        w = get(j, 0) + c * v
+        if p is not None:
+            w %= p
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+
+
+def echelon(rows, field: Field, reduced: bool = False) -> dict:
+    """Monic pivot rows spanning the row space of `rows`, keyed by lead column.
+
+    `rows` are dicts column -> nonzero field element; they are not modified.
+    With `reduced`, every pivot row is also cleared at the other pivot
+    columns, so the values are the rows of the RREF.
+    """
+    p = field.p
+    pivots: dict = {}
+    for row in sorted(rows, key=len):
+        row = dict(row)
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = field.inv(row[lead])
+                pivots[lead] = {j: field.mul(v, inv) for j, v in row.items()}
+                break
+            _axpy(row, -row[lead], piv, p)
+    if reduced:
+        for lead in sorted(pivots, reverse=True):
+            row = pivots[lead]
+            for j in [j for j in row if j != lead and j in pivots]:
+                _axpy(row, -row[j], pivots[j], p)
+    return pivots
 
 
 class SliceMatrix:
@@ -43,22 +86,12 @@ class SliceMatrix:
     def get(self, i: int, j: int):
         return self.entries.get((i, j), self.field.zero)
 
-    def column(self, j: int) -> dict:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
-    def to_dense(self) -> list[list]:
-        z = self.field.zero
-        rows = [[z] * self.ncols for _ in range(self.nrows)]
+    def rows(self) -> dict:
+        """Row index -> {column: value}, for the nonzero rows only."""
+        out: dict = {}
         for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
-    def transpose(self) -> "SliceMatrix":
-        return SliceMatrix(
-            self.field, self.ncols, self.nrows,
-            {(j, i): v for (i, j), v in self.entries.items()},
-            row_labels=self.col_labels, col_labels=self.row_labels,
-        )
+            out.setdefault(i, {})[j] = v
+        return out
 
     def compose(self, other: "SliceMatrix") -> "SliceMatrix":
         """self ∘ other (matrix product self @ other)."""
@@ -78,149 +111,26 @@ class SliceMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def is_identity(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        if len(self.entries) != self.nrows:
-            return False
-        one = self.field.one
-        return all(i == j and v == one for (i, j), v in self.entries.items())
-
-    def __add__(self, other: "SliceMatrix") -> "SliceMatrix":
-        f = self.field
-        out = SliceMatrix(f, self.nrows, self.ncols, dict(self.entries),
-                          row_labels=self.row_labels, col_labels=self.col_labels)
-        for (i, j), v in other.entries.items():
-            out.set(i, j, f.add(out.get(i, j), v))
-        return out
-
-    def scale_int(self, n: int) -> "SliceMatrix":
-        f = self.field
-        c = f.of_int(n)
-        return SliceMatrix(f, self.nrows, self.ncols,
-                           {ij: f.mul(v, c) for ij, v in self.entries.items()},
-                           row_labels=self.row_labels, col_labels=self.col_labels)
-
     def rank(self) -> int:
         if self._rank is None:
-            if self.field.is_prime_field:
-                self._rank = _rank_mod_p(self.to_dense(), self.field.p)
-            else:
-                self._rank = _rank_bareiss(self.to_dense())
+            self._rank = len(echelon(self.rows().values(), self.field))
         return self._rank
-
-    def nullity(self) -> int:
-        return self.ncols - self.rank()
 
     def nullspace(self) -> list[list]:
         """Canonical basis of the kernel (free variables in column order)."""
-        rref, pivots = _rref(self.to_dense(), self.field)
         f = self.field
-        free = [j for j in range(self.ncols) if j not in pivots]
-        basis = []
-        for j in free:
-            vec = [f.zero] * self.ncols
+        rref = echelon(self.rows().values(), f, reduced=True)
+        basis = {j: [f.zero] * self.ncols for j in range(self.ncols) if j not in rref}
+        for j, vec in basis.items():
             vec[j] = f.one
-            for r, pc in enumerate(pivots):
-                vec[pc] = f.neg(rref[r][j])
-            basis.append(vec)
-        return basis
+        for lead, row in rref.items():
+            for j, v in row.items():
+                if j != lead:
+                    basis[j][lead] = f.neg(v)
+        return list(basis.values())
 
     def __repr__(self):
         return f"SliceMatrix({self.nrows}x{self.ncols}, {len(self.entries)} nonzero)"
-
-
-def _rank_bareiss(rows: list[list]) -> int:
-    """Fraction-free rank over ℚ: clear denominators, then Bareiss elimination."""
-    m = []
-    for row in rows:
-        den = 1
-        for v in row:
-            if isinstance(v, Fraction):
-                den = den * v.denominator // gcd(den, v.denominator)
-        m.append([int(v * den) if isinstance(v, Fraction) else int(v) * den for v in row])
-    nr, nc = len(m), len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        piv = None
-        for i in range(r, nr):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        rank += 1
-    return rank
-
-
-def _rank_mod_p(rows: list[list], p: int) -> int:
-    nr, nc = len(rows), len(rows[0]) if rows else 0
-    m = [list(row) for row in rows]
-    rank = 0
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        piv = None
-        for i in range(r, nr):
-            if m[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [v * inv % p for v in m[r]]
-        for i in range(r + 1, nr):
-            if m[i][c] % p:
-                fac = m[i][c]
-                m[i] = [(a - fac * b) % p for a, b in zip(m[i], m[r])]
-        r += 1
-        rank += 1
-    return rank
-
-
-def _rref(rows: list[list], field: Field):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    m = [list(row) for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        piv = None
-        for i in range(r, nr):
-            if m[i][c] != field.zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(v, inv) for v in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != field.zero:
-                fac = m[i][c]
-                m[i] = [field.sub(a, field.mul(fac, b)) for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m[:r] + m[r:], pivots
 
 
 @dataclass
@@ -238,27 +148,50 @@ def solve_linear(A: SliceMatrix, b: list):
     """Solve A x = b exactly.
 
     Returns (x, None) with free variables set to zero, or (None, certificate)
-    when the system is inconsistent.  Deterministic: pivots scan columns left
-    to right, rows top to bottom.
+    when the system is inconsistent.  Both are read off the RREF of
+    [A | b | I]: x from the b column, the certificate from the identity part
+    of the row whose lead is the b column.  Row i carries the single
+    identity entry at column ncols + 1 + i, so only rows that elimination
+    touches grow.
     """
     f = A.field
-    nr, nc = A.nrows, A.ncols
-    aug = A.to_dense()
-    # augment with b and an identity block to track row combinations
-    for i in range(nr):
-        aug[i] = aug[i] + [b[i]] + [f.one if k == i else f.zero for k in range(nr)]
-    m, pivots = _rref(aug, f)
-    # pivot in column nc (the b column) => inconsistent
-    for r, row in enumerate(m):
-        lead = next((j for j, v in enumerate(row[: nc + 1]) if v != f.zero), None)
-        if lead == nc:
-            comb = {k: row[nc + 1 + k] for k in range(nr) if row[nc + 1 + k] != f.zero}
-            return None, InfeasibilityCertificate(comb, min(comb))
+    nc = A.ncols
+    rows = A.rows()
+    aug = []
+    for i in range(A.nrows):
+        row = rows.get(i, {})
+        if b[i] != f.zero:
+            row[nc] = b[i]
+        row[nc + 1 + i] = f.one
+        aug.append(row)
+    rref = echelon(aug, f, reduced=True)
+    bad = rref.get(nc)
+    if bad is not None:
+        comb = {k - nc - 1: v for k, v in sorted(bad.items()) if k > nc}
+        return None, InfeasibilityCertificate(comb, min(comb))
     x = [f.zero] * nc
-    r = 0
-    for c in pivots:
-        if c < nc:
-            x[c] = m[r][nc]
-        r += 1
+    for lead, row in rref.items():
+        if lead < nc:
+            x[lead] = row.get(nc, f.zero)
     return x, None
 
+
+def verify_certificate(A: SliceMatrix, b: list, cert: InfeasibilityCertificate) -> bool:
+    """True when λ = cert.row_combination satisfies λᵀA = 0 and λᵀb ≠ 0.
+
+    Also rejects row indices outside A and a `first_row` that is not the
+    smallest row involved.
+    """
+    f = A.field
+    lam = cert.row_combination
+    if not lam or cert.first_row != min(lam) or not all(0 <= i < A.nrows for i in lam):
+        return False
+    lam_A: dict = {}
+    for (i, j), v in A.entries.items():
+        c = lam.get(i)
+        if c is not None:
+            lam_A[j] = f.add(lam_A.get(j, f.zero), f.mul(c, v))
+    lam_b = f.zero
+    for i, c in lam.items():
+        lam_b = f.add(lam_b, f.mul(c, b[i]))
+    return all(v == f.zero for v in lam_A.values()) and lam_b != f.zero

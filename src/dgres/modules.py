@@ -499,6 +499,8 @@ class LiftResult:
     certificate: InfeasibilityCertificate | None
     system_rows: int
     system_cols: int
+    system: SliceMatrix | None = None  # A of the solved system A x = b
+    rhs: list | None = None            # b
 
     def __repr__(self):
         tag = "Liftable" if self.liftable else "NotLiftable"
@@ -605,7 +607,7 @@ def naive_lift_solve(N: SemifreeModule) -> LiftResult:
         b_vec.append(rhs)
     x, cert = solve_linear(A, b_vec)
     if x is None:
-        return LiftResult(False, None, cert, len(rows), total)
+        return LiftResult(False, None, cert, len(rows), total, A, b_vec)
     rho = {}
     for j, name in enumerate(N.names):
         el = ModTensorElement(N, 2)
@@ -614,7 +616,7 @@ def naive_lift_solve(N: SemifreeModule) -> LiftResult:
             if c != f.zero:
                 el = el + ModTensorElement(N, 2, {lab: c})
         rho[name] = el
-    return LiftResult(True, rho, None, len(rows), total)
+    return LiftResult(True, rho, None, len(rows), total, A, b_vec)
 
 
 def mod_concat_B(t: ModTensorElement, s: TensorElement) -> ModTensorElement:

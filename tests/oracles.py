@@ -74,34 +74,80 @@ def count_monomials_oracle(degrees, parities, target):
     return count
 
 
-def dense_rank_oracle(rows, p=None):
-    """Textbook Gaussian elimination rank, over ℚ (p=None) or F_p."""
-    if not rows or not rows[0]:
-        return 0
-    m = [[Fraction(x) if p is None else x % p for x in row] for row in rows]
-    nr, nc = len(m), len(m[0])
-    rank = 0
+def _field_ops(p):
+    """(normalize, inverse) for ℚ (p=None, values become Fractions) or F_p."""
+    if p is None:
+        return Fraction, lambda x: Fraction(1) / x
+    return (lambda x: x % p), (lambda x: pow(x, -1, p))
+
+
+def dense_rref_oracle(rows, ncols, p=None):
+    """Textbook dense Gauss-Jordan elimination: (RREF rows, pivot columns).
+
+    Pivots scan columns left to right and rows top to bottom.  Values are
+    Fractions over ℚ (p=None) and ints in [0, p) over F_p.
+    """
+    norm, inv = _field_ops(p)
+    m = [[norm(x) for x in row] for row in rows]
+    nr = len(m)
+    pivots = []
     r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if m[i][c] != 0:
-                piv = i
-                break
+    for c in range(ncols):
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = (Fraction(1) / m[r][c]) if p is None else pow(m[r][c], -1, p)
-        m[r] = [(x * inv) if p is None else (x * inv % p) for x in m[r]]
+        s = inv(m[r][c])
+        m[r] = [norm(x * s) for x in m[r]]
         for i in range(nr):
             if i != r and m[i][c] != 0:
                 fac = m[i][c]
-                if p is None:
-                    m[i] = [a - fac * b for a, b in zip(m[i], m[r])]
-                else:
-                    m[i] = [(a - fac * b) % p for a, b in zip(m[i], m[r])]
+                m[i] = [norm(a - fac * b) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
         r += 1
-        rank += 1
-        if r == nr:
-            break
-    return rank
+    return m[:r], pivots
+
+
+def dense_rank_oracle(rows, p=None):
+    """Rank by dense elimination, over ℚ (p=None) or F_p."""
+    return len(dense_rref_oracle(rows, len(rows[0]) if rows else 0, p)[1])
+
+
+def dense_nullspace_oracle(rows, ncols, p=None):
+    """Kernel basis from the dense RREF, one vector per free column in column order."""
+    rref, pivots = dense_rref_oracle(rows, ncols, p)
+    norm, _ = _field_ops(p)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = [norm(0)] * ncols
+        vec[j] = norm(1)
+        for row, pc in zip(rref, pivots):
+            vec[pc] = norm(-row[j])
+        basis.append(vec)
+    return basis
+
+
+def dense_solve_oracle(rows, ncols, b, p=None):
+    """Solve A x = b through the dense RREF of [A | b | I].
+
+    Returns (x, None) with free variables zero, or (None, (combination,
+    first_row)) read from the identity block of the RREF row whose lead is
+    the b column.
+    """
+    nr = len(rows)
+    norm, _ = _field_ops(p)
+    aug = [list(rows[i]) + [b[i]] + [1 if k == i else 0 for k in range(nr)] for i in range(nr)]
+    rref, pivots = dense_rref_oracle(aug, ncols + 1 + nr, p)
+    for row, pc in zip(rref, pivots):
+        if pc == ncols:
+            comb = {k: row[ncols + 1 + k] for k in range(nr) if row[ncols + 1 + k] != 0}
+            return None, (comb, min(comb))
+    x = [norm(0)] * ncols
+    for row, pc in zip(rref, pivots):
+        if pc < ncols:
+            x[pc] = row[ncols]
+    return x, None

@@ -115,3 +115,30 @@ def test_threads_env_var(golden_dir, capsys, monkeypatch):
     monkeypatch.setenv("DGRES_THREADS", "zero")
     code, out, err = run_cli(["validate", str(golden_dir / "e2.dgres")], capsys)
     assert code == 2
+
+
+def test_lift_certificate_is_verified(golden_dir, capsys, monkeypatch):
+    import dgres.cli as cli
+
+    solve = cli.naive_lift_solve
+    args = ["lift", str(golden_dir / "e2.dgres"), "--module", "K"]
+
+    def tampered(N):
+        res = solve(N)
+        lam = res.certificate.row_combination
+        k = max(lam)
+        lam[k] = lam[k] + lam[k]
+        return res
+
+    monkeypatch.setattr(cli, "naive_lift_solve", tampered)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and "FAIL  infeasibility-certificate" in out and "lambda^T A = 0" in out
+
+    def missing(N):
+        res = solve(N)
+        res.certificate = None
+        return res
+
+    monkeypatch.setattr(cli, "naive_lift_solve", missing)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and "solver returned no certificate" in out and "table certificate" not in out
