@@ -16,6 +16,7 @@ from .errors import LengthMismatch, NotInDomain, NotInJn, NotLinear, Obstruction
 from .linalg import SliceMatrix
 from .tensor import (
     TensorElement,
+    _word_key,
     delta,
     delta_coords,
     delta_word,
@@ -107,13 +108,17 @@ def nu(b: AlgElement) -> TensorElement:
     return out
 
 
-def word_index(alg: DGAlgebra, length: int, degree: int) -> dict:
-    return {w: i for i, w in enumerate(tensor_basis(alg, length, degree))}
-
-
-def matrix_of_map(alg, images: list[TensorElement], target_index: dict,
+def matrix_of_map(alg, images: list[TensorElement], target_index: dict | None = None,
                   row_labels=None, col_labels=None) -> SliceMatrix:
-    """Matrix of a linear map given by the images of an ordered source basis."""
+    """Matrix of a linear map given by the images of an ordered source basis.
+
+    With `target_index` None the rows are the distinct words of the images in
+    canonical word order, which is their relative order in the ambient word
+    basis, and those words become the row labels.
+    """
+    if target_index is None:
+        row_labels = tuple(sorted({w for img in images for w in img.terms}, key=_word_key))
+        target_index = {w: i for i, w in enumerate(row_labels)}
     M = SliceMatrix(alg.field, len(target_index), len(images),
                     row_labels=row_labels, col_labels=col_labels)
     for j, img in enumerate(images):
@@ -123,11 +128,14 @@ def matrix_of_map(alg, images: list[TensorElement], target_index: dict,
 
 
 def bar_slice_matrix(alg: DGAlgebra, n: int, degree: int) -> SliceMatrix:
-    """Matrix of 𝐝_{n-1} on the degree slice, over the canonical word bases."""
+    """Matrix of 𝐝_{n-1} on the degree slice.
+
+    Columns are the canonical word basis of B^{⊗_A (n+2)}; rows are the words
+    of B^{⊗_A (n+1)} that occur in the images (see `matrix_of_map`).
+    """
     src = tensor_basis(alg, n + 2, degree)
-    tgt = word_index(alg, n + 1, degree)
     images = [bar_differential(TensorElement.from_word(alg, w), n) for w in src]
-    return matrix_of_map(alg, images, tgt, col_labels=src)
+    return matrix_of_map(alg, images, col_labels=src)
 
 
 def nJ_kernel_basis(alg: DGAlgebra, n: int, degree: int) -> list[TensorElement]:
@@ -161,6 +169,12 @@ def nJ_kernel_basis(alg: DGAlgebra, n: int, degree: int) -> list[TensorElement]:
 # -- derivations and the correspondence η --------------------------------------
 
 
+def _in_window(cutoff: int, *factors) -> bool:
+    """The one window rule of the correspondence: a relation on a product is
+    imposed, and checked, only when the product's degree is within cutoff."""
+    return sum(x.degree for x in factors) <= cutoff
+
+
 @dataclass
 class DerivationTable:
     """An A-derivation B -> L ⊆ B^{⊗_A 2}, tabulated on basis monomials."""
@@ -187,7 +201,7 @@ class DerivationTable:
         for m1 in mono_range:
             d1 = self.images.get(m1, zero)
             for m2 in mono_range:
-                if m1.degree + m2.degree > self.cutoff:
+                if not _in_window(self.cutoff, m1, m2):
                     continue
                 d2 = self.images.get(m2, zero)
                 rhs = right_mult(d1, alg.from_monomial(m2)) + left_mult(alg.from_monomial(m1), d2)
@@ -265,15 +279,11 @@ class BeLinearMap:
         for g in alg.gens:
             ge = alg.gen(g.name)
             for w, img in self.images.items():
+                if not _in_window(self.cutoff, w, g):
+                    continue
                 j = delta_word(alg, (w,))
-                try:
-                    left_ok = self.apply(left_mult(ge, j)) == left_mult(ge, img)
-                except NotInDomain:
-                    left_ok = True  # product leaves the tabulated window
-                try:
-                    right_ok = self.apply(right_mult(j, ge)) == right_mult(img, ge)
-                except NotInDomain:
-                    right_ok = True
+                left_ok = self.apply(left_mult(ge, j)) == left_mult(ge, img)
+                right_ok = self.apply(right_mult(j, ge)) == right_mult(img, ge)
                 if not (left_ok and right_ok):
                     bad.append((g.name, alg.mono_repr(w)))
         rep.add("Be-linearity", not bad, "" if not bad else f"fails at {bad[:3]}")
@@ -371,7 +381,7 @@ def derivation_space(alg: DGAlgebra, cutoff: int) -> list[DerivationTable]:
         if m1 == one:
             continue
         for m2 in monos:
-            if m2 == one or m1.degree + m2.degree > cutoff:
+            if m2 == one or not _in_window(cutoff, m1, m2):
                 continue
             # row family: D(m1 m2) - D(m1)·m2 - m1·D(m2) = 0, one row per word
             per_word: dict = {}
@@ -441,7 +451,7 @@ def be_linear_space(alg: DGAlgebra, cutoff: int) -> list[BeLinearMap]:
     for w in labels:
         jw = delta_word(alg, (w,))
         for g in alg.gens:
-            if w.degree + g.degree > cutoff:
+            if not _in_window(cutoff, w, g):
                 continue
             ge = alg.gen(g.name)
             shifted = right_mult(jw, ge)
@@ -506,12 +516,12 @@ def reduced_slice_matrix(alg: DGAlgebra, n: int, degree: int) -> SliceMatrix:
     """Matrix of d̄_n on the degree slice, in ambient word coordinates.
 
     Columns are indexed by the canonical basis of B ⊗_A J^{⊗_B n} (prefixed
-    δ-basis); rows by the word basis of B^{⊗_A (n+1)}.
+    δ-basis); rows by the words of B^{⊗_A (n+1)} that occur in the images, in
+    ambient order, so the omitted ambient rows are exactly the zero rows.
     """
     labels = prefixed_basis_labels(alg, n, degree)
-    tgt = word_index(alg, n + 1, degree)
     images = [merge_at(prefixed_basis_element(alg, lb), 0) for lb in labels]
-    return matrix_of_map(alg, images, tgt, col_labels=labels)
+    return matrix_of_map(alg, images, col_labels=labels)
 
 
 def augmentation_slice_matrix(alg: DGAlgebra, degree: int) -> SliceMatrix:

@@ -80,17 +80,24 @@ def _common_options(args, problem) -> dict:
     return opts
 
 
-def _opt_int(problem, args, name: str, default: int) -> int:
-    cli_val = getattr(args, name, None)
-    if cli_val is not None:
-        return cli_val
-    raw = problem.options.get(name.replace("_", "-"))
-    if raw is not None:
+def _opt_int(problem, args, name: str, default: int | None) -> int | None:
+    """An integer option: the CLI flag, else the file's [options] line, else default.
+
+    A negative window bound (max_degree, max_n) is a usage error: the window
+    it names is empty, so every check over it would pass vacuously.
+    """
+    val = getattr(args, name, None)
+    if val is None:
+        raw = problem.options.get(name.replace("_", "-"))
+        if raw is None:
+            return default
         try:
-            return int(raw)
+            val = int(raw)
         except ValueError:
             raise UsageError(f"option {name} in file must be an integer, got {raw!r}")
-    return default
+    if name in ("max_degree", "max_n") and val < 0:
+        raise UsageError(f"{name.replace('_', '-')} must be >= 0, got {val}")
+    return val
 
 
 def cmd_validate(args, problem) -> Report:
@@ -122,9 +129,9 @@ def cmd_bar(args, problem) -> Report:
                         ok = False
         rep.add_check("reduced-d-squared-zero", ok, window)
         return rep
-    if args.max_n is None:
+    N = _opt_int(problem, args, "max_n", None)
+    if N is None:
         raise UsageError("classical bar requires --max-n (word lengths are not degree-bounded)")
-    N = args.max_n
     window = f"n 0..{N}, degrees 0..{D}"
     ok_dd = True
     ok_h = True

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from dgres.algebra import DGAlgebra
 from dgres.bar import (
     BeLinearMap,
     bar_action,
     bar_differential,
     bar_homotopy,
+    bar_slice_matrix,
     be_linear_space,
     check_reduced_exactness,
     derivation_from_generator_images,
@@ -16,18 +18,22 @@ from dgres.bar import (
     nJ_kernel_basis,
     nu,
     reduced_bar_differential,
+    reduced_slice_matrix,
 )
 from dgres.errors import NotInDomain, NotLinear, ObstructionNonzero
+from dgres.scalars import Field
 from dgres.tensor import (
     TensorElement,
     delta,
     delta_word,
+    merge_at,
     pi_B,
     prefixed_basis_element,
     tensor_basis,
     tensor_differential,
     tensor_multiply,
 )
+from oracles import dense_rank_oracle
 
 
 def W(alg, *exps):
@@ -190,6 +196,21 @@ def test_derivation_hom_spaces_match(fixture_algebras):
         assert len(derivation_space(alg, 5)) == len(be_linear_space(alg, 5))
 
 
+@pytest.mark.parametrize("name, cutoff", [("E3", 3), ("E1", 1), ("lam", 1)])
+def test_eta_round_trips_when_window_cuts_odd_squares(fixture_algebras, name, cutoff):
+    # the window holds an odd generator g but not g²: every solved map must
+    # pass validate, which checks only relations of degree <= cutoff
+    lam = DGAlgebra(Field.rationals(), ext_gens=[("a", 1), ("b", 1), ("c", 1)])
+    alg = lam if name == "lam" else fixture_algebras[name]
+    bspace = be_linear_space(alg, cutoff)
+    assert len(derivation_space(alg, cutoff)) == len(bspace) > 0
+    for f in bspace:
+        assert f.validate().passed
+        g = eta_inverse(eta(f))
+        zero = TensorElement(alg, 2)
+        assert all(f.images.get(w, zero) == g.images.get(w, zero) for w in set(f.images) | set(g.images))
+
+
 def test_reduced_bar_examples(E1, E2):
     one_mono = E1.one_mono
     em = E1.mono({"e": 1})
@@ -231,3 +252,37 @@ def test_reduced_exactness(fixture_algebras):
     for name, alg in fixture_algebras.items():
         rep = check_reduced_exactness(alg, 6)
         assert rep.passed, (name, [c.details for c in rep.failures()])
+
+
+def _assert_rows_are_hit_words(M, images, ambient):
+    """M is the ambient matrix of `images` with its zero rows left out."""
+    f = M.field
+    hit = {w for img in images for w in img.terms}
+    assert M.row_labels == tuple(w for w in ambient if w in hit)
+    assert M.nrows == len(M.row_labels) and M.ncols == len(images)
+    row_of = {w: i for i, w in enumerate(M.row_labels)}
+    dense = [[img.terms.get(w, f.zero) for img in images] for w in ambient]
+    for w, row in zip(ambient, dense):
+        if w in row_of:
+            assert row == [M.get(row_of[w], j) for j in range(M.ncols)]
+        else:
+            assert not any(row)
+    assert M.rank() == dense_rank_oracle(dense, f.p)
+
+
+def test_slice_rows_are_the_hit_words(fixture_algebras):
+    # the fixtures include ℚ[x] (E2).  The ambient basis of Λ(a,b,c)^{⊗9} in
+    # degree 8 has C(27, 8) words and the dense oracle needs seconds at degree
+    # 4, so Λ(a,b,c) stops at degree 3 (test_linalg ranks its degree-4 slices)
+    lam = DGAlgebra(Field.rationals(), ext_gens=[("a", 1), ("b", 1), ("c", 1)])
+    cases = [(alg, 8) for alg in fixture_algebras.values()] + [(lam, 3)]
+    for alg, top in cases:
+        for d in range(top + 1):
+            for n in range(1, d + 1):
+                M = reduced_slice_matrix(alg, n, d)
+                images = [merge_at(prefixed_basis_element(alg, lb), 0) for lb in M.col_labels]
+                _assert_rows_are_hit_words(M, images, tensor_basis(alg, n + 1, d))
+            for n in range(3):
+                M = bar_slice_matrix(alg, n, d)
+                images = [bar_differential(TensorElement.from_word(alg, w), n) for w in M.col_labels]
+                _assert_rows_are_hit_words(M, images, tensor_basis(alg, n + 1, d))

@@ -56,6 +56,38 @@ def test_classical_bar_requires_cap(capsys, golden_dir):
     assert code == 2 and "max-n" in err
 
 
+@pytest.mark.parametrize("name, cutoff", [("e3.dgres", "3"), ("e1.dgres", "1"), (None, "1")])
+def test_derivations_window_without_odd_square(tmp_path, capsys, golden_dir, name, cutoff):
+    # valid input whose window holds an odd generator but not its square
+    path = golden_dir / name if name else tmp_path / "lam.dgres"
+    if name is None:
+        path.write_text("field rationals\n\n[algebra]\next a 1\next b 1\next c 1\n")
+    code, out, err = run_cli(["derivations", str(path), "--max-degree", cutoff, "--samples", "3"], capsys)
+    assert code == 0 and "verdict: PASS" in out, err
+
+
+@pytest.mark.parametrize("args", [["--reduced", "--max-degree", "-1"], ["--max-n", "-1", "--max-degree", "2"],
+                                  ["--max-n", "1", "--max-degree", "-3"]])
+def test_negative_window_flag_is_usage_error(capsys, golden_dir, args):
+    code, out, err = run_cli(["bar", str(golden_dir / "e1.dgres")] + args, capsys)
+    assert code == 2 and "must be >= 0" in err and out == ""
+
+
+@pytest.mark.parametrize("option, args", [("max-degree = -1", ["--reduced"]), ("max-n = -2", [])])
+def test_negative_window_option_is_usage_error(tmp_path, capsys, golden_dir, option, args):
+    path = tmp_path / "neg.dgres"
+    path.write_text((golden_dir / "e1.dgres").read_text() + f"\n[options]\n{option}\n")
+    code, out, err = run_cli(["bar", str(path)] + args, capsys)
+    assert code == 2 and "must be >= 0" in err and out == ""
+
+
+def test_max_n_option_line_sets_classical_cap(tmp_path, capsys, golden_dir):
+    path = tmp_path / "cap.dgres"
+    path.write_text((golden_dir / "e1.dgres").read_text() + "\n[options]\nmax-n = 1\nmax-degree = 2\n")
+    code, out, err = run_cli(["bar", str(path)], capsys)
+    assert code == 0 and "[n 0..1, degrees 0..2]" in out
+
+
 def test_missing_module_is_usage_error(capsys, golden_dir):
     code, out, err = run_cli(["lift", str(golden_dir / "e1.dgres")], capsys)
     assert code == 2
