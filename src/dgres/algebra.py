@@ -20,6 +20,8 @@ from typing import Iterable, NamedTuple
 from .errors import DgresError, MismatchedAlgebra
 from .scalars import Field
 
+_MISS = object()  # cache sentinel: a vanishing product is memoized as None
+
 
 class Generator(NamedTuple):
     name: str
@@ -91,6 +93,8 @@ class DGAlgebra:
         self.parvec = tuple(g.degree % 2 for g in self.gens)
         self.one_mono = Monomial((0,) * len(self.gens), 0)
         self._diff_cache: dict[Monomial, AlgElement] = {}
+        self._mul_cache: dict[tuple[Monomial, Monomial], tuple[int, Monomial] | None] = {}
+        self._split_cache: dict[Monomial, tuple[Monomial, Monomial]] = {}
         self._basis_cache: dict[tuple[str, int], tuple[Monomial, ...]] = {}
         self.diff_images: dict[int, AlgElement] = {}
         diff_terms = diff_terms or {}
@@ -123,8 +127,13 @@ class DGAlgebra:
 
         The sign counts transpositions of odd generators needed to sort the
         concatenated word back into canonical order; an odd generator shared
-        by both factors kills the product (strong commutativity).
+        by both factors kills the product (strong commutativity).  Results,
+        including the vanishing ones, are memoized per algebra.
         """
+        key = (m1, m2)
+        got = self._mul_cache.get(key, _MISS)
+        if got is not _MISS:
+            return got
         if len(m1.exps) != len(self.gens) or len(m2.exps) != len(self.gens):
             raise MismatchedAlgebra("monomials over a different generator set")
         inv = 0
@@ -133,6 +142,7 @@ class DGAlgebra:
         for i, (a, b) in enumerate(zip(m1.exps, m2.exps)):
             if self.parvec[i]:
                 if a and b:
+                    self._mul_cache[key] = None
                     return None
                 if a:
                     inv += odd_seen_m2
@@ -140,15 +150,22 @@ class DGAlgebra:
                     odd_seen_m2 += 1
             exps.append(a + b)
         sign = -1 if inv % 2 else 1
-        return sign, Monomial(tuple(exps), m1.degree + m2.degree)
+        result = sign, Monomial(tuple(exps), m1.degree + m2.degree)
+        self._mul_cache[key] = result
+        return result
 
     def mono_split(self, m: Monomial) -> tuple[Monomial, Monomial]:
         """Split into (base part, ext part); the product base*ext is m with sign +1."""
+        got = self._split_cache.get(m)
+        if got is not None:
+            return got
         nb = self.n_base
         base = m.exps[:nb] + (0,) * (len(self.gens) - nb)
         ext = (0,) * nb + m.exps[nb:]
         db = sum(e * d for e, d in zip(base, self.degvec))
-        return Monomial(base, db), Monomial(ext, m.degree - db)
+        result = Monomial(base, db), Monomial(ext, m.degree - db)
+        self._split_cache[m] = result
+        return result
 
     def mono_is_ext_only(self, m: Monomial) -> bool:
         return not any(m.exps[: self.n_base])

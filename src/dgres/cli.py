@@ -45,7 +45,6 @@ from .modules import (
 from .report import Report, input_hash, render_machine, render_text
 from .sampling import random_scalar
 from .semifree import (
-    DD,
     alpha,
     bb_basis_element,
     bb_total_basis,
@@ -175,11 +174,14 @@ def cmd_semifree(args, problem) -> Report:
     for t in range(0, D + 1):
         for label in bb_total_basis(alg, t):
             v = bb_basis_element(alg, label)
-            if not DD(DD(v)).is_zero():
-                ok_sq = False
-            if not (frakD(dBB(v)) + dBB(frakD(v))).is_zero():
+            # 𝔻 = ∂ + 𝔇: each piece of 𝔻v and 𝔻²v is computed once
+            dv, fv = dBB(v), frakD(v)
+            anti = frakD(dv) + dBB(fv)
+            if not anti.is_zero():
                 ok_anti = False
-            if alpha(DD(v)) != alg.d(alpha(v)):
+            if not (dBB(dv) + anti + frakD(fv)).is_zero():
+                ok_sq = False
+            if alpha(dv + fv) != alg.d(alpha(v)):
                 ok_alpha = False
     rep.add_check("DD-squared-zero", ok_sq, window)
     rep.add_check("anticommutation", ok_anti, window)
@@ -236,7 +238,18 @@ def cmd_lift(args, problem) -> Report:
         raise UsageError(f"module {args.module!r} not defined in the input file")
     N = problem.modules[args.module]
     D = _opt_int(problem, args, "max_degree", 8)
-    rep.add_validation(f"module[{args.module}]", validate_module(N), "")
+    module_rep = validate_module(N)
+    rep.add_validation(f"module[{args.module}]", module_rep, "")
+    if module_rep.passed:
+        _lift_checks(rep, N, D)
+    seed = _opt_int(problem, args, "seed", 0)
+    samples = _opt_int(problem, args, "samples", 100)
+    rep.add_validation("concat-sign-lemma", lemma_sign_check(N, samples, seed), f"{samples} samples, seed {seed}")
+    return rep
+
+
+def _lift_checks(rep: Report, N, D: int):
+    """β_N, the naive lift and its certificate or λ-splitting: all need a valid module."""
     alg = N.alg
     f = alg.field
 
@@ -307,10 +320,6 @@ def cmd_lift(args, problem) -> Report:
                           "" if ok_cert else "certificate fails lambda^T A = 0, lambda^T b != 0")
             rep.tables["certificate"] = [("first-row", cert.first_row),
                                          ("rows", ",".join(str(r) for r in sorted(cert.row_combination)))]
-    seed = _opt_int(problem, args, "seed", 0)
-    samples = _opt_int(problem, args, "samples", 100)
-    rep.add_validation("concat-sign-lemma", lemma_sign_check(N, samples, seed), f"{samples} samples, seed {seed}")
-    return rep
 
 
 def cmd_derivations(args, problem) -> Report:

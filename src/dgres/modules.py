@@ -182,18 +182,6 @@ def mod_element(module: SemifreeModule, name: str, coeff=None) -> ModTensorEleme
     return ModTensorElement(module, 1, {(module.index[name], (alg.one_mono,)): c})
 
 
-def mod_from_pairs(module: SemifreeModule, pairs) -> ModTensorElement:
-    """Build Σ e_name · t from (name, TensorElement) pairs."""
-    out = None
-    for name, t in pairs:
-        el = ModTensorElement(module, t.length + 1)
-        idx = module.index[name]
-        for w, c in t.terms.items():
-            el._add_raw(idx, (module.alg.one_mono,) + w, c)
-        out = el if out is None else out + el
-    return out if out is not None else ModTensorElement(module, 1)
-
-
 def mod_right_mult(t: ModTensorElement, u: AlgElement) -> ModTensorElement:
     """Right B-action on the last slot."""
     alg = t.module.alg
@@ -222,24 +210,6 @@ def mod_merge_at(t: ModTensorElement, i: int) -> ModTensorElement:
             continue
         s, m = sm
         out._add_raw(idx, w[:i] + (m,) + w[i + 2:], f.neg(c) if s < 0 else c)
-    return out
-
-
-def mod_left_mult(t: ModTensorElement, u: AlgElement) -> ModTensorElement:
-    """Multiply into slot 0 (inside the basis coefficient), no crossing sign."""
-    alg = t.module.alg
-    f = alg.field
-    out = ModTensorElement(t.module, t.length)
-    for (i, w), c in t.terms.items():
-        for mu, cu in u.terms.items():
-            sm = alg.mono_mul(mu, w[0])
-            if sm is None:
-                continue
-            s, m0 = sm
-            cc = f.mul(c, cu)
-            if s < 0:
-                cc = f.neg(cc)
-            out._add_raw(i, (m0,) + w[1:], cc)
     return out
 
 

@@ -138,6 +138,8 @@ def parse_problem(text: str) -> ProblemFile:
                 raise ParseError("unterminated section header", line_no, indent + len(stripped))
             name = stripped[1:-1].strip()
             if name == "algebra":
+                if saw_algebra:
+                    raise ParseError("duplicate [algebra] section", line_no, indent + 1)
                 section = "algebra"
                 saw_algebra = True
             elif name.startswith("module"):
@@ -157,6 +159,8 @@ def parse_problem(text: str) -> ProblemFile:
         words = stripped.split()
         if section is None:
             if words[0] == "field":
+                if field is not None:
+                    raise ParseError("duplicate 'field' declaration", line_no, indent + 1)
                 if len(words) == 2 and words[1] == "rationals":
                     field = Field.rationals()
                 elif len(words) == 3 and words[1] == "prime":
@@ -230,8 +234,3 @@ def parse_problem(text: str) -> ProblemFile:
                 raise ParseError(f"module {name}: entry references unknown generator", 1, 1)
         modules[name] = SemifreeModule(algebra, data["basis"], data["entries"])
     return ProblemFile(field, algebra, modules, options, text)
-
-
-def load_problem(path: str) -> ProblemFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem(fh.read())

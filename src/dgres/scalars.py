@@ -27,13 +27,16 @@ def _is_prime(p: int) -> bool:
 class Field:
     """ℚ (`Field.rationals()`) or F_p (`Field.prime(p)`)."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "zero", "one")
 
     def __init__(self, p: int | None):
         if p is not None:
             if not (2 <= p < 2**31 and _is_prime(p)):
                 raise DgresError(f"modulus {p} is not a prime below 2^31")
         self.p = p
+        # built once: Fraction is immutable, and arithmetic reads these in its inner loops
+        self.zero = 0 if p is not None else Fraction(0)
+        self.one = 1 if p is not None else Fraction(1)
 
     @staticmethod
     def rationals() -> "Field":
@@ -46,14 +49,6 @@ class Field:
     @property
     def is_prime_field(self) -> bool:
         return self.p is not None
-
-    @property
-    def zero(self):
-        return 0 if self.p is not None else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.p is not None else Fraction(1)
 
     def of_int(self, n: int):
         return n % self.p if self.p is not None else Fraction(n)

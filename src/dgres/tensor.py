@@ -305,7 +305,13 @@ def concat_B(t1: TensorElement, t2: TensorElement) -> TensorElement:
 
 
 def tensor_differential(t: TensorElement) -> TensorElement:
-    """Slotwise differential with sign (-1)^{|u_1|+...+|u_{i-1}|}."""
+    """Slotwise differential with sign (-1)^{|u_1|+...+|u_{i-1}|}.
+
+    A canonical word w stays canonical except in the slot i it differentiates,
+    so each image is normalized there alone: the base part a of a term of
+    d(w_i) moves into slot 0 across the ext-only w_1..w_{i-1}, with the sign
+    (-1)^{|a|(|w_1|+...+|w_{i-1}|)}, exactly as `normalize_word` would.
+    """
     alg = t.alg
     f = alg.field
     out = TensorElement(alg, t.length)
@@ -315,8 +321,23 @@ def tensor_differential(t: TensorElement) -> TensorElement:
             dm = alg.diff_mono(m)
             if not dm.is_zero():
                 cc = f.neg(c) if prefix % 2 else c
+                crossed = (prefix - w[0].degree) % 2
                 for mm, cm in dm.terms.items():
-                    out._add_raw(w[:i] + (mm,) + w[i + 1:], f.mul(cc, cm))
+                    coeff = f.mul(cc, cm)
+                    if i == 0:
+                        out._add_canonical((mm,) + w[1:], coeff)
+                        continue
+                    a, e = alg.mono_split(mm)
+                    if not a.degree:
+                        out._add_canonical(w[:i] + (mm,) + w[i + 1:], coeff)
+                        continue
+                    sm = alg.mono_mul(w[0], a)
+                    if sm is None:
+                        continue
+                    s, m0 = sm
+                    if a.degree % 2 and crossed:
+                        s = -s
+                    out._add_canonical((m0,) + w[1:i] + (e,) + w[i + 1:], f.neg(coeff) if s < 0 else coeff)
             prefix += m.degree
     return out
 

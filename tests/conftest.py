@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from dgres.algebra import DGAlgebra
 from dgres.fixtures import all_fixtures, e1, e2, e3
 from dgres.scalars import Field
 
@@ -32,6 +33,28 @@ def E3p():
 @pytest.fixture(scope="session")
 def fixture_algebras():
     return all_fixtures()
+
+
+@pytest.fixture(scope="session")
+def K3p():
+    """F_101[x,y,z]<e,f,g> with de = x, df = y, dg = z: the Koszul tower of the benchmark."""
+    return DGAlgebra(
+        Field.prime(101),
+        base_gens=[("x", 2), ("y", 2), ("z", 2)],
+        ext_gens=[("e", 3), ("f", 3), ("g", 3)],
+        diff_terms={"e": [(1, {"x": 1})], "f": [(1, {"y": 1})], "g": [(1, {"z": 1})]},
+    )
+
+
+@pytest.fixture(scope="session")
+def odd_base():
+    """An odd base generator a in the differentials: moving a into slot 0 carries a sign."""
+    return DGAlgebra(
+        Field.rationals(),
+        base_gens=[("a", 1)],
+        ext_gens=[("e", 2), ("f", 1), ("g", 3)],
+        diff_terms={"e": [(1, {"a": 1})], "g": [(1, {"a": 1, "f": 1})]},
+    )
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

@@ -165,6 +165,42 @@ def test_mismatched_algebra_rejected(E1, E2, E3):
         E1.mono_mul(E1.mono({"e": 1}), E3.mono({"e": 1}))
 
 
+def test_memoized_monomial_ops_match_uncached(fixture_algebras, K3p, odd_base):
+    from dgres.errors import MismatchedAlgebra
+
+    algs = dict(fixture_algebras, K3p=K3p, odd_base=odd_base)
+    for name, alg in algs.items():
+        monos = [m for d in range(0, 9) for m in alg.basis("B", d)]
+        for _ in range(2):  # the first pass fills the memo, the second reads it
+            for m1 in monos:
+                for m2 in monos:
+                    want = merge_sign_oracle(alg, m1, m2)
+                    got = alg.mono_mul(m1, m2)
+                    if want is None:
+                        assert got is None, (name, m1, m2)
+                    else:
+                        assert got == (want[0], alg._mono_from_exps(want[1])), (name, m1, m2)
+            for m in monos:
+                base, ext = alg.mono_split(m)
+                nb = alg.n_base
+                assert base == alg._mono_from_exps(m.exps[:nb] + (0,) * (len(m.exps) - nb))
+                assert ext == alg._mono_from_exps((0,) * nb + m.exps[nb:])
+                assert alg.mono_mul(base, ext) == (1, m)
+        other = fixture_algebras["E1"] if len(alg.gens) != 1 else K3p
+        with pytest.raises(MismatchedAlgebra):
+            alg.mono_mul(monos[0], other.one_mono)
+        with pytest.raises(MismatchedAlgebra):
+            alg.mono_mul(other.one_mono, monos[-1])
+
+
+def test_field_constants_built_once():
+    for F in (Field.rationals(), Field.prime(101)):
+        assert F.zero is F.zero and F.one is F.one
+        assert F.zero == 0 and F.one == 1
+    assert Field.rationals() == Field.rationals() and hash(Field.prime(7)) == hash(Field.prime(7))
+    assert Field.rationals() != Field.prime(7)
+
+
 def test_prime_field_arithmetic():
     F = Field.prime(101)
     alg = DGAlgebra(F, ext_gens=[("x", 2)])

@@ -174,3 +174,46 @@ def test_lift_certificate_is_verified(golden_dir, capsys, monkeypatch):
     monkeypatch.setattr(cli, "naive_lift_solve", missing)
     code, out, err = run_cli(args, capsys)
     assert code == 1 and "solver returned no certificate" in out and "table certificate" not in out
+
+
+def test_semifree_fails_with_unsigned_internal_differential(golden_dir, capsys, monkeypatch):
+    import dgres.cli as cli
+    from dgres.semifree import BBElement
+    from dgres.tensor import tensor_differential
+
+    def unsigned_dBB(t):
+        # ∂ without the (-1)^n of component n
+        return BBElement(t.alg, {n: tensor_differential(te) for n, te in t.components.items()})
+
+    args = ["semifree", str(golden_dir / "e3.dgres"), "--max-degree", "8"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and "PASS  anticommutation" in out
+    monkeypatch.setattr(cli, "dBB", unsigned_dBB)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert "FAIL  anticommutation" in out and "FAIL  DD-squared-zero" in out
+
+
+def test_lift_reports_invalid_module(tmp_path, capsys):
+    src = tmp_path / "bad_module.dgres"
+    src.write_text("field rationals\n\n[algebra]\next a 1\next b 1\n\n"
+                   "[module M]\ngenerator f0 0\ngenerator f1 3\nentry f1 f0 = a\n")
+    code, out, err = run_cli(["lift", str(src), "--module", "M"], capsys)
+    assert code == 1 and err == ""
+    assert "FAIL  module[M]:entry-degrees" in out and "(f0,f1): degrees [1] != 2" in out
+    assert "beta-chain-map" not in out and "table lift" not in out
+    assert "verdict: FAIL" in out
+
+
+@pytest.mark.parametrize("text, line", [
+    ("field rationals\nfield prime 7\n[algebra]\next e 1\n", 2),
+    ("field rationals\n[algebra]\next e 1\n\n[algebra]\next f 1\n", 5),
+])
+def test_duplicate_field_or_algebra_is_parse_error(tmp_path, capsys, text, line):
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert (exc.value.line, exc.value.column) == (line, 1)
+    src = tmp_path / "dup.dgres"
+    src.write_text(text)
+    code, out, err = run_cli(["validate", str(src)], capsys)
+    assert code == 2 and f"at line {line}, column 1" in err

@@ -73,6 +73,40 @@ def test_tensor_differential_squares_to_zero(fixture_algebras):
                     assert tensor_differential(tensor_differential(x)).is_zero()
 
 
+def _tensor_differential_reference(t):
+    """The slotwise differential with every image word sent through `normalize_word`."""
+    alg = t.alg
+    f = alg.field
+    out = TensorElement(alg, t.length)
+    for w, c in t.terms.items():
+        prefix = 0
+        for i, m in enumerate(w):
+            cc = f.neg(c) if prefix % 2 else c
+            for mm, cm in alg.diff_mono(m).terms.items():
+                out._add_raw(w[:i] + (mm,) + w[i + 1:], f.mul(cc, cm))
+            prefix += m.degree
+    return out
+
+
+def test_tensor_differential_matches_normalizing_reference(fixture_algebras, K3p, odd_base):
+    # a in slot 2 crosses the odd f on its way to slot 0: (-1)^{|f|} * (-1)^{|a||f|} = +1
+    a, f, e, one = odd_base.mono({"a": 1}), odd_base.mono({"f": 1}), odd_base.mono({"e": 1}), odd_base.one_mono
+    assert tensor_differential(TensorElement.from_word(odd_base, (one, f, e))) == \
+        TensorElement.from_word(odd_base, (a, f, one))
+    algs = dict(fixture_algebras, K3p=K3p, odd_base=odd_base)
+    for name, alg in algs.items():
+        top = 6 if name == "odd_base" else 8
+        for d in range(0, top + 1):
+            for n in range(0, d + 1):
+                for lb in prefixed_basis_labels(alg, n, d):
+                    x = prefixed_basis_element(alg, lb)
+                    assert tensor_differential(x) == _tensor_differential_reference(x), (name, lb)
+            for length in (1, 2, 3):
+                for w in tensor_basis(alg, length, d):
+                    x = TensorElement.from_word(alg, w)
+                    assert tensor_differential(x) == _tensor_differential_reference(x), (name, w)
+
+
 def test_tensor_leibniz(fixture_algebras):
     rng = random.Random(9)
     for alg in fixture_algebras.values():
