@@ -159,6 +159,8 @@ class DGAlgebra:
         got = self._split_cache.get(m)
         if got is not None:
             return got
+        if len(m.exps) != len(self.gens):
+            raise MismatchedAlgebra("monomial over a different generator set")
         nb = self.n_base
         base = m.exps[:nb] + (0,) * (len(self.gens) - nb)
         ext = (0,) * nb + m.exps[nb:]
@@ -221,6 +223,8 @@ class DGAlgebra:
         cached = self._diff_cache.get(m)
         if cached is not None:
             return cached
+        if len(m.exps) != len(self.gens):
+            raise MismatchedAlgebra("monomial over a different generator set")
         result = self.zero()
         for i, e in enumerate(m.exps):
             if e == 0:

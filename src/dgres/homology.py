@@ -14,7 +14,8 @@ from .algebra import DGAlgebra
 from .bar import augmentation_slice_matrix, bar_slice_matrix, reduced_slice_matrix
 from .errors import DgresError, WindowIncomplete
 from .linalg import SliceMatrix
-from .semifree import DD, alpha, bb_basis_element, bb_coords, bb_total_basis
+from .semifree import BBElement, alpha, bb_basis_element, bb_total_basis, dd_column
+from .tensor import TensorElement, prefixed_basis_element
 
 
 @dataclass
@@ -48,12 +49,12 @@ def dB_matrix(alg: DGAlgebra, degree: int) -> SliceMatrix:
     return M
 
 
-def _bb_index(alg: DGAlgebra, total_degree: int) -> dict:
-    return {lab: i for i, lab in enumerate(bb_total_basis(alg, total_degree))}
-
-
 def bb_dd_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
-    """Matrix of 𝔻 from total degree t to t-1, over the stored 𝔹 bases."""
+    """Matrix of 𝔻 from total degree t to t-1, over the stored 𝔹 bases.
+
+    Columns come from the closed form `dd_column`; `checked_dd_columns`
+    certifies them against the flat images ∂v and 𝔇v.
+    """
     caches = getattr(alg, "_homology_caches", None)
     if caches is None:
         caches = {}
@@ -62,14 +63,64 @@ def bb_dd_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
     if got is not None:
         return got
     src = bb_total_basis(alg, total_degree)
-    tgt = _bb_index(alg, total_degree - 1) if total_degree >= 1 else {}
-    M = SliceMatrix(alg.field, len(tgt), len(src), col_labels=src)
+    tgt_labels = bb_total_basis(alg, total_degree - 1)
+    tgt = {lab: i for i, lab in enumerate(tgt_labels)}
+    M = SliceMatrix(alg.field, len(tgt), len(src), row_labels=tgt_labels, col_labels=src)
+    entries = M.entries
     for j, lab in enumerate(src):
-        img = DD(bb_basis_element(alg, lab))
-        for key, c in bb_coords(img).items():
-            M.set(tgt[key], j, c)
+        for key, c in dd_column(alg, lab).items():
+            entries[(tgt[key], j)] = c
     caches[("DD", total_degree)] = M
     return M
+
+
+def checked_dd_columns(alg: DGAlgebra, D: int, d_internal, d_bar):
+    """Check every column of 𝔻 in total degrees 0..D against flat images.
+
+    Yields (v, ∂v, 𝔇v, ok) for each stored basis element v, in the order of
+    `bb_total_basis`, with ∂v = d_internal(v) and 𝔇v = d_bar(v) computed on
+    flat elements.  ok says that the column of v in `bb_dd_matrix` expands
+    over the flat basis elements of degree t-1 to exactly ∂v + 𝔇v.  That
+    expansion is injective, so ok means the column is the coordinate vector
+    of 𝔻v; once every column passes, products of the matrices, such as
+    𝔻_{t-1}∘𝔻_t, are exact statements about 𝔻 on every basis element.
+    """
+    f = alg.field
+    prev: list = []  # (n, flat component) of the basis elements of degree t-1
+    for t in range(D + 1):
+        M = bb_dd_matrix(alg, t)
+        keys = sorted(M.entries, key=lambda ij: ij[1])  # column by column
+        pos = 0
+        cur = []
+        for j, (n, lb) in enumerate(M.col_labels):
+            te = prefixed_basis_element(alg, lb)
+            v = BBElement(alg, {n: te})
+            dv, fv = d_internal(v), d_bar(v)
+            comps: dict = {}
+            while pos < len(keys) and keys[pos][1] == j:
+                c = M.entries[keys[pos]]
+                k, tk = prev[keys[pos][0]]
+                pos += 1
+                acc = comps.get(k)
+                if acc is None:
+                    acc = comps[k] = TensorElement(alg, k + 2)
+                for w, cw in tk.terms.items():
+                    acc._add_canonical(w, f.mul(c, cw))
+            yield v, dv, fv, BBElement(alg, comps) == dv + fv
+            cur.append((n, te))
+        prev = cur
+
+
+def dd_square(alg: DGAlgebra, total_degree: int) -> tuple[bool, bool]:
+    """(𝔻² = 0, 𝔇∂ + ∂𝔇 = 0) on one total degree, read off 𝔻_{t-1}∘𝔻_t.
+
+    ∂ keeps the word length n and 𝔇 lowers it by one, so the entries of the
+    product one component below their column are ∂𝔇 + 𝔇∂; the others are
+    ∂² (same component) and 𝔇² (two below).
+    """
+    P = bb_dd_matrix(alg, total_degree - 1).compose(bb_dd_matrix(alg, total_degree))
+    anti = all(P.row_labels[i][0] != P.col_labels[j][0] - 1 for i, j in P.entries)
+    return P.is_zero(), anti
 
 
 def bb_alpha_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:

@@ -15,7 +15,7 @@ Format (UTF-8, '#' comments, blank lines ignored):
     entry e1 e0 = x            # coefficient of e0 in the differential of e1
 
     [options]
-    max-degree = 8
+    max-degree = 8             # also max-n, samples, seed; other keys are errors
 
 Expressions: terms joined by + or -, each a '*'-separated product of scalar
 coefficients (integers or fractions like 1/2) and generator powers g^k.
@@ -105,6 +105,9 @@ def parse_expression(text: str, line_no: int = 0, col_offset: int = 0):
             if not (kind == "op" and val in "+-"):
                 raise ParseError(f"expected '+' or '-', found {val!r}", line_no, col)
     return terms
+
+
+OPTION_KEYS = ("max-degree", "max-n", "samples", "seed")
 
 
 @dataclass
@@ -219,6 +222,9 @@ def parse_problem(text: str) -> ProblemFile:
             if "=" not in line:
                 raise ParseError("option line needs '='", line_no, indent + 1)
             key, val = (s.strip() for s in line.split("=", 1))
+            if key not in OPTION_KEYS:
+                raise ParseError(f"unknown option {key!r}; expected one of {', '.join(OPTION_KEYS)}",
+                                 line_no, indent + 1)
             options[key] = val
 
     if field is None:

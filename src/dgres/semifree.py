@@ -22,6 +22,7 @@ from .algebra import AlgElement, DGAlgebra, ValidationReport
 from .errors import DgresError, LengthMismatch
 from .tensor import (
     TensorElement,
+    _caches,
     concat_B,
     delta,
     merge_at,
@@ -364,16 +365,74 @@ def bb_total_basis(alg: DGAlgebra, total_degree: int):
     Each suspended δ-factor contributes its internal degree plus one, so
     components with n > total_degree/2 are empty and the slice is finite.
     """
-    labels = []
-    for n in range(0, total_degree // 2 + 1):
-        for lb in prefixed_basis_labels(alg, n, total_degree - n):
-            labels.append((n, lb))
-    return labels
+    cache = _caches(alg)["bb_basis"]
+    got = cache.get(total_degree)
+    if got is not None:
+        return got
+    result = tuple((n, lb) for n in range(0, total_degree // 2 + 1)
+                   for lb in prefixed_basis_labels(alg, n, total_degree - n))
+    cache[total_degree] = result
+    return result
 
 
 def bb_basis_element(alg: DGAlgebra, label) -> BBElement:
     n, lb = label
     return BBElement(alg, {n: prefixed_basis_element(alg, lb)})
+
+
+def dd_column(alg: DGAlgebra, label) -> dict:
+    """Coordinates of 𝔻 of one stored basis element, computed on the labels.
+
+    The label (n, (b, m, ws)) is b ⊗_A m·δ(w_1) ⊗_B ... ⊗_B δ(w_n).  ∂ is
+    (-1)^n times the Leibniz rule on b, m and each w_i.  The base part a of a
+    term a·e of d(m) or d(w_i) moves into the prefix b (δ(a·e) = a·δ(e)),
+    passing m and w_1..w_{i-1} with the sign (-1)^{|a|(|m| + Σ_{j<i}|w_j|)};
+    a term of d(w_i) with e = 1 drops out, since δ vanishes on A.  𝔇 merges
+    b into the first δ-factor: (bm) ⊗ w_1·δ(w_2)... − (bm·w_1) ⊗ δ(w_2)....
+    No flat element is built and no δ-factor is peeled off.
+    """
+    n, (b, m, ws) = label
+    f = alg.field
+    zero = f.zero
+    out: dict = {}
+
+    def add(key, c, negate):
+        s = f.add(out.get(key, zero), f.neg(c) if negate else c)
+        if s == zero:
+            out.pop(key, None)
+        else:
+            out[key] = s
+
+    odd_n = n % 2
+    for mm, c in alg.diff_mono(b).terms.items():
+        add((n, (mm, m, ws)), c, odd_n)
+    odd_b = (n + b.degree) % 2
+    for mm, c in alg.diff_mono(m).terms.items():
+        a, e = alg.mono_split(mm)
+        sm = alg.mono_mul(b, a)
+        if sm is not None:
+            add((n, (sm[1], e, ws)), c, odd_b ^ (sm[0] < 0))
+    crossed = m.degree  # |m| + Σ_{j<i} |w_j|
+    for i, w in enumerate(ws):
+        odd_w = (odd_b + crossed) % 2
+        for mm, c in alg.diff_mono(w).terms.items():
+            a, e = alg.mono_split(mm)
+            if not e.degree:
+                continue
+            sm = alg.mono_mul(b, a)
+            if sm is not None:
+                cross = a.degree % 2 and crossed % 2
+                add((n, (sm[1], m, ws[:i] + (e,) + ws[i + 1:])), c, odd_w ^ cross ^ (sm[0] < 0))
+        crossed += w.degree
+    if n:
+        sm = alg.mono_mul(b, m)
+        if sm is not None:
+            s, bm = sm
+            add((n - 1, (bm, ws[0], ws[1:])), f.one, s < 0)
+            sm = alg.mono_mul(bm, ws[0])
+            if sm is not None:
+                add((n - 1, (sm[1], alg.one_mono, ws[1:])), f.one, (s * sm[0]) > 0)
+    return out
 
 
 def bb_coords(t: BBElement, strict: bool = True) -> dict:
@@ -404,8 +463,7 @@ def check_semifree_triangular(alg: DGAlgebra, max_total_degree: int) -> Validati
             if any(b.exps) or any(m.exps):
                 continue  # not a module basis element, a B^e-multiple of one
             src_key = n + sum(w.degree for w in ws)
-            img = DD(bb_basis_element(alg, (n, lb)))
-            for (n2, (b2, m2, ws2)), c in bb_coords(img).items():
+            for n2, (b2, m2, ws2) in dd_column(alg, (n, lb)):
                 tgt_key = n2 + sum(w.degree for w in ws2)
                 if tgt_key >= src_key:
                     bad.append((t, n, tuple(alg.mono_repr(w) for w in ws)))

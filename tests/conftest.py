@@ -1,13 +1,20 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dgres.algebra import DGAlgebra
 from dgres.fixtures import all_fixtures, e1, e2, e3
 from dgres.scalars import Field
+
+# HYPOTHESIS_PROFILE=ci derandomizes every property test, so a CI failure
+# reproduces locally with the same setting; the default profile stays random.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

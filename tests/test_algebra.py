@@ -193,6 +193,23 @@ def test_memoized_monomial_ops_match_uncached(fixture_algebras, K3p, odd_base):
             alg.mono_mul(other.one_mono, monos[-1])
 
 
+@pytest.mark.parametrize("op", ["mono_split", "diff_mono"])
+def test_split_and_diff_reject_foreign_monomial(op):
+    from dgres.errors import MismatchedAlgebra
+    from dgres.fixtures import e1, e3
+
+    alg = e3()  # a fresh algebra, so the first call meets a cold memo
+    foreign = e1().mono({"e": 1})
+    with pytest.raises(MismatchedAlgebra):
+        getattr(alg, op)(foreign)
+    for d in range(0, 7):
+        for m in alg.basis("B", d):
+            getattr(alg, op)(m)
+    with pytest.raises(MismatchedAlgebra):
+        getattr(alg, op)(foreign)
+    assert foreign not in alg._split_cache and foreign not in alg._diff_cache
+
+
 def test_field_constants_built_once():
     for F in (Field.rationals(), Field.prime(101)):
         assert F.zero is F.zero and F.one is F.one

@@ -217,3 +217,54 @@ def test_duplicate_field_or_algebra_is_parse_error(tmp_path, capsys, text, line)
     src.write_text(text)
     code, out, err = run_cli(["validate", str(src)], capsys)
     assert code == 2 and f"at line {line}, column 1" in err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("field rationals\n[algebra]\next e 1\n\n[options]\nmax-degree = 3\nmax_degree = 4\n", 7),
+    ("field rationals\n[algebra]\next e 1\n[options]\nthreads = 2\n", 5),
+])
+def test_unknown_option_key_is_parse_error(tmp_path, capsys, text, line):
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert (exc.value.line, exc.value.column) == (line, 1)
+    src = tmp_path / "opt.dgres"
+    src.write_text(text)
+    code, out, err = run_cli(["semifree", str(src)], capsys)
+    assert code == 2 and out == "" and f"at line {line}, column 1" in err and "unknown option" in err
+    good = parse_problem(text.replace("max_degree", "max-n").replace("threads", "seed"))
+    assert set(good.options) <= {"max-degree", "max-n", "samples", "seed"}
+
+
+def _flip_second_bar_term(monkeypatch):
+    """Give (bm·w_1) ⊗ δ(w_2)... a plus sign in the closed form of 𝔻."""
+    import dgres.homology as homology
+
+    real = homology.dd_column
+
+    def flipped(alg, label):
+        n = label[0]
+        return {key: alg.field.neg(c) if key[0] == n - 1 and key[1][1] == alg.one_mono else c
+                for key, c in real(alg, label).items()}
+
+    monkeypatch.setattr(homology, "dd_column", flipped)
+
+
+def test_semifree_fails_on_a_flipped_closed_form_sign(golden_dir, capsys, monkeypatch):
+    args = ["semifree", str(golden_dir / "e3.dgres"), "--max-degree", "6"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0
+    _flip_second_bar_term(monkeypatch)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and err == ""
+    for name in ("DD-squared-zero", "anticommutation", "quasi-isomorphism"):
+        assert f"FAIL  {name}" in out, name
+    assert "PASS  alpha-chain-map" in out
+
+
+def test_homology_fails_on_a_flipped_closed_form_sign(golden_dir, capsys, monkeypatch):
+    args = ["homology", str(golden_dir / "e3.dgres"), "--max-degree", "6"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and "PASS  homology-dimensions-match" in out
+    _flip_second_bar_term(monkeypatch)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and err == "" and "FAIL  homology-dimensions-match" in out

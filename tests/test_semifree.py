@@ -1,6 +1,6 @@
 from dgres.algebra import DGAlgebra
 from dgres.bar import reduced_slice_matrix, matrix_of_map
-from dgres.homology import homology_dims
+from dgres.homology import checked_dd_columns, dd_square, homology_dims
 from dgres.scalars import Field
 from dgres.semifree import (
     BBElement,
@@ -13,6 +13,7 @@ from dgres.semifree import (
     bb_word,
     check_semifree_triangular,
     dBB,
+    dd_column,
     dT,
     frakD,
     psi_sign,
@@ -20,7 +21,7 @@ from dgres.semifree import (
     t_multiply,
     t_word,
 )
-from dgres.tensor import TensorElement, delta, prefixed_basis_element, tensor_basis
+from dgres.tensor import TensorElement, delta, prefixed_basis_element, tensor_basis, tensor_differential
 
 
 def test_psi_sign_examples():
@@ -176,3 +177,37 @@ def test_bb_coords_round_trip(fixture_algebras):
             for label in bb_total_basis(alg, t):
                 v = bb_basis_element(alg, label)
                 assert bb_coords(v) == {label: alg.field.one}
+
+
+def test_dd_column_matches_flat_oracle(fixture_algebras, K3p, odd_base):
+    # the closed form on the labels against 𝔻 applied to the flat basis element
+    # and peeled back into δ-coordinates
+    lam = DGAlgebra(Field.rationals(), ext_gens=[("a", 1), ("b", 1), ("c", 1)])
+    windows = [(alg, 8) for alg in fixture_algebras.values()] + [(K3p, 10), (odd_base, 6), (lam, 5)]
+    for alg, D in windows:
+        for t in range(D + 1):
+            for label in bb_total_basis(alg, t):
+                assert dd_column(alg, label) == bb_coords(DD(bb_basis_element(alg, label))), label
+
+
+def test_dd_column_example(E1):
+    # 𝔻(1 ⊗ δ(e)) = 𝔇(1 ⊗ δ(e)) = (1 ⊗ e) - (e ⊗ 1)
+    one, e = E1.one_mono, E1.mono({"e": 1})
+    assert dd_column(E1, (1, (one, one, (e,)))) == {(0, (one, e, ())): 1, (0, (e, one, ())): -1}
+
+
+def test_checked_columns_and_matrix_squares(fixture_algebras, odd_base):
+    for alg in list(fixture_algebras.values()) + [odd_base]:
+        checked = list(checked_dd_columns(alg, 6, dBB, frakD))
+        assert len(checked) == sum(len(bb_total_basis(alg, t)) for t in range(7))
+        assert all(ok for *_, ok in checked)
+        for t in range(2, 7):
+            assert dd_square(alg, t) == (True, True)
+
+
+def test_checked_columns_catch_a_wrong_differential(E3):
+    # ∂ without the (-1)^n of component n disagrees with the closed form
+    def unsigned(t):
+        return BBElement(t.alg, {n: tensor_differential(te) for n, te in t.components.items()})
+
+    assert not all(ok for *_, ok in checked_dd_columns(E3, 8, unsigned, frakD))

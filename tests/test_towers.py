@@ -1,0 +1,52 @@
+"""Randomized Koszul-type towers: A = k[x_1..x_r] with zero differential and
+d e_i a random element of A of degree |e_i| - 1, so d² = 0 by construction."""
+
+import argparse
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dgres.algebra import DGAlgebra, validate_dg
+from dgres.cli import cmd_semifree
+from dgres.probfile import ProblemFile
+from dgres.scalars import Field
+from dgres.semifree import DD, bb_basis_element, bb_coords, bb_total_basis, dd_column
+
+FIELDS = [Field.rationals(), Field.prime(101)]
+
+
+@st.composite
+def koszul_towers(draw, field):
+    base = [(f"x{i}", d) for i, d in enumerate(draw(st.lists(st.sampled_from((2, 4)), min_size=1, max_size=3)))]
+    ext = [(f"e{i}", d) for i, d in enumerate(draw(st.lists(st.sampled_from((1, 3, 5)), min_size=1, max_size=3)))]
+    A = DGAlgebra(field, base_gens=base)
+    diffs = {}
+    for name, degree in ext:
+        monos = A.basis("B", degree - 1)
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+        diffs[name] = [(c, {g.name: k for g, k in zip(A.gens, m.exps) if k})
+                       for c, m in zip(coeffs, monos) if c]
+    return DGAlgebra(field, base_gens=base, ext_gens=ext, diff_terms=diffs)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_closed_form_matches_flat_oracle_on_random_towers(field, data):
+    alg = data.draw(koszul_towers(field))
+    assert validate_dg(alg, 7).passed
+    for t in range(8):
+        for label in bb_total_basis(alg, t):
+            assert dd_column(alg, label) == bb_coords(DD(bb_basis_element(alg, label))), label
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_semifree_passes_on_random_towers(field, data):
+    alg = data.draw(koszul_towers(field))
+    problem = ProblemFile(alg.field, alg)
+    rep = cmd_semifree(argparse.Namespace(max_degree=6), problem)
+    assert rep.all_passed, [c for c in rep.checks if c["status"] != "PASS"]
+    names = {c["name"] for c in rep.checks}
+    assert {"DD-squared-zero", "anticommutation", "alpha-chain-map", "quasi-isomorphism"} <= names
