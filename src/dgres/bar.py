@@ -4,7 +4,12 @@ The classical bar complex lives on B^{⊗_A (n+2)} with the alternating sum of
 slot merges as differential and "prepend 1" as contracting homotopy.  The
 reduced complex lives on B ⊗_A J^{⊗_B n}; in flat coordinates its
 differential is exactly "merge slots 0 and 1", which composes to zero
-precisely because π_B kills the leading δ-factor.
+precisely because π_B kills the leading δ-factor.  On the δ-labels
+(b, m, ws) of its basis it is the two-term closed form
+`semifree.dbar_column`, the same formula as the bar part 𝔇 of the
+semifree resolution: the slice matrices are built from it without any flat
+element, and `checked_reduced_columns` certifies them against the flat
+merge through the head lemma.
 """
 
 from __future__ import annotations
@@ -14,8 +19,10 @@ from dataclasses import dataclass
 from .algebra import AlgElement, DGAlgebra, Monomial, ValidationReport
 from .errors import LengthMismatch, NotInDomain, NotInJn, NotLinear, ObstructionNonzero
 from .linalg import SliceMatrix
+from .semifree import dbar_column
 from .tensor import (
     TensorElement,
+    _caches,
     _word_key,
     delta,
     delta_coords,
@@ -108,23 +115,15 @@ def nu(b: AlgElement) -> TensorElement:
     return out
 
 
-def matrix_of_map(alg, images: list[TensorElement], target_index: dict | None = None,
-                  row_labels=None, col_labels=None) -> SliceMatrix:
+def matrix_of_map(alg, images: list[TensorElement], col_labels: tuple) -> SliceMatrix:
     """Matrix of a linear map given by the images of an ordered source basis.
 
-    With `target_index` None the rows are the distinct words of the images in
-    canonical word order, which is their relative order in the ambient word
-    basis, and those words become the row labels.
+    The rows are the distinct words of the images in canonical word order,
+    which is their relative order in the ambient word basis, and those words
+    become the row labels.
     """
-    if target_index is None:
-        row_labels = tuple(sorted({w for img in images for w in img.terms}, key=_word_key))
-        target_index = {w: i for i, w in enumerate(row_labels)}
-    M = SliceMatrix(alg.field, len(target_index), len(images),
-                    row_labels=row_labels, col_labels=col_labels)
-    for j, img in enumerate(images):
-        for w, c in img.terms.items():
-            M.set(target_index[w], j, c)
-    return M
+    row_labels = tuple(sorted({w for img in images for w in img.terms}, key=_word_key))
+    return SliceMatrix.from_columns(alg.field, row_labels, col_labels, (img.terms for img in images))
 
 
 def bar_slice_matrix(alg: DGAlgebra, n: int, degree: int) -> SliceMatrix:
@@ -135,7 +134,7 @@ def bar_slice_matrix(alg: DGAlgebra, n: int, degree: int) -> SliceMatrix:
     """
     src = tensor_basis(alg, n + 2, degree)
     images = [bar_differential(TensorElement.from_word(alg, w), n) for w in src]
-    return matrix_of_map(alg, images, col_labels=src)
+    return matrix_of_map(alg, images, src)
 
 
 def nJ_kernel_basis(alg: DGAlgebra, n: int, degree: int) -> list[TensorElement]:
@@ -513,15 +512,80 @@ def reduced_bar_differential(t: TensorElement, n: int) -> TensorElement:
 
 
 def reduced_slice_matrix(alg: DGAlgebra, n: int, degree: int) -> SliceMatrix:
-    """Matrix of d̄_n on the degree slice, in ambient word coordinates.
+    """Matrix of d̄_n on the degree slice, over the δ-labels; cached per algebra.
 
-    Columns are indexed by the canonical basis of B ⊗_A J^{⊗_B n} (prefixed
-    δ-basis); rows by the words of B^{⊗_A (n+1)} that occur in the images, in
-    ambient order, so the omitted ambient rows are exactly the zero rows.
+    Columns are the labels (b, m, ws) of B ⊗_A J^{⊗_B n}
+    (`prefixed_basis_labels`), rows the labels of n − 1, and column j is
+    `dbar_column` of label j.  The map ι_{n−1} taking a label to its flat
+    element of B^{⊗_A (n+1)} is injective, so the ranks are those of the
+    matrix of merge_at(·, 0) in ambient word coordinates.  A label outside
+    the rows gets an extra row (`SliceMatrix.from_columns`), which
+    `checked_reduced_columns` rejects.
     """
-    labels = prefixed_basis_labels(alg, n, degree)
-    images = [merge_at(prefixed_basis_element(alg, lb), 0) for lb in labels]
-    return matrix_of_map(alg, images, col_labels=labels)
+    cache = _caches(alg)["reduced_slice"]
+    got = cache.get((n, degree))
+    if got is None:
+        labels = prefixed_basis_labels(alg, n, degree)
+        got = cache[(n, degree)] = SliceMatrix.from_columns(
+            alg.field, prefixed_basis_labels(alg, n - 1, degree), labels,
+            (dbar_column(alg, lb) for lb in labels))
+    return got
+
+
+def checked_reduced_columns(alg: DGAlgebra, D: int) -> bool:
+    """Every column of every `reduced_slice_matrix` in degrees 0..D is d̄ of its label.
+
+    Head lemma: write ι_n(b, m, ws) = b ⊗_A m·δ(w_1) ⊗_B ... ⊗_B δ(w_n) for
+    the flat element of a label and τ = δ(w_2) ⊗_B ... ⊗_B δ(w_n).  Then
+    ι_n(b, m, ws) = concat_B(ι_1(b, m, (w_1,)), τ), and merging slots 0 and 1
+    commutes with ⊗_B-concatenation on the right of a word of length >= 3.
+    So if d̄ of the head (b, m, (w_1,)) is Σ c_k·ι_0(λ_k), then
+    d̄ ι_n(b, m, ws) = Σ c_k·concat_B(ι_0(λ_k), τ) = Σ c_k·ι_{n−1}(λ_k + ws[1:]),
+    where λ + ws[1:] appends ws[1:] to the δ-factors of λ: the column of a
+    label is the column of its head with ws[1:] appended to every row label.
+
+    The check therefore
+    - expands every n = 1 column over the flat elements ι_0 of its rows and
+      compares the sum with merge_at(ι_1(label), 0) exactly; ι_0 is
+      injective, so equality certifies the column;
+    - compares every n >= 2 column, on labels only, with its head's column
+      with ws[1:] appended.  The head has degree at most that of the label,
+      so its column was checked flat before.
+    A column with support outside the labels of n − 1 fails.  Flat elements
+    are built for the labels of n <= 1 only.
+    """
+    f = alg.field
+    heads: dict = {}  # n = 1 label -> its flat-checked column
+    for d in range(D + 1):
+        for n in range(1, d + 1):
+            M = reduced_slice_matrix(alg, n, d)
+            rows = prefixed_basis_labels(alg, n - 1, d)
+            if M.nrows != len(rows):
+                return False
+            cols: list = [{} for _ in range(M.ncols)]
+            for (i, j), c in M.entries.items():
+                cols[j][rows[i]] = c
+            for (b, m, ws), col in zip(M.col_labels, cols):
+                if n == 1:
+                    flat = TensorElement(alg, 2)
+                    for lam, c in col.items():
+                        for w, cw in prefixed_basis_element(alg, lam).terms.items():
+                            flat._add_canonical(w, f.mul(c, cw))
+                    if flat != merge_at(prefixed_basis_element(alg, (b, m, ws)), 0):
+                        return False
+                    heads[(b, m, ws)] = col
+                else:
+                    tail = ws[1:]
+                    head = heads[(b, m, ws[:1])]
+                    if col != {(hb, hm, hws + tail): c for (hb, hm, hws), c in head.items()}:
+                        return False
+    return True
+
+
+def reduced_d_squared_zero(alg: DGAlgebra, D: int) -> bool:
+    """d̄_{n−1}∘d̄_n = 0 for n >= 2 in degrees 0..D, read off the slice matrices."""
+    return all(reduced_slice_matrix(alg, n - 1, d).compose(reduced_slice_matrix(alg, n, d)).is_zero()
+               for d in range(D + 1) for n in range(2, d + 1))
 
 
 def augmentation_slice_matrix(alg: DGAlgebra, degree: int) -> SliceMatrix:

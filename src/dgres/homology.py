@@ -14,7 +14,7 @@ from .algebra import DGAlgebra
 from .bar import augmentation_slice_matrix, bar_slice_matrix, reduced_slice_matrix
 from .errors import DgresError, WindowIncomplete
 from .linalg import SliceMatrix
-from .semifree import BBElement, alpha, bb_basis_element, bb_total_basis, dd_column
+from .semifree import BBElement, bb_total_basis, dd_column
 from .tensor import TensorElement, prefixed_basis_element
 
 
@@ -53,7 +53,8 @@ def bb_dd_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
     """Matrix of 𝔻 from total degree t to t-1, over the stored 𝔹 bases.
 
     Columns come from the closed form `dd_column`; `checked_dd_columns`
-    certifies them against the flat images ∂v and 𝔇v.
+    certifies them against the flat images ∂v and 𝔇v, and rejects a column
+    with a label outside the basis of total degree t-1 (an extra row).
     """
     caches = getattr(alg, "_homology_caches", None)
     if caches is None:
@@ -63,13 +64,8 @@ def bb_dd_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
     if got is not None:
         return got
     src = bb_total_basis(alg, total_degree)
-    tgt_labels = bb_total_basis(alg, total_degree - 1)
-    tgt = {lab: i for i, lab in enumerate(tgt_labels)}
-    M = SliceMatrix(alg.field, len(tgt), len(src), row_labels=tgt_labels, col_labels=src)
-    entries = M.entries
-    for j, lab in enumerate(src):
-        for key, c in dd_column(alg, lab).items():
-            entries[(tgt[key], j)] = c
+    M = SliceMatrix.from_columns(alg.field, bb_total_basis(alg, total_degree - 1), src,
+                                 (dd_column(alg, lab) for lab in src))
     caches[("DD", total_degree)] = M
     return M
 
@@ -97,16 +93,21 @@ def checked_dd_columns(alg: DGAlgebra, D: int, d_internal, d_bar):
             v = BBElement(alg, {n: te})
             dv, fv = d_internal(v), d_bar(v)
             comps: dict = {}
+            ok = True
             while pos < len(keys) and keys[pos][1] == j:
+                i = keys[pos][0]
                 c = M.entries[keys[pos]]
-                k, tk = prev[keys[pos][0]]
                 pos += 1
+                if i >= len(prev):  # a label outside the basis of degree t-1
+                    ok = False
+                    continue
+                k, tk = prev[i]
                 acc = comps.get(k)
                 if acc is None:
                     acc = comps[k] = TensorElement(alg, k + 2)
                 for w, cw in tk.terms.items():
                     acc._add_canonical(w, f.mul(c, cw))
-            yield v, dv, fv, BBElement(alg, comps) == dv + fv
+            yield v, dv, fv, ok and BBElement(alg, comps) == dv + fv
             cur.append((n, te))
         prev = cur
 
@@ -124,14 +125,19 @@ def dd_square(alg: DGAlgebra, total_degree: int) -> tuple[bool, bool]:
 
 
 def bb_alpha_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
-    """Matrix of the augmentation α from the 𝔹 slice to the B slice."""
+    """Matrix of the augmentation α from the 𝔹 slice to the B slice.
+
+    On the labels α(0, (b, m, ())) = ±b·m with the `mono_mul` sign (zero when
+    the product vanishes), and α is zero on every component n >= 1.
+    """
     src = bb_total_basis(alg, total_degree)
     tgt = {m: i for i, m in enumerate(alg.basis("B", total_degree))}
-    M = SliceMatrix(alg.field, len(tgt), len(src), col_labels=src)
-    for j, lab in enumerate(src):
-        img = alpha(bb_basis_element(alg, lab))
-        for m, c in img.terms.items():
-            M.set(tgt[m], j, c)
+    f = alg.field
+    M = SliceMatrix(f, len(tgt), len(src), col_labels=src)
+    for j, (n, (b, m, _)) in enumerate(src):
+        sm = None if n else alg.mono_mul(b, m)
+        if sm is not None:
+            M.set(tgt[sm[1]], j, f.of_int(sm[0]))
     return M
 
 

@@ -77,6 +77,26 @@ class SliceMatrix:
         self.col_labels = col_labels
         self._rank = None
 
+    @classmethod
+    def from_columns(cls, field: Field, row_labels: tuple, col_labels: tuple, columns) -> "SliceMatrix":
+        """The matrix whose column j is columns[j], a dict row label -> nonzero value.
+
+        A label outside `row_labels` gets a new row after them, so a column
+        with support outside the intended target basis shows up as
+        nrows > len(row_labels) instead of raising.
+        """
+        index = {lb: i for i, lb in enumerate(row_labels)}
+        entries = {}
+        for j, col in enumerate(columns):
+            for lb, c in col.items():
+                i = index.get(lb)
+                if i is None:
+                    i = index[lb] = len(index)
+                entries[(i, j)] = c
+        if len(index) > len(row_labels):
+            row_labels = tuple(index)
+        return cls(field, len(index), len(col_labels), entries, row_labels, col_labels)
+
     def set(self, i: int, j: int, value):
         if value == self.field.zero:
             self.entries.pop((i, j), None)

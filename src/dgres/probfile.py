@@ -153,7 +153,7 @@ def parse_problem(text: str) -> ProblemFile:
                 current_module = parts[1]
                 if current_module in modules_raw:
                     raise ParseError(f"duplicate module {current_module}", line_no, indent + 1)
-                modules_raw[current_module] = {"basis": [], "entries": {}}
+                modules_raw[current_module] = {"basis": [], "entries": {}, "entry_names": []}
             elif name == "options":
                 section = "options"
             else:
@@ -210,11 +210,12 @@ def parse_problem(text: str) -> ProblemFile:
                 if "=" not in line:
                     raise ParseError("entry line needs '='", line_no, indent + 1)
                 lhs, rhs = line.split("=", 1)
-                parts = lhs.split()
+                parts = list(re.finditer(r"\S+", lhs))
                 if len(parts) != 3:
                     raise ParseError("expected 'entry LAMBDA MU = EXPR'", line_no, indent + 1)
-                _, lam, mu = parts
+                lam, mu = parts[1].group(), parts[2].group()
                 mod["entries"][(mu, lam)] = parse_expression(rhs, line_no, line.index("=") + 1)
+                mod["entry_names"] += [(g.group(), line_no, g.start() + 1) for g in parts[1:]]
             else:
                 raise ParseError(f"unknown module directive {words[0]!r}", line_no, indent + 1)
             continue
@@ -235,8 +236,8 @@ def parse_problem(text: str) -> ProblemFile:
     modules = {}
     for name, data in modules_raw.items():
         known = {n for n, _ in data["basis"]}
-        for (mu, lam) in data["entries"]:
-            if mu not in known or lam not in known:
-                raise ParseError(f"module {name}: entry references unknown generator", 1, 1)
+        for gname, line_no, col in data["entry_names"]:
+            if gname not in known:
+                raise ParseError(f"module {name}: entry references unknown generator {gname!r}", line_no, col)
         modules[name] = SemifreeModule(algebra, data["basis"], data["entries"])
     return ProblemFile(field, algebra, modules, options, text)

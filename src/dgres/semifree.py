@@ -387,9 +387,9 @@ def dd_column(alg: DGAlgebra, label) -> dict:
     (-1)^n times the Leibniz rule on b, m and each w_i.  The base part a of a
     term a·e of d(m) or d(w_i) moves into the prefix b (δ(a·e) = a·δ(e)),
     passing m and w_1..w_{i-1} with the sign (-1)^{|a|(|m| + Σ_{j<i}|w_j|)};
-    a term of d(w_i) with e = 1 drops out, since δ vanishes on A.  𝔇 merges
-    b into the first δ-factor: (bm) ⊗ w_1·δ(w_2)... − (bm·w_1) ⊗ δ(w_2)....
-    No flat element is built and no δ-factor is peeled off.
+    a term of d(w_i) with e = 1 drops out, since δ vanishes on A.  𝔇 is
+    `dbar_column` on (b, m, ws), moved to component n − 1.  No flat element
+    is built and no δ-factor is peeled off.
     """
     n, (b, m, ws) = label
     f = alg.field
@@ -425,13 +425,34 @@ def dd_column(alg: DGAlgebra, label) -> dict:
                 add((n, (sm[1], m, ws[:i] + (e,) + ws[i + 1:])), c, odd_w ^ cross ^ (sm[0] < 0))
         crossed += w.degree
     if n:
-        sm = alg.mono_mul(b, m)
-        if sm is not None:
-            s, bm = sm
-            add((n - 1, (bm, ws[0], ws[1:])), f.one, s < 0)
-            sm = alg.mono_mul(bm, ws[0])
-            if sm is not None:
-                add((n - 1, (sm[1], alg.one_mono, ws[1:])), f.one, (s * sm[0]) > 0)
+        for lb, c in dbar_column(alg, (b, m, ws)).items():
+            out[(n - 1, lb)] = c
+    return out
+
+
+def dbar_column(alg: DGAlgebra, label) -> dict:
+    """Coordinates of the reduced bar differential d̄ of one δ-label, n >= 1.
+
+    The label (b, m, ws) is b ⊗_A m·δ(w_1) ⊗_B ... ⊗_B δ(w_n) in B ⊗_A J^{⊗_B n};
+    d̄ merges b into the first δ-factor:
+
+        d̄(b, m, ws) = s·(bm, w_1, ws[1:]) − s·s'·(bm·w_1, 1, ws[1:])
+
+    over the labels of n − 1, with s and s' the `mono_mul` signs of bm and
+    bm·w_1; a vanishing product drops its term.  This is the 𝔇 part of
+    `dd_column` and every column of `bar.reduced_slice_matrix`.
+    """
+    b, m, ws = label
+    sm = alg.mono_mul(b, m)
+    if sm is None:
+        return {}
+    f = alg.field
+    one, minus_one = f.one, f.neg(f.one)
+    s, bm = sm
+    out = {(bm, ws[0], ws[1:]): one if s > 0 else minus_one}
+    sm = alg.mono_mul(bm, ws[0])
+    if sm is not None:
+        out[(sm[1], alg.one_mono, ws[1:])] = minus_one if s * sm[0] > 0 else one
     return out
 
 

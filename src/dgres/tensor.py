@@ -25,7 +25,8 @@ Word = tuple  # tuple[Monomial, ...]
 def _caches(alg: DGAlgebra) -> dict:
     c = getattr(alg, "_tensor_caches", None)
     if c is None:
-        c = {"delta_word": {}, "tensor_basis": {}, "jn_basis": {}, "prefixed_basis": {}, "bb_basis": {}}
+        c = {"delta_word": {}, "tensor_basis": {}, "jn_basis": {}, "prefixed_basis": {}, "bb_basis": {},
+             "reduced_slice": {}}
         alg._tensor_caches = c
     return c
 

@@ -11,6 +11,7 @@ from dgres.bar import (
     bar_slice_matrix,
     be_linear_space,
     check_reduced_exactness,
+    checked_reduced_columns,
     derivation_from_generator_images,
     derivation_space,
     eta,
@@ -18,6 +19,7 @@ from dgres.bar import (
     nJ_kernel_basis,
     nu,
     reduced_bar_differential,
+    reduced_d_squared_zero,
     reduced_slice_matrix,
 )
 from dgres.errors import NotInDomain, NotLinear, ObstructionNonzero
@@ -29,6 +31,7 @@ from dgres.tensor import (
     merge_at,
     pi_B,
     prefixed_basis_element,
+    prefixed_basis_labels,
     tensor_basis,
     tensor_differential,
     tensor_multiply,
@@ -273,16 +276,88 @@ def _assert_rows_are_hit_words(M, images, ambient):
 def test_slice_rows_are_the_hit_words(fixture_algebras):
     # the fixtures include ℚ[x] (E2).  The ambient basis of Λ(a,b,c)^{⊗9} in
     # degree 8 has C(27, 8) words and the dense oracle needs seconds at degree
-    # 4, so Λ(a,b,c) stops at degree 3 (test_linalg ranks its degree-4 slices)
+    # 4, so Λ(a,b,c) stops at degree 3 (test_linalg ranks its degree-4 slices).
+    # The reduced slices have δ-label rows: test_reduced_slice_columns_are_flat_merges
     lam = DGAlgebra(Field.rationals(), ext_gens=[("a", 1), ("b", 1), ("c", 1)])
     cases = [(alg, 8) for alg in fixture_algebras.values()] + [(lam, 3)]
     for alg, top in cases:
         for d in range(top + 1):
-            for n in range(1, d + 1):
-                M = reduced_slice_matrix(alg, n, d)
-                images = [merge_at(prefixed_basis_element(alg, lb), 0) for lb in M.col_labels]
-                _assert_rows_are_hit_words(M, images, tensor_basis(alg, n + 1, d))
             for n in range(3):
                 M = bar_slice_matrix(alg, n, d)
                 images = [bar_differential(TensorElement.from_word(alg, w), n) for w in M.col_labels]
                 _assert_rows_are_hit_words(M, images, tensor_basis(alg, n + 1, d))
+
+
+def assert_reduced_columns_are_flat_merges(alg, n, d):
+    """Every column of d̄_n, expanded over the flat elements of its row labels,
+    is merge_at(·, 0) of the flat element of its column label; returns the
+    matrix and the flat images."""
+    M = reduced_slice_matrix(alg, n, d)
+    assert M.col_labels == prefixed_basis_labels(alg, n, d)
+    assert M.row_labels == prefixed_basis_labels(alg, n - 1, d)
+    expanded = [TensorElement(alg, n + 1) for _ in range(M.ncols)]
+    for (i, j), c in M.entries.items():
+        expanded[j] = expanded[j] + prefixed_basis_element(alg, M.row_labels[i]).scale(c)
+    images = [merge_at(prefixed_basis_element(alg, lb), 0) for lb in M.col_labels]
+    assert expanded == images, (n, d)
+    return M, images
+
+
+def test_reduced_slice_columns_are_flat_merges(fixture_algebras, odd_base):
+    # the full flat oracle for every n, with no head lemma; the rank is the
+    # dense oracle's rank of the ambient matrix through rank_top, beyond which
+    # the dense oracle takes seconds (Λ(a,b,c) from degree 4, odd_base from 7)
+    lam = DGAlgebra(Field.rationals(), ext_gens=[("a", 1), ("b", 1), ("c", 1)])
+    cases = [(alg, 8, 8) for alg in fixture_algebras.values()] + [(odd_base, 8, 6), (lam, 5, 3)]
+    for alg, top, rank_top in cases:
+        f = alg.field
+        for d in range(top + 1):
+            for n in range(1, d + 1):
+                M, images = assert_reduced_columns_are_flat_merges(alg, n, d)
+                if d <= rank_top:
+                    dense = [[img.terms.get(w, f.zero) for img in images] for w in tensor_basis(alg, n + 1, d)]
+                    assert M.rank() == dense_rank_oracle(dense, f.p), (n, d)
+
+
+def test_checked_reduced_columns_and_squares(fixture_algebras, odd_base):
+    for alg in list(fixture_algebras.values()) + [odd_base]:
+        assert checked_reduced_columns(alg, 7)
+        assert reduced_d_squared_zero(alg, 7)
+
+
+def _second_term_flipped(real):
+    def mutated(alg, label):
+        return {lb: alg.field.neg(c) if lb[1] == alg.one_mono else c for lb, c in real(alg, label).items()}
+    return mutated
+
+
+def _tail_reversed(real):
+    def mutated(alg, label):
+        return {(b, m, ws[::-1]): c for (b, m, ws), c in real(alg, label).items()}
+    return mutated
+
+
+def _first_factor_kept(real):
+    # images of word length n instead of n - 1: outside the target basis
+    def mutated(alg, label):
+        return {(b, m, label[2][:1] + ws): c for (b, m, ws), c in real(alg, label).items()}
+    return mutated
+
+
+# wrong versions of semifree.dbar_column, each made from the real one
+DBAR_MUTATIONS = {
+    "second-term-sign": _second_term_flipped,
+    "tail-reversed": _tail_reversed,
+    "outside-basis": _first_factor_kept,
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(DBAR_MUTATIONS))
+def test_checked_reduced_columns_catch_a_wrong_closed_form(monkeypatch, mutation):
+    # a fresh algebra, since the slice matrices are cached on it; Λ(a,b,c)
+    # has n = 3 labels with distinct tail factors from degree 3
+    import dgres.bar as bar
+
+    lam = DGAlgebra(Field.rationals(), ext_gens=[("a", 1), ("b", 1), ("c", 1)])
+    monkeypatch.setattr(bar, "dbar_column", DBAR_MUTATIONS[mutation](bar.dbar_column))
+    assert not checked_reduced_columns(lam, 4)

@@ -6,6 +6,7 @@ import pytest
 from dgres.cli import main
 from dgres.errors import ParseError
 from dgres.probfile import parse_expression, parse_problem
+from test_bar import DBAR_MUTATIONS
 
 
 def run_cli(args, capsys):
@@ -268,3 +269,42 @@ def test_homology_fails_on_a_flipped_closed_form_sign(golden_dir, capsys, monkey
     _flip_second_bar_term(monkeypatch)
     code, out, err = run_cli(args, capsys)
     assert code == 1 and err == "" and "FAIL  homology-dimensions-match" in out
+
+
+@pytest.mark.parametrize("mutation", sorted(DBAR_MUTATIONS))
+@pytest.mark.parametrize("command, failed, dropped", [
+    (["bar", "--reduced", "--max-degree", "4"],
+     ["reduced:reduced-exactness@deg0", "reduced:reduced-exactness@deg4", "reduced-d-squared-zero"], None),
+    (["homology", "--max-degree", "5"], ["reduced-bar-acyclic"], "table H(reduced bar, augmented)"),
+])
+def test_wrong_reduced_closed_form_fails(tmp_path, capsys, monkeypatch, mutation, command, failed, dropped):
+    # the shared closed form of d̄ and 𝔇, made wrong where both look it up
+    import dgres.bar as bar
+    import dgres.semifree as semifree
+    from dgres.cli import BAD_REDUCED_COLUMNS
+
+    path = tmp_path / "lam.dgres"
+    path.write_text("field rationals\n\n[algebra]\next a 1\next b 1\next c 1\n")
+    args = command[:1] + [str(path)] + command[1:]
+    mutated = DBAR_MUTATIONS[mutation](semifree.dbar_column)
+    monkeypatch.setattr(semifree, "dbar_column", mutated)
+    monkeypatch.setattr(bar, "dbar_column", mutated)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and err == ""
+    for name in failed:
+        assert f"FAIL  {name}" in out, name
+    assert BAD_REDUCED_COLUMNS in out
+    assert dropped is None or dropped not in out
+
+
+@pytest.mark.parametrize("entry, column", [("entry f1 g0 = a", 12), ("entry  g1 f0 = a", 10)])
+def test_unknown_entry_generator_has_position(tmp_path, capsys, entry, column):
+    text = ("field rationals\n\n[algebra]\next a 1\n\n[module M]\n"
+            f"generator f0 0\n  {entry}\ngenerator f1 2\n")
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert (exc.value.line, exc.value.column) == (8, column)
+    src = tmp_path / "entry.dgres"
+    src.write_text(text)
+    code, out, err = run_cli(["validate", str(src)], capsys)
+    assert code == 2 and out == "" and f"at line 8, column {column}" in err and "unknown generator" in err

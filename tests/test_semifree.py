@@ -1,6 +1,6 @@
 from dgres.algebra import DGAlgebra
-from dgres.bar import reduced_slice_matrix, matrix_of_map
-from dgres.homology import checked_dd_columns, dd_square, homology_dims
+from dgres.bar import reduced_slice_matrix
+from dgres.homology import bb_alpha_matrix, checked_dd_columns, dd_square, homology_dims
 from dgres.scalars import Field
 from dgres.semifree import (
     BBElement,
@@ -22,6 +22,7 @@ from dgres.semifree import (
     t_word,
 )
 from dgres.tensor import TensorElement, delta, prefixed_basis_element, tensor_basis, tensor_differential
+from oracles import dense_rank_oracle
 
 
 def test_psi_sign_examples():
@@ -140,21 +141,22 @@ def test_t_multiply_matches_action_associativity(E3):
 
 
 def test_frakD_reproduces_reduced_bar(fixture_algebras):
-    # entries keyed by (target word, column), so the check does not depend on
-    # which rows the library's slice keeps; frakD's images are indexed by the
-    # full ambient word basis, built here
+    # in label coordinates: 𝔇 of each stored basis element, peeled back into
+    # δ-labels, is the column of d̄_n; the rank is that of the ambient matrix
+    # of the flat images of 𝔇
     for alg in fixture_algebras.values():
+        f = alg.field
         for n in (1, 2, 3):
             for d in range(0, 6):
                 A = reduced_slice_matrix(alg, n, d)
-                imgs = [
-                    frakD(BBElement(alg, {n: prefixed_basis_element(alg, lb)})).component(n - 1)
-                    for lb in A.col_labels
-                ]
-                words = tensor_basis(alg, n + 1, d)
-                B = matrix_of_map(alg, imgs, {w: i for i, w in enumerate(words)})
-                got = {(A.row_labels[i], j): c for (i, j), c in A.entries.items()}
-                assert got == {(words[i], j): c for (i, j), c in B.entries.items()}
+                cols = [{} for _ in range(A.ncols)]
+                for (i, j), c in A.entries.items():
+                    cols[j][(n - 1, A.row_labels[i])] = c
+                imgs = [frakD(BBElement(alg, {n: prefixed_basis_element(alg, lb)})) for lb in A.col_labels]
+                assert [bb_coords(img) for img in imgs] == cols
+                dense = [[img.component(n - 1).terms.get(w, f.zero) for img in imgs]
+                         for w in tensor_basis(alg, n + 1, d)]
+                assert A.rank() == dense_rank_oracle(dense, f.p)
 
 
 def test_semifree_triangularity(fixture_algebras):
@@ -211,3 +213,15 @@ def test_checked_columns_catch_a_wrong_differential(E3):
         return BBElement(t.alg, {n: tensor_differential(te) for n, te in t.components.items()})
 
     assert not all(ok for *_, ok in checked_dd_columns(E3, 8, unsigned, frakD))
+
+
+def test_alpha_matrix_on_labels_matches_flat_alpha(fixture_algebras, K3p):
+    windows = [(alg, 8) for alg in fixture_algebras.values()] + [(K3p, 10)]
+    for alg, D in windows:
+        for t in range(D + 1):
+            M = bb_alpha_matrix(alg, t)
+            row = {m: i for i, m in enumerate(alg.basis("B", t))}
+            for j, label in enumerate(M.col_labels):
+                img = alpha(bb_basis_element(alg, label))
+                want = {row[m]: c for m, c in img.terms.items()}
+                assert {i: M.get(i, j) for i in range(M.nrows) if M.get(i, j) != alg.field.zero} == want, label

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgres.algebra import DGAlgebra, validate_dg
+from dgres.bar import checked_reduced_columns
 from dgres.cli import cmd_semifree
 from dgres.probfile import ProblemFile
 from dgres.scalars import Field
 from dgres.semifree import DD, bb_basis_element, bb_coords, bb_total_basis, dd_column
+from test_bar import assert_reduced_columns_are_flat_merges
 
 FIELDS = [Field.rationals(), Field.prime(101)]
 
@@ -50,3 +52,14 @@ def test_semifree_passes_on_random_towers(field, data):
     assert rep.all_passed, [c for c in rep.checks if c["status"] != "PASS"]
     names = {c["name"] for c in rep.checks}
     assert {"DD-squared-zero", "anticommutation", "alpha-chain-map", "quasi-isomorphism"} <= names
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_reduced_closed_form_matches_flat_oracle_on_random_towers(field, data):
+    alg = data.draw(koszul_towers(field))
+    for d in range(8):
+        for n in range(1, d + 1):
+            assert_reduced_columns_are_flat_merges(alg, n, d)
+    assert checked_reduced_columns(alg, 7)
