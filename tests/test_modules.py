@@ -286,3 +286,28 @@ def test_alpha_N_is_chain_map(E1, E2, E3):
                 t = NTElement(N, {1: comp1})
                 assert alpha_N(DN(t)).is_zero()
                 assert alpha_N(t).is_zero()
+
+
+def test_module_differential_leibniz(E1, E3):
+    # ∂(t·b) = ∂(t)·b + (-1)^{|t|} t·d(b): pins the (-1)^{|e_j|} of the basis
+    # element and the slot-prefix signs of module_differential, which ∂² = 0
+    # and commutation with 𝐝^N do not see
+    import random
+
+    from dgres.sampling import random_homogeneous_element, random_homogeneous_modtensor
+
+    rng = random.Random(11)
+    checked = 0
+    for N in (module_B(E1), chain_N3(E1), extended_module(E1), module_B(E3), extended_module(E3)):
+        alg = N.alg
+        for _ in range(200):
+            t = random_homogeneous_modtensor(N, rng, rng.randrange(1, 4), rng.randrange(0, 8))
+            b = random_homogeneous_element(alg, rng, rng.randrange(0, 6))
+            if t.is_zero() or b.is_zero():
+                continue
+            sign = -1 if t.homogeneous_degree() % 2 else 1
+            lhs = module_differential(mod_right_mult(t, b))
+            rhs = mod_right_mult(module_differential(t), b) + mod_right_mult(t, alg.d(b)).scale_int(sign)
+            assert lhs == rhs, (N, t, b)
+            checked += 1
+    assert checked > 400

@@ -225,3 +225,21 @@ def test_alpha_matrix_on_labels_matches_flat_alpha(fixture_algebras, K3p):
                 img = alpha(bb_basis_element(alg, label))
                 want = {row[m]: c for m, c in img.terms.items()}
                 assert {i: M.get(i, j) for i in range(M.nrows) if M.get(i, j) != alg.field.zero} == want, label
+
+
+def test_t_concatenation_of_words(fixture_algebras):
+    # the suspension-shuffle sign (-1)^{m·|w|} of both T-concatenations
+    cases = 0
+    for alg in fixture_algebras.values():
+        factors = [w for d in range(1, 7) for w in alg.basis("W", d)]
+        seqs = [[]] + [[u] for u in factors] + [[u, v] for u in factors[:2] for v in factors[:2]]
+        prefixes = [alg.one()] + [alg.from_monomial(b) for b in alg.basis("B", 1) + alg.basis("B", 2)]
+        for us in seqs:
+            for vs in seqs:
+                if len(us) + len(vs) > 3:
+                    continue
+                assert t_multiply(t_word(alg, us), t_word(alg, vs)) == t_word(alg, us + vs), (us, vs)
+                for b in prefixes:
+                    assert t_action(bb_word(alg, b, us), t_word(alg, vs)) == bb_word(alg, b, us + vs), (b, us, vs)
+                cases += 1 + len(prefixes)
+    assert cases >= 300
