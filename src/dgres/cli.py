@@ -25,19 +25,20 @@ from .bar import (
 )
 from .errors import DgresError, ObstructionNonzero, ParseError, UsageError
 from .homology import checked_dd_columns, dd_square, homology_dims, quasi_iso_check
-from .linalg import SliceMatrix, verify_certificate
+from .linalg import verify_certificate
 from .modules import (
+    DN,
     ModTensorElement,
     NTElement,
     alpha_N,
     bar_dN_any,
     beta_N,
+    dN_matrix,
     lambda_n,
     lemma_sign_check,
     mod_element,
     mod_merge_at,
     mod_right_mult,
-    modtensor_basis,
     module_N_differential,
     module_differential,
     naive_lift_solve,
@@ -274,7 +275,6 @@ def _lift_checks(rep: Report, N, D: int):
         lhs = NTElement(N)
         for (i, w), c in de.terms.items():
             lhs = lhs + nt_right_mult(beta_N(N, N.names[i]), alg.from_monomial(w[0], c))
-        from .modules import DN
         if lhs != DN(b):
             ok_beta_chain = False
         bts.append((name, repr(b)))
@@ -303,21 +303,9 @@ def _lift_checks(rep: Report, N, D: int):
         ok_lam = True
         for n in range(2, 4):
             for d in range(0, D + 1):
-                basis = modtensor_basis(N, n, d)
-                if not basis:
-                    continue
-                tgt = modtensor_basis(N, n - 1, d)
-                tgt_i = {k: i for i, k in enumerate(tgt)}
-                M = SliceMatrix(f, len(tgt), len(basis))
-                for jj, key in enumerate(basis):
-                    el = ModTensorElement(N, n, {key: f.one})
-                    for kk, c in bar_dN_any(el).terms.items():
-                        M.set(tgt_i[kk], jj, c)
+                M = dN_matrix(N, n, d)
                 for vec in M.nullspace():
-                    el = ModTensorElement(N, n)
-                    for jj, c in enumerate(vec):
-                        if c != f.zero:
-                            el = el + ModTensorElement(N, n, {basis[jj]: c})
+                    el = ModTensorElement(N, n, {key: c for key, c in zip(M.col_labels, vec) if c != f.zero})
                     if bar_dN_any(lambda_n(N, res.rho, n, el)) != el:
                         ok_lam = False
         rep.add_check("lambda-splitting-identities", ok_lam, f"n 2..3, degrees 0..{D}")

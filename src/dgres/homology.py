@@ -187,28 +187,16 @@ def homology_dims(alg: DGAlgebra, obj: str, D: int, max_n: int | None = None,
     if obj == "barN_complex":
         if max_n is None:
             raise WindowIncomplete("the classical bar complex needs a word-length cap max_n")
-        from .modules import ModTensorElement, SemifreeModule, bar_dN_any, modtensor_basis
+        from .modules import SemifreeModule, dN_matrix, modtensor_basis
 
         N = module if module is not None else SemifreeModule(alg, [("gen", 0)])
-        f = alg.field
-
-        def dn_matrix(length: int, d: int) -> SliceMatrix:
-            src = modtensor_basis(N, length, d)
-            tgt = {k: i for i, k in enumerate(modtensor_basis(N, length - 1, d))}
-            M = SliceMatrix(f, len(tgt), len(src))
-            for j, key in enumerate(src):
-                img = bar_dN_any(ModTensorElement(N, length, {key: f.one}))
-                for kk, c in img.terms.items():
-                    M.set(tgt[kk], j, c)
-            return M
-
         for d in range(D):
             cycles = boundaries = 0
-            mats = {L: dn_matrix(L, d) for L in range(2, max_n + 3)}
+            mats = {L: dN_matrix(N, L, d) for L in range(2, max_n + 3)}
             cycles += len(modtensor_basis(N, 1, d))      # position -1: N itself
             boundaries += mats[2].rank()                  # image of 𝐝^N_{-1}
             for L in range(2, max_n + 2):                 # positions 0..max_n - 1
-                cycles += len(modtensor_basis(N, L, d)) - mats[L].rank()
+                cycles += mats[L].ncols - mats[L].rank()
                 boundaries += mats[L + 1].rank()
             table.add(d, cycles, boundaries)
         return table

@@ -1,14 +1,18 @@
 """Finitely generated semifree DG B-modules, their bar complexes, the β_N
 splitting of the diagonal tensor resolution, and exact naive lifting.
 
-Elements of N ⊗_A B^{⊗_A m} are stored as (basis index, word) pairs where the
-word has length m+1: slot 0 carries the B-coefficient of the basis element
-and slots 1..m the tensor factors (ext-only, as in `tensor`).  Under this
-convention the bar differential is again an alternating sum of slot merges,
-with the i = 0 merge realizing x ⊗ b_1 ↦ x·b_1.
+An element Σ_i e_i ⊗ x_i of N ⊗_A B^{⊗_A m} is stored as one `TensorElement`
+x_i of word length m+1 per basis index i, and a zero x_i is never stored:
+slot 0 of x_i carries the B-coefficient of e_i and slots 1..m the tensor
+factors (ext-only, as in `tensor`).  Every slot operation is then the plain
+kernel applied to each x_i: right multiplication, merges, ⊗_B-concatenation
+and the bar differential (whose i = 0 merge realizes x ⊗ b_1 ↦ x·b_1) keep
+the index, and the internal differential adds to (-1)^{|e_j|} times the
+slotwise differential of x_j the left multiples b_ij·x_j, moved to index i.
+`ModTensorElement.terms` is a flat read-only view keyed by (index, word).
 
-Elements of N ⊗_A T are stored per word-length component exactly like 𝔹,
-tagged by the basis index; the component-n word has length n+2.
+Elements of N ⊗_A T are `semifree.GradedElement`s like those of 𝔹, whose
+component n is an element of N ⊗_A B^{⊗_A (n+1)}, of word length n+2.
 """
 
 from __future__ import annotations
@@ -16,9 +20,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgElement, DGAlgebra, ValidationReport
-from .errors import DgresError, LengthMismatch, NotValidated, ShapeMismatch
+from .bar import bar_differential, bar_homotopy
+from .errors import DgresError, NotValidated, ShapeMismatch
 from .linalg import InfeasibilityCertificate, SliceMatrix, solve_linear
-from .tensor import TensorElement, delta, concat_B, normalize_word, tensor_basis, word_degree
+from .semifree import GradedElement
+from .tensor import (
+    TensorElement,
+    concat_B,
+    delta,
+    left_mult,
+    merge_at,
+    right_mult,
+    tensor_basis,
+    tensor_differential,
+)
 
 
 class SemifreeModule:
@@ -84,71 +99,65 @@ def validate_module(N: SemifreeModule) -> ValidationReport:
 
 
 class ModTensorElement:
-    """Element of N ⊗_A B^{⊗_A (length-1)}; terms map (idx, word) -> scalar."""
+    """Element Σ_i e_i ⊗ x_i of N ⊗_A B^{⊗_A (length-1)}; `parts` maps i -> x_i.
 
-    __slots__ = ("module", "length", "terms")
+    The constructor takes terms {(i, word): scalar} with canonical words.
+    """
+
+    __slots__ = ("module", "length", "parts")
 
     def __init__(self, module: SemifreeModule, length: int, terms: dict | None = None):
         self.module = module
         self.length = length
-        self.terms = terms or {}
+        self.parts = {}
+        for (i, w), c in (terms or {}).items():
+            part = self.parts.get(i)
+            if part is None:
+                part = self.parts[i] = TensorElement(module.alg, length)
+            part._add_canonical(w, c)
+        self.parts = {i: x for i, x in self.parts.items() if not x.is_zero()}
 
-    def _add_raw(self, idx: int, word, coeff):
-        f = self.module.alg.field
-        if coeff == f.zero:
-            return
-        nw = normalize_word(self.module.alg, word)
-        if nw is None:
-            return
-        sign, w = nw
-        if sign < 0:
-            coeff = f.neg(coeff)
-        key = (idx, w)
-        s = f.add(self.terms.get(key, f.zero), coeff)
-        if s == f.zero:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = s
+    @classmethod
+    def _of_parts(cls, module: SemifreeModule, length: int, parts: dict) -> "ModTensorElement":
+        out = cls(module, length)
+        out.parts = {i: x for i, x in parts.items() if not x.is_zero()}
+        return out
 
-    def _check(self, other):
-        if self.module is not other.module or self.length != other.length:
-            raise ShapeMismatch("module tensor elements of different shapes")
+    @property
+    def terms(self) -> dict:
+        return {(i, w): c for i, x in self.parts.items() for w, c in x.terms.items()}
+
+    def _map(self, kernel, length: int) -> "ModTensorElement":
+        """Apply a plain tensor kernel to every part, keeping its index."""
+        return ModTensorElement._of_parts(self.module, length, {i: kernel(x) for i, x in self.parts.items()})
 
     def __add__(self, other):
-        self._check(other)
-        out = ModTensorElement(self.module, self.length, dict(self.terms))
-        f = self.module.alg.field
-        for key, c in other.terms.items():
-            s = f.add(out.terms.get(key, f.zero), c)
-            if s == f.zero:
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = s
-        return out
+        if self.module is not other.module or self.length != other.length:
+            raise ShapeMismatch("module tensor elements of different shapes")
+        parts = dict(self.parts)
+        for i, x in other.parts.items():
+            _add_part(parts, i, x)
+        return ModTensorElement._of_parts(self.module, self.length, parts)
 
     def __sub__(self, other):
         return self + other.scale_int(-1)
 
     def scale(self, c):
-        f = self.module.alg.field
-        if c == f.zero:
-            return ModTensorElement(self.module, self.length)
-        return ModTensorElement(self.module, self.length,
-                                {k: f.mul(v, c) for k, v in self.terms.items()})
+        return self._map(lambda x: x.scale(c), self.length)
 
     def scale_int(self, n: int):
         return self.scale(self.module.alg.field.of_int(n))
 
     def is_zero(self):
-        return not self.terms
+        return not self.parts
 
     def __eq__(self, other):
         if not isinstance(other, ModTensorElement):
             return NotImplemented
-        return self.module is other.module and self.length == other.length and self.terms == other.terms
+        return self.module is other.module and self.length == other.length and self.parts == other.parts
 
     def degrees(self):
-        return {self.module.degrees[i] + word_degree(w) for (i, w) in self.terms}
+        return {self.module.degrees[i] + d for i, x in self.parts.items() for d in x.degrees()}
 
     def homogeneous_degree(self):
         degs = self.degrees()
@@ -158,21 +167,20 @@ class ModTensorElement:
             raise DgresError("not homogeneous")
         return degs.pop()
 
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (kv[0][0], word_degree(kv[0][1]), tuple(m.sort_key() for m in kv[0][1])),
-        )
-
     def __repr__(self):
-        if not self.terms:
+        if not self.parts:
             return "0"
         alg = self.module.alg
         parts = []
-        for (i, w), c in self.sorted_terms():
-            body = self.module.names[i] + "." + "(x)".join(alg.mono_repr(m) for m in w)
-            parts.append(f"{c}*{body}" if c != alg.field.one else body)
+        for i in sorted(self.parts):
+            for w, c in self.parts[i].sorted_terms():
+                body = self.module.names[i] + "." + "(x)".join(alg.mono_repr(m) for m in w)
+                parts.append(f"{c}*{body}" if c != alg.field.one else body)
         return " + ".join(parts)
+
+
+def _add_part(parts: dict, i: int, x):
+    parts[i] = parts[i] + x if i in parts else x
 
 
 def mod_element(module: SemifreeModule, name: str, coeff=None) -> ModTensorElement:
@@ -184,44 +192,23 @@ def mod_element(module: SemifreeModule, name: str, coeff=None) -> ModTensorEleme
 
 def mod_right_mult(t: ModTensorElement, u: AlgElement) -> ModTensorElement:
     """Right B-action on the last slot."""
-    alg = t.module.alg
-    f = alg.field
-    out = ModTensorElement(t.module, t.length)
-    for (i, w), c in t.terms.items():
-        for mu, cu in u.terms.items():
-            sm = alg.mono_mul(w[-1], mu)
-            if sm is None:
-                continue
-            s, ml = sm
-            cc = f.mul(c, cu)
-            if s < 0:
-                cc = f.neg(cc)
-            out._add_raw(i, w[:-1] + (ml,), cc)
-    return out
+    return t._map(lambda x: right_mult(x, u), t.length)
 
 
 def mod_merge_at(t: ModTensorElement, i: int) -> ModTensorElement:
-    alg = t.module.alg
-    f = alg.field
-    out = ModTensorElement(t.module, t.length - 1)
-    for (idx, w), c in t.terms.items():
-        sm = alg.mono_mul(w[i], w[i + 1])
-        if sm is None:
-            continue
-        s, m = sm
-        out._add_raw(idx, w[:i] + (m,) + w[i + 2:], f.neg(c) if s < 0 else c)
-    return out
+    return t._map(lambda x: merge_at(x, i), t.length - 1)
+
+
+def mod_concat_B(t: ModTensorElement, s: TensorElement) -> ModTensorElement:
+    """γ ⊗_B β': merge the last slot of γ into the first slot of β'."""
+    return t._map(lambda x: concat_B(x, s), t.length + s.length - 1)
 
 
 def dN(t: ModTensorElement, n: int) -> ModTensorElement:
     """Bar differential 𝐝^N_{n-1} on N ⊗_A B^{⊗_A n} ⊗_A B (word length n+2)."""
     if t.length != n + 2:
         raise ShapeMismatch(f"expected word length {n + 2}, got {t.length}")
-    out = mod_merge_at(t, 0)
-    for i in range(1, n + 1):
-        piece = mod_merge_at(t, i)
-        out = out + (piece if i % 2 == 0 else piece.scale_int(-1))
-    return out
+    return t._map(lambda x: bar_differential(x, n), n + 1)
 
 
 def bar_dN_any(t: ModTensorElement) -> ModTensorElement:
@@ -231,82 +218,47 @@ def bar_dN_any(t: ModTensorElement) -> ModTensorElement:
     return dN(t, t.length - 2)
 
 
+def dN_matrix(N: SemifreeModule, length: int, degree: int) -> SliceMatrix:
+    """Matrix of 𝐝^N from the degree slice of word length `length` to length-1.
+
+    Columns and rows are the `modtensor_basis` labels of the two slices.
+    """
+    f = N.alg.field
+    src = tuple(modtensor_basis(N, length, degree))
+    return SliceMatrix.from_columns(f, tuple(modtensor_basis(N, length - 1, degree)), src,
+                                    (bar_dN_any(ModTensorElement(N, length, {key: f.one})).terms
+                                     for key in src))
+
+
 def module_differential(t: ModTensorElement) -> ModTensorElement:
-    """Internal DG differential of N ⊗_A B^{⊗_A m} (not the bar differential)."""
+    """Internal DG differential of N ⊗_A B^{⊗_A m} (not the bar differential).
+
+    On e_j ⊗ x_j: (-1)^{|e_j|} e_j ⊗ d(x_j) plus e_i ⊗ b_ij·x_j for i < j.
+    """
     mod = t.module
-    alg = mod.alg
-    f = alg.field
-    out = ModTensorElement(mod, t.length)
-    for (j, w), c in t.terms.items():
+    parts: dict = {}
+    for j, x in t.parts.items():
+        d = tensor_differential(x)
+        _add_part(parts, j, -d if mod.degrees[j] % 2 else d)
         for i in range(j):
             b = mod.diff.get((i, j))
-            if b is None:
-                continue
-            for mb, cb in b.terms.items():
-                sm = alg.mono_mul(mb, w[0])
-                if sm is None:
-                    continue
-                s, m0 = sm
-                cc = f.mul(c, cb)
-                if s < 0:
-                    cc = f.neg(cc)
-                out._add_raw(i, (m0,) + w[1:], cc)
-        esign = mod.degrees[j] % 2
-        prefix = 0
-        for k, m in enumerate(w):
-            dm = alg.diff_mono(m)
-            if not dm.is_zero():
-                cc = f.neg(c) if (prefix + esign) % 2 else c
-                for mm, cm in dm.terms.items():
-                    out._add_raw(j, w[:k] + (mm,) + w[k + 1:], f.mul(cc, cm))
-            prefix += m.degree
-    return out
+            if b is not None:
+                _add_part(parts, i, left_mult(b, x))
+    return ModTensorElement._of_parts(mod, t.length, parts)
 
 
 # -- N (x) T and the beta splitting ----------------------------------------------
 
 
-class NTElement:
-    """Element of N ⊗_A T by word-length component (stored like 𝔹 with a tag)."""
+class NTElement(GradedElement):
+    """Element of N ⊗_A T; component n is an element of N ⊗_A B^{⊗_A (n+1)}."""
 
-    __slots__ = ("module", "components")
+    __slots__ = ()
+    offset = 2
+    module = property(lambda self: self.owner)
 
-    def __init__(self, module: SemifreeModule, components: dict | None = None):
-        self.module = module
-        self.components = {}
-        for n, t in (components or {}).items():
-            if not t.is_zero():
-                if t.length != n + 2:
-                    raise LengthMismatch(f"component {n} must have word length {n + 2}")
-                self.components[n] = t
-
-    def component(self, n: int) -> ModTensorElement:
-        return self.components.get(n, ModTensorElement(self.module, n + 2))
-
-    def __add__(self, other):
-        comps = dict(self.components)
-        for n, t in other.components.items():
-            comps[n] = comps[n] + t if n in comps else t
-        return NTElement(self.module, comps)
-
-    def __sub__(self, other):
-        return self + other.scale_int(-1)
-
-    def scale_int(self, k: int):
-        return NTElement(self.module, {n: t.scale_int(k) for n, t in self.components.items()})
-
-    def is_zero(self):
-        return not self.components
-
-    def __eq__(self, other):
-        if not isinstance(other, NTElement):
-            return NotImplemented
-        return self.module is other.module and self.components == other.components
-
-    def __repr__(self):
-        if not self.components:
-            return "0"
-        return " ++ ".join(f"[{n}] {t!r}" for n, t in sorted(self.components.items()))
+    def _empty(self, length: int) -> ModTensorElement:
+        return ModTensorElement(self.owner, length)
 
 
 def nt_right_mult(t: NTElement, u: AlgElement) -> NTElement:
@@ -316,62 +268,33 @@ def nt_right_mult(t: NTElement, u: AlgElement) -> NTElement:
 def DN(t: NTElement) -> NTElement:
     """The differential of N ⊗_A T transported from N ⊗_B (𝔹, 𝔻).
 
-    On the component of word length n:  Σ_μ (-1)^{n|b_{μλ}|} e_μ b_{μλ}·(-)
-    plus (-1)^{|e_λ|} ((-1)^n ∂_flat + merge01).
+    On e_j ⊗ x_j in component n:  Σ_i e_i ⊗ b'_ij·x_j, where b'_ij is b_ij
+    with each monomial b signed (-1)^{n|b|}, plus (-1)^{|e_j|+n} e_j ⊗ d(x_j)
+    in component n and (-1)^{|e_j|} e_j ⊗ merge01(x_j) in component n-1.
     """
     mod = t.module
-    alg = mod.alg
-    f = alg.field
-    out: dict[int, ModTensorElement] = {}
-
-    def acc(n, el):
-        if el.is_zero():
-            return
-        out[n] = out[n] + el if n in out else el
-
+    f = mod.alg.field
+    out = NTElement(mod)
     for n, te in t.components.items():
-        for (j, w), c in te.terms.items():
-            # ∂^N part: left multiplication by b_{μλ}, with the shuffle sign
+        same: dict = {}
+        below: dict = {}
+        for j, x in te.parts.items():
+            d = tensor_differential(x)
+            _add_part(same, j, -d if (mod.degrees[j] + n) % 2 else d)
             for i in range(j):
                 b = mod.diff.get((i, j))
-                if b is None:
-                    continue
-                piece = ModTensorElement(mod, te.length)
-                for mb, cb in b.terms.items():
-                    sgn = -1 if (n * mb.degree) % 2 else 1
-                    sm = alg.mono_mul(mb, w[0])
-                    if sm is None:
-                        continue
-                    s, m0 = sm
-                    cc = f.mul(c, cb)
-                    if sgn * s < 0:
-                        cc = f.neg(cc)
-                    piece._add_raw(i, (m0,) + w[1:], cc)
-                acc(n, piece)
-            # internal part
-            ksign = -1 if (mod.degrees[j] + n) % 2 else 1
-            piece = ModTensorElement(mod, te.length)
-            prefix = 0
-            for k, m in enumerate(w):
-                dm = alg.diff_mono(m)
-                if not dm.is_zero():
-                    cc = f.neg(c) if prefix % 2 else c
-                    if ksign < 0:
-                        cc = f.neg(cc)
-                    for mm, cm in dm.terms.items():
-                        piece._add_raw(j, w[:k] + (mm,) + w[k + 1:], f.mul(cc, cm))
-                prefix += m.degree
-            acc(n, piece)
-            # merge part, with the Koszul sign (-1)^{|e_λ|} of id_N ⊗ 𝔇
-            if n >= 1:
-                piece = ModTensorElement(mod, te.length - 1)
-                sm = alg.mono_mul(w[0], w[1])
-                if sm is not None:
-                    s, m = sm
-                    sign = (-1 if mod.degrees[j] % 2 else 1) * s
-                    piece._add_raw(j, (m,) + w[2:], f.neg(c) if sign < 0 else c)
-                acc(n - 1, piece)
-    return NTElement(mod, out)
+                if b is not None:
+                    if n % 2:
+                        b = AlgElement(b.alg, {m: f.neg(c) if m.degree % 2 else c for m, c in b.terms.items()})
+                    _add_part(same, i, left_mult(b, x))
+            if n:
+                merged = merge_at(x, 0)
+                below[j] = -merged if mod.degrees[j] % 2 else merged
+        comps = {n: ModTensorElement._of_parts(mod, te.length, same)}
+        if n:
+            comps[n - 1] = ModTensorElement._of_parts(mod, te.length - 1, below)
+        out = out + NTElement(mod, comps)
+    return out
 
 
 def alpha_N(t: NTElement) -> ModTensorElement:
@@ -402,7 +325,8 @@ def beta_N(N: SemifreeModule, lam: str) -> NTElement:
     """The splitting series β_N(e_λ) = e_λ⊗1 + Σ e_μ ⊗ δ(b)-chains.
 
     Depth-first over strictly decreasing chains below λ; δ-words are built
-    by extending memoized suffixes on the left.
+    by extending memoized suffixes on the left.  The component of a chain is
+    `bar_homotopy` of its δ-word, scaled by the stored sign.
     """
     if N._validated is None:
         validate_module(N)
@@ -412,8 +336,6 @@ def beta_N(N: SemifreeModule, lam: str) -> NTElement:
     j = N.index[lam]
     out = NTElement(N, {0: ModTensorElement(N, 2, {
         (j, (alg.one_mono, alg.one_mono)): alg.field.one})})
-    # suffix_words[(i, depth)] collects (chain_mu_degrees, delta-word TensorElement)
-    # for chains i < mu_{depth-1} < ... < mu_1 < lam starting the word at i.
     memo: dict[tuple, TensorElement] = {}
 
     def chain_word(chain: tuple[int, ...]) -> TensorElement:
@@ -437,10 +359,7 @@ def beta_N(N: SemifreeModule, lam: str) -> NTElement:
             full = chain + (j,)
             entry_degs = [N.entry(a, b).homogeneous_degree() for a, b in zip(full, full[1:])]
             sign = _beta_stored_sign(m, sum(N.degrees[i] for i in chain), entry_degs)
-            comp = ModTensorElement(N, m + 2)
-            for w, c in word.terms.items():
-                comp._add_raw(head, (alg.one_mono,) + w,
-                              alg.field.neg(c) if sign < 0 else c)
+            comp = ModTensorElement._of_parts(N, m + 2, {head: bar_homotopy(word).scale_int(sign)})
             out = out + NTElement(N, {m: comp})
         for i in range(head):
             if (i, head) in N.diff:
@@ -489,18 +408,6 @@ def modtensor_basis(N: SemifreeModule, length: int, degree: int):
     return out
 
 
-def apply_rho(rho: dict, t: ModTensorElement) -> ModTensorElement:
-    """Extend ρ (given on basis elements) right-B-linearly to N."""
-    if t.length != 1:
-        raise ShapeMismatch("ρ applies to elements of N")
-    N = t.module
-    out = ModTensorElement(N, 2)
-    for (i, w), c in t.terms.items():
-        img = rho[N.names[i]]
-        out = out + mod_right_mult(img, N.alg.from_monomial(w[0], c))
-    return out
-
-
 def naive_lift_solve(N: SemifreeModule) -> LiftResult:
     """Exact decision: does π_N : N ⊗_A B → N split as DG B-modules?
 
@@ -536,10 +443,9 @@ def naive_lift_solve(N: SemifreeModule) -> LiftResult:
             img = mod_merge_at(el, 0)
             for key, c in img.terms.items():
                 row_acc[n_index[key]][var_offset[j] + k] = c
-        target = mod_element(N, name)
+        target = mod_element(N, name).terms
         for r, lab in enumerate(n_basis):
-            rhs = target.terms.get(lab, f.zero)
-            rows.append((row_acc[r], rhs))
+            rows.append((row_acc[r], target.get(lab, f.zero)))
 
     # chain condition: Σ_μ ρ(e_μ)·b_{μj} - ∂(ρ(e_j)) = 0 in degree |e_j| - 1
     for j, name in enumerate(N.names):
@@ -589,24 +495,6 @@ def naive_lift_solve(N: SemifreeModule) -> LiftResult:
     return LiftResult(True, rho, None, len(rows), total, A, b_vec)
 
 
-def mod_concat_B(t: ModTensorElement, s: TensorElement) -> ModTensorElement:
-    """γ ⊗_B β': merge the last slot of γ into the first slot of β'."""
-    alg = t.module.alg
-    f = alg.field
-    out = ModTensorElement(t.module, t.length + s.length - 1)
-    for (i, w), c in t.terms.items():
-        for v, cv in s.terms.items():
-            sm = alg.mono_mul(w[-1], v[0])
-            if sm is None:
-                continue
-            sg, mm = sm
-            cc = f.mul(c, cv)
-            if sg < 0:
-                cc = f.neg(cc)
-            out._add_raw(i, w[:-1] + (mm,) + v[1:], cc)
-    return out
-
-
 def lemma_sign_check(N: SemifreeModule, samples: int, seed: int,
                      max_degree: int = 6, max_words: int = 4) -> ValidationReport:
     """Bar-differential concatenation identities on random homogeneous elements.
@@ -621,9 +509,7 @@ def lemma_sign_check(N: SemifreeModule, samples: int, seed: int,
     """
     import random as _random
 
-    from .bar import bar_differential
     from .sampling import random_homogeneous_modtensor, random_homogeneous_tensor
-    from .tensor import concat_B as _concat
 
     alg = N.alg
     rng = _random.Random(seed)
@@ -641,12 +527,12 @@ def lemma_sign_check(N: SemifreeModule, samples: int, seed: int,
         beta = random_homogeneous_tensor(alg, rng, n, rng.randrange(0, max_degree + 1))
         betap = random_homogeneous_tensor(alg, rng, m, rng.randrange(0, max_degree + 1))
         if n + m >= 3 and not beta.is_zero() and not betap.is_zero():
-            lhs = bar_d(_concat(beta, betap))
+            lhs = bar_d(concat_B(beta, betap))
             rhs = TensorElement(alg, n + m - 2)
             if n >= 2:
-                rhs = rhs + _concat(bar_d(beta), betap)
+                rhs = rhs + concat_B(bar_d(beta), betap)
             if m >= 2:
-                piece = _concat(beta, bar_d(betap))
+                piece = concat_B(beta, bar_d(betap))
                 rhs = rhs + (piece if (n + 1) % 2 == 0 else -piece)
             if lhs != rhs and bad1 is None:
                 bad1 = (beta, betap, lhs, rhs)
@@ -775,18 +661,7 @@ def lambda_n(N: SemifreeModule, rho: dict, n: int, t: ModTensorElement) -> ModTe
         raise DgresError("λ_n is defined for n >= 2")
     if t.length != n:
         raise ShapeMismatch(f"expected word length {n}, got {t.length}")
-    alg = N.alg
-    f = alg.field
     out = ModTensorElement(N, n + 1)
-    for (i, w), c in t.terms.items():
-        img = rho[N.names[i]]  # length-2 element
-        for (i2, v), c2 in img.terms.items():
-            sm = alg.mono_mul(v[1], w[0])
-            if sm is None:
-                continue
-            s, mm = sm
-            cc = f.mul(c, c2)
-            if s < 0:
-                cc = f.neg(cc)
-            out._add_raw(i2, (v[0], mm) + w[1:], cc)
+    for i, x in t.parts.items():
+        out = out + mod_concat_B(rho[N.names[i]], x)
     return out

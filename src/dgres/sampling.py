@@ -43,15 +43,7 @@ def random_homogeneous_tensor(alg: DGAlgebra, rng: random.Random, length: int,
 def random_homogeneous_modtensor(N: SemifreeModule, rng: random.Random, length: int,
                                  degree: int, max_terms: int = 3) -> ModTensorElement:
     basis = modtensor_basis(N, length, degree)
-    out = ModTensorElement(N, length)
-    f = N.alg.field
     if not basis:
-        return out
-    for key in rng.sample(list(basis), min(len(basis), rng.randrange(1, max_terms + 1))):
-        c = random_scalar(f, rng)
-        cur = f.add(out.terms.get(key, f.zero), c)
-        if cur == f.zero:
-            out.terms.pop(key, None)
-        else:
-            out.terms[key] = cur
-    return out
+        return ModTensorElement(N, length)
+    keys = rng.sample(list(basis), min(len(basis), rng.randrange(1, max_terms + 1)))
+    return ModTensorElement(N, length, {key: random_scalar(N.alg.field, rng) for key in keys})

@@ -11,6 +11,13 @@ differential, and the bar part 𝔇 is exactly "merge slots 0 and 1".  Both
 identities 𝔇∂ = -∂𝔇 and 𝔻² = 0 are then forced by π_B being a chain map,
 and the complex (𝔹, 𝔇) is the reduced bar resolution on the nose.
 
+T, 𝔹 and N ⊗_A T (`modules.NTElement`) share one container,
+`GradedElement`: a subclass fixes only the word length of component n and
+its empty component, and ∂ of T and of 𝔹 is the one helper `dBB`.  Both
+T-concatenations, the product of T (`t_multiply`) and its right action on
+𝔹 (`t_action`), are `concat_B`(x', y) for x in component k and y in
+component m, where x' is x with each word w signed (-1)^{m·|w|}.
+
 Suspension convention: (ΣM)_i = M_{i-1} with ∂(Σm) = -Σ∂(m).  This is the
 convention under which the stored formulas above hold; the invariant test
 suite (anticommutation, 𝔻² = 0, T-linearity, reduced-bar recovery) pins it.
@@ -44,88 +51,35 @@ def psi_sign(n: int, b_degree: int, tau_degrees) -> int:
     return -1 if exp % 2 else 1
 
 
-class TElement:
-    """Element of the tensor algebra T, by word-length component."""
+class GradedElement:
+    """Sum of word-length components, no zero component stored.
 
-    __slots__ = ("alg", "components")
+    The component n has word length n + `offset`; a subclass gives only that
+    offset and its empty component.  `owner` is the algebra (T, 𝔹) or the
+    module (N ⊗_A T) the components live over.
+    """
 
-    def __init__(self, alg: DGAlgebra, components: dict | None = None):
-        self.alg = alg
-        self.components = {}
-        for m, t in (components or {}).items():
-            if not t.is_zero():
-                if t.length != m + 1:
-                    raise LengthMismatch(f"component {m} must have word length {m + 1}")
-                self.components[m] = t
+    __slots__ = ("owner", "components")
+    offset = 0
 
-    @staticmethod
-    def one(alg: DGAlgebra) -> "TElement":
-        return TElement(alg, {0: TensorElement.unit(alg, 1)})
-
-    def component(self, m: int) -> TensorElement:
-        return self.components.get(m, TensorElement(self.alg, m + 1))
-
-    def __add__(self, other: "TElement") -> "TElement":
-        comps = dict(self.components)
-        for m, t in other.components.items():
-            comps[m] = comps[m] + t if m in comps else t
-        return TElement(self.alg, comps)
-
-    def __sub__(self, other):
-        return self + other.scale_int(-1)
-
-    def scale(self, c) -> "TElement":
-        return TElement(self.alg, {m: t.scale(c) for m, t in self.components.items()})
-
-    def scale_int(self, k: int) -> "TElement":
-        return self.scale(self.alg.field.of_int(k))
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __eq__(self, other):
-        if not isinstance(other, TElement):
-            return NotImplemented
-        return self.alg is other.alg and self.components == other.components
-
-    def total_degrees(self) -> set[int]:
-        out = set()
-        for m, t in self.components.items():
-            out |= {d + m for d in t.degrees()}
-        return out
-
-    def __repr__(self):
-        if not self.components:
-            return "0"
-        return " ++ ".join(f"[{m}] {t!r}" for m, t in sorted(self.components.items()))
-
-
-class BBElement:
-    """Element of 𝔹, by component n; component n is stored in B^{⊗_A (n+2)}."""
-
-    __slots__ = ("alg", "components")
-
-    def __init__(self, alg: DGAlgebra, components: dict | None = None):
-        self.alg = alg
+    def __init__(self, owner, components: dict | None = None):
+        self.owner = owner
         self.components = {}
         for n, t in (components or {}).items():
             if not t.is_zero():
-                if t.length != n + 2:
-                    raise LengthMismatch(f"component {n} must have word length {n + 2}")
+                if t.length != n + self.offset:
+                    raise LengthMismatch(f"component {n} must have word length {n + self.offset}")
                 self.components[n] = t
 
-    @staticmethod
-    def one(alg: DGAlgebra) -> "BBElement":
-        return BBElement(alg, {0: TensorElement.unit(alg, 2)})
+    def component(self, n: int):
+        t = self.components.get(n)
+        return self._empty(n + self.offset) if t is None else t
 
-    def component(self, n: int) -> TensorElement:
-        return self.components.get(n, TensorElement(self.alg, n + 2))
-
-    def __add__(self, other: "BBElement") -> "BBElement":
+    def __add__(self, other):
         comps = dict(self.components)
         for n, t in other.components.items():
             comps[n] = comps[n] + t if n in comps else t
-        return BBElement(self.alg, comps)
+        return type(self)(self.owner, comps)
 
     def __sub__(self, other):
         return self + other.scale_int(-1)
@@ -133,25 +87,22 @@ class BBElement:
     def __neg__(self):
         return self.scale_int(-1)
 
-    def scale(self, c) -> "BBElement":
-        return BBElement(self.alg, {n: t.scale(c) for n, t in self.components.items()})
+    def scale(self, c):
+        return type(self)(self.owner, {n: t.scale(c) for n, t in self.components.items()})
 
-    def scale_int(self, k: int) -> "BBElement":
-        return self.scale(self.alg.field.of_int(k))
+    def scale_int(self, k: int):
+        return type(self)(self.owner, {n: t.scale_int(k) for n, t in self.components.items()})
 
     def is_zero(self) -> bool:
         return not self.components
 
     def __eq__(self, other):
-        if not isinstance(other, BBElement):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.alg is other.alg and self.components == other.components
+        return self.owner is other.owner and self.components == other.components
 
     def total_degrees(self) -> set[int]:
-        out = set()
-        for n, t in self.components.items():
-            out |= {d + n for d in t.degrees()}
-        return out
+        return {d + n for n, t in self.components.items() for d in t.degrees()}
 
     def total_degree(self):
         degs = self.total_degrees()
@@ -165,6 +116,36 @@ class BBElement:
         if not self.components:
             return "0"
         return " ++ ".join(f"[{n}] {t!r}" for n, t in sorted(self.components.items()))
+
+
+class TElement(GradedElement):
+    """Element of the tensor algebra T; component m is stored in B^{⊗_A (m+1)}."""
+
+    __slots__ = ()
+    offset = 1
+    alg = property(lambda self: self.owner)
+
+    def _empty(self, length: int) -> TensorElement:
+        return TensorElement(self.owner, length)
+
+    @staticmethod
+    def one(alg: DGAlgebra) -> "TElement":
+        return TElement(alg, {0: TensorElement.unit(alg, 1)})
+
+
+class BBElement(GradedElement):
+    """Element of 𝔹; component n is stored in B^{⊗_A (n+2)}."""
+
+    __slots__ = ()
+    offset = 2
+    alg = property(lambda self: self.owner)
+
+    def _empty(self, length: int) -> TensorElement:
+        return TensorElement(self.owner, length)
+
+    @staticmethod
+    def one(alg: DGAlgebra) -> "BBElement":
+        return BBElement(alg, {0: TensorElement.unit(alg, 2)})
 
 
 # -- honest-element constructors ------------------------------------------------
@@ -230,28 +211,21 @@ def bb_from_be(t: TensorElement) -> BBElement:
 # -- differentials ---------------------------------------------------------------
 
 
-def dT(t: TElement) -> TElement:
-    """Differential of T in stored coordinates: (-1)^m times the flat one."""
-    comps = {}
-    for m, te in t.components.items():
-        d = tensor_differential(te)
-        if m % 2:
-            d = -d
-        if not d.is_zero():
-            comps[m] = comps[m] + d if m in comps else d
-    return TElement(t.alg, comps)
+def dBB(t):
+    """Internal differential ∂ of 𝔹 (or of T) in stored coordinates.
 
-
-def dBB(t: BBElement) -> BBElement:
-    """Internal differential ∂ of 𝔹 in stored coordinates."""
+    On component n it is (-1)^n times the flat slotwise differential.
+    """
     comps = {}
     for n, te in t.components.items():
         d = tensor_differential(te)
-        if n % 2:
-            d = -d
-        if not d.is_zero():
-            comps[n] = comps[n] + d if n in comps else d
-    return BBElement(t.alg, comps)
+        comps[n] = -d if n % 2 else d
+    return type(t)(t.owner, comps)
+
+
+def dT(t: TElement) -> TElement:
+    """Differential of T in stored coordinates: the same rule as `dBB`."""
+    return dBB(t)
 
 
 def frakD(t: BBElement) -> BBElement:
@@ -278,82 +252,32 @@ def alpha(t: BBElement) -> AlgElement:
     return pi_B(c0) if c0 is not None else t.alg.zero()
 
 
-def t_action(beta: BBElement, s: TElement) -> BBElement:
-    """Right action of T on 𝔹 by ⊗_B-concatenation.
+def _concat_T(left, right):
+    """⊗_B-concatenation of graded elements with the suspension-shuffle sign.
 
-    In stored coordinates each concatenation of an internal-degree-d word
-    with a length-m factor picks up (-1)^{m·d} from the suspension shuffle.
+    In stored coordinates the component x of internal degree |w| concatenated
+    with a length-m factor y picks up (-1)^{m·|w|}: the result is
+    concat_B(x', y) with x' the element x whose words w are signed (-1)^{m·|w|}.
     """
-    alg = beta.alg
-    f = alg.field
-    out = BBElement(alg)
-    for k, xk in beta.components.items():
-        for m, ym in s.components.items():
-            if m == 0:
-                piece = _right_concat_scalar(xk, ym)
-                out = out + BBElement(alg, {k: piece})
-                continue
-            acc = TensorElement(alg, k + m + 2)
-            for wx, cx in xk.terms.items():
-                dx = word_degree(wx)
-                sgn = -1 if (m * dx) % 2 else 1
-                for wy, cy in ym.terms.items():
-                    sm = alg.mono_mul(wx[-1], wy[0])
-                    if sm is None:
-                        continue
-                    s0, mm = sm
-                    c = f.mul(cx, cy)
-                    if sgn * s0 < 0:
-                        c = f.neg(c)
-                    acc._add_raw(wx[:-1] + (mm,) + wy[1:], c)
-            out = out + BBElement(alg, {k + m: acc})
-    return out
+    f = left.owner.field
+    comps = {}
+    for k, x in left.components.items():
+        x_odd = TensorElement(x.alg, x.length, {w: f.neg(c) if word_degree(w) % 2 else c
+                                                for w, c in x.terms.items()})
+        for m, y in right.components.items():
+            piece = concat_B(x_odd if m % 2 else x, y)
+            comps[k + m] = comps[k + m] + piece if k + m in comps else piece
+    return type(left)(left.owner, comps)
 
 
-def _right_concat_scalar(xk: TensorElement, y0: TensorElement) -> TensorElement:
-    """Concatenate with a T-component of word length 0 (an element of B)."""
-    alg = xk.alg
-    out = TensorElement(alg, xk.length)
-    f = alg.field
-    for wx, cx in xk.terms.items():
-        for wy, cy in y0.terms.items():
-            sm = alg.mono_mul(wx[-1], wy[0])
-            if sm is None:
-                continue
-            s0, mm = sm
-            c = f.mul(cx, cy)
-            if s0 < 0:
-                c = f.neg(c)
-            out._add_raw(wx[:-1] + (mm,), c)
-    return out
+def t_action(beta: BBElement, s: TElement) -> BBElement:
+    """Right action of T on 𝔹 by ⊗_B-concatenation (`_concat_T`)."""
+    return _concat_T(beta, s)
 
 
 def t_multiply(s1: TElement, s2: TElement) -> TElement:
-    """Product in T (⊗_B-concatenation with the suspension-shuffle sign)."""
-    alg = s1.alg
-    f = alg.field
-    out = TElement(alg)
-    for a, xa in s1.components.items():
-        for b, yb in s2.components.items():
-            if b == 0:
-                piece = _right_concat_scalar(xa, yb)
-                out = out + TElement(alg, {a: piece})
-                continue
-            acc = TensorElement(alg, a + b + 1)
-            for wx, cx in xa.terms.items():
-                dx = word_degree(wx)
-                sgn = -1 if (b * dx) % 2 else 1
-                for wy, cy in yb.terms.items():
-                    sm = alg.mono_mul(wx[-1], wy[0])
-                    if sm is None:
-                        continue
-                    s0, mm = sm
-                    c = f.mul(cx, cy)
-                    if sgn * s0 < 0:
-                        c = f.neg(c)
-                    acc._add_raw(wx[:-1] + (mm,) + wy[1:], c)
-            out = out + TElement(alg, {a + b: acc})
-    return out
+    """Product in T: ⊗_B-concatenation with the suspension-shuffle sign (`_concat_T`)."""
+    return _concat_T(s1, s2)
 
 
 # -- bases and semifree structure -------------------------------------------------

@@ -27,6 +27,7 @@ from dgres.modules import (
 )
 from dgres.scalars import Field
 from dgres.semifree import psi_sign
+from dgres.tensor import TensorElement
 
 
 def nt_word(N, name, factors):
@@ -43,10 +44,10 @@ def nt_word(N, name, factors):
     for u in us[1:]:
         core = concat_B(core, delta(u))
     sign = psi_sign(n, 0, [u.homogeneous_degree() for u in us])
-    comp = ModTensorElement(N, n + 2)
+    flat = TensorElement(alg, n + 2)
     for w, c in core.terms.items():
-        comp._add_raw(N.index[name], (alg.one_mono,) + w,
-                      alg.field.neg(c) if sign < 0 else c)
+        flat._add_raw((alg.one_mono,) + w, alg.field.neg(c) if sign < 0 else c)
+    comp = ModTensorElement(N, n + 2, {(N.index[name], w): c for w, c in flat.terms.items()})
     return NTElement(N, {n: comp})
 
 
