@@ -262,6 +262,30 @@ def test_semifree_fails_on_a_flipped_closed_form_sign(golden_dir, capsys, monkey
     assert "PASS  alpha-chain-map" in out
 
 
+def test_semifree_skips_quasi_iso_ranks_after_a_failed_column_check(golden_dir, capsys, monkeypatch):
+    import dgres.cli as cli
+    from dgres.cli import BAD_COLUMNS
+
+    calls = []
+    real = cli.quasi_iso_check
+
+    def counted(alg, D):
+        calls.append(D)
+        return real(alg, D)
+
+    monkeypatch.setattr(cli, "quasi_iso_check", counted)
+    args = ["semifree", str(golden_dir / "e3.dgres"), "--max-degree", "6"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and calls == [6]
+    _flip_second_bar_term(monkeypatch)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and err == "" and calls == [6]
+    lines = out.splitlines()
+    k = lines.index("  FAIL  quasi-isomorphism                [degrees 0..5 (built through 6)]")
+    assert lines[k + 1] == f"        counterexample: {BAD_COLUMNS}"
+    assert "table homology" not in out
+
+
 def test_homology_fails_on_a_flipped_closed_form_sign(golden_dir, capsys, monkeypatch):
     args = ["homology", str(golden_dir / "e3.dgres"), "--max-degree", "6"]
     code, out, err = run_cli(args, capsys)
