@@ -7,7 +7,6 @@ error.  Reports are byte-identical across reruns of the same invocation.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 
@@ -60,19 +59,8 @@ from .semifree import (
 from .tensor import TensorElement, tensor_basis, tensor_differential
 
 
-def _threads_option() -> int:
-    raw = os.environ.get("DGRES_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"DGRES_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise UsageError("DGRES_THREADS must be >= 1")
-    return n
-
-
 def _common_options(args, problem) -> dict:
-    opts = {"threads": _threads_option()}
+    opts = {}
     for key in ("max_degree", "max_n", "samples", "seed", "module", "reduced", "format"):
         val = getattr(args, key, None)
         if val is not None and val is not False:

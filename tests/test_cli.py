@@ -141,15 +141,6 @@ def test_console_script_entry_point(golden_dir):
     assert "verdict: PASS" in proc.stdout
 
 
-def test_threads_env_var(golden_dir, capsys, monkeypatch):
-    monkeypatch.setenv("DGRES_THREADS", "4")
-    code, out, err = run_cli(["validate", str(golden_dir / "e2.dgres")], capsys)
-    assert code == 0 and "threads=4" in out
-    monkeypatch.setenv("DGRES_THREADS", "zero")
-    code, out, err = run_cli(["validate", str(golden_dir / "e2.dgres")], capsys)
-    assert code == 2
-
-
 def test_lift_certificate_is_verified(golden_dir, capsys, monkeypatch):
     import dgres.cli as cli
 
