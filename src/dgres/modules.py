@@ -23,7 +23,7 @@ from .algebra import AlgElement, DGAlgebra, ValidationReport
 from .bar import bar_differential, bar_homotopy
 from .errors import DgresError, NotValidated, ShapeMismatch
 from .linalg import InfeasibilityCertificate, SliceMatrix, solve_linear
-from .semifree import GradedElement
+from .semifree import GradedElement, _add_to
 from .tensor import (
     TensorElement,
     concat_B,
@@ -101,7 +101,8 @@ def validate_module(N: SemifreeModule) -> ValidationReport:
 class ModTensorElement:
     """Element Σ_i e_i ⊗ x_i of N ⊗_A B^{⊗_A (length-1)}; `parts` maps i -> x_i.
 
-    The constructor takes terms {(i, word): scalar} with canonical words.
+    Like `TensorElement`, the constructor takes nonzero terms
+    {(i, word): scalar} over canonical words.
     """
 
     __slots__ = ("module", "length", "parts")
@@ -109,13 +110,10 @@ class ModTensorElement:
     def __init__(self, module: SemifreeModule, length: int, terms: dict | None = None):
         self.module = module
         self.length = length
-        self.parts = {}
+        by_index: dict = {}
         for (i, w), c in (terms or {}).items():
-            part = self.parts.get(i)
-            if part is None:
-                part = self.parts[i] = TensorElement(module.alg, length)
-            part._add_canonical(w, c)
-        self.parts = {i: x for i, x in self.parts.items() if not x.is_zero()}
+            by_index.setdefault(i, {})[w] = c
+        self.parts = {i: TensorElement(module.alg, length, ws) for i, ws in by_index.items()}
 
     @classmethod
     def _of_parts(cls, module: SemifreeModule, length: int, parts: dict) -> "ModTensorElement":
@@ -136,7 +134,7 @@ class ModTensorElement:
             raise ShapeMismatch("module tensor elements of different shapes")
         parts = dict(self.parts)
         for i, x in other.parts.items():
-            _add_part(parts, i, x)
+            _add_to(parts, i, x)
         return ModTensorElement._of_parts(self.module, self.length, parts)
 
     def __sub__(self, other):
@@ -177,10 +175,6 @@ class ModTensorElement:
                 body = self.module.names[i] + "." + "(x)".join(alg.mono_repr(m) for m in w)
                 parts.append(f"{c}*{body}" if c != alg.field.one else body)
         return " + ".join(parts)
-
-
-def _add_part(parts: dict, i: int, x):
-    parts[i] = parts[i] + x if i in parts else x
 
 
 def mod_element(module: SemifreeModule, name: str, coeff=None) -> ModTensorElement:
@@ -239,11 +233,11 @@ def module_differential(t: ModTensorElement) -> ModTensorElement:
     parts: dict = {}
     for j, x in t.parts.items():
         d = tensor_differential(x)
-        _add_part(parts, j, -d if mod.degrees[j] % 2 else d)
+        _add_to(parts, j, -d if mod.degrees[j] % 2 else d)
         for i in range(j):
             b = mod.diff.get((i, j))
             if b is not None:
-                _add_part(parts, i, left_mult(b, x))
+                _add_to(parts, i, left_mult(b, x))
     return ModTensorElement._of_parts(mod, t.length, parts)
 
 
@@ -280,13 +274,13 @@ def DN(t: NTElement) -> NTElement:
         below: dict = {}
         for j, x in te.parts.items():
             d = tensor_differential(x)
-            _add_part(same, j, -d if (mod.degrees[j] + n) % 2 else d)
+            _add_to(same, j, -d if (mod.degrees[j] + n) % 2 else d)
             for i in range(j):
                 b = mod.diff.get((i, j))
                 if b is not None:
                     if n % 2:
                         b = AlgElement(b.alg, {m: f.neg(c) if m.degree % 2 else c for m, c in b.terms.items()})
-                    _add_part(same, i, left_mult(b, x))
+                    _add_to(same, i, left_mult(b, x))
             if n:
                 merged = merge_at(x, 0)
                 below[j] = -merged if mod.degrees[j] % 2 else merged

@@ -51,6 +51,11 @@ def psi_sign(n: int, b_degree: int, tau_degrees) -> int:
     return -1 if exp % 2 else 1
 
 
+def _add_to(parts: dict, key, x):
+    """parts[key] += x, a missing key counting as zero."""
+    parts[key] = parts[key] + x if key in parts else x
+
+
 class GradedElement:
     """Sum of word-length components, no zero component stored.
 
@@ -78,7 +83,7 @@ class GradedElement:
     def __add__(self, other):
         comps = dict(self.components)
         for n, t in other.components.items():
-            comps[n] = comps[n] + t if n in comps else t
+            _add_to(comps, n, t)
         return type(self)(self.owner, comps)
 
     def __sub__(self, other):
@@ -265,8 +270,7 @@ def _concat_T(left, right):
         x_odd = TensorElement(x.alg, x.length, {w: f.neg(c) if word_degree(w) % 2 else c
                                                 for w, c in x.terms.items()})
         for m, y in right.components.items():
-            piece = concat_B(x_odd if m % 2 else x, y)
-            comps[k + m] = comps[k + m] + piece if k + m in comps else piece
+            _add_to(comps, k + m, concat_B(x_odd if m % 2 else x, y))
     return type(left)(left.owner, comps)
 
 
