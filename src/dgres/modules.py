@@ -478,14 +478,9 @@ def naive_lift_solve(N: SemifreeModule) -> LiftResult:
     x, cert = solve_linear(A, b_vec)
     if x is None:
         return LiftResult(False, None, cert, len(rows), total, A, b_vec)
-    rho = {}
-    for j, name in enumerate(N.names):
-        el = ModTensorElement(N, 2)
-        for k, lab in enumerate(var_basis[j]):
-            c = x[var_offset[j] + k]
-            if c != f.zero:
-                el = el + ModTensorElement(N, 2, {lab: c})
-        rho[name] = el
+    rho = {name: ModTensorElement(N, 2, {lab: x[var_offset[j] + k] for k, lab in enumerate(var_basis[j])
+                                         if x[var_offset[j] + k] != f.zero})
+           for j, name in enumerate(N.names)}
     return LiftResult(True, rho, None, len(rows), total, A, b_vec)
 
 
