@@ -235,15 +235,7 @@ def dT(t: TElement) -> TElement:
 
 def frakD(t: BBElement) -> BBElement:
     """Bar part 𝔇 of the differential: merge the prefix into the first δ-factor."""
-    comps = {}
-    for n, te in t.components.items():
-        if n == 0:
-            continue
-        d = merge_at(te, 0)
-        if not d.is_zero():
-            m = n - 1
-            comps[m] = comps[m] + d if m in comps else d
-    return BBElement(t.alg, comps)
+    return BBElement(t.alg, {n - 1: merge_at(te, 0) for n, te in t.components.items() if n})
 
 
 def DD(t: BBElement) -> BBElement:
@@ -260,9 +252,10 @@ def alpha(t: BBElement) -> AlgElement:
 def _concat_T(left, right):
     """⊗_B-concatenation of graded elements with the suspension-shuffle sign.
 
-    In stored coordinates the component x of internal degree |w| concatenated
-    with a length-m factor y picks up (-1)^{m·|w|}: the result is
-    concat_B(x', y) with x' the element x whose words w are signed (-1)^{m·|w|}.
+    In stored coordinates a word w concatenated with a component y of T in
+    word length m picks up (-1)^{m·|w|}, so the pair of components x, y
+    contributes concat_B(x', y), x' being x with each word w signed
+    (-1)^{m·|w|}.
     """
     f = left.owner.field
     comps = {}
