@@ -14,6 +14,8 @@ COMMANDS = {
     "homology_e3.txt":      ["homology", "e3.dgres", "--max-degree", "6"],
     "lift_e2_K.txt":        ["lift", "e2.dgres", "--module", "K"],
     "lift_e1_CB.json":      ["lift", "e1.dgres", "--module", "CB", "--format", "machine"],
+    "lift_frac_C.txt":      ["lift", "chain_frac.dgres", "--module", "C"],
+    "lift_frac_C.json":     ["lift", "chain_frac.dgres", "--module", "C", "--format", "machine"],
     "derivations_e2.txt":   ["derivations", "e2.dgres", "--max-degree", "5", "--samples", "10", "--seed", "3"],
 }
 
