@@ -8,7 +8,9 @@ of pivot rows is the rank.  Back-substitution turns them into the reduced
 row echelon form (RREF), which is unique, so the nullspace basis (free
 variables in column order) and the solution or infeasibility certificate of
 a linear system do not depend on the order rows are fed in.  Values are
-`Fraction`s over ℚ and ints in [0, p) over F_p.
+ints in [0, p) over F_p.  Over ℚ they are in the canonical form of
+`scalars`: an int, or a `Fraction` whose denominator is not 1; every update
+below turns a Fraction with denominator 1 back into an int.
 """
 
 from __future__ import annotations
@@ -21,14 +23,22 @@ from .scalars import Field
 def _axpy(row: dict, c, piv: dict, p: int | None) -> None:
     """row += c·piv in place, dropping entries that cancel."""
     get = row.get
+    if p is not None:
+        for j, v in piv.items():
+            w = (get(j, 0) + c * v) % p
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+        return
     for j, v in piv.items():
         w = get(j, 0) + c * v
-        if p is not None:
-            w %= p
-        if w:
+        if not w:
+            del row[j]
+        elif type(w) is int or w.denominator != 1:
             row[j] = w
         else:
-            del row[j]
+            row[j] = w.numerator
 
 
 def echelon(rows, field: Field, reduced: bool = False) -> dict:

@@ -1,7 +1,12 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Rational scalars are `fractions.Fraction`; prime-field scalars are ints in
-[0, p).  Nothing in the package ever touches a float.
+A rational scalar is held in one canonical form: an `int` when it is
+integral, and a `fractions.Fraction` only when its denominator is not 1.
+The ±1 structure constants of the bar and diagonal resolutions so stay
+machine ints, and a Fraction appears only where a division makes one.  An
+int and a Fraction of equal value compare and hash equal and print the same
+digits, so the form never shows in a report.  Prime-field scalars are ints
+in [0, p).  Nothing in the package ever touches a float.
 """
 
 from __future__ import annotations
@@ -9,6 +14,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DgresError
+
+
+def canonical(q):
+    """The canonical form of a rational: the int q when q is integral, else q."""
+    if type(q) is int or q.denominator != 1:
+        return q
+    return q.numerator
 
 
 def _is_prime(p: int) -> bool:
@@ -34,9 +46,8 @@ class Field:
             if not (2 <= p < 2**31 and _is_prime(p)):
                 raise DgresError(f"modulus {p} is not a prime below 2^31")
         self.p = p
-        # built once: Fraction is immutable, and arithmetic reads these in its inner loops
-        self.zero = 0 if p is not None else Fraction(0)
-        self.one = 1 if p is not None else Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     @staticmethod
     def rationals() -> "Field":
@@ -51,24 +62,24 @@ class Field:
         return self.p is not None
 
     def of_int(self, n: int):
-        return n % self.p if self.p is not None else Fraction(n)
+        return n % self.p if self.p is not None else n
 
     def of_fraction(self, q: Fraction):
         if self.p is None:
-            return q
+            return canonical(q)
         den = q.denominator % self.p
         if den == 0:
             raise DgresError(f"denominator {q.denominator} not invertible mod {self.p}")
         return q.numerator * pow(den, -1, self.p) % self.p
 
     def add(self, a, b):
-        return (a + b) % self.p if self.p is not None else a + b
+        return (a + b) % self.p if self.p is not None else canonical(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.p is not None else a - b
+        return (a - b) % self.p if self.p is not None else canonical(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.p is not None else a * b
+        return (a * b) % self.p if self.p is not None else canonical(a * b)
 
     def neg(self, a):
         return (-a) % self.p if self.p is not None else -a
@@ -80,7 +91,7 @@ class Field:
             return pow(a, -1, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return Fraction(1) / a
+        return canonical(Fraction(1) / a)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
