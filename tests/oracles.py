@@ -151,3 +151,29 @@ def dense_solve_oracle(rows, ncols, b, p=None):
         if pc < ncols:
             x[pc] = row[ncols]
     return x, None
+
+
+def enumerating_random_tensor(alg, rng, length, degree, max_terms=3):
+    """The tensor sampler as it was before slices were unranked: sample the enumerated basis."""
+    from dgres.sampling import random_scalar
+    from dgres.tensor import TensorElement, tensor_basis
+
+    basis = tensor_basis(alg, length, degree)
+    out = TensorElement(alg, length)
+    if not basis:
+        return out
+    for w in rng.sample(list(basis), min(len(basis), rng.randrange(1, max_terms + 1))):
+        out._add_canonical(w, random_scalar(alg.field, rng))
+    return out
+
+
+def enumerating_random_modtensor(N, rng, length, degree, max_terms=3):
+    """The module-tensor sampler as it was before slices were unranked."""
+    from dgres.modules import ModTensorElement, modtensor_basis
+    from dgres.sampling import random_scalar
+
+    basis = modtensor_basis(N, length, degree)
+    if not basis:
+        return ModTensorElement(N, length)
+    keys = rng.sample(list(basis), min(len(basis), rng.randrange(1, max_terms + 1)))
+    return ModTensorElement(N, length, {key: random_scalar(N.alg.field, rng) for key in keys})
