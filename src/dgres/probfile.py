@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .algebra import DGAlgebra
-from .errors import ParseError
+from .errors import DgresError, ParseError
 from .modules import SemifreeModule
 from .scalars import Field
 
@@ -50,8 +50,12 @@ def tokenize_expr(text: str, line_no: int, col_offset: int):
     return tokens
 
 
-def parse_expression(text: str, line_no: int = 0, col_offset: int = 0):
-    """Parse to raw term data [(Fraction, {name: exp}), ...]."""
+def parse_expression(text: str, line_no: int = 0, col_offset: int = 0, field: Field | None = None):
+    """Parse to raw term data [(Fraction, {name: exp}), ...].
+
+    With `field`, a term whose coefficient is not an element of it (a
+    denominator divisible by p) is an error at the term's first factor.
+    """
     tokens = tokenize_expr(text, line_no, col_offset)
     if not tokens:
         raise ParseError("empty expression", line_no, col_offset + 1)
@@ -73,6 +77,7 @@ def parse_expression(text: str, line_no: int = 0, col_offset: int = 0):
         coeff = Fraction(sign)
         exps: dict[str, int] = {}
         expect_factor = True
+        term_col = expect_factorish(i)[2]
         while True:
             kind, val, col = expect_factorish(i)
             if kind == "num":
@@ -99,6 +104,11 @@ def parse_expression(text: str, line_no: int = 0, col_offset: int = 0):
             break
         if expect_factor:
             raise ParseError("dangling '*'", line_no, tokens[i - 1][2])
+        if field is not None:
+            try:
+                field.of_fraction(coeff)
+            except DgresError as exc:
+                raise ParseError(str(exc), line_no, term_col)
         terms.append((coeff, exps))
         if i < len(tokens):
             kind, val, col = tokens[i]
@@ -167,10 +177,15 @@ def parse_problem(text: str) -> ProblemFile:
                 if len(words) == 2 and words[1] == "rationals":
                     field = Field.rationals()
                 elif len(words) == 3 and words[1] == "prime":
+                    col = line.rindex(words[2]) + 1
                     try:
-                        field = Field.prime(int(words[2]))
+                        modulus = int(words[2])
                     except ValueError:
-                        raise ParseError(f"bad prime {words[2]!r}", line_no, line.index(words[2]) + 1)
+                        raise ParseError(f"bad prime {words[2]!r}", line_no, col)
+                    try:
+                        field = Field.prime(modulus)
+                    except DgresError as exc:
+                        raise ParseError(str(exc), line_no, col)
                 else:
                     raise ParseError("expected 'field rationals' or 'field prime P'", line_no, indent + 1)
             else:
@@ -183,7 +198,7 @@ def parse_problem(text: str) -> ProblemFile:
                 try:
                     deg = int(words[2])
                 except ValueError:
-                    raise ParseError(f"bad degree {words[2]!r}", line_no, line.index(words[2]) + 1)
+                    raise ParseError(f"bad degree {words[2]!r}", line_no, line.rindex(words[2]) + 1)
                 (base if words[0] == "base" else ext).append((words[1], deg))
             elif words[0] == "d":
                 if "=" not in line:
@@ -192,7 +207,7 @@ def parse_problem(text: str) -> ProblemFile:
                 gname = lhs.split()[1] if len(lhs.split()) == 2 else None
                 if gname is None:
                     raise ParseError("expected 'd NAME = EXPR'", line_no, indent + 1)
-                diffs[gname] = parse_expression(rhs, line_no, line.index("=") + 1)
+                diffs[gname] = parse_expression(rhs, line_no, line.index("=") + 1, field)
             else:
                 raise ParseError(f"unknown algebra directive {words[0]!r}", line_no, indent + 1)
             continue
@@ -204,7 +219,7 @@ def parse_problem(text: str) -> ProblemFile:
                 try:
                     deg = int(words[2])
                 except ValueError:
-                    raise ParseError(f"bad degree {words[2]!r}", line_no, line.index(words[2]) + 1)
+                    raise ParseError(f"bad degree {words[2]!r}", line_no, line.rindex(words[2]) + 1)
                 mod["basis"].append((words[1], deg))
             elif words[0] == "entry":
                 if "=" not in line:
@@ -214,7 +229,7 @@ def parse_problem(text: str) -> ProblemFile:
                 if len(parts) != 3:
                     raise ParseError("expected 'entry LAMBDA MU = EXPR'", line_no, indent + 1)
                 lam, mu = parts[1].group(), parts[2].group()
-                mod["entries"][(mu, lam)] = parse_expression(rhs, line_no, line.index("=") + 1)
+                mod["entries"][(mu, lam)] = parse_expression(rhs, line_no, line.index("=") + 1, field)
                 mod["entry_names"] += [(g.group(), line_no, g.start() + 1) for g in parts[1:]]
             else:
                 raise ParseError(f"unknown module directive {words[0]!r}", line_no, indent + 1)

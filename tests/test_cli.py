@@ -323,3 +323,20 @@ def test_unknown_entry_generator_has_position(tmp_path, capsys, entry, column):
     src.write_text(text)
     code, out, err = run_cli(["validate", str(src)], capsys)
     assert code == 2 and out == "" and f"at line 8, column {column}" in err and "unknown generator" in err
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    ("field prime 8\n[algebra]\next e 1\n", 1, 13, "modulus 8 is not a prime"),
+    ("  field  prime   1   # the modulus\n[algebra]\next e 1\n", 1, 18, "modulus 1 is not a prime"),
+    ("field prime 7\n[algebra]\nbase x 2\next e 3\nd e = x - 1/7*x\n", 5, 11, "denominator 7 not invertible mod 7"),
+    ("field prime 7\n[algebra]\next a 1\n[module M]\ngenerator f0 0\ngenerator f1 2\n"
+     "entry f1 f0 = a + 2/14*a\n", 7, 19, "denominator 7 not invertible mod 7"),
+])
+def test_scalar_field_errors_have_position(tmp_path, capsys, text, line, column, message):
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert (exc.value.line, exc.value.column) == (line, column) and message in str(exc.value)
+    src = tmp_path / "field.dgres"
+    src.write_text(text)
+    code, out, err = run_cli(["validate", str(src)], capsys)
+    assert code == 2 and out == "" and f"at line {line}, column {column}" in err and message in err
