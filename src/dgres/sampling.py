@@ -78,7 +78,7 @@ class ModTensorSlice(Sequence):
         return self.size
 
     def __getitem__(self, k: int) -> tuple:
-        if 0 <= k:
+        if k >= 0:
             for i, words in self.parts:
                 if k < len(words):
                     return i, words[k]

@@ -17,7 +17,7 @@ from .errors import DgresError
 
 
 def canonical(q):
-    """The canonical form of a rational: the int q when q is integral, else q."""
+    """The canonical form of a rational q: its int value when q is integral, else q itself."""
     if type(q) is int or q.denominator != 1:
         return q
     return q.numerator
@@ -91,7 +91,9 @@ class Field:
             return pow(a, -1, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return canonical(Fraction(1) / a)
+        if type(a) is int:
+            return a if a in (1, -1) else Fraction(1, a)
+        return canonical(Fraction(a.denominator, a.numerator))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -41,6 +41,8 @@ def test_field_operations_are_canonical():
     assert type(QQ.add(half, half)) is int and type(QQ.sub(half, QQ.neg(half))) is int
     assert type(QQ.inv(half)) is int and type(QQ.div(two, QQ.inv(half))) is int
     assert QQ.inv(two) == half and type(QQ.inv(two)) is Fraction
+    assert QQ.inv(QQ.of_fraction(Fraction(-1, 3))) == -3 and type(QQ.inv(Fraction(-1, 3))) is int
+    assert QQ.inv(Fraction(-3, 7)) == Fraction(-7, 3) and QQ.inv(-1) == -1
 
 
 @settings(max_examples=80, deadline=None)
