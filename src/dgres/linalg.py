@@ -31,6 +31,7 @@ def _axpy(row: dict, c, piv: dict, p: int | None) -> None:
             else:
                 del row[j]
         return
+    # scalars.canonical, inlined: this is the inner loop of every elimination
     for j, v in piv.items():
         w = get(j, 0) + c * v
         if not w:
