@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from dgres.algebra import DGAlgebra
 from dgres.errors import NotInJn
+from dgres.scalars import Field
 from dgres.sampling import random_homogeneous_tensor
 from dgres.tensor import (
     TensorElement,
@@ -23,6 +25,7 @@ from dgres.tensor import (
     tensor_basis,
     tensor_differential,
     tensor_multiply,
+    word_degree,
 )
 
 from oracles import tensor_sign_oracle
@@ -266,3 +269,29 @@ def test_prefixed_coords_round_trip(fixture_algebras):
                 for lb in prefixed_basis_labels(alg, n, d):
                     el = prefixed_basis_element(alg, lb)
                     assert prefixed_coords(el, n) == {lb: alg.field.one}
+
+
+def _sort_keys(ms):
+    return tuple(m.sort_key() for m in ms)
+
+
+@pytest.mark.parametrize("name", ["E1", "E2", "E3", "E1p", "E2p", "E3p", "K3p", "odd_base", "lam"])
+def test_slice_enumerators_emit_in_key_order(request, fixture_algebras, name):
+    """Each slice enumerator already emits its labels sorted by the canonical key."""
+    if name in fixture_algebras:
+        alg = fixture_algebras[name]
+    elif name == "lam":
+        alg = DGAlgebra(Field.rationals(), ext_gens=[("a", 1), ("b", 1), ("c", 1)])
+    else:
+        alg = request.getfixturevalue(name)
+    for degree in range(9):
+        for length in range(1, 5):
+            words = tensor_basis(alg, length, degree)
+            assert list(words) == sorted(words, key=lambda w: (word_degree(w), _sort_keys(w)))
+        for n in range(1, 5):
+            labels = jn_basis_labels(alg, n, degree)
+            assert list(labels) == sorted(labels, key=lambda bw: (bw[0].sort_key(), _sort_keys(bw[1])))
+        for n in range(5):
+            labels = prefixed_basis_labels(alg, n, degree)
+            assert list(labels) == sorted(
+                labels, key=lambda lb: (lb[0].sort_key(), lb[1].sort_key(), _sort_keys(lb[2])))
