@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from .algebra import AlgElement, DGAlgebra, Monomial, ValidationReport
 from .errors import LengthMismatch, NotInDomain, NotInJn, NotLinear, ObstructionNonzero
 from .linalg import SliceMatrix
-from .semifree import dbar_column
+from .semifree import _add_to, dbar_column
 from .tensor import (
     TensorElement,
     _caches,
     _word_key,
+    as_algebra_element,
     delta,
     delta_coords,
     delta_word,
@@ -339,157 +340,89 @@ def eta_inverse(D: DerivationTable) -> BeLinearMap:
     return BeLinearMap(alg, D.cutoff, images)
 
 
+def _nullspace_tables(alg: DGAlgebra, M: SliceMatrix, make) -> list:
+    """One table per nullspace vector of M, whose columns are labelled (key, word).
+
+    A vector's table maps each key to Σ c·word over its nonzero coordinates
+    (key, word), a length-2 tensor; `make` wraps that dict.
+    """
+    out = []
+    for vec in M.nullspace():
+        images: dict = {}
+        for (key, word), c in zip(M.col_labels, vec):
+            if c != alg.field.zero:
+                images.setdefault(key, {})[word] = c
+        out.append(make({key: TensorElement(alg, 2, terms) for key, terms in images.items()}))
+    return out
+
+
 def derivation_space(alg: DGAlgebra, cutoff: int) -> list[DerivationTable]:
     """Exact basis of the space of degree-0 A-derivations B → B^e (tabulated).
 
-    Unknowns are the images of B-basis monomials through the cutoff; the
-    constraints are vanishing on A and the derivation law on all monomial
-    pairs whose product stays in the window (including vanishing odd
-    squares).  Sampling from the nullspace yields genuine derivations.
+    The unknowns are the coordinates (m, w) of the images D(m) of the B-basis
+    monomials through the cutoff; the column of (m, w) is the defect of the
+    one-entry table m ↦ w.  Its rows ("A", m, w) impose vanishing on A, and
+    its rows (m1, m2, ww) the derivation law D(m1 m2) − D(m1)·m2 − m1·D(m2)
+    on every monomial pair whose product stays in the window (including
+    vanishing odd squares).  Sampling from the nullspace yields genuine
+    derivations.
     """
-    f = alg.field
-    cols = []       # (monomial, word)
-    col_index = {}
-    monos = []
-    for d in range(cutoff + 1):
-        for m in alg.basis("B", d):
-            monos.append(m)
-            for w in tensor_basis(alg, 2, d):
-                col_index[(m, w)] = len(cols)
-                cols.append((m, w))
-
-    rows = []
-
-    def add_row(coeffs: dict):
-        if coeffs:
-            rows.append(coeffs)
-
-    def accum(coeffs, key, c):
-        cur = f.add(coeffs.get(key, f.zero), c)
-        if cur == f.zero:
-            coeffs.pop(key, None)
-        else:
-            coeffs[key] = cur
-
-    for m in monos:
-        if alg.mono_in_A(m):
-            for w in tensor_basis(alg, 2, m.degree):
-                add_row({col_index[(m, w)]: f.one})
     one = alg.one_mono
+    monos = [m for d in range(cutoff + 1) for m in alg.basis("B", d)]
+    touching: dict = {m: [] for m in monos}  # m -> the pairs whose law involves D(m)
     for m1 in monos:
-        if m1 == one:
-            continue
         for m2 in monos:
-            if m2 == one or not _in_window(cutoff, m1, m2):
-                continue
-            # row family: D(m1 m2) - D(m1)·m2 - m1·D(m2) = 0, one row per word
-            per_word: dict = {}
-            sm = alg.mono_mul(m1, m2)
-            if sm is not None:
-                sign, m = sm
-                for w in tensor_basis(alg, 2, m.degree):
-                    per_word.setdefault(w, {})
-                    accum(per_word[w], col_index[(m, w)], f.of_int(sign))
-            for w in tensor_basis(alg, 2, m1.degree):
-                img = right_mult(TensorElement.from_word(alg, w), alg.from_monomial(m2))
-                for ww, c in img.terms.items():
-                    per_word.setdefault(ww, {})
-                    accum(per_word[ww], col_index[(m1, w)], f.neg(c))
-            for w in tensor_basis(alg, 2, m2.degree):
-                img = left_mult(alg.from_monomial(m1), TensorElement.from_word(alg, w))
-                for ww, c in img.terms.items():
-                    per_word.setdefault(ww, {})
-                    accum(per_word[ww], col_index[(m2, w)], f.neg(c))
-            for ww in per_word:
-                add_row(per_word[ww])
+            if m1 != one and m2 != one and _in_window(cutoff, m1, m2):
+                sm = alg.mono_mul(m1, m2)
+                for m in {m1, m2} if sm is None else {m1, m2, sm[1]}:
+                    touching[m].append((m1, m2, sm))
 
-    M = SliceMatrix(f, len(rows), len(cols))
-    for r, row in enumerate(rows):
-        for cidx, c in row.items():
-            M.set(r, cidx, c)
-    basis = []
-    for vec in M.nullspace():
-        images = {}
-        for cidx, c in enumerate(vec):
-            if c == f.zero:
-                continue
-            m, w = cols[cidx]
-            img = images.setdefault(m, TensorElement(alg, 2))
-            img._add_canonical(w, c)
-        images = {m: t for m, t in images.items() if not t.is_zero()}
-        basis.append(DerivationTable(alg, cutoff, images))
-    return basis
+    def column(m, w) -> dict:
+        word = TensorElement.from_word(alg, w)
+        col = {("A", m, w): alg.field.one} if alg.mono_in_A(m) else {}
+        for m1, m2, sm in touching[m]:
+            law = word.scale_int(sm[0]) if sm is not None and sm[1] == m else TensorElement(alg, 2)
+            if m1 == m:
+                law = law - right_mult(word, alg.from_monomial(m2))
+            if m2 == m:
+                law = law - left_mult(alg.from_monomial(m1), word)
+            col.update(((m1, m2, ww), c) for ww, c in law.terms.items())
+        return col
+
+    cols = tuple((m, w) for m in monos for w in tensor_basis(alg, 2, m.degree))
+    M = SliceMatrix.from_columns(alg.field, (), cols, (column(m, w) for m, w in cols))
+    return _nullspace_tables(alg, M, lambda images: DerivationTable(alg, cutoff, images))
 
 
 def be_linear_space(alg: DGAlgebra, cutoff: int) -> list[BeLinearMap]:
     """Exact basis of degree-0 B^e-linear maps J → B^e given on the δ-basis.
 
     Left-B-linearity is built into the representation; the solved constraint
-    is compatibility with right multiplication by each algebra generator,
-    within the degree window.
+    is compatibility with right multiplication by each algebra generator g,
+    within the degree window: with δ(w)·g = Σ b'·δ(w'), the rows (w, g, ww)
+    are the coordinates of f(δ(w))·g − Σ b'·f(δ(w')).  The unknowns are the
+    coordinates (w, word) of the images f(δ(w)); the δ-coordinates are
+    inverted once, so that the column of each unknown is built on its own.
     """
-    f = alg.field
-    cols = []
-    col_index = {}
-    labels = []
-    for d in range(1, cutoff + 1):
-        for w in alg.basis("W", d):
-            labels.append(w)
-            for word in tensor_basis(alg, 2, d):
-                col_index[(w, word)] = len(cols)
-                cols.append((w, word))
-    rows = []
-
-    def accum(coeffs, key, c):
-        cur = f.add(coeffs.get(key, f.zero), c)
-        if cur == f.zero:
-            coeffs.pop(key, None)
-        else:
-            coeffs[key] = cur
-
+    labels = [w for d in range(1, cutoff + 1) for w in alg.basis("W", d)]
+    shifts = {w: [] for w in labels}  # w' -> (w, g, b') with b'·δ(w') a term of δ(w)·g
     for w in labels:
-        jw = delta_word(alg, (w,))
         for g in alg.gens:
-            if not _in_window(cutoff, w, g):
-                continue
-            ge = alg.gen(g.name)
-            shifted = right_mult(jw, ge)
-            coords = delta_coords(shifted, 1, strict=True)
-            per_word: dict = {}
-            # f(δ(w))·g ...
-            for word in tensor_basis(alg, 2, w.degree):
-                img = right_mult(TensorElement.from_word(alg, word), ge)
-                for ww, c in img.terms.items():
-                    per_word.setdefault(ww, {})
-                    accum(per_word[ww], col_index[(w, word)], c)
-            # ... minus Σ b'·f(δ(w'))
-            for (wp,), coeff in coords.items():
-                for (bmono,), cb in coeff.terms.items():
-                    for word in tensor_basis(alg, 2, wp.degree):
-                        img = left_mult(alg.from_monomial(bmono, cb), TensorElement.from_word(alg, word))
-                        for ww, c in img.terms.items():
-                            per_word.setdefault(ww, {})
-                            accum(per_word[ww], col_index[(wp, word)], f.neg(c))
-            for ww in per_word:
-                if per_word[ww]:
-                    rows.append(per_word[ww])
+            if _in_window(cutoff, w, g):
+                shifted = right_mult(delta_word(alg, (w,)), alg.gen(g.name))
+                for (wp,), coeff in delta_coords(shifted, 1, strict=True).items():
+                    shifts[wp].append((w, g.name, as_algebra_element(coeff)))
 
-    M = SliceMatrix(f, len(rows), len(cols))
-    for r, row in enumerate(rows):
-        for cidx, c in row.items():
-            M.set(r, cidx, c)
-    basis = []
-    for vec in M.nullspace():
-        images = {}
-        for cidx, c in enumerate(vec):
-            if c == f.zero:
-                continue
-            w, word = cols[cidx]
-            img = images.setdefault(w, TensorElement(alg, 2))
-            img._add_canonical(word, c)
-        images = {w: t for w, t in images.items() if not t.is_zero()}
-        basis.append(BeLinearMap(alg, cutoff, images))
-    return basis
+    def column(w, word) -> dict:
+        t = TensorElement.from_word(alg, word)
+        law = {(w, g.name): right_mult(t, alg.gen(g.name)) for g in alg.gens if _in_window(cutoff, w, g)}
+        for wv, g, b in shifts[w]:
+            _add_to(law, (wv, g), -left_mult(b, t))
+        return {(wv, g, ww): c for (wv, g), img in law.items() for ww, c in img.terms.items()}
+
+    cols = tuple((w, word) for w in labels for word in tensor_basis(alg, 2, w.degree))
+    M = SliceMatrix.from_columns(alg.field, (), cols, (column(w, word) for w, word in cols))
+    return _nullspace_tables(alg, M, lambda images: BeLinearMap(alg, cutoff, images))
 
 
 # -- reduced bar resolution -----------------------------------------------------
@@ -591,15 +524,9 @@ def reduced_d_squared_zero(alg: DGAlgebra, D: int) -> bool:
 def augmentation_slice_matrix(alg: DGAlgebra, degree: int) -> SliceMatrix:
     """Matrix of d̄_0 = π_B from the B^e slice to the B slice."""
     src = tensor_basis(alg, 2, degree)
-    tgt = {m: i for i, m in enumerate(alg.basis("B", degree))}
-    M = SliceMatrix(alg.field, len(tgt), len(src), col_labels=src)
-    for j, w in enumerate(src):
-        sm = alg.mono_mul(w[0], w[1])
-        if sm is None:
-            continue
-        sign, m = sm
-        M.set(tgt[m], j, alg.field.of_int(sign))
-    return M
+    products = (alg.mono_mul(b, w) for b, w in src)
+    return SliceMatrix.from_columns(alg.field, alg.basis("B", degree), src,
+                                    ({} if sm is None else {sm[1]: alg.field.of_int(sm[0])} for sm in products))
 
 
 def check_reduced_exactness(alg: DGAlgebra, max_degree: int) -> ValidationReport:

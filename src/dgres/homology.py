@@ -40,13 +40,8 @@ class HomologyTable:
 def dB_matrix(alg: DGAlgebra, degree: int) -> SliceMatrix:
     """Matrix of d^B from the degree slice to the one below."""
     src = alg.basis("B", degree)
-    tgt = {m: i for i, m in enumerate(alg.basis("B", degree - 1))} if degree >= 1 else {}
-    M = SliceMatrix(alg.field, len(tgt), len(src), col_labels=src)
-    for j, m in enumerate(src):
-        img = alg.diff_mono(m)
-        for mm, c in img.terms.items():
-            M.set(tgt[mm], j, c)
-    return M
+    return SliceMatrix.from_columns(alg.field, alg.basis("B", degree - 1), src,
+                                    (alg.diff_mono(m).terms for m in src))
 
 
 def bb_dd_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
@@ -131,14 +126,9 @@ def bb_alpha_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
     the product vanishes), and α is zero on every component n >= 1.
     """
     src = bb_total_basis(alg, total_degree)
-    tgt = {m: i for i, m in enumerate(alg.basis("B", total_degree))}
-    f = alg.field
-    M = SliceMatrix(f, len(tgt), len(src), col_labels=src)
-    for j, (n, (b, m, _)) in enumerate(src):
-        sm = None if n else alg.mono_mul(b, m)
-        if sm is not None:
-            M.set(tgt[sm[1]], j, f.of_int(sm[0]))
-    return M
+    products = (None if n else alg.mono_mul(b, m) for n, (b, m, _) in src)
+    return SliceMatrix.from_columns(alg.field, alg.basis("B", total_degree), src,
+                                    ({} if sm is None else {sm[1]: alg.field.of_int(sm[0])} for sm in products))
 
 
 def homology_dims(alg: DGAlgebra, obj: str, D: int, max_n: int | None = None,

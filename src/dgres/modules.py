@@ -408,80 +408,43 @@ def naive_lift_solve(N: SemifreeModule) -> LiftResult:
     ρ is sought via its images ρ(e_λ) in the finite slices (N ⊗_A B)_{|e_λ|},
     subject to π_N ρ(e_λ) = e_λ and ρ(∂ e_λ) = ∂(ρ(e_λ)).  No truncation:
     N is finitely generated and every graded piece of B is finite.
+
+    The unknowns (j, lab) are the coordinates of ρ(e_j).  The rows
+    ("pi", j, key) are the coordinates of π_N ρ(e_j) − e_j, and the rows
+    ("chain", j, key) those of Σ_μ ρ(e_μ)·b_{μj} − ∂(ρ(e_j)) in degree
+    |e_j| − 1; this row order fixes the row indices a certificate reports.
     """
     if N._validated is None:
         validate_module(N)
     if not N._validated:
         raise NotValidated("module failed validation")
-    alg = N.alg
-    f = alg.field
+    f = N.alg.field
+    unit = (N.alg.one_mono,)
 
-    var_basis = {}   # lam index -> list of (idx, word)
-    var_offset = {}
-    total = 0
-    for j, name in enumerate(N.names):
-        vb = modtensor_basis(N, 2, N.degrees[j])
-        var_basis[j] = vb
-        var_offset[j] = total
-        total += len(vb)
+    def column(j: int, lab) -> dict:
+        el = ModTensorElement(N, 2, {lab: f.one})
+        col = {("pi", j, key): c for key, c in mod_merge_at(el, 0).terms.items()}
+        col.update((("chain", j, key), f.neg(c)) for key, c in module_differential(el).terms.items())
+        for i in range(j + 1, len(N.names)):
+            b = N.diff.get((j, i))
+            if b is not None:
+                col.update((("chain", i, key), c) for key, c in mod_right_mult(el, b).terms.items())
+        return col
 
-    rows = []  # (dict col->coeff, rhs scalar)
-
-    # π ρ(e_j) = e_j  (coordinates over N-slice basis)
-    for j, name in enumerate(N.names):
-        n_basis = modtensor_basis(N, 1, N.degrees[j])
-        n_index = {lab: k for k, lab in enumerate(n_basis)}
-        row_acc = [dict() for _ in n_basis]
-        for k, lab in enumerate(var_basis[j]):
-            el = ModTensorElement(N, 2, {lab: f.one})
-            img = mod_merge_at(el, 0)
-            for key, c in img.terms.items():
-                row_acc[n_index[key]][var_offset[j] + k] = c
-        target = mod_element(N, name).terms
-        for r, lab in enumerate(n_basis):
-            rows.append((row_acc[r], target.get(lab, f.zero)))
-
-    # chain condition: Σ_μ ρ(e_μ)·b_{μj} - ∂(ρ(e_j)) = 0 in degree |e_j| - 1
-    for j, name in enumerate(N.names):
-        tgt_basis = modtensor_basis(N, 2, N.degrees[j] - 1)
-        tgt_index = {lab: k for k, lab in enumerate(tgt_basis)}
-        row_acc = [dict() for _ in tgt_basis]
-
-        def add_image(img: ModTensorElement, col: int, sign: int):
-            for key, c in img.terms.items():
-                cur = row_acc[tgt_index[key]]
-                val = f.add(cur.get(col, f.zero), f.neg(c) if sign < 0 else c)
-                if val == f.zero:
-                    cur.pop(col, None)
-                else:
-                    cur[col] = val
-
-        for k, lab in enumerate(var_basis[j]):
-            el = ModTensorElement(N, 2, {lab: f.one})
-            add_image(module_differential(el), var_offset[j] + k, -1)
-        for i in range(j):
-            b = N.diff.get((i, j))
-            if b is None:
-                continue
-            for k, lab in enumerate(var_basis[i]):
-                el = ModTensorElement(N, 2, {lab: f.one})
-                add_image(mod_right_mult(el, b), var_offset[i] + k, +1)
-        for r in range(len(tgt_basis)):
-            rows.append((row_acc[r], f.zero))
-
-    A = SliceMatrix(f, len(rows), total)
-    b_vec = []
-    for r, (row, rhs) in enumerate(rows):
-        for col, c in row.items():
-            A.set(r, col, c)
-        b_vec.append(rhs)
-    x, cert = solve_linear(A, b_vec)
+    cols = tuple((j, lab) for j, d in enumerate(N.degrees) for lab in modtensor_basis(N, 2, d))
+    rows = tuple([("pi", j, key) for j, d in enumerate(N.degrees) for key in modtensor_basis(N, 1, d)]
+                 + [("chain", j, key) for j, d in enumerate(N.degrees) for key in modtensor_basis(N, 2, d - 1)])
+    A = SliceMatrix.from_columns(f, rows, cols, (column(j, lab) for j, lab in cols))
+    rhs = [f.one if kind == "pi" and key == (j, unit) else f.zero for kind, j, key in rows]
+    x, cert = solve_linear(A, rhs)
     if x is None:
-        return LiftResult(False, None, cert, len(rows), total, A, b_vec)
-    rho = {name: ModTensorElement(N, 2, {lab: x[var_offset[j] + k] for k, lab in enumerate(var_basis[j])
-                                         if x[var_offset[j] + k] != f.zero})
-           for j, name in enumerate(N.names)}
-    return LiftResult(True, rho, None, len(rows), total, A, b_vec)
+        return LiftResult(False, None, cert, A.nrows, A.ncols, A, rhs)
+    parts: dict = {j: {} for j in range(len(N.names))}
+    for (j, lab), c in zip(cols, x):
+        if c != f.zero:
+            parts[j][lab] = c
+    rho = {name: ModTensorElement(N, 2, parts[j]) for j, name in enumerate(N.names)}
+    return LiftResult(True, rho, None, A.nrows, A.ncols, A, rhs)
 
 
 def lemma_sign_check(N: SemifreeModule, samples: int, seed: int,
