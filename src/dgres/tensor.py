@@ -494,7 +494,11 @@ def kappa_n_inverse(t: TensorElement, n: int) -> JnView:
 
 
 def tensor_basis(alg: DGAlgebra, length: int, degree: int) -> tuple[Word, ...]:
-    """Canonical word basis of the degree slice of B^{⊗_A length}."""
+    """Canonical word basis of the degree slice of B^{⊗_A length}, in `_word_key` order.
+
+    Each slot runs through its monomials by increasing (degree, exps), slot 0
+    outermost, so the words come out sorted.
+    """
     key = (length, degree)
     cache = _caches(alg)["tensor_basis"]
     got = cache.get(key)
@@ -516,38 +520,34 @@ def tensor_basis(alg: DGAlgebra, length: int, degree: int) -> tuple[Word, ...]:
     for d0 in range(degree + 1):
         for b in alg.basis("B", d0):
             rec([b], length - 1, degree - d0)
-    words.sort(key=_word_key)
     result = tuple(words)
     cache[key] = result
     return result
 
 
+def _delta_factors(alg: DGAlgebra, n: int, degree: int) -> list[Word]:
+    """The words (w_1..w_n) of nontrivial W-monomials of total degree `degree`.
+
+    They come out sorted by their `sort_key`s, w_1 first.
+    """
+    if n == 0:
+        return [()] if degree == 0 else []
+    return [(w,) + rest for d in range(1, degree - n + 2) for w in alg.basis("W", d)
+            for rest in _delta_factors(alg, n - 1, degree - d)]
+
+
 def jn_basis_labels(alg: DGAlgebra, n: int, degree: int) -> tuple[tuple[Monomial, Word], ...]:
-    """Labels (b, (w_1..w_n)) of the left-B basis of the J^{⊗_B n} slice."""
+    """Labels (b, (w_1..w_n)) of the left-B basis of the J^{⊗_B n} slice.
+
+    Sorted by b, then w_1..w_n, each by its `sort_key`.
+    """
     key = (n, degree)
     cache = _caches(alg)["jn_basis"]
     got = cache.get(key)
-    if got is not None:
-        return got
-    labels = []
-
-    def rec(ws, remaining):
-        if len(ws) == n:
-            for b in alg.basis("B", remaining):
-                labels.append((b, tuple(ws)))
-            return
-        budget = remaining - (n - len(ws) - 1)  # each remaining w needs degree >= 1
-        for d in range(1, budget + 1):
-            for w in alg.basis("W", d):
-                ws.append(w)
-                rec(ws, remaining - d)
-                ws.pop()
-
-    rec([], degree)
-    labels.sort(key=lambda bw: (bw[0].sort_key(), tuple(m.sort_key() for m in bw[1])))
-    result = tuple(labels)
-    cache[key] = result
-    return result
+    if got is None:
+        got = cache[key] = tuple((b, ws) for db in range(degree + 1) for b in alg.basis("B", db)
+                                 for ws in _delta_factors(alg, n, degree - db))
+    return got
 
 
 def jn_basis_element(alg: DGAlgebra, label) -> TensorElement:
@@ -560,34 +560,18 @@ def prefixed_basis_labels(alg: DGAlgebra, n: int, degree: int):
 
     b runs over all B-monomials (the ⊗_A prefix), m over ext-only monomials
     (the left-B coefficient inside J^{⊗_B n}), and w_i over the nontrivial
-    semifree basis of B over A.
+    semifree basis of B over A.  Sorted by b, then m, then w_1..w_n, each by
+    its `sort_key`.
     """
     key = (n, degree)
     cache = _caches(alg)["prefixed_basis"]
     got = cache.get(key)
-    if got is not None:
-        return got
-    labels = []
-
-    def rec(ws, remaining):
-        if len(ws) == n:
-            for db in range(remaining + 1):
-                for b in alg.basis("B", db):
-                    for m in alg.basis("W", remaining - db):
-                        labels.append((b, m, tuple(ws)))
-            return
-        budget = remaining - (n - len(ws) - 1)
-        for d in range(1, budget + 1):
-            for w in alg.basis("W", d):
-                ws.append(w)
-                rec(ws, remaining - d)
-                ws.pop()
-
-    rec([], degree)
-    labels.sort(key=lambda lb: (lb[0].sort_key(), lb[1].sort_key(), tuple(m.sort_key() for m in lb[2])))
-    result = tuple(labels)
-    cache[key] = result
-    return result
+    if got is None:
+        factors = [_delta_factors(alg, n, d) for d in range(degree + 1)]
+        got = cache[key] = tuple((b, m, ws) for db in range(degree + 1) for b in alg.basis("B", db)
+                                 for dm in range(degree - db + 1) for m in alg.basis("W", dm)
+                                 for ws in factors[degree - db - dm])
+    return got
 
 
 def prefixed_basis_element(alg: DGAlgebra, label) -> TensorElement:
