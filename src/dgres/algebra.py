@@ -332,9 +332,6 @@ class AlgElement:
     def degrees(self) -> set[int]:
         return {m.degree for m in self.terms}
 
-    def homogeneous_part(self, degree: int) -> AlgElement:
-        return AlgElement(self.alg, {m: c for m, c in self.terms.items() if m.degree == degree})
-
     def _check(self, other: AlgElement):
         if self.alg is not other.alg:
             raise MismatchedAlgebra("elements of different algebras")

@@ -98,9 +98,6 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def scalar_repr(self, a) -> str:
-        return str(a)
-
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
 

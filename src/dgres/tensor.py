@@ -74,10 +74,6 @@ class TensorElement:
     # -- construction helpers ----------------------------------------------
 
     @staticmethod
-    def zero(alg: DGAlgebra, length: int) -> "TensorElement":
-        return TensorElement(alg, length)
-
-    @staticmethod
     def unit(alg: DGAlgebra, length: int) -> "TensorElement":
         word = (alg.one_mono,) * length
         return TensorElement(alg, length, {word: alg.field.one})
@@ -167,11 +163,6 @@ class TensorElement:
         if len(degs) > 1:
             raise DgresError("tensor element is not homogeneous")
         return degs.pop()
-
-    def homogeneous_part(self, degree: int) -> "TensorElement":
-        return TensorElement(
-            self.alg, self.length, {w: c for w, c in self.terms.items() if word_degree(w) == degree}
-        )
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda wc: _word_key(wc[0]))
