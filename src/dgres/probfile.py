@@ -19,6 +19,9 @@ Format (UTF-8, '#' comments, blank lines ignored):
 
 Expressions: terms joined by + or -, each a '*'-separated product of scalar
 coefficients (integers or fractions like 1/2) and generator powers g^k.
+
+Algebra generators have degree >= 1.  A name is declared once per algebra
+or module, and a `d`, `entry` or option line may not repeat an earlier one.
 """
 
 from __future__ import annotations
@@ -50,11 +53,15 @@ def tokenize_expr(text: str, line_no: int, col_offset: int):
     return tokens
 
 
-def parse_expression(text: str, line_no: int = 0, col_offset: int = 0, field: Field | None = None):
+def parse_expression(text: str, line_no: int = 0, col_offset: int = 0, field: Field | None = None,
+                     generators: dict | None = None):
     """Parse to raw term data [(Fraction, {name: exp}), ...].
 
     With `field`, a term whose coefficient is not an element of it (a
     denominator divisible by p) is an error at the term's first factor.
+    With `generators` (name -> degree), a name outside it, and an odd
+    generator raised to a power above 1 within a term, are errors at the
+    name.
     """
     tokens = tokenize_expr(text, line_no, col_offset)
     if not tokens:
@@ -84,6 +91,8 @@ def parse_expression(text: str, line_no: int = 0, col_offset: int = 0, field: Fi
                 coeff *= Fraction(val)
                 i += 1
             elif kind == "name":
+                if generators is not None and val not in generators:
+                    raise ParseError(f"unknown generator {val!r}", line_no, col)
                 i += 1
                 power = 1
                 if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "^":
@@ -94,6 +103,8 @@ def parse_expression(text: str, line_no: int = 0, col_offset: int = 0, field: Fi
                     power = int(v2)
                     i += 1
                 exps[val] = exps.get(val, 0) + power
+                if generators is not None and exps[val] > 1 and generators[val] % 2:
+                    raise ParseError(f"odd generator {val} cannot have exponent {exps[val]}", line_no, col)
             else:
                 raise ParseError(f"expected a coefficient or generator, found {val!r}", line_no, col)
             expect_factor = False
@@ -130,10 +141,16 @@ class ProblemFile:
 
 
 def parse_problem(text: str) -> ProblemFile:
+    """Parse a problem file; every error is a `ParseError` at its line and column.
+
+    Names are checked once the whole file is read, so a generator may be
+    declared after a line that uses it.
+    """
     field = None
+    gens: dict[str, int] = {}             # algebra generator -> degree
     base: list[tuple[str, int]] = []
     ext: list[tuple[str, int]] = []
-    diffs: dict[str, list] = {}
+    diffs: dict[str, tuple] = {}          # generator -> (expression source, column of the name)
     modules_raw: dict[str, dict] = {}
     options: dict[str, str] = {}
     section = None
@@ -163,13 +180,15 @@ def parse_problem(text: str) -> ProblemFile:
                 current_module = parts[1]
                 if current_module in modules_raw:
                     raise ParseError(f"duplicate module {current_module}", line_no, indent + 1)
-                modules_raw[current_module] = {"basis": [], "entries": {}, "entry_names": []}
+                modules_raw[current_module] = {"basis": {}, "entries": {}}
             elif name == "options":
                 section = "options"
             else:
                 raise ParseError(f"unknown section [{name}]", line_no, indent + 1)
             continue
         words = stripped.split()
+        # column of each word; before an '=' these are the words of the line
+        cols = [m.start() + 1 for m in re.finditer(r"\S+", line.split("=", 1)[0])]
         if section is None:
             if words[0] == "field":
                 if field is not None:
@@ -177,15 +196,14 @@ def parse_problem(text: str) -> ProblemFile:
                 if len(words) == 2 and words[1] == "rationals":
                     field = Field.rationals()
                 elif len(words) == 3 and words[1] == "prime":
-                    col = line.rindex(words[2]) + 1
                     try:
                         modulus = int(words[2])
                     except ValueError:
-                        raise ParseError(f"bad prime {words[2]!r}", line_no, col)
+                        raise ParseError(f"bad prime {words[2]!r}", line_no, cols[2])
                     try:
                         field = Field.prime(modulus)
                     except DgresError as exc:
-                        raise ParseError(str(exc), line_no, col)
+                        raise ParseError(str(exc), line_no, cols[2])
                 else:
                     raise ParseError("expected 'field rationals' or 'field prime P'", line_no, indent + 1)
             else:
@@ -195,19 +213,26 @@ def parse_problem(text: str) -> ProblemFile:
             if words[0] in ("base", "ext"):
                 if len(words) != 3:
                     raise ParseError(f"expected '{words[0]} NAME DEGREE'", line_no, indent + 1)
-                try:
-                    deg = int(words[2])
-                except ValueError:
-                    raise ParseError(f"bad degree {words[2]!r}", line_no, line.rindex(words[2]) + 1)
-                (base if words[0] == "base" else ext).append((words[1], deg))
+                gname, deg = words[1], _degree(words[2], line_no, cols[2])
+                if gname in gens:
+                    raise ParseError(f"duplicate generator {gname!r}", line_no, cols[1])
+                if deg < 1:
+                    raise ParseError(f"generator {gname} has degree {deg}; all degrees must be >= 1",
+                                     line_no, cols[2])
+                gens[gname] = deg
+                (base if words[0] == "base" else ext).append((gname, deg))
             elif words[0] == "d":
                 if "=" not in line:
                     raise ParseError("differential line needs '='", line_no, indent + 1)
                 lhs, rhs = line.split("=", 1)
-                gname = lhs.split()[1] if len(lhs.split()) == 2 else None
-                if gname is None:
+                if len(cols) != 2:
                     raise ParseError("expected 'd NAME = EXPR'", line_no, indent + 1)
-                diffs[gname] = parse_expression(rhs, line_no, line.index("=") + 1, field)
+                gname = lhs.split()[1]
+                if gname in diffs:
+                    raise ParseError(f"repeated differential of {gname!r}", line_no, cols[1])
+                expr = (rhs, line_no, line.index("=") + 1)
+                parse_expression(*expr, field)
+                diffs[gname] = (expr, cols[1])
             else:
                 raise ParseError(f"unknown algebra directive {words[0]!r}", line_no, indent + 1)
             continue
@@ -216,21 +241,22 @@ def parse_problem(text: str) -> ProblemFile:
             if words[0] == "generator":
                 if len(words) != 3:
                     raise ParseError("expected 'generator NAME DEGREE'", line_no, indent + 1)
-                try:
-                    deg = int(words[2])
-                except ValueError:
-                    raise ParseError(f"bad degree {words[2]!r}", line_no, line.rindex(words[2]) + 1)
-                mod["basis"].append((words[1], deg))
+                if words[1] in mod["basis"]:
+                    raise ParseError(f"module {current_module}: duplicate generator {words[1]!r}",
+                                     line_no, cols[1])
+                mod["basis"][words[1]] = _degree(words[2], line_no, cols[2])
             elif words[0] == "entry":
                 if "=" not in line:
                     raise ParseError("entry line needs '='", line_no, indent + 1)
                 lhs, rhs = line.split("=", 1)
-                parts = list(re.finditer(r"\S+", lhs))
-                if len(parts) != 3:
+                if len(cols) != 3:
                     raise ParseError("expected 'entry LAMBDA MU = EXPR'", line_no, indent + 1)
-                lam, mu = parts[1].group(), parts[2].group()
-                mod["entries"][(mu, lam)] = parse_expression(rhs, line_no, line.index("=") + 1, field)
-                mod["entry_names"] += [(g.group(), line_no, g.start() + 1) for g in parts[1:]]
+                lam, mu = lhs.split()[1:]
+                if (mu, lam) in mod["entries"]:
+                    raise ParseError(f"module {current_module}: repeated entry {lam} {mu}", line_no, cols[1])
+                expr = (rhs, line_no, line.index("=") + 1)
+                parse_expression(*expr, field)
+                mod["entries"][(mu, lam)] = (expr, cols[1], cols[2])
             else:
                 raise ParseError(f"unknown module directive {words[0]!r}", line_no, indent + 1)
             continue
@@ -241,18 +267,39 @@ def parse_problem(text: str) -> ProblemFile:
             if key not in OPTION_KEYS:
                 raise ParseError(f"unknown option {key!r}; expected one of {', '.join(OPTION_KEYS)}",
                                  line_no, indent + 1)
+            if key in options:
+                raise ParseError(f"repeated option {key!r}", line_no, indent + 1)
             options[key] = val
 
     if field is None:
         raise ParseError("missing 'field' declaration", 1, 1)
     if not saw_algebra:
         raise ParseError("missing [algebra] section", 1, 1)
-    algebra = DGAlgebra(field, base_gens=base, ext_gens=ext, diff_terms=diffs)
+
+    for gname, (expr, col) in diffs.items():
+        if gname not in gens:
+            raise ParseError(f"differential given for unknown generator {gname!r}", expr[1], col)
+    diff_terms = {gname: parse_expression(*expr, field, gens) for gname, (expr, _) in diffs.items()}
+    algebra = DGAlgebra(field, base_gens=base, ext_gens=ext, diff_terms=diff_terms)
     modules = {}
     for name, data in modules_raw.items():
-        known = {n for n, _ in data["basis"]}
-        for gname, line_no, col in data["entry_names"]:
-            if gname not in known:
-                raise ParseError(f"module {name}: entry references unknown generator {gname!r}", line_no, col)
-        modules[name] = SemifreeModule(algebra, data["basis"], data["entries"])
+        index = {g: k for k, g in enumerate(data["basis"])}
+        entries = {}
+        for (mu, lam), (expr, lam_col, mu_col) in data["entries"].items():
+            for gname, col in ((lam, lam_col), (mu, mu_col)):
+                if gname not in index:
+                    raise ParseError(f"module {name}: entry references unknown generator {gname!r}",
+                                     expr[1], col)
+            entries[(mu, lam)] = algebra.element(parse_expression(*expr, field, gens))
+            if index[mu] >= index[lam] and not entries[(mu, lam)].is_zero():
+                raise ParseError(f"module {name}: entry {lam} {mu} breaks strict triangularity "
+                                 f"({mu} must come before {lam})", expr[1], lam_col)
+        modules[name] = SemifreeModule(algebra, list(data["basis"].items()), entries)
     return ProblemFile(field, algebra, modules, options, text)
+
+
+def _degree(word: str, line_no: int, col: int) -> int:
+    try:
+        return int(word)
+    except ValueError:
+        raise ParseError(f"bad degree {word!r}", line_no, col)

@@ -340,3 +340,41 @@ def test_scalar_field_errors_have_position(tmp_path, capsys, text, line, column,
     src.write_text(text)
     code, out, err = run_cli(["validate", str(src)], capsys)
     assert code == 2 and out == "" and f"at line {line}, column {column}" in err and message in err
+
+
+ALG = "field rationals\n[algebra]\next a 1\n"
+MOD = ALG + "[module M]\ngenerator f0 0\ngenerator f1 2\n"
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    (ALG + "base a 2\n", 4, 6, "duplicate generator 'a'"),
+    (MOD + "generator  f0 4\n", 7, 12, "module M: duplicate generator 'f0'"),
+    (MOD + "entry f0 f1 = a\n", 7, 7, "entry f0 f1 breaks strict triangularity"),
+    (ALG + "d z = a\n", 4, 3, "differential given for unknown generator 'z'"),
+    (ALG + "d a = b\n", 4, 7, "unknown generator 'b'"),
+    (MOD + "entry f1 f0 = 2*zz\n", 7, 17, "unknown generator 'zz'"),
+    (ALG + "ext e 3\nd e = 2*a^2\n", 5, 9, "odd generator a cannot have exponent 2"),
+    (ALG + "ext e 3\nd e = a*a\n", 5, 9, "odd generator a cannot have exponent 2"),
+    (ALG + "ext  b 0\n", 4, 8, "generator b has degree 0"),
+    (ALG + "base y 2\next e 3\nd e = y\n d e = 2*y\n", 7, 4, "repeated differential of 'e'"),
+    (MOD + "entry f1 f0 = a\nentry f1 f0 = 2*a\n", 8, 7, "module M: repeated entry f1 f0"),
+    (ALG + "[options]\nseed = 1\n  seed = 2\n", 6, 3, "repeated option 'seed'"),
+], ids=["duplicate-generator", "duplicate-module-generator", "triangularity", "d-of-unknown",
+        "unknown-in-d", "unknown-in-entry", "odd-power", "odd-square", "degree-0", "repeated-d",
+        "repeated-entry", "repeated-option"])
+def test_semantic_errors_have_position(tmp_path, capsys, text, line, column, message):
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert (exc.value.line, exc.value.column) == (line, column) and message in str(exc.value)
+    src = tmp_path / "semantic.dgres"
+    src.write_text(text)
+    code, out, err = run_cli(["validate", str(src)], capsys)
+    assert code == 2 and out == "" and f"at line {line}, column {column}" in err and message in err
+
+
+def test_names_may_be_declared_after_use():
+    problem = parse_problem("field rationals\n[algebra]\nd e = y\nbase y 2\next e 3\n"
+                            "[module M]\nentry f1 f0 = e\ngenerator f0 0\ngenerator f1 4\n")
+    alg = problem.algebra
+    assert alg.d(alg.gen("e")) == alg.gen("y")
+    assert problem.modules["M"].entry(0, 1) == alg.gen("e")
