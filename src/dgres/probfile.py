@@ -88,6 +88,8 @@ def parse_expression(text: str, line_no: int = 0, col_offset: int = 0, field: Fi
         while True:
             kind, val, col = expect_factorish(i)
             if kind == "num":
+                if "/" in val and int(val.split("/")[1]) == 0:
+                    raise ParseError(f"zero denominator in {val!r}", line_no, col)
                 coeff *= Fraction(val)
                 i += 1
             elif kind == "name":
@@ -187,8 +189,7 @@ def parse_problem(text: str) -> ProblemFile:
                 raise ParseError(f"unknown section [{name}]", line_no, indent + 1)
             continue
         words = stripped.split()
-        # column of each word; before an '=' these are the words of the line
-        cols = [m.start() + 1 for m in re.finditer(r"\S+", line.split("=", 1)[0])]
+        cols = [m.start() + 1 for m in re.finditer(r"\S+", line)]  # column of each word
         if section is None:
             if words[0] == "field":
                 if field is not None:
@@ -225,7 +226,7 @@ def parse_problem(text: str) -> ProblemFile:
                 if "=" not in line:
                     raise ParseError("differential line needs '='", line_no, indent + 1)
                 lhs, rhs = line.split("=", 1)
-                if len(cols) != 2:
+                if len(lhs.split()) != 2:
                     raise ParseError("expected 'd NAME = EXPR'", line_no, indent + 1)
                 gname = lhs.split()[1]
                 if gname in diffs:
@@ -249,7 +250,7 @@ def parse_problem(text: str) -> ProblemFile:
                 if "=" not in line:
                     raise ParseError("entry line needs '='", line_no, indent + 1)
                 lhs, rhs = line.split("=", 1)
-                if len(cols) != 3:
+                if len(lhs.split()) != 3:
                     raise ParseError("expected 'entry LAMBDA MU = EXPR'", line_no, indent + 1)
                 lam, mu = lhs.split()[1:]
                 if (mu, lam) in mod["entries"]:

@@ -359,9 +359,10 @@ MOD = ALG + "[module M]\ngenerator f0 0\ngenerator f1 2\n"
     (ALG + "base y 2\next e 3\nd e = y\n d e = 2*y\n", 7, 4, "repeated differential of 'e'"),
     (MOD + "entry f1 f0 = a\nentry f1 f0 = 2*a\n", 8, 7, "module M: repeated entry f1 f0"),
     (ALG + "[options]\nseed = 1\n  seed = 2\n", 6, 3, "repeated option 'seed'"),
+    (ALG + "ext e 2\nd e = 2*a - 3/00*a\n", 5, 13, "zero denominator in '3/00'"),
 ], ids=["duplicate-generator", "duplicate-module-generator", "triangularity", "d-of-unknown",
         "unknown-in-d", "unknown-in-entry", "odd-power", "odd-square", "degree-0", "repeated-d",
-        "repeated-entry", "repeated-option"])
+        "repeated-entry", "repeated-option", "zero-denominator"])
 def test_semantic_errors_have_position(tmp_path, capsys, text, line, column, message):
     with pytest.raises(ParseError) as exc:
         parse_problem(text)
