@@ -390,6 +390,7 @@ def derivation_space(alg: DGAlgebra, cutoff: int) -> list[DerivationTable]:
         return col
 
     cols = tuple((m, w) for m in monos for w in tensor_basis(alg, 2, m.degree))
+    # rows in order of first appearance: the RREF, so the nullspace, does not depend on it
     M = SliceMatrix.from_columns(alg.field, (), cols, (column(m, w) for m, w in cols))
     return _nullspace_tables(alg, M, lambda images: DerivationTable(alg, cutoff, images))
 
@@ -421,6 +422,7 @@ def be_linear_space(alg: DGAlgebra, cutoff: int) -> list[BeLinearMap]:
         return {(wv, g, ww): c for (wv, g), img in law.items() for ww, c in img.terms.items()}
 
     cols = tuple((w, word) for w in labels for word in tensor_basis(alg, 2, w.degree))
+    # rows in order of first appearance, as in `derivation_space`
     M = SliceMatrix.from_columns(alg.field, (), cols, (column(w, word) for w, word in cols))
     return _nullspace_tables(alg, M, lambda images: BeLinearMap(alg, cutoff, images))
 
@@ -525,8 +527,8 @@ def augmentation_slice_matrix(alg: DGAlgebra, degree: int) -> SliceMatrix:
     """Matrix of d̄_0 = π_B from the B^e slice to the B slice."""
     src = tensor_basis(alg, 2, degree)
     products = (alg.mono_mul(b, w) for b, w in src)
-    return SliceMatrix.from_columns(alg.field, alg.basis("B", degree), src,
-                                    ({} if sm is None else {sm[1]: alg.field.of_int(sm[0])} for sm in products))
+    columns = ({} if sm is None else {sm[1]: alg.field.of_int(sm[0])} for sm in products)
+    return SliceMatrix.from_columns(alg.field, alg.basis("B", degree), src, columns)
 
 
 def check_reduced_exactness(alg: DGAlgebra, max_degree: int) -> ValidationReport:

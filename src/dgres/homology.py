@@ -127,8 +127,8 @@ def bb_alpha_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
     """
     src = bb_total_basis(alg, total_degree)
     products = (None if n else alg.mono_mul(b, m) for n, (b, m, _) in src)
-    return SliceMatrix.from_columns(alg.field, alg.basis("B", total_degree), src,
-                                    ({} if sm is None else {sm[1]: alg.field.of_int(sm[0])} for sm in products))
+    columns = ({} if sm is None else {sm[1]: alg.field.of_int(sm[0])} for sm in products)
+    return SliceMatrix.from_columns(alg.field, alg.basis("B", total_degree), src, columns)
 
 
 def homology_dims(alg: DGAlgebra, obj: str, D: int, max_n: int | None = None,

@@ -431,9 +431,10 @@ def naive_lift_solve(N: SemifreeModule) -> LiftResult:
                 col.update((("chain", i, key), c) for key, c in mod_right_mult(el, b).terms.items())
         return col
 
-    cols = tuple((j, lab) for j, d in enumerate(N.degrees) for lab in modtensor_basis(N, 2, d))
-    rows = tuple([("pi", j, key) for j, d in enumerate(N.degrees) for key in modtensor_basis(N, 1, d)]
-                 + [("chain", j, key) for j, d in enumerate(N.degrees) for key in modtensor_basis(N, 2, d - 1)])
+    degrees = tuple(enumerate(N.degrees))
+    cols = tuple((j, lab) for j, d in degrees for lab in modtensor_basis(N, 2, d))
+    rows = tuple([("pi", j, key) for j, d in degrees for key in modtensor_basis(N, 1, d)]
+                 + [("chain", j, key) for j, d in degrees for key in modtensor_basis(N, 2, d - 1)])
     A = SliceMatrix.from_columns(f, rows, cols, (column(j, lab) for j, lab in cols))
     rhs = [f.one if kind == "pi" and key == (j, unit) else f.zero for kind, j, key in rows]
     x, cert = solve_linear(A, rhs)

@@ -26,7 +26,7 @@ def _caches(alg: DGAlgebra) -> dict:
     c = getattr(alg, "_tensor_caches", None)
     if c is None:
         c = {"delta_word": {}, "tensor_basis": {}, "jn_basis": {}, "prefixed_basis": {}, "bb_basis": {},
-             "reduced_slice": {}}
+             "reduced_slice": {}, "delta_factors": {}}
         alg._tensor_caches = c
     return c
 
@@ -519,12 +519,18 @@ def tensor_basis(alg: DGAlgebra, length: int, degree: int) -> tuple[Word, ...]:
 def _delta_factors(alg: DGAlgebra, n: int, degree: int) -> list[Word]:
     """The words (w_1..w_n) of nontrivial W-monomials of total degree `degree`.
 
-    They come out sorted by their `sort_key`s, w_1 first.
+    They come out sorted by their `sort_key`s, w_1 first; cached per algebra.
     """
-    if n == 0:
-        return [()] if degree == 0 else []
-    return [(w,) + rest for d in range(1, degree - n + 2) for w in alg.basis("W", d)
-            for rest in _delta_factors(alg, n - 1, degree - d)]
+    cache = _caches(alg)["delta_factors"]
+    got = cache.get((n, degree))
+    if got is None:
+        if n == 0:
+            got = [()] if degree == 0 else []
+        else:
+            got = [(w,) + rest for d in range(1, degree - n + 2) for w in alg.basis("W", d)
+                   for rest in _delta_factors(alg, n - 1, degree - d)]
+        cache[(n, degree)] = got
+    return got
 
 
 def jn_basis_labels(alg: DGAlgebra, n: int, degree: int) -> tuple[tuple[Monomial, Word], ...]:
