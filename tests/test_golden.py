@@ -11,7 +11,9 @@ COMMANDS = {
     "bar_e1_classical.txt": ["bar", "e1.dgres", "--max-n", "3", "--max-degree", "5"],
     "bar_e2_reduced.txt":   ["bar", "e2.dgres", "--reduced", "--max-degree", "6"],
     "semifree_e1.txt":      ["semifree", "e1.dgres", "--max-degree", "6"],
+    "semifree_chain_frac.txt": ["semifree", "chain_frac.dgres", "--max-degree", "6"],
     "homology_e3.txt":      ["homology", "e3.dgres", "--max-degree", "6"],
+    "homology_chain_frac.txt": ["homology", "chain_frac.dgres", "--max-degree", "5"],
     "lift_e2_K.txt":        ["lift", "e2.dgres", "--module", "K"],
     "lift_e1_CB.json":      ["lift", "e1.dgres", "--module", "CB", "--format", "machine"],
     "lift_frac_C.txt":      ["lift", "chain_frac.dgres", "--module", "C"],
