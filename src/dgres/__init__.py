@@ -45,7 +45,7 @@ from .errors import (
     UsageError,
     WindowIncomplete,
 )
-from .homology import HomologyTable, assemble_slice, homology_dims, quasi_iso_check
+from .homology import HomologyTable, homology_dims, quasi_iso_check
 from .linalg import SliceMatrix, solve_linear, verify_certificate
 from .modules import (
     LiftResult,

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import DGAlgebra
-from .bar import augmentation_slice_matrix, bar_slice_matrix, reduced_slice_matrix
+from .bar import augmented_reduced_bar
 from .errors import DgresError, WindowIncomplete
 from .linalg import SliceMatrix
-from .semifree import BBElement, bb_total_basis, dd_column
-from .tensor import TensorElement, prefixed_basis_element
+from .semifree import DD, BBElement, alpha, bb_total_basis, dd_column
+from .tensor import TensorElement, _caches, prefixed_basis_element
 
 
 @dataclass
@@ -48,63 +48,59 @@ def bb_dd_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
     """Matrix of 𝔻 from total degree t to t-1, over the stored 𝔹 bases.
 
     Columns come from the closed form `dd_column`; `checked_dd_columns`
-    certifies them against the flat images ∂v and 𝔇v, and rejects a column
-    with a label outside the basis of total degree t-1 (an extra row).
+    certifies them against the flat images 𝔻v, and rejects a column with a
+    label outside the basis of total degree t-1 (an extra row).
     """
-    caches = getattr(alg, "_homology_caches", None)
-    if caches is None:
-        caches = {}
-        alg._homology_caches = caches
-    got = caches.get(("DD", total_degree))
-    if got is not None:
-        return got
-    src = bb_total_basis(alg, total_degree)
-    M = SliceMatrix.from_columns(alg.field, bb_total_basis(alg, total_degree - 1), src,
-                                 (dd_column(alg, lab) for lab in src))
-    caches[("DD", total_degree)] = M
-    return M
+    cache = _caches(alg)["dd_matrix"]
+    got = cache.get(total_degree)
+    if got is None:
+        src = bb_total_basis(alg, total_degree)
+        got = cache[total_degree] = SliceMatrix.from_columns(
+            alg.field, bb_total_basis(alg, total_degree - 1), src, (dd_column(alg, lab) for lab in src))
+    return got
 
 
-def checked_dd_columns(alg: DGAlgebra, D: int, d_internal, d_bar):
-    """Check every column of 𝔻 in total degrees 0..D against flat images.
+def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
+    """Every column of `bb_dd_matrix` and `bb_alpha_matrix` in total degrees 0..D is right.
 
-    Yields (v, ∂v, 𝔇v, ok) for each stored basis element v, in the order of
-    `bb_total_basis`, with ∂v = d_internal(v) and 𝔇v = d_bar(v) computed on
-    flat elements.  ok says that the column of v in `bb_dd_matrix` expands
-    over the flat basis elements of degree t-1 to exactly ∂v + 𝔇v.  That
-    expansion is injective, so ok means the column is the coordinate vector
-    of 𝔻v; once every column passes, products of the matrices, such as
-    𝔻_{t-1}∘𝔻_t, are exact statements about 𝔻 on every basis element.
+    For each stored basis element v, in the order of `bb_total_basis`, the
+    𝔻 column expanded over the flat basis elements of degree t-1 must be
+    exactly the flat 𝔻v = ∂v + 𝔇v, and the α column exactly α(v).  The
+    expansion is injective, so then every column is the coordinate vector of
+    its image, and products of the matrices, such as 𝔻_{t-1}∘𝔻_t and
+    α_{t-1}∘𝔻_t, are exact statements about 𝔻 and α on every basis element.
+    A 𝔻 column with a label outside the basis of degree t-1 fails.
     """
     f = alg.field
     prev: list = []  # (n, flat component) of the basis elements of degree t-1
     for t in range(D + 1):
         M = bb_dd_matrix(alg, t)
-        keys = sorted(M.entries, key=lambda ij: ij[1])  # column by column
-        pos = 0
+        if M.nrows != len(prev):
+            return False
+        A = bb_alpha_matrix(alg, t)
+        dd_cols: list = [{} for _ in range(M.ncols)]
+        for (i, j), c in M.entries.items():
+            dd_cols[j][i] = c
+        alpha_cols: list = [{} for _ in range(A.ncols)]
+        for (i, j), c in A.entries.items():
+            alpha_cols[j][A.row_labels[i]] = c
         cur = []
-        for j, (n, lb) in enumerate(M.col_labels):
+        for (n, lb), dd_col, alpha_col in zip(M.col_labels, dd_cols, alpha_cols):
             te = prefixed_basis_element(alg, lb)
             v = BBElement(alg, {n: te})
-            dv, fv = d_internal(v), d_bar(v)
             comps: dict = {}
-            ok = True
-            while pos < len(keys) and keys[pos][1] == j:
-                i = keys[pos][0]
-                c = M.entries[keys[pos]]
-                pos += 1
-                if i >= len(prev):  # a label outside the basis of degree t-1
-                    ok = False
-                    continue
+            for i, c in dd_col.items():
                 k, tk = prev[i]
                 acc = comps.get(k)
                 if acc is None:
                     acc = comps[k] = TensorElement(alg, k + 2)
                 for w, cw in tk.terms.items():
                     acc._add_canonical(w, f.mul(c, cw))
-            yield v, dv, fv, ok and BBElement(alg, comps) == dv + fv
+            if BBElement(alg, comps) != DD(v) or alpha_col != alpha(v).terms:
+                return False
             cur.append((n, te))
         prev = cur
+    return True
 
 
 def dd_square(alg: DGAlgebra, total_degree: int) -> tuple[bool, bool]:
@@ -117,6 +113,13 @@ def dd_square(alg: DGAlgebra, total_degree: int) -> tuple[bool, bool]:
     P = bb_dd_matrix(alg, total_degree - 1).compose(bb_dd_matrix(alg, total_degree))
     anti = all(P.row_labels[i][0] != P.col_labels[j][0] - 1 for i, j in P.entries)
     return P.is_zero(), anti
+
+
+def alpha_chain_map(alg: DGAlgebra, total_degree: int) -> bool:
+    """α_{t-1}∘𝔻_t = d^B_t∘α_t on one total degree, read off the matrices."""
+    lhs = bb_alpha_matrix(alg, total_degree - 1).compose(bb_dd_matrix(alg, total_degree))
+    rhs = dB_matrix(alg, total_degree).compose(bb_alpha_matrix(alg, total_degree))
+    return lhs.entries == rhs.entries
 
 
 def bb_alpha_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
@@ -143,54 +146,38 @@ def homology_dims(alg: DGAlgebra, obj: str, D: int, max_n: int | None = None,
                           are boundary-complete and included.  `module`
                           defaults to B itself.
     Degrees reported: 0 .. D-1 (the window rule).
+
+    Each degree is a list of maps f_0, f_1, ..., f_k with f_i out of
+    position i: the positions are the sources of f_0..f_{k-1}, so the cycles
+    are Σ_{i<k} (dim - rank f_i) and the boundaries Σ_{i>0} rank f_i.  A
+    bottom position of an augmented complex gets a zero map with no rows.
     """
     if D < 1:
         raise WindowIncomplete("need D >= 1")
-    table = HomologyTable(window=f"degrees 0..{D - 1} (built through {D})")
+    f = alg.field
     if obj == "B":
-        for m in range(D):
-            out = dB_matrix(alg, m)
-            inc = dB_matrix(alg, m + 1)
-            table.add(m, out.ncols - out.rank(), inc.rank())
-        return table
-    if obj == "semifree_BB":
-        for m in range(D):
-            out = bb_dd_matrix(alg, m)
-            inc = bb_dd_matrix(alg, m + 1)
-            table.add(m, out.ncols - out.rank(), inc.rank())
-        return table
-    if obj == "reduced_bar":
-        for d in range(D):
-            cycles = boundaries = 0
-            n_top = d
-            mats = {n: reduced_slice_matrix(alg, n, d) for n in range(1, n_top + 1)}
-            aug = augmentation_slice_matrix(alg, d)
-            dims = {n: (mats[n].ncols if n >= 1 else aug.ncols) for n in range(0, n_top + 1)}
-            # augmented complex: ... -> C_1 -> C_0 -> B -> 0
-            cycles += len(alg.basis("B", d)) + (dims[0] - aug.rank())
-            boundaries += aug.rank() + (mats[1].rank() if 1 in mats else 0)
-            for n in range(1, n_top + 1):
-                cycles += dims[n] - mats[n].rank()
-                boundaries += mats[n + 1].rank() if (n + 1) in mats else 0
-            table.add(d, cycles, boundaries)
-        return table
-    if obj == "barN_complex":
+        complexes = ([dB_matrix(alg, m), dB_matrix(alg, m + 1)] for m in range(D))
+    elif obj == "semifree_BB":
+        complexes = ([bb_dd_matrix(alg, m), bb_dd_matrix(alg, m + 1)] for m in range(D))
+    elif obj == "reduced_bar":
+        # B <- C_0 <- ... <- C_d <- 0
+        complexes = ([SliceMatrix(f, 0, len(alg.basis("B", d)))] + augmented_reduced_bar(alg, d)
+                     + [SliceMatrix(f, 0, 0)] for d in range(D))
+    elif obj == "barN_complex":
         if max_n is None:
             raise WindowIncomplete("the classical bar complex needs a word-length cap max_n")
         from .modules import SemifreeModule, dN_matrix, modtensor_basis
 
         N = module if module is not None else SemifreeModule(alg, [("gen", 0)])
-        for d in range(D):
-            cycles = boundaries = 0
-            mats = {L: dN_matrix(N, L, d) for L in range(2, max_n + 3)}
-            cycles += len(modtensor_basis(N, 1, d))      # position -1: N itself
-            boundaries += mats[2].rank()                  # image of 𝐝^N_{-1}
-            for L in range(2, max_n + 2):                 # positions 0..max_n - 1
-                cycles += mats[L].ncols - mats[L].rank()
-                boundaries += mats[L + 1].rank()
-            table.add(d, cycles, boundaries)
-        return table
-    raise DgresError(f"unknown homology object {obj!r}")
+        # N <- N ⊗ B^{⊗2} <- ...: position -1 is N itself, positions 0..max_n-1 follow
+        complexes = ([SliceMatrix(f, 0, len(modtensor_basis(N, 1, d)))]
+                     + [dN_matrix(N, L, d) for L in range(2, max_n + 3)] for d in range(D))
+    else:
+        raise DgresError(f"unknown homology object {obj!r}")
+    table = HomologyTable(window=f"degrees 0..{D - 1} (built through {D})")
+    for m, maps in enumerate(complexes):
+        table.add(m, sum(M.ncols - M.rank() for M in maps[:-1]), sum(M.rank() for M in maps[1:]))
+    return table
 
 
 @dataclass
@@ -211,13 +198,11 @@ def quasi_iso_check(alg: DGAlgebra, D: int) -> QuasiIsoReport:
     rows = []
     ok = True
     f = alg.field
+    tbb, tb = homology_dims(alg, "semifree_BB", D), homology_dims(alg, "B", D)
     for m in range(D):
+        hBB, hB = tbb.homology(m), tb.homology(m)
         MBB_out = bb_dd_matrix(alg, m)
-        MBB_in = bb_dd_matrix(alg, m + 1)
-        hBB = (MBB_out.ncols - MBB_out.rank()) - MBB_in.rank()
-        MB_out = dB_matrix(alg, m)
         MB_in = dB_matrix(alg, m + 1)
-        hB = (MB_out.ncols - MB_out.rank()) - MB_in.rank()
         r0, c0 = MBB_out.nrows, MBB_out.ncols
         block = SliceMatrix(f, r0 + MB_in.nrows, c0 + MB_in.ncols, dict(MBB_out.entries))
         for (i, j), v in bb_alpha_matrix(alg, m).entries.items():
@@ -228,27 +213,5 @@ def quasi_iso_check(alg: DGAlgebra, D: int) -> QuasiIsoReport:
         rows.append((m, hBB, hB, induced))
         if not (hBB == hB == induced):
             ok = False
-    return QuasiIsoReport(ok, rows, f"degrees 0..{D - 1} (built through {D})")
+    return QuasiIsoReport(ok, rows, tb.window)
 
-
-def assemble_slice(alg: DGAlgebra, map_name: str, degree: int, n: int | None = None) -> SliceMatrix:
-    """Matrix of a named map on the canonical bases of one degree slice."""
-    if degree < 0:
-        raise WindowIncomplete("negative degree")
-    if map_name == "dB":
-        return dB_matrix(alg, degree)
-    if map_name == "pi_B":
-        return augmentation_slice_matrix(alg, degree)
-    if map_name == "bar":
-        if n is None:
-            raise DgresError("bar slice needs the word-length index n")
-        return bar_slice_matrix(alg, n, degree)
-    if map_name == "reduced":
-        if n is None:
-            raise DgresError("reduced slice needs the component index n")
-        return reduced_slice_matrix(alg, n, degree)
-    if map_name == "DD":
-        return bb_dd_matrix(alg, degree)
-    if map_name == "alpha":
-        return bb_alpha_matrix(alg, degree)
-    raise DgresError(f"unknown map {map_name!r}")

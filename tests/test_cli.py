@@ -82,6 +82,21 @@ def test_negative_window_option_is_usage_error(tmp_path, capsys, golden_dir, opt
     assert code == 2 and "must be >= 0" in err and out == ""
 
 
+@pytest.mark.parametrize("command", ["semifree", "homology"])
+def test_zero_homology_window_flag_is_usage_error(capsys, golden_dir, command):
+    # homology is reported in degrees 0..D-1, so D = 0 leaves nothing to check
+    code, out, err = run_cli([command, str(golden_dir / "e1.dgres"), "--max-degree", "0"], capsys)
+    assert code == 2 and out == "" and "max-degree must be >= 1" in err
+
+
+@pytest.mark.parametrize("command", ["semifree", "homology"])
+def test_zero_homology_window_option_is_usage_error(tmp_path, capsys, golden_dir, command):
+    path = tmp_path / "zero.dgres"
+    path.write_text((golden_dir / "e1.dgres").read_text() + "\n[options]\nmax-degree = 0\n")
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert code == 2 and out == "" and "max-degree must be >= 1" in err
+
+
 def test_max_n_option_line_sets_classical_cap(tmp_path, capsys, golden_dir):
     path = tmp_path / "cap.dgres"
     path.write_text((golden_dir / "e1.dgres").read_text() + "\n[options]\nmax-n = 1\nmax-degree = 2\n")
@@ -169,7 +184,7 @@ def test_lift_certificate_is_verified(golden_dir, capsys, monkeypatch):
 
 
 def test_semifree_fails_with_unsigned_internal_differential(golden_dir, capsys, monkeypatch):
-    import dgres.cli as cli
+    import dgres.semifree as semifree
     from dgres.semifree import BBElement
     from dgres.tensor import tensor_differential
 
@@ -180,7 +195,7 @@ def test_semifree_fails_with_unsigned_internal_differential(golden_dir, capsys, 
     args = ["semifree", str(golden_dir / "e3.dgres"), "--max-degree", "8"]
     code, out, err = run_cli(args, capsys)
     assert code == 0 and "PASS  anticommutation" in out
-    monkeypatch.setattr(cli, "dBB", unsigned_dBB)
+    monkeypatch.setattr(semifree, "dBB", unsigned_dBB)
     code, out, err = run_cli(args, capsys)
     assert code == 1
     assert "FAIL  anticommutation" in out and "FAIL  DD-squared-zero" in out
@@ -248,9 +263,28 @@ def test_semifree_fails_on_a_flipped_closed_form_sign(golden_dir, capsys, monkey
     _flip_second_bar_term(monkeypatch)
     code, out, err = run_cli(args, capsys)
     assert code == 1 and err == ""
-    for name in ("DD-squared-zero", "anticommutation", "quasi-isomorphism"):
+    for name in ("DD-squared-zero", "anticommutation", "alpha-chain-map", "quasi-isomorphism"):
         assert f"FAIL  {name}" in out, name
-    assert "PASS  alpha-chain-map" in out
+
+
+def test_semifree_fails_on_an_unsigned_alpha_matrix(golden_dir, capsys, monkeypatch):
+    # α(0, (b, m, ())) = ±b·m: over Λ(a,b) the mono_mul sign of b·a is -1
+    import dgres.homology as homology
+    from dgres.linalg import SliceMatrix
+
+    def unsigned(alg, total_degree):
+        src = homology.bb_total_basis(alg, total_degree)
+        products = (None if n else alg.mono_mul(b, m) for n, (b, m, _) in src)
+        columns = ({} if sm is None else {sm[1]: alg.field.one} for sm in products)
+        return SliceMatrix.from_columns(alg.field, alg.basis("B", total_degree), src, columns)
+
+    args = ["semifree", str(golden_dir / "chain_frac.dgres"), "--max-degree", "8"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and "PASS  alpha-chain-map" in out
+    monkeypatch.setattr(homology, "bb_alpha_matrix", unsigned)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and err == ""
+    assert "FAIL  alpha-chain-map" in out and "FAIL  quasi-isomorphism" in out
 
 
 def test_semifree_skips_quasi_iso_ranks_after_a_failed_column_check(golden_dir, capsys, monkeypatch):

@@ -1,6 +1,6 @@
-from dgres.bar import bar_slice_matrix
+from dgres.bar import augmentation_slice_matrix, bar_slice_matrix
 from dgres.fixtures import koszul_K, module_B
-from dgres.homology import assemble_slice, bb_dd_matrix, homology_dims, quasi_iso_check
+from dgres.homology import bb_dd_matrix, dB_matrix, homology_dims, quasi_iso_check
 from dgres.tensor import tensor_basis
 
 
@@ -34,12 +34,12 @@ def test_barN_complex_acyclic(E2, E3):
         assert all(t.homology(m) == 0 for m in range(6))
 
 
-def test_assemble_slice_examples(E1, E3):
-    M = assemble_slice(E3, "dB", 3)
+def test_slice_matrix_examples(E1, E3):
+    M = dB_matrix(E3, 3)
     assert (M.nrows, M.ncols) == (1, 1) and M.get(0, 0) == E3.field.one
-    Z = assemble_slice(E3, "dB", 1)
+    Z = dB_matrix(E3, 1)
     assert Z.is_zero()
-    P = assemble_slice(E1, "pi_B", 1)
+    P = augmentation_slice_matrix(E1, 1)
     assert (P.nrows, P.ncols) == (1, 2)
     assert sorted(P.entries.values()) == [1, 1]
 
