@@ -10,10 +10,13 @@ COMMANDS = {
     "validate_e3.json":     ["validate", "e3.dgres", "--format", "machine"],
     "bar_e1_classical.txt": ["bar", "e1.dgres", "--max-n", "3", "--max-degree", "5"],
     "bar_e2_reduced.txt":   ["bar", "e2.dgres", "--reduced", "--max-degree", "6"],
+    "bar_lam3_reduced.txt": ["bar", "lam3.dgres", "--reduced", "--max-degree", "5"],
     "semifree_e1.txt":      ["semifree", "e1.dgres", "--max-degree", "6"],
     "semifree_chain_frac.txt": ["semifree", "chain_frac.dgres", "--max-degree", "6"],
+    "semifree_odd_base.txt": ["semifree", "odd_base.dgres", "--max-degree", "7"],
     "homology_e3.txt":      ["homology", "e3.dgres", "--max-degree", "6"],
     "homology_chain_frac.txt": ["homology", "chain_frac.dgres", "--max-degree", "5"],
+    "homology_odd_base.txt": ["homology", "odd_base.dgres", "--max-degree", "7"],
     "lift_e2_K.txt":        ["lift", "e2.dgres", "--module", "K"],
     "lift_e1_CB.json":      ["lift", "e1.dgres", "--module", "CB", "--format", "machine"],
     "lift_frac_C.txt":      ["lift", "chain_frac.dgres", "--module", "C"],
