@@ -23,7 +23,7 @@ from .bar import (
     reduced_d_squared_zero,
 )
 from .errors import DgresError, ObstructionNonzero, ParseError, UsageError
-from .homology import alpha_chain_map, checked_dd_columns, dd_square, homology_dims, quasi_iso_check
+from .homology import BAD_COLUMNS, homology_dims, quasi_iso_check, reduced_bar_table
 from .linalg import verify_certificate
 from .modules import (
     DN,
@@ -154,7 +154,6 @@ def cmd_bar(args, problem) -> Report:
     return rep
 
 
-BAD_COLUMNS = "a DD column differs from dv + Dv, the flat images of its basis element"
 BAD_REDUCED_COLUMNS = "a reduced bar column differs from the flat merge of its basis element"
 
 
@@ -164,20 +163,11 @@ def cmd_semifree(args, problem) -> Report:
     D = _homology_window(problem, args)
     window = f"total degrees 0..{D}"
     # 𝔻 and α columns are built on the basis labels; each is checked once
-    # against 𝔻v and αv, so 𝔻², 𝔇∂ + ∂𝔇 and α∘𝔻 = d^B∘α can be read off the
-    # matrix products
-    ok_cols = checked_dd_columns(alg, D)
-    ok_sq = ok_anti = ok_alpha = ok_cols
-    if ok_cols:
-        for t in range(2, D + 1):  # 𝔻_0 and 𝔻_1 land in degrees with nothing below
-            sq, anti = dd_square(alg, t)
-            ok_sq = ok_sq and sq
-            ok_anti = ok_anti and anti
-        ok_alpha = all(alpha_chain_map(alg, t) for t in range(1, D + 1))
-    bad_cols = "" if ok_cols else BAD_COLUMNS
-    rep.add_check("DD-squared-zero", ok_sq, window, bad_cols)
-    rep.add_check("anticommutation", ok_anti, window, bad_cols)
-    rep.add_check("alpha-chain-map", ok_alpha, window, bad_cols)
+    # against 𝔻v and αv, so 𝔻², 𝔇∂ + ∂𝔇, α∘𝔻 = d^B∘α and the contracting
+    # homotopy are read off the matrices
+    qi = quasi_iso_check(alg, D)
+    for name in ("DD-squared-zero", "anticommutation", "alpha-chain-map"):
+        rep.add_check(name, qi.checks.get(name, False), window, "" if qi.checks else BAD_COLUMNS)
     ok_tlin = True
     gens = [alg.gen(g.name) for g in alg.gens]
     ss = [t_word(alg, [g]) for g in gens]
@@ -191,15 +181,9 @@ def cmd_semifree(args, problem) -> Report:
                     ok_tlin = False
     rep.add_check("frakD-T-linearity", ok_tlin, f"total degrees 0..{min(D, 5)}, word length >= 1")
     rep.add_validation("semifree", check_semifree_triangular(alg, D), window)
-    # the ranks of 𝔻 are taken only once every column is checked
-    if not ok_cols:
-        rep.add_check("quasi-isomorphism", False, f"degrees 0..{D - 1} (built through {D})", bad_cols)
-        return rep
-    qi = quasi_iso_check(alg, D)
-    rep.add_check("quasi-isomorphism", qi.passed, qi.window)
-    rep.tables["homology"] = [("degree", "dim H(BB)", "dim H(B)", "induced rank")] + [
-        tuple(r) for r in qi.rows
-    ]
+    rep.add_check("quasi-isomorphism", qi.passed, qi.window, qi.details)
+    if qi.passed:
+        rep.tables["homology"] = [("degree", "dim H(BB)", "dim H(B)", "induced rank")] + qi.rows
     return rep
 
 
@@ -210,24 +194,19 @@ def cmd_homology(args, problem) -> Report:
     tb = homology_dims(alg, "B", D)
     head = [("degree", "cycles", "boundaries", "homology")]
     rep.tables["H(B)"] = head + tb.rows()
-    # the reduced bar table reads the slices of degrees 0..D-1, checked first
+    # the reduced bar is contracted on the slices of degrees 0..D-1, checked first
     ok_red = checked_reduced_columns(alg, D - 1)
-    if ok_red:
-        trb = homology_dims(alg, "reduced_bar", D)
-        rep.tables["H(reduced bar, augmented)"] = head + trb.rows()
-    # H(𝔹,𝔻) is computed only from 𝔻 columns checked against 𝔻v
-    ok_cols = ok_match = checked_dd_columns(alg, D)
-    if ok_cols:
-        tbb = homology_dims(alg, "semifree_BB", D)
-        rep.tables["H(BB,DD)"] = head + tbb.rows()
-        ok_match = all(tb.homology(m) == tbb.homology(m) for m in range(D))
-    rep.add_check("homology-dimensions-match", ok_match, tb.window, "" if ok_cols else BAD_COLUMNS)
-    rep.add_check(
-        "reduced-bar-acyclic",
-        ok_red and all(trb.homology(m) == 0 for m in range(D)),
-        tb.window,
-        "" if ok_red else BAD_REDUCED_COLUMNS,
-    )
+    exact = check_reduced_exactness(alg, D - 1) if ok_red else None
+    acyclic = ok_red and exact.passed and reduced_d_squared_zero(alg, D - 1)
+    if acyclic:
+        rep.tables["H(reduced bar, augmented)"] = head + reduced_bar_table(alg, D).rows()
+    # H(𝔹,𝔻) is read off the certificate shared with `semifree`
+    qi = quasi_iso_check(alg, D)
+    if qi.passed:
+        rep.tables["H(BB,DD)"] = head + qi.table.rows()
+    rep.add_check("homology-dimensions-match", qi.passed, tb.window, qi.details)
+    red_details = next((c.details for c in exact.failures()), "") if ok_red else BAD_REDUCED_COLUMNS
+    rep.add_check("reduced-bar-acyclic", acyclic, tb.window, red_details)
     return rep
 
 

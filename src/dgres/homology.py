@@ -2,20 +2,34 @@
 
 All claims are window-annotated: a homology dimension at degree m is sound
 only when the differentials into and out of the slice are fully enumerated,
-which needs basis data through degree m+1.  `homology_dims` therefore only
-reports degrees <= D-1 when built through D.
+which needs basis data through degree m+1.  The tables therefore only
+report degrees <= D-1 when built through D.  The tables of the reduced bar
+and of (𝔹, 𝔻) follow from dimensions once `semifree.homotopy` contracts them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 
 from .algebra import DGAlgebra
-from .bar import augmented_reduced_bar
 from .errors import DgresError, WindowIncomplete
 from .linalg import SliceMatrix
-from .semifree import DD, BBElement, alpha, bb_total_basis, dd_column
-from .tensor import TensorElement, _caches, prefixed_basis_element
+from .semifree import (
+    DD,
+    BBElement,
+    alpha,
+    bb_total_basis,
+    contraction_defect,
+    dd_column,
+    defect_details,
+    homotopy,
+    pi_column,
+    section,
+)
+from .tensor import TensorElement, _caches, prefixed_basis_element, prefixed_basis_labels
+
+BAD_COLUMNS = "a DD column differs from dv + Dv, the flat images of its basis element"
 
 
 @dataclass
@@ -37,11 +51,24 @@ class HomologyTable:
         return [(d,) + self.entries[d] for d in sorted(self.entries)]
 
 
+def _window(D: int) -> str:
+    return f"degrees 0..{D - 1} (built through {D})"
+
+
+def _cached(alg: DGAlgebra, name: str, degree: int, build) -> SliceMatrix:
+    """The slice matrix `name` of one degree, built once per algebra (with its rank memo)."""
+    cache = _caches(alg)[name]
+    got = cache.get(degree)
+    if got is None:
+        got = cache[degree] = build()
+    return got
+
+
 def dB_matrix(alg: DGAlgebra, degree: int) -> SliceMatrix:
-    """Matrix of d^B from the degree slice to the one below."""
+    """Matrix of d^B from the degree slice to the one below; cached per algebra."""
     src = alg.basis("B", degree)
-    return SliceMatrix.from_columns(alg.field, alg.basis("B", degree - 1), src,
-                                    (alg.diff_mono(m).terms for m in src))
+    return _cached(alg, "dB_matrix", degree, lambda: SliceMatrix.from_columns(
+        alg.field, alg.basis("B", degree - 1), src, (alg.diff_mono(m).terms for m in src)))
 
 
 def bb_dd_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
@@ -51,13 +78,9 @@ def bb_dd_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
     certifies them against the flat images 𝔻v, and rejects a column with a
     label outside the basis of total degree t-1 (an extra row).
     """
-    cache = _caches(alg)["dd_matrix"]
-    got = cache.get(total_degree)
-    if got is None:
-        src = bb_total_basis(alg, total_degree)
-        got = cache[total_degree] = SliceMatrix.from_columns(
-            alg.field, bb_total_basis(alg, total_degree - 1), src, (dd_column(alg, lab) for lab in src))
-    return got
+    src = bb_total_basis(alg, total_degree)
+    return _cached(alg, "dd_matrix", total_degree, lambda: SliceMatrix.from_columns(
+        alg.field, bb_total_basis(alg, total_degree - 1), src, (dd_column(alg, lab) for lab in src)))
 
 
 def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
@@ -72,33 +95,26 @@ def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
     A 𝔻 column with a label outside the basis of degree t-1 fails.
     """
     f = alg.field
-    prev: list = []  # (n, flat component) of the basis elements of degree t-1
+    prev: dict = {}  # label -> flat component of the basis elements of degree t-1
     for t in range(D + 1):
         M = bb_dd_matrix(alg, t)
         if M.nrows != len(prev):
             return False
-        A = bb_alpha_matrix(alg, t)
-        dd_cols: list = [{} for _ in range(M.ncols)]
-        for (i, j), c in M.entries.items():
-            dd_cols[j][i] = c
-        alpha_cols: list = [{} for _ in range(A.ncols)]
-        for (i, j), c in A.entries.items():
-            alpha_cols[j][A.row_labels[i]] = c
-        cur = []
-        for (n, lb), dd_col, alpha_col in zip(M.col_labels, dd_cols, alpha_cols):
+        cur = {}
+        for (n, lb), dd_col, alpha_col in zip(M.col_labels, M.columns(), bb_alpha_matrix(alg, t).columns()):
             te = prefixed_basis_element(alg, lb)
             v = BBElement(alg, {n: te})
             comps: dict = {}
-            for i, c in dd_col.items():
-                k, tk = prev[i]
+            for lab, c in dd_col.items():
+                k = lab[0]
                 acc = comps.get(k)
                 if acc is None:
                     acc = comps[k] = TensorElement(alg, k + 2)
-                for w, cw in tk.terms.items():
+                for w, cw in prev[lab].terms.items():
                     acc._add_canonical(w, f.mul(c, cw))
             if BBElement(alg, comps) != DD(v) or alpha_col != alpha(v).terms:
                 return False
-            cur.append((n, te))
+            cur[(n, lb)] = te
         prev = cur
     return True
 
@@ -123,24 +139,21 @@ def alpha_chain_map(alg: DGAlgebra, total_degree: int) -> bool:
 
 
 def bb_alpha_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
-    """Matrix of the augmentation α from the 𝔹 slice to the B slice.
+    """Matrix of the augmentation α from the 𝔹 slice to the B slice; cached per algebra.
 
-    On the labels α(0, (b, m, ())) = ±b·m with the `mono_mul` sign (zero when
-    the product vanishes), and α is zero on every component n >= 1.
+    On the labels α(0, λ) = π(λ) (`semifree.pi_column`), and α is zero on
+    every component n >= 1.
     """
     src = bb_total_basis(alg, total_degree)
-    products = (None if n else alg.mono_mul(b, m) for n, (b, m, _) in src)
-    columns = ({} if sm is None else {sm[1]: alg.field.of_int(sm[0])} for sm in products)
-    return SliceMatrix.from_columns(alg.field, alg.basis("B", total_degree), src, columns)
+    return _cached(alg, "alpha_matrix", total_degree, lambda: SliceMatrix.from_columns(
+        alg.field, alg.basis("B", total_degree), src, ({} if n else pi_column(alg, lb) for n, lb in src)))
 
 
 def homology_dims(alg: DGAlgebra, obj: str, D: int, max_n: int | None = None,
                   module=None) -> HomologyTable:
-    """Per-degree homology dimensions of one of the built objects.
+    """Per-degree homology dimensions of a complex, from the ranks of its maps.
 
     obj = "B":            the algebra itself under d^B.
-    obj = "semifree_BB":  (𝔹, 𝔻) under the total grading.
-    obj = "reduced_bar":  the augmented reduced bar complex (0 when exact).
     obj = "barN_complex": the augmented complex N ⊗_B (𝐁, 𝐝) with the word
                           length capped at max_n; positions up to max_n - 1
                           are boundary-complete and included.  `module`
@@ -157,12 +170,6 @@ def homology_dims(alg: DGAlgebra, obj: str, D: int, max_n: int | None = None,
     f = alg.field
     if obj == "B":
         complexes = ([dB_matrix(alg, m), dB_matrix(alg, m + 1)] for m in range(D))
-    elif obj == "semifree_BB":
-        complexes = ([bb_dd_matrix(alg, m), bb_dd_matrix(alg, m + 1)] for m in range(D))
-    elif obj == "reduced_bar":
-        # B <- C_0 <- ... <- C_d <- 0
-        complexes = ([SliceMatrix(f, 0, len(alg.basis("B", d)))] + augmented_reduced_bar(alg, d)
-                     + [SliceMatrix(f, 0, 0)] for d in range(D))
     elif obj == "barN_complex":
         if max_n is None:
             raise WindowIncomplete("the classical bar complex needs a word-length cap max_n")
@@ -174,44 +181,108 @@ def homology_dims(alg: DGAlgebra, obj: str, D: int, max_n: int | None = None,
                      + [dN_matrix(N, L, d) for L in range(2, max_n + 3)] for d in range(D))
     else:
         raise DgresError(f"unknown homology object {obj!r}")
-    table = HomologyTable(window=f"degrees 0..{D - 1} (built through {D})")
+    table = HomologyTable(window=_window(D))
     for m, maps in enumerate(complexes):
         table.add(m, sum(M.ncols - M.rank() for M in maps[:-1]), sum(M.rank() for M in maps[1:]))
     return table
 
 
+def reduced_bar_table(alg: DGAlgebra, D: int) -> HomologyTable:
+    """H of the augmented reduced bar complex B ← C_0 ← ... ← C_d in degrees 0..D-1, from dimensions.
+
+    Sound once `bar.check_reduced_exactness` and `bar.reduced_d_squared_zero`
+    hold through D-1 (π∘d̄_1 = 0 then too: d̄_1 = d̄_1(d̄_2h_1 + h_0d̄_1) =
+    (id − σπ)d̄_1, and σ is injective).  The complex is exact, so rank π =
+    dim B_d, rank d̄_n = dim C_{n−1} − rank d̄_{n−1}, and the cycles and the
+    boundaries both number Σ_n rank d̄_n, with d̄_0 = π.
+    """
+    table = HomologyTable(window=_window(D))
+    for d in range(D):
+        dims = [len(alg.basis("B", d))] + [len(prefixed_basis_labels(alg, n, d)) for n in range(d)]
+        rank = sum(accumulate(dims, lambda r, dim: dim - r))
+        table.add(d, rank, rank)
+    return table
+
+
+def bb_homology_table(alg: DGAlgebra, D: int) -> HomologyTable:
+    """H(𝔹, 𝔻) in total degrees 0..D-1, from dimensions and the ranks of d^B.
+
+    Sound once `quasi_iso_check` holds: 𝔹 is then the direct sum of the
+    subcomplexes σ(B) ≅ B and K = ker α, which h contracts (αh = 0).  So
+    rank 𝔻_m = rank d^B_m + r_m, with r_0 = 0 and, K being exact,
+    r_{m+1} = dim K_m − r_m = dim 𝔹_m − dim B_m − r_m.
+    """
+    dims = [len(bb_total_basis(alg, m)) for m in range(D + 1)]
+    r = [0]
+    for m in range(D):
+        r.append(dims[m] - len(alg.basis("B", m)) - r[m])
+    ranks = [dB_matrix(alg, m).rank() + r[m] for m in range(D + 1)]
+    table = HomologyTable(window=_window(D))
+    for m in range(D):
+        table.add(m, dims[m] - ranks[m], ranks[m + 1])
+    return table
+
+
+def bb_homotopy_defect(alg: DGAlgebra, top: int):
+    """The first label at which 𝔻h + h𝔻 + σα = id or α∘σ = id fails in total degrees 0..top, or None.
+
+    h(n, λ) = (n + 1, hλ) and σ(b) = (0, σb) (`semifree.homotopy`,
+    `semifree.section`), against the columns of `bb_dd_matrix` and
+    `bb_alpha_matrix`.
+    """
+    f = alg.field
+    down, g = bb_dd_matrix(alg, 0).columns(), {}  # 𝔻 out of degree t; h on degree t - 1, by label
+    for t in range(top + 1):
+        up, A, B = bb_dd_matrix(alg, t + 1), bb_alpha_matrix(alg, t), alg.basis("B", t)
+        hs = [{(n + 1, lb): c for lb, c in homotopy(alg, lam).items()} for n, lam in A.col_labels]
+        sigma = [{(0, lb): c for lb, c in section(alg, b).items()} for b in B]
+        up_cols, alpha_cols = up.columns(), A.columns()
+        bad = (contraction_defect(f, A.col_labels, [(hs, dict(zip(up.col_labels, up_cols))), (down, g),
+                                                    (alpha_cols, dict(zip(B, sigma)))])
+               or contraction_defect(f, B, [(sigma, dict(zip(A.col_labels, alpha_cols)))]))
+        if bad is not None:
+            return bad
+        down, g = up_cols, dict(zip(A.col_labels, hs))
+    return None
+
+
 @dataclass
 class QuasiIsoReport:
+    """The verdict of `quasi_iso_check`; `details` names its first failure."""
+
     passed: bool
     rows: list  # (degree, dim H(BB), dim H(B), induced rank)
     window: str
+    details: str = ""
+    checks: dict = dc_field(default_factory=dict)  # report name -> verdict, once the columns are checked
+    table: HomologyTable | None = None  # H(𝔹, 𝔻), when passed
 
 
 def quasi_iso_check(alg: DGAlgebra, D: int) -> QuasiIsoReport:
-    """α induces an isomorphism H(𝔹, 𝔻) ≅ H(B) through degree D-1.
+    """α: (𝔹, 𝔻) → (B, d^B) is a homotopy equivalence through degree D-1.
 
-    Checks the dimension equality per degree and that H(α) has full rank.
-    With Z the cycles of 𝔹_m, the rank of [[𝔻_m, 0], [α_m, d^B_{m+1}]] is
-    rank 𝔻_m + dim(α(Z) + im d^B_{m+1}), so the induced rank of H(α) is
-    that rank minus rank 𝔻_m and rank d^B_{m+1}; no cycle basis is needed.
+    The certificate of `semifree` and `homology`, read off the matrices of
+    𝔻 and α through total degree D:
+    - every column is checked against the flat 𝔻v and αv (`checked_dd_columns`);
+    - 𝔻² = 0 (`dd_square`) and α∘𝔻 = d^B∘α (`alpha_chain_map`);
+    - 𝔻h + h𝔻 + σα = id and α∘σ = id through degree D-1 (`bb_homotopy_defect`).
+    Then σ is a chain map: composing the identity with 𝔻 on either side and
+    using 𝔻² = 0 gives 𝔻σα = 𝔻 − 𝔻h𝔻 = σα𝔻 = σd^Bα, and composing with σ on
+    the right, α∘σ = id gives 𝔻σ = σd^B.  So α and σ are inverse homotopy
+    equivalences and H(α) is an isomorphism: the "induced rank" is dim H(B).
+    No rank of 𝔻 is taken; the H(𝔹) table is `bb_homology_table`.
     """
-    rows = []
-    ok = True
-    f = alg.field
-    tbb, tb = homology_dims(alg, "semifree_BB", D), homology_dims(alg, "B", D)
-    for m in range(D):
-        hBB, hB = tbb.homology(m), tb.homology(m)
-        MBB_out = bb_dd_matrix(alg, m)
-        MB_in = dB_matrix(alg, m + 1)
-        r0, c0 = MBB_out.nrows, MBB_out.ncols
-        block = SliceMatrix(f, r0 + MB_in.nrows, c0 + MB_in.ncols, dict(MBB_out.entries))
-        for (i, j), v in bb_alpha_matrix(alg, m).entries.items():
-            block.entries[(r0 + i, j)] = v
-        for (i, j), v in MB_in.entries.items():
-            block.entries[(r0 + i, c0 + j)] = v
-        induced = block.rank() - MBB_out.rank() - MB_in.rank()
-        rows.append((m, hBB, hB, induced))
-        if not (hBB == hB == induced):
-            ok = False
-    return QuasiIsoReport(ok, rows, tb.window)
-
+    window = _window(D)
+    if not checked_dd_columns(alg, D):
+        return QuasiIsoReport(False, [], window, BAD_COLUMNS)
+    squares = [dd_square(alg, t) for t in range(2, D + 1)]  # 𝔻_0 and 𝔻_1 land in degrees with nothing below
+    checks = {"DD-squared-zero": all(s for s, _ in squares), "anticommutation": all(a for _, a in squares),
+              "alpha-chain-map": all(alpha_chain_map(alg, t) for t in range(1, D + 1))}
+    if not (checks["DD-squared-zero"] and checks["alpha-chain-map"]):
+        return QuasiIsoReport(False, [], window, "DD squared is not zero, or alpha is not a chain map", checks)
+    details = defect_details(alg, bb_homotopy_defect(alg, D - 1))
+    if details:
+        return QuasiIsoReport(False, [], window, details, checks)
+    tb, tbb = homology_dims(alg, "B", D), bb_homology_table(alg, D)
+    rows = [(m, tbb.homology(m), tb.homology(m), tb.homology(m)) for m in range(D)]
+    return QuasiIsoReport(True, rows, window, "", checks, tbb)

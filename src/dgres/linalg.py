@@ -124,6 +124,13 @@ class SliceMatrix:
             out.setdefault(i, {})[j] = v
         return out
 
+    def columns(self) -> list[dict]:
+        """Column j as {row label: value}, for every column."""
+        cols: list = [{} for _ in range(self.ncols)]
+        for (i, j), v in self.entries.items():
+            cols[j][self.row_labels[i]] = v
+        return cols
+
     def compose(self, other: "SliceMatrix") -> "SliceMatrix":
         """self ∘ other (matrix product self @ other)."""
         if self.ncols != other.nrows:

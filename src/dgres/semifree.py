@@ -25,7 +25,7 @@ suite (anticommutation, 𝔻² = 0, T-linearity, reduced-bar recovery) pins it.
 
 from __future__ import annotations
 
-from .algebra import AlgElement, DGAlgebra, ValidationReport
+from .algebra import AlgElement, DGAlgebra, Monomial, ValidationReport
 from .errors import DgresError, LengthMismatch
 from .tensor import (
     TensorElement,
@@ -375,6 +375,70 @@ def dbar_column(alg: DGAlgebra, label) -> dict:
     if sm is not None:
         out[(sm[1], alg.one_mono, ws[1:])] = minus_one if s * sm[0] > 0 else one
     return out
+
+
+def pi_column(alg: DGAlgebra, label) -> dict:
+    """π = d̄_0 on a δ-label (b, m, ()): ±b·m with the `mono_mul` sign; α is π on component 0."""
+    sm = alg.mono_mul(label[0], label[1])
+    return {} if sm is None else {sm[1]: alg.field.of_int(sm[0])}
+
+
+def section(alg: DGAlgebra, b) -> dict:
+    """σ(b) = (b, 1, ()), with πσ = id."""
+    return {(b, alg.one_mono, ()): alg.field.one}
+
+
+def homotopy(alg: DGAlgebra, label) -> dict:
+    """The contracting homotopy on δ-labels: h(b, m, ws) = (b, 1, (m,) + ws), 0 when m = 1.
+
+    Reduced bar: with s the `mono_mul` sign of b·m, `dbar_column` gives
+    d̄h(b, m, ws) = (b, m, ws) − s·(bm, 1, ws) and hd̄(b, m, ws) = s·(bm, 1, ws)
+    for m ≠ 1 (a vanishing b·m drops the s-terms), and hd̄(b, 1, ws) =
+    (b, 1, ws).  So d̄h + hd̄ = id on C_n for n >= 1, and on C_0
+    d̄_1h_0 + σπ = id, as σπ(b, m, ()) = s·(bm, 1, ()); πσ = id.
+
+    𝔹: with h(n, λ) = (n + 1, hλ), ∂h + h∂ = 0.  For m ≠ 1 the terms of
+    `dd_column` on (n + 1, (b, 1, (m,) + ws)) are h of those on
+    (n, (b, m, ws)), d(m) read as d(w_1): each crossing sign is unchanged,
+    as |1| = 0, and each other sign exponent is one higher.  Terms of d(m)
+    in A vanish on both sides (δ kills A, h kills m = 1), and for m = 1
+    every term of ∂ keeps m = 1.  As 𝔇 is d̄ on λ, 𝔻h + h𝔻 = id − σα.
+    """
+    b, m, ws = label
+    return {} if m == alg.one_mono else {(b, alg.one_mono, (m,) + ws): alg.field.one}
+
+
+def contraction_defect(f, sources, terms):
+    """The first label v of `sources` at which Σ_k g_k(M_k v) ≠ v, else None.
+
+    Each term is (the columns of M_k, in the order of `sources`; the columns
+    of g_k by label), the columns dicts {label: c}.  A label that g_k has
+    no column for is a defect.
+    """
+    p = f.p
+    for j, v in enumerate(sources):
+        # Σ − v in plain int/Fraction sums, reduced mod p once: the inner loop of both certificates
+        acc = {v: -1}
+        get = acc.get
+        for cols, g in terms:
+            for lb, c in cols[j].items():
+                col = g.get(lb)
+                if col is None:
+                    return v
+                for lb2, x in col.items():
+                    acc[lb2] = get(lb2, 0) + c * x
+        if any(x % p for x in acc.values()) if p else any(acc.values()):
+            return v
+    return None
+
+
+def defect_details(alg: DGAlgebra, label) -> str:
+    """The counterexample text for a `contraction_defect` label; '' for None."""
+    def text(x):
+        if isinstance(x, Monomial):
+            return alg.mono_repr(x)
+        return f"({', '.join(map(text, x))})" if isinstance(x, tuple) else str(x)
+    return "" if label is None else f"the contracting homotopy identity fails at {text(label)}"
 
 
 def bb_coords(t: BBElement, strict: bool = True) -> dict:

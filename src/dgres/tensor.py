@@ -26,7 +26,7 @@ def _caches(alg: DGAlgebra) -> dict:
     c = getattr(alg, "_tensor_caches", None)
     if c is None:
         c = {"delta_word": {}, "tensor_basis": {}, "jn_basis": {}, "prefixed_basis": {}, "bb_basis": {},
-             "reduced_slice": {}, "delta_factors": {}, "dd_matrix": {}}
+             "reduced_slice": {}, "delta_factors": {}, "dd_matrix": {}, "alpha_matrix": {}, "dB_matrix": {}}
         alg._tensor_caches = c
     return c
 

@@ -177,3 +177,59 @@ def enumerating_random_modtensor(N, rng, length, degree, max_terms=3):
         return ModTensorElement(N, length)
     keys = rng.sample(list(basis), min(len(basis), rng.randrange(1, max_terms + 1)))
     return ModTensorElement(N, length, {key: random_scalar(N.alg.field, rng) for key in keys})
+
+
+def dense_map(M):
+    """A SliceMatrix as (number of columns, dense rows), for `complex_table_oracle`."""
+    rows = [[0] * M.ncols for _ in range(M.nrows)]
+    for (i, j), v in M.entries.items():
+        rows[i][j] = v
+    return M.ncols, rows
+
+
+def complex_table_oracle(degrees, p=None):
+    """Rows (degree, cycles, boundaries, homology) of a complex, with dense ranks.
+
+    Degree m is a list of maps f_0..f_k, each (number of columns, dense
+    rows), f_i going out of position i: the positions are the sources of
+    f_0..f_{k-1}.  Over ℚ (p=None) or F_p.
+    """
+    out = []
+    for m, maps in enumerate(degrees):
+        ranks = [dense_rank_oracle(rows, p) for _, rows in maps]
+        cycles = sum(ncols - r for (ncols, _), r in zip(maps[:-1], ranks))
+        boundaries = sum(ranks[1:])
+        out.append((m, cycles, boundaries, cycles - boundaries))
+    return out
+
+
+def reduced_bar_rank_table(alg, D):
+    """The table of the augmented reduced bar B ← C_0 ← ... ← C_d ← 0 in degrees 0..D-1, by dense ranks.
+
+    π comes from the monomial products of the C_0 labels, d̄_n from
+    `reduced_slice_matrix`.
+    """
+    from dgres.bar import reduced_slice_matrix
+    from dgres.tensor import prefixed_basis_labels
+
+    degrees = []
+    for d in range(D):
+        B = alg.basis("B", d)
+        c0 = prefixed_basis_labels(alg, 0, d)
+        pi = [[0] * len(c0) for _ in B]
+        for j, (b, m, _) in enumerate(c0):
+            sm = alg.mono_mul(b, m)
+            if sm is not None:
+                pi[B.index(sm[1])][j] = sm[0]
+        maps = [(len(B), []), (len(c0), pi)] + [dense_map(reduced_slice_matrix(alg, n, d))
+                                                for n in range(1, d + 1)]
+        degrees.append(maps + [(0, [])])
+    return complex_table_oracle(degrees, alg.field.p)
+
+
+def bb_rank_table(alg, D):
+    """The table of (𝔹, 𝔻) in total degrees 0..D-1, by dense ranks of `bb_dd_matrix`."""
+    from dgres.homology import bb_dd_matrix
+
+    return complex_table_oracle([[dense_map(bb_dd_matrix(alg, m)), dense_map(bb_dd_matrix(alg, m + 1))]
+                                 for m in range(D)], alg.field.p)

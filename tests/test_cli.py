@@ -287,28 +287,45 @@ def test_semifree_fails_on_an_unsigned_alpha_matrix(golden_dir, capsys, monkeypa
     assert "FAIL  alpha-chain-map" in out and "FAIL  quasi-isomorphism" in out
 
 
+def _count_ranks(monkeypatch) -> list:
+    """Record every matrix whose rank is taken."""
+    from dgres.linalg import SliceMatrix
+
+    ranked = []
+    real = SliceMatrix.rank
+    monkeypatch.setattr(SliceMatrix, "rank", lambda M: ranked.append(M) or real(M))
+    return ranked
+
+
 def test_semifree_skips_quasi_iso_ranks_after_a_failed_column_check(golden_dir, capsys, monkeypatch):
-    import dgres.cli as cli
     from dgres.cli import BAD_COLUMNS
 
-    calls = []
-    real = cli.quasi_iso_check
-
-    def counted(alg, D):
-        calls.append(D)
-        return real(alg, D)
-
-    monkeypatch.setattr(cli, "quasi_iso_check", counted)
+    ranked = _count_ranks(monkeypatch)
     args = ["semifree", str(golden_dir / "e3.dgres"), "--max-degree", "6"]
     code, out, err = run_cli(args, capsys)
-    assert code == 0 and calls == [6]
+    assert code == 0 and ranked
+    ranked.clear()
     _flip_second_bar_term(monkeypatch)
     code, out, err = run_cli(args, capsys)
-    assert code == 1 and err == "" and calls == [6]
+    assert code == 1 and err == "" and ranked == []
     lines = out.splitlines()
     k = lines.index("  FAIL  quasi-isomorphism                [degrees 0..5 (built through 6)]")
     assert lines[k + 1] == f"        counterexample: {BAD_COLUMNS}"
     assert "table homology" not in out
+
+
+@pytest.mark.parametrize("command", [["bar", "--reduced", "--max-degree", "5"],
+                                     ["semifree", "--max-degree", "7"], ["homology", "--max-degree", "7"]])
+def test_pass_path_ranks_only_d_B(golden_dir, capsys, monkeypatch, command):
+    # the reduced bar and (𝔹, 𝔻) are contracted by the label homotopy, never
+    # ranked; the columns of d^B, the only slices ranked, are B monomials
+    from dgres.algebra import Monomial
+
+    ranked = _count_ranks(monkeypatch)
+    code, out, err = run_cli(command[:1] + [str(golden_dir / "odd_base.dgres")] + command[1:], capsys)
+    assert code == 0
+    assert all(isinstance(lb, Monomial) for M in ranked for lb in M.col_labels)
+    assert bool(ranked) == (command[0] != "bar")
 
 
 def test_homology_fails_on_a_flipped_closed_form_sign(golden_dir, capsys, monkeypatch):
@@ -344,6 +361,56 @@ def test_wrong_reduced_closed_form_fails(tmp_path, capsys, monkeypatch, mutation
         assert f"FAIL  {name}" in out, name
     assert BAD_REDUCED_COLUMNS in out
     assert dropped is None or dropped not in out
+
+
+def _h_signed(real):
+    # h with the sign (-1)^n of the word length of its label
+    def mutated(alg, label):
+        return {lb: alg.field.neg(c) if len(label[2]) % 2 else c for lb, c in real(alg, label).items()}
+    return mutated
+
+
+def _h_drops_words(real):
+    # h zero on the labels with n >= 1
+    def mutated(alg, label):
+        return {} if label[2] else real(alg, label)
+    return mutated
+
+
+# wrong versions of the contracting homotopy: (name, mutation of the real
+# function, the modules whose lookup is patched)
+HOMOTOPY_MUTATIONS = {
+    "h-signed": ("homotopy", _h_signed, ("bar", "homology")),
+    "h-drops-words": ("homotopy", _h_drops_words, ("bar", "homology")),
+    # σ only where 𝔹 looks it up: 𝔻h + h𝔻 = id without the σα term
+    "no-sigma-alpha": ("section", lambda real: lambda alg, b: {}, ("homology",)),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(HOMOTOPY_MUTATIONS))
+@pytest.mark.parametrize("command", ["bar", "semifree", "homology"])
+def test_wrong_homotopy_fails(golden_dir, capsys, monkeypatch, mutation, command):
+    # each mutation fails every check that reads the identity it breaks, and
+    # nothing else; the reduced bar identity fails from degree 2, the first
+    # with a label (b, m, (w,)) with m != 1
+    import importlib
+
+    name, mutate, where = HOMOTOPY_MUTATIONS[mutation]
+    for mod in where:
+        mod = importlib.import_module(f"dgres.{mod}")
+        monkeypatch.setattr(mod, name, mutate(getattr(mod, name)))
+    reduced = "bar" in where
+    args = [command, str(golden_dir / "odd_base.dgres"), "--max-degree", "5"]
+    args += ["--reduced"] if command == "bar" else []
+    failed = {
+        "bar": [f"reduced:reduced-exactness@deg{d}" for d in range(2, 6)] if reduced else [],
+        "semifree": ["quasi-isomorphism"],
+        "homology": ["homology-dimensions-match"] + (["reduced-bar-acyclic"] if reduced else []),
+    }[command]
+    code, out, err = run_cli(args, capsys)
+    assert code == (1 if failed else 0) and err == ""
+    assert sorted(line.split()[1] for line in out.splitlines() if line.startswith("  FAIL")) == sorted(failed)
+    assert out.count("counterexample: the contracting homotopy identity fails at (") == len(failed)
 
 
 @pytest.mark.parametrize("entry, column", [("entry f1 g0 = a", 12), ("entry  g1 f0 = a", 10)])

@@ -1,7 +1,9 @@
-from dgres.bar import augmentation_slice_matrix, bar_slice_matrix
+from dgres.bar import bar_slice_matrix, check_reduced_exactness, checked_reduced_columns
 from dgres.fixtures import koszul_K, module_B
-from dgres.homology import bb_dd_matrix, dB_matrix, homology_dims, quasi_iso_check
-from dgres.tensor import tensor_basis
+from dgres.homology import bb_dd_matrix, dB_matrix, homology_dims, quasi_iso_check, reduced_bar_table
+from dgres.semifree import pi_column
+from dgres.tensor import prefixed_basis_labels, tensor_basis
+from oracles import reduced_bar_rank_table
 
 
 def test_homology_of_B_examples(E1, E2, E3):
@@ -23,9 +25,40 @@ def test_quasi_iso_all_fixtures(fixture_algebras):
 
 
 def test_reduced_bar_acyclic(fixture_algebras):
+    # the table from dimensions against the dense ranks of π and the d̄ slices
     for alg in fixture_algebras.values():
-        t = homology_dims(alg, "reduced_bar", 7)
+        assert checked_reduced_columns(alg, 6) and check_reduced_exactness(alg, 6).passed
+        t = reduced_bar_table(alg, 7)
         assert all(t.homology(m) == 0 for m in range(7))
+        assert t.rows() == reduced_bar_rank_table(alg, 7)
+
+
+def test_slice_matrices_are_built_once_per_degree(monkeypatch):
+    # d^B, α and 𝔻 are cached per algebra: `semifree --max-degree 8` needs
+    # each in degrees 0..8 and builds each once there
+    import argparse
+
+    import dgres.homology as homology
+    from dgres.cli import cmd_semifree
+    from dgres.fixtures import e3
+    from dgres.linalg import SliceMatrix
+    from dgres.probfile import ProblemFile
+    from dgres.tensor import _caches
+
+    builds = []
+
+    class Counted(SliceMatrix):
+        @classmethod
+        def from_columns(cls, field, row_labels, col_labels, columns):
+            builds.append(col_labels)
+            return SliceMatrix.from_columns(field, row_labels, col_labels, columns)
+
+    monkeypatch.setattr(homology, "SliceMatrix", Counted)
+    alg = e3()
+    assert cmd_semifree(argparse.Namespace(max_degree=8), ProblemFile(alg.field, alg)).all_passed
+    for name in ("dB_matrix", "alpha_matrix", "dd_matrix"):
+        assert sorted(_caches(alg)[name]) == list(range(9)), name
+    assert len(builds) == 27
 
 
 def test_barN_complex_acyclic(E2, E3):
@@ -39,9 +72,9 @@ def test_slice_matrix_examples(E1, E3):
     assert (M.nrows, M.ncols) == (1, 1) and M.get(0, 0) == E3.field.one
     Z = dB_matrix(E3, 1)
     assert Z.is_zero()
-    P = augmentation_slice_matrix(E1, 1)
-    assert (P.nrows, P.ncols) == (1, 2)
-    assert sorted(P.entries.values()) == [1, 1]
+    # π on the C_0 labels of degree 1, e ⊗ 1 and 1 ⊗ e
+    e = E1.mono({"e": 1})
+    assert [pi_column(E1, lb) for lb in prefixed_basis_labels(E1, 0, 1)] == [{e: 1}, {e: 1}]
 
 
 def test_split_exact_dimension_count(fixture_algebras):

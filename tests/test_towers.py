@@ -1,5 +1,6 @@
-"""Randomized Koszul-type towers: A = k[x_1..x_r] with zero differential and
-d e_i a random element of A of degree |e_i| - 1, so d² = 0 by construction."""
+"""Randomized towers.  Koszul type: A = k[x_1..x_r] with zero differential
+and d e_i a random element of A of degree |e_i| - 1, so d² = 0 by
+construction.  Exterior: Λ on 1-3 odd generators with d = 0."""
 
 import argparse
 
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgres.algebra import DGAlgebra, validate_dg
-from dgres.bar import checked_reduced_columns
+from dgres.bar import check_reduced_exactness, checked_reduced_columns
 from dgres.cli import cmd_semifree
+from dgres.homology import quasi_iso_check, reduced_bar_table
 from dgres.probfile import ProblemFile
 from dgres.scalars import Field
 from dgres.semifree import DD, bb_basis_element, bb_coords, bb_total_basis, dd_column
+from oracles import bb_rank_table, reduced_bar_rank_table
 from test_bar import assert_reduced_columns_are_flat_merges
 
 FIELDS = [Field.rationals(), Field.prime(101)]
@@ -29,6 +32,15 @@ def koszul_towers(draw, field):
         diffs[name] = [(c, {g.name: k for g, k in zip(A.gens, m.exps) if k})
                        for c, m in zip(coeffs, monos) if c]
     return DGAlgebra(field, base_gens=base, ext_gens=ext, diff_terms=diffs)
+
+
+@st.composite
+def exterior_towers(draw, field):
+    degrees = draw(st.lists(st.sampled_from((1, 3)), min_size=1, max_size=3))
+    return DGAlgebra(field, ext_gens=[(f"u{i}", d) for i, d in enumerate(degrees)])
+
+
+TOWERS = {"koszul": koszul_towers, "exterior": exterior_towers}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -63,3 +75,18 @@ def test_reduced_closed_form_matches_flat_oracle_on_random_towers(field, data):
         for n in range(1, d + 1):
             assert_reduced_columns_are_flat_merges(alg, n, d)
     assert checked_reduced_columns(alg, 7)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", sorted(TOWERS))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_homotopy_identities_and_dimension_tables_on_random_towers(kind, field, data):
+    # both contracting homotopy identities hold, and the tables they license
+    # agree with dense ranks on a small window
+    alg = data.draw(TOWERS[kind](field))
+    assert checked_reduced_columns(alg, 4) and check_reduced_exactness(alg, 4).passed
+    qi = quasi_iso_check(alg, 5)
+    assert qi.passed, qi.details
+    assert qi.table.rows() == bb_rank_table(alg, 5)
+    assert reduced_bar_table(alg, 5).rows() == reduced_bar_rank_table(alg, 5)
