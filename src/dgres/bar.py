@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .algebra import AlgElement, DGAlgebra, Monomial, ValidationReport
 from .errors import LengthMismatch, NotInDomain, NotInJn, NotLinear, ObstructionNonzero
-from .linalg import SliceMatrix
-from .semifree import _add_to, contraction_defect, dbar_column, defect_details, homotopy, pi_column, section
+from .linalg import SliceMatrix, identity_defect
+from .semifree import _add_to, dbar_column, defect_details, homotopy, pi_column, section
 from .tensor import (
     TensorElement,
     _caches,
@@ -535,15 +535,17 @@ def check_reduced_exactness(alg: DGAlgebra, max_degree: int) -> ValidationReport
     f = alg.field
     for d in range(max_degree + 1):
         B, c0 = alg.basis("B", d), prefixed_basis_labels(alg, 0, d)
-        down, sigma = [pi_column(alg, lb) for lb in c0], [section(alg, b) for b in B]
-        bad = contraction_defect(f, B, [(sigma, dict(zip(c0, down)))])
-        # down: the columns of the map out of C_n; g: the homotopy into C_n, by label
-        g = dict(zip(B, sigma))
+        # down: the map out of C_n (π for n = 0); g: the homotopy into C_n (σ for n = 0)
+        down = SliceMatrix.from_columns(f, B, c0, (pi_column(alg, lb) for lb in c0))
+        g = SliceMatrix.from_columns(f, c0, B, (section(alg, b) for b in B))
+        j = identity_defect([(down, g)])
+        bad = None if j is None else B[j]
         for n in range(d + 1):
-            labels, M = prefixed_basis_labels(alg, n, d), reduced_slice_matrix(alg, n + 1, d)
-            up, hs = M.columns(), [homotopy(alg, v) for v in labels]
+            up = reduced_slice_matrix(alg, n + 1, d)
+            h = SliceMatrix.from_columns(f, up.col_labels, c0, (homotopy(alg, v) for v in c0))
             if bad is None:
-                bad = contraction_defect(f, labels, [(hs, dict(zip(M.col_labels, up))), (down, g)])
-            down, g = up, dict(zip(labels, hs))
+                j = identity_defect([(up, h), (g, down)])
+                bad = None if j is None else c0[j]
+            down, g, c0 = up, h, up.col_labels
         rep.add(f"reduced-exactness@deg{d}", bad is None, defect_details(alg, bad))
     return rep

@@ -14,13 +14,12 @@ from itertools import accumulate
 
 from .algebra import DGAlgebra
 from .errors import DgresError, WindowIncomplete
-from .linalg import SliceMatrix
+from .linalg import SliceMatrix, identity_defect
 from .semifree import (
     DD,
     BBElement,
     alpha,
     bb_total_basis,
-    contraction_defect,
     dd_column,
     defect_details,
     homotopy,
@@ -231,18 +230,23 @@ def bb_homotopy_defect(alg: DGAlgebra, top: int):
     `bb_alpha_matrix`.
     """
     f = alg.field
-    down, g = bb_dd_matrix(alg, 0).columns(), {}  # 𝔻 out of degree t; h on degree t - 1, by label
+
+    def h(label):
+        return {(label[0] + 1, lb): c for lb, c in homotopy(alg, label[1]).items()}
+
+    g = SliceMatrix.from_columns(f, bb_total_basis(alg, 0), (), ())  # h out of degree t - 1, empty for t = 0
     for t in range(top + 1):
-        up, A, B = bb_dd_matrix(alg, t + 1), bb_alpha_matrix(alg, t), alg.basis("B", t)
-        hs = [{(n + 1, lb): c for lb, c in homotopy(alg, lam).items()} for n, lam in A.col_labels]
-        sigma = [{(0, lb): c for lb, c in section(alg, b).items()} for b in B]
-        up_cols, alpha_cols = up.columns(), A.columns()
-        bad = (contraction_defect(f, A.col_labels, [(hs, dict(zip(up.col_labels, up_cols))), (down, g),
-                                                    (alpha_cols, dict(zip(B, sigma)))])
-               or contraction_defect(f, B, [(sigma, dict(zip(A.col_labels, alpha_cols)))]))
-        if bad is not None:
-            return bad
-        down, g = up_cols, dict(zip(A.col_labels, hs))
+        M, A, up, B = bb_dd_matrix(alg, t), bb_alpha_matrix(alg, t), bb_dd_matrix(alg, t + 1), alg.basis("B", t)
+        src = M.col_labels
+        ht = SliceMatrix.from_columns(f, up.col_labels, src, (h(v) for v in src))
+        sigma = SliceMatrix.from_columns(f, src, B, ({(0, lb): c for lb, c in section(alg, b).items()} for b in B))
+        j = identity_defect([(up, ht), (g, M), (sigma, A)])
+        if j is not None:
+            return src[j]
+        j = identity_defect([(A, sigma)])
+        if j is not None:
+            return B[j]
+        g = ht
     return None
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import Field
+from .scalars import Field, canonical
 
 
 def _axpy(row: dict, c, piv: dict, p: int | None) -> None:
@@ -135,16 +135,11 @@ class SliceMatrix:
         """self ∘ other (matrix product self @ other)."""
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in compose")
-        f = self.field
-        out = SliceMatrix(f, self.nrows, other.ncols,
-                          row_labels=self.row_labels, col_labels=other.col_labels)
-        by_row: dict[int, list] = {}
-        for (i, k), v in self.entries.items():
-            by_row.setdefault(k, []).append((i, v))
-        for (k, j), w in other.entries.items():
-            for i, v in by_row.get(k, ()):
-                out.set(i, j, f.add(out.get(i, j), f.mul(v, w)))
-        return out
+        p = self.field.p
+        acc = _product_sums([(self, other)])
+        entries = ({key: x % p for key, x in acc.items() if x % p} if p is not None
+                   else {key: canonical(x) for key, x in acc.items() if x})
+        return SliceMatrix(self.field, self.nrows, other.ncols, entries, self.row_labels, other.col_labels)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -169,6 +164,40 @@ class SliceMatrix:
 
     def __repr__(self):
         return f"SliceMatrix({self.nrows}x{self.ncols}, {len(self.entries)} nonzero)"
+
+
+def _product_sums(pairs) -> dict:
+    """Σ P∘Q over the pairs: entry (i, j) -> its sum in plain ints or Fractions, not reduced.
+
+    Reducing each entry once, mod p or to the canonical form, instead of
+    after every term makes this the cheap inner loop of every product check.
+    """
+    acc: dict = {}
+    get = acc.get
+    for P, Q in pairs:
+        by_row: dict[int, list] = {}
+        for (i, k), v in P.entries.items():
+            by_row.setdefault(k, []).append((i, v))
+        for (k, j), w in Q.entries.items():
+            for i, v in by_row.get(k, ()):
+                acc[(i, j)] = get((i, j), 0) + v * w
+    return acc
+
+
+def identity_defect(products) -> int | None:
+    """The first column j at which Σ P∘Q over the pairs (P, Q) is not the identity, else None.
+
+    Every P∘Q is square on the same basis.  A row of Q beyond the columns of
+    P, a label Q sends outside the basis P is defined on, fails its column.
+    """
+    outside = [j for P, Q in products for (i, j) in Q.entries if i >= P.ncols]
+    if outside:
+        return min(outside)
+    acc = _product_sums(products)
+    for j in range(products[0][1].ncols):
+        acc[(j, j)] = acc.get((j, j), 0) - 1
+    p = products[0][1].field.p
+    return min((j for (i, j), x in acc.items() if (x % p if p is not None else x)), default=None)
 
 
 @dataclass

@@ -408,32 +408,8 @@ def homotopy(alg: DGAlgebra, label) -> dict:
     return {} if m == alg.one_mono else {(b, alg.one_mono, (m,) + ws): alg.field.one}
 
 
-def contraction_defect(f, sources, terms):
-    """The first label v of `sources` at which Σ_k g_k(M_k v) ≠ v, else None.
-
-    Each term is (the columns of M_k, in the order of `sources`; the columns
-    of g_k by label), the columns dicts {label: c}.  A label that g_k has
-    no column for is a defect.
-    """
-    p = f.p
-    for j, v in enumerate(sources):
-        # Σ − v in plain int/Fraction sums, reduced mod p once: the inner loop of both certificates
-        acc = {v: -1}
-        get = acc.get
-        for cols, g in terms:
-            for lb, c in cols[j].items():
-                col = g.get(lb)
-                if col is None:
-                    return v
-                for lb2, x in col.items():
-                    acc[lb2] = get(lb2, 0) + c * x
-        if any(x % p for x in acc.values()) if p else any(acc.values()):
-            return v
-    return None
-
-
 def defect_details(alg: DGAlgebra, label) -> str:
-    """The counterexample text for a `contraction_defect` label; '' for None."""
+    """The counterexample text naming the first label at which a homotopy identity fails; '' for None."""
     def text(x):
         if isinstance(x, Monomial):
             return alg.mono_repr(x)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dgres.algebra import DGAlgebra
 from dgres.bar import reduced_slice_matrix
-from dgres.linalg import InfeasibilityCertificate, SliceMatrix, solve_linear, verify_certificate
+from dgres.linalg import InfeasibilityCertificate, SliceMatrix, identity_defect, solve_linear, verify_certificate
 from dgres.scalars import Field
 
 from oracles import dense_nullspace_oracle, dense_rank_oracle, dense_rref_oracle, dense_solve_oracle
@@ -194,6 +194,25 @@ def test_solve_matches_dense_oracle(system):
     else:
         assert (cert.row_combination, cert.first_row) == cert_o
         assert verify_certificate(A, b, cert)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_compose_and_identity_defect_match_dense_products(system):
+    # A∘Aᵀ summed in plain ints or Fractions and reduced once, against the
+    # textbook product; identity_defect names the first column of A∘Aᵀ − I
+    # that is not zero
+    p, rows, ncols, _ = system
+    f = _field(p)
+    A = _from_rows(f, rows, ncols)
+    T = _from_rows(f, [[row[j] for row in rows] for j in range(ncols)], len(rows))
+    P = A.compose(T)
+    dense = [[sum((a * b for a, b in zip(r1, r2)), Fraction(0)) for r2 in rows] for r1 in rows]
+    dense = dense if p is None else [[v % p for v in row] for row in dense]
+    assert _dense(P) == dense
+    assert all(v and (v < p if p else type(v) is int or v.denominator != 1) for v in P.entries.values())
+    bad = [j for j in range(len(rows)) if any(dense[i][j] != (i == j) for i in range(len(rows)))]
+    assert identity_defect([(A, T)]) == min(bad, default=None)
 
 
 def test_exterior_reduced_bar_ranks_match_dense_oracle():
