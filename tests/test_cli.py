@@ -287,6 +287,47 @@ def test_semifree_fails_on_an_unsigned_alpha_matrix(golden_dir, capsys, monkeypa
     assert "FAIL  alpha-chain-map" in out and "FAIL  quasi-isomorphism" in out
 
 
+def test_semifree_fails_on_an_alpha_matrix_wrong_off_prefix_one(golden_dir, capsys, monkeypatch):
+    # α negated on the columns (0, (b, m, ())) with b != 1 only, which no
+    # flat α is computed for
+    import dgres.homology as homology
+    from dgres.linalg import SliceMatrix
+
+    real = homology.bb_alpha_matrix
+
+    def negated(alg, total_degree):
+        M = real(alg, total_degree)
+        columns = ({m: c if lb[0] == alg.one_mono else alg.field.neg(c) for m, c in col.items()}
+                   for (_, lb), col in zip(M.col_labels, M.columns()))
+        return SliceMatrix.from_columns(alg.field, M.row_labels, M.col_labels, columns)
+
+    args = ["semifree", str(golden_dir / "e3.dgres"), "--max-degree", "8"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and "PASS  alpha-chain-map" in out
+    monkeypatch.setattr(homology, "bb_alpha_matrix", negated)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and err == ""
+    assert "FAIL  alpha-chain-map" in out and "FAIL  quasi-isomorphism" in out
+
+
+@pytest.mark.parametrize("command, failed", [("semifree", "quasi-isomorphism"),
+                                             ("homology", "homology-dimensions-match")])
+def test_report_fails_on_a_flipped_closed_form_without_the_column_check(golden_dir, capsys, monkeypatch,
+                                                                       command, failed):
+    # a wrong 𝔻 let through the column check still breaks 𝔻² = 0, α∘𝔻 = d^B∘α
+    # or the homotopy identity
+    import dgres.homology as homology
+    from dgres.cli import BAD_COLUMNS
+
+    monkeypatch.setattr(homology, "checked_dd_columns", lambda alg, D: True)
+    _flip_second_bar_term(monkeypatch)
+    code, out, err = run_cli([command, str(golden_dir / "e3.dgres"), "--max-degree", "6"], capsys)
+    assert code == 1 and err == "" and BAD_COLUMNS not in out
+    assert f"FAIL  {failed}" in out
+    if command == "semifree":
+        assert "FAIL  DD-squared-zero" in out or "FAIL  alpha-chain-map" in out
+
+
 def _count_ranks(monkeypatch) -> list:
     """Record every matrix whose rank is taken."""
     from dgres.linalg import SliceMatrix

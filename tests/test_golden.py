@@ -14,9 +14,11 @@ COMMANDS = {
     "semifree_e1.txt":      ["semifree", "e1.dgres", "--max-degree", "6"],
     "semifree_chain_frac.txt": ["semifree", "chain_frac.dgres", "--max-degree", "6"],
     "semifree_odd_base.txt": ["semifree", "odd_base.dgres", "--max-degree", "7"],
+    "semifree_k3p.txt":     ["semifree", "k3p.dgres", "--max-degree", "8"],
     "homology_e3.txt":      ["homology", "e3.dgres", "--max-degree", "6"],
     "homology_chain_frac.txt": ["homology", "chain_frac.dgres", "--max-degree", "5"],
     "homology_odd_base.txt": ["homology", "odd_base.dgres", "--max-degree", "7"],
+    "homology_k3p.txt":     ["homology", "k3p.dgres", "--max-degree", "8"],
     "lift_e2_K.txt":        ["lift", "e2.dgres", "--module", "K"],
     "lift_e1_CB.json":      ["lift", "e1.dgres", "--module", "CB", "--format", "machine"],
     "lift_frac_C.txt":      ["lift", "chain_frac.dgres", "--module", "C"],

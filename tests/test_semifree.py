@@ -1,3 +1,5 @@
+import pytest
+
 from dgres.algebra import DGAlgebra
 from dgres.bar import reduced_slice_matrix
 from dgres.homology import (
@@ -230,6 +232,61 @@ def test_checked_columns_catch_a_wrong_differential(E3, monkeypatch):
 
     monkeypatch.setattr(semifree, "dBB", unsigned)
     assert not checked_dd_columns(E3, 8)
+
+
+def _drop_prefix_sign(real):
+    # the terms of d(m) and d(w_i) without the (-1)^{|b|} of passing the prefix b
+    def mutated(alg, label):
+        n, (b, m, ws) = label
+        return {key: alg.field.neg(c) if b.degree % 2 and key[0] == n and key[1][1:] != (m, ws) else c
+                for key, c in real(alg, label).items()}
+    return mutated
+
+
+def _drop_db_sign(real):
+    # the terms of d(b) without the (-1)^n of component n
+    def mutated(alg, label):
+        n, (b, m, ws) = label
+        return {key: alg.field.neg(c) if n % 2 and key[0] == n and key[1][1:] == (m, ws) else c
+                for key, c in real(alg, label).items()}
+    return mutated
+
+
+def _drop_crossing_sign(real):
+    # the terms of d(w_i) without (-1)^{|a|(|m| + Σ_{j<i}|w_j|)}, a the base part moved into the prefix
+    def mutated(alg, label):
+        n, (b, m, ws) = label
+        out = {}
+        for key, c in real(alg, label).items():
+            k, (b2, _, ws2) = key
+            if k == n and ws2 != ws:
+                i = next(i for i, (w, w2) in enumerate(zip(ws, ws2)) if w != w2)
+                crossed = m.degree + sum(w.degree for w in ws[:i])
+                if (b2.degree - b.degree) % 2 and crossed % 2:
+                    c = alg.field.neg(c)
+            out[key] = c
+        return out
+    return mutated
+
+
+# wrong versions of the closed form of 𝔻, each with the algebras it must fail on
+DD_MUTATIONS = {
+    "no-prefix-sign": (_drop_prefix_sign, ("E3", "K3p", "odd_base")),
+    "no-n-sign-on-db": (_drop_db_sign, ("E3", "K3p", "odd_base")),
+    "no-crossing-sign": (_drop_crossing_sign, ("odd_base",)),
+}
+
+
+@pytest.mark.parametrize("mutation, name", [(m, a) for m, (_, algs) in sorted(DD_MUTATIONS.items()) for a in algs])
+def test_checked_columns_catch_a_wrong_closed_form(request, monkeypatch, mutation, name):
+    import dgres.homology as homology
+
+    alg = request.getfixturevalue(name)
+    assert checked_dd_columns(alg, 8)
+    # the mutated matrices go to fresh caches, dropped again after the test
+    monkeypatch.setattr(alg, "_tensor_caches", None, raising=False)
+    monkeypatch.setattr(homology, "dd_column", DD_MUTATIONS[mutation][0](homology.dd_column))
+    assert not checked_dd_columns(alg, 8)
 
 
 def test_alpha_matrix_on_labels_matches_flat_alpha(fixture_algebras, K3p):
