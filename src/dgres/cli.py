@@ -162,9 +162,10 @@ def cmd_semifree(args, problem) -> Report:
     alg = problem.algebra
     D = _homology_window(problem, args)
     window = f"total degrees 0..{D}"
-    # 𝔻 and α columns are built on the basis labels; each is checked once
-    # against 𝔻v and αv, so 𝔻², 𝔇∂ + ∂𝔇, α∘𝔻 = d^B∘α and the contracting
-    # homotopy are read off the matrices
+    # 𝔻 and α columns are built on the basis labels; each is checked once,
+    # against the flat 𝔻v and αv when its prefix is 1 and against the prefix
+    # lemma on the labels otherwise, so 𝔻², 𝔇∂ + ∂𝔇, α∘𝔻 = d^B∘α and the
+    # contracting homotopy are read off the matrices
     qi = quasi_iso_check(alg, D)
     for name in ("DD-squared-zero", "anticommutation", "alpha-chain-map"):
         rep.add_check(name, qi.checks.get(name, False), window, "" if qi.checks else BAD_COLUMNS)
@@ -191,9 +192,13 @@ def cmd_homology(args, problem) -> Report:
     rep = Report("homology", input_hash(problem.source_text), _common_options(args, problem))
     alg = problem.algebra
     D = _homology_window(problem, args)
-    tb = homology_dims(alg, "B", D)
     head = [("degree", "cycles", "boundaries", "homology")]
-    rep.tables["H(B)"] = head + tb.rows()
+    valid = validate_dg(alg, D)
+    if valid.passed:
+        rep.tables["H(B)"] = head + homology_dims(alg, "B", D).rows()
+    else:
+        # d^B is not a differential through degree D, so H(B) is undefined
+        rep.add_validation("algebra", valid, f"degrees 0..{D}")
     # the reduced bar is contracted on the slices of degrees 0..D-1, checked first
     ok_red = checked_reduced_columns(alg, D - 1)
     exact = check_reduced_exactness(alg, D - 1) if ok_red else None
@@ -204,9 +209,9 @@ def cmd_homology(args, problem) -> Report:
     qi = quasi_iso_check(alg, D)
     if qi.passed:
         rep.tables["H(BB,DD)"] = head + qi.table.rows()
-    rep.add_check("homology-dimensions-match", qi.passed, tb.window, qi.details)
+    rep.add_check("homology-dimensions-match", qi.passed, qi.window, qi.details)
     red_details = next((c.details for c in exact.failures()), "") if ok_red else BAD_REDUCED_COLUMNS
-    rep.add_check("reduced-bar-acyclic", acyclic, tb.window, red_details)
+    rep.add_check("reduced-bar-acyclic", acyclic, qi.window, red_details)
     return rep
 
 

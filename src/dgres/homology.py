@@ -73,48 +73,108 @@ def dB_matrix(alg: DGAlgebra, degree: int) -> SliceMatrix:
 def bb_dd_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
     """Matrix of 𝔻 from total degree t to t-1, over the stored 𝔹 bases.
 
-    Columns come from the closed form `dd_column`; `checked_dd_columns`
-    certifies them against the flat images 𝔻v, and rejects a column with a
-    label outside the basis of total degree t-1 (an extra row).
+    Every column comes from the closed form `dd_column`; `checked_dd_columns`
+    certifies the columns with prefix b = 1 against the flat images 𝔻v and
+    the others against the prefix lemma, and rejects a column with a label
+    outside the basis of total degree t-1 (an extra row).
     """
     src = bb_total_basis(alg, total_degree)
     return _cached(alg, "dd_matrix", total_degree, lambda: SliceMatrix.from_columns(
         alg.field, bb_total_basis(alg, total_degree - 1), src, (dd_column(alg, lab) for lab in src)))
 
 
+def prefix_image(alg: DGAlgebra, label, dd_col: dict, alpha_col: dict) -> tuple[dict, dict]:
+    """The 𝔻 and α columns of label = (n, (b, m, ws)) by the prefix lemma of
+    `checked_dd_columns`, from the columns dd_col and alpha_col of (n, (1, m, ws))."""
+    n, (b, m, ws) = label
+    f = alg.field
+    zero = f.zero
+    dd: dict = {}
+
+    def add(key, c, negate):
+        s = f.add(dd.get(key, zero), f.neg(c) if negate else c)
+        if s == zero:
+            dd.pop(key, None)
+        else:
+            dd[key] = s
+
+    for mm, c in alg.diff_mono(b).terms.items():  # (-1)^n·(db)·X
+        add((n, (mm, m, ws)), c, n % 2)
+    odd_b = b.degree % 2
+    for (k, (b2, m2, ws2)), c in dd_col.items():  # (-1)^{|b|}·b·∂X + b·𝔇X
+        sm = alg.mono_mul(b, b2)
+        if sm is not None:
+            add((k, (sm[1], m2, ws2)), c, (sm[0] < 0) ^ (k == n and odd_b))
+    alpha_b = {}
+    for mono, c in alpha_col.items():  # α(b·X) = b·α(X)
+        sm = alg.mono_mul(b, mono)
+        if sm is not None:
+            alpha_b[sm[1]] = f.neg(c) if sm[0] < 0 else c
+    return dd, alpha_b
+
+
 def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
     """Every column of `bb_dd_matrix` and `bb_alpha_matrix` in total degrees 0..D is right.
 
-    For each stored basis element v, in the order of `bb_total_basis`, the
-    𝔻 column expanded over the flat basis elements of degree t-1 must be
-    exactly the flat 𝔻v = ∂v + 𝔇v, and the α column exactly α(v).  The
-    expansion is injective, so then every column is the coordinate vector of
-    its image, and products of the matrices, such as 𝔻_{t-1}∘𝔻_t and
-    α_{t-1}∘𝔻_t, are exact statements about 𝔻 and α on every basis element.
-    A 𝔻 column with a label outside the basis of degree t-1 fails.
+    A column of the basis element v = (n, (1, m, ws)), expanded over the flat
+    basis elements of degree t-1, must be exactly the flat 𝔻v = ∂v + 𝔇v, and
+    its α column exactly α(v); the flat elements of its rows are built when a
+    column first needs them.  The expansion is injective, so then the column
+    is the coordinate vector of its image.  A 𝔻 column with a label outside
+    the basis of degree t-1 fails.
+
+    Every other column is compared with the image of the certified columns
+    of (n, (1, m, ws)), of lower total degree, under the prefix lemma
+    (`prefix_image`).  Write ι_n(b, m, ws) for the flat basis element and b·
+    for left multiplication of slot 0 by b.  Then:
+    - ι_n(b, m, ws) = b·ι_n(1, m, ws), as b is the whole of slot 0;
+    - b·ι(b', m', ws') = s·ι(bb', m', ws') with (s, bb') = mono_mul(b, b'),
+      and 0 when the product vanishes;
+    - the flat ∂ on component n is (-1)^n times the slotwise Leibniz rule, in
+      which slot 0 comes first, and 𝔇 = merge_at(·, 0) is left linear, so for
+      X in component n
+          𝔻(b·X) = (-1)^n·(db)·X + (-1)^{|b|}·b·∂X + b·𝔇X;
+      ∂X lies in component n and 𝔇X in n - 1, so the column of 𝔻X is signed
+      row by row by its component;
+    - α = π_B on component 0 is left linear: α(b·X) = b·α(X).
+    By induction on t, every column is then the coordinate vector of 𝔻v and
+    αv, and products of the matrices, such as 𝔻_{t-1}∘𝔻_t and α_{t-1}∘𝔻_t,
+    are exact statements about 𝔻 and α on every basis element.
     """
+    one = alg.one_mono
+    flat: dict = {}  # label -> its flat component, built on first use
+    certified: dict = {}  # (n, (1, m, ws)) -> its checked (𝔻 column, α column)
+
+    def flat_of(label):
+        te = flat.get(label)
+        if te is None:
+            te = flat[label] = prefixed_basis_element(alg, label[1])
+        return te
+
     f = alg.field
-    prev: dict = {}  # label -> flat component of the basis elements of degree t-1
     for t in range(D + 1):
         M = bb_dd_matrix(alg, t)
-        if M.nrows != len(prev):
+        if M.nrows != len(bb_total_basis(alg, t - 1)):
             return False
-        cur = {}
-        for (n, lb), dd_col, alpha_col in zip(M.col_labels, M.columns(), bb_alpha_matrix(alg, t).columns()):
-            te = prefixed_basis_element(alg, lb)
-            v = BBElement(alg, {n: te})
+        for label, dd_col, alpha_col in zip(M.col_labels, M.columns(), bb_alpha_matrix(alg, t).columns()):
+            n, (b, m, ws) = label
+            if b != one:
+                base = certified.get((n, (one, m, ws)))
+                if base is None or (dd_col, alpha_col) != prefix_image(alg, label, *base):
+                    return False
+                continue
+            v = BBElement(alg, {n: flat_of(label)})
             comps: dict = {}
             for lab, c in dd_col.items():
                 k = lab[0]
                 acc = comps.get(k)
                 if acc is None:
                     acc = comps[k] = TensorElement(alg, k + 2)
-                for w, cw in prev[lab].terms.items():
+                for w, cw in flat_of(lab).terms.items():
                     acc._add_canonical(w, f.mul(c, cw))
             if BBElement(alg, comps) != DD(v) or alpha_col != alpha(v).terms:
                 return False
-            cur[(n, lb)] = te
-        prev = cur
+            certified[label] = dd_col, alpha_col
     return True
 
 
@@ -267,7 +327,8 @@ def quasi_iso_check(alg: DGAlgebra, D: int) -> QuasiIsoReport:
 
     The certificate of `semifree` and `homology`, read off the matrices of
     𝔻 and α through total degree D:
-    - every column is checked against the flat 𝔻v and αv (`checked_dd_columns`);
+    - every column is checked, against the flat 𝔻v and αv for prefix 1 and
+      the prefix lemma otherwise (`checked_dd_columns`);
     - 𝔻² = 0 (`dd_square`) and α∘𝔻 = d^B∘α (`alpha_chain_map`);
     - 𝔻h + h𝔻 + σα = id and α∘σ = id through degree D-1 (`bb_homotopy_defect`).
     Then σ is a chain map: composing the identity with 𝔻 on either side and

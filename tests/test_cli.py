@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +200,21 @@ def test_semifree_fails_with_unsigned_internal_differential(golden_dir, capsys, 
     code, out, err = run_cli(args, capsys)
     assert code == 1
     assert "FAIL  anticommutation" in out and "FAIL  DD-squared-zero" in out
+
+
+@pytest.mark.parametrize("command, failed", [
+    ("semifree", ["DD-squared-zero", "alpha-chain-map", "quasi-isomorphism"]),
+    ("homology", ["algebra:diff-degree[v]", "algebra:d-squared-zero", "homology-dimensions-match"]),
+])
+def test_d_squared_nonzero_fails_with_exit_1(capsys, command, failed):
+    # H(B) is undefined when d^B is no differential: FAIL lines, not an error
+    path = Path(__file__).parent / "inputs" / "d_squared_nonzero.dgres"
+    for D in ("3", "6", "9"):
+        code, out, err = run_cli([command, str(path), "--max-degree", D], capsys)
+        assert code == 1 and err == ""
+        for name in failed:
+            assert f"FAIL  {name}" in out, (D, name)
+        assert "table H(B):" not in out
 
 
 def test_lift_reports_invalid_module(tmp_path, capsys):

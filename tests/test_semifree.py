@@ -209,16 +209,22 @@ def test_dd_column_example(E1):
     assert dd_column(E1, (1, (one, one, (e,)))) == {(0, (one, e, ())): 1, (0, (e, one, ())): -1}
 
 
-def test_checked_columns_and_matrix_squares(fixture_algebras, odd_base, monkeypatch):
-    # every column is compared: one flat 𝔻v per basis element of degrees 0..6
+def test_checked_columns_and_matrix_squares(fixture_algebras, odd_base, K3p, monkeypatch):
+    # every column of degrees 0..6 is compared: a flat 𝔻v for each basis
+    # element with prefix 1, the prefix lemma for each other one
     import dgres.homology as homology
 
-    calls = []
+    calls, lemma = [], []
     monkeypatch.setattr(homology, "DD", lambda v: calls.append(v) or DD(v))
-    for alg in list(fixture_algebras.values()) + [odd_base]:
+    real = homology.prefix_image
+    monkeypatch.setattr(homology, "prefix_image", lambda alg, lb, *cols: lemma.append(lb) or real(alg, lb, *cols))
+    for alg in list(fixture_algebras.values()) + [odd_base, K3p]:
         calls.clear()
+        lemma.clear()
         assert checked_dd_columns(alg, 6)
-        assert len(calls) == sum(len(bb_total_basis(alg, t)) for t in range(7))
+        labels = [lb for t in range(7) for lb in bb_total_basis(alg, t)]
+        assert len(calls) == sum(1 for _, (b, _, _) in labels if b == alg.one_mono)
+        assert len(calls) + len(lemma) == len(labels)
         for t in range(2, 7):
             assert dd_square(alg, t) == (True, True)
 
