@@ -18,6 +18,7 @@ from .linalg import SliceMatrix, identity_defect
 from .semifree import (
     DD,
     BBElement,
+    add_term,
     alpha,
     bb_total_basis,
     dd_column,
@@ -88,23 +89,14 @@ def prefix_image(alg: DGAlgebra, label, dd_col: dict, alpha_col: dict) -> tuple[
     `checked_dd_columns`, from the columns dd_col and alpha_col of (n, (1, m, ws))."""
     n, (b, m, ws) = label
     f = alg.field
-    zero = f.zero
     dd: dict = {}
-
-    def add(key, c, negate):
-        s = f.add(dd.get(key, zero), f.neg(c) if negate else c)
-        if s == zero:
-            dd.pop(key, None)
-        else:
-            dd[key] = s
-
     for mm, c in alg.diff_mono(b).terms.items():  # (-1)^n·(db)·X
-        add((n, (mm, m, ws)), c, n % 2)
+        add_term(f, dd, (n, (mm, m, ws)), c, n % 2)
     odd_b = b.degree % 2
     for (k, (b2, m2, ws2)), c in dd_col.items():  # (-1)^{|b|}·b·∂X + b·𝔇X
         sm = alg.mono_mul(b, b2)
         if sm is not None:
-            add((k, (sm[1], m2, ws2)), c, (sm[0] < 0) ^ (k == n and odd_b))
+            add_term(f, dd, (k, (sm[1], m2, ws2)), c, (sm[0] < 0) ^ (k == n and odd_b))
     alpha_b = {}
     for mono, c in alpha_col.items():  # α(b·X) = b·α(X)
         sm = alg.mono_mul(b, mono)
@@ -141,6 +133,7 @@ def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
     αv, and products of the matrices, such as 𝔻_{t-1}∘𝔻_t and α_{t-1}∘𝔻_t,
     are exact statements about 𝔻 and α on every basis element.
     """
+    f = alg.field
     one = alg.one_mono
     flat: dict = {}  # label -> its flat component, built on first use
     certified: dict = {}  # (n, (1, m, ws)) -> its checked (𝔻 column, α column)
@@ -151,7 +144,6 @@ def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
             te = flat[label] = prefixed_basis_element(alg, label[1])
         return te
 
-    f = alg.field
     for t in range(D + 1):
         M = bb_dd_matrix(alg, t)
         if M.nrows != len(bb_total_basis(alg, t - 1)):

@@ -301,6 +301,15 @@ def bb_basis_element(alg: DGAlgebra, label) -> BBElement:
     return BBElement(alg, {n: prefixed_basis_element(alg, lb)})
 
 
+def add_term(f, out: dict, key, c, negate) -> None:
+    """out[key] += -c if negate else c over the field f; a zero sum drops the key."""
+    s = f.add(out.get(key, f.zero), f.neg(c) if negate else c)
+    if s == f.zero:
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
 def dd_column(alg: DGAlgebra, label) -> dict:
     """Coordinates of 𝔻 of one stored basis element, computed on the labels.
 
@@ -314,25 +323,16 @@ def dd_column(alg: DGAlgebra, label) -> dict:
     """
     n, (b, m, ws) = label
     f = alg.field
-    zero = f.zero
     out: dict = {}
-
-    def add(key, c, negate):
-        s = f.add(out.get(key, zero), f.neg(c) if negate else c)
-        if s == zero:
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     odd_n = n % 2
     for mm, c in alg.diff_mono(b).terms.items():
-        add((n, (mm, m, ws)), c, odd_n)
+        add_term(f, out, (n, (mm, m, ws)), c, odd_n)
     odd_b = (n + b.degree) % 2
     for mm, c in alg.diff_mono(m).terms.items():
         a, e = alg.mono_split(mm)
         sm = alg.mono_mul(b, a)
         if sm is not None:
-            add((n, (sm[1], e, ws)), c, odd_b ^ (sm[0] < 0))
+            add_term(f, out, (n, (sm[1], e, ws)), c, odd_b ^ (sm[0] < 0))
     crossed = m.degree  # |m| + Σ_{j<i} |w_j|
     for i, w in enumerate(ws):
         odd_w = (odd_b + crossed) % 2
@@ -343,7 +343,7 @@ def dd_column(alg: DGAlgebra, label) -> dict:
             sm = alg.mono_mul(b, a)
             if sm is not None:
                 cross = a.degree % 2 and crossed % 2
-                add((n, (sm[1], m, ws[:i] + (e,) + ws[i + 1:])), c, odd_w ^ cross ^ (sm[0] < 0))
+                add_term(f, out, (n, (sm[1], m, ws[:i] + (e,) + ws[i + 1:])), c, odd_w ^ cross ^ (sm[0] < 0))
         crossed += w.degree
     if n:
         for lb, c in dbar_column(alg, (b, m, ws)).items():
