@@ -162,10 +162,14 @@ def cmd_semifree(args, problem) -> Report:
     alg = problem.algebra
     D = _homology_window(problem, args)
     window = f"total degrees 0..{D}"
+    valid = validate_dg(alg, D)
+    if not valid.passed:
+        # not a DG algebra over a DG subalgebra A, so (𝔹, 𝔻) resolves nothing
+        rep.add_validation("algebra", valid, f"degrees 0..{D}")
     # 𝔻 and α columns are built on the basis labels; each is checked once,
-    # against the flat 𝔻v and αv when its prefix is 1 and against the prefix
-    # lemma on the labels otherwise, so 𝔻², 𝔇∂ + ∂𝔇, α∘𝔻 = d^B∘α and the
-    # contracting homotopy are read off the matrices
+    # against the flat 𝔻v and αv for prefix 1 and n <= 1, and on the labels
+    # by the tail lemma or the prefix lemma otherwise, so 𝔻², 𝔇∂ + ∂𝔇,
+    # α∘𝔻 = d^B∘α and the contracting homotopy are read off the matrices
     qi = quasi_iso_check(alg, D)
     for name in ("DD-squared-zero", "anticommutation", "alpha-chain-map"):
         rep.add_check(name, qi.checks.get(name, False), window, "" if qi.checks else BAD_COLUMNS)

@@ -75,13 +75,43 @@ def bb_dd_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
     """Matrix of 𝔻 from total degree t to t-1, over the stored 𝔹 bases.
 
     Every column comes from the closed form `dd_column`; `checked_dd_columns`
-    certifies the columns with prefix b = 1 against the flat images 𝔻v and
-    the others against the prefix lemma, and rejects a column with a label
-    outside the basis of total degree t-1 (an extra row).
+    certifies each column against the flat 𝔻v (prefix b = 1 and n <= 1), the
+    tail lemma (prefix 1 and n >= 2) or the prefix lemma (b != 1), and
+    rejects a column with a label outside the basis of total degree t-1 (an
+    extra row).
     """
     src = bb_total_basis(alg, total_degree)
     return _cached(alg, "dd_matrix", total_degree, lambda: SliceMatrix.from_columns(
         alg.field, bb_total_basis(alg, total_degree - 1), src, (dd_column(alg, lab) for lab in src)))
+
+
+def bb_alpha_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
+    """Matrix of the augmentation α from the 𝔹 slice to the B slice; cached per algebra.
+
+    On the labels α(0, λ) = π(λ) (`semifree.pi_column`), and α is zero on
+    every component n >= 1.
+    """
+    src = bb_total_basis(alg, total_degree)
+    return _cached(alg, "alpha_matrix", total_degree, lambda: SliceMatrix.from_columns(
+        alg.field, alg.basis("B", total_degree), src, ({} if n else pi_column(alg, lb) for n, lb in src)))
+
+
+def prefix_one_columns(alg: DGAlgebra, total_degree: int) -> list[int]:
+    """The indices of the labels (n, (1, m, ws)) in `bb_total_basis`, ascending."""
+    one = alg.one_mono
+    return [j for j, (_, (b, _, _)) in enumerate(bb_total_basis(alg, total_degree)) if b == one]
+
+
+def dd_prefix_one(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
+    """`bb_dd_matrix` on its prefix-1 columns only; cached per algebra."""
+    return _cached(alg, "dd_matrix_1", total_degree, lambda: bb_dd_matrix(alg, total_degree).restrict_columns(
+        prefix_one_columns(alg, total_degree)))
+
+
+def alpha_prefix_one(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
+    """`bb_alpha_matrix` on its prefix-1 columns only; cached per algebra."""
+    return _cached(alg, "alpha_matrix_1", total_degree, lambda: bb_alpha_matrix(alg, total_degree).restrict_columns(
+        prefix_one_columns(alg, total_degree)))
 
 
 def prefix_image(alg: DGAlgebra, label, dd_col: dict, alpha_col: dict) -> tuple[dict, dict]:
@@ -105,20 +135,70 @@ def prefix_image(alg: DGAlgebra, label, dd_col: dict, alpha_col: dict) -> tuple[
     return dd, alpha_b
 
 
+def tail_image(alg: DGAlgebra, label, head_col: dict, last_col: dict) -> dict:
+    """The 𝔻 column of label = (n, (1, m, ws)), n >= 2, by the tail lemma of
+    `checked_dd_columns`, from the 𝔻 columns head_col of (n - 1, (1, m, ws[:-1]))
+    and last_col of (1, (1, 1, (w_n,)))."""
+    n, (_, m, ws) = label
+    f = alg.field
+    w, init = ws[-1], ws[:-1]
+    dd: dict = {}
+    for (k, (b2, m2, ws2)), c in head_col.items():  # -concat_B(∂X, δw) + concat_B(𝔇X, δw)
+        add_term(f, dd, (k + 1, (b2, m2, ws2 + (w,))), c, k == n - 1)
+    x = m.degree + sum(u.degree for u in init)  # |X|
+    for (k, (a, _, e1)), c in last_col.items():  # (-1)^{n+|X|}·concat_B(X, δ(dw)), e1 = (e,)
+        if k == 1:
+            add_term(f, dd, (n, (a, m, init + e1)), c, (n + x + a.degree * x + 1) % 2)
+    return dd
+
+
 def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
     """Every column of `bb_dd_matrix` and `bb_alpha_matrix` in total degrees 0..D is right.
 
-    A column of the basis element v = (n, (1, m, ws)), expanded over the flat
-    basis elements of degree t-1, must be exactly the flat 𝔻v = ∂v + 𝔇v, and
-    its α column exactly α(v); the flat elements of its rows are built when a
-    column first needs them.  The expansion is injective, so then the column
-    is the coordinate vector of its image.  A 𝔻 column with a label outside
-    the basis of degree t-1 fails.
+    Write ι_n(b, m, ws) for the flat basis element of the label (n, (b, m, ws))
+    and b· for left multiplication of slot 0 by b.  The columns are compared
+    in order of total degree t, each against its flat image or against
+    columns of lower total degree that are already certified, so by
+    induction on t every column is the coordinate vector of 𝔻v and αv, and
+    products of the matrices, such as 𝔻_{t-1}∘𝔻_t and α_{t-1}∘𝔻_t, are exact
+    statements about 𝔻 and α on every basis element.  A 𝔻 column with a
+    label outside the basis of degree t-1 fails.
 
-    Every other column is compared with the image of the certified columns
-    of (n, (1, m, ws)), of lower total degree, under the prefix lemma
-    (`prefix_image`).  Write ι_n(b, m, ws) for the flat basis element and b·
-    for left multiplication of slot 0 by b.  Then:
+    Flat: prefix 1 and n <= 1.  The column of v = (n, (1, m, ws)), expanded
+    over the flat basis elements of degree t-1, must be exactly the flat
+    𝔻v = ∂v + 𝔇v, and its α column exactly α(v); the flat elements of its
+    rows are built when a column first needs them.  The expansion is
+    injective, so then the column is the coordinate vector of its image.
+
+    Tail lemma: prefix 1 and n >= 2 (`tail_image`).  Let X = ι_{n-1}(1, m,
+    ws[:-1]), of degree |X| = |m| + Σ_{j<n} |w_j|, and w = w_n.  Then:
+    - ι_n(1, m, ws) = concat_B(X, δ(w)), and concat_B(ι_{k}(λ), δ(w)) is the
+      basis element of λ with w appended, for every label λ of any k;
+    - the flat differential d obeys the slotwise Leibniz rule over concat_B,
+      d·concat_B(Y, Z) = concat_B(dY, Z) + (-1)^{|Y|}·concat_B(Y, dZ), and
+      d(δ(w)) = δ(dw);
+    - δ(a·e) = a·δ(e) for a in A, and δ vanishes on A;
+    - concat_B(X, a·Z) = concat_B(X·a, Z), and moving a from the last slot
+      of X to slot 0 costs (-1)^{|a||X|}; as the prefix of X is 1,
+      a·X = ι_{n-1}(a, m, ws[:-1]);
+    - 𝔇 = merge_at(·, 0) commutes with right concatenation, as in the head
+      lemma of `bar.checked_reduced_columns` (X has n + 1 >= 3 slots).
+    With ∂ = (-1)^k·d on component k this gives
+        ∂ι_n = -concat_B(∂X, δw) + (-1)^{n+|X|}·concat_B(X, δ(dw)),
+        𝔇ι_n = concat_B(𝔇X, δw),
+    and concat_B(X, δ(dw)) = Σ c·(-1)^{|a||X|}·ι_n(a, m, ws[:-1] + (e,)) over
+    the terms c·a·e of dw with e != 1.  The certified column of (1, (1, 1,
+    (w,))) holds these terms: ∂ι_1(1, 1, (w,)) = -(1 ⊗ δ(dw)), so its rows in
+    component 1 are (1, (a, 1, (e,))) with the coefficient -c.  So the
+    column of ι_n is -(the ∂ rows of the head column (n - 1, (1, m,
+    ws[:-1])), w appended) + (its 𝔇 rows, w appended) + the term
+    (-1)^{n+|X|+|a||X|+1}·c at (n, (a, m, ws[:-1] + (e,))) for each row
+    (1, (a, 1, (e,))) of the last column with coefficient c.  α vanishes on
+    n >= 1, so the α column must be empty.  Both columns used have lower
+    total degree than t: t >= n + (n - 1) + |w|, as every |w_j| >= 1.
+
+    Prefix lemma: b != 1 (`prefix_image`), from the certified columns of
+    (n, (1, m, ws)), of lower total degree:
     - ι_n(b, m, ws) = b·ι_n(1, m, ws), as b is the whole of slot 0;
     - b·ι(b', m', ws') = s·ι(bb', m', ws') with (s, bb') = mono_mul(b, b'),
       and 0 when the product vanishes;
@@ -129,9 +209,6 @@ def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
       ∂X lies in component n and 𝔇X in n - 1, so the column of 𝔻X is signed
       row by row by its component;
     - α = π_B on component 0 is left linear: α(b·X) = b·α(X).
-    By induction on t, every column is then the coordinate vector of 𝔻v and
-    αv, and products of the matrices, such as 𝔻_{t-1}∘𝔻_t and α_{t-1}∘𝔻_t,
-    are exact statements about 𝔻 and α on every basis element.
     """
     f = alg.field
     one = alg.one_mono
@@ -155,49 +232,53 @@ def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
                 if base is None or (dd_col, alpha_col) != prefix_image(alg, label, *base):
                     return False
                 continue
-            v = BBElement(alg, {n: flat_of(label)})
-            comps: dict = {}
-            for lab, c in dd_col.items():
-                k = lab[0]
-                acc = comps.get(k)
-                if acc is None:
-                    acc = comps[k] = TensorElement(alg, k + 2)
-                for w, cw in flat_of(lab).terms.items():
-                    acc._add_canonical(w, f.mul(c, cw))
-            if BBElement(alg, comps) != DD(v) or alpha_col != alpha(v).terms:
-                return False
+            if n >= 2:
+                head = certified.get((n - 1, (one, m, ws[:-1])))
+                last = certified.get((1, (one, one, ws[-1:])))
+                if head is None or last is None or alpha_col or dd_col != tail_image(alg, label, head[0], last[0]):
+                    return False
+            else:
+                v = BBElement(alg, {n: flat_of(label)})
+                comps: dict = {}
+                for lab, c in dd_col.items():
+                    k = lab[0]
+                    acc = comps.get(k)
+                    if acc is None:
+                        acc = comps[k] = TensorElement(alg, k + 2)
+                    for w, cw in flat_of(lab).terms.items():
+                        acc._add_canonical(w, f.mul(c, cw))
+                if BBElement(alg, comps) != DD(v) or alpha_col != alpha(v).terms:
+                    return False
             certified[label] = dd_col, alpha_col
     return True
 
 
 def dd_square(alg: DGAlgebra, total_degree: int) -> tuple[bool, bool]:
-    """(𝔻² = 0, 𝔇∂ + ∂𝔇 = 0) on one total degree, read off 𝔻_{t-1}∘𝔻_t.
+    """(𝔻² = 0, 𝔇∂ + ∂𝔇 = 0) on the prefix-1 columns of one total degree t.
 
+    Read off 𝔻_{t-1}∘𝔻_t on the columns (n, (1, m, ws)) (`dd_prefix_one`):
     ∂ keeps the word length n and 𝔇 lowers it by one, so the entries of the
     product one component below their column are ∂𝔇 + 𝔇∂; the others are
-    ∂² (same component) and 𝔇² (two below).
+    ∂² (same component) and 𝔇² (two below).  The first verdict also needs
+    d^B_{t-1}∘d^B_t = 0.  Over t = 2..D both verdicts hold exactly when
+    they hold on every column of 𝔻_{t-1}∘𝔻_t (the product lemma of
+    `quasi_iso_check`).
     """
-    P = bb_dd_matrix(alg, total_degree - 1).compose(bb_dd_matrix(alg, total_degree))
+    P = bb_dd_matrix(alg, total_degree - 1).compose(dd_prefix_one(alg, total_degree))
     anti = all(P.row_labels[i][0] != P.col_labels[j][0] - 1 for i, j in P.entries)
-    return P.is_zero(), anti
+    dB_square = dB_matrix(alg, total_degree - 1).compose(dB_matrix(alg, total_degree))
+    return P.is_zero() and dB_square.is_zero(), anti
 
 
 def alpha_chain_map(alg: DGAlgebra, total_degree: int) -> bool:
-    """α_{t-1}∘𝔻_t = d^B_t∘α_t on one total degree, read off the matrices."""
-    lhs = bb_alpha_matrix(alg, total_degree - 1).compose(bb_dd_matrix(alg, total_degree))
-    rhs = dB_matrix(alg, total_degree).compose(bb_alpha_matrix(alg, total_degree))
-    return lhs.entries == rhs.entries
+    """α_{t-1}∘𝔻_t = d^B_t∘α_t on the prefix-1 columns of one total degree t.
 
-
-def bb_alpha_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
-    """Matrix of the augmentation α from the 𝔹 slice to the B slice; cached per algebra.
-
-    On the labels α(0, λ) = π(λ) (`semifree.pi_column`), and α is zero on
-    every component n >= 1.
+    Over t = 1..D this holds exactly when it holds on every column (the
+    product lemma of `quasi_iso_check`).
     """
-    src = bb_total_basis(alg, total_degree)
-    return _cached(alg, "alpha_matrix", total_degree, lambda: SliceMatrix.from_columns(
-        alg.field, alg.basis("B", total_degree), src, ({} if n else pi_column(alg, lb) for n, lb in src)))
+    lhs = bb_alpha_matrix(alg, total_degree - 1).compose(dd_prefix_one(alg, total_degree))
+    rhs = dB_matrix(alg, total_degree).compose(alpha_prefix_one(alg, total_degree))
+    return lhs.entries == rhs.entries
 
 
 def homology_dims(alg: DGAlgebra, obj: str, D: int, max_n: int | None = None,
@@ -279,7 +360,9 @@ def bb_homotopy_defect(alg: DGAlgebra, top: int):
 
     h(n, λ) = (n + 1, hλ) and σ(b) = (0, σb) (`semifree.homotopy`,
     `semifree.section`), against the columns of `bb_dd_matrix` and
-    `bb_alpha_matrix`.
+    `bb_alpha_matrix`.  The 𝔹 identity is taken on the prefix-1 columns
+    only: by the product lemma of `quasi_iso_check` it then holds on every
+    column, and its first failing label is the same.
     """
     f = alg.field
 
@@ -288,17 +371,18 @@ def bb_homotopy_defect(alg: DGAlgebra, top: int):
 
     g = SliceMatrix.from_columns(f, bb_total_basis(alg, 0), (), ())  # h out of degree t - 1, empty for t = 0
     for t in range(top + 1):
-        M, A, up, B = bb_dd_matrix(alg, t), bb_alpha_matrix(alg, t), bb_dd_matrix(alg, t + 1), alg.basis("B", t)
-        src = M.col_labels
-        ht = SliceMatrix.from_columns(f, up.col_labels, src, (h(v) for v in src))
+        A, B, src = bb_alpha_matrix(alg, t), alg.basis("B", t), bb_total_basis(alg, t)
+        M1, up1, keep = dd_prefix_one(alg, t), dd_prefix_one(alg, t + 1), prefix_one_columns(alg, t)
+        # h keeps the prefix: 𝔻h needs only the prefix-1 columns of 𝔻_{t+1}, a label sent elsewhere fails
+        h1 = SliceMatrix.from_columns(f, up1.col_labels, M1.col_labels, (h(v) for v in M1.col_labels))
         sigma = SliceMatrix.from_columns(f, src, B, ({(0, lb): c for lb, c in section(alg, b).items()} for b in B))
-        j = identity_defect([(up, ht), (g, M), (sigma, A)])
+        j = identity_defect([(up1, h1), (g, M1), (sigma, alpha_prefix_one(alg, t))], keep)
         if j is not None:
-            return src[j]
+            return M1.col_labels[j]
         j = identity_defect([(A, sigma)])
         if j is not None:
             return B[j]
-        g = ht
+        g = SliceMatrix.from_columns(f, bb_total_basis(alg, t + 1), src, (h(v) for v in src))
     return None
 
 
@@ -320,7 +404,8 @@ def quasi_iso_check(alg: DGAlgebra, D: int) -> QuasiIsoReport:
     The certificate of `semifree` and `homology`, read off the matrices of
     𝔻 and α through total degree D:
     - every column is checked, against the flat 𝔻v and αv for prefix 1 and
-      the prefix lemma otherwise (`checked_dd_columns`);
+      n <= 1, the tail lemma for prefix 1 and n >= 2, and the prefix lemma
+      otherwise (`checked_dd_columns`);
     - 𝔻² = 0 (`dd_square`) and α∘𝔻 = d^B∘α (`alpha_chain_map`);
     - 𝔻h + h𝔻 + σα = id and α∘σ = id through degree D-1 (`bb_homotopy_defect`).
     Then σ is a chain map: composing the identity with 𝔻 on either side and
@@ -328,6 +413,28 @@ def quasi_iso_check(alg: DGAlgebra, D: int) -> QuasiIsoReport:
     the right, α∘σ = id gives 𝔻σ = σd^B.  So α and σ are inverse homotopy
     equivalences and H(α) is an isomorphism: the "induced rank" is dim H(B).
     No rank of 𝔻 is taken; the H(𝔹) table is `bb_homology_table`.
+
+    Product lemma: the three product checks need only the right factors'
+    columns X = (n, (1, m, ws)), plus d^B_{t-1}∘d^B_t = 0 for t <= D.  Every
+    label is b·X for such an X, of total degree lower by |b| >= 1 when
+    b != 1 (`checked_dd_columns`), and 𝔻(b·Y) = (-1)^k·(db)·Y +
+    (-1)^{|b|}·b·∂Y + b·𝔇Y for Y in component k.  Applying this twice, the
+    (db) terms cancel, as ∂ keeps the component and 𝔇 lowers it by one:
+        𝔻²(bX) = (d²b)·X + b·∂²X + (-1)^{|b|}·b·(∂𝔇 + 𝔇∂)X + b·𝔇²X.
+    As α(b·Y) = b·α(Y), α vanishes off component 0 and d^B is a derivation,
+        (α𝔻 − d^Bα)(bX) = ±b·(α𝔻 − d^Bα)X,
+    with + for n = 1 and (-1)^{|b|} for n = 0.  As h and σα commute with b·
+    on the labels,
+        (𝔻h + h𝔻 + σα − id)(bX) = (-1)^{|b|}·b·(∂h + h∂)X + b·(𝔇h + h𝔇 + σα − id)X.
+    The parts of 𝔻²X lie in the components n, n - 1 and n - 2, and
+    (∂h + h∂)X in n + 1 against n for the rest, so each part vanishes when
+    the identity holds at X.  Hence each identity holds on every column once
+    it holds on the prefix-1 columns (and d² = 0 on B for 𝔻²).  Conversely
+    the prefix-1 columns are columns, and 𝔻²(b·σ(1)) = (0, (d²b, 1, ())),
+    as b·σ(1) = (0, (b, 1, ())) and 𝔻σ(1) = 0.  So each check passes exactly
+    when the full check passes.  A failure at bX with b != 1 gives one at
+    X, of lower total degree, so at the lowest failing total degree only
+    prefix-1 columns fail, and the first failing label is the same.
     """
     window = _window(D)
     if not checked_dd_columns(alg, D):

@@ -108,6 +108,13 @@ class SliceMatrix:
             row_labels = tuple(index)
         return cls(field, len(index), len(col_labels), entries, row_labels, col_labels)
 
+    def restrict_columns(self, keep) -> "SliceMatrix":
+        """The matrix on the columns `keep` only, ascending indices renumbered 0, 1, ...; the rows stay."""
+        pos = {j: k for k, j in enumerate(keep)}
+        entries = {(i, pos[j]): v for (i, j), v in self.entries.items() if j in pos}
+        labels = None if self.col_labels is None else tuple(self.col_labels[j] for j in keep)
+        return SliceMatrix(self.field, self.nrows, len(pos), entries, self.row_labels, labels)
+
     def set(self, i: int, j: int, value):
         if value == self.field.zero:
             self.entries.pop((i, j), None)
@@ -184,18 +191,20 @@ def _product_sums(pairs) -> dict:
     return acc
 
 
-def identity_defect(products) -> int | None:
+def identity_defect(products, diagonal=None) -> int | None:
     """The first column j at which Σ P∘Q over the pairs (P, Q) is not the identity, else None.
 
-    Every P∘Q is square on the same basis.  A row of Q beyond the columns of
-    P, a label Q sends outside the basis P is defined on, fails its column.
+    Column j of the identity is the unit vector of row diagonal[j], of row j
+    when `diagonal` is None (every P∘Q square on the same basis).  A row of
+    Q beyond the columns of P, a label Q sends outside the basis P is
+    defined on, fails its column.
     """
     outside = [j for P, Q in products for (i, j) in Q.entries if i >= P.ncols]
     if outside:
         return min(outside)
     acc = _product_sums(products)
-    for j in range(products[0][1].ncols):
-        acc[(j, j)] = acc.get((j, j), 0) - 1
+    for j, i in enumerate(range(products[0][1].ncols) if diagonal is None else diagonal):
+        acc[(i, j)] = acc.get((i, j), 0) - 1
     p = products[0][1].field.p
     return min((j for (i, j), x in acc.items() if (x % p if p is not None else x)), default=None)
 

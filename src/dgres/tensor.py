@@ -26,7 +26,8 @@ def _caches(alg: DGAlgebra) -> dict:
     c = getattr(alg, "_tensor_caches", None)
     if c is None:
         c = {"delta_word": {}, "tensor_basis": {}, "jn_basis": {}, "prefixed_basis": {}, "bb_basis": {},
-             "reduced_slice": {}, "delta_factors": {}, "dd_matrix": {}, "alpha_matrix": {}, "dB_matrix": {}}
+             "reduced_slice": {}, "delta_factors": {}, "dd_matrix": {}, "alpha_matrix": {}, "dB_matrix": {},
+             "dd_matrix_1": {}, "alpha_matrix_1": {}}
         alg._tensor_caches = c
     return c
 

@@ -233,3 +233,64 @@ def bb_rank_table(alg, D):
 
     return complex_table_oracle([[dense_map(bb_dd_matrix(alg, m)), dense_map(bb_dd_matrix(alg, m + 1))]
                                  for m in range(D)], alg.field.p)
+
+
+def full_column_checks(alg, D):
+    """The product checks of `quasi_iso_check` on every column of the cached 𝔻 and α matrices.
+
+    Returns (𝔻² = 0 over total degrees 2..D, 𝔇∂ + ∂𝔇 = 0 there,
+    α∘𝔻 = d^B∘α over 1..D, the first label at which 𝔻h + h𝔻 + σα = id or
+    α∘σ = id fails in degrees 0..D-1, or None): the reference for the
+    checks on the prefix-1 columns.  Images are summed label by label from
+    the matrix columns, with no matrix product.
+    """
+    from dgres.homology import bb_alpha_matrix, bb_dd_matrix, dB_matrix
+    from dgres.semifree import homotopy
+
+    f = alg.field
+
+    def cols(M):
+        return dict(zip(M.col_labels, M.columns()))
+
+    def apply(columns, vec):
+        return _sum(f, [{row: f.mul(c, v) for row, v in columns[lb].items()} for lb, c in vec.items()])
+
+    dd = {t: cols(bb_dd_matrix(alg, t)) for t in range(D + 1)}
+    al = {t: cols(bb_alpha_matrix(alg, t)) for t in range(D + 1)}
+    dB = {t: cols(dB_matrix(alg, t)) for t in range(D + 1)}
+    square = anti = True
+    for t in range(2, D + 1):
+        for (n, _), col in dd[t].items():
+            img = apply(dd[t - 1], col)
+            square = square and not img
+            anti = anti and all(k != n - 1 for k, _ in img)
+    chain = all(apply(al[t - 1], col) == apply(dB[t], al[t][lb])
+                for t in range(1, D + 1) for lb, col in dd[t].items())
+
+    def h(vec):
+        return _sum(f, [{(n + 1, lb2): f.mul(c, c2) for lb2, c2 in homotopy(alg, lb).items()}
+                        for (n, lb), c in vec.items()])
+
+    def sigma(vec):
+        return {(0, (b, alg.one_mono, ())): c for b, c in vec.items()}
+
+    defect = None
+    for t in range(D):
+        for lb, col in dd[t].items():
+            if _sum(f, [apply(dd[t + 1], h({lb: f.one})), h(col), sigma(al[t][lb]), {lb: f.neg(f.one)}]):
+                defect = lb
+                break
+        if defect is None:
+            defect = next((b for b in alg.basis("B", t) if apply(al[t], sigma({b: f.one})) != {b: f.one}), None)
+        if defect is not None:
+            break
+    return square, anti, chain, defect
+
+
+def _sum(f, vecs):
+    """Σ of sparse vectors {label: value} over the field f, zeros dropped."""
+    out = {}
+    for vec in vecs:
+        for lb, v in vec.items():
+            out[lb] = f.add(out.get(lb, f.zero), v)
+    return {lb: v for lb, v in out.items() if v != f.zero}

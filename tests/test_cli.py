@@ -203,7 +203,8 @@ def test_semifree_fails_with_unsigned_internal_differential(golden_dir, capsys, 
 
 
 @pytest.mark.parametrize("command, failed", [
-    ("semifree", ["DD-squared-zero", "alpha-chain-map", "quasi-isomorphism"]),
+    ("semifree", ["algebra:diff-degree[v]", "algebra:d-squared-zero", "DD-squared-zero", "alpha-chain-map",
+                  "quasi-isomorphism"]),
     ("homology", ["algebra:diff-degree[v]", "algebra:d-squared-zero", "homology-dimensions-match"]),
 ])
 def test_d_squared_nonzero_fails_with_exit_1(capsys, command, failed):
@@ -215,6 +216,23 @@ def test_d_squared_nonzero_fails_with_exit_1(capsys, command, failed):
         for name in failed:
             assert f"FAIL  {name}" in out, (D, name)
         assert "table H(B):" not in out
+
+
+@pytest.mark.parametrize("name, command, failed", [
+    ("base_not_closed", "semifree", ["algebra:base-closure[a]"]),
+    ("base_not_closed", "homology", ["algebra:base-closure[a]"]),
+    ("base_d_squared", "semifree", ["algebra:d-squared-zero", "DD-squared-zero", "quasi-isomorphism"]),
+    ("base_d_squared", "homology", ["algebra:d-squared-zero", "homology-dimensions-match"]),
+])
+def test_semifree_and_homology_validate_the_algebra(capsys, name, command, failed):
+    # an input that is no DG algebra over a DG subalgebra A gets its
+    # algebra:* lines and exit 1 from both commands
+    path = Path(__file__).parent / "inputs" / f"{name}.dgres"
+    for D in ("3", "6", "9"):
+        code, out, err = run_cli([command, str(path), "--max-degree", D], capsys)
+        assert code == 1 and err == ""
+        for check in failed:
+            assert f"FAIL  {check}" in out, (D, check)
 
 
 def test_lift_reports_invalid_module(tmp_path, capsys):

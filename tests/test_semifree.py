@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from dgres.algebra import DGAlgebra
 from dgres.bar import reduced_slice_matrix
+from dgres.errors import DgresError
 from dgres.homology import (
     bb_alpha_matrix,
     bb_homology_table,
@@ -10,6 +13,7 @@ from dgres.homology import (
     homology_dims,
     quasi_iso_check,
 )
+from dgres.probfile import parse_problem
 from dgres.scalars import Field
 from dgres.semifree import (
     BBElement,
@@ -32,6 +36,8 @@ from dgres.semifree import (
 )
 from dgres.tensor import TensorElement, delta, prefixed_basis_element, tensor_basis, tensor_differential
 from oracles import bb_rank_table, dense_rank_oracle
+
+INPUTS = Path(__file__).parent / "inputs"
 
 
 def test_psi_sign_examples():
@@ -211,22 +217,57 @@ def test_dd_column_example(E1):
 
 def test_checked_columns_and_matrix_squares(fixture_algebras, odd_base, K3p, monkeypatch):
     # every column of degrees 0..6 is compared: a flat 𝔻v for each basis
-    # element with prefix 1, the prefix lemma for each other one
+    # element with prefix 1 and n <= 1, the tail lemma for the other prefix-1
+    # ones, the prefix lemma for each other one
     import dgres.homology as homology
 
-    calls, lemma = [], []
+    calls, lemma, tail = [], [], []
     monkeypatch.setattr(homology, "DD", lambda v: calls.append(v) or DD(v))
-    real = homology.prefix_image
-    monkeypatch.setattr(homology, "prefix_image", lambda alg, lb, *cols: lemma.append(lb) or real(alg, lb, *cols))
+    real_prefix, real_tail = homology.prefix_image, homology.tail_image
+    monkeypatch.setattr(homology, "prefix_image",
+                        lambda alg, lb, *cols: lemma.append(lb) or real_prefix(alg, lb, *cols))
+    monkeypatch.setattr(homology, "tail_image", lambda alg, lb, *cols: tail.append(lb) or real_tail(alg, lb, *cols))
     for alg in list(fixture_algebras.values()) + [odd_base, K3p]:
         calls.clear()
         lemma.clear()
+        tail.clear()
         assert checked_dd_columns(alg, 6)
         labels = [lb for t in range(7) for lb in bb_total_basis(alg, t)]
-        assert len(calls) == sum(1 for _, (b, _, _) in labels if b == alg.one_mono)
-        assert len(calls) + len(lemma) == len(labels)
+        assert len(calls) == sum(1 for n, (b, _, _) in labels if b == alg.one_mono and n <= 1)
+        assert len(tail) == sum(1 for n, (b, _, _) in labels if b == alg.one_mono and n >= 2)
+        assert len(calls) + len(lemma) + len(tail) == len(labels)
         for t in range(2, 7):
             assert dd_square(alg, t) == (True, True)
+
+
+def test_dd_square_needs_d_squared_zero_on_B(monkeypatch):
+    # d(d c) = a: every prefix-1 column of 𝔻² vanishes, the column of
+    # (0, (c, 1, ())) does not, and only the d^B clause of dd_square sees it
+    import dgres.homology as homology
+
+    alg = parse_problem((INPUTS / "base_d_squared.dgres").read_text()).algebra
+    assert checked_dd_columns(alg, 6)
+    for t in range(2, 7):
+        assert homology.bb_dd_matrix(alg, t - 1).compose(homology.dd_prefix_one(alg, t)).is_zero()
+    one, a, c = alg.one_mono, alg.mono({"a": 1}), alg.mono({"c": 1})
+    full = homology.bb_dd_matrix(alg, 2).compose(homology.bb_dd_matrix(alg, 3))
+    j = full.col_labels.index((0, (c, one, ())))
+    assert {full.row_labels[i]: v for (i, k), v in full.entries.items() if k == j} == {(0, (a, one, ())): 1}
+    qi = quasi_iso_check(alg, 6)
+    assert not qi.checks["DD-squared-zero"] and qi.checks["anticommutation"] and not qi.passed
+
+    def without_dB_clause(alg, t):
+        P = homology.bb_dd_matrix(alg, t - 1).compose(homology.dd_prefix_one(alg, t))
+        return P.is_zero(), all(P.row_labels[i][0] != P.col_labels[j][0] - 1 for i, j in P.entries)
+
+    # without the clause every product check passes, and the certificate goes
+    # on to rank d^B, which is no differential
+    monkeypatch.setattr(homology, "dd_square", without_dB_clause)
+    assert all(all(homology.dd_square(alg, t)) for t in range(2, 7))
+    assert all(homology.alpha_chain_map(alg, t) for t in range(1, 7))
+    assert homology.bb_homotopy_defect(alg, 5) is None
+    with pytest.raises(DgresError, match="boundaries exceed cycles"):
+        quasi_iso_check(alg, 6)
 
 
 def test_checked_columns_catch_a_wrong_differential(E3, monkeypatch):
@@ -258,6 +299,20 @@ def _drop_db_sign(real):
     return mutated
 
 
+def _flip_dw(i):
+    # the terms of d(w_i) negated on the prefix-1 labels with n >= 2 only,
+    # which the tail lemma certifies: i = 0 is w_1, i = -1 is w_n
+    def mutation(real):
+        def mutated(alg, label):
+            n, (b, m, ws) = label
+            if b != alg.one_mono or n < 2:
+                return real(alg, label)
+            return {key: alg.field.neg(c) if key[0] == n and key[1][2][i] != ws[i] else c
+                    for key, c in real(alg, label).items()}
+        return mutated
+    return mutation
+
+
 def _drop_crossing_sign(real):
     # the terms of d(w_i) without (-1)^{|a|(|m| + Σ_{j<i}|w_j|)}, a the base part moved into the prefix
     def mutated(alg, label):
@@ -280,6 +335,8 @@ DD_MUTATIONS = {
     "no-prefix-sign": (_drop_prefix_sign, ("E3", "K3p", "odd_base")),
     "no-n-sign-on-db": (_drop_db_sign, ("E3", "K3p", "odd_base")),
     "no-crossing-sign": (_drop_crossing_sign, ("odd_base",)),
+    "tail-flipped-d-w_n": (_flip_dw(-1), ("odd_base",)),
+    "tail-flipped-d-w_1": (_flip_dw(0), ("odd_base",)),
 }
 
 

@@ -10,11 +10,21 @@ from hypothesis import given, settings, strategies as st
 from dgres.algebra import DGAlgebra, validate_dg
 from dgres.bar import check_reduced_exactness, checked_reduced_columns
 from dgres.cli import cmd_semifree
-from dgres.homology import quasi_iso_check, reduced_bar_table
+from dgres.homology import (
+    alpha_chain_map,
+    bb_dd_matrix,
+    bb_homotopy_defect,
+    dd_square,
+    prefix_image,
+    quasi_iso_check,
+    reduced_bar_table,
+)
+from dgres.linalg import SliceMatrix
 from dgres.probfile import ProblemFile
 from dgres.scalars import Field
 from dgres.semifree import DD, bb_basis_element, bb_coords, bb_total_basis, dd_column
-from oracles import bb_rank_table, reduced_bar_rank_table
+from dgres.tensor import _caches
+from oracles import bb_rank_table, full_column_checks, reduced_bar_rank_table
 from test_bar import assert_reduced_columns_are_flat_merges
 
 FIELDS = [Field.rationals(), Field.prime(101)]
@@ -90,3 +100,55 @@ def test_homotopy_identities_and_dimension_tables_on_random_towers(kind, field, 
     assert qi.passed, qi.details
     assert qi.table.rows() == bb_rank_table(alg, 5)
     assert reduced_bar_table(alg, 5).rows() == reduced_bar_rank_table(alg, 5)
+
+
+def prefix_one_checks(alg, D):
+    """The product checks of `quasi_iso_check`, on the prefix-1 columns, in the form of `full_column_checks`."""
+    squares = [dd_square(alg, t) for t in range(2, D + 1)]
+    return (all(s for s, _ in squares), all(a for _, a in squares),
+            all(alpha_chain_map(alg, t) for t in range(1, D + 1)), bb_homotopy_defect(alg, D - 1))
+
+
+def install_perturbed_dd(alg, D, pick, scale):
+    """Fresh caches holding a 𝔻 with one entry of one prefix-1 column scaled.
+
+    Every column with prefix b != 1 follows from its prefix-1 column by the
+    prefix lemma (`prefix_image`), as in a certified 𝔻, so the product
+    lemma of `quasi_iso_check` applies to it.
+    """
+    one = alg.one_mono
+    real = [bb_dd_matrix(alg, t) for t in range(D + 1)]
+    targets = [(lb, key) for M in real for lb, col in zip(M.col_labels, M.columns())
+               if lb[1][0] == one for key in col]
+    target, key = targets[pick % len(targets)]
+    alg._tensor_caches = None
+    fake = {}
+    for t, M in enumerate(real):
+        columns = []
+        for label, col in zip(M.col_labels, M.columns()):
+            n, (b, m, ws) = label
+            if b != one:
+                col = prefix_image(alg, label, fake[(n, (one, m, ws))], {})[0]
+            else:
+                if label == target:
+                    col = {**col, key: alg.field.mul(col[key], scale)}
+                fake[label] = col
+            columns.append(col)
+        _caches(alg)["dd_matrix"][t] = SliceMatrix.from_columns(alg.field, M.row_labels, M.col_labels, columns)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", sorted(TOWERS))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_prefix_one_product_checks_match_the_full_columns(kind, field, data):
+    # dd_square, alpha_chain_map and bb_homotopy_defect read the right factor
+    # on its prefix-1 columns only; on the true 𝔻, and on a 𝔻 with one entry
+    # scaled that keeps the prefix structure of a certified 𝔻, they decide
+    # what the checks on every column decide, and name the same first label
+    alg = data.draw(TOWERS[kind](field))
+    D = 6  # every tower has a nonzero prefix-1 column by total degree 6
+    assert prefix_one_checks(alg, D) == full_column_checks(alg, D) == (True, True, True, None)
+    install_perturbed_dd(alg, D, data.draw(st.integers(0, 10**6)),
+                         alg.field.of_int(data.draw(st.sampled_from((-1, 2, 3)))))
+    assert prefix_one_checks(alg, D) == full_column_checks(alg, D)
