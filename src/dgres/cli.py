@@ -23,7 +23,7 @@ from .bar import (
     reduced_d_squared_zero,
 )
 from .errors import DgresError, ObstructionNonzero, ParseError, UsageError
-from .homology import BAD_COLUMNS, homology_dims, quasi_iso_check, reduced_bar_table
+from .homology import BAD_COLUMNS, QuasiIsoReport, _window, homology_dims, quasi_iso_check, reduced_bar_table
 from .linalg import verify_certificate
 from .modules import (
     DN,
@@ -155,6 +155,7 @@ def cmd_bar(args, problem) -> Report:
 
 
 BAD_REDUCED_COLUMNS = "a reduced bar column differs from the flat merge of its basis element"
+INVALID_ALGEBRA = "the algebra fails its algebra:* checks, so no resolution of it is certified"
 
 
 def cmd_semifree(args, problem) -> Report:
@@ -163,16 +164,18 @@ def cmd_semifree(args, problem) -> Report:
     D = _homology_window(problem, args)
     window = f"total degrees 0..{D}"
     valid = validate_dg(alg, D)
-    if not valid.passed:
+    if valid.passed:
+        # 𝔻 and α columns are built on the basis labels; each is checked once,
+        # against the flat 𝔻v and αv for prefix 1 and n <= 1, and on the labels
+        # by the tail lemma or the prefix lemma otherwise, so 𝔻², 𝔇∂ + ∂𝔇,
+        # α∘𝔻 = d^B∘α and the contracting homotopy are read off the matrices
+        qi = quasi_iso_check(alg, D)
+    else:
         # not a DG algebra over a DG subalgebra A, so (𝔹, 𝔻) resolves nothing
         rep.add_validation("algebra", valid, f"degrees 0..{D}")
-    # 𝔻 and α columns are built on the basis labels; each is checked once,
-    # against the flat 𝔻v and αv for prefix 1 and n <= 1, and on the labels
-    # by the tail lemma or the prefix lemma otherwise, so 𝔻², 𝔇∂ + ∂𝔇,
-    # α∘𝔻 = d^B∘α and the contracting homotopy are read off the matrices
-    qi = quasi_iso_check(alg, D)
+        qi = QuasiIsoReport(False, [], _window(D), INVALID_ALGEBRA)
     for name in ("DD-squared-zero", "anticommutation", "alpha-chain-map"):
-        rep.add_check(name, qi.checks.get(name, False), window, "" if qi.checks else BAD_COLUMNS)
+        rep.add_check(name, qi.checks.get(name, False), window, "" if qi.checks else qi.details)
     ok_tlin = True
     gens = [alg.gen(g.name) for g in alg.gens]
     ss = [t_word(alg, [g]) for g in gens]
@@ -198,11 +201,14 @@ def cmd_homology(args, problem) -> Report:
     D = _homology_window(problem, args)
     head = [("degree", "cycles", "boundaries", "homology")]
     valid = validate_dg(alg, D)
-    if valid.passed:
-        rep.tables["H(B)"] = head + homology_dims(alg, "B", D).rows()
-    else:
-        # d^B is not a differential through degree D, so H(B) is undefined
+    if not valid.passed:
+        # d^B is no differential over a DG subalgebra A through degree D: H(B)
+        # is undefined, and neither resolution is certified
         rep.add_validation("algebra", valid, f"degrees 0..{D}")
+        for name in ("homology-dimensions-match", "reduced-bar-acyclic"):
+            rep.add_check(name, False, _window(D), INVALID_ALGEBRA)
+        return rep
+    rep.tables["H(B)"] = head + homology_dims(alg, "B", D).rows()
     # the reduced bar is contracted on the slices of degrees 0..D-1, checked first
     ok_red = checked_reduced_columns(alg, D - 1)
     exact = check_reduced_exactness(alg, D - 1) if ok_red else None

@@ -27,7 +27,7 @@ from .semifree import (
     pi_column,
     section,
 )
-from .tensor import TensorElement, _caches, prefixed_basis_element, prefixed_basis_labels
+from .tensor import TensorElement, _caches, prefixed_basis_dim, prefixed_basis_element
 
 BAD_COLUMNS = "a DD column differs from dv + Dv, the flat images of its basis element"
 
@@ -326,11 +326,12 @@ def reduced_bar_table(alg: DGAlgebra, D: int) -> HomologyTable:
     hold through D-1 (π∘d̄_1 = 0 then too: d̄_1 = d̄_1(d̄_2h_1 + h_0d̄_1) =
     (id − σπ)d̄_1, and σ is injective).  The complex is exact, so rank π =
     dim B_d, rank d̄_n = dim C_{n−1} − rank d̄_{n−1}, and the cycles and the
-    boundaries both number Σ_n rank d̄_n, with d̄_0 = π.
+    boundaries both number Σ_n rank d̄_n, with d̄_0 = π.  dim C_n is counted
+    over the pairs (b, m) (`prefixed_basis_dim`); no label is listed.
     """
     table = HomologyTable(window=_window(D))
     for d in range(D):
-        dims = [len(alg.basis("B", d))] + [len(prefixed_basis_labels(alg, n, d)) for n in range(d)]
+        dims = [len(alg.basis("B", d))] + [prefixed_basis_dim(alg, n, d) for n in range(d)]
         rank = sum(accumulate(dims, lambda r, dim: dim - r))
         table.add(d, rank, rank)
     return table

@@ -178,35 +178,42 @@ def _product_sums(pairs) -> dict:
 
     Reducing each entry once, mod p or to the canonical form, instead of
     after every term makes this the cheap inner loop of every product check.
+    Only the entries of P in a column k that is a row of Q are grouped.
     """
     acc: dict = {}
     get = acc.get
     for P, Q in pairs:
+        rows = {k for k, _ in Q.entries}
         by_row: dict[int, list] = {}
         for (i, k), v in P.entries.items():
-            by_row.setdefault(k, []).append((i, v))
+            if k in rows:
+                by_row.setdefault(k, []).append((i, v))
         for (k, j), w in Q.entries.items():
             for i, v in by_row.get(k, ()):
                 acc[(i, j)] = get((i, j), 0) + v * w
     return acc
 
 
-def identity_defect(products, diagonal=None) -> int | None:
-    """The first column j at which Σ P∘Q over the pairs (P, Q) is not the identity, else None.
+def identity_defects(products, diagonal=None) -> list[int]:
+    """The columns j, ascending, at which Σ P∘Q over the pairs (P, Q) is not the identity.
 
     Column j of the identity is the unit vector of row diagonal[j], of row j
     when `diagonal` is None (every P∘Q square on the same basis).  A row of
     Q beyond the columns of P, a label Q sends outside the basis P is
     defined on, fails its column.
     """
-    outside = [j for P, Q in products for (i, j) in Q.entries if i >= P.ncols]
-    if outside:
-        return min(outside)
+    bad = {j for P, Q in products for (i, j) in Q.entries if i >= P.ncols}
     acc = _product_sums(products)
     for j, i in enumerate(range(products[0][1].ncols) if diagonal is None else diagonal):
         acc[(i, j)] = acc.get((i, j), 0) - 1
     p = products[0][1].field.p
-    return min((j for (i, j), x in acc.items() if (x % p if p is not None else x)), default=None)
+    bad.update(j for (i, j), x in acc.items() if (x % p if p is not None else x))
+    return sorted(bad)
+
+
+def identity_defect(products, diagonal=None) -> int | None:
+    """The first column of `identity_defects`, else None."""
+    return min(identity_defects(products, diagonal), default=None)
 
 
 @dataclass

@@ -30,12 +30,12 @@ from .errors import DgresError, LengthMismatch
 from .tensor import (
     TensorElement,
     _caches,
+    _prefixed_labels,
     concat_B,
     delta,
     merge_at,
     pi_B,
     prefixed_basis_element,
-    prefixed_basis_labels,
     prefixed_coords,
     tensor_differential,
     word_degree,
@@ -281,17 +281,19 @@ def t_multiply(s1: TElement, s2: TElement) -> TElement:
 
 
 def bb_total_basis(alg: DGAlgebra, total_degree: int):
-    """Labels (n, (b, m, ws)) of the stored basis of 𝔹 in one total degree.
+    """Labels (n, (b, m, ws)) of the stored basis of 𝔹 in one total degree; cached per algebra.
 
     Each suspended δ-factor contributes its internal degree plus one, so
     components with n > total_degree/2 are empty and the slice is finite.
+    The labels of each component are generated, not cached a second time
+    per n in `prefixed_basis_labels`.
     """
     cache = _caches(alg)["bb_basis"]
     got = cache.get(total_degree)
     if got is not None:
         return got
     result = tuple((n, lb) for n in range(0, total_degree // 2 + 1)
-                   for lb in prefixed_basis_labels(alg, n, total_degree - n))
+                   for lb in _prefixed_labels(alg, n, total_degree - n))
     cache[total_degree] = result
     return result
 
@@ -368,13 +370,13 @@ def dbar_column(alg: DGAlgebra, label) -> dict:
     if sm is None:
         return {}
     f = alg.field
-    one, minus_one = f.one, f.neg(f.one)
     s, bm = sm
-    out = {(bm, ws[0], ws[1:]): one if s > 0 else minus_one}
-    sm = alg.mono_mul(bm, ws[0])
-    if sm is not None:
-        out[(sm[1], alg.one_mono, ws[1:])] = minus_one if s * sm[0] > 0 else one
-    return out
+    w, rest = ws[0], ws[1:]
+    c = f.one if s > 0 else f.neg(f.one)
+    sm = alg.mono_mul(bm, w)
+    if sm is None:
+        return {(bm, w, rest): c}
+    return {(bm, w, rest): c, (sm[1], alg.one_mono, rest): f.neg(c) if sm[0] > 0 else c}
 
 
 def pi_column(alg: DGAlgebra, label) -> dict:

@@ -27,7 +27,7 @@ def _caches(alg: DGAlgebra) -> dict:
     if c is None:
         c = {"delta_word": {}, "tensor_basis": {}, "jn_basis": {}, "prefixed_basis": {}, "bb_basis": {},
              "reduced_slice": {}, "delta_factors": {}, "dd_matrix": {}, "alpha_matrix": {}, "dB_matrix": {},
-             "dd_matrix_1": {}, "alpha_matrix_1": {}}
+             "dd_matrix_1": {}, "alpha_matrix_1": {}, "reduced_certificate": {}}
         alg._tensor_caches = c
     return c
 
@@ -553,6 +553,13 @@ def jn_basis_element(alg: DGAlgebra, label) -> TensorElement:
     return left_mult(alg.from_monomial(b), delta_word(alg, ws))
 
 
+def _prefixed_labels(alg: DGAlgebra, n: int, degree: int):
+    """The labels of `prefixed_basis_labels`, in its order, generated one at a time and not cached."""
+    factors = [_delta_factors(alg, n, d) for d in range(degree + 1)]
+    return ((b, m, ws) for db in range(degree + 1) for b in alg.basis("B", db)
+            for dm in range(degree - db + 1) for m in alg.basis("W", dm) for ws in factors[degree - db - dm])
+
+
 def prefixed_basis_labels(alg: DGAlgebra, n: int, degree: int):
     """Labels (b, m, (w_1..w_n)) of the slice basis of B ⊗_A J^{⊗_B n}.
 
@@ -565,11 +572,14 @@ def prefixed_basis_labels(alg: DGAlgebra, n: int, degree: int):
     cache = _caches(alg)["prefixed_basis"]
     got = cache.get(key)
     if got is None:
-        factors = [_delta_factors(alg, n, d) for d in range(degree + 1)]
-        got = cache[key] = tuple((b, m, ws) for db in range(degree + 1) for b in alg.basis("B", db)
-                                 for dm in range(degree - db + 1) for m in alg.basis("W", dm)
-                                 for ws in factors[degree - db - dm])
+        got = cache[key] = tuple(_prefixed_labels(alg, n, degree))
     return got
+
+
+def prefixed_basis_dim(alg: DGAlgebra, n: int, degree: int) -> int:
+    """len(prefixed_basis_labels(alg, n, degree)), counted over the pairs (b, m) without listing a label."""
+    return sum(len(alg.basis("B", db)) * len(alg.basis("W", dm)) * len(_delta_factors(alg, n, degree - db - dm))
+               for db in range(degree + 1) for dm in range(degree - db + 1))
 
 
 def prefixed_basis_element(alg: DGAlgebra, label) -> TensorElement:

@@ -287,6 +287,55 @@ def full_column_checks(alg, D):
     return square, anti, chain, defect
 
 
+def reduced_full_checks(alg, D, homotopy=None):
+    """The reduced bar checks on every n, from every slice of `reduced_slice_matrix`.
+
+    Returns (d̄_{n-1}∘d̄_n = 0 for every n >= 2 in degrees 0..D, and per
+    degree d = 0..D the first label at which πσ = id, d̄_1h_0 + σπ = id or
+    d̄_{n+1}h_n + h_{n-1}d̄_n = id fails, in the order B, C_0, C_1, ...,
+    each in basis order, or None): the reference for the streamed checks of
+    `bar`, which take products only for n <= 2.  `homotopy` defaults to
+    `semifree.homotopy`; a label it sends outside C_{n+1} fails.  Images
+    are summed label by label from the matrix columns, with no matrix
+    product.
+    """
+    from dgres.bar import reduced_slice_matrix
+    from dgres.semifree import homotopy as real_homotopy
+    from dgres.semifree import pi_column, section
+    from dgres.tensor import prefixed_basis_labels
+
+    f = alg.field
+    h = homotopy or real_homotopy
+
+    def cols(M):
+        return dict(zip(M.col_labels, M.columns()))
+
+    def apply(columns, vec):
+        return _sum(f, [{row: f.mul(c, v) for row, v in columns[lb].items()} for lb, c in vec.items()])
+
+    dbar = {(n, d): cols(reduced_slice_matrix(alg, n, d)) for d in range(D + 1) for n in range(1, d + 2)}
+    square = all(not apply(dbar[(n - 1, d)], col) for d in range(D + 1) for n in range(2, d + 1)
+                 for col in dbar[(n, d)].values())
+    firsts = []
+    for d in range(D + 1):
+        pi = {lb: pi_column(alg, lb) for lb in prefixed_basis_labels(alg, 0, d)}
+        bad = next((b for b in alg.basis("B", d) if apply(pi, section(alg, b)) != {b: f.one}), None)
+        for n in range(d + 1):
+            if bad is not None:
+                break
+            up = dbar[(n + 1, d)]
+            for lb in prefixed_basis_labels(alg, n, d):
+                hx = h(alg, lb)
+                down = pi[lb] if n == 0 else dbar[(n, d)][lb]
+                back = (_sum(f, [{(b, alg.one_mono, ()): c} for b, c in down.items()]) if n == 0
+                        else _sum(f, [{row: f.mul(c, v) for row, v in h(alg, lb2).items()} for lb2, c in down.items()]))
+                if any(lb2 not in up for lb2 in hx) or _sum(f, [apply(up, hx), back, {lb: f.neg(f.one)}]):
+                    bad = lb
+                    break
+        firsts.append(bad)
+    return square, firsts
+
+
 def _sum(f, vecs):
     """Σ of sparse vectors {label: value} over the field f, zeros dropped."""
     out = {}

@@ -344,18 +344,29 @@ def _first_factor_kept(real):
     return mutated
 
 
+def _second_term_flipped_from_n4(real):
+    # the second term negated only on labels with n >= 4, which no slice read by a check holds
+    flipped = _second_term_flipped(real)
+
+    def mutated(alg, label):
+        return (flipped if len(label[2]) >= 4 else real)(alg, label)
+    return mutated
+
+
 # wrong versions of semifree.dbar_column, each made from the real one
 DBAR_MUTATIONS = {
     "second-term-sign": _second_term_flipped,
     "tail-reversed": _tail_reversed,
     "outside-basis": _first_factor_kept,
+    "second-term-sign-from-n4": _second_term_flipped_from_n4,
 }
 
 
 @pytest.mark.parametrize("mutation", sorted(DBAR_MUTATIONS))
 def test_checked_reduced_columns_catch_a_wrong_closed_form(monkeypatch, mutation):
     # a fresh algebra, since the slice matrices are cached on it; Λ(a,b,c)
-    # has n = 3 labels with distinct tail factors from degree 3
+    # has n = 3 labels with distinct tail factors from degree 3, and n = 4
+    # labels from degree 4
     import dgres.bar as bar
 
     lam = DGAlgebra(Field.rationals(), ext_gens=[("a", 1), ("b", 1), ("c", 1)])

@@ -488,6 +488,73 @@ def test_wrong_homotopy_fails(golden_dir, capsys, monkeypatch, mutation, command
     assert out.count("counterexample: the contracting homotopy identity fails at (") == len(failed)
 
 
+def test_homotopy_wrong_from_n2_fails_at_the_labels_of_every_slice(golden_dir, capsys, monkeypatch):
+    # h zero on the labels with n >= 2 keeps the identities on B, C_0 and C_1
+    # and does not commute with appending tails, so the streamed check
+    # evaluates C_n, n >= 2, label by label; every degree names the first bad
+    # label that the identity multiplied out on every slice names
+    import dgres.bar as bar
+    from dgres.semifree import defect_details
+    from oracles import reduced_full_checks
+
+    def mutated(alg, label):
+        return {} if len(label[2]) >= 2 else real(alg, label)
+
+    real = bar.homotopy
+    path = golden_dir / "odd_base.dgres"
+    alg = parse_problem(path.read_text()).algebra
+    square, firsts = reduced_full_checks(alg, 5, homotopy=mutated)
+    expected = [(f"reduced:reduced-exactness@deg{d}", f"counterexample: {defect_details(alg, lb)}")
+                for d, lb in enumerate(firsts) if lb is not None]
+    assert square and expected and all(len(lb[2]) >= 2 for lb in firsts if lb is not None)
+    monkeypatch.setattr(bar, "homotopy", mutated)
+    code, out, err = run_cli(["bar", str(path), "--reduced", "--max-degree", "5"], capsys)
+    lines = out.splitlines()
+    failed = [(line.split()[1], lines[k + 1].strip()) for k, line in enumerate(lines) if line.startswith("  FAIL")]
+    assert code == 1 and err == "" and failed == expected
+
+
+@pytest.mark.parametrize("command", [["bar", "--reduced", "--max-degree", "6"], ["homology", "--max-degree", "8"]])
+def test_reduced_bar_keeps_no_slice_or_label_list_from_n3(golden_dir, capsys, monkeypatch, command):
+    # the reduced bar certificate streams every label with n >= 3: neither a
+    # slice nor a label list with n >= 3 stays cached (Λ(a,b,c) has them
+    # from degree 3)
+    import dgres.probfile as probfile
+    from dgres.tensor import _caches
+
+    seen = []
+    real = probfile.parse_problem
+    monkeypatch.setattr(probfile, "parse_problem", lambda text: seen.append(real(text)) or seen[-1])
+    code, out, err = run_cli(command[:1] + [str(golden_dir / "lam3.dgres")] + command[1:], capsys)
+    assert code == 0 and err == ""
+    caches = _caches(seen[0].algebra)
+    assert {n for n, _ in caches["reduced_slice"]} == {1, 2}
+    assert {n for n, _ in caches["prefixed_basis"]} <= {0, 1, 2}
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("semifree", ["DD-squared-zero", "anticommutation", "alpha-chain-map", "quasi-isomorphism"]),
+    ("homology", ["homology-dimensions-match", "reduced-bar-acyclic"]),
+])
+def test_invalid_algebra_gets_no_certificate(capsys, monkeypatch, command, lines):
+    # d a = e leaves A: every line that rests on a certificate fails with one
+    # text, no table is printed, and no certificate runs
+    import dgres.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("a certificate ran on an invalid algebra")
+
+    for name in ("quasi_iso_check", "checked_reduced_columns", "check_reduced_exactness", "homology_dims"):
+        monkeypatch.setattr(cli, name, refuse)
+    path = Path(__file__).parent / "inputs" / "base_not_closed.dgres"
+    code, out, err = run_cli([command, str(path), "--max-degree", "6"], capsys)
+    assert code == 1 and err == ""
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("  FAIL")]
+    assert failed == ["algebra:base-closure[a]"] + lines
+    assert out.count(f"counterexample: {cli.INVALID_ALGEBRA}") == len(lines)
+    assert "table" not in out
+
+
 @pytest.mark.parametrize("entry, column", [("entry f1 g0 = a", 12), ("entry  g1 f0 = a", 10)])
 def test_unknown_entry_generator_has_position(tmp_path, capsys, entry, column):
     text = ("field rationals\n\n[algebra]\next a 1\n\n[module M]\n"

@@ -11,6 +11,8 @@ COMMANDS = {
     "bar_e1_classical.txt": ["bar", "e1.dgres", "--max-n", "3", "--max-degree", "5"],
     "bar_e2_reduced.txt":   ["bar", "e2.dgres", "--reduced", "--max-degree", "6"],
     "bar_lam3_reduced.txt": ["bar", "lam3.dgres", "--reduced", "--max-degree", "5"],
+    "bar_e2_reduced_d24.txt": ["bar", "e2.dgres", "--reduced", "--max-degree", "24"],
+    "bar_lam3_reduced_d7.txt": ["bar", "lam3.dgres", "--reduced", "--max-degree", "7"],
     "semifree_e1.txt":      ["semifree", "e1.dgres", "--max-degree", "6"],
     "semifree_chain_frac.txt": ["semifree", "chain_frac.dgres", "--max-degree", "6"],
     "semifree_odd_base.txt": ["semifree", "odd_base.dgres", "--max-degree", "7"],

@@ -1,14 +1,17 @@
 """Randomized towers.  Koszul type: A = k[x_1..x_r] with zero differential
 and d e_i a random element of A of degree |e_i| - 1, so d² = 0 by
-construction.  Exterior: Λ on 1-3 odd generators with d = 0."""
+construction.  Exterior: Λ on 1-3 odd generators with d = 0.  Polynomial:
+B = A[x_1..x_s] on 1-2 even generators over A = k or k[y], with d = 0."""
 
 import argparse
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgres.algebra import DGAlgebra, validate_dg
-from dgres.bar import check_reduced_exactness, checked_reduced_columns
+import dgres.bar as bar
+from dgres.bar import check_reduced_exactness, checked_reduced_columns, reduced_d_squared_zero, reduced_homotopy_defects
 from dgres.cli import cmd_semifree
 from dgres.homology import (
     alpha_chain_map,
@@ -22,9 +25,9 @@ from dgres.homology import (
 from dgres.linalg import SliceMatrix
 from dgres.probfile import ProblemFile
 from dgres.scalars import Field
-from dgres.semifree import DD, bb_basis_element, bb_coords, bb_total_basis, dd_column
-from dgres.tensor import _caches
-from oracles import bb_rank_table, full_column_checks, reduced_bar_rank_table
+from dgres.semifree import DD, bb_basis_element, bb_coords, bb_total_basis, dbar_column, dd_column, homotopy
+from dgres.tensor import _caches, prefixed_basis_labels
+from oracles import bb_rank_table, full_column_checks, reduced_bar_rank_table, reduced_full_checks
 from test_bar import assert_reduced_columns_are_flat_merges
 
 FIELDS = [Field.rationals(), Field.prime(101)]
@@ -50,7 +53,15 @@ def exterior_towers(draw, field):
     return DGAlgebra(field, ext_gens=[(f"u{i}", d) for i, d in enumerate(degrees)])
 
 
-TOWERS = {"koszul": koszul_towers, "exterior": exterior_towers}
+@st.composite
+def polynomial_towers(draw, field):
+    ext = draw(st.lists(st.sampled_from((2, 4)), min_size=1, max_size=2))
+    base = draw(st.lists(st.sampled_from((2, 4)), max_size=1))
+    return DGAlgebra(field, base_gens=[(f"y{i}", d) for i, d in enumerate(base)],
+                     ext_gens=[(f"x{i}", d) for i, d in enumerate(ext)])
+
+
+TOWERS = {"koszul": koszul_towers, "exterior": exterior_towers, "polynomial": polynomial_towers}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -152,3 +163,68 @@ def test_prefix_one_product_checks_match_the_full_columns(kind, field, data):
     install_perturbed_dd(alg, D, data.draw(st.integers(0, 10**6)),
                          alg.field.of_int(data.draw(st.sampled_from((-1, 2, 3)))))
     assert prefix_one_checks(alg, D) == full_column_checks(alg, D)
+
+
+def homotopy_mutations(alg, D, pick):
+    """Wrong versions of `semifree.homotopy` on alg, each from one drawn choice.
+
+    "scaled" doubles h(b0, m0, ws) for one pair (b0, m0) and "boundary"
+    adds d̄(y) + ws to h(b1, m1, ws) for a label y of C_2 and a pair (b1, m1)
+    of its degree: both commute with appending tails, so the streamed check
+    reads them through the tail lemma.  "from-n2" is h made zero from n = 2
+    and "one-label" h negated at one label with n >= 2: neither commutes
+    with appending tails.
+    """
+    f, one = alg.field, alg.one_mono
+    pairs = [(b, m) for d in range(1, D + 1) for b, m, _ in prefixed_basis_labels(alg, 0, d) if m != one]
+    b0, m0 = pairs[pick % len(pairs)]
+    c2 = [lb for d in range(2, D + 1) for lb in prefixed_basis_labels(alg, 2, d) if dbar_column(alg, lb)]
+    y = c2[pick % len(c2)] if c2 else None
+    degree = None if y is None else y[0].degree + y[1].degree + sum(w.degree for w in y[2])
+    b1, m1 = next(((b, m) for b, m in pairs if b.degree + m.degree == degree), (None, None))
+    long = [lb for d in range(2, D + 1) for n in range(2, d + 1) for lb in prefixed_basis_labels(alg, n, d)
+            if lb[1] != one]
+    marked = long[pick % len(long)] if long else None
+
+    def scaled(alg, label):
+        return {k: f.mul(c, f.of_int(2)) for k, c in homotopy(alg, label).items()} if label[:2] == (b0, m0) \
+            else homotopy(alg, label)
+
+    def boundary(alg, label):
+        out = dict(homotopy(alg, label))
+        if label[:2] == (b1, m1):
+            for (x, z, ws), c in dbar_column(alg, y).items():
+                key = (x, z, ws + label[2])
+                out[key] = f.add(out.get(key, f.zero), c)
+        return {k: c for k, c in out.items() if c != f.zero}
+
+    def from_n2(alg, label):
+        return {} if len(label[2]) >= 2 else homotopy(alg, label)
+
+    def one_label(alg, label):
+        return {k: f.neg(c) for k, c in homotopy(alg, label).items()} if label == marked else homotopy(alg, label)
+
+    return {"scaled": scaled, "boundary": boundary, "from-n2": from_n2, "one-label": one_label}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", sorted(TOWERS))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_streamed_reduced_checks_match_every_slice(kind, field, data):
+    # d̄² = 0 from the products at n = 2 and the first bad label of each
+    # degree from B, C_0, C_1 and the tail lemma agree with the checks on
+    # every slice, for the true homotopy and for wrong ones, with or without
+    # the tail structure the lemma needs
+    alg = data.draw(TOWERS[kind](field))
+    D = 5
+    assert checked_reduced_columns(alg, D)
+    assert (reduced_d_squared_zero(alg, D), reduced_homotopy_defects(alg, D)) == reduced_full_checks(alg, D) \
+        == (True, [None] * (D + 1))
+    mutations = homotopy_mutations(alg, D, data.draw(st.integers(0, 10**6)))
+    name = data.draw(st.sampled_from(sorted(mutations)))
+    alg._tensor_caches = None  # the certificate is cached with the functions it read
+    with mock.patch.object(bar, "homotopy", mutations[name]):
+        assert checked_reduced_columns(alg, D)
+        streamed = reduced_d_squared_zero(alg, D), reduced_homotopy_defects(alg, D)
+    assert streamed == reduced_full_checks(alg, D, homotopy=mutations[name]), name
