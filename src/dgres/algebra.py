@@ -7,14 +7,16 @@ zero in every characteristic; even-degree generators are polynomial.
 
 Monomials are exponent vectors over the fixed generator order (base
 generators first, then ext generators, each group sorted by name).  The
-canonical monomial order is (total degree, exponent vector); it makes every
-basis, matrix, and report in the package deterministic.
+canonical monomial order is (total degree, exponent vector), a monomial's
+`sort_key`; it makes every basis, matrix, and report in the package
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .errors import DgresError, MismatchedAlgebra
@@ -32,12 +34,38 @@ class Generator(NamedTuple):
         return self.degree % 2
 
 
-class Monomial(NamedTuple):
-    exps: tuple[int, ...]
-    degree: int
+_MONOMIALS: dict[tuple[tuple[int, ...], int], Monomial] = {}
 
-    def sort_key(self):
-        return (self.degree, self.exps)
+
+class Monomial(int):
+    """An exponent vector `exps` with its total `degree`, hash-consed.
+
+    `Monomial(exps, degree)` returns the one object of the process with
+    that value, so equal monomials, from any algebra, are the same object.
+    That object is an `int` whose value is a creation-order code 1, 2, ...:
+    hashing and `==` run in CPython's int slots, and every dict keyed by
+    monomials or by tuples of them hashes each monomial in O(1).  The code
+    is not an order: sort monomials by `sort_key` = (degree, exps), the
+    canonical order, and never by the codes.  Every monomial is truthy.
+    The table `_MONOMIALS` keeps each monomial for the life of the process;
+    the bases of one run hold only a few thousand.
+    """
+
+    def __new__(cls, exps: tuple[int, ...], degree: int):
+        m = _MONOMIALS.get((exps, degree))
+        if m is None:
+            m = int.__new__(cls, len(_MONOMIALS) + 1)
+            m.exps = exps
+            m.degree = degree
+            m.sort_key = (degree, exps)
+            _MONOMIALS[exps, degree] = m
+        return m
+
+    def __reduce__(self):
+        return Monomial, (self.exps, self.degree)
+
+    def __repr__(self):
+        return f"Monomial(exps={self.exps!r}, degree={self.degree!r})"
 
 
 @dataclass
@@ -298,7 +326,7 @@ class DGAlgebra:
             exps[i] = 0
 
         rec(list(idxs), degree)
-        out.sort(key=Monomial.sort_key)
+        out.sort(key=attrgetter("sort_key"))
         result = tuple(out)
         self._basis_cache[key] = result
         return result
@@ -389,10 +417,11 @@ class AlgElement:
         return self.alg is other.alg and self.terms == other.terms
 
     def __hash__(self):
-        return hash((id(self.alg), tuple(sorted(self.terms.items()))))
+        # equal elements share their algebra, so the hash may leave it out
+        return hash(tuple((m.sort_key, c) for m, c in self.sorted_terms()))
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
+        return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key)
 
     def __repr__(self):
         if not self.terms:

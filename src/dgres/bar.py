@@ -622,7 +622,7 @@ def _fails_at(alg: DGAlgebra, label, n: int, d: int) -> bool:
 def _first_failing_tail(alg: DGAlgebra, failing: list, n: int, d: int):
     """The first label of C_n(d), n >= 2, in basis order, whose head (b, m, (w_1,)) is in `failing`."""
     def order(lb):
-        return lb[0].sort_key(), lb[1].sort_key(), lb[2][0].sort_key()
+        return lb[0].sort_key, lb[1].sort_key, lb[2][0].sort_key
     for b, m, head in sorted(failing, key=order):
         tails = _delta_factors(alg, n - 1, d - b.degree - m.degree - head[0].degree)
         if tails:

@@ -61,11 +61,16 @@ def _common_options(args, problem) -> dict:
     return opts
 
 
+_LEAST = {"max_degree": 0, "max_n": 1, "samples": 1}
+
+
 def _opt_int(problem, args, name: str, default: int | None) -> int | None:
     """An integer option: the CLI flag, else the file's [options] line, else default.
 
-    A negative window bound (max_degree, max_n) is a usage error: the window
-    it names is empty, so every check over it would pass vacuously.
+    A window bound below its least value is a usage error: max-degree < 0,
+    max-n < 1 (the classical bar checks d² = 0 only for n >= 1) and
+    samples < 1 leave the window empty, so every check over it would pass
+    vacuously.
     """
     val = getattr(args, name, None)
     if val is None:
@@ -76,8 +81,9 @@ def _opt_int(problem, args, name: str, default: int | None) -> int | None:
             val = int(raw)
         except ValueError:
             raise UsageError(f"option {name} in file must be an integer, got {raw!r}")
-    if name in ("max_degree", "max_n") and val < 0:
-        raise UsageError(f"{name.replace('_', '-')} must be >= 0, got {val}")
+    least = _LEAST.get(name)
+    if least is not None and val < least:
+        raise UsageError(f"{name.replace('_', '-')} must be >= {least}, got {val}")
     return val
 
 
@@ -233,12 +239,12 @@ def cmd_lift(args, problem) -> Report:
         raise UsageError(f"module {args.module!r} not defined in the input file")
     N = problem.modules[args.module]
     D = _opt_int(problem, args, "max_degree", 8)
+    seed = _opt_int(problem, args, "seed", 0)
+    samples = _opt_int(problem, args, "samples", 100)
     module_rep = validate_module(N)
     rep.add_validation(f"module[{args.module}]", module_rep, "")
     if module_rep.passed:
         _lift_checks(rep, N, D)
-    seed = _opt_int(problem, args, "seed", 0)
-    samples = _opt_int(problem, args, "samples", 100)
     rep.add_validation("concat-sign-lemma", lemma_sign_check(N, samples, seed), f"{samples} samples, seed {seed}")
     return rep
 

@@ -180,7 +180,7 @@ class TensorElement:
 
 
 def _word_key(w: Word):
-    return (word_degree(w), tuple(m.sort_key() for m in w))
+    return (word_degree(w), tuple(m.sort_key for m in w))
 
 
 # -- multiplicative structure -------------------------------------------------
@@ -423,7 +423,7 @@ def delta_coords(t: TensorElement, n: int, strict: bool = True):
             sub._add_canonical(w[:-1], c)
     out: dict[Word, TensorElement] = {}
     predicted = TensorElement(alg, t.length - 1)
-    for wlast, sub in sorted(groups.items(), key=lambda kv: kv[0].sort_key()):
+    for wlast, sub in sorted(groups.items(), key=lambda kv: kv[0].sort_key):
         subcoords = delta_coords(sub, n - 1, strict=strict)
         if subcoords is None:
             return None

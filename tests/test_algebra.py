@@ -160,7 +160,7 @@ def test_mismatched_algebra_rejected(E1, E2, E3):
 
     with _pytest.raises(MismatchedAlgebra):
         E1.gen("e") * E2.gen("x")
-    # monomials are bare exponent tuples, so the generator-set check is by arity
+    # monomials carry no algebra, only exponent vectors, so the generator-set check is by arity
     with _pytest.raises(MismatchedAlgebra):
         E1.mono_mul(E1.mono({"e": 1}), E3.mono({"e": 1}))
 
@@ -225,3 +225,70 @@ def test_prime_field_arithmetic():
     v = x.scale_int(51) * x.scale_int(2)
     assert v == alg.element([(1, {"x": 2})])
     assert F.of_fraction(__import__("fractions").Fraction(1, 2)) == 51
+
+
+# -- the hash-consed Monomial ---------------------------------------------------
+
+LAM_XY = "field rationals\n\n[algebra]\nbase y 2\next e 1\next x 3\nd x = y*e\n"
+
+
+def test_monomials_are_hash_consed():
+    import copy
+    import pickle
+
+    from dgres.algebra import Monomial
+
+    m = Monomial((0, 2, 1), 7)
+    assert Monomial((0, 2, 1), 7) is m and Monomial((0, 2, 1), 5) is not m
+    assert copy.deepcopy(m) is m and pickle.loads(pickle.dumps(m)) is m
+    assert (m.exps, m.degree, m.sort_key) == ((0, 2, 1), 7, (7, (0, 2, 1)))
+    assert repr(m) == "Monomial(exps=(0, 2, 1), degree=7)"
+
+
+def test_equal_monomials_of_two_parsed_algebras_are_one_object():
+    from dgres.probfile import parse_problem
+
+    a, b = parse_problem(LAM_XY).algebra, parse_problem(LAM_XY).algebra
+    assert a is not b and a.one_mono is b.one_mono
+    for d in range(8):
+        assert all(m is n for m, n in zip(a.basis("B", d), b.basis("B", d), strict=True))
+    assert list(a.d(a.gen("x")).terms) == [b.mono({"y": 1, "e": 1})]
+
+
+def test_every_monomial_is_truthy(fixture_algebras):
+    for alg in fixture_algebras.values():
+        assert alg.one_mono and all(m for d in range(6) for m in alg.basis("B", d))
+
+
+# Creates the monomials of one element in the order given by argv, then prints
+# the codes, the repr, the hash and the sort keys of that element.
+_CODE_ORDER_SCRIPT = """
+import sys
+from dgres.algebra import Monomial
+from dgres.probfile import parse_problem
+ms = [((0, 0, 1), 3), ((1, 1, 0), 3), ((0, 1, 0), 1), ((0, 0, 0), 0)]
+for exps, degree in (ms if sys.argv[1] == "forward" else ms[::-1]):
+    Monomial(exps, degree)
+alg = parse_problem(sys.argv[2]).algebra
+u = alg.element([(1, {"x": 1}), (2, {"y": 1, "e": 1}), (-3, {"e": 1}), (5, {})])
+print([int(m) for m in u.terms])
+print(repr(u), hash(u), [m.sort_key for m, _ in u.sorted_terms()])
+"""
+
+
+def test_hash_and_order_of_elements_do_not_depend_on_codes():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    for order, seed in (("forward", "0"), ("reverse", "1")):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        out = subprocess.run([sys.executable, "-c", _CODE_ORDER_SCRIPT, order, LAM_XY], env=env,
+                             capture_output=True, text=True, check=True).stdout.splitlines()
+        runs.append(out)
+    (codes1, rest1), (codes2, rest2) = runs
+    assert codes1 != codes2 and rest1 == rest2
+    assert rest1.startswith("5 + -3*e + x + 2*y*e ")

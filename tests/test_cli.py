@@ -68,11 +68,16 @@ def test_derivations_window_without_odd_square(tmp_path, capsys, golden_dir, nam
     assert code == 0 and "verdict: PASS" in out, err
 
 
+# the least value of each window option; below it the window is empty
+LEAST = {"max-degree": 0, "max-n": 1, "samples": 1}
+
+
 @pytest.mark.parametrize("args", [["--reduced", "--max-degree", "-1"], ["--max-n", "-1", "--max-degree", "2"],
                                   ["--max-n", "1", "--max-degree", "-3"]])
 def test_negative_window_flag_is_usage_error(capsys, golden_dir, args):
     code, out, err = run_cli(["bar", str(golden_dir / "e1.dgres")] + args, capsys)
-    assert code == 2 and "must be >= 0" in err and out == ""
+    flag, val = next((f[2:], v) for f, v in zip(args, args[1:]) if v[1:].isdigit())
+    assert code == 2 and f"{flag} must be >= {LEAST[flag]}, got {val}" in err and out == ""
 
 
 @pytest.mark.parametrize("option, args", [("max-degree = -1", ["--reduced"]), ("max-n = -2", [])])
@@ -80,7 +85,44 @@ def test_negative_window_option_is_usage_error(tmp_path, capsys, golden_dir, opt
     path = tmp_path / "neg.dgres"
     path.write_text((golden_dir / "e1.dgres").read_text() + f"\n[options]\n{option}\n")
     code, out, err = run_cli(["bar", str(path)] + args, capsys)
-    assert code == 2 and "must be >= 0" in err and out == ""
+    key, val = option.split(" = ")
+    assert code == 2 and f"{key} must be >= {LEAST[key]}, got {val}" in err and out == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("command, args", [("lift", ["--module", "K"]), ("derivations", [])])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_empty_sample_count_is_usage_error(tmp_path, capsys, golden_dir, value, command, args, source):
+    # zero samples would print PASS over nothing
+    path = tmp_path / "samples.dgres"
+    text = (golden_dir / "e2.dgres").read_text()
+    if source == "file":
+        path.write_text(text + f"\n[options]\nsamples = {value}\n")
+    else:
+        path.write_text(text)
+        args = args + ["--samples", value]
+    code, out, err = run_cli([command, str(path), "--max-degree", "2"] + args, capsys)
+    assert code == 2 and out == "" and f"samples must be >= 1, got {value}" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_classical_bar_max_n_zero_is_usage_error(tmp_path, capsys, golden_dir, source):
+    # the classical bar checks d² = 0 only for n >= 1, so max-n 0 would pass it vacuously
+    path = tmp_path / "maxn.dgres"
+    text = (golden_dir / "e1.dgres").read_text()
+    path.write_text(text + "\n[options]\nmax-n = 0\n" if source == "file" else text)
+    args = ["--max-n", "0"] if source == "flag" else []
+    code, out, err = run_cli(["bar", str(path), "--max-degree", "2"] + args, capsys)
+    assert code == 2 and out == "" and "max-n must be >= 1, got 0" in err
+
+
+def test_lemma_sign_check_with_no_checked_pair_fails(capsys, golden_dir):
+    # the one pair sampled at seed 0 is skipped for both identities
+    code, out, err = run_cli(["lift", str(golden_dir / "e2.dgres"), "--module", "K",
+                              "--samples", "1", "--seed", "0"], capsys)
+    lines = [line for line in out.splitlines() if "concat-sign-lemma" in line]
+    assert code == 1 and len(lines) == 2 and all(line.startswith("  FAIL") for line in lines)
+    assert out.count("counterexample: no sampled pair was checked") == 2
 
 
 @pytest.mark.parametrize("command", ["semifree", "homology"])

@@ -272,7 +272,7 @@ def test_prefixed_coords_round_trip(fixture_algebras):
 
 
 def _sort_keys(ms):
-    return tuple(m.sort_key() for m in ms)
+    return tuple(m.sort_key for m in ms)
 
 
 @pytest.mark.parametrize("name", ["E1", "E2", "E3", "E1p", "E2p", "E3p", "K3p", "odd_base", "lam"])
@@ -290,8 +290,8 @@ def test_slice_enumerators_emit_in_key_order(request, fixture_algebras, name):
             assert list(words) == sorted(words, key=lambda w: (word_degree(w), _sort_keys(w)))
         for n in range(1, 5):
             labels = jn_basis_labels(alg, n, degree)
-            assert list(labels) == sorted(labels, key=lambda bw: (bw[0].sort_key(), _sort_keys(bw[1])))
+            assert list(labels) == sorted(labels, key=lambda bw: (bw[0].sort_key, _sort_keys(bw[1])))
         for n in range(5):
             labels = prefixed_basis_labels(alg, n, degree)
             assert list(labels) == sorted(
-                labels, key=lambda lb: (lb[0].sort_key(), lb[1].sort_key(), _sort_keys(lb[2])))
+                labels, key=lambda lb: (lb[0].sort_key, lb[1].sort_key, _sort_keys(lb[2])))
