@@ -162,6 +162,7 @@ def cmd_bar(args, problem) -> Report:
 
 BAD_REDUCED_COLUMNS = "a reduced bar column differs from the flat merge of its basis element"
 INVALID_ALGEBRA = "the algebra fails its algebra:* checks, so no resolution of it is certified"
+NO_SAMPLE = "no sample was checked"
 
 
 def cmd_semifree(args, problem) -> Report:
@@ -182,7 +183,7 @@ def cmd_semifree(args, problem) -> Report:
         qi = QuasiIsoReport(False, [], _window(D), INVALID_ALGEBRA)
     for name in ("DD-squared-zero", "anticommutation", "alpha-chain-map"):
         rep.add_check(name, qi.checks.get(name, False), window, "" if qi.checks else qi.details)
-    ok_tlin = True
+    ok_tlin, pairs = True, 0
     gens = [alg.gen(g.name) for g in alg.gens]
     ss = [t_word(alg, [g]) for g in gens]
     for t in range(0, min(D, 5) + 1):
@@ -191,9 +192,11 @@ def cmd_semifree(args, problem) -> Report:
                 continue
             v = bb_basis_element(alg, label)
             for s in ss:
+                pairs += 1
                 if frakD(t_action(v, s)) != t_action(frakD(v), s):
                     ok_tlin = False
-    rep.add_check("frakD-T-linearity", ok_tlin, f"total degrees 0..{min(D, 5)}, word length >= 1")
+    rep.add_check("frakD-T-linearity", ok_tlin and pairs > 0, f"total degrees 0..{min(D, 5)}, word length >= 1",
+                  "" if pairs else "the window holds no label of word length >= 1, so nothing was checked")
     rep.add_validation("semifree", check_semifree_triangular(alg, D), window)
     rep.add_check("quasi-isomorphism", qi.passed, qi.window, qi.details)
     if qi.passed:
@@ -334,9 +337,7 @@ def cmd_derivations(args, problem) -> Report:
         return {k: t for k, t in images.items() if not t.is_zero()}
 
     ok_d = True
-    for _ in range(samples):
-        if not dspace:
-            break
+    for _ in range(samples if dspace else 0):
         Dt = type(dspace[0])(alg, D, combine(dspace))
         if not Dt.validate().passed:
             ok_d = False
@@ -347,12 +348,10 @@ def cmd_derivations(args, problem) -> Report:
         zero = TensorElement(alg, 2)
         if any(Dt.images.get(k, zero) != Dt2.images.get(k, zero) for k in keys):
             ok_d = False
-    rep.add_check("eta-of-eta-inverse-identity", ok_d, window)
+    rep.add_check("eta-of-eta-inverse-identity", ok_d and bool(dspace), window, "" if dspace else NO_SAMPLE)
 
     ok_f = True
-    for _ in range(samples):
-        if not bspace:
-            break
+    for _ in range(samples if bspace else 0):
         fm = type(bspace[0])(alg, D, combine(bspace))
         Dt = eta(fm)
         f2 = eta_inverse(Dt)
@@ -360,10 +359,10 @@ def cmd_derivations(args, problem) -> Report:
         keys = set(fm.images) | set(f2.images)
         if any(fm.images.get(k, zero) != f2.images.get(k, zero) for k in keys):
             ok_f = False
-    rep.add_check("eta-inverse-of-eta-identity", ok_f, window)
+    rep.add_check("eta-inverse-of-eta-identity", ok_f and bool(bspace), window, "" if bspace else NO_SAMPLE)
 
     # corrupted input must be rejected, not silently accepted
-    ok_reject = True
+    ok_reject = None  # no corrupted derivation was checked
     if dspace:
         Dt = type(dspace[0])(alg, D, dict(dspace[0].images))
         corrupt = None
@@ -383,7 +382,7 @@ def cmd_derivations(args, problem) -> Report:
                 ok_reject = bad.validate().passed  # only acceptable if it truly is a derivation
             except ObstructionNonzero:
                 ok_reject = True
-    rep.add_check("corrupted-derivation-rejected", ok_reject, window)
+    rep.add_check("corrupted-derivation-rejected", bool(ok_reject), window, "" if ok_reject is not None else NO_SAMPLE)
     return rep
 
 

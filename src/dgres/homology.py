@@ -20,11 +20,11 @@ from .semifree import (
     BBElement,
     add_term,
     alpha,
-    bb_total_basis,
     dd_column,
     defect_details,
     homotopy,
     pi_column,
+    prefix_one_labels,
     section,
 )
 from .tensor import TensorElement, _caches, prefixed_basis_dim, prefixed_basis_element
@@ -71,47 +71,50 @@ def dB_matrix(alg: DGAlgebra, degree: int) -> SliceMatrix:
         alg.field, alg.basis("B", degree - 1), src, (alg.diff_mono(m).terms for m in src)))
 
 
-def bb_dd_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
-    """Matrix of 𝔻 from total degree t to t-1, over the stored 𝔹 bases.
-
-    Every column comes from the closed form `dd_column`; `checked_dd_columns`
-    certifies each column against the flat 𝔻v (prefix b = 1 and n <= 1), the
-    tail lemma (prefix 1 and n >= 2) or the prefix lemma (b != 1), and
-    rejects a column with a label outside the basis of total degree t-1 (an
-    extra row).
+def bb_column(alg: DGAlgebra, label) -> tuple[dict, dict]:
+    """The 𝔻 and α columns of one label, memoised per algebra: `dd_column` and
+    `pi_column` for (n, (1, m, ws)), else `prefix_image` of the columns of
+    (n, (1, m, ws)).  Equal row labels are stored as one object, as the
+    collector walks every tuple that holds a monomial.
     """
-    src = bb_total_basis(alg, total_degree)
-    return _cached(alg, "dd_matrix", total_degree, lambda: SliceMatrix.from_columns(
-        alg.field, bb_total_basis(alg, total_degree - 1), src, (dd_column(alg, lab) for lab in src)))
+    cache = _caches(alg)["bb_columns"]
+    got = cache.get(label)
+    if got is None:
+        n, (b, m, ws) = label
+        if b == alg.one_mono:
+            dd, al = dd_column(alg, label), ({} if n else pi_column(alg, label[1]))
+        else:
+            dd, al = prefix_image(alg, label, *bb_column(alg, (n, (alg.one_mono, m, ws))))
+        same = _caches(alg)["bb_labels"].setdefault
+        got = cache[label] = {same(row, row): c for row, c in dd.items()}, al
+    return got
+
+
+def _on_labels(alg: DGAlgebra, part: int, rows, cols) -> SliceMatrix:
+    """The 𝔻 (part 0) or α (part 1) columns of `bb_column` on the labels cols, over
+    the rows `rows` and then every other label hit, in the order first hit."""
+    return SliceMatrix.from_columns(alg.field, rows, cols, (bb_column(alg, lb)[part] for lb in cols))
+
+
+def bb_dd_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
+    """Matrix of 𝔻 on the prefix-1 labels of total degree t (`prefix_one_labels`); cached per algebra.
+
+    Its rows are the prefix-1 labels of degree t-1, then the labels with
+    b != 1 that the columns hit, in the order first hit: the left factor of
+    a product needs only these (`dd_square`).
+    """
+    return _cached(alg, "dd_matrix", total_degree, lambda: _on_labels(
+        alg, 0, prefix_one_labels(alg, total_degree - 1), prefix_one_labels(alg, total_degree)))
 
 
 def bb_alpha_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
-    """Matrix of the augmentation α from the 𝔹 slice to the B slice; cached per algebra.
+    """Matrix of the augmentation α from the prefix-1 labels of 𝔹 to the B slice; cached per algebra.
 
     On the labels α(0, λ) = π(λ) (`semifree.pi_column`), and α is zero on
     every component n >= 1.
     """
-    src = bb_total_basis(alg, total_degree)
-    return _cached(alg, "alpha_matrix", total_degree, lambda: SliceMatrix.from_columns(
-        alg.field, alg.basis("B", total_degree), src, ({} if n else pi_column(alg, lb) for n, lb in src)))
-
-
-def prefix_one_columns(alg: DGAlgebra, total_degree: int) -> list[int]:
-    """The indices of the labels (n, (1, m, ws)) in `bb_total_basis`, ascending."""
-    one = alg.one_mono
-    return [j for j, (_, (b, _, _)) in enumerate(bb_total_basis(alg, total_degree)) if b == one]
-
-
-def dd_prefix_one(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
-    """`bb_dd_matrix` on its prefix-1 columns only; cached per algebra."""
-    return _cached(alg, "dd_matrix_1", total_degree, lambda: bb_dd_matrix(alg, total_degree).restrict_columns(
-        prefix_one_columns(alg, total_degree)))
-
-
-def alpha_prefix_one(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
-    """`bb_alpha_matrix` on its prefix-1 columns only; cached per algebra."""
-    return _cached(alg, "alpha_matrix_1", total_degree, lambda: bb_alpha_matrix(alg, total_degree).restrict_columns(
-        prefix_one_columns(alg, total_degree)))
+    return _cached(alg, "alpha_matrix", total_degree, lambda: _on_labels(
+        alg, 1, alg.basis("B", total_degree), prefix_one_labels(alg, total_degree)))
 
 
 def prefix_image(alg: DGAlgebra, label, dd_col: dict, alpha_col: dict) -> tuple[dict, dict]:
@@ -153,16 +156,23 @@ def tail_image(alg: DGAlgebra, label, head_col: dict, last_col: dict) -> dict:
 
 
 def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
-    """Every column of `bb_dd_matrix` and `bb_alpha_matrix` in total degrees 0..D is right.
+    """Every column of 𝔻 and α that a product reads, through total degree D, is right.
 
     Write ι_n(b, m, ws) for the flat basis element of the label (n, (b, m, ws))
-    and b· for left multiplication of slot 0 by b.  The columns are compared
-    in order of total degree t, each against its flat image or against
-    columns of lower total degree that are already certified, so by
-    induction on t every column is the coordinate vector of 𝔻v and αv, and
-    products of the matrices, such as 𝔻_{t-1}∘𝔻_t and α_{t-1}∘𝔻_t, are exact
-    statements about 𝔻 and α on every basis element.  A 𝔻 column with a
-    label outside the basis of degree t-1 fails.
+    and b· for left multiplication of slot 0 by b.  The columns of
+    `bb_column` are checked on the prefix-1 labels (n, (1, m, ws)) of total
+    degree t <= D, on the labels with b != 1 that their 𝔻 columns hit (the
+    rows of `bb_dd_matrix`) and on the σ-labels (0, (b, 1, ())).  In order of
+    t, each is compared with its flat image or with certified columns of
+    lower total degree, so by induction every column that the products of
+    `quasi_iso_check` read is the coordinate vector of 𝔻v and αv.
+
+    Membership: each row (k, (b, m, ws)) of a prefix-1 column of degree t is
+    a basis label of degree t-1: a prefix-1 label certified at t-1, or
+    b·(k, (1, m, ws)) with b a B-monomial, |b| >= 1, and (k, (1, m, ws))
+    certified at t-1-|b|.  This fixes the component, the W-monomials m and
+    w_i != 1, and the degree.  The flat comparison would miss a row whose
+    flat element is zero, such as one with a factor w_i = 1.
 
     Flat: prefix 1 and n <= 1.  The column of v = (n, (1, m, ws)), expanded
     over the flat basis elements of degree t-1, must be exactly the flat
@@ -198,7 +208,8 @@ def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
     total degree than t: t >= n + (n - 1) + |w|, as every |w_j| >= 1.
 
     Prefix lemma: b != 1 (`prefix_image`), from the certified columns of
-    (n, (1, m, ws)), of lower total degree:
+    (n, (1, m, ws)), of lower total degree; the image must also equal
+    `dd_column` and `pi_column` on the label:
     - ι_n(b, m, ws) = b·ι_n(1, m, ws), as b is the whole of slot 0;
     - b·ι(b', m', ws') = s·ι(bb', m', ws') with (s, bb') = mono_mul(b, b'),
       and 0 when the product vanishes;
@@ -213,7 +224,7 @@ def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
     f = alg.field
     one = alg.one_mono
     flat: dict = {}  # label -> its flat component, built on first use
-    certified: dict = {}  # (n, (1, m, ws)) -> its checked (𝔻 column, α column)
+    certified: list[dict] = [{} for _ in range(D + 1)]  # per total degree: label -> (𝔻 column, α column)
 
     def flat_of(label):
         te = flat.get(label)
@@ -221,20 +232,31 @@ def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
             te = flat[label] = prefixed_basis_element(alg, label[1])
         return te
 
-    for t in range(D + 1):
-        M = bb_dd_matrix(alg, t)
-        if M.nrows != len(bb_total_basis(alg, t - 1)):
+    prefixes = {b for d in range(1, D + 1) for b in alg.basis("B", d)}
+
+    def in_basis(row, t) -> bool:
+        """row is a certified label of total degree t; a label b·X, b != 1, is certified on first use."""
+        if row in certified[t]:
+            return True
+        k, (b, m, ws) = row
+        if b not in prefixes or b.degree > t or (k, (one, m, ws)) not in certified[t - b.degree]:
             return False
-        for label, dd_col, alpha_col in zip(M.col_labels, M.columns(), bb_alpha_matrix(alg, t).columns()):
-            n, (b, m, ws) = label
-            if b != one:
-                base = certified.get((n, (one, m, ws)))
-                if base is None or (dd_col, alpha_col) != prefix_image(alg, label, *base):
-                    return False
-                continue
+        cols = bb_column(alg, row)
+        if cols != (dd_column(alg, row), {} if k else pi_column(alg, row[1])):
+            return False
+        certified[t][row] = cols
+        return True
+
+    for t in range(D + 1):
+        for label in prefix_one_labels(alg, t):
+            dd_col, alpha_col = cols = bb_column(alg, label)
+            if not all(t and in_basis(row, t - 1) for row in dd_col):
+                return False
+            n, (_, m, ws) = label
             if n >= 2:
-                head = certified.get((n - 1, (one, m, ws[:-1])))
-                last = certified.get((1, (one, one, ws[-1:])))
+                w = ws[-1].degree
+                head = certified[t - 1 - w].get((n - 1, (one, m, ws[:-1])))
+                last = certified[1 + w].get((1, (one, one, ws[-1:])))
                 if head is None or last is None or alpha_col or dd_col != tail_image(alg, label, head[0], last[0]):
                     return False
             else:
@@ -249,14 +271,17 @@ def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
                         acc._add_canonical(w, f.mul(c, cw))
                 if BBElement(alg, comps) != DD(v) or alpha_col != alpha(v).terms:
                     return False
-            certified[label] = dd_col, alpha_col
+            certified[t][label] = cols
+        if not all(in_basis((0, (b, one, ())), t) for b in alg.basis("B", t)):  # the σ-labels
+            return False
     return True
 
 
 def dd_square(alg: DGAlgebra, total_degree: int) -> tuple[bool, bool]:
     """(𝔻² = 0, 𝔇∂ + ∂𝔇 = 0) on the prefix-1 columns of one total degree t.
 
-    Read off 𝔻_{t-1}∘𝔻_t on the columns (n, (1, m, ws)) (`dd_prefix_one`):
+    Read off 𝔻_{t-1}∘𝔻_t on the columns (n, (1, m, ws)) of `bb_dd_matrix`,
+    with the left factor 𝔻_{t-1} on the rows they hit only (`bb_column`):
     ∂ keeps the word length n and 𝔇 lowers it by one, so the entries of the
     product one component below their column are ∂𝔇 + 𝔇∂; the others are
     ∂² (same component) and 𝔇² (two below).  The first verdict also needs
@@ -264,7 +289,8 @@ def dd_square(alg: DGAlgebra, total_degree: int) -> tuple[bool, bool]:
     they hold on every column of 𝔻_{t-1}∘𝔻_t (the product lemma of
     `quasi_iso_check`).
     """
-    P = bb_dd_matrix(alg, total_degree - 1).compose(dd_prefix_one(alg, total_degree))
+    M = bb_dd_matrix(alg, total_degree)
+    P = _on_labels(alg, 0, (), M.row_labels).compose(M)
     anti = all(P.row_labels[i][0] != P.col_labels[j][0] - 1 for i, j in P.entries)
     dB_square = dB_matrix(alg, total_degree - 1).compose(dB_matrix(alg, total_degree))
     return P.is_zero() and dB_square.is_zero(), anti
@@ -273,11 +299,13 @@ def dd_square(alg: DGAlgebra, total_degree: int) -> tuple[bool, bool]:
 def alpha_chain_map(alg: DGAlgebra, total_degree: int) -> bool:
     """α_{t-1}∘𝔻_t = d^B_t∘α_t on the prefix-1 columns of one total degree t.
 
+    The left factor α_{t-1} is taken on the rows of `bb_dd_matrix` only.
     Over t = 1..D this holds exactly when it holds on every column (the
     product lemma of `quasi_iso_check`).
     """
-    lhs = bb_alpha_matrix(alg, total_degree - 1).compose(dd_prefix_one(alg, total_degree))
-    rhs = dB_matrix(alg, total_degree).compose(alpha_prefix_one(alg, total_degree))
+    M = bb_dd_matrix(alg, total_degree)
+    lhs = _on_labels(alg, 1, alg.basis("B", total_degree - 1), M.row_labels).compose(M)
+    rhs = dB_matrix(alg, total_degree).compose(bb_alpha_matrix(alg, total_degree))
     return lhs.entries == rhs.entries
 
 
@@ -343,9 +371,10 @@ def bb_homology_table(alg: DGAlgebra, D: int) -> HomologyTable:
     Sound once `quasi_iso_check` holds: 𝔹 is then the direct sum of the
     subcomplexes σ(B) ≅ B and K = ker α, which h contracts (αh = 0).  So
     rank 𝔻_m = rank d^B_m + r_m, with r_0 = 0 and, K being exact,
-    r_{m+1} = dim K_m − r_m = dim 𝔹_m − dim B_m − r_m.
+    r_{m+1} = dim K_m − r_m = dim 𝔹_m − dim B_m − r_m.  dim 𝔹_m is counted
+    over the components n (`prefixed_basis_dim`); no label is listed.
     """
-    dims = [len(bb_total_basis(alg, m)) for m in range(D + 1)]
+    dims = [sum(prefixed_basis_dim(alg, n, m - n) for n in range(m // 2 + 1)) for m in range(D + 1)]
     r = [0]
     for m in range(D):
         r.append(dims[m] - len(alg.basis("B", m)) - r[m])
@@ -360,30 +389,31 @@ def bb_homotopy_defect(alg: DGAlgebra, top: int):
     """The first label at which 𝔻h + h𝔻 + σα = id or α∘σ = id fails in total degrees 0..top, or None.
 
     h(n, λ) = (n + 1, hλ) and σ(b) = (0, σb) (`semifree.homotopy`,
-    `semifree.section`), against the columns of `bb_dd_matrix` and
-    `bb_alpha_matrix`.  The 𝔹 identity is taken on the prefix-1 columns
-    only: by the product lemma of `quasi_iso_check` it then holds on every
-    column, and its first failing label is the same.
+    `semifree.section`).  The 𝔹 identity is taken on the prefix-1 columns
+    of `bb_dd_matrix` only, so h𝔻 needs h on its rows only: by the product
+    lemma of `quasi_iso_check` it then holds on every column, and its first
+    failing label is the same.  α∘σ needs α on the σ-labels only (`bb_column`).
     """
     f = alg.field
 
     def h(label):
         return {(label[0] + 1, lb): c for lb, c in homotopy(alg, label[1]).items()}
 
-    g = SliceMatrix.from_columns(f, bb_total_basis(alg, 0), (), ())  # h out of degree t - 1, empty for t = 0
     for t in range(top + 1):
-        A, B, src = bb_alpha_matrix(alg, t), alg.basis("B", t), bb_total_basis(alg, t)
-        M1, up1, keep = dd_prefix_one(alg, t), dd_prefix_one(alg, t + 1), prefix_one_columns(alg, t)
-        # h keeps the prefix: 𝔻h needs only the prefix-1 columns of 𝔻_{t+1}, a label sent elsewhere fails
+        B, M1, up1 = alg.basis("B", t), bb_dd_matrix(alg, t), bb_dd_matrix(alg, t + 1)
+        sig = [{(0, lb): c for lb, c in section(alg, b).items()} for b in B]
+        # h keeps the prefix: 𝔻h needs only the prefix-1 columns of 𝔻_{t+1}, a label sent elsewhere fails;
+        # the rows of all three products start with those of 𝔻_{t+1}, led by the prefix-1 labels of degree t
         h1 = SliceMatrix.from_columns(f, up1.col_labels, M1.col_labels, (h(v) for v in M1.col_labels))
-        sigma = SliceMatrix.from_columns(f, src, B, ({(0, lb): c for lb, c in section(alg, b).items()} for b in B))
-        j = identity_defect([(up1, h1), (g, M1), (sigma, alpha_prefix_one(alg, t))], keep)
+        g = SliceMatrix.from_columns(f, up1.row_labels, M1.row_labels, (h(v) for v in M1.row_labels))
+        sigma = SliceMatrix.from_columns(f, g.row_labels, B, sig)
+        j = identity_defect([(up1, h1), (g, M1), (sigma, bb_alpha_matrix(alg, t))])
         if j is not None:
             return M1.col_labels[j]
-        j = identity_defect([(A, sigma)])
+        sigma = SliceMatrix.from_columns(f, (), B, sig)
+        j = identity_defect([(_on_labels(alg, 1, B, sigma.row_labels), sigma)])
         if j is not None:
             return B[j]
-        g = SliceMatrix.from_columns(f, bb_total_basis(alg, t + 1), src, (h(v) for v in src))
     return None
 
 
@@ -402,11 +432,11 @@ class QuasiIsoReport:
 def quasi_iso_check(alg: DGAlgebra, D: int) -> QuasiIsoReport:
     """α: (𝔹, 𝔻) → (B, d^B) is a homotopy equivalence through degree D-1.
 
-    The certificate of `semifree` and `homology`, read off the matrices of
-    𝔻 and α through total degree D:
-    - every column is checked, against the flat 𝔻v and αv for prefix 1 and
-      n <= 1, the tail lemma for prefix 1 and n >= 2, and the prefix lemma
-      otherwise (`checked_dd_columns`);
+    The certificate of `semifree` and `homology`, read off 𝔻 and α on the
+    prefix-1 columns through total degree D and on the rows they hit:
+    - each such column is checked (`checked_dd_columns`): its rows are basis
+      labels, prefix 1 against the flat 𝔻v and αv (n <= 1) or the tail lemma
+      (n >= 2), b != 1 and the σ-labels by the prefix lemma and both closed forms;
     - 𝔻² = 0 (`dd_square`) and α∘𝔻 = d^B∘α (`alpha_chain_map`);
     - 𝔻h + h𝔻 + σα = id and α∘σ = id through degree D-1 (`bb_homotopy_defect`).
     Then σ is a chain map: composing the identity with 𝔻 on either side and

@@ -30,13 +30,13 @@ from .errors import DgresError, LengthMismatch
 from .tensor import (
     TensorElement,
     _caches,
+    _delta_factors,
     _prefixed_labels,
     concat_B,
     delta,
     merge_at,
     pi_B,
     prefixed_basis_element,
-    prefixed_coords,
     tensor_differential,
     word_degree,
 )
@@ -298,6 +298,18 @@ def bb_total_basis(alg: DGAlgebra, total_degree: int):
     return result
 
 
+def prefix_one_labels(alg: DGAlgebra, total_degree: int) -> tuple:
+    """The labels (n, (1, m, ws)) of one total degree, in `bb_total_basis` order: 𝔹 is
+    free on them as a left B-module, (n, (b, m, ws)) being b·(n, (1, m, ws)).  Only
+    they are listed, from the W-monomials m and the δ-words of `tensor._delta_factors`."""
+    cache, one, t = _caches(alg)["prefix_one"], alg.one_mono, total_degree
+    got = cache.get(t)
+    if got is None:
+        got = cache[t] = tuple((n, (one, m, ws)) for n in range(t // 2 + 1) for dm in range(t - n + 1)
+                               for m in alg.basis("W", dm) for ws in _delta_factors(alg, n, t - n - dm))
+    return got
+
+
 def bb_basis_element(alg: DGAlgebra, label) -> BBElement:
     n, lb = label
     return BBElement(alg, {n: prefixed_basis_element(alg, lb)})
@@ -419,38 +431,22 @@ def defect_details(alg: DGAlgebra, label) -> str:
     return "" if label is None else f"the contracting homotopy identity fails at {text(label)}"
 
 
-def bb_coords(t: BBElement, strict: bool = True) -> dict:
-    """Coordinates of a BBElement over the stored basis labels (n, (b, m, ws))."""
-    out = {}
-    for n, te in t.components.items():
-        co = prefixed_coords(te, n, strict=strict)
-        if co is None:
-            return None
-        for lb, c in co.items():
-            out[(n, lb)] = c
-    return out
-
-
 def check_semifree_triangular(alg: DGAlgebra, max_total_degree: int) -> ValidationReport:
     """𝔻 of each basis element is supported on strictly earlier basis elements.
 
     Basis elements of the underlying free B^e-module are the labels
     (n, (1, 1, ws)); the semifree order compares n + Σ|w_i| (the total degree
     of the basis element), so it suffices that every coordinate label of the
-    image has strictly smaller such value.
+    image has strictly smaller such value.  Only these labels are listed.
     """
     rep = ValidationReport()
     bad = []
     for t in range(max_total_degree + 1):
-        for n, lb in bb_total_basis(alg, t):
-            b, m, ws = lb
-            if any(b.exps) or any(m.exps):
-                continue  # not a module basis element, a B^e-multiple of one
-            src_key = n + sum(w.degree for w in ws)
-            for n2, (b2, m2, ws2) in dd_column(alg, (n, lb)):
-                tgt_key = n2 + sum(w.degree for w in ws2)
-                if tgt_key >= src_key:
-                    bad.append((t, n, tuple(alg.mono_repr(w) for w in ws)))
-                    break
+        for n in range(t // 2 + 1):
+            for ws in _delta_factors(alg, n, t - n):  # n + Σ|w_i| = t
+                for n2, (_, _, ws2) in dd_column(alg, (n, (alg.one_mono, alg.one_mono, ws))):
+                    if n2 + sum(w.degree for w in ws2) >= t:
+                        bad.append((t, n, tuple(alg.mono_repr(w) for w in ws)))
+                        break
     rep.add("semifree-triangularity", not bad, "" if not bad else f"violations: {bad[:3]}")
     return rep

@@ -27,7 +27,7 @@ def _caches(alg: DGAlgebra) -> dict:
     if c is None:
         c = {"delta_word": {}, "tensor_basis": {}, "jn_basis": {}, "prefixed_basis": {}, "bb_basis": {},
              "reduced_slice": {}, "delta_factors": {}, "dd_matrix": {}, "alpha_matrix": {}, "dB_matrix": {},
-             "dd_matrix_1": {}, "alpha_matrix_1": {}, "reduced_certificate": {}}
+             "bb_columns": {}, "bb_labels": {}, "prefix_one": {}, "reduced_certificate": {}}
         alg._tensor_caches = c
     return c
 
@@ -588,23 +588,4 @@ def prefixed_basis_element(alg: DGAlgebra, label) -> TensorElement:
     out = TensorElement(alg, core.length + 1)
     for w, c in core.terms.items():
         out._add_canonical((b,) + w, c)
-    return out
-
-
-def prefixed_coords(t: TensorElement, n: int, strict: bool = True):
-    """Coordinates of t ∈ B ⊗_A J^{⊗_B n} over `prefixed_basis_labels`.
-
-    Returns dict[(b, m, ws) -> scalar], or None / NotInJn when t is outside
-    the subspace.
-    """
-    coords = delta_coords(t, n, strict=strict)
-    if coords is None:
-        return None
-    alg = t.alg
-    out = {}
-    for ws, val in coords.items():
-        for w, c in val.terms.items():
-            if len(w) != 2:
-                raise LengthMismatch("prefixed coordinates expect length-2 residue")
-            out[(w[0], w[1], ws)] = c
     return out

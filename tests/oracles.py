@@ -227,24 +227,44 @@ def reduced_bar_rank_table(alg, D):
     return complex_table_oracle(degrees, alg.field.p)
 
 
-def bb_rank_table(alg, D):
-    """The table of (𝔹, 𝔻) in total degrees 0..D-1, by dense ranks of `bb_dd_matrix`."""
-    from dgres.homology import bb_dd_matrix
+def full_dd_matrix(alg, t, dd=None):
+    """𝔻 from total degree t to t-1 on every label of `bb_total_basis`, column by column from
+    `dd_column` (or the function dd): the reference for the prefix-1 matrices of `homology`."""
+    from dgres.linalg import SliceMatrix
+    from dgres.semifree import bb_total_basis, dd_column
 
-    return complex_table_oracle([[dense_map(bb_dd_matrix(alg, m)), dense_map(bb_dd_matrix(alg, m + 1))]
+    src = bb_total_basis(alg, t)
+    return SliceMatrix.from_columns(alg.field, bb_total_basis(alg, t - 1), src,
+                                    ((dd or dd_column)(alg, lb) for lb in src))
+
+
+def full_alpha_matrix(alg, t):
+    """α from the 𝔹 slice of total degree t to the B slice on every label, from `pi_column`."""
+    from dgres.linalg import SliceMatrix
+    from dgres.semifree import bb_total_basis, pi_column
+
+    src = bb_total_basis(alg, t)
+    return SliceMatrix.from_columns(alg.field, alg.basis("B", t), src,
+                                    ({} if n else pi_column(alg, lb) for n, lb in src))
+
+
+def bb_rank_table(alg, D):
+    """The table of (𝔹, 𝔻) in total degrees 0..D-1, by dense ranks of `full_dd_matrix`."""
+    return complex_table_oracle([[dense_map(full_dd_matrix(alg, m)), dense_map(full_dd_matrix(alg, m + 1))]
                                  for m in range(D)], alg.field.p)
 
 
-def full_column_checks(alg, D):
-    """The product checks of `quasi_iso_check` on every column of the cached 𝔻 and α matrices.
+def full_column_checks(alg, D, dd_col=None):
+    """The product checks of `quasi_iso_check` on every column of `full_dd_matrix` and `full_alpha_matrix`.
 
     Returns (𝔻² = 0 over total degrees 2..D, 𝔇∂ + ∂𝔇 = 0 there,
     α∘𝔻 = d^B∘α over 1..D, the first label at which 𝔻h + h𝔻 + σα = id or
     α∘σ = id fails in degrees 0..D-1, or None): the reference for the
-    checks on the prefix-1 columns.  Images are summed label by label from
-    the matrix columns, with no matrix product.
+    checks on the prefix-1 columns.  The 𝔻 columns come from `dd_column`,
+    or from the function dd_col.  Images are summed label by label from the
+    matrix columns, with no matrix product.
     """
-    from dgres.homology import bb_alpha_matrix, bb_dd_matrix, dB_matrix
+    from dgres.homology import dB_matrix
     from dgres.semifree import homotopy
 
     f = alg.field
@@ -255,8 +275,8 @@ def full_column_checks(alg, D):
     def apply(columns, vec):
         return _sum(f, [{row: f.mul(c, v) for row, v in columns[lb].items()} for lb, c in vec.items()])
 
-    dd = {t: cols(bb_dd_matrix(alg, t)) for t in range(D + 1)}
-    al = {t: cols(bb_alpha_matrix(alg, t)) for t in range(D + 1)}
+    dd = {t: cols(full_dd_matrix(alg, t, dd_col)) for t in range(D + 1)}
+    al = {t: cols(full_alpha_matrix(alg, t)) for t in range(D + 1)}
     dB = {t: cols(dB_matrix(alg, t)) for t in range(D + 1)}
     square = anti = True
     for t in range(2, D + 1):
@@ -334,6 +354,38 @@ def reduced_full_checks(alg, D, homotopy=None):
                     break
         firsts.append(bad)
     return square, firsts
+
+
+def prefixed_coords(t, n, strict=True):
+    """Coordinates of t ∈ B ⊗_A J^{⊗_B n} over `prefixed_basis_labels`, by peeling δ-factors.
+
+    Returns dict[(b, m, ws) -> scalar], or None / NotInJn when t is outside
+    the subspace: the flat reference that the closed forms on labels are
+    compared against.
+    """
+    from dgres.tensor import delta_coords
+
+    coords = delta_coords(t, n, strict=strict)
+    if coords is None:
+        return None
+    out = {}
+    for ws, val in coords.items():
+        for w, c in val.terms.items():
+            assert len(w) == 2, "prefixed coordinates expect length-2 residue"
+            out[(w[0], w[1], ws)] = c
+    return out
+
+
+def bb_coords(t, strict=True):
+    """Coordinates of a BBElement over the stored basis labels (n, (b, m, ws)), by `prefixed_coords`."""
+    out = {}
+    for n, te in t.components.items():
+        co = prefixed_coords(te, n, strict=strict)
+        if co is None:
+            return None
+        for lb, c in co.items():
+            out[(n, lb)] = c
+    return out
 
 
 def _sum(f, vecs):

@@ -343,47 +343,53 @@ def test_semifree_fails_on_a_flipped_closed_form_sign(golden_dir, capsys, monkey
         assert f"FAIL  {name}" in out, name
 
 
-def test_semifree_fails_on_an_unsigned_alpha_matrix(golden_dir, capsys, monkeypatch):
-    # α(0, (b, m, ())) = ±b·m: over Λ(a,b) the mono_mul sign of b·a is -1
+def _alpha_off_prefix_one(monkeypatch, change):
+    """Give α on the labels (0, (b, m, ())) with b != 1 the column change(alg, column).
+
+    Both closed forms of such a column change alike, `pi_column` and the
+    prefix lemma (`prefix_image`), so the column check still passes.
+    """
     import dgres.homology as homology
-    from dgres.linalg import SliceMatrix
 
-    def unsigned(alg, total_degree):
-        src = homology.bb_total_basis(alg, total_degree)
-        products = (None if n else alg.mono_mul(b, m) for n, (b, m, _) in src)
-        columns = ({} if sm is None else {sm[1]: alg.field.one} for sm in products)
-        return SliceMatrix.from_columns(alg.field, alg.basis("B", total_degree), src, columns)
+    real_pi, real_prefix = homology.pi_column, homology.prefix_image
 
-    args = ["semifree", str(golden_dir / "chain_frac.dgres"), "--max-degree", "8"]
+    def pi_column(alg, lb):
+        col = real_pi(alg, lb)
+        return col if lb[0] == alg.one_mono else change(alg, col)
+
+    def prefix_image(alg, label, *cols):
+        dd, al = real_prefix(alg, label, *cols)
+        return dd, al if label[0] else change(alg, al)
+
+    monkeypatch.setattr(homology, "pi_column", pi_column)
+    monkeypatch.setattr(homology, "prefix_image", prefix_image)
+
+
+def _fails_on_alpha_off_prefix_one(golden_dir, capsys, monkeypatch, name, change):
+    from dgres.cli import BAD_COLUMNS
+
+    args = ["semifree", str(golden_dir / f"{name}.dgres"), "--max-degree", "8"]
     code, out, err = run_cli(args, capsys)
     assert code == 0 and "PASS  alpha-chain-map" in out
-    monkeypatch.setattr(homology, "bb_alpha_matrix", unsigned)
+    _alpha_off_prefix_one(monkeypatch, change)
     code, out, err = run_cli(args, capsys)
-    assert code == 1 and err == ""
+    assert code == 1 and err == "" and BAD_COLUMNS not in out
     assert "FAIL  alpha-chain-map" in out and "FAIL  quasi-isomorphism" in out
+
+
+def test_semifree_fails_on_an_unsigned_alpha_matrix(golden_dir, capsys, monkeypatch):
+    # α(0, (b, m, ())) = ±b·m: over Λ(a,b) the mono_mul sign of b·a is -1;
+    # dropped on the labels with b != 1, the rows of the prefix-1 columns
+    # that α∘𝔻 = d^B∘α reads
+    _fails_on_alpha_off_prefix_one(golden_dir, capsys, monkeypatch, "chain_frac",
+                                   lambda alg, col: {m: alg.field.one for m in col})
 
 
 def test_semifree_fails_on_an_alpha_matrix_wrong_off_prefix_one(golden_dir, capsys, monkeypatch):
     # α negated on the columns (0, (b, m, ())) with b != 1 only, which no
     # flat α is computed for
-    import dgres.homology as homology
-    from dgres.linalg import SliceMatrix
-
-    real = homology.bb_alpha_matrix
-
-    def negated(alg, total_degree):
-        M = real(alg, total_degree)
-        columns = ({m: c if lb[0] == alg.one_mono else alg.field.neg(c) for m, c in col.items()}
-                   for (_, lb), col in zip(M.col_labels, M.columns()))
-        return SliceMatrix.from_columns(alg.field, M.row_labels, M.col_labels, columns)
-
-    args = ["semifree", str(golden_dir / "e3.dgres"), "--max-degree", "8"]
-    code, out, err = run_cli(args, capsys)
-    assert code == 0 and "PASS  alpha-chain-map" in out
-    monkeypatch.setattr(homology, "bb_alpha_matrix", negated)
-    code, out, err = run_cli(args, capsys)
-    assert code == 1 and err == ""
-    assert "FAIL  alpha-chain-map" in out and "FAIL  quasi-isomorphism" in out
+    _fails_on_alpha_off_prefix_one(golden_dir, capsys, monkeypatch, "e3",
+                                   lambda alg, col: {m: alg.field.neg(c) for m, c in col.items()})
 
 
 @pytest.mark.parametrize("command, failed", [("semifree", "quasi-isomorphism"),
@@ -572,6 +578,60 @@ def test_reduced_bar_keeps_no_slice_or_label_list_from_n3(golden_dir, capsys, mo
     caches = _caches(seen[0].algebra)
     assert {n for n, _ in caches["reduced_slice"]} == {1, 2}
     assert {n for n, _ in caches["prefixed_basis"]} <= {0, 1, 2}
+
+
+def test_semifree_keeps_no_full_basis(golden_dir, capsys, monkeypatch):
+    # (𝔹, 𝔻) is certified on its B-basis: past the frakD-T-linearity window
+    # (total degree 5) no full label list is listed, and every cached matrix
+    # on 𝔹 labels (n, λ) has prefix-1 columns only
+    import dgres.probfile as probfile
+    from dgres.linalg import SliceMatrix
+    from dgres.tensor import _caches
+
+    seen = []
+    real = probfile.parse_problem
+    monkeypatch.setattr(probfile, "parse_problem", lambda text: seen.append(real(text)) or seen[-1])
+    for command in ("semifree", "homology"):
+        code, out, err = run_cli([command, str(golden_dir / "k3p.dgres"), "--max-degree", "10"], capsys)
+        assert code == 0 and err == ""
+        alg = seen[-1].algebra
+        caches = _caches(alg)
+        assert all(t <= 5 for t in caches["bb_basis"])
+        matrices = [M for cache in caches.values() for M in cache.values() if isinstance(M, SliceMatrix)]
+        labels = [lb for M in matrices for lb in M.col_labels if isinstance(lb, tuple) and len(lb) == 2]
+        assert labels and all(b == alg.one_mono for _, (b, _, _) in labels)
+
+
+@pytest.mark.parametrize("text, args", [
+    ("field rationals\n[algebra]\nbase y 2\n", ["--max-degree", "6"]),
+    (None, ["--max-degree", "1"]),
+], ids=["no-ext", "k3p-d1"])
+def test_semifree_fails_an_empty_T_linearity_window(tmp_path, golden_dir, capsys, text, args):
+    # no label of word length >= 1 in total degrees 0..min(D, 5): the check
+    # has nothing to evaluate, so it fails and names the empty window
+    path = golden_dir / "k3p.dgres"
+    if text is not None:
+        path = tmp_path / "noext.dgres"
+        path.write_text(text)
+    code, out, err = run_cli(["semifree", str(path)] + args, capsys)
+    assert code == 1 and err == ""
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("  FAIL")]
+    assert failed == ["frakD-T-linearity"]
+    assert "counterexample: the window holds no label of word length >= 1, so nothing was checked" in out
+
+
+def test_derivations_fail_when_no_sample_is_checked(tmp_path, capsys):
+    # no ext generator: both spaces are 0, so no sample and no corrupted
+    # derivation can be checked
+    path = tmp_path / "noext.dgres"
+    path.write_text("field rationals\n[algebra]\nbase y 2\n")
+    code, out, err = run_cli(["derivations", str(path), "--max-degree", "4", "--samples", "5"], capsys)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    failed = [(line.split()[1], lines[k + 1].strip()) for k, line in enumerate(lines) if line.startswith("  FAIL")]
+    assert failed == [(name, "counterexample: no sample was checked") for name in
+                      ("eta-of-eta-inverse-identity", "eta-inverse-of-eta-identity", "corrupted-derivation-rejected")]
+    assert "PASS  derivation-hom-dim-match" in out
 
 
 @pytest.mark.parametrize("command, lines", [

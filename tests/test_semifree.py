@@ -7,6 +7,7 @@ from dgres.bar import reduced_slice_matrix
 from dgres.errors import DgresError
 from dgres.homology import (
     bb_alpha_matrix,
+    bb_column,
     bb_homology_table,
     checked_dd_columns,
     dd_square,
@@ -20,7 +21,6 @@ from dgres.semifree import (
     DD,
     alpha,
     bb_basis_element,
-    bb_coords,
     bb_from_be,
     bb_total_basis,
     bb_word,
@@ -35,7 +35,7 @@ from dgres.semifree import (
     t_word,
 )
 from dgres.tensor import TensorElement, delta, prefixed_basis_element, tensor_basis, tensor_differential
-from oracles import bb_rank_table, dense_rank_oracle
+from oracles import bb_coords, bb_rank_table, dense_rank_oracle, full_alpha_matrix, full_dd_matrix
 
 INPUTS = Path(__file__).parent / "inputs"
 
@@ -216,9 +216,9 @@ def test_dd_column_example(E1):
 
 
 def test_checked_columns_and_matrix_squares(fixture_algebras, odd_base, K3p, monkeypatch):
-    # every column of degrees 0..6 is compared: a flat 𝔻v for each basis
-    # element with prefix 1 and n <= 1, the tail lemma for the other prefix-1
-    # ones, the prefix lemma for each other one
+    # every prefix-1 column of degrees 0..6 is compared: a flat 𝔻v for each
+    # one with n <= 1, the tail lemma for the others; every label with
+    # b != 1 that they hit, and every σ-label, by the prefix lemma, once each
     import dgres.homology as homology
 
     calls, lemma, tail = [], [], []
@@ -231,11 +231,15 @@ def test_checked_columns_and_matrix_squares(fixture_algebras, odd_base, K3p, mon
         calls.clear()
         lemma.clear()
         tail.clear()
+        monkeypatch.setattr(alg, "_tensor_caches", None, raising=False)  # columns are memoised per algebra
         assert checked_dd_columns(alg, 6)
-        labels = [lb for t in range(7) for lb in bb_total_basis(alg, t)]
-        assert len(calls) == sum(1 for n, (b, _, _) in labels if b == alg.one_mono and n <= 1)
-        assert len(tail) == sum(1 for n, (b, _, _) in labels if b == alg.one_mono and n >= 2)
-        assert len(calls) + len(lemma) + len(tail) == len(labels)
+        one = alg.one_mono
+        prefix_one = [lb for t in range(7) for lb in bb_total_basis(alg, t) if lb[1][0] == one]
+        hit = {row for lb in prefix_one for row in dd_column(alg, lb) if row[1][0] != one}
+        hit |= {(0, (b, one, ())) for t in range(1, 7) for b in alg.basis("B", t)}
+        assert len(calls) == sum(1 for n, _ in prefix_one if n <= 1)
+        assert len(tail) == sum(1 for n, _ in prefix_one if n >= 2)
+        assert len(lemma) == len(hit) and set(lemma) == hit
         for t in range(2, 7):
             assert dd_square(alg, t) == (True, True)
 
@@ -247,22 +251,24 @@ def test_dd_square_needs_d_squared_zero_on_B(monkeypatch):
 
     alg = parse_problem((INPUTS / "base_d_squared.dgres").read_text()).algebra
     assert checked_dd_columns(alg, 6)
-    for t in range(2, 7):
-        assert homology.bb_dd_matrix(alg, t - 1).compose(homology.dd_prefix_one(alg, t)).is_zero()
     one, a, c = alg.one_mono, alg.mono({"a": 1}), alg.mono({"c": 1})
-    full = homology.bb_dd_matrix(alg, 2).compose(homology.bb_dd_matrix(alg, 3))
-    j = full.col_labels.index((0, (c, one, ())))
-    assert {full.row_labels[i]: v for (i, k), v in full.entries.items() if k == j} == {(0, (a, one, ())): 1}
+    full = [full_dd_matrix(alg, t) for t in range(7)]
+
+    def squares_on_prefix_one(alg, t):
+        P = full[t - 1].compose(full[t])
+        entries = [(P.row_labels[i], P.col_labels[j]) for i, j in P.entries if P.col_labels[j][1][0] == one]
+        return not entries, all(row[0] != col[0] - 1 for row, col in entries)
+
+    assert all(squares_on_prefix_one(alg, t) == (True, True) for t in range(2, 7))
+    square = full[2].compose(full[3])
+    j = square.col_labels.index((0, (c, one, ())))
+    assert {square.row_labels[i]: v for (i, k), v in square.entries.items() if k == j} == {(0, (a, one, ())): 1}
     qi = quasi_iso_check(alg, 6)
     assert not qi.checks["DD-squared-zero"] and qi.checks["anticommutation"] and not qi.passed
 
-    def without_dB_clause(alg, t):
-        P = homology.bb_dd_matrix(alg, t - 1).compose(homology.dd_prefix_one(alg, t))
-        return P.is_zero(), all(P.row_labels[i][0] != P.col_labels[j][0] - 1 for i, j in P.entries)
-
     # without the clause every product check passes, and the certificate goes
     # on to rank d^B, which is no differential
-    monkeypatch.setattr(homology, "dd_square", without_dB_clause)
+    monkeypatch.setattr(homology, "dd_square", squares_on_prefix_one)
     assert all(all(homology.dd_square(alg, t)) for t in range(2, 7))
     assert all(homology.alpha_chain_map(alg, t) for t in range(1, 7))
     assert homology.bb_homotopy_defect(alg, 5) is None
@@ -346,22 +352,60 @@ def test_checked_columns_catch_a_wrong_closed_form(request, monkeypatch, mutatio
 
     alg = request.getfixturevalue(name)
     assert checked_dd_columns(alg, 8)
-    # the mutated matrices go to fresh caches, dropped again after the test
+    # the mutated columns go to fresh caches, dropped again after the test
     monkeypatch.setattr(alg, "_tensor_caches", None, raising=False)
     monkeypatch.setattr(homology, "dd_column", DD_MUTATIONS[mutation][0](homology.dd_column))
     assert not checked_dd_columns(alg, 8)
 
 
+# rows outside the basis, made from a row (k, (b, m, ws)) of a column: the
+# label of a factor w = 1, whose flat element is zero, so that only the
+# membership test can see it; a wrong component; b times a generator
+OUTSIDE_ROWS = {
+    "unit-factor": lambda alg, k, b, m, ws: (k + 1, (b, m, ws + (alg.one_mono,))),
+    "wrong-component": lambda alg, k, b, m, ws: (k + 1, (b, m, ws)),
+    "degree-shifted": lambda alg, k, b, m, ws: (k, (alg.mono_mul(b, alg.basis("B", 2)[0])[1], m, ws)),
+}
+
+
+@pytest.mark.parametrize("outside", sorted(OUTSIDE_ROWS))
+@pytest.mark.parametrize("name", ["E3", "K3p", "odd_base"])
+def test_checked_columns_reject_a_row_outside_the_basis(request, monkeypatch, outside, name):
+    # the column of each (0, (1, m, ())), m != 1, gets one more row, made
+    # from its first one
+    import dgres.homology as homology
+
+    alg = request.getfixturevalue(name)
+    real = homology.dd_column
+
+    def mutated(alg, label):
+        col = real(alg, label)
+        if label[0] or label[1][0] != alg.one_mono or not col:
+            return col
+        k, (b, m, ws) = next(iter(col))
+        return {**col, OUTSIDE_ROWS[outside](alg, k, b, m, ws): alg.field.one}
+
+    assert checked_dd_columns(alg, 8)
+    one, e = alg.one_mono, next(w for d in range(1, 4) for w in alg.basis("W", d))
+    assert bb_basis_element(alg, (1, (one, e, (one,)))).is_zero()
+    monkeypatch.setattr(alg, "_tensor_caches", None, raising=False)
+    monkeypatch.setattr(homology, "dd_column", mutated)
+    assert not checked_dd_columns(alg, 8)
+
+
 def test_alpha_matrix_on_labels_matches_flat_alpha(fixture_algebras, K3p):
+    # α on every label, from pi_column and from the prefix lemma, against the
+    # flat α; the matrix holds the prefix-1 columns
     windows = [(alg, 8) for alg in fixture_algebras.values()] + [(K3p, 10)]
     for alg, D in windows:
         for t in range(D + 1):
-            M = bb_alpha_matrix(alg, t)
-            row = {m: i for i, m in enumerate(alg.basis("B", t))}
-            for j, label in enumerate(M.col_labels):
-                img = alpha(bb_basis_element(alg, label))
-                want = {row[m]: c for m, c in img.terms.items()}
-                assert {i: M.get(i, j) for i in range(M.nrows) if M.get(i, j) != alg.field.zero} == want, label
+            M = full_alpha_matrix(alg, t)
+            want = {label: alpha(bb_basis_element(alg, label)).terms for label in M.col_labels}
+            for label, col in zip(M.col_labels, M.columns()):
+                assert col == want[label] and bb_column(alg, label)[1] == want[label], label
+            P = bb_alpha_matrix(alg, t)
+            assert P.columns() == [want[label] for label in P.col_labels]
+            assert all(b == alg.one_mono for _, (b, _, _) in P.col_labels)
 
 
 def test_t_concatenation_of_words(fixture_algebras):

@@ -20,7 +20,6 @@ from dgres.tensor import (
     pi_B,
     prefixed_basis_element,
     prefixed_basis_labels,
-    prefixed_coords,
     right_mult,
     tensor_basis,
     tensor_differential,
@@ -28,7 +27,7 @@ from dgres.tensor import (
     word_degree,
 )
 
-from oracles import tensor_sign_oracle
+from oracles import prefixed_coords, tensor_sign_oracle
 
 
 def W(alg, *names_or_monos):
