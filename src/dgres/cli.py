@@ -184,9 +184,10 @@ def cmd_semifree(args, problem) -> Report:
     for name in ("DD-squared-zero", "anticommutation", "alpha-chain-map"):
         rep.add_check(name, qi.checks.get(name, False), window, "" if qi.checks else qi.details)
     ok_tlin, pairs = True, 0
-    gens = [alg.gen(g.name) for g in alg.gens]
-    ss = [t_word(alg, [g]) for g in gens]
-    for t in range(0, min(D, 5) + 1):
+    ss = [t_word(alg, [alg.gen(g.name)]) for g in alg.gens]
+    # the window reaches (1, (1, 1, (e,))), of total degree 1 + |e|, the first label of word length >= 1
+    top = min(D, max(5, 1 + min(alg.degvec[alg.n_base:], default=0)))
+    for t in range(0, top + 1):
         for label in bb_total_basis(alg, t):
             if label[0] < 1:
                 continue
@@ -195,7 +196,7 @@ def cmd_semifree(args, problem) -> Report:
                 pairs += 1
                 if frakD(t_action(v, s)) != t_action(frakD(v), s):
                     ok_tlin = False
-    rep.add_check("frakD-T-linearity", ok_tlin and pairs > 0, f"total degrees 0..{min(D, 5)}, word length >= 1",
+    rep.add_check("frakD-T-linearity", ok_tlin and pairs > 0, f"total degrees 0..{top}, word length >= 1",
                   "" if pairs else "the window holds no label of word length >= 1, so nothing was checked")
     rep.add_validation("semifree", check_semifree_triangular(alg, D), window)
     rep.add_check("quasi-isomorphism", qi.passed, qi.window, qi.details)

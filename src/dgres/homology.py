@@ -90,12 +90,6 @@ def bb_column(alg: DGAlgebra, label) -> tuple[dict, dict]:
     return got
 
 
-def _on_labels(alg: DGAlgebra, part: int, rows, cols) -> SliceMatrix:
-    """The 𝔻 (part 0) or α (part 1) columns of `bb_column` on the labels cols, over
-    the rows `rows` and then every other label hit, in the order first hit."""
-    return SliceMatrix.from_columns(alg.field, rows, cols, (bb_column(alg, lb)[part] for lb in cols))
-
-
 def bb_dd_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
     """Matrix of 𝔻 on the prefix-1 labels of total degree t (`prefix_one_labels`); cached per algebra.
 
@@ -103,8 +97,9 @@ def bb_dd_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
     b != 1 that the columns hit, in the order first hit: the left factor of
     a product needs only these (`dd_square`).
     """
-    return _cached(alg, "dd_matrix", total_degree, lambda: _on_labels(
-        alg, 0, prefix_one_labels(alg, total_degree - 1), prefix_one_labels(alg, total_degree)))
+    cols = prefix_one_labels(alg, total_degree)
+    return _cached(alg, "dd_matrix", total_degree, lambda: SliceMatrix.from_columns(
+        alg.field, prefix_one_labels(alg, total_degree - 1), cols, (bb_column(alg, lb)[0] for lb in cols)))
 
 
 def bb_alpha_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
@@ -113,8 +108,9 @@ def bb_alpha_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
     On the labels α(0, λ) = π(λ) (`semifree.pi_column`), and α is zero on
     every component n >= 1.
     """
-    return _cached(alg, "alpha_matrix", total_degree, lambda: _on_labels(
-        alg, 1, alg.basis("B", total_degree), prefix_one_labels(alg, total_degree)))
+    cols = prefix_one_labels(alg, total_degree)
+    return _cached(alg, "alpha_matrix", total_degree, lambda: SliceMatrix.from_columns(
+        alg.field, alg.basis("B", total_degree), cols, (bb_column(alg, lb)[1] for lb in cols)))
 
 
 def prefix_image(alg: DGAlgebra, label, dd_col: dict, alpha_col: dict) -> tuple[dict, dict]:
@@ -224,7 +220,7 @@ def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
     f = alg.field
     one = alg.one_mono
     flat: dict = {}  # label -> its flat component, built on first use
-    certified: list[dict] = [{} for _ in range(D + 1)]  # per total degree: label -> (𝔻 column, α column)
+    certified: list[set] = [set() for _ in range(D + 1)]  # per total degree: the labels whose `bb_column` is checked
 
     def flat_of(label):
         te = flat.get(label)
@@ -241,23 +237,21 @@ def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
         k, (b, m, ws) = row
         if b not in prefixes or b.degree > t or (k, (one, m, ws)) not in certified[t - b.degree]:
             return False
-        cols = bb_column(alg, row)
-        if cols != (dd_column(alg, row), {} if k else pi_column(alg, row[1])):
+        if bb_column(alg, row) != (dd_column(alg, row), {} if k else pi_column(alg, row[1])):
             return False
-        certified[t][row] = cols
+        certified[t].add(row)
         return True
 
     for t in range(D + 1):
         for label in prefix_one_labels(alg, t):
-            dd_col, alpha_col = cols = bb_column(alg, label)
+            dd_col, alpha_col = bb_column(alg, label)
             if not all(t and in_basis(row, t - 1) for row in dd_col):
                 return False
             n, (_, m, ws) = label
             if n >= 2:
-                w = ws[-1].degree
-                head = certified[t - 1 - w].get((n - 1, (one, m, ws[:-1])))
-                last = certified[1 + w].get((1, (one, one, ws[-1:])))
-                if head is None or last is None or alpha_col or dd_col != tail_image(alg, label, head[0], last[0]):
+                w, head, last = ws[-1].degree, (n - 1, (one, m, ws[:-1])), (1, (one, one, ws[-1:]))
+                if (head not in certified[t - 1 - w] or last not in certified[1 + w] or alpha_col
+                        or dd_col != tail_image(alg, label, bb_column(alg, head)[0], bb_column(alg, last)[0])):
                     return False
             else:
                 v = BBElement(alg, {n: flat_of(label)})
@@ -271,7 +265,7 @@ def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
                         acc._add_canonical(w, f.mul(c, cw))
                 if BBElement(alg, comps) != DD(v) or alpha_col != alpha(v).terms:
                     return False
-            certified[t][label] = cols
+            certified[t].add(label)
         if not all(in_basis((0, (b, one, ())), t) for b in alg.basis("B", t)):  # the σ-labels
             return False
     return True
@@ -290,7 +284,8 @@ def dd_square(alg: DGAlgebra, total_degree: int) -> tuple[bool, bool]:
     `quasi_iso_check`).
     """
     M = bb_dd_matrix(alg, total_degree)
-    P = _on_labels(alg, 0, (), M.row_labels).compose(M)
+    rows = M.row_labels
+    P = SliceMatrix.from_columns(alg.field, (), rows, (bb_column(alg, lb)[0] for lb in rows)).compose(M)
     anti = all(P.row_labels[i][0] != P.col_labels[j][0] - 1 for i, j in P.entries)
     dB_square = dB_matrix(alg, total_degree - 1).compose(dB_matrix(alg, total_degree))
     return P.is_zero() and dB_square.is_zero(), anti
@@ -304,7 +299,9 @@ def alpha_chain_map(alg: DGAlgebra, total_degree: int) -> bool:
     product lemma of `quasi_iso_check`).
     """
     M = bb_dd_matrix(alg, total_degree)
-    lhs = _on_labels(alg, 1, alg.basis("B", total_degree - 1), M.row_labels).compose(M)
+    rows = M.row_labels
+    lhs = SliceMatrix.from_columns(alg.field, alg.basis("B", total_degree - 1), rows,
+                                   (bb_column(alg, lb)[1] for lb in rows)).compose(M)
     rhs = dB_matrix(alg, total_degree).compose(bb_alpha_matrix(alg, total_degree))
     return lhs.entries == rhs.entries
 
@@ -403,7 +400,7 @@ def bb_homotopy_defect(alg: DGAlgebra, top: int):
         B, M1, up1 = alg.basis("B", t), bb_dd_matrix(alg, t), bb_dd_matrix(alg, t + 1)
         sig = [{(0, lb): c for lb, c in section(alg, b).items()} for b in B]
         # h keeps the prefix: 𝔻h needs only the prefix-1 columns of 𝔻_{t+1}, a label sent elsewhere fails;
-        # the rows of all three products start with those of 𝔻_{t+1}, led by the prefix-1 labels of degree t
+        # `from_columns` appends new rows, so up1's rows begin g's and g's begin sigma's (`identity_defects`)
         h1 = SliceMatrix.from_columns(f, up1.col_labels, M1.col_labels, (h(v) for v in M1.col_labels))
         g = SliceMatrix.from_columns(f, up1.row_labels, M1.row_labels, (h(v) for v in M1.row_labels))
         sigma = SliceMatrix.from_columns(f, g.row_labels, B, sig)
@@ -411,7 +408,8 @@ def bb_homotopy_defect(alg: DGAlgebra, top: int):
         if j is not None:
             return M1.col_labels[j]
         sigma = SliceMatrix.from_columns(f, (), B, sig)
-        j = identity_defect([(_on_labels(alg, 1, B, sigma.row_labels), sigma)])
+        labels = sigma.row_labels
+        j = identity_defect([(SliceMatrix.from_columns(f, B, labels, (bb_column(alg, lb)[1] for lb in labels)), sigma)])
         if j is not None:
             return B[j]
     return None

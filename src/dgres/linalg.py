@@ -191,9 +191,10 @@ def identity_defects(products) -> list[int]:
     """The columns j, ascending, at which Σ P∘Q over the pairs (P, Q) is not the identity.
 
     Column j of the identity is the unit vector of row j, so the rows of
-    every P∘Q must begin with the labels of its columns, in order.  A row of
-    Q beyond the columns of P, a label Q sends outside the basis P is
-    defined on, fails its column.
+    every P∘Q must begin with the labels of its columns, in order; the sums
+    go by row index, so the row labels of each P must be a prefix of the
+    longest P's.  A row of Q beyond the columns of P, a label Q sends
+    outside the basis P is defined on, fails its column.
     """
     bad = {j for P, Q in products for (i, j) in Q.entries if i >= P.ncols}
     acc = _product_sums(products)

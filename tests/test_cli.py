@@ -602,22 +602,37 @@ def test_semifree_keeps_no_full_basis(golden_dir, capsys, monkeypatch):
         assert labels and all(b == alg.one_mono for _, (b, _, _) in labels)
 
 
+E5 = "field rationals\n[algebra]\nbase x 2\next e 5\nd e = x^2\n"
+
+
 @pytest.mark.parametrize("text, args", [
     ("field rationals\n[algebra]\nbase y 2\n", ["--max-degree", "6"]),
     (None, ["--max-degree", "1"]),
-], ids=["no-ext", "k3p-d1"])
+    (E5, ["--max-degree", "5"]),
+], ids=["no-ext", "k3p-d1", "e5-d5"])
 def test_semifree_fails_an_empty_T_linearity_window(tmp_path, golden_dir, capsys, text, args):
-    # no label of word length >= 1 in total degrees 0..min(D, 5): the check
-    # has nothing to evaluate, so it fails and names the empty window
+    # the first label of word length >= 1, (1, (1, 1, (e,))), has total degree
+    # 1 + |e|: with no ext generator, or D below it, the check has nothing to
+    # evaluate, so it fails and names the empty window
     path = golden_dir / "k3p.dgres"
     if text is not None:
-        path = tmp_path / "noext.dgres"
+        path = tmp_path / "in.dgres"
         path.write_text(text)
     code, out, err = run_cli(["semifree", str(path)] + args, capsys)
     assert code == 1 and err == ""
     failed = [line.split()[1] for line in out.splitlines() if line.startswith("  FAIL")]
     assert failed == ["frakD-T-linearity"]
     assert "counterexample: the window holds no label of word length >= 1, so nothing was checked" in out
+
+
+def test_semifree_T_linearity_window_reaches_the_first_ext_label(tmp_path, capsys):
+    # |e| = 5: no label of word length >= 1 has total degree <= 5, so the
+    # window runs to 1 + |e| = 6 and the check passes on a valid algebra
+    path = tmp_path / "e5.dgres"
+    path.write_text(E5)
+    code, out, err = run_cli(["semifree", str(path), "--max-degree", "8"], capsys)
+    assert code == 0 and err == ""
+    assert "total degrees 0..6, word length >= 1" in out
 
 
 def test_derivations_fail_when_no_sample_is_checked(tmp_path, capsys):

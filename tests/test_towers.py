@@ -81,10 +81,7 @@ def test_semifree_passes_on_random_towers(field, data):
     alg = data.draw(koszul_towers(field))
     problem = ProblemFile(alg.field, alg)
     rep = cmd_semifree(argparse.Namespace(max_degree=6), problem)
-    # with every ext generator of degree 5, no label of word length >= 1 has
-    # total degree <= 5: the frakD-T-linearity window is empty and fails
-    empty = all(g.degree == 5 for g in alg.gens[alg.n_base:])
-    assert [c["name"] for c in rep.checks if c["status"] != "PASS"] == (["frakD-T-linearity"] if empty else [])
+    assert rep.all_passed, [c for c in rep.checks if c["status"] != "PASS"]
     names = {c["name"] for c in rep.checks}
     assert {"DD-squared-zero", "anticommutation", "alpha-chain-map", "quasi-isomorphism"} <= names
 
