@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from .algebra import AlgElement, DGAlgebra, Monomial, ValidationReport
 from .errors import LengthMismatch, NotInDomain, NotInJn, NotLinear, ObstructionNonzero
 from .linalg import SliceMatrix, identity_defect, identity_defects
-from .semifree import _add_to, add_term, dbar_column, defect_details, homotopy, pi_column, section
+from .semifree import _add_to, dbar_column, defect_details, homotopy, pi_column, section
 from .tensor import (
     TensorElement,
     _caches,
     _delta_factors,
-    _prefixed_labels,
     _word_key,
     as_algebra_element,
     delta,
@@ -453,13 +452,14 @@ def reduced_slice_matrix(alg: DGAlgebra, n: int, degree: int) -> SliceMatrix:
 
     Columns are the labels (b, m, ws) of B ⊗_A J^{⊗_B n}
     (`prefixed_basis_labels`), rows the labels of n − 1, and column j is
-    `dbar_column` of label j.  The map ι_{n−1} taking a label to its flat
-    element of B^{⊗_A (n+1)} is injective, so the ranks are those of the
-    matrix of merge_at(·, 0) in ambient word coordinates.  A label outside
-    the rows gets an extra row (`SliceMatrix.from_columns`), which
-    `checked_reduced_columns` rejects.  The slices with n <= 2, the only
-    ones the checks read, are cached per algebra; a slice with n >= 3 is
-    built afresh on every call.
+    `dbar_column` of label j: the column of its head (b, m, (w_1,)) with
+    ws[1:] appended (`semifree.append_tail`).  The map ι_{n−1} taking a
+    label to its flat element of B^{⊗_A (n+1)} is injective, so the ranks
+    are those of the matrix of merge_at(·, 0) in ambient word coordinates.
+    A label outside the rows gets an extra row (`SliceMatrix.from_columns`),
+    which `checked_reduced_columns` rejects.  The slices with n <= 2, the
+    only ones the checks read, are cached per algebra; a slice with n >= 3
+    is built afresh on every call.
     """
     cache = _caches(alg)["reduced_slice"]
     got = cache.get((n, degree))
@@ -472,80 +472,35 @@ def reduced_slice_matrix(alg: DGAlgebra, n: int, degree: int) -> SliceMatrix:
     return got
 
 
-def _rows(col: dict) -> tuple[dict, int]:
-    """A column keyed by the first two parts of its labels, (b, m) -> (ws, c), and its length."""
-    return {(b, m): (ws, c) for (b, m, ws), c in col.items()}, len(col)
-
-
-def _is_appended(col: dict, rows: tuple[dict, int], tail: tuple) -> bool:
-    """Whether col is the column of `rows` with the δ-factors tail appended to every label.
-
-    col must have as many entries as that column, and each entry
-    (b, m, ws) -> c must be one of it with tail appended.  The keys of col
-    are distinct, so no two of its entries share (b, m), and the entries
-    they match are distinct.  Nothing that holds the tail is hashed.
-    """
-    by_head, count = rows
-    if len(col) != count:
-        return False
-    for (b, m, ws), c in col.items():
-        row = by_head.get((b, m))
-        if row is None or row[1] != c or ws != row[0] + tail:
-            return False
-    return True
-
-
-def _reduced_certificate(alg: DGAlgebra, D: int) -> tuple[bool, bool]:
-    """(columns, tails) of `checked_reduced_columns` in degrees 0..D; one pass, cached per algebra."""
-    cache = _caches(alg)["reduced_certificate"]
-    got = cache.get(D)
-    if got is None:
-        got = cache[D] = _certify_reduced(alg, D)
-    return got
-
-
-def _certify_reduced(alg: DGAlgebra, D: int) -> tuple[bool, bool]:
+def _certify_reduced(alg: DGAlgebra, D: int) -> bool:
     f = alg.field
-    heads: dict = {}  # n = 1 label -> the `_rows` of its flat-checked column
-    h_rows: dict = {}  # (b, m) -> the `_rows` of h(b, m, ())
-    tails = True
+    flat: dict = {}  # n = 0 label -> its flat element, built once
+    heads: dict = {}  # n = 1 label -> its flat-checked column
     for d in range(D + 1):
-        for b, m, ws in prefixed_basis_labels(alg, 0, d):
-            h_rows[(b, m)] = _rows(homotopy(alg, (b, m, ws)))
         for n in (1, 2):
             M = reduced_slice_matrix(alg, n, d)
             if M.nrows != len(prefixed_basis_labels(alg, n - 1, d)):
-                return False, False
+                return False
             for (b, m, ws), col in zip(M.col_labels, M.columns()):
-                if n == 1:
-                    flat = TensorElement(alg, 2)
-                    for lam, c in col.items():
-                        for w, cw in prefixed_basis_element(alg, lam).terms.items():
-                            flat._add_canonical(w, f.mul(c, cw))
-                    if flat != merge_at(prefixed_basis_element(alg, (b, m, ws)), 0):
-                        return False, False
-                    heads[(b, m, ws)] = _rows(col)
-                elif not _is_appended(col, heads[(b, m, ws[:1])], ws[1:]):
-                    return False, False
-                tails = tails and _is_appended(homotopy(alg, (b, m, ws)), h_rows[(b, m)], ws)
-    # n >= 3: each label (b, m, head + tail) is made, checked and dropped
-    dbar, h = dbar_column, homotopy
-    for (b, m, head), rows in heads.items():
-        room = D - b.degree - m.degree - head[0].degree  # the largest degree of a tail
-        rows_h = h_rows[(b, m)]
-        for k in range(2, room + 1):
-            for e in range(k, room + 1):
-                for tail in _delta_factors(alg, k, e):
-                    ws = head + tail
-                    if not _is_appended(dbar(alg, (b, m, ws)), rows, tail):
-                        return False, False
-                    if tails and not _is_appended(h(alg, (b, m, ws)), rows_h, ws):
-                        tails = False
-    return True, tails
+                if n == 2:  # the head's column with (w_2,) appended, restated here rather than read from `append_tail`
+                    if col != {(b2, m2, ws2 + ws[1:]): c for (b2, m2, ws2), c in heads[(b, m, ws[:1])].items()}:
+                        return False
+                    continue
+                image = TensorElement(alg, 2)
+                for lam, c in col.items():
+                    te = flat.get(lam)
+                    if te is None:
+                        te = flat[lam] = prefixed_basis_element(alg, lam)
+                    for w, cw in te.terms.items():
+                        image._add_canonical(w, f.mul(c, cw))
+                if image != merge_at(prefixed_basis_element(alg, (b, m, ws)), 0):
+                    return False
+                heads[(b, m, ws)] = col
+    return True
 
 
 def checked_reduced_columns(alg: DGAlgebra, D: int) -> bool:
-    """Every d̄ column in degrees 0..D, every n, is d̄ of its label.
+    """Every d̄ column in degrees 0..D, every n, is d̄ of its label; cached per algebra.
 
     Head lemma: write ι_n(b, m, ws) = b ⊗_A m·δ(w_1) ⊗_B ... ⊗_B δ(w_n) for
     the flat element of a label and τ = δ(w_2) ⊗_B ... ⊗_B δ(w_n).  Then
@@ -556,26 +511,26 @@ def checked_reduced_columns(alg: DGAlgebra, D: int) -> bool:
     where λ + ws[1:] appends ws[1:] to the δ-factors of λ: the column of a
     label is the column of its head with ws[1:] appended to every row label.
 
-    The check therefore
-    - expands every n = 1 column of the cached slice over the flat elements
-      ι_0 of its rows and compares the sum with merge_at(ι_1(label), 0)
-      exactly; ι_0 is injective, so equality certifies the column;
-    - compares every n = 2 column of the cached slice, on labels only, with
-      its head's column with ws[1:] appended;
-    - for n >= 3 makes each label λ + τ from a checked head λ = (b, m, (w_1,))
-      and a tail τ of `_delta_factors` with |λ| + |τ| <= D, compares
-      `dbar_column` of it with the column of λ with τ appended, and drops it.
-    The head has degree at most that of the label, so its column was
-    checked flat before.  A column with support outside the labels of n − 1
-    fails.  Flat elements are built for the labels of n <= 1 only, and no
-    slice and no label list with n >= 3 is built.
-
-    The same pass checks that the contracting homotopy commutes with
-    appending δ-factors: h(b, m, ws) = h(b, m, ()) + ws on every label with
-    n >= 1.  That is no property of d̄, so it leaves this verdict alone;
-    `reduced_homotopy_defects` reads it.
+    `dbar_column` computes the head's column only and appends ws[1:] with
+    `semifree.append_tail`, which is that tuple concatenation, so the
+    lemma holds for it by construction and every column is right once the
+    head columns are.  The check
+    - expands every n = 1 column, the head columns, over the flat elements
+      ι_0 of its rows, each built once, and compares the sum with
+      merge_at(ι_1(label), 0) exactly; ι_0 is injective, so equality
+      certifies the column;
+    - compares every n = 2 column of the cached slice, on labels, with its
+      head's certified column with (w_2,) appended, which reads the output
+      of `append_tail` on a nonempty tail in every run.
+    A column with support outside the labels of n − 1 fails.  Flat elements
+    are built for the labels of n <= 1 only, and no slice and no label list
+    with n >= 3 is built.
     """
-    return _reduced_certificate(alg, D)[0]
+    cache = _caches(alg)["reduced_certificate"]
+    got = cache.get(D)
+    if got is None:
+        got = cache[D] = _certify_reduced(alg, D)
+    return got
 
 
 def reduced_d_squared_zero(alg: DGAlgebra, D: int) -> bool:
@@ -592,41 +547,14 @@ def reduced_d_squared_zero(alg: DGAlgebra, D: int) -> bool:
                for d in range(2, D + 1))
 
 
-def _is_label(alg: DGAlgebra, label, n: int, d: int) -> bool:
-    """Whether label is one of `prefixed_basis_labels(alg, n, d)`."""
-    b, m, ws = label
-    return (len(ws) == n and b.degree + m.degree + sum(w.degree for w in ws) == d
-            and b in alg.basis("B", b.degree) and m in alg.basis("W", m.degree)
-            and all(w.degree and w in alg.basis("W", w.degree) for w in ws))
-
-
-def _fails_at(alg: DGAlgebra, label, n: int, d: int) -> bool:
-    """Whether d̄_{n+1}h_n + h_{n−1}d̄_n = id fails at one label of C_n(d), from the closed forms.
-
-    As in `identity_defect`, the identity fails at a label that h sends
-    outside C_{n+1}(d).
-    """
-    f = alg.field
-    acc = {label: f.neg(f.one)}
-    for lb, c in homotopy(alg, label).items():
-        if not _is_label(alg, lb, n + 1, d):
-            return True
-        for row, c2 in dbar_column(alg, lb).items():
-            add_term(f, acc, row, f.mul(c, c2), False)
-    for lb, c in dbar_column(alg, label).items():
-        for row, c2 in homotopy(alg, lb).items():
-            add_term(f, acc, row, f.mul(c, c2), False)
-    return bool(acc)
-
-
-def _first_failing_tail(alg: DGAlgebra, failing: list, n: int, d: int):
-    """The first label of C_n(d), n >= 2, in basis order, whose head (b, m, (w_1,)) is in `failing`."""
-    def order(lb):
-        return lb[0].sort_key, lb[1].sort_key, lb[2][0].sort_key
-    for b, m, head in sorted(failing, key=order):
-        tails = _delta_factors(alg, n - 1, d - b.degree - m.degree - head[0].degree)
-        if tails:
-            return b, m, head + tails[0]
+def _first_failing_tail(alg: DGAlgebra, failing: list, d: int):
+    """The first label of C_2(d), C_3(d), ..., each in basis order, whose head (b, m, (w_1,)) is in `failing`."""
+    heads = sorted(failing, key=lambda lb: (lb[0].sort_key, lb[1].sort_key, lb[2][0].sort_key))
+    for n in range(2, d + 1):
+        for b, m, head in heads:
+            tails = _delta_factors(alg, n - 1, d - b.degree - m.degree - head[0].degree)
+            if tails:
+                return b, m, head + tails[0]
     return None
 
 
@@ -640,15 +568,16 @@ def reduced_homotopy_defects(alg: DGAlgebra, max_degree: int) -> list:
     cached slices with n <= 2 and the matrices of π, σ and h.  Sound once
     `checked_reduced_columns` holds.
 
-    Tail lemma: let λ = (b, m, (w_1,)) and τ a nonempty tail.  Suppose h
-    commutes with appending tails, h(κ + τ) = h(κ) + τ for every label κ
-    (checked by `checked_reduced_columns` as h(b, m, ws) = h(b, m, ()) + ws
-    for n >= 1).  By the head lemma, d̄(κ + τ) = d̄κ + τ for every κ with
-    n >= 1.  So d̄h(λ + τ) = d̄(hλ + τ) = (d̄hλ) + τ and hd̄(λ + τ) =
-    h(d̄λ + τ) = (hd̄λ) + τ, and the defect at λ + τ is the defect at λ with
-    τ appended.  Appending τ is injective on labels, and h(λ) + τ leaves
-    C_{n+1}(d) exactly when h(λ) leaves C_2(d − |τ|).  So the identity fails
-    at λ + τ exactly when it fails at λ, in C_1 of degree d − |τ| < d.
+    Tail lemma: let λ = (b, m, (w_1,)) and τ a nonempty tail.  h commutes
+    with appending tails, h(κ + τ) = h(κ) + τ for every label κ, by
+    construction (`semifree.homotopy` appends the label's δ-factors to its
+    head's column with `semifree.append_tail`).  By the head lemma,
+    d̄(κ + τ) = d̄κ + τ for every κ with n >= 1.  So d̄h(λ + τ) =
+    d̄(hλ + τ) = (d̄hλ) + τ and hd̄(λ + τ) = h(d̄λ + τ) = (hd̄λ) + τ, and the
+    defect at λ + τ is the defect at λ with τ appended.  Appending τ is
+    injective on labels, and h(λ) + τ leaves C_{n+1}(d) exactly when h(λ)
+    leaves C_2(d − |τ|).  So the identity fails at λ + τ exactly when it
+    fails at λ, in C_1 of degree d − |τ| < d.
 
     Minimal degree: all failing C_1 labels are kept, degree by degree.  The
     labels of C_n(d) with one head are consecutive, in the order of their
@@ -657,13 +586,8 @@ def reduced_homotopy_defects(alg: DGAlgebra, max_degree: int) -> list:
     degree d − |λ| and length n − 1, followed by its first tail.  In the
     lowest failing degree only B, C_0 or C_1 can fail, and every degree
     names the label that multiplying the identity out on every C_n names.
-
-    If h does not commute with appending tails, the tail lemma is not
-    available, and the identity on C_n with n >= 2 is evaluated label by
-    label from the closed forms (`_fails_at`).
     """
     f = alg.field
-    tails = _reduced_certificate(alg, max_degree)[1]
     failing: list = []  # the C_1 labels, of the degrees so far, at which the identity fails
     out = []
     for d in range(max_degree + 1):
@@ -676,12 +600,7 @@ def reduced_homotopy_defects(alg: DGAlgebra, max_degree: int) -> list:
         on_b, on_c0 = identity_defect([(pi, sigma)]), identity_defect([(d1, h0), (sigma, pi)])
         on_c1 = identity_defects([(d2, h1), (h0, d1)])
         bad = (B[on_b] if on_b is not None else c0[on_c0] if on_c0 is not None
-               else c1[on_c1[0]] if on_c1 else None)
-        for n in range(2, d + 1):
-            if bad is not None:
-                break
-            bad = (_first_failing_tail(alg, failing, n, d) if tails else
-                   next((lb for lb in _prefixed_labels(alg, n, d) if _fails_at(alg, lb, n, d)), None))
+               else c1[on_c1[0]] if on_c1 else _first_failing_tail(alg, failing, d))
         failing += [c1[j] for j in on_c1]
         out.append(bad)
     return out

@@ -351,8 +351,8 @@ def reduced_bar_table(alg: DGAlgebra, D: int) -> HomologyTable:
     hold through D-1 (π∘d̄_1 = 0 then too: d̄_1 = d̄_1(d̄_2h_1 + h_0d̄_1) =
     (id − σπ)d̄_1, and σ is injective).  The complex is exact, so rank π =
     dim B_d, rank d̄_n = dim C_{n−1} − rank d̄_{n−1}, and the cycles and the
-    boundaries both number Σ_n rank d̄_n, with d̄_0 = π.  dim C_n is counted
-    over the pairs (b, m) (`prefixed_basis_dim`); no label is listed.
+    boundaries both number Σ_n rank d̄_n, with d̄_0 = π.  dim C_n is
+    `prefixed_basis_dim`, counted with no label or δ-word listed.
     """
     table = HomologyTable(window=_window(D))
     for d in range(D):
@@ -368,8 +368,8 @@ def bb_homology_table(alg: DGAlgebra, D: int) -> HomologyTable:
     Sound once `quasi_iso_check` holds: 𝔹 is then the direct sum of the
     subcomplexes σ(B) ≅ B and K = ker α, which h contracts (αh = 0).  So
     rank 𝔻_m = rank d^B_m + r_m, with r_0 = 0 and, K being exact,
-    r_{m+1} = dim K_m − r_m = dim 𝔹_m − dim B_m − r_m.  dim 𝔹_m is counted
-    over the components n (`prefixed_basis_dim`); no label is listed.
+    r_{m+1} = dim K_m − r_m = dim 𝔹_m − dim B_m − r_m.  dim 𝔹_m is the sum
+    over the components n of `prefixed_basis_dim`; no label is listed.
     """
     dims = [sum(prefixed_basis_dim(alg, n, m - n) for n in range(m // 2 + 1)) for m in range(D + 1)]
     r = [0]

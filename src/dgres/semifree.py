@@ -365,17 +365,29 @@ def dd_column(alg: DGAlgebra, label) -> dict:
     return out
 
 
+def append_tail(col: dict, tail: tuple) -> dict:
+    """The column col with the δ-factors tail appended to every row label: (b, m, ws) ↦ (b, m, ws + tail).
+
+    It is the λ ↦ λ + τ of the head lemma (`bar.checked_reduced_columns`):
+    `dbar_column` and `homotopy` compute the column of a label's head only
+    and return it with the label's tail appended by this function.
+    """
+    return {(b, m, ws + tail): c for (b, m, ws), c in col.items()} if tail else col
+
+
 def dbar_column(alg: DGAlgebra, label) -> dict:
     """Coordinates of the reduced bar differential d̄ of one δ-label, n >= 1.
 
-    The label (b, m, ws) is b ⊗_A m·δ(w_1) ⊗_B ... ⊗_B δ(w_n) in B ⊗_A J^{⊗_B n};
-    d̄ merges b into the first δ-factor:
+    The label (b, m, ws) is b ⊗_A m·δ(w_1) ⊗_B ... ⊗_B δ(w_n) in B ⊗_A J^{⊗_B n}.
+    On a head (b, m, (w_1,)), d̄ merges b into the δ-factor:
 
-        d̄(b, m, ws) = s·(bm, w_1, ws[1:]) − s·s'·(bm·w_1, 1, ws[1:])
+        d̄(b, m, (w_1,)) = s·(bm, w_1, ()) − s·s'·(bm·w_1, 1, ())
 
-    over the labels of n − 1, with s and s' the `mono_mul` signs of bm and
-    bm·w_1; a vanishing product drops its term.  This is the 𝔇 part of
-    `dd_column` and every column of `bar.reduced_slice_matrix`.
+    over the labels of n = 0, with s and s' the `mono_mul` signs of bm and
+    bm·w_1; a vanishing product drops its term.  Only this head column is
+    computed: the column of (b, m, ws) is it with ws[1:] appended
+    (`append_tail`).  This is the 𝔇 part of `dd_column` and every column of
+    `bar.reduced_slice_matrix`.
     """
     b, m, ws = label
     sm = alg.mono_mul(b, m)
@@ -383,12 +395,13 @@ def dbar_column(alg: DGAlgebra, label) -> dict:
         return {}
     f = alg.field
     s, bm = sm
-    w, rest = ws[0], ws[1:]
+    w = ws[0]
     c = f.one if s > 0 else f.neg(f.one)
+    head = {(bm, w, ()): c}
     sm = alg.mono_mul(bm, w)
-    if sm is None:
-        return {(bm, w, rest): c}
-    return {(bm, w, rest): c, (sm[1], alg.one_mono, rest): f.neg(c) if sm[0] > 0 else c}
+    if sm is not None:
+        head[(sm[1], alg.one_mono, ())] = f.neg(c) if sm[0] > 0 else c
+    return append_tail(head, ws[1:])
 
 
 def pi_column(alg: DGAlgebra, label) -> dict:
@@ -405,6 +418,10 @@ def section(alg: DGAlgebra, b) -> dict:
 def homotopy(alg: DGAlgebra, label) -> dict:
     """The contracting homotopy on δ-labels: h(b, m, ws) = (b, 1, (m,) + ws), 0 when m = 1.
 
+    Only the head column h(b, m, ()) is written: h(b, m, ws) is it with ws
+    appended (`append_tail`), so h commutes with appending δ-factors by
+    construction.
+
     Reduced bar: with s the `mono_mul` sign of b·m, `dbar_column` gives
     d̄h(b, m, ws) = (b, m, ws) − s·(bm, 1, ws) and hd̄(b, m, ws) = s·(bm, 1, ws)
     for m ≠ 1 (a vanishing b·m drops the s-terms), and hd̄(b, 1, ws) =
@@ -419,7 +436,7 @@ def homotopy(alg: DGAlgebra, label) -> dict:
     every term of ∂ keeps m = 1.  As 𝔇 is d̄ on λ, 𝔻h + h𝔻 = id − σα.
     """
     b, m, ws = label
-    return {} if m == alg.one_mono else {(b, alg.one_mono, (m,) + ws): alg.field.one}
+    return {} if m == alg.one_mono else append_tail({(b, alg.one_mono, (m,)): alg.field.one}, ws)
 
 
 def defect_details(alg: DGAlgebra, label) -> str:

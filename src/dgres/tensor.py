@@ -27,7 +27,8 @@ def _caches(alg: DGAlgebra) -> dict:
     if c is None:
         c = {"delta_word": {}, "tensor_basis": {}, "jn_basis": {}, "prefixed_basis": {}, "bb_basis": {},
              "reduced_slice": {}, "delta_factors": {}, "dd_matrix": {}, "alpha_matrix": {}, "dB_matrix": {},
-             "bb_columns": {}, "bb_labels": {}, "prefix_one": {}, "reduced_certificate": {}}
+             "bb_columns": {}, "bb_labels": {}, "prefix_one": {}, "reduced_certificate": {},
+             "label_counts": {}}
         alg._tensor_caches = c
     return c
 
@@ -577,15 +578,29 @@ def prefixed_basis_labels(alg: DGAlgebra, n: int, degree: int):
 
 
 def prefixed_basis_dim(alg: DGAlgebra, n: int, degree: int) -> int:
-    """len(prefixed_basis_labels(alg, n, degree)), counted over the pairs (b, m) without listing a label."""
-    return sum(len(alg.basis("B", db)) * len(alg.basis("W", dm)) * len(_delta_factors(alg, n, degree - db - dm))
-               for db in range(degree + 1) for dm in range(degree - db + 1))
+    """len(prefixed_basis_labels(alg, n, degree)), counted without listing a label or a δ-word.
+
+    A label of n >= 1 is one of n − 1 followed by a last δ-factor w_n of
+    degree e >= 1, so dim(n, d) = Σ_e |W_e|·dim(n − 1, d − e), from the
+    pairs (b, m) of n = 0, dim(0, d) = Σ_e |B_{d−e}|·|W_e|.  Cached per
+    algebra: one table serves the reduced bar and (𝔹, 𝔻) tables.
+    """
+    cache = _caches(alg)["label_counts"]
+    got = cache.get((n, degree))
+    if got is None:
+        if n == 0:
+            got = sum(len(alg.basis("B", degree - e)) * len(alg.basis("W", e)) for e in range(degree + 1))
+        else:
+            got = sum(len(alg.basis("W", e)) * prefixed_basis_dim(alg, n - 1, degree - e)
+                      for e in range(1, degree - n + 2))
+        cache[(n, degree)] = got
+    return got
 
 
 def prefixed_basis_element(alg: DGAlgebra, label) -> TensorElement:
+    """b ⊗_A m·δ(w_1) ⊗_B ... ⊗_B δ(w_n): prefixing b is injective on the canonical words of m·δ(ws)."""
     b, m, ws = label
-    core = left_mult(alg.from_monomial(m), delta_word(alg, ws))
-    out = TensorElement(alg, core.length + 1)
-    for w, c in core.terms.items():
-        out._add_canonical((b,) + w, c)
-    return out
+    core = delta_word(alg, ws)
+    if m != alg.one_mono:
+        core = left_mult(alg.from_monomial(m), core)
+    return TensorElement(alg, core.length + 1, {(b,) + w: c for w, c in core.terms.items()})

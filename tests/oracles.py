@@ -313,8 +313,9 @@ def reduced_full_checks(alg, D, homotopy=None):
     Returns (d̄_{n-1}∘d̄_n = 0 for every n >= 2 in degrees 0..D, and per
     degree d = 0..D the first label at which πσ = id, d̄_1h_0 + σπ = id or
     d̄_{n+1}h_n + h_{n-1}d̄_n = id fails, in the order B, C_0, C_1, ...,
-    each in basis order, or None): the reference for the streamed checks of
-    `bar`, which take products only for n <= 2.  `homotopy` defaults to
+    each in basis order, or None): the reference for the checks of `bar`,
+    which take products only for n <= 2 and read longer labels through the
+    helper `semifree.append_tail`, evaluated here on every n.  `homotopy` defaults to
     `semifree.homotopy`; a label it sends outside C_{n+1} fails.  Images
     are summed label by label from the matrix columns, with no matrix
     product.

@@ -20,6 +20,7 @@ from dgres.bar import (
     nu,
     reduced_bar_differential,
     reduced_d_squared_zero,
+    reduced_homotopy_defects,
     reduced_slice_matrix,
 )
 from dgres.errors import NotInDomain, NotLinear, ObstructionNonzero
@@ -332,8 +333,11 @@ def _second_term_flipped(real):
 
 
 def _tail_reversed(real):
+    # the δ-factors of the label read in reverse order, so d̄ merges b into w_n: from n = 2 the
+    # column is that of the head (b, m, (w_n,)), which the n = 2 check compares with (b, m, (w_1,))
     def mutated(alg, label):
-        return {(b, m, ws[::-1]): c for (b, m, ws), c in real(alg, label).items()}
+        b, m, ws = label
+        return real(alg, (b, m, ws[::-1]))
     return mutated
 
 
@@ -344,31 +348,54 @@ def _first_factor_kept(real):
     return mutated
 
 
-def _second_term_flipped_from_n4(real):
-    # the second term negated only on labels with n >= 4, which no slice read by a check holds
-    flipped = _second_term_flipped(real)
-
-    def mutated(alg, label):
-        return (flipped if len(label[2]) >= 4 else real)(alg, label)
+def _second_term_flipped_on_tails(real):
+    # the helper that appends the tail negates the second term, (bm·w_1, 1, ws[1:]), of every
+    # column it appends a nonempty tail to: d̄ is wrong from n = 2 only (ℚ: the entries are Fractions)
+    def mutated(col, tail):
+        return {lb: -c if tail and lb[1].degree == 0 else c for lb, c in real(col, tail).items()}
     return mutated
 
 
-# wrong versions of semifree.dbar_column, each made from the real one
+# wrong versions of semifree.dbar_column, and of the helper semifree.append_tail
+# that appends a label's tail to its head's column, each made from the real one
 DBAR_MUTATIONS = {
-    "second-term-sign": _second_term_flipped,
-    "tail-reversed": _tail_reversed,
-    "outside-basis": _first_factor_kept,
-    "second-term-sign-from-n4": _second_term_flipped_from_n4,
+    "second-term-sign": ("dbar_column", _second_term_flipped),
+    "tail-reversed": ("dbar_column", _tail_reversed),
+    "outside-basis": ("dbar_column", _first_factor_kept),
+    "second-term-sign-on-tails": ("append_tail", _second_term_flipped_on_tails),
 }
+
+
+def install_dbar_mutation(monkeypatch, mutation):
+    """Patch a DBAR_MUTATIONS entry into `semifree` and, where it looks the name up, `bar`."""
+    import dgres.bar as bar
+    import dgres.semifree as semifree
+
+    name, mutate = DBAR_MUTATIONS[mutation]
+    mutated = mutate(getattr(semifree, name))
+    for mod in (semifree, bar):
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, mutated)
 
 
 @pytest.mark.parametrize("mutation", sorted(DBAR_MUTATIONS))
 def test_checked_reduced_columns_catch_a_wrong_closed_form(monkeypatch, mutation):
     # a fresh algebra, since the slice matrices are cached on it; Λ(a,b,c)
-    # has n = 3 labels with distinct tail factors from degree 3, and n = 4
-    # labels from degree 4
-    import dgres.bar as bar
+    # has n = 2 labels with distinct factors from degree 2
+    lam = DGAlgebra(Field.rationals(), ext_gens=[("a", 1), ("b", 1), ("c", 1)])
+    install_dbar_mutation(monkeypatch, mutation)
+    assert not checked_reduced_columns(lam, 4)
+
+
+def test_homotopy_identity_reads_the_tail_helper(monkeypatch):
+    # the helper putting the tail in front, (b, m, tail + ws), leaves every d̄ column alone, as a
+    # head column's rows have no δ-factor, but makes h(b, m, (w_1,)) = (b, 1, (w_1, m)): the
+    # identity on C_1 fails, though no C_1 label is evaluated with a tail of two factors
+    import dgres.semifree as semifree
 
     lam = DGAlgebra(Field.rationals(), ext_gens=[("a", 1), ("b", 1), ("c", 1)])
-    monkeypatch.setattr(bar, "dbar_column", DBAR_MUTATIONS[mutation](bar.dbar_column))
-    assert not checked_reduced_columns(lam, 4)
+    monkeypatch.setattr(semifree, "append_tail",
+                        lambda col, tail: {(b, m, tail + ws): c for (b, m, ws), c in col.items()})
+    assert checked_reduced_columns(lam, 4) and reduced_d_squared_zero(lam, 4)
+    defects = reduced_homotopy_defects(lam, 4)
+    assert defects[:2] == [None, None] and all(lb is not None and len(lb[2]) == 1 for lb in defects[2:])

@@ -7,7 +7,7 @@ import pytest
 from dgres.cli import main
 from dgres.errors import ParseError
 from dgres.probfile import parse_expression, parse_problem
-from test_bar import DBAR_MUTATIONS
+from test_bar import DBAR_MUTATIONS, install_dbar_mutation
 
 
 def run_cli(args, capsys):
@@ -467,17 +467,13 @@ def test_homology_fails_on_a_flipped_closed_form_sign(golden_dir, capsys, monkey
     (["homology", "--max-degree", "5"], ["reduced-bar-acyclic"], "table H(reduced bar, augmented)"),
 ])
 def test_wrong_reduced_closed_form_fails(tmp_path, capsys, monkeypatch, mutation, command, failed, dropped):
-    # the shared closed form of d̄ and 𝔇, made wrong where both look it up
-    import dgres.bar as bar
-    import dgres.semifree as semifree
+    # the shared closed form of d̄ and 𝔇, or the helper appending its tails, made wrong where both look it up
     from dgres.cli import BAD_REDUCED_COLUMNS
 
     path = tmp_path / "lam.dgres"
     path.write_text("field rationals\n\n[algebra]\next a 1\next b 1\next c 1\n")
     args = command[:1] + [str(path)] + command[1:]
-    mutated = DBAR_MUTATIONS[mutation](semifree.dbar_column)
-    monkeypatch.setattr(semifree, "dbar_column", mutated)
-    monkeypatch.setattr(bar, "dbar_column", mutated)
+    install_dbar_mutation(monkeypatch, mutation)
     code, out, err = run_cli(args, capsys)
     assert code == 1 and err == ""
     for name in failed:
@@ -536,25 +532,36 @@ def test_wrong_homotopy_fails(golden_dir, capsys, monkeypatch, mutation, command
     assert out.count("counterexample: the contracting homotopy identity fails at (") == len(failed)
 
 
-def test_homotopy_wrong_from_n2_fails_at_the_labels_of_every_slice(golden_dir, capsys, monkeypatch):
-    # h zero on the labels with n >= 2 keeps the identities on B, C_0 and C_1
-    # and does not commute with appending tails, so the streamed check
-    # evaluates C_n, n >= 2, label by label; every degree names the first bad
-    # label that the identity multiplied out on every slice names
+def test_homotopy_wrong_at_one_head_fails_at_the_labels_of_every_slice(golden_dir, capsys, monkeypatch):
+    # a wrong head: h(1, m0, ()) gets d̄y added, y the first label of C_2 with d̄y != 0 and |m0| = |y|,
+    # and h(1, m0, ws) is that column with ws appended.  The identity fails at (1, 1, (m0,)) in C_1
+    # and, in every higher degree, only at labels (1, 1, (m0,) + τ) with n >= 2, which the tail lemma
+    # names from the failing C_1 label; every degree names the first bad label that the identity
+    # multiplied out on every slice names
     import dgres.bar as bar
-    from dgres.semifree import defect_details
+    from dgres.semifree import append_tail, dbar_column, defect_details
+    from dgres.tensor import prefixed_basis_labels
     from oracles import reduced_full_checks
 
-    def mutated(alg, label):
-        return {} if len(label[2]) >= 2 else real(alg, label)
-
-    real = bar.homotopy
     path = golden_dir / "odd_base.dgres"
     alg = parse_problem(path.read_text()).algebra
+    f, one = alg.field, alg.one_mono
+    y = next(lb for d in range(2, 6) for lb in prefixed_basis_labels(alg, 2, d) if dbar_column(alg, lb))
+    m0 = alg.basis("W", sum(x.degree for x in y[:2] + y[2]))[0]
+    real = bar.homotopy
+
+    def mutated(alg, label):
+        out = dict(real(alg, label))
+        if label[:2] == (one, m0):
+            for key, c in append_tail(dbar_column(alg, y), label[2]).items():
+                out[key] = f.add(out.get(key, f.zero), c)
+        return {key: c for key, c in out.items() if c != f.zero}
+
     square, firsts = reduced_full_checks(alg, 5, homotopy=mutated)
     expected = [(f"reduced:reduced-exactness@deg{d}", f"counterexample: {defect_details(alg, lb)}")
                 for d, lb in enumerate(firsts) if lb is not None]
-    assert square and expected and all(len(lb[2]) >= 2 for lb in firsts if lb is not None)
+    bad = [lb for lb in firsts if lb is not None]
+    assert square and len(bad) >= 2 and len(bad[0][2]) == 1 and all(len(lb[2]) >= 2 for lb in bad[1:])
     monkeypatch.setattr(bar, "homotopy", mutated)
     code, out, err = run_cli(["bar", str(path), "--reduced", "--max-degree", "5"], capsys)
     lines = out.splitlines()
@@ -564,8 +571,8 @@ def test_homotopy_wrong_from_n2_fails_at_the_labels_of_every_slice(golden_dir, c
 
 @pytest.mark.parametrize("command", [["bar", "--reduced", "--max-degree", "6"], ["homology", "--max-degree", "8"]])
 def test_reduced_bar_keeps_no_slice_or_label_list_from_n3(golden_dir, capsys, monkeypatch, command):
-    # the reduced bar certificate streams every label with n >= 3: neither a
-    # slice nor a label list with n >= 3 stays cached (Λ(a,b,c) has them
+    # the reduced bar certificate reads the slices with n <= 2 only: neither
+    # a slice nor a label list with n >= 3 stays cached (Λ(a,b,c) has them
     # from degree 3)
     import dgres.probfile as probfile
     from dgres.tensor import _caches
@@ -621,8 +628,26 @@ def test_semifree_fails_an_empty_T_linearity_window(tmp_path, golden_dir, capsys
     code, out, err = run_cli(["semifree", str(path)] + args, capsys)
     assert code == 1 and err == ""
     failed = [line.split()[1] for line in out.splitlines() if line.startswith("  FAIL")]
-    assert failed == ["frakD-T-linearity"]
+    # at D = 1 no product of 𝔻 is read either (test_semifree_fails_the_products_of_an_empty_window)
+    assert failed == (["DD-squared-zero", "anticommutation"] if args[-1] == "1" else []) + ["frakD-T-linearity"]
     assert "counterexample: the window holds no label of word length >= 1, so nothing was checked" in out
+
+
+@pytest.mark.parametrize("D", [1, 2])
+def test_semifree_fails_the_products_of_an_empty_window(tmp_path, capsys, D):
+    # 𝔻² = 0 and 𝔇∂ + ∂𝔇 = 0 are read on the products 𝔻_{t-1}∘𝔻_t with t = 2..D: at D = 1 there is
+    # none, so both fail and say so; α∘𝔻 = d^B∘α (t = 1..D) and the quasi-isomorphism, which rests
+    # on the homotopy identity in degree 0, are read and pass.  frakD-T-linearity needs D >= 1 + |e|
+    from dgres.cli import NO_PRODUCT
+
+    path = tmp_path / "e1.dgres"
+    path.write_text("field rationals\n[algebra]\next e 1\n")
+    code, out, err = run_cli(["semifree", str(path), "--max-degree", str(D)], capsys)
+    failed = ["DD-squared-zero", "anticommutation", "frakD-T-linearity"] if D < 2 else []
+    assert code == (1 if failed else 0) and err == ""
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("  FAIL")] == failed
+    assert out.count(f"counterexample: {NO_PRODUCT}") == (2 if failed else 0)
+    assert "PASS  alpha-chain-map" in out and "PASS  quasi-isomorphism" in out and "table homology:" in out
 
 
 def test_semifree_T_linearity_window_reaches_the_first_ext_label(tmp_path, capsys):

@@ -18,6 +18,7 @@ from dgres.tensor import (
     kappa_n_inverse,
     left_mult,
     pi_B,
+    prefixed_basis_dim,
     prefixed_basis_element,
     prefixed_basis_labels,
     right_mult,
@@ -294,3 +295,11 @@ def test_slice_enumerators_emit_in_key_order(request, fixture_algebras, name):
             labels = prefixed_basis_labels(alg, n, degree)
             assert list(labels) == sorted(
                 labels, key=lambda lb: (lb[0].sort_key, lb[1].sort_key, _sort_keys(lb[2])))
+
+
+def test_prefixed_basis_dim_counts_the_labels(fixture_algebras, odd_base):
+    # the count appends one δ-factor per step and lists no label; fixture_algebras is E1-E3 over ℚ and F_101
+    for alg in list(fixture_algebras.values()) + [odd_base]:
+        for n in range(5):
+            for d in range(10):
+                assert prefixed_basis_dim(alg, n, d) == len(prefixed_basis_labels(alg, n, d)), (n, d)

@@ -24,8 +24,8 @@ from dgres.homology import (
 )
 from dgres.probfile import ProblemFile
 from dgres.scalars import Field
-from dgres.semifree import DD, bb_basis_element, bb_total_basis, dbar_column, dd_column, homotopy
-from dgres.tensor import prefixed_basis_labels
+from dgres.semifree import DD, append_tail, bb_basis_element, bb_total_basis, dbar_column, dd_column, homotopy
+from dgres.tensor import prefixed_basis_dim, prefixed_basis_labels
 from oracles import bb_coords, bb_rank_table, full_column_checks, reduced_bar_rank_table, reduced_full_checks
 from test_bar import assert_reduced_columns_are_flat_merges
 
@@ -160,14 +160,14 @@ def test_prefix_one_product_checks_match_the_full_columns(kind, field, data):
 
 
 def homotopy_mutations(alg, D, pick):
-    """Wrong versions of `semifree.homotopy` on alg, each from one drawn choice.
+    """Wrong heads of `semifree.homotopy` on alg, each from one drawn choice.
 
-    "scaled" doubles h(b0, m0, ws) for one pair (b0, m0) and "boundary"
-    adds d̄(y) + ws to h(b1, m1, ws) for a label y of C_2 and a pair (b1, m1)
-    of its degree: both commute with appending tails, so the streamed check
-    reads them through the tail lemma.  "from-n2" is h made zero from n = 2
-    and "one-label" h negated at one label with n >= 2: neither commutes
-    with appending tails.
+    h is written on the heads (b, m, ()) and appends the label's δ-factors,
+    so a mutation that can be written changes the head's column and is
+    appended every tail alike.  "scaled" doubles h(b0, m0, ws), "dropped"
+    makes it zero and "outside" sends it to (b0, m0, (m0,) + ws), a label
+    of too high a degree; "boundary" adds d̄(y) + ws to h(b1, m1, ws) for a
+    label y of C_2 and a pair (b1, m1) of its degree.
     """
     f, one = alg.field, alg.one_mono
     pairs = [(b, m) for d in range(1, D + 1) for b, m, _ in prefixed_basis_labels(alg, 0, d) if m != one]
@@ -176,29 +176,24 @@ def homotopy_mutations(alg, D, pick):
     y = c2[pick % len(c2)] if c2 else None
     degree = None if y is None else y[0].degree + y[1].degree + sum(w.degree for w in y[2])
     b1, m1 = next(((b, m) for b, m in pairs if b.degree + m.degree == degree), (None, None))
-    long = [lb for d in range(2, D + 1) for n in range(2, d + 1) for lb in prefixed_basis_labels(alg, n, d)
-            if lb[1] != one]
-    marked = long[pick % len(long)] if long else None
 
-    def scaled(alg, label):
-        return {k: f.mul(c, f.of_int(2)) for k, c in homotopy(alg, label).items()} if label[:2] == (b0, m0) \
-            else homotopy(alg, label)
+    def at_head(head, change):
+        def mutated(alg, label):
+            return change(label) if label[:2] == head else homotopy(alg, label)
+        return mutated
 
-    def boundary(alg, label):
+    def boundary(label):
         out = dict(homotopy(alg, label))
-        if label[:2] == (b1, m1):
-            for (x, z, ws), c in dbar_column(alg, y).items():
-                key = (x, z, ws + label[2])
-                out[key] = f.add(out.get(key, f.zero), c)
+        for key, c in append_tail(dbar_column(alg, y), label[2]).items():
+            out[key] = f.add(out.get(key, f.zero), c)
         return {k: c for k, c in out.items() if c != f.zero}
 
-    def from_n2(alg, label):
-        return {} if len(label[2]) >= 2 else homotopy(alg, label)
-
-    def one_label(alg, label):
-        return {k: f.neg(c) for k, c in homotopy(alg, label).items()} if label == marked else homotopy(alg, label)
-
-    return {"scaled": scaled, "boundary": boundary, "from-n2": from_n2, "one-label": one_label}
+    return {
+        "scaled": at_head((b0, m0), lambda label: {k: f.mul(c, f.of_int(2)) for k, c in homotopy(alg, label).items()}),
+        "dropped": at_head((b0, m0), lambda label: {}),
+        "outside": at_head((b0, m0), lambda label: {(b0, m0, (m0,) + label[2]): f.one}),
+        "boundary": at_head((b1, m1), boundary),
+    }
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -208,8 +203,8 @@ def homotopy_mutations(alg, D, pick):
 def test_streamed_reduced_checks_match_every_slice(kind, field, data):
     # d̄² = 0 from the products at n = 2 and the first bad label of each
     # degree from B, C_0, C_1 and the tail lemma agree with the checks on
-    # every slice, for the true homotopy and for wrong ones, with or without
-    # the tail structure the lemma needs
+    # every slice (`reduced_full_checks`, which evaluates h and the helper
+    # appending its tails on every n), for the true homotopy and for wrong heads
     alg = data.draw(TOWERS[kind](field))
     D = 5
     assert checked_reduced_columns(alg, D)
@@ -222,3 +217,14 @@ def test_streamed_reduced_checks_match_every_slice(kind, field, data):
         assert checked_reduced_columns(alg, D)
         streamed = reduced_d_squared_zero(alg, D), reduced_homotopy_defects(alg, D)
     assert streamed == reduced_full_checks(alg, D, homotopy=mutations[name]), name
+    assert name == "boundary" or any(streamed[1]), name  # "boundary" is h itself when y or (b1, m1) is missing
+
+
+@pytest.mark.parametrize("kind", sorted(TOWERS))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_label_count_matches_the_labels_on_random_towers(kind, data):
+    alg = data.draw(TOWERS[kind](Field.rationals()))
+    for n in range(5):
+        for d in range(9):
+            assert prefixed_basis_dim(alg, n, d) == len(prefixed_basis_labels(alg, n, d)), (n, d)
