@@ -124,6 +124,7 @@ class DGAlgebra:
         self._mul_cache: dict[tuple[Monomial, Monomial], tuple[int, Monomial] | None] = {}
         self._split_cache: dict[Monomial, tuple[Monomial, Monomial]] = {}
         self._basis_cache: dict[tuple[str, int], tuple[Monomial, ...]] = {}
+        self._repr_cache: dict[Monomial, str] = {}
         self.diff_images: dict[int, AlgElement] = {}
         diff_terms = diff_terms or {}
         for name in diff_terms:
@@ -204,15 +205,15 @@ class DGAlgebra:
         return not any(m.exps[self.n_base:])
 
     def mono_repr(self, m: Monomial) -> str:
-        if m == self.one_mono:
-            return "1"
-        parts = []
-        for g, e in zip(self.gens, m.exps):
-            if e == 1:
-                parts.append(g.name)
-            elif e > 1:
-                parts.append(f"{g.name}^{e}")
-        return "*".join(parts)
+        """m written in this algebra's generator names; memoized per algebra, as the names are."""
+        got = self._repr_cache.get(m)
+        if got is None:
+            if m == self.one_mono:
+                got = "1"
+            else:
+                got = "*".join(g.name if e == 1 else f"{g.name}^{e}" for g, e in zip(self.gens, m.exps) if e)
+            self._repr_cache[m] = got
+        return got
 
     # -- elements ----------------------------------------------------------
 

@@ -42,25 +42,39 @@ from .tensor import (
 
 
 def bar_differential(t: TensorElement, n: int) -> TensorElement:
-    """Alternating sum of adjacent-slot merges; word length n+2 -> n+1."""
+    """Alternating sum Σ_i (-1)^i merge_at(t, i) of adjacent-slot merges; word length n+2 -> n+1.
+
+    One pass over the terms: each merge of a canonical word is canonical, and
+    goes into the output with its `mono_mul` sign times (-1)^i.
+    """
     if t.length != n + 2:
         raise LengthMismatch(f"expected word length {n + 2}, got {t.length}")
-    out = merge_at(t, 0)
-    for i in range(1, n + 1):
-        piece = merge_at(t, i)
-        out = out + (piece if i % 2 == 0 else -piece)
+    alg = t.alg
+    f = alg.field
+    out = TensorElement(alg, n + 1)
+    for w, c in t.terms.items():
+        neg = f.neg(c)
+        for i in range(n + 1):
+            sm = alg.mono_mul(w[i], w[i + 1])
+            if sm is None:
+                continue
+            s, m = sm
+            out._add_canonical(w[:i] + (m,) + w[i + 2:], neg if (s < 0) != (i % 2 == 1) else c)
     return out
 
 
 def bar_homotopy(t, n: int | None = None) -> TensorElement:
-    """Prepend a 1-slot; the right-B-linear contracting homotopy."""
+    """Prepend a 1-slot; the right-B-linear contracting homotopy.
+
+    Only the new slot 1, the old slot 0, can be out of normal form.
+    """
     if isinstance(t, AlgElement):
         t = from_algebra_element(t)
     alg = t.alg
     out = TensorElement(alg, t.length + 1)
     one = alg.one_mono
     for w, c in t.terms.items():
-        out._add_raw((one,) + w, c)
+        out._add_at_slot((one,) + w, 1, c)
     return out
 
 
@@ -90,7 +104,7 @@ def bar_action(t: TensorElement, s: TensorElement) -> TensorElement:
                 c = f.mul(cw, cs)
                 if sign * s0 * s1 < 0:
                     c = f.neg(c)
-                out._add_raw((m1,), c)
+                out._add_canonical((m1,), c)
                 continue
             sm = alg.mono_mul(w[0], mb)
             if sm is None:
@@ -103,7 +117,7 @@ def bar_action(t: TensorElement, s: TensorElement) -> TensorElement:
             c = f.mul(cw, cs)
             if sign * s0 * s1 < 0:
                 c = f.neg(c)
-            out._add_raw((first,) + w[1:-1] + (last,), c)
+            out._add_at_slot((first,) + w[1:-1] + (last,), t.length - 1, c)
     return out
 
 
@@ -113,7 +127,7 @@ def nu(b: AlgElement) -> TensorElement:
     out = TensorElement(alg, 3)
     one = alg.one_mono
     for m, c in b.terms.items():
-        out._add_raw((one, m, one), alg.field.neg(c))
+        out._add_at_slot((one, m, one), 1, alg.field.neg(c))
     return out
 
 

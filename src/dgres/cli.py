@@ -164,6 +164,7 @@ BAD_REDUCED_COLUMNS = "a reduced bar column differs from the flat merge of its b
 INVALID_ALGEBRA = "the algebra fails its algebra:* checks, so no resolution of it is certified"
 NO_SAMPLE = "no sample was checked"
 NO_PRODUCT = "the window holds no product DD_{t-1}DD_t with t >= 2, so nothing was checked"
+NO_NULLSPACE_VECTOR = "no nullspace vector in the window, so nothing was checked"
 
 
 def cmd_semifree(args, problem) -> Report:
@@ -262,19 +263,24 @@ def _lift_checks(rep: Report, N, D: int):
     alg = N.alg
     f = alg.field
 
+    # β_N(e_j) is built once, and kept only while a later ∂e_k still has a term at e_j
+    last_use = {i: k for i, k in sorted(N.diff)}
+    betas = {}
     bts = []
     ok_beta_chain = ok_beta_id = True
-    for name in N.names:
-        b = beta_N(N, name)
+    for j, name in enumerate(N.names):
+        b = betas[j] = beta_N(N, name)
         if alpha_N(b) != mod_element(N, name):
             ok_beta_id = False
         de = module_N_differential(mod_element(N, name))
         lhs = NTElement(N)
         for (i, w), c in de.terms.items():
-            lhs = lhs + nt_right_mult(beta_N(N, N.names[i]), alg.from_monomial(w[0], c))
+            lhs = lhs + nt_right_mult(betas[i], alg.from_monomial(w[0], c))
         if lhs != DN(b):
             ok_beta_chain = False
         bts.append((name, repr(b)))
+        for i in [i for i in betas if last_use.get(i, -1) <= j]:
+            del betas[i]
     rep.add_check("beta-chain-map", ok_beta_chain, "")
     rep.add_check("alphaN-betaN-identity", ok_beta_id, "")
     rep.tables["beta"] = bts
@@ -298,14 +304,17 @@ def _lift_checks(rep: Report, N, D: int):
         rep.add_check("rho-chain-map", ok_chain, "")
         rep.tables["rho"] = [(name, repr(res.rho[name])) for name in N.names]
         ok_lam = True
+        checked = 0
         for n in range(2, 4):
             for d in range(0, D + 1):
                 M = dN_matrix(N, n, d)
                 for vec in M.nullspace():
+                    checked += 1
                     el = ModTensorElement(N, n, {key: c for key, c in zip(M.col_labels, vec) if c != f.zero})
                     if bar_dN_any(lambda_n(N, res.rho, n, el)) != el:
                         ok_lam = False
-        rep.add_check("lambda-splitting-identities", ok_lam, f"n 2..3, degrees 0..{D}")
+        rep.add_check("lambda-splitting-identities", ok_lam and checked > 0, f"n 2..3, degrees 0..{D}",
+                      "" if checked else NO_NULLSPACE_VECTOR)
     else:
         cert = res.certificate
         if cert is None:

@@ -3,7 +3,8 @@
 The tensor samplers draw from a degree slice without enumerating it: the
 slice is a `Sequence` that counts its words and unranks the i-th one, in the
 order of `tensor_basis` and `modtensor_basis`, so `rng.sample` makes the
-same draws as it would from the enumerated basis.
+same draws as it would from the enumerated basis.  Each slice is built once
+per algebra, length and degree, and cached with the algebra's tensor caches.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import AlgElement, DGAlgebra
 from .modules import ModTensorElement, SemifreeModule
-from .tensor import TensorElement
+from .tensor import TensorElement, _caches
 
 
 def random_scalar(field, rng: random.Random):
@@ -66,11 +67,20 @@ class TensorSlice(Sequence):
         return tuple(word)
 
 
+def _tensor_slice(alg: DGAlgebra, length: int, degree: int) -> TensorSlice:
+    """The cached `TensorSlice`; `rng.sample` only reads it, so sharing it changes no draw."""
+    cache = _caches(alg)["tensor_slice"]
+    got = cache.get((length, degree))
+    if got is None:
+        got = cache[(length, degree)] = TensorSlice(alg, length, degree)
+    return got
+
+
 class ModTensorSlice(Sequence):
     """The keys (idx, word) of `modtensor_basis(N, length, degree)`, unranked on demand."""
 
     def __init__(self, N: SemifreeModule, length: int, degree: int):
-        self.parts = [(i, TensorSlice(N.alg, length, degree - d))
+        self.parts = [(i, _tensor_slice(N.alg, length, degree - d))
                       for i, d in enumerate(N.degrees) if d <= degree]
         self.size = sum(len(words) for _, words in self.parts)
 
@@ -99,7 +109,7 @@ def random_homogeneous_element(alg: DGAlgebra, rng: random.Random, degree: int,
 
 def random_homogeneous_tensor(alg: DGAlgebra, rng: random.Random, length: int,
                               degree: int, max_terms: int = 3) -> TensorElement:
-    words = TensorSlice(alg, length, degree)
+    words = _tensor_slice(alg, length, degree)
     out = TensorElement(alg, length)
     if not words:
         return out

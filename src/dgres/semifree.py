@@ -202,7 +202,7 @@ def bb_word(alg: DGAlgebra, prefix: AlgElement, factors) -> BBElement:
         sign = psi_sign(n, bm.degree, degs)
         cc = f.neg(c) if sign < 0 else c
         for w, cw in core.terms.items():
-            out._add_raw((bm,) + w, f.mul(cc, cw))
+            out._add_at_slot((bm,) + w, 1, f.mul(cc, cw))
     return BBElement(alg, {n: out})
 
 

@@ -28,7 +28,7 @@ def _caches(alg: DGAlgebra) -> dict:
         c = {"delta_word": {}, "tensor_basis": {}, "jn_basis": {}, "prefixed_basis": {}, "bb_basis": {},
              "reduced_slice": {}, "delta_factors": {}, "dd_matrix": {}, "alpha_matrix": {}, "dB_matrix": {},
              "bb_columns": {}, "bb_labels": {}, "prefix_one": {}, "reduced_certificate": {},
-             "label_counts": {}}
+             "label_counts": {}, "tensor_slice": {}}
         alg._tensor_caches = c
     return c
 
@@ -38,7 +38,13 @@ def word_degree(w: Word) -> int:
 
 
 def normalize_word(alg: DGAlgebra, word: Word):
-    """Canonical form of a raw word: (sign, word) or None if it vanishes."""
+    """Canonical form of a raw word: (sign, word) or None if it vanishes.
+
+    Every slot from 1 on is split and its base part moved into slot 0.  The
+    products whose factors are canonical disturb only one slot, and
+    `_add_at_slot` normalises that slot alone; this function serves the words
+    that come from nowhere canonical (`from_word`, `tensor_multiply`).
+    """
     if all(alg.mono_is_ext_only(m) for m in word[1:]):
         return 1, word
     slot0 = word[0]
@@ -103,6 +109,34 @@ class TensorElement:
             self.terms.pop(w, None)
         else:
             self.terms[w] = s
+
+    def _add_at_slot(self, word: Word, i: int, coeff):
+        """Accumulate coeff * word, where word is canonical except perhaps at slot i.
+
+        Split slot i as a·e, with a in A and e ext-only (a·e is the slot with
+        sign +1).  Slots 1..i-1 are ext-only, so a reaches slot 0 by crossing
+        w_{i-1}, ..., w_1 one at a time; it passes each ⊗_A because a ∈ A,
+        and each crossing costs (-1)^{|a||w_k|}, so (-1)^{|a|·(|w_1|+...+|w_{i-1}|)}
+        in all.  There it multiplies slot 0 from the right with the `mono_mul`
+        sign, and the word vanishes with that product.  Slots after i are
+        ext-only already, so the result is canonical.  This is the step that
+        `normalize_word` takes at each slot, taken at the one slot that can
+        need it; slot 0 holds any B-monomial, so i = 0 needs none.
+        """
+        alg = self.alg
+        if i:
+            a, e = alg.mono_split(word[i])
+            if a.degree:
+                sm = alg.mono_mul(word[0], a)
+                if sm is None:
+                    return
+                s, m0 = sm
+                if a.degree % 2 and sum(m.degree for m in word[1:i]) % 2:
+                    s = -s
+                word = (m0,) + word[1:i] + (e,) + word[i + 1:]
+                if s < 0:
+                    coeff = alg.field.neg(coeff)
+        self._add_canonical(word, coeff)
 
     def _add_canonical(self, word: Word, coeff):
         f = self.alg.field
@@ -245,10 +279,11 @@ def left_mult(u: AlgElement, t: TensorElement) -> TensorElement:
 
 
 def right_mult(t: TensorElement, u: AlgElement) -> TensorElement:
-    """t·b: multiply into the last slot (no crossing, no sign)."""
+    """t·b: multiply into the last slot (no crossing, no sign); only that slot is normalised."""
     alg = t.alg
     f = alg.field
     out = TensorElement(alg, t.length)
+    last = t.length - 1
     for w, cw in t.terms.items():
         for mu, cu in u.terms.items():
             sm = alg.mono_mul(w[-1], mu)
@@ -258,7 +293,7 @@ def right_mult(t: TensorElement, u: AlgElement) -> TensorElement:
             c = f.mul(cw, cu)
             if s < 0:
                 c = f.neg(c)
-            out._add_raw(w[:-1] + (ml,), c)
+            out._add_at_slot(w[:-1] + (ml,), last, c)
     return out
 
 
@@ -279,12 +314,18 @@ def merge_at(t: TensorElement, i: int) -> TensorElement:
 
 
 def concat_B(t1: TensorElement, t2: TensorElement) -> TensorElement:
-    """⊗_B-concatenation: the last slot of t1 multiplies the first slot of t2."""
+    """⊗_B-concatenation: the last slot of t1 multiplies the first slot of t2.
+
+    Of the product word only the junction slot t1.length - 1 can be out of
+    normal form (it holds t2's slot 0, a full B-monomial), so it alone is
+    normalised.
+    """
     if t1.alg is not t2.alg:
         raise DgresError("tensor elements over different algebras")
     alg = t1.alg
     f = alg.field
     out = TensorElement(alg, t1.length + t2.length - 1)
+    junction = t1.length - 1
     for w1, c1 in t1.terms.items():
         for w2, c2 in t2.terms.items():
             sm = alg.mono_mul(w1[-1], w2[0])
@@ -294,7 +335,7 @@ def concat_B(t1: TensorElement, t2: TensorElement) -> TensorElement:
             c = f.mul(c1, c2)
             if s < 0:
                 c = f.neg(c)
-            out._add_raw(w1[:-1] + (m,) + w2[1:], c)
+            out._add_at_slot(w1[:-1] + (m,) + w2[1:], junction, c)
     return out
 
 
@@ -302,9 +343,7 @@ def tensor_differential(t: TensorElement) -> TensorElement:
     """Slotwise differential with sign (-1)^{|u_1|+...+|u_{i-1}|}.
 
     A canonical word w stays canonical except in the slot i it differentiates,
-    so each image is normalized there alone: the base part a of a term of
-    d(w_i) moves into slot 0 across the ext-only w_1..w_{i-1}, with the sign
-    (-1)^{|a|(|w_1|+...+|w_{i-1}|)}, exactly as `normalize_word` would.
+    so each image is normalised there alone (`TensorElement._add_at_slot`).
     """
     alg = t.alg
     f = alg.field
@@ -315,23 +354,8 @@ def tensor_differential(t: TensorElement) -> TensorElement:
             dm = alg.diff_mono(m)
             if not dm.is_zero():
                 cc = f.neg(c) if prefix % 2 else c
-                crossed = (prefix - w[0].degree) % 2
                 for mm, cm in dm.terms.items():
-                    coeff = f.mul(cc, cm)
-                    if i == 0:
-                        out._add_canonical((mm,) + w[1:], coeff)
-                        continue
-                    a, e = alg.mono_split(mm)
-                    if not a.degree:
-                        out._add_canonical(w[:i] + (mm,) + w[i + 1:], coeff)
-                        continue
-                    sm = alg.mono_mul(w[0], a)
-                    if sm is None:
-                        continue
-                    s, m0 = sm
-                    if a.degree % 2 and crossed:
-                        s = -s
-                    out._add_canonical((m0,) + w[1:i] + (e,) + w[i + 1:], f.neg(coeff) if s < 0 else coeff)
+                    out._add_at_slot(w[:i] + (mm,) + w[i + 1:], i, f.mul(cc, cm))
             prefix += m.degree
     return out
 

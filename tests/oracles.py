@@ -396,3 +396,79 @@ def _sum(f, vecs):
         for lb, v in vec.items():
             out[lb] = f.add(out.get(lb, f.zero), v)
     return {lb: v for lb, v in out.items() if v != f.zero}
+
+
+def normalizing_concat_B(t1, t2):
+    """`concat_B` as it was before it normalised the junction slot alone: every product word goes through `normalize_word`."""
+    from dgres.tensor import TensorElement
+
+    alg = t1.alg
+    f = alg.field
+    out = TensorElement(alg, t1.length + t2.length - 1)
+    for w1, c1 in t1.terms.items():
+        for w2, c2 in t2.terms.items():
+            sm = alg.mono_mul(w1[-1], w2[0])
+            if sm is not None:
+                c = f.mul(c1, c2)
+                out._add_raw(w1[:-1] + (sm[1],) + w2[1:], f.neg(c) if sm[0] < 0 else c)
+    return out
+
+
+def normalizing_right_mult(t, u):
+    """`right_mult` with every product word sent through `normalize_word`."""
+    from dgres.tensor import TensorElement
+
+    alg = t.alg
+    f = alg.field
+    out = TensorElement(alg, t.length)
+    for w, cw in t.terms.items():
+        for mu, cu in u.terms.items():
+            sm = alg.mono_mul(w[-1], mu)
+            if sm is not None:
+                c = f.mul(cw, cu)
+                out._add_raw(w[:-1] + (sm[1],), f.neg(c) if sm[0] < 0 else c)
+    return out
+
+
+def normalizing_bar_homotopy(t):
+    """`bar_homotopy` (prepend a 1-slot) with every word sent through `normalize_word`."""
+    from dgres.tensor import TensorElement
+
+    out = TensorElement(t.alg, t.length + 1)
+    for w, c in t.terms.items():
+        out._add_raw((t.alg.one_mono,) + w, c)
+    return out
+
+
+def normalizing_bar_action(t, s):
+    """`bar_action` with every word sent through `normalize_word`: b into the first slot across the rest, b' into the last."""
+    from dgres.tensor import TensorElement
+
+    alg = t.alg
+    f = alg.field
+    out = TensorElement(alg, t.length)
+    for w, cw in t.terms.items():
+        tail_par = sum(m.degree for m in w[1:]) % 2
+        for (mb, mbp), cs in s.terms.items():
+            sign = -1 if mb.degree % 2 and tail_par else 1
+            first = alg.mono_mul(w[0], mb)
+            if first is None:
+                continue
+            last = alg.mono_mul(first[1] if t.length == 1 else w[-1], mbp)
+            if last is None:
+                continue
+            word = (last[1],) if t.length == 1 else (first[1],) + w[1:-1] + (last[1],)
+            c = f.mul(cw, cs)
+            out._add_raw(word, f.neg(c) if sign * first[0] * last[0] < 0 else c)
+    return out
+
+
+def alternating_merges(t, n):
+    """The classical bar differential Σ_i (-1)^i merge_at(t, i), summed element by element."""
+    from dgres.tensor import merge_at
+
+    out = merge_at(t, 0)
+    for i in range(1, n + 1):
+        piece = merge_at(t, i)
+        out = out + (piece if i % 2 == 0 else -piece)
+    return out

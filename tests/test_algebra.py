@@ -193,6 +193,18 @@ def test_memoized_monomial_ops_match_uncached(fixture_algebras, K3p, odd_base):
             alg.mono_mul(other.one_mono, monos[-1])
 
 
+def test_mono_repr_is_memoized_per_algebra():
+    # one Monomial object serves every algebra with the same exponents and degree,
+    # so its memoized repr must be keyed by the algebra's own generator names
+    x = DGAlgebra(Field.rationals(), ext_gens=[("x", 2), ("y", 3)])
+    u = DGAlgebra(Field.rationals(), ext_gens=[("u", 2), ("v", 3)])
+    m = x.mono({"x": 2, "y": 1})
+    assert m is u.mono({"u": 2, "v": 1})
+    for _ in range(2):  # the first pass fills the memo, the second reads it
+        assert (x.mono_repr(m), u.mono_repr(m)) == ("x^2*y", "u^2*v")
+        assert (x.mono_repr(x.one_mono), x.mono_repr(x.mono({"y": 1}))) == ("1", "y")
+
+
 @pytest.mark.parametrize("op", ["mono_split", "diff_mono"])
 def test_split_and_diff_reject_foreign_monomial(op):
     from dgres.errors import MismatchedAlgebra

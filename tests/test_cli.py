@@ -125,6 +125,38 @@ def test_lemma_sign_check_with_no_checked_pair_fails(capsys, golden_dir):
     assert out.count("counterexample: no sampled pair was checked") == 2
 
 
+def test_lift_builds_each_beta_once(capsys, golden_dir, monkeypatch):
+    # beta-chain-map, alphaN-betaN-identity and the beta table read one β_N per generator
+    import dgres.cli as cli
+
+    calls = []
+    real = cli.beta_N
+
+    def counted(N, name):
+        calls.append(name)
+        return real(N, name)
+
+    monkeypatch.setattr(cli, "beta_N", counted)
+    code, out, err = run_cli(["lift", str(golden_dir / "chain20.dgres"), "--module", "C"], capsys)
+    assert code == 0 and out == (golden_dir / "lift_chain20.txt").read_text()
+    assert calls == [f"f{i}" for i in range(20)]
+
+
+@pytest.mark.parametrize("D, failed", [(2, True), (8, False)])
+def test_lambda_splitting_fails_when_no_nullspace_vector_is_checked(tmp_path, capsys, D, failed):
+    # one generator of degree 5 over Λ(e): d^N has no kernel vector of word length 2 or 3 in degrees 0..2
+    from dgres.cli import NO_NULLSPACE_VECTOR
+
+    path = tmp_path / "g5.dgres"
+    path.write_text("field rationals\n[algebra]\next e 1\n[module N]\ngenerator g 5\n")
+    code, out, err = run_cli(["lift", str(path), "--module", "N", "--max-degree", str(D)], capsys)
+    assert code == (1 if failed else 0) and err == ""
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("  FAIL")] == \
+        (["lambda-splitting-identities"] if failed else [])
+    assert out.count(f"counterexample: {NO_NULLSPACE_VECTOR}") == failed
+    assert "verdict  Liftable" in out
+
+
 @pytest.mark.parametrize("command", ["semifree", "homology"])
 def test_zero_homology_window_flag_is_usage_error(capsys, golden_dir, command):
     # homology is reported in degrees 0..D-1, so D = 0 leaves nothing to check

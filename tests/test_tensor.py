@@ -3,11 +3,14 @@ import random
 import pytest
 
 from dgres.algebra import DGAlgebra
+from dgres.bar import bar_action, bar_differential, bar_homotopy, nu
 from dgres.errors import NotInJn
+from dgres.probfile import parse_problem
 from dgres.scalars import Field
-from dgres.sampling import random_homogeneous_tensor
+from dgres.sampling import random_homogeneous_element, random_homogeneous_tensor
 from dgres.tensor import (
     TensorElement,
+    concat_B,
     delta,
     delta_word,
     from_algebra_element,
@@ -28,7 +31,15 @@ from dgres.tensor import (
     word_degree,
 )
 
-from oracles import prefixed_coords, tensor_sign_oracle
+from oracles import (
+    alternating_merges,
+    normalizing_bar_action,
+    normalizing_bar_homotopy,
+    normalizing_concat_B,
+    normalizing_right_mult,
+    prefixed_coords,
+    tensor_sign_oracle,
+)
 
 
 def W(alg, *names_or_monos):
@@ -303,3 +314,58 @@ def test_prefixed_basis_dim_counts_the_labels(fixture_algebras, odd_base):
         for n in range(5):
             for d in range(10):
                 assert prefixed_basis_dim(alg, n, d) == len(prefixed_basis_labels(alg, n, d)), (n, d)
+
+
+def test_slot_local_examples(odd_base):
+    # the base part a of the disturbed slot crosses the ext slots before it on its way to slot 0
+    a, f, one = odd_base.mono({"a": 1}), odd_base.mono({"f": 1}), odd_base.one_mono
+    af = TensorElement.from_word(odd_base, (a, f, one))
+    # junction slot 2 holds a, which crosses the odd f: (-1)^{|a||f|} = -1
+    assert concat_B(TensorElement.from_word(odd_base, (one, f, one)), TensorElement.from_word(odd_base, (a, one))) == \
+        -TensorElement.from_word(odd_base, (a, f, one, one))
+    # last slot f·a = -a·f, with no slot to cross
+    assert right_mult(TensorElement.from_word(odd_base, (one, f)), odd_base.gen("a")) == \
+        -TensorElement.from_word(odd_base, (a, f))
+    # the old slot 0, a·f, becomes slot 1 and gives a back to the new slot 0
+    assert bar_homotopy(TensorElement.from_word(odd_base, (odd_base.mono({"a": 1, "f": 1}), one))) == af
+    # a·a = 0 in slot 0 kills the word
+    assert concat_B(TensorElement.from_word(odd_base, (a, one)), TensorElement.from_word(odd_base, (a, one))).is_zero()
+
+
+@pytest.mark.parametrize("name", ["E1", "E2", "E3", "E3p", "odd_base", "K3p", "chain_frac"])
+def test_slot_local_products_match_normalizing_references(request, fixture_algebras, golden_dir, name):
+    """concat_B, right_mult, bar_homotopy, bar_action and nu normalise one slot; normalize_word is the oracle."""
+    if name in fixture_algebras:
+        alg = fixture_algebras[name]
+    elif name == "chain_frac":
+        alg = parse_problem((golden_dir / "chain_frac.dgres").read_text()).algebra
+    else:
+        alg = request.getfixturevalue(name)
+    rng = random.Random(23)
+    moved = 0  # products whose disturbed slot carries a base part
+    for _ in range(80):
+        n, m = rng.randrange(1, 4), rng.randrange(1, 4)
+        t1 = random_homogeneous_tensor(alg, rng, n, rng.randrange(0, 7))
+        t2 = random_homogeneous_tensor(alg, rng, m, rng.randrange(0, 7))
+        u = random_homogeneous_element(alg, rng, rng.randrange(0, 5))
+        s = random_homogeneous_tensor(alg, rng, 2, rng.randrange(0, 5))
+        assert concat_B(t1, t2) == normalizing_concat_B(t1, t2), (t1, t2)
+        assert right_mult(t1, u) == normalizing_right_mult(t1, u), (t1, u)
+        assert bar_homotopy(t1) == normalizing_bar_homotopy(t1), t1
+        assert bar_action(t1, s) == normalizing_bar_action(t1, s), (t1, s)
+        expected_nu = TensorElement(alg, 3)
+        for mono, c in u.terms.items():
+            expected_nu = expected_nu + TensorElement.from_word(alg, (alg.one_mono, mono, alg.one_mono), alg.field.neg(c))
+        assert nu(u) == expected_nu, u
+        moved += n > 1 and any(not alg.mono_is_ext_only(w[0]) for w in t2.terms)
+    assert (moved > 0) == (alg.n_base > 0)
+
+
+@pytest.mark.parametrize("name", ["E1", "E2", "E3", "E3p", "odd_base", "K3p"])
+def test_bar_differential_is_the_alternating_sum_of_merges(request, fixture_algebras, name):
+    alg = fixture_algebras[name] if name in fixture_algebras else request.getfixturevalue(name)
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randrange(0, 4)
+        t = random_homogeneous_tensor(alg, rng, n + 2, rng.randrange(0, 7))
+        assert bar_differential(t, n) == alternating_merges(t, n), t
