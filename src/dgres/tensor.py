@@ -40,10 +40,11 @@ def word_degree(w: Word) -> int:
 def normalize_word(alg: DGAlgebra, word: Word):
     """Canonical form of a raw word: (sign, word) or None if it vanishes.
 
-    Every slot from 1 on is split and its base part moved into slot 0.  The
-    products whose factors are canonical disturb only one slot, and
-    `_add_at_slot` normalises that slot alone; this function serves the words
-    that come from nowhere canonical (`from_word`, `tensor_multiply`).
+    Every slot from 1 on is split and its base part moved into slot 0.  A
+    product of canonical words is out of normal form in one slot at most,
+    and `TensorElement._add_at_slot` normalises that slot alone; this
+    function serves the words in which any slot may need it (`from_word`,
+    `tensor_multiply`).
     """
     if all(alg.mono_is_ext_only(m) for m in word[1:]):
         return 1, word
