@@ -21,6 +21,8 @@ COMMANDS = {
     "homology_chain_frac.txt": ["homology", "chain_frac.dgres", "--max-degree", "5"],
     "homology_odd_base.txt": ["homology", "odd_base.dgres", "--max-degree", "7"],
     "homology_k3p.txt":     ["homology", "k3p.dgres", "--max-degree", "8"],
+    "semifree_f3.txt":      ["semifree", "f3.dgres", "--max-degree", "12"],
+    "homology_f3.txt":      ["homology", "f3.dgres", "--max-degree", "12"],
     "lift_e2_K.txt":        ["lift", "e2.dgres", "--module", "K"],
     "lift_e1_CB.json":      ["lift", "e1.dgres", "--module", "CB", "--format", "machine"],
     "lift_frac_C.txt":      ["lift", "chain_frac.dgres", "--module", "C"],
