@@ -16,13 +16,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from operator import attrgetter
+from operator import add, mul
 from typing import Iterable, NamedTuple
 
 from .errors import DgresError, MismatchedAlgebra
 from .scalars import Field
 
 _MISS = object()  # cache sentinel: a vanishing product is memoized as None
+
+
+def _add_term(f: Field, terms: dict, m, c):
+    """terms[m] += c in the field f, dropping m when the sum vanishes."""
+    s = f.add(terms.get(m, f.zero), c)
+    if s == f.zero:
+        terms.pop(m, None)
+    else:
+        terms[m] = s
 
 
 class Generator(NamedTuple):
@@ -119,6 +128,7 @@ class DGAlgebra:
         self.index = {g.name: i for i, g in enumerate(self.gens)}
         self.degvec = tuple(g.degree for g in self.gens)
         self.parvec = tuple(g.degree % 2 for g in self.gens)
+        self._oddbits = tuple(p << i for i, p in enumerate(self.parvec))  # an odd letter's bit in a mask
         self.one_mono = Monomial((0,) * len(self.gens), 0)
         self._diff_cache: dict[Monomial, AlgElement] = {}
         self._mul_cache: dict[tuple[Monomial, Monomial], tuple[int, Monomial] | None] = {}
@@ -132,6 +142,7 @@ class DGAlgebra:
                 raise DgresError(f"differential given for unknown generator {name}")
         for i, g in enumerate(self.gens):
             self.diff_images[i] = self.element(diff_terms.get(g.name, []))
+        self.d_is_zero = not any(img.terms for img in self.diff_images.values())
 
     # -- monomials ---------------------------------------------------------
 
@@ -155,31 +166,28 @@ class DGAlgebra:
         """Product of monomials with the Koszul sign, or None when it vanishes.
 
         The sign counts transpositions of odd generators needed to sort the
-        concatenated word back into canonical order; an odd generator shared
-        by both factors kills the product (strong commutativity).  Results,
-        including the vanishing ones, are memoized per algebra.
+        concatenated word back into canonical order: each odd letter of m2
+        crosses the odd letters of m1 of larger index.  The odd letters are
+        read as bit masks; an odd generator shared by both factors kills the
+        product (strong commutativity).  Results, including the vanishing
+        ones, are memoized per algebra.
         """
         key = (m1, m2)
         got = self._mul_cache.get(key, _MISS)
         if got is not _MISS:
             return got
-        if len(m1.exps) != len(self.gens) or len(m2.exps) != len(self.gens):
+        e1, e2 = m1.exps, m2.exps
+        if len(e1) != len(self.gens) or len(e2) != len(self.gens):
             raise MismatchedAlgebra("monomials over a different generator set")
-        inv = 0
-        odd_seen_m2 = 0  # number of odd letters of m2 at positions < current
-        exps = []
-        for i, (a, b) in enumerate(zip(m1.exps, m2.exps)):
-            if self.parvec[i]:
-                if a and b:
-                    self._mul_cache[key] = None
-                    return None
-                if a:
-                    inv += odd_seen_m2
-                if b:
-                    odd_seen_m2 += 1
-            exps.append(a + b)
-        sign = -1 if inv % 2 else 1
-        result = sign, Monomial(tuple(exps), m1.degree + m2.degree)
+        o1, o2 = sum(map(mul, e1, self._oddbits)), sum(map(mul, e2, self._oddbits))
+        result = None
+        if not o1 & o2:
+            inv = 0
+            while o2:
+                low = o2 & -o2
+                inv += (o1 & -(low << 1)).bit_count()
+                o2 ^= low
+            result = -1 if inv & 1 else 1, Monomial(tuple(map(add, e1, e2)), m1.degree + m2.degree)
         self._mul_cache[key] = result
         return result
 
@@ -231,13 +239,7 @@ class DGAlgebra:
         terms: dict[Monomial, object] = {}
         f = self.field
         for coeff, exps in raw_terms:
-            c = f.of_fraction(Fraction(coeff))
-            m = self.mono(exps)
-            c = f.add(terms.get(m, f.zero), c)
-            if c == f.zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = c
+            _add_term(f, terms, self.mono(exps), f.of_fraction(Fraction(coeff)))
         return AlgElement(self, terms)
 
     def from_monomial(self, m: Monomial, coeff=None) -> AlgElement:
@@ -249,87 +251,87 @@ class DGAlgebra:
     # -- differential ------------------------------------------------------
 
     def diff_mono(self, m: Monomial) -> AlgElement:
+        """d m by the Leibniz rule, in one pass over the generators present.
+
+        With m = P·g_i^{e_i}·S, P the generators before i and S those after,
+        d m = Σ_i (-1)^{|P|}·e_i·(P·g_i^{e_i-1})·d(g_i)·S: an even g_i
+        commutes with everything, and an odd one has e_i = 1.  e_i is taken
+        in the field, so the term vanishes when p divides it.  A term t of
+        d(g_i) moves past S with the sign (-1)^{|t||S|}, so each term is one
+        product (m/g_i)·t.
+        """
         cached = self._diff_cache.get(m)
         if cached is not None:
             return cached
-        if len(m.exps) != len(self.gens):
+        exps = m.exps
+        if len(exps) != len(self.gens):
             raise MismatchedAlgebra("monomial over a different generator set")
-        result = self.zero()
-        for i, e in enumerate(m.exps):
-            if e == 0:
-                continue
-            # first generator present: d(g^k * rest) = d(g^k)*rest +- g^k*d(rest)
-            g_deg = self.degvec[i]
-            dg = self.diff_images[i]
-            head_exps = tuple(0 if j != i else e for j in range(len(self.gens)))
-            head = Monomial(head_exps, e * g_deg)
-            rest_exps = tuple(0 if j == i else m.exps[j] for j in range(len(self.gens)))
-            rest = Monomial(rest_exps, m.degree - e * g_deg)
-            # d(g^k) = k g^(k-1) dg; for odd g, k == 1 and this is just dg
-            dhead = self.zero()
-            if not dg.is_zero():
-                lower_exps = tuple(0 if j != i else e - 1 for j in range(len(self.gens)))
-                lower = Monomial(lower_exps, (e - 1) * g_deg)
-                dhead = self.from_monomial(lower, self.field.of_int(e)) * dg
-            result = dhead * self.from_monomial(rest)
-            if any(rest.exps):
-                tail = self.diff_mono(rest)
-                sign_head = -1 if (e * g_deg) % 2 else 1
-                result = result + self.from_monomial(head).scale_int(sign_head) * tail
-            break
-        self._diff_cache[m] = result
+        f = self.field
+        out: dict[Monomial, object] = {}
+        pre = 0  # |P|
+        for i, e in enumerate(exps):
+            dgi, dg = self.degvec[i], self.diff_images[i].terms
+            k = f.of_int(e) if e and dg else f.zero
+            if k != f.zero:
+                x = Monomial(exps[:i] + (e - 1,) + exps[i + 1:], m.degree - dgi)
+                post = m.degree - pre - e * dgi  # |S|
+                for t, c in dg.items():
+                    sm = self.mono_mul(x, t)
+                    if sm is not None:
+                        v = f.mul(c, k)
+                        flip = (sm[0] < 0) ^ (pre + t.degree * post) % 2
+                        _add_term(f, out, sm[1], f.neg(v) if flip else v)
+            pre += e * dgi
+        result = self._diff_cache[m] = AlgElement(self, out)
         return result
 
     def d(self, u: AlgElement) -> AlgElement:
         if u.alg is not self:
             raise MismatchedAlgebra("element of a different algebra")
-        out = self.zero()
+        f = self.field
+        out: dict[Monomial, object] = {}
         for m, c in u.terms.items():
-            out = out + self.diff_mono(m).scale(c)
-        return out
+            for mm, v in self.diff_mono(m).terms.items():
+                _add_term(f, out, mm, f.mul(v, c))
+        return AlgElement(self, out)
 
     # -- basis enumeration ---------------------------------------------------
 
     def basis(self, which: str, degree: int) -> tuple[Monomial, ...]:
         """Monomial basis of the degree slice of A, B, Bbar (= B/A), or the
-        ext-only monomials W (the semifree basis of B over A, including 1)."""
+        ext-only monomials W (the semifree basis of B over A, including 1).
+
+        The exponent vectors are walked generator by generator, exponents
+        ascending, so they come out in `sort_key` order; a branch is entered
+        only when the generators after it can still make up the degree.
+        """
         if degree < 0:
             return ()
         key = (which, degree)
         cached = self._basis_cache.get(key)
         if cached is not None:
             return cached
-        if which == "A":
-            idxs = range(self.n_base)
-        elif which in ("B", "Bbar"):
-            idxs = range(len(self.gens))
-        elif which == "W":
-            idxs = range(self.n_base, len(self.gens))
-        else:
+        n, nb = len(self.gens), self.n_base
+        lo, hi = {"A": (0, nb), "B": (0, n), "Bbar": (0, n), "W": (nb, n)}.get(which, (None, None))
+        if lo is None:
             raise DgresError(f"unknown basis selector {which!r}")
-        out: list[Monomial] = []
-        exps = [0] * len(self.gens)
-
-        def rec(pos_list, remaining):
-            if remaining == 0:
-                m = self._mono_from_exps(tuple(exps))
-                if which != "Bbar" or not self.mono_in_A(m):
-                    out.append(m)
-                return
-            if not pos_list:
-                return
-            i = pos_list[0]
-            dgi = self.degvec[i]
-            max_e = 1 if self.parvec[i] else remaining // dgi
-            for e in range(min(max_e, remaining // dgi) + 1):
-                exps[i] = e
-                rec(pos_list[1:], remaining - e * dgi)
-            exps[i] = 0
-
-        rec(list(idxs), degree)
-        out.sort(key=attrgetter("sort_key"))
-        result = tuple(out)
-        self._basis_cache[key] = result
+        tops = [1 if self.parvec[i] else degree // self.degvec[i] for i in range(n)]
+        # reach[i - lo]: bit r is set when generators i..hi-1 make up degree r
+        reach = [1]
+        for i in range(hi - 1, lo - 1, -1):
+            r = reach[-1]
+            for _ in range(tops[i]):
+                r |= r << self.degvec[i]
+            reach.append(r & ((2 << degree) - 1))
+        reach.reverse()
+        rows = [((0,) * lo, degree)] if reach[0] >> degree & 1 else []
+        for i in range(lo, hi):
+            dgi, nxt = self.degvec[i], reach[i - lo + 1]
+            rows = [(p + (e,), r - e * dgi) for p, r in rows
+                    for e in range(min(tops[i], r // dgi) + 1) if nxt >> (r - e * dgi) & 1]
+        pad = (0,) * (n - hi)
+        result = self._basis_cache[key] = tuple(
+            Monomial(p + pad, degree) for p, _ in rows if which != "Bbar" or any(p[nb:]))
         return result
 
     def __repr__(self):
@@ -370,11 +372,7 @@ class AlgElement:
         f = self.alg.field
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = f.add(terms.get(m, f.zero), c)
-            if s == f.zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
+            _add_term(f, terms, m, c)
         return AlgElement(self.alg, terms)
 
     def __sub__(self, other: AlgElement) -> AlgElement:

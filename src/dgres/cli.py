@@ -165,6 +165,7 @@ INVALID_ALGEBRA = "the algebra fails its algebra:* checks, so no resolution of i
 NO_SAMPLE = "no sample was checked"
 NO_PRODUCT = "the window holds no product DD_{t-1}DD_t with t >= 2, so nothing was checked"
 NO_NULLSPACE_VECTOR = "no nullspace vector in the window, so nothing was checked"
+NO_GENERATOR = "the module has no generator, so nothing was checked"
 
 
 def cmd_semifree(args, problem) -> Report:
@@ -262,6 +263,8 @@ def _lift_checks(rep: Report, N, D: int):
     """β_N, the naive lift and its certificate or λ-splitting: all need a valid module."""
     alg = N.alg
     f = alg.field
+    # β_N and ρ are checked generator by generator: a module without one checks nothing
+    no_gen = "" if N.names else NO_GENERATOR
 
     # β_N(e_j) is built once, and kept only while a later ∂e_k still has a term at e_j
     last_use = {i: k for i, k in sorted(N.diff)}
@@ -281,8 +284,8 @@ def _lift_checks(rep: Report, N, D: int):
         bts.append((name, repr(b)))
         for i in [i for i in betas if last_use.get(i, -1) <= j]:
             del betas[i]
-    rep.add_check("beta-chain-map", ok_beta_chain, "")
-    rep.add_check("alphaN-betaN-identity", ok_beta_id, "")
+    rep.add_check("beta-chain-map", ok_beta_chain and not no_gen, "", no_gen)
+    rep.add_check("alphaN-betaN-identity", ok_beta_id and not no_gen, "", no_gen)
     rep.tables["beta"] = bts
 
     res = naive_lift_solve(N)
@@ -300,8 +303,8 @@ def _lift_checks(rep: Report, N, D: int):
                 lhs = lhs + mod_right_mult(res.rho[N.names[i]], alg.from_monomial(w[0], c))
             if lhs != module_differential(img):
                 ok_chain = False
-        rep.add_check("rho-splits-augmentation", ok_pi, "")
-        rep.add_check("rho-chain-map", ok_chain, "")
+        rep.add_check("rho-splits-augmentation", ok_pi and not no_gen, "", no_gen)
+        rep.add_check("rho-chain-map", ok_chain and not no_gen, "", no_gen)
         rep.tables["rho"] = [(name, repr(res.rho[name])) for name in N.names]
         ok_lam = True
         checked = 0

@@ -345,10 +345,13 @@ def tensor_differential(t: TensorElement) -> TensorElement:
 
     A canonical word w stays canonical except in the slot i it differentiates,
     so each image is normalised there alone (`TensorElement._add_at_slot`).
+    When d is zero on every generator the image is zero, without a walk.
     """
     alg = t.alg
     f = alg.field
     out = TensorElement(alg, t.length)
+    if alg.d_is_zero:
+        return out
     for w, c in t.terms.items():
         prefix = 0
         for i, m in enumerate(w):

@@ -45,6 +45,56 @@ def merge_sign_oracle(alg, m1, m2):
     return sign, tuple(exps)
 
 
+def basis_oracle(alg, which, degree):
+    """Exponent vectors of the A, B, Bbar or W basis in one degree, in canonical order.
+
+    Every vector of the box 0 <= e_i <= degree (e_i <= 1 for odd generators)
+    is tried; a selector zeroes the generators outside it, and the survivors
+    are sorted by exponent vector.  Independent of DGAlgebra.basis.
+    """
+    from itertools import product
+
+    nb, n = alg.n_base, len(alg.gens)
+    keep = {"A": range(nb), "B": range(n), "Bbar": range(n), "W": range(nb, n)}[which]
+    box = [range((1 if alg.parvec[i] else degree) + 1) if i in keep else (0,) for i in range(n)]
+    out = [exps for exps in product(*box)
+           if sum(e * d for e, d in zip(exps, alg.degvec)) == degree and (which != "Bbar" or any(exps[nb:]))]
+    return sorted(out)
+
+
+def recursive_diff_mono(alg, m):
+    """d m by peeling off the first generator present: d(g^k·rest) = d(g^k)·rest ± g^k·d(rest).
+
+    This is how DGAlgebra.diff_mono computed d before it made one pass over
+    the generators: element products and sums, k taken in the field, and no
+    memo.  Only `mono_mul` (through AlgElement products) is shared.
+    """
+    from dgres.algebra import Monomial
+
+    n = len(alg.gens)
+    for i, e in enumerate(m.exps):
+        if e == 0:
+            continue
+        g_deg = alg.degvec[i]
+        head = Monomial(tuple(e if j == i else 0 for j in range(n)), e * g_deg)
+        rest = Monomial(tuple(0 if j == i else m.exps[j] for j in range(n)), m.degree - e * g_deg)
+        lower = Monomial(tuple(e - 1 if j == i else 0 for j in range(n)), (e - 1) * g_deg)
+        result = alg.from_monomial(lower, alg.field.of_int(e)) * alg.diff_images[i] * alg.from_monomial(rest)
+        if any(rest.exps):
+            sign_head = -1 if (e * g_deg) % 2 else 1
+            result = result + alg.from_monomial(head).scale_int(sign_head) * recursive_diff_mono(alg, rest)
+        return result
+    return alg.zero()
+
+
+def summed_differential(alg, u):
+    """d u as the element sum of diff_mono(m).scale(c) over the terms c·m of u."""
+    out = alg.zero()
+    for m, c in u.terms.items():
+        out = out + alg.diff_mono(m).scale(c)
+    return out
+
+
 def tensor_sign_oracle(degrees_u, degrees_v):
     """Sign of (u_1⊗...⊗u_m)(v_1⊗...⊗v_m) by moving each v_i left step by step."""
     sign = 1

@@ -8,7 +8,7 @@ from dgres.errors import DgresError
 from dgres.sampling import random_homogeneous_element
 from dgres.scalars import Field
 
-from oracles import count_monomials_oracle, merge_sign_oracle
+from oracles import basis_oracle, count_monomials_oracle, merge_sign_oracle, recursive_diff_mono, summed_differential
 
 
 def test_odd_square_vanishes(E1):
@@ -145,6 +145,43 @@ def test_basis_counts_match_oracle(fixture_algebras):
     for alg in fixture_algebras.values():
         for d in range(0, 10):
             assert len(alg.basis("B", d)) == count_monomials_oracle(alg.degvec, alg.parvec, d)
+
+
+def test_basis_matches_the_box_oracle_in_content_and_order(fixture_algebras, K3p, odd_base):
+    for name, alg in dict(fixture_algebras, K3p=K3p, odd_base=odd_base).items():
+        for d in range(0, 11):
+            for which in ("A", "B", "Bbar", "W"):
+                got = alg.basis(which, d)
+                assert [m.exps for m in got] == basis_oracle(alg, which, d), (name, which, d)
+                assert [m.sort_key for m in got] == sorted(m.sort_key for m in got)
+
+
+F3 = "field prime 3\n\n[algebra]\nbase a 1\next u 2\nd u = a\n"
+
+
+def test_leibniz_factor_and_crossing_sign(K3p):
+    from dgres.probfile import parse_problem
+
+    # over F_3, d(u^k) = k·u^(k-1)·a vanishes exactly when 3 divides k
+    alg = parse_problem(F3).algebra
+    for k, want in [(1, [(1, {"a": 1})]), (2, [(2, {"u": 1, "a": 1})]), (3, []), (4, [(1, {"u": 3, "a": 1})])]:
+        assert alg.diff_mono(alg.mono({"u": k})) == alg.element(want), k
+    # d(e·f) = x·f - e·y = x·f - y·e: d f crosses the odd e
+    assert K3p.diff_mono(K3p.mono({"e": 1, "f": 1})) == K3p.element([(1, {"x": 1, "f": 1}), (-1, {"y": 1, "e": 1})])
+
+
+def test_diff_mono_and_d_match_the_recursive_and_summed_oracles(fixture_algebras, K3p, odd_base):
+    from dgres.probfile import parse_problem
+
+    rng = random.Random(31)
+    algs = dict(fixture_algebras, K3p=K3p, odd_base=odd_base, f3=parse_problem(F3).algebra)
+    for name, alg in algs.items():
+        for d in range(0, 10):
+            for m in alg.basis("B", d):
+                assert alg.diff_mono(m) == recursive_diff_mono(alg, m), (name, m)
+            for _ in range(5):
+                u = random_homogeneous_element(alg, rng, d, max_terms=4)
+                assert alg.d(u) == summed_differential(alg, u), (name, d)
 
 
 def test_basis_deterministic_order(E3):

@@ -157,6 +157,20 @@ def test_lambda_splitting_fails_when_no_nullspace_vector_is_checked(tmp_path, ca
     assert "verdict  Liftable" in out
 
 
+def test_lift_checks_fail_on_a_module_without_generators(tmp_path, capsys):
+    # β_N and ρ are checked generator by generator, so with none of them nothing is checked
+    from dgres.cli import NO_GENERATOR
+
+    path = tmp_path / "empty.dgres"
+    path.write_text("field rationals\n[algebra]\next e 1\n[module N]\n")
+    code, out, err = run_cli(["lift", str(path), "--module", "N"], capsys)
+    assert code == 1 and err == ""
+    fails = [line.split()[1] for line in out.splitlines() if line.startswith("  FAIL")]
+    assert fails[:4] == ["beta-chain-map", "alphaN-betaN-identity", "rho-splits-augmentation", "rho-chain-map"]
+    assert out.count(f"counterexample: {NO_GENERATOR}") == 4
+    assert "verdict  Liftable" in out and "system  0x0" in out
+
+
 @pytest.mark.parametrize("command", ["semifree", "homology"])
 def test_zero_homology_window_flag_is_usage_error(capsys, golden_dir, command):
     # homology is reported in degrees 0..D-1, so D = 0 leaves nothing to check

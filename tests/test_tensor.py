@@ -121,6 +121,26 @@ def test_tensor_differential_matches_normalizing_reference(fixture_algebras, K3p
                     assert tensor_differential(x) == _tensor_differential_reference(x), (name, w)
 
 
+def test_zero_differential_returns_at_once_and_equals_the_slot_walk(fixture_algebras, odd_base, monkeypatch):
+    # E1 = Λ(e) and E2 = ℚ[x] have d = 0 on every generator; E3 and odd_base do not
+    algs = dict(fixture_algebras, odd_base=odd_base)
+    assert sorted(name for name, alg in algs.items() if alg.d_is_zero) == ["E1", "E1p", "E2", "E2p"]
+    rng = random.Random(19)
+    for name, alg in algs.items():
+        ts = [random_homogeneous_tensor(alg, rng, rng.randrange(1, 4), rng.randrange(0, 7)) for _ in range(40)]
+        with monkeypatch.context() as mp:
+            mp.setattr(alg, "d_is_zero", False)  # force the walk over every slot
+            walked = [tensor_differential(t) for t in ts]
+        if alg.d_is_zero:
+            with monkeypatch.context() as mp:
+                mp.setattr(alg, "diff_mono", None)  # the early return reads no slot
+                early = [tensor_differential(t) for t in ts]
+            assert all(x.is_zero() for x in early)
+        else:
+            early = [tensor_differential(t) for t in ts]
+        assert early == walked == [_tensor_differential_reference(t) for t in ts], name
+
+
 def test_tensor_leibniz(fixture_algebras):
     rng = random.Random(9)
     for alg in fixture_algebras.values():

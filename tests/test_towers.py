@@ -1,9 +1,14 @@
 """Randomized towers.  Koszul type: A = k[x_1..x_r] with zero differential
 and d e_i a random element of A of degree |e_i| - 1, so d² = 0 by
 construction.  Exterior: Λ on 1-3 odd generators with d = 0.  Polynomial:
-B = A[x_1..x_s] on 1-2 even generators over A = k or k[y], with d = 0."""
+B = A[x_1..x_s] on 1-2 even generators over A = k or k[y], with d = 0.
+Leibniz type, for the monomial kernels only: A on odd and even generators
+with d = 0, and ext generators of both parities with d into A, so that odd
+base generators cross in products and d(u^k) = k·u^(k-1)·du reaches k ≡ 0
+(mod p)."""
 
 import argparse
+import random
 from unittest import mock
 
 import pytest
@@ -23,10 +28,21 @@ from dgres.homology import (
     reduced_bar_table,
 )
 from dgres.probfile import ProblemFile
+from dgres.sampling import random_homogeneous_element
 from dgres.scalars import Field
 from dgres.semifree import DD, append_tail, bb_basis_element, bb_total_basis, dbar_column, dd_column, homotopy
 from dgres.tensor import prefixed_basis_dim, prefixed_basis_labels
-from oracles import bb_coords, bb_rank_table, full_column_checks, reduced_bar_rank_table, reduced_full_checks
+from oracles import (
+    basis_oracle,
+    bb_coords,
+    bb_rank_table,
+    full_column_checks,
+    merge_sign_oracle,
+    recursive_diff_mono,
+    reduced_bar_rank_table,
+    reduced_full_checks,
+    summed_differential,
+)
 from test_bar import assert_reduced_columns_are_flat_merges
 
 FIELDS = [Field.rationals(), Field.prime(101)]
@@ -61,6 +77,24 @@ def polynomial_towers(draw, field):
 
 
 TOWERS = {"koszul": koszul_towers, "exterior": exterior_towers, "polynomial": polynomial_towers}
+
+
+@st.composite
+def leibniz_towers(draw, field):
+    base = [(f"a{i}", d) for i, d in enumerate(draw(st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=3)))]
+    ext = [(f"u{i}", d) for i, d in enumerate(draw(st.lists(st.sampled_from((1, 2, 3, 4)), min_size=1, max_size=2)))]
+    A = DGAlgebra(field, base_gens=base)
+    diffs = {}
+    for name, degree in ext:
+        monos = A.basis("B", degree - 1)
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+        diffs[name] = [(c, {g.name: k for g, k in zip(A.gens, m.exps) if k})
+                       for c, m in zip(coeffs, monos) if c]
+    return DGAlgebra(field, base_gens=base, ext_gens=ext, diff_terms=diffs)
+
+
+MONOMIAL_TOWERS = dict(TOWERS, leibniz=leibniz_towers)
+MONOMIAL_FIELDS = [Field.rationals(), Field.prime(2), Field.prime(3), Field.prime(101)]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -228,3 +262,33 @@ def test_label_count_matches_the_labels_on_random_towers(kind, data):
     for n in range(5):
         for d in range(9):
             assert prefixed_basis_dim(alg, n, d) == len(prefixed_basis_labels(alg, n, d)), (n, d)
+
+
+@pytest.mark.parametrize("field", MONOMIAL_FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", sorted(MONOMIAL_TOWERS))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_monomial_kernels_match_their_oracles_on_random_towers(kind, field, data):
+    # the basis walk against the exponent box, the one-pass Leibniz d against
+    # the recursion it replaced, the bit-mask product sign against bubble
+    # sorting, and d on elements against the sum of scaled monomial images
+    alg = data.draw(MONOMIAL_TOWERS[kind](field))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    assert validate_dg(alg, 8).passed
+    monos = []
+    for d in range(9):
+        for which in ("A", "B", "Bbar", "W"):
+            got = alg.basis(which, d)
+            assert [m.exps for m in got] == basis_oracle(alg, which, d), (which, d)
+            assert all(m.degree == d for m in got)
+        monos += alg.basis("B", d)
+        for m in alg.basis("B", d):
+            assert alg.diff_mono(m) == recursive_diff_mono(alg, m), m
+        for _ in range(3):
+            u = random_homogeneous_element(alg, rng, d, max_terms=4)
+            assert alg.d(u) == summed_differential(alg, u)
+    for _ in range(300):
+        m1, m2 = rng.choice(monos), rng.choice(monos)
+        want = merge_sign_oracle(alg, m1, m2)
+        got = alg.mono_mul(m1, m2)
+        assert (got is None) if want is None else (got[0], got[1].exps) == want, (m1, m2)
