@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from operator import add, mul
+from operator import add
 from typing import Iterable, NamedTuple
 
 from .errors import DgresError, MismatchedAlgebra
@@ -128,7 +128,7 @@ class DGAlgebra:
         self.index = {g.name: i for i, g in enumerate(self.gens)}
         self.degvec = tuple(g.degree for g in self.gens)
         self.parvec = tuple(g.degree % 2 for g in self.gens)
-        self._oddbits = tuple(p << i for i, p in enumerate(self.parvec))  # an odd letter's bit in a mask
+        self._odd = tuple(i for i, p in enumerate(self.parvec) if p)
         self.one_mono = Monomial((0,) * len(self.gens), 0)
         self._diff_cache: dict[Monomial, AlgElement] = {}
         self._mul_cache: dict[tuple[Monomial, Monomial], tuple[int, Monomial] | None] = {}
@@ -167,10 +167,10 @@ class DGAlgebra:
 
         The sign counts transpositions of odd generators needed to sort the
         concatenated word back into canonical order: each odd letter of m2
-        crosses the odd letters of m1 of larger index.  The odd letters are
-        read as bit masks; an odd generator shared by both factors kills the
-        product (strong commutativity).  Results, including the vanishing
-        ones, are memoized per algebra.
+        crosses the odd letters of m1 of larger index, so only the odd
+        positions are read.  An odd generator shared by both factors kills
+        the product (strong commutativity).  Results, including the
+        vanishing ones, are memoized per algebra.
         """
         key = (m1, m2)
         got = self._mul_cache.get(key, _MISS)
@@ -179,14 +179,16 @@ class DGAlgebra:
         e1, e2 = m1.exps, m2.exps
         if len(e1) != len(self.gens) or len(e2) != len(self.gens):
             raise MismatchedAlgebra("monomials over a different generator set")
-        o1, o2 = sum(map(mul, e1, self._oddbits)), sum(map(mul, e2, self._oddbits))
         result = None
-        if not o1 & o2:
-            inv = 0
-            while o2:
-                low = o2 & -o2
-                inv += (o1 & -(low << 1)).bit_count()
-                o2 ^= low
+        inv = seen = 0  # seen: odd letters of m2 at the positions passed
+        for i in self._odd:
+            if e1[i]:
+                if e2[i]:
+                    break
+                inv += seen
+            elif e2[i]:
+                seen += 1
+        else:
             result = -1 if inv & 1 else 1, Monomial(tuple(map(add, e1, e2)), m1.degree + m2.degree)
         self._mul_cache[key] = result
         return result
@@ -311,10 +313,10 @@ class DGAlgebra:
         cached = self._basis_cache.get(key)
         if cached is not None:
             return cached
-        n, nb = len(self.gens), self.n_base
-        lo, hi = {"A": (0, nb), "B": (0, n), "Bbar": (0, n), "W": (nb, n)}.get(which, (None, None))
-        if lo is None:
+        if which not in ("A", "B", "Bbar", "W"):
             raise DgresError(f"unknown basis selector {which!r}")
+        n, nb = len(self.gens), self.n_base
+        lo, hi = (nb if which == "W" else 0), (nb if which == "A" else n)
         tops = [1 if self.parvec[i] else degree // self.degvec[i] for i in range(n)]
         # reach[i - lo]: bit r is set when generators i..hi-1 make up degree r
         reach = [1]

@@ -133,7 +133,7 @@ def test_zero_differential_returns_at_once_and_equals_the_slot_walk(fixture_alge
             walked = [tensor_differential(t) for t in ts]
         if alg.d_is_zero:
             with monkeypatch.context() as mp:
-                mp.setattr(alg, "diff_mono", None)  # the early return reads no slot
+                mp.setattr(alg, "_diff_cache", None)  # the early return reads no slot: diff_mono would raise
                 early = [tensor_differential(t) for t in ts]
             assert all(x.is_zero() for x in early)
         else:
