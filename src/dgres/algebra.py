@@ -27,8 +27,8 @@ _MISS = object()  # cache sentinel: a vanishing product is memoized as None
 
 def _add_term(f: Field, terms: dict, m, c):
     """terms[m] += c in the field f, dropping m when the sum vanishes."""
-    s = f.add(terms.get(m, f.zero), c)
-    if s == f.zero:
+    s = f.add(terms.get(m, 0), c)
+    if not s:
         terms.pop(m, None)
     else:
         terms[m] = s
@@ -405,8 +405,8 @@ class AlgElement:
                 c = f.mul(c1, c2)
                 if sign < 0:
                     c = f.neg(c)
-                s = f.add(out.get(m, f.zero), c)
-                if s == f.zero:
+                s = f.add(out.get(m, 0), c)
+                if not s:
                     out.pop(m, None)
                 else:
                     out[m] = s

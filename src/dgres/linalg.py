@@ -9,15 +9,17 @@ row echelon form (RREF), which is unique, so the nullspace basis (free
 variables in column order) and the solution or infeasibility certificate of
 a linear system do not depend on the order rows are fed in.  Values are
 ints in [0, p) over F_p.  Over ℚ they are in the canonical form of
-`scalars`: an int, or a `Fraction` whose denominator is not 1; every update
-below turns a Fraction with denominator 1 back into an int.
+`scalars`: an int, or a `Fraction` whose denominator is not 1.  Every ℚ
+update goes through the kernel of `scalars`, which works on numerator and
+denominator and returns that form directly, with no `Fraction` operator;
+an update whose three values are ints is done inline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import Field, canonical
+from .scalars import Field, canonical, q_add, q_mul
 
 
 def _axpy(row: dict, c, piv: dict, p: int | None) -> None:
@@ -31,15 +33,23 @@ def _axpy(row: dict, c, piv: dict, p: int | None) -> None:
             else:
                 del row[j]
         return
-    # scalars.canonical, inlined: this is the inner loop of every elimination
+    # over ℚ the kernel of `scalars` updates an entry; when the entry, c and
+    # the pivot's value are all ints, as in every integral matrix, it is one
+    # machine operation inline.  A canonical Fraction is never 0.
+    cint = type(c) is int
     for j, v in piv.items():
-        w = get(j, 0) + c * v
-        if not w:
-            del row[j]
-        elif type(w) is int or w.denominator != 1:
-            row[j] = w
+        w = get(j, 0)
+        if cint and type(v) is int and type(w) is int:
+            w += c * v
+            if not w:
+                del row[j]
+                continue
         else:
-            row[j] = w.numerator
+            w = q_add(w, q_mul(c, v))
+            if type(w) is int and not w:
+                del row[j]
+                continue
+        row[j] = w
 
 
 def echelon(rows, field: Field, reduced: bool = False) -> dict:
@@ -60,12 +70,12 @@ def echelon(rows, field: Field, reduced: bool = False) -> dict:
                 inv = field.inv(row[lead])
                 pivots[lead] = {j: field.mul(v, inv) for j, v in row.items()}
                 break
-            _axpy(row, -row[lead], piv, p)
+            _axpy(row, field.neg(row[lead]), piv, p)
     if reduced:
         for lead in sorted(pivots, reverse=True):
             row = pivots[lead]
             for j in [j for j in row if j != lead and j in pivots]:
-                _axpy(row, -row[j], pivots[j], p)
+                _axpy(row, field.neg(row[j]), pivots[j], p)
     return pivots
 
 

@@ -483,6 +483,8 @@ def lemma_sign_check(N: SemifreeModule, samples: int, seed: int,
         m = rng.randrange(1, max_words + 1)
         beta = random_homogeneous_tensor(alg, rng, n, rng.randrange(0, max_degree + 1))
         betap = random_homogeneous_tensor(alg, rng, m, rng.randrange(0, max_degree + 1))
+        # 𝐝(β'), read by both identities when m >= 2; it draws nothing from rng
+        d_betap = bar_d(betap) if m >= 2 and not betap.is_zero() else None
         if n + m >= 3 and not beta.is_zero() and not betap.is_zero():
             checked1 += 1
             lhs = bar_d(concat_B(beta, betap))
@@ -490,7 +492,7 @@ def lemma_sign_check(N: SemifreeModule, samples: int, seed: int,
             if n >= 2:
                 rhs = rhs + concat_B(bar_d(beta), betap)
             if m >= 2:
-                piece = concat_B(beta, bar_d(betap))
+                piece = concat_B(beta, d_betap)
                 rhs = rhs + (piece if (n + 1) % 2 == 0 else -piece)
             if lhs != rhs and bad1 is None:
                 bad1 = (beta, betap, lhs, rhs)
@@ -501,7 +503,7 @@ def lemma_sign_check(N: SemifreeModule, samples: int, seed: int,
         lhs2 = bar_dN_any(mod_concat_B(gamma, betap))
         rhs2 = mod_concat_B(bar_dN_any(gamma), betap)
         if m >= 2:
-            piece = mod_concat_B(gamma, bar_d(betap))
+            piece = mod_concat_B(gamma, d_betap)
             rhs2 = rhs2 + (piece if n % 2 == 0 else piece.scale_int(-1))
         if lhs2 != rhs2 and bad2 is None:
             bad2 = (gamma, betap, lhs2, rhs2)

@@ -11,19 +11,23 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .algebra import AlgElement, DGAlgebra
 from .modules import ModTensorElement, SemifreeModule
+from .scalars import q_ratio
 from .tensor import TensorElement, _caches
 
 
+# the numerators of random ℚ scalars, in the order `rng.choice` indexes them
+_NUMERATORS = tuple(n for n in range(-6, 7) if n)
+
+
 def random_scalar(field, rng: random.Random):
+    """A nonzero scalar: uniform on F_p*, or num/den with num in ±1..6 and den in 1..4 over ℚ."""
     if field.is_prime_field:
         return rng.randrange(1, field.p)
-    num = rng.choice([n for n in range(-6, 7) if n])
-    den = rng.randrange(1, 5)
-    return field.of_fraction(Fraction(num, den))
+    num = rng.choice(_NUMERATORS)
+    return q_ratio(num, rng.randrange(1, 5))
 
 
 class TensorSlice(Sequence):

@@ -317,8 +317,8 @@ def bb_basis_element(alg: DGAlgebra, label) -> BBElement:
 
 def add_term(f, out: dict, key, c, negate) -> None:
     """out[key] += -c if negate else c over the field f; a zero sum drops the key."""
-    s = f.add(out.get(key, f.zero), f.neg(c) if negate else c)
-    if s == f.zero:
+    s = f.add(out.get(key, 0), f.neg(c) if negate else c)
+    if not s:
         out.pop(key, None)
     else:
         out[key] = s

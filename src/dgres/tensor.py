@@ -96,20 +96,13 @@ class TensorElement:
 
     def _add_raw(self, word: Word, coeff):
         """Accumulate coeff * word after normalization."""
-        f = self.alg.field
-        if coeff == f.zero:
+        if not coeff:
             return
         nw = normalize_word(self.alg, word)
         if nw is None:
             return
         sign, w = nw
-        if sign < 0:
-            coeff = f.neg(coeff)
-        s = f.add(self.terms.get(w, f.zero), coeff)
-        if s == f.zero:
-            self.terms.pop(w, None)
-        else:
-            self.terms[w] = s
+        self._add_canonical(w, self.alg.field.neg(coeff) if sign < 0 else coeff)
 
     def _add_at_slot(self, word: Word, i: int, coeff):
         """Accumulate coeff * word, where word is canonical except perhaps at slot i.
@@ -140,11 +133,10 @@ class TensorElement:
         self._add_canonical(word, coeff)
 
     def _add_canonical(self, word: Word, coeff):
-        f = self.alg.field
-        if coeff == f.zero:
+        if not coeff:
             return
-        s = f.add(self.terms.get(word, f.zero), coeff)
-        if s == f.zero:
+        s = self.alg.field.add(self.terms.get(word, 0), coeff)
+        if not s:
             self.terms.pop(word, None)
         else:
             self.terms[word] = s

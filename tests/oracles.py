@@ -203,9 +203,18 @@ def dense_solve_oracle(rows, ncols, b, p=None):
     return x, None
 
 
+def fraction_random_scalar(field, rng):
+    """`sampling.random_scalar` as it was before the ℚ kernel: a new list per call, a normalising Fraction."""
+    if field.is_prime_field:
+        return rng.randrange(1, field.p)
+    num = rng.choice([n for n in range(-6, 7) if n])
+    den = rng.randrange(1, 5)
+    q = Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
+
+
 def enumerating_random_tensor(alg, rng, length, degree, max_terms=3):
     """The tensor sampler as it was before slices were unranked: sample the enumerated basis."""
-    from dgres.sampling import random_scalar
     from dgres.tensor import TensorElement, tensor_basis
 
     basis = tensor_basis(alg, length, degree)
@@ -213,20 +222,19 @@ def enumerating_random_tensor(alg, rng, length, degree, max_terms=3):
     if not basis:
         return out
     for w in rng.sample(list(basis), min(len(basis), rng.randrange(1, max_terms + 1))):
-        out._add_canonical(w, random_scalar(alg.field, rng))
+        out._add_canonical(w, fraction_random_scalar(alg.field, rng))
     return out
 
 
 def enumerating_random_modtensor(N, rng, length, degree, max_terms=3):
     """The module-tensor sampler as it was before slices were unranked."""
     from dgres.modules import ModTensorElement, modtensor_basis
-    from dgres.sampling import random_scalar
 
     basis = modtensor_basis(N, length, degree)
     if not basis:
         return ModTensorElement(N, length)
     keys = rng.sample(list(basis), min(len(basis), rng.randrange(1, max_terms + 1)))
-    return ModTensorElement(N, length, {key: random_scalar(N.alg.field, rng) for key in keys})
+    return ModTensorElement(N, length, {key: fraction_random_scalar(N.alg.field, rng) for key in keys})
 
 
 def dense_map(M):

@@ -8,9 +8,10 @@ from dgres.fixtures import all_fixtures, chain_N3, extended_module, module_B
 from dgres.modules import modtensor_basis
 from dgres.probfile import parse_problem
 from dgres.sampling import (ModTensorSlice, TensorSlice, random_homogeneous_modtensor,
-                            random_homogeneous_tensor)
+                            random_homogeneous_tensor, random_scalar)
+from dgres.scalars import Field
 from dgres.tensor import tensor_basis
-from oracles import enumerating_random_modtensor, enumerating_random_tensor
+from oracles import enumerating_random_modtensor, enumerating_random_tensor, fraction_random_scalar
 
 # lemma_sign_check's defaults: tensors of 1..4 words and module tensors of
 # 2..5 words, in degrees 0..6
@@ -64,3 +65,12 @@ def test_samplers_draw_as_enumeration_did(name):
         g = random_homogeneous_modtensor(N, new, length + 1, degree)
         assert g.terms == enumerating_random_modtensor(N, old, length + 1, degree).terms
         assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("field", [Field.rationals(), Field.prime(101)], ids=repr)
+def test_random_scalar_draws_as_before(field):
+    new, old = random.Random(31), random.Random(31)
+    for _ in range(1000):
+        got, want = random_scalar(field, new), fraction_random_scalar(field, old)
+        assert got == want and type(got) is type(want) and str(got) == str(want)
+    assert new.getstate() == old.getstate()
