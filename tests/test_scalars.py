@@ -108,22 +108,22 @@ def test_solutions_and_certificates_are_canonical(system, rhs, consistent):
 # numerators and denominators small enough to collide and past 2^64
 numerators = st.one_of(st.integers(-12, 12), st.integers(-2**80, 2**80))
 denominators = st.one_of(st.integers(1, 12), st.integers(1, 2**80))
-fractions = st.builds(Fraction, numerators, denominators)
+fraction_values = st.builds(Fraction, numerators, denominators)
 
 
 @st.composite
 def operand_pairs(draw):
     """(a, b) as Fractions: free, with one denominator, with an integral sum or product, or b = -a."""
-    a = draw(fractions)
+    a = draw(fraction_values)
     kind = draw(st.sampled_from(["free", "same denominator", "integral sum", "integral product", "negation"]))
     if kind == "free":
-        b = draw(fractions)
+        b = draw(fraction_values)
     elif kind == "same denominator":
         b = Fraction(draw(numerators), a.denominator)
     elif kind == "integral sum":
         b = draw(numerators) - a
     elif kind == "integral product":
-        b = draw(numerators) / a if a else draw(fractions)
+        b = draw(numerators) / a if a else draw(fraction_values)
     else:
         b = -a
     return a, b
