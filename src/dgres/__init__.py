@@ -9,10 +9,7 @@ from .algebra import (
     Generator,
     Monomial,
     ValidationReport,
-    alg_multiply,
     basis_enumerate,
-    differential,
-    monomial_multiply,
     validate_dg,
 )
 from .bar import (
@@ -22,6 +19,8 @@ from .bar import (
     bar_differential,
     bar_homotopy,
     be_linear_space,
+    check_classical_bar,
+    check_eta,
     check_reduced_exactness,
     derivation_from_generator_images,
     derivation_space,
@@ -54,6 +53,9 @@ from .modules import (
     SemifreeModule,
     alpha_N,
     beta_N,
+    check_beta,
+    check_lambda_splitting,
+    check_rho,
     dN,
     DN,
     lambda_n,
@@ -69,9 +71,9 @@ from .semifree import (
     DD,
     alpha,
     bb_word,
+    check_frakD_T_linearity,
     check_semifree_triangular,
     dBB,
-    dT,
     frakD,
     psi_sign,
     t_action,

@@ -442,19 +442,6 @@ class AlgElement:
 # -- named operation wrappers ------------------------------------------------
 
 
-def monomial_multiply(alg: DGAlgebra, m1: Monomial, m2: Monomial):
-    """(sign, product) of two monomials, or None when an odd square vanishes."""
-    return alg.mono_mul(m1, m2)
-
-
-def alg_multiply(u: AlgElement, v: AlgElement) -> AlgElement:
-    return u * v
-
-
-def differential(alg: DGAlgebra, u: AlgElement) -> AlgElement:
-    return alg.d(u)
-
-
 def basis_enumerate(alg: DGAlgebra, which: str, degree: int) -> list[Monomial]:
     return list(alg.basis(which, degree))
 

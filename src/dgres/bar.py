@@ -14,11 +14,13 @@ n <= 2 are built, and every check on longer words follows from them.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .algebra import AlgElement, DGAlgebra, Monomial, ValidationReport
 from .errors import LengthMismatch, NotInDomain, NotInJn, NotLinear, ObstructionNonzero
 from .linalg import SliceMatrix, identity_defect, identity_defects
+from .sampling import random_scalar
 from .semifree import _add_to, dbar_column, defect_details, homotopy, pi_column, section
 from .tensor import (
     TensorElement,
@@ -32,10 +34,12 @@ from .tensor import (
     from_algebra_element,
     left_mult,
     merge_at,
+    pi_B,
     prefixed_basis_labels,
     prefixed_basis_element,
     right_mult,
     tensor_basis,
+    tensor_differential,
 )
 
 # -- classical bar complex ----------------------------------------------------
@@ -76,6 +80,35 @@ def bar_homotopy(t, n: int | None = None) -> TensorElement:
     for w, c in t.terms.items():
         out._add_at_slot((one,) + w, 1, c)
     return out
+
+
+def check_classical_bar(alg: DGAlgebra, max_n: int, max_degree: int) -> ValidationReport:
+    """The classical bar complex is a DG resolution contracted by "prepend 1".
+
+    On every basis word x of B^{⊗_A (n+2)}, n <= max_n, of degree <= max_degree,
+    one pass checks 𝐝𝐝x = 0 (n >= 1), 𝐝𝐡x + 𝐡𝐝x = x and 𝐝∂x = ∂𝐝x; on every
+    B-basis monomial b of degree <= max_degree, π_B(𝐡b) = b.
+    """
+    ok_dd = ok_h = ok_dg = True
+    for n in range(0, max_n + 1):
+        for d in range(0, max_degree + 1):
+            for w in tensor_basis(alg, n + 2, d):
+                x = TensorElement.from_word(alg, w)
+                dx = bar_differential(x, n)
+                if n >= 1 and not bar_differential(dx, n - 1).is_zero():
+                    ok_dd = False
+                if bar_differential(bar_homotopy(x), n + 1) + bar_homotopy(dx) != x:
+                    ok_h = False
+                if bar_differential(tensor_differential(x), n) != tensor_differential(dx):
+                    ok_dg = False
+    ok_aug = all(pi_B(bar_homotopy(x)) == x for d in range(0, max_degree + 1)
+                 for x in map(alg.from_monomial, alg.basis("B", d)))
+    rep = ValidationReport()
+    rep.add("bar-d-squared-zero", ok_dd)
+    rep.add("bar-homotopy-identity", ok_h)
+    rep.add("bar-augmentation-homotopy", ok_aug)
+    rep.add("bar-commutes-with-internal-differential", ok_dg)
+    return rep
 
 
 def bar_action(t: TensorElement, s: TensorElement) -> TensorElement:
@@ -353,6 +386,67 @@ def eta_inverse(D: DerivationTable) -> BeLinearMap:
             if not img.is_zero():
                 images[w] = img
     return BeLinearMap(alg, D.cutoff, images)
+
+
+NO_SAMPLE = "no sample was checked"
+
+
+def check_eta(alg: DGAlgebra, dspace: list, bspace: list, samples: int, seed: int) -> ValidationReport:
+    """η is a bijection Hom_{B^e}(J, B^e) ≅ Der_A(B, B^e) with inverse `eta_inverse`.
+
+    `dspace` and `bspace` are the bases of `derivation_space` and
+    `be_linear_space` on one cutoff.  Their lengths must agree; on `samples`
+    seeded random combinations of each basis, η∘η⁻¹ and η⁻¹∘η are the
+    identity; and the first basis derivation, with a word of B^{⊗_A 2} added
+    to the image of a monomial of the same degree, is rejected by η⁻¹.  A
+    line that sampled nothing fails.
+    """
+    rng = random.Random(seed)
+    zero = TensorElement(alg, 2)
+
+    def sample(space):
+        images = {}
+        for tab in space:
+            c = random_scalar(alg.field, rng)
+            for k, t in tab.images.items():
+                images[k] = images.get(k, zero) + t.scale(c)
+        return type(space[0])(alg, space[0].cutoff, {k: t for k, t in images.items() if not t.is_zero()})
+
+    def same(x, y) -> bool:
+        return all(x.images.get(k, zero) == y.images.get(k, zero) for k in set(x.images) | set(y.images))
+
+    n_d = samples if dspace else 0
+    ok_d = True
+    for _ in range(n_d):
+        Dt = sample(dspace)
+        if not Dt.validate().passed or not same(Dt, eta(eta_inverse(Dt))):
+            ok_d = False
+    n_f = samples if bspace else 0
+    ok_f = True
+    for _ in range(n_f):
+        fm = sample(bspace)
+        if not same(fm, eta_inverse(eta(fm))):
+            ok_f = False
+    ok_reject = None  # no corrupted derivation was checked
+    cutoff = dspace[0].cutoff if dspace else 0
+    for d in range(1, cutoff + 1):
+        words, monos = tensor_basis(alg, 2, d), alg.basis("B", d)
+        if words and monos:
+            images = dict(dspace[0].images)
+            images[monos[0]] = images.get(monos[0], zero) + TensorElement.from_word(alg, words[0])
+            bad = DerivationTable(alg, cutoff, images)
+            try:
+                eta_inverse(bad)
+                ok_reject = bad.validate().passed  # only acceptable if it truly is a derivation
+            except ObstructionNonzero:
+                ok_reject = True
+            break
+    rep = ValidationReport()
+    rep.add("derivation-hom-dim-match", len(dspace) == len(bspace))
+    rep.add("eta-of-eta-inverse-identity", ok_d and n_d > 0, "" if n_d else NO_SAMPLE)
+    rep.add("eta-inverse-of-eta-identity", ok_f and n_f > 0, "" if n_f else NO_SAMPLE)
+    rep.add("corrupted-derivation-rejected", bool(ok_reject), "" if ok_reject is not None else NO_SAMPLE)
+    return rep
 
 
 def _nullspace_tables(alg: DGAlgebra, M: SliceMatrix, make) -> list:

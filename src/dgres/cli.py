@@ -1,53 +1,33 @@
 """Command line interface: validate | bar | semifree | homology | lift | derivations.
 
-Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage or parse
-error.  Reports are byte-identical across reruns of the same invocation.
+The CLI only parses and formats: it reads options and windows, gates the
+certificates on a valid algebra or module, and renders the `ValidationReport`s
+of the library checks (`bar.check_classical_bar`, `modules.check_beta`, ...)
+and their tables.  Exit codes: 0 all checks pass, 1 at least one check fails,
+2 usage or parse error.  Reports are byte-identical across reruns.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
 from .algebra import validate_dg
 from .bar import (
-    bar_differential,
-    bar_homotopy,
     be_linear_space,
+    check_classical_bar,
+    check_eta,
     check_reduced_exactness,
     checked_reduced_columns,
     derivation_space,
-    eta,
-    eta_inverse,
     reduced_d_squared_zero,
 )
-from .errors import DgresError, ObstructionNonzero, ParseError, UsageError
-from .homology import BAD_COLUMNS, QuasiIsoReport, _window, homology_dims, quasi_iso_check, reduced_bar_table
+from .errors import DgresError, ParseError, UsageError
+from .homology import QuasiIsoReport, _window, homology_dims, quasi_iso_check, reduced_bar_table
 from .linalg import verify_certificate
-from .modules import (
-    DN,
-    ModTensorElement,
-    NTElement,
-    alpha_N,
-    bar_dN_any,
-    beta_N,
-    dN_matrix,
-    lambda_n,
-    lemma_sign_check,
-    mod_element,
-    mod_merge_at,
-    mod_right_mult,
-    module_N_differential,
-    module_differential,
-    naive_lift_solve,
-    nt_right_mult,
-    validate_module,
-)
+from .modules import check_beta, check_lambda_splitting, check_rho, lemma_sign_check, naive_lift_solve, validate_module
 from .report import Report, input_hash, render_machine, render_text
-from .sampling import random_scalar
-from .semifree import bb_basis_element, bb_total_basis, check_semifree_triangular, frakD, t_action, t_word
-from .tensor import TensorElement, tensor_basis, tensor_differential
+from .semifree import check_frakD_T_linearity, check_semifree_triangular
 
 
 def _common_options(args, problem) -> dict:
@@ -126,46 +106,13 @@ def cmd_bar(args, problem) -> Report:
     N = _opt_int(problem, args, "max_n", None)
     if N is None:
         raise UsageError("classical bar requires --max-n (word lengths are not degree-bounded)")
-    window = f"n 0..{N}, degrees 0..{D}"
-    ok_dd = True
-    ok_h = True
-    for n in range(0, N + 1):
-        for d in range(0, D + 1):
-            for w in tensor_basis(alg, n + 2, d):
-                x = TensorElement.from_word(alg, w)
-                dx = bar_differential(x, n)
-                if n >= 1 and not bar_differential(dx, n - 1).is_zero():
-                    ok_dd = False
-                lhs = bar_differential(bar_homotopy(x), n + 1) + bar_homotopy(dx)
-                if lhs != x:
-                    ok_h = False
-    rep.add_check("bar-d-squared-zero", ok_dd, window)
-    rep.add_check("bar-homotopy-identity", ok_h, window)
-    ok_aug = True
-    from .tensor import pi_B
-    for d in range(0, D + 1):
-        for m in alg.basis("B", d):
-            x = alg.from_monomial(m)
-            if pi_B(bar_homotopy(x)) != x:
-                ok_aug = False
-    rep.add_check("bar-augmentation-homotopy", ok_aug, window)
-    ok_dg = True
-    for n in range(0, N + 1):
-        for d in range(0, D + 1):
-            for w in tensor_basis(alg, n + 2, d):
-                x = TensorElement.from_word(alg, w)
-                if bar_differential(tensor_differential(x), n) != tensor_differential(bar_differential(x, n)):
-                    ok_dg = False
-    rep.add_check("bar-commutes-with-internal-differential", ok_dg, window)
+    rep.add_validation("", check_classical_bar(alg, N, D), f"n 0..{N}, degrees 0..{D}")
     return rep
 
 
 BAD_REDUCED_COLUMNS = "a reduced bar column differs from the flat merge of its basis element"
 INVALID_ALGEBRA = "the algebra fails its algebra:* checks, so no resolution of it is certified"
-NO_SAMPLE = "no sample was checked"
 NO_PRODUCT = "the window holds no product DD_{t-1}DD_t with t >= 2, so nothing was checked"
-NO_NULLSPACE_VECTOR = "no nullspace vector in the window, so nothing was checked"
-NO_GENERATOR = "the module has no generator, so nothing was checked"
 
 
 def cmd_semifree(args, problem) -> Report:
@@ -189,21 +136,9 @@ def cmd_semifree(args, problem) -> Report:
         empty = bool(qi.checks) and D < 2 and name != "alpha-chain-map"
         rep.add_check(name, qi.checks.get(name, False) and not empty, window,
                       NO_PRODUCT if empty else "" if qi.checks else qi.details)
-    ok_tlin, pairs = True, 0
-    ss = [t_word(alg, [alg.gen(g.name)]) for g in alg.gens]
     # the window reaches (1, (1, 1, (e,))), of total degree 1 + |e|, the first label of word length >= 1
     top = min(D, max(5, 1 + min(alg.degvec[alg.n_base:], default=0)))
-    for t in range(0, top + 1):
-        for label in bb_total_basis(alg, t):
-            if label[0] < 1:
-                continue
-            v = bb_basis_element(alg, label)
-            for s in ss:
-                pairs += 1
-                if frakD(t_action(v, s)) != t_action(frakD(v), s):
-                    ok_tlin = False
-    rep.add_check("frakD-T-linearity", ok_tlin and pairs > 0, f"total degrees 0..{top}, word length >= 1",
-                  "" if pairs else "the window holds no label of word length >= 1, so nothing was checked")
+    rep.add_validation("", check_frakD_T_linearity(alg, top), f"total degrees 0..{top}, word length >= 1")
     rep.add_validation("semifree", check_semifree_triangular(alg, D), window)
     rep.add_check("quasi-isomorphism", qi.passed, qi.window, qi.details)
     if qi.passed:
@@ -261,63 +196,15 @@ def cmd_lift(args, problem) -> Report:
 
 def _lift_checks(rep: Report, N, D: int):
     """β_N, the naive lift and its certificate or λ-splitting: all need a valid module."""
-    alg = N.alg
-    f = alg.field
-    # β_N and ρ are checked generator by generator: a module without one checks nothing
-    no_gen = "" if N.names else NO_GENERATOR
-
-    # β_N(e_j) is built once, and kept only while a later ∂e_k still has a term at e_j
-    last_use = {i: k for i, k in sorted(N.diff)}
-    betas = {}
-    bts = []
-    ok_beta_chain = ok_beta_id = True
-    for j, name in enumerate(N.names):
-        b = betas[j] = beta_N(N, name)
-        if alpha_N(b) != mod_element(N, name):
-            ok_beta_id = False
-        de = module_N_differential(mod_element(N, name))
-        lhs = NTElement(N)
-        for (i, w), c in de.terms.items():
-            lhs = lhs + nt_right_mult(betas[i], alg.from_monomial(w[0], c))
-        if lhs != DN(b):
-            ok_beta_chain = False
-        bts.append((name, repr(b)))
-        for i in [i for i in betas if last_use.get(i, -1) <= j]:
-            del betas[i]
-    rep.add_check("beta-chain-map", ok_beta_chain and not no_gen, "", no_gen)
-    rep.add_check("alphaN-betaN-identity", ok_beta_id and not no_gen, "", no_gen)
-    rep.tables["beta"] = bts
-
+    checks, rep.tables["beta"] = check_beta(N)
+    rep.add_validation("", checks)
     res = naive_lift_solve(N)
     rep.tables["lift"] = [("verdict", "Liftable" if res.liftable else "NotLiftable"),
                           ("system", f"{res.system_rows}x{res.system_cols}")]
     if res.liftable:
-        ok_pi = ok_chain = True
-        for name in N.names:
-            img = res.rho[name]
-            if mod_merge_at(img, 0) != mod_element(N, name):
-                ok_pi = False
-            lhs = ModTensorElement(N, 2)
-            de = module_N_differential(mod_element(N, name))
-            for (i, w), c in de.terms.items():
-                lhs = lhs + mod_right_mult(res.rho[N.names[i]], alg.from_monomial(w[0], c))
-            if lhs != module_differential(img):
-                ok_chain = False
-        rep.add_check("rho-splits-augmentation", ok_pi and not no_gen, "", no_gen)
-        rep.add_check("rho-chain-map", ok_chain and not no_gen, "", no_gen)
-        rep.tables["rho"] = [(name, repr(res.rho[name])) for name in N.names]
-        ok_lam = True
-        checked = 0
-        for n in range(2, 4):
-            for d in range(0, D + 1):
-                M = dN_matrix(N, n, d)
-                for vec in M.nullspace():
-                    checked += 1
-                    el = ModTensorElement(N, n, {key: c for key, c in zip(M.col_labels, vec) if c != f.zero})
-                    if bar_dN_any(lambda_n(N, res.rho, n, el)) != el:
-                        ok_lam = False
-        rep.add_check("lambda-splitting-identities", ok_lam and checked > 0, f"n 2..3, degrees 0..{D}",
-                      "" if checked else NO_NULLSPACE_VECTOR)
+        checks, rep.tables["rho"] = check_rho(N, res.rho)
+        rep.add_validation("", checks)
+        rep.add_validation("", check_lambda_splitting(N, res.rho, D), f"n 2..3, degrees 0..{D}")
     else:
         cert = res.certificate
         if cert is None:
@@ -336,70 +223,11 @@ def cmd_derivations(args, problem) -> Report:
     D = _opt_int(problem, args, "max_degree", 6)
     samples = _opt_int(problem, args, "samples", 50)
     seed = _opt_int(problem, args, "seed", 0)
-    rng = random.Random(seed)
-    window = f"degrees 0..{D}, {samples} samples, seed {seed}"
     dspace = derivation_space(alg, D)
     bspace = be_linear_space(alg, D)
     rep.tables["dimensions"] = [("Der_A(B, B^e)", len(dspace)), ("Hom_Be(J, B^e)", len(bspace))]
-    rep.add_check("derivation-hom-dim-match", len(dspace) == len(bspace), window)
-    f = alg.field
-
-    def combine(space, images_attr="images"):
-        images = {}
-        for tab in space:
-            c = random_scalar(f, rng)
-            for k, t in getattr(tab, images_attr).items():
-                cur = images.get(k, TensorElement(alg, 2))
-                images[k] = cur + t.scale(c)
-        return {k: t for k, t in images.items() if not t.is_zero()}
-
-    ok_d = True
-    for _ in range(samples if dspace else 0):
-        Dt = type(dspace[0])(alg, D, combine(dspace))
-        if not Dt.validate().passed:
-            ok_d = False
-            continue
-        g = eta_inverse(Dt)
-        Dt2 = eta(g)
-        keys = set(Dt.images) | set(Dt2.images)
-        zero = TensorElement(alg, 2)
-        if any(Dt.images.get(k, zero) != Dt2.images.get(k, zero) for k in keys):
-            ok_d = False
-    rep.add_check("eta-of-eta-inverse-identity", ok_d and bool(dspace), window, "" if dspace else NO_SAMPLE)
-
-    ok_f = True
-    for _ in range(samples if bspace else 0):
-        fm = type(bspace[0])(alg, D, combine(bspace))
-        Dt = eta(fm)
-        f2 = eta_inverse(Dt)
-        zero = TensorElement(alg, 2)
-        keys = set(fm.images) | set(f2.images)
-        if any(fm.images.get(k, zero) != f2.images.get(k, zero) for k in keys):
-            ok_f = False
-    rep.add_check("eta-inverse-of-eta-identity", ok_f and bool(bspace), window, "" if bspace else NO_SAMPLE)
-
-    # corrupted input must be rejected, not silently accepted
-    ok_reject = None  # no corrupted derivation was checked
-    if dspace:
-        Dt = type(dspace[0])(alg, D, dict(dspace[0].images))
-        corrupt = None
-        for d in range(1, D + 1):
-            basis = tensor_basis(alg, 2, d)
-            monos = alg.basis("B", d)
-            if basis and monos:
-                corrupt = (monos[0], TensorElement.from_word(alg, basis[0]))
-                break
-        if corrupt is not None:
-            m, t = corrupt
-            images = dict(Dt.images)
-            images[m] = images.get(m, TensorElement(alg, 2)) + t
-            bad = type(dspace[0])(alg, D, images)
-            try:
-                eta_inverse(bad)
-                ok_reject = bad.validate().passed  # only acceptable if it truly is a derivation
-            except ObstructionNonzero:
-                ok_reject = True
-    rep.add_check("corrupted-derivation-rejected", bool(ok_reject), window, "" if ok_reject is not None else NO_SAMPLE)
+    rep.add_validation("", check_eta(alg, dspace, bspace, samples, seed),
+                       f"degrees 0..{D}, {samples} samples, seed {seed}")
     return rep
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import DgresError
 from .scalars import Field, canonical, q_add, q_mul
 
 
@@ -71,6 +72,8 @@ def echelon(rows, field: Field, reduced: bool = False) -> dict:
                 pivots[lead] = {j: field.mul(v, inv) for j, v in row.items()}
                 break
             _axpy(row, field.neg(row[lead]), piv, p)
+            if lead in row:  # a wrong field operation; the loop would never end
+                raise DgresError(f"a pivot step left column {lead} in place")
     if reduced:
         for lead in sorted(pivots, reverse=True):
             row = pivots[lead]

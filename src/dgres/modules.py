@@ -17,12 +17,14 @@ component n is an element of N ⊗_A B^{⊗_A (n+1)}, of word length n+2.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .algebra import AlgElement, DGAlgebra, ValidationReport
 from .bar import bar_differential, bar_homotopy
 from .errors import DgresError, NotValidated, ShapeMismatch
 from .linalg import InfeasibilityCertificate, SliceMatrix, solve_linear
+from .sampling import random_homogeneous_modtensor, random_homogeneous_tensor
 from .semifree import GradedElement, _add_to
 from .tensor import (
     TensorElement,
@@ -365,11 +367,44 @@ def beta_N(N: SemifreeModule, lam: str) -> NTElement:
     return out
 
 
-def module_N_differential(t: ModTensorElement) -> ModTensorElement:
-    """∂^N on elements of N (word length 1)."""
-    if t.length != 1:
-        raise ShapeMismatch("expected an element of N")
-    return module_differential(t)
+NO_GENERATOR = "the module has no generator, so nothing was checked"
+NO_NULLSPACE_VECTOR = "no nullspace vector in the window, so nothing was checked"
+
+
+def _chain_map_at(N: SemifreeModule, j: int, image, right, d, zero) -> bool:
+    """Σ_i f(e_i)·b_ij = ∂f(e_j): a map f on the generators, `image(i)` = f(e_i),
+    commutes with the differentials at e_j.  `right` is the right B-action on
+    the values, `d` their differential and `zero` the zero value."""
+    de = module_differential(mod_element(N, N.names[j]))
+    lhs = sum((right(image(i), N.alg.from_monomial(w[0], c)) for (i, w), c in de.terms.items()), zero)
+    return lhs == d(image(j))
+
+
+def check_beta(N: SemifreeModule) -> tuple[ValidationReport, list]:
+    """β_N is a chain map N → N ⊗_A T and α_N∘β_N = id_N, generator by generator.
+
+    Returns the report and the table rows (name, β_N(e_name)).  Each β_N(e_j)
+    is built once, and kept only while a later ∂e_k still has a term at e_j.
+    A module without generators fails both lines.
+    """
+    last_use = {i: k for i, k in sorted(N.diff)}
+    betas = {}
+    rows = []
+    ok_chain = ok_id = True
+    for j, name in enumerate(N.names):
+        b = betas[j] = beta_N(N, name)
+        if alpha_N(b) != mod_element(N, name):
+            ok_id = False
+        if not _chain_map_at(N, j, betas.__getitem__, nt_right_mult, DN, NTElement(N)):
+            ok_chain = False
+        rows.append((name, repr(b)))
+        for i in [i for i in betas if last_use.get(i, -1) <= j]:
+            del betas[i]
+    no_gen = "" if N.names else NO_GENERATOR
+    rep = ValidationReport()
+    rep.add("beta-chain-map", ok_chain and not no_gen, no_gen)
+    rep.add("alphaN-betaN-identity", ok_id and not no_gen, no_gen)
+    return rep, rows
 
 
 # -- naive lifting ----------------------------------------------------------------
@@ -448,6 +483,28 @@ def naive_lift_solve(N: SemifreeModule) -> LiftResult:
     return LiftResult(True, rho, None, A.nrows, A.ncols, A, rhs)
 
 
+def check_rho(N: SemifreeModule, rho: dict) -> tuple[ValidationReport, list]:
+    """A naive lift ρ (generator name -> image) splits π_N and is a chain map,
+    generator by generator; a module without generators fails both lines.
+
+    Returns the report and the table rows (name, ρ(e_name)), as `check_beta` does.
+    """
+    ok_pi = ok_chain = True
+    rows = []
+    for j, name in enumerate(N.names):
+        rows.append((name, repr(rho[name])))
+        if mod_merge_at(rho[name], 0) != mod_element(N, name):
+            ok_pi = False
+        if not _chain_map_at(N, j, lambda i: rho[N.names[i]], mod_right_mult, module_differential,
+                             ModTensorElement(N, 2)):
+            ok_chain = False
+    no_gen = "" if N.names else NO_GENERATOR
+    rep = ValidationReport()
+    rep.add("rho-splits-augmentation", ok_pi and not no_gen, no_gen)
+    rep.add("rho-chain-map", ok_chain and not no_gen, no_gen)
+    return rep, rows
+
+
 def lemma_sign_check(N: SemifreeModule, samples: int, seed: int,
                      max_degree: int = 6, max_words: int = 4) -> ValidationReport:
     """Bar-differential concatenation identities on random homogeneous elements.
@@ -463,12 +520,8 @@ def lemma_sign_check(N: SemifreeModule, samples: int, seed: int,
     skipped; an identity that no sampled pair reached fails, since its
     PASS would rest on nothing.
     """
-    import random as _random
-
-    from .sampling import random_homogeneous_modtensor, random_homogeneous_tensor
-
     alg = N.alg
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     rep = ValidationReport()
 
     def bar_d(t: TensorElement) -> TensorElement:
@@ -520,108 +573,6 @@ def lemma_sign_check(N: SemifreeModule, samples: int, seed: int,
     return rep
 
 
-def nsex_split_check(N: SemifreeModule, D: int) -> bool:
-    """Second decision path for naive liftability: slicewise splitting solve.
-
-    Seeks a degreewise linear s : N_d → (N ⊗_A B)_d for d <= D with
-    π_N s = id, the chain condition, and right-linearity under each algebra
-    generator inside the window.  With D at least the top basis degree this
-    is equivalent to `naive_lift_solve` returning Liftable, but the system
-    is parameterized by slice matrices rather than basis images, so it
-    exercises an independent code path for the consistency check between
-    the two decision procedures.
-    """
-    if N._validated is None:
-        validate_module(N)
-    if not N._validated:
-        raise NotValidated("module failed validation")
-    alg = N.alg
-    f = alg.field
-    slices = {d: modtensor_basis(N, 1, d) for d in range(D + 1)}
-    targets = {d: modtensor_basis(N, 2, d) for d in range(D + 1)}
-    var_index = {}
-    count = 0
-    for d in range(D + 1):
-        for src in slices[d]:
-            for tgt in targets[d]:
-                var_index[(d, src, tgt)] = count
-                count += 1
-    rows = []
-
-    def image_columns(d, src):
-        return [(var_index[(d, src, tgt)], tgt) for tgt in targets[d]]
-
-    # π s = id on each slice
-    for d in range(D + 1):
-        for src in slices[d]:
-            want = ModTensorElement(N, 1, {src: f.one})
-            per_key = {}
-            for col, tgt in image_columns(d, src):
-                img = mod_merge_at(ModTensorElement(N, 2, {tgt: f.one}), 0)
-                for key, c in img.terms.items():
-                    per_key.setdefault(key, {})[col] = c
-            for key in set(per_key) | set(want.terms):
-                rows.append((per_key.get(key, {}), want.terms.get(key, f.zero)))
-    # chain condition: s(∂x) = ∂(s(x)) whenever both degrees are in window
-    for d in range(1, D + 1):
-        for src in slices[d]:
-            lhs_cols: dict = {}
-            dx = module_differential(ModTensorElement(N, 1, {src: f.one}))
-            for key, c in dx.terms.items():
-                for col, tgt in image_columns(d - 1, key):
-                    img = ModTensorElement(N, 2, {tgt: f.one})
-                    for kk, cc in img.terms.items():
-                        lhs_cols.setdefault(kk, {})
-                        cur = lhs_cols[kk].get(col, f.zero)
-                        lhs_cols[kk][col] = f.add(cur, f.mul(c, cc))
-            for col, tgt in image_columns(d, src):
-                img = module_differential(ModTensorElement(N, 2, {tgt: f.one}))
-                for kk, cc in img.terms.items():
-                    lhs_cols.setdefault(kk, {})
-                    cur = lhs_cols[kk].get(col, f.zero)
-                    lhs_cols[kk][col] = f.add(cur, f.neg(cc))
-            for kk, cols in lhs_cols.items():
-                cols = {c: v for c, v in cols.items() if v != f.zero}
-                if cols:
-                    rows.append((cols, f.zero))
-    # right-linearity: s(x·g) = s(x)·g inside the window
-    for d in range(D + 1):
-        for src in slices[d]:
-            for g in alg.gens:
-                d2 = d + g.degree
-                if d2 > D:
-                    continue
-                ge = alg.gen(g.name)
-                shifted = mod_right_mult(ModTensorElement(N, 1, {src: f.one}), ge)
-                per_key: dict = {}
-                for key, c in shifted.terms.items():
-                    for col, tgt in image_columns(d2, key):
-                        img = ModTensorElement(N, 2, {tgt: f.one})
-                        for kk, cc in img.terms.items():
-                            per_key.setdefault(kk, {})
-                            cur = per_key[kk].get(col, f.zero)
-                            per_key[kk][col] = f.add(cur, f.mul(c, cc))
-                for col, tgt in image_columns(d, src):
-                    img = mod_right_mult(ModTensorElement(N, 2, {tgt: f.one}), ge)
-                    for kk, cc in img.terms.items():
-                        per_key.setdefault(kk, {})
-                        cur = per_key[kk].get(col, f.zero)
-                        per_key[kk][col] = f.add(cur, f.neg(cc))
-                for kk, cols in per_key.items():
-                    cols = {c: v for c, v in cols.items() if v != f.zero}
-                    if cols:
-                        rows.append((cols, f.zero))
-
-    A = SliceMatrix(f, len(rows), count)
-    b = []
-    for r, (cols, rhs) in enumerate(rows):
-        for c, v in cols.items():
-            A.set(r, c, v)
-        b.append(rhs)
-    x, cert = solve_linear(A, b)
-    return x is not None
-
-
 def lambda_n(N: SemifreeModule, rho: dict, n: int, t: ModTensorElement) -> ModTensorElement:
     """λ_n : N ⊗_B B^{⊗_A n} → N ⊗_B B^{⊗_A (n+1)}, x⊗β ↦ ρ(x)⊗_B β."""
     if n < 2:
@@ -632,3 +583,22 @@ def lambda_n(N: SemifreeModule, rho: dict, n: int, t: ModTensorElement) -> ModTe
     for i, x in t.parts.items():
         out = out + mod_concat_B(rho[N.names[i]], x)
     return out
+
+
+def check_lambda_splitting(N: SemifreeModule, rho: dict, max_degree: int) -> ValidationReport:
+    """𝐝^N∘λ_n = id on every cycle of 𝐝^N of word length n = 2, 3 and degree
+    <= max_degree: the nullspace vectors of `dN_matrix`.  A window with no
+    nullspace vector fails, since its PASS would rest on nothing."""
+    f = N.alg.field
+    ok, checked = True, 0
+    for n in range(2, 4):
+        for d in range(0, max_degree + 1):
+            M = dN_matrix(N, n, d)
+            for vec in M.nullspace():
+                checked += 1
+                el = ModTensorElement(N, n, {key: c for key, c in zip(M.col_labels, vec) if c != f.zero})
+                if bar_dN_any(lambda_n(N, rho, n, el)) != el:
+                    ok = False
+    rep = ValidationReport()
+    rep.add("lambda-splitting-identities", ok and checked > 0, "" if checked else NO_NULLSPACE_VECTOR)
+    return rep

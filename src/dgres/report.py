@@ -29,8 +29,9 @@ class Report:
         self.checks.append(rec)
 
     def add_validation(self, prefix: str, validation, window: str = ""):
+        """One record per check of a `ValidationReport`, named `prefix:name`, or `name` when prefix is ""."""
         for c in validation.checks:
-            self.add_check(f"{prefix}:{c.name}", c.status == "PASS", window, c.details)
+            self.add_check(f"{prefix}:{c.name}" if prefix else c.name, c.status == "PASS", window, c.details)
 
     @property
     def all_passed(self) -> bool:

@@ -13,7 +13,6 @@ import random
 from collections.abc import Sequence
 
 from .algebra import AlgElement, DGAlgebra
-from .modules import ModTensorElement, SemifreeModule
 from .scalars import q_ratio
 from .tensor import TensorElement, _caches
 
@@ -124,6 +123,8 @@ def random_homogeneous_tensor(alg: DGAlgebra, rng: random.Random, length: int,
 
 def random_homogeneous_modtensor(N: SemifreeModule, rng: random.Random, length: int,
                                  degree: int, max_terms: int = 3) -> ModTensorElement:
+    from .modules import ModTensorElement  # deferred: modules imports this module
+
     keys = ModTensorSlice(N, length, degree)
     if not keys:
         return ModTensorElement(N, length)

@@ -206,13 +206,6 @@ def bb_word(alg: DGAlgebra, prefix: AlgElement, factors) -> BBElement:
     return BBElement(alg, {n: out})
 
 
-def bb_from_be(t: TensorElement) -> BBElement:
-    """Embed an enveloping-algebra element as the word-length-0 component."""
-    if t.length != 2:
-        raise LengthMismatch("component 0 must have word length 2")
-    return BBElement(t.alg, {0: t})
-
-
 # -- differentials ---------------------------------------------------------------
 
 
@@ -226,11 +219,6 @@ def dBB(t):
         d = tensor_differential(te)
         comps[n] = -d if n % 2 else d
     return type(t)(t.owner, comps)
-
-
-def dT(t: TElement) -> TElement:
-    """Differential of T in stored coordinates: the same rule as `dBB`."""
-    return dBB(t)
 
 
 def frakD(t: BBElement) -> BBElement:
@@ -466,4 +454,25 @@ def check_semifree_triangular(alg: DGAlgebra, max_total_degree: int) -> Validati
                         bad.append((t, n, tuple(alg.mono_repr(w) for w in ws)))
                         break
     rep.add("semifree-triangularity", not bad, "" if not bad else f"violations: {bad[:3]}")
+    return rep
+
+
+def check_frakD_T_linearity(alg: DGAlgebra, top: int) -> ValidationReport:
+    """𝔇 is right T-linear: 𝔇(v·s) = 𝔇(v)·s for every basis element v of 𝔹 of
+    word length >= 1 and total degree <= top, and every generator word s = Σδ(g).
+    A window with no such v fails, since its PASS would rest on nothing."""
+    ss = [t_word(alg, [alg.gen(g.name)]) for g in alg.gens]
+    ok, pairs = True, 0
+    for t in range(0, top + 1):
+        for label in bb_total_basis(alg, t):
+            if label[0] < 1:
+                continue
+            v = bb_basis_element(alg, label)
+            for s in ss:
+                pairs += 1
+                if frakD(t_action(v, s)) != t_action(frakD(v), s):
+                    ok = False
+    rep = ValidationReport()
+    rep.add("frakD-T-linearity", ok and pairs > 0,
+            "" if pairs else "the window holds no label of word length >= 1, so nothing was checked")
     return rep

@@ -530,3 +530,104 @@ def alternating_merges(t, n):
         piece = merge_at(t, i)
         out = out + (piece if i % 2 == 0 else -piece)
     return out
+
+
+def nsex_split_check(N, D):
+    """Second decision path for naive liftability: slicewise splitting solve.
+
+    The reference that `modules.naive_lift_solve` is checked against.  Seeks a degreewise linear s : N_d → (N ⊗_A B)_d for d <= D with
+    π_N s = id, the chain condition, and right-linearity under each algebra
+    generator inside the window.  With D at least the top basis degree this
+    is equivalent to `naive_lift_solve` returning Liftable, but the system
+    is parameterized by slice matrices rather than basis images, so it
+    exercises an independent code path for the consistency check between
+    the two decision procedures; consistency is decided by dense rank.
+    """
+    from dgres.errors import NotValidated
+    from dgres.modules import (ModTensorElement, mod_merge_at, mod_right_mult, modtensor_basis,
+                               module_differential, validate_module)
+
+    if N._validated is None:
+        validate_module(N)
+    if not N._validated:
+        raise NotValidated("module failed validation")
+    alg = N.alg
+    f = alg.field
+    slices = {d: modtensor_basis(N, 1, d) for d in range(D + 1)}
+    targets = {d: modtensor_basis(N, 2, d) for d in range(D + 1)}
+    var_index = {}
+    count = 0
+    for d in range(D + 1):
+        for src in slices[d]:
+            for tgt in targets[d]:
+                var_index[(d, src, tgt)] = count
+                count += 1
+    rows = []
+
+    def image_columns(d, src):
+        return [(var_index[(d, src, tgt)], tgt) for tgt in targets[d]]
+
+    # π s = id on each slice
+    for d in range(D + 1):
+        for src in slices[d]:
+            want = ModTensorElement(N, 1, {src: f.one})
+            per_key = {}
+            for col, tgt in image_columns(d, src):
+                img = mod_merge_at(ModTensorElement(N, 2, {tgt: f.one}), 0)
+                for key, c in img.terms.items():
+                    per_key.setdefault(key, {})[col] = c
+            for key in set(per_key) | set(want.terms):
+                rows.append((per_key.get(key, {}), want.terms.get(key, f.zero)))
+    # chain condition: s(∂x) = ∂(s(x)) whenever both degrees are in window
+    for d in range(1, D + 1):
+        for src in slices[d]:
+            lhs_cols: dict = {}
+            dx = module_differential(ModTensorElement(N, 1, {src: f.one}))
+            for key, c in dx.terms.items():
+                for col, tgt in image_columns(d - 1, key):
+                    img = ModTensorElement(N, 2, {tgt: f.one})
+                    for kk, cc in img.terms.items():
+                        lhs_cols.setdefault(kk, {})
+                        cur = lhs_cols[kk].get(col, f.zero)
+                        lhs_cols[kk][col] = f.add(cur, f.mul(c, cc))
+            for col, tgt in image_columns(d, src):
+                img = module_differential(ModTensorElement(N, 2, {tgt: f.one}))
+                for kk, cc in img.terms.items():
+                    lhs_cols.setdefault(kk, {})
+                    cur = lhs_cols[kk].get(col, f.zero)
+                    lhs_cols[kk][col] = f.add(cur, f.neg(cc))
+            for kk, cols in lhs_cols.items():
+                cols = {c: v for c, v in cols.items() if v != f.zero}
+                if cols:
+                    rows.append((cols, f.zero))
+    # right-linearity: s(x·g) = s(x)·g inside the window
+    for d in range(D + 1):
+        for src in slices[d]:
+            for g in alg.gens:
+                d2 = d + g.degree
+                if d2 > D:
+                    continue
+                ge = alg.gen(g.name)
+                shifted = mod_right_mult(ModTensorElement(N, 1, {src: f.one}), ge)
+                per_key: dict = {}
+                for key, c in shifted.terms.items():
+                    for col, tgt in image_columns(d2, key):
+                        img = ModTensorElement(N, 2, {tgt: f.one})
+                        for kk, cc in img.terms.items():
+                            per_key.setdefault(kk, {})
+                            cur = per_key[kk].get(col, f.zero)
+                            per_key[kk][col] = f.add(cur, f.mul(c, cc))
+                for col, tgt in image_columns(d, src):
+                    img = mod_right_mult(ModTensorElement(N, 2, {tgt: f.one}), ge)
+                    for kk, cc in img.terms.items():
+                        per_key.setdefault(kk, {})
+                        cur = per_key[kk].get(col, f.zero)
+                        per_key[kk][col] = f.add(cur, f.neg(cc))
+                for kk, cols in per_key.items():
+                    cols = {c: v for c, v in cols.items() if v != f.zero}
+                    if cols:
+                        rows.append((cols, f.zero))
+
+    # consistent exactly when appending the right-hand side keeps the rank
+    dense = [[cols.get(c, f.zero) for c in range(count)] for cols, _ in rows]
+    return dense_rank_oracle(dense, f.p) == dense_rank_oracle([r + [rhs] for r, (_, rhs) in zip(dense, rows)], f.p)

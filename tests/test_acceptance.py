@@ -11,41 +11,14 @@ from contextlib import contextmanager
 
 import pytest
 
-from dgres.bar import (
-    bar_differential,
-    bar_homotopy,
-    be_linear_space,
-    check_reduced_exactness,
-    derivation_space,
-    eta,
-    eta_inverse,
-)
+from dgres.bar import be_linear_space, check_classical_bar, check_eta, check_reduced_exactness, derivation_space
 from dgres.cli import main as cli_main
 from dgres.fixtures import all_fixtures, chain_N3, extended_module, koszul_K, module_B
 from dgres.homology import quasi_iso_check
-from dgres.linalg import SliceMatrix
-from dgres.modules import (
-    DN,
-    ModTensorElement,
-    NTElement,
-    alpha_N,
-    bar_dN_any,
-    beta_N,
-    lambda_n,
-    lemma_sign_check,
-    mod_element,
-    mod_merge_at,
-    mod_right_mult,
-    modtensor_basis,
-    module_N_differential,
-    module_differential,
-    naive_lift_solve,
-    nt_right_mult,
-    validate_module,
-)
-from dgres.sampling import random_homogeneous_element, random_scalar
+from dgres.modules import check_beta, check_lambda_splitting, check_rho, lemma_sign_check, naive_lift_solve
+from dgres.sampling import random_homogeneous_element
 from dgres.semifree import DD, bb_basis_element, bb_total_basis, dBB, frakD
-from dgres.tensor import TensorElement, jn_basis_labels, jn_basis_element, kappa_n, kappa_n_inverse, tensor_basis
+from dgres.tensor import jn_basis_labels, jn_basis_element, kappa_n, kappa_n_inverse
 
 FIXTURES = all_fixtures()
 
@@ -79,16 +52,10 @@ def test_criterion_1_commutativity_and_leibniz():
 
 
 def test_criterion_2_classical_bar():
-    with criterion(2, "classical bar d²=0 and homotopy identities, n<=4, deg<=8", 30.0):
-        for alg in FIXTURES.values():
-            for n in range(0, 5):
-                for d in range(0, 9):
-                    for w in tensor_basis(alg, n + 2, d):
-                        x = TensorElement.from_word(alg, w)
-                        dx = bar_differential(x, n)
-                        if n >= 1:
-                            assert bar_differential(dx, n - 1).is_zero()
-                        assert bar_differential(bar_homotopy(x), n + 1) + bar_homotopy(dx) == x
+    with criterion(2, "classical bar d²=0, homotopy and commutation identities, n<=4, deg<=8", 30.0):
+        for name, alg in FIXTURES.items():
+            rep = check_classical_bar(alg, 4, 8)
+            assert rep.passed, (name, [c.name for c in rep.failures()])
 
 
 def test_criterion_3_reduced_bar_exactness():
@@ -133,97 +100,30 @@ def test_criterion_6_quasi_isomorphism():
 
 
 def test_criterion_7_eta_round_trips():
-    with criterion(7, "eta/eta-inverse mutual inverses, 50 seeded samples, deg<=6"):
+    with criterion(7, "eta/eta-inverse mutual inverses, 25 seeded samples each way, deg<=6"):
         for name, alg in FIXTURES.items():
-            f = alg.field
-            rng = random.Random(700 + len(name))
-            dspace = derivation_space(alg, 6)
-            bspace = be_linear_space(alg, 6)
-            assert len(dspace) == len(bspace)
-            zero = TensorElement(alg, 2)
-            for _ in range(25):
-                images = {}
-                for tab in dspace:
-                    c = random_scalar(f, rng)
-                    for m, t in tab.images.items():
-                        images[m] = images.get(m, zero) + t.scale(c)
-                images = {m: t for m, t in images.items() if not t.is_zero()}
-                Dt = type(dspace[0])(alg, 6, images)
-                Dt2 = eta(eta_inverse(Dt))
-                keys = set(Dt.images) | set(Dt2.images)
-                assert all(Dt.images.get(k, zero) == Dt2.images.get(k, zero) for k in keys)
-            for _ in range(25):
-                images = {}
-                for bm in bspace:
-                    c = random_scalar(f, rng)
-                    for w, t in bm.images.items():
-                        images[w] = images.get(w, zero) + t.scale(c)
-                images = {w: t for w, t in images.items() if not t.is_zero()}
-                fm = type(bspace[0])(alg, 6, images)
-                f2 = eta_inverse(eta(fm))
-                keys = set(fm.images) | set(f2.images)
-                assert all(fm.images.get(k, zero) == f2.images.get(k, zero) for k in keys)
-
-
-def _beta_checks(N):
-    for name in N.names:
-        b = beta_N(N, name)
-        assert alpha_N(b) == mod_element(N, name)
-        de = module_N_differential(mod_element(N, name))
-        lhs = NTElement(N)
-        for (i, w), c in de.terms.items():
-            lhs = lhs + nt_right_mult(beta_N(N, N.names[i]), N.alg.from_monomial(w[0], c))
-        assert lhs == DN(b)
+            rep = check_eta(alg, derivation_space(alg, 6), be_linear_space(alg, 6), 25, 700 + len(name))
+            assert rep.passed, (name, [c.name for c in rep.failures()])
 
 
 def test_criterion_8_beta_splitting():
     with criterion(8, "beta chain map and alpha_N beta_N = id on B, K, N3", 10.0):
-        for alg in FIXTURES.values():
-            NB = module_B(alg)
-            validate_module(NB)
-            _beta_checks(NB)
-        for name in ("E2", "E2p"):
-            K = koszul_K(FIXTURES[name])
-            validate_module(K)
-            _beta_checks(K)
-        for name in ("E1", "E1p"):
-            N3 = chain_N3(FIXTURES[name])
-            validate_module(N3)
-            _beta_checks(N3)
+        modules = [module_B(alg) for alg in FIXTURES.values()]
+        modules += [koszul_K(FIXTURES[name]) for name in ("E2", "E2p")]
+        modules += [chain_N3(FIXTURES[name]) for name in ("E1", "E1p")]
+        for N in modules:
+            rep = check_beta(N)[0]
+            assert rep.passed, (N, [c.name for c in rep.failures()])
 
 
 def test_criterion_9_lifting():
     with criterion(9, "naive lift of B and extended modules, lambda identities n<=3, deg<=8"):
         for name, alg in FIXTURES.items():
-            f = alg.field
             for N in (module_B(alg), extended_module(alg)):
                 res = naive_lift_solve(N)
                 assert res.liftable, name
-                for nm in N.names:
-                    img = res.rho[nm]
-                    assert mod_merge_at(img, 0) == mod_element(N, nm)
-                    lhs = ModTensorElement(N, 2)
-                    de = module_N_differential(mod_element(N, nm))
-                    for (i, w), c in de.terms.items():
-                        lhs = lhs + mod_right_mult(res.rho[N.names[i]], alg.from_monomial(w[0], c))
-                    assert lhs == module_differential(img)
-                for n in (2, 3):
-                    for d in range(0, 9):
-                        basis = modtensor_basis(N, n, d)
-                        if not basis:
-                            continue
-                        tgt = {k: i for i, k in enumerate(modtensor_basis(N, n - 1, d))}
-                        M = SliceMatrix(f, len(tgt), len(basis))
-                        for j, key in enumerate(basis):
-                            el = ModTensorElement(N, n, {key: f.one})
-                            for kk, c in bar_dN_any(el).terms.items():
-                                M.set(tgt[kk], j, c)
-                        for vec in M.nullspace():
-                            el = ModTensorElement(N, n)
-                            for j, c in enumerate(vec):
-                                if c != f.zero:
-                                    el = el + ModTensorElement(N, n, {basis[j]: c})
-                            assert bar_dN_any(lambda_n(N, res.rho, n, el)) == el
+                for rep in (check_rho(N, res.rho)[0], check_lambda_splitting(N, res.rho, 8)):
+                    assert rep.passed, (name, N, [c.name for c in rep.failures()])
 
 
 def test_criterion_10_lemma_sign_identities():

@@ -5,11 +5,14 @@ import pytest
 from dgres.algebra import DGAlgebra
 from dgres.bar import (
     BeLinearMap,
+    DerivationTable,
     bar_action,
     bar_differential,
     bar_homotopy,
     bar_slice_matrix,
     be_linear_space,
+    check_classical_bar,
+    check_eta,
     check_reduced_exactness,
     checked_reduced_columns,
     derivation_from_generator_images,
@@ -64,19 +67,36 @@ def test_homotopy_examples(E1):
     assert bar_homotopy(W(E1, {}, {})) == W(E1, {}, {}, {})
 
 
-def test_bar_identities_all_slices(fixture_algebras):
-    for alg in fixture_algebras.values():
-        for n in range(0, 3):
-            for d in range(0, 6):
-                for w in tensor_basis(alg, n + 2, d):
-                    x = TensorElement.from_word(alg, w)
-                    if n >= 1:
-                        assert bar_differential(bar_differential(x, n), n - 1).is_zero()
-                    h = bar_differential(bar_homotopy(x), n + 1) + bar_homotopy(bar_differential(x, n))
-                    assert h == x
-                    assert bar_differential(tensor_differential(x), n) == tensor_differential(
-                        bar_differential(x, n)
-                    )
+def _unsigned(real):
+    # Σ_i merge_at(t, i) without the (-1)^i, so that 𝐝𝐝 no longer cancels
+    return lambda t, n: sum((merge_at(t, i) for i in range(n + 1)), TensorElement(t.alg, n + 1))
+
+
+def _negated_at_length_4(real):
+    def homotopy(t, n=None):
+        out = real(t)
+        return -out if out.length == 4 else out
+    return homotopy
+
+
+CLASSICAL_MUTATIONS = {
+    "bar-d-squared-zero": ("bar_differential", _unsigned),
+    "bar-homotopy-identity": ("bar_homotopy", _negated_at_length_4),
+    "bar-augmentation-homotopy": ("pi_B", lambda real: lambda t: -real(t)),
+    # ∂ doubled on B^{⊗_A 2} only, so 𝐝∂ and ∂𝐝 differ on B^{⊗_A 3}
+    "bar-commutes-with-internal-differential": (
+        "tensor_differential", lambda real: lambda t: real(t).scale_int(2 if t.length == 2 else 1)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CLASSICAL_MUTATIONS))
+def test_each_classical_bar_check_fails_under_a_mutation(monkeypatch, E3, check):
+    import dgres.bar as bar
+
+    assert check_classical_bar(E3, 3, 5).passed
+    name, mutate = CLASSICAL_MUTATIONS[check]
+    monkeypatch.setattr(bar, name, mutate(getattr(bar, name)))
+    assert check in [c.name for c in check_classical_bar(E3, 3, 5).failures()]
 
 
 def test_bar_action_examples(E1, E2):
@@ -178,8 +198,6 @@ def test_eta_inverse_rejects_non_derivation(E2):
     images = dict(tab.images)
     m = E2.mono({"x": 2})
     images[m] = images.get(m, TensorElement(E2, 2)) + delta_word(E2, (E2.mono({"x": 2}),))
-    from dgres.bar import DerivationTable
-
     bad = DerivationTable(E2, 5, images)
     assert not bad.validate().passed
     with pytest.raises(ObstructionNonzero):
@@ -213,6 +231,27 @@ def test_eta_round_trips_when_window_cuts_odd_squares(fixture_algebras, name, cu
         g = eta_inverse(eta(f))
         zero = TensorElement(alg, 2)
         assert all(f.images.get(w, zero) == g.images.get(w, zero) for w in set(f.images) | set(g.images))
+
+
+def test_each_eta_check_fails_under_a_mutation(monkeypatch, E2):
+    import dgres.bar as bar
+
+    dspace, bspace = derivation_space(E2, 5), be_linear_space(E2, 5)
+    real_eta = bar.eta
+
+    def failed(name=None, mutated=None, bspace=bspace):
+        with monkeypatch.context() as m:
+            if name is not None:
+                m.setattr(bar, name, mutated)
+            return [c.name for c in check_eta(E2, dspace, bspace, 10, 3).failures()]
+
+    assert failed() == []
+    assert failed(bspace=bspace[:-1]) == ["derivation-hom-dim-match"]
+    doubled = lambda f: DerivationTable(E2, f.cutoff, {m: t.scale_int(2) for m, t in real_eta(f).images.items()})
+    assert failed("eta", doubled) == ["eta-of-eta-inverse-identity", "eta-inverse-of-eta-identity"]
+    # an η⁻¹ that checks nothing accepts the corrupted derivation
+    unchecked = lambda D: BeLinearMap(E2, D.cutoff, {})
+    assert failed("eta_inverse", unchecked)[-1] == "corrupted-derivation-rejected"
 
 
 def test_reduced_bar_examples(E1, E2):

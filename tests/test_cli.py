@@ -127,16 +127,16 @@ def test_lemma_sign_check_with_no_checked_pair_fails(capsys, golden_dir):
 
 def test_lift_builds_each_beta_once(capsys, golden_dir, monkeypatch):
     # beta-chain-map, alphaN-betaN-identity and the beta table read one β_N per generator
-    import dgres.cli as cli
+    import dgres.modules as modules
 
     calls = []
-    real = cli.beta_N
+    real = modules.beta_N
 
     def counted(N, name):
         calls.append(name)
         return real(N, name)
 
-    monkeypatch.setattr(cli, "beta_N", counted)
+    monkeypatch.setattr(modules, "beta_N", counted)
     code, out, err = run_cli(["lift", str(golden_dir / "chain20.dgres"), "--module", "C"], capsys)
     assert code == 0 and out == (golden_dir / "lift_chain20.txt").read_text()
     assert calls == [f"f{i}" for i in range(20)]
@@ -145,7 +145,7 @@ def test_lift_builds_each_beta_once(capsys, golden_dir, monkeypatch):
 @pytest.mark.parametrize("D, failed", [(2, True), (8, False)])
 def test_lambda_splitting_fails_when_no_nullspace_vector_is_checked(tmp_path, capsys, D, failed):
     # one generator of degree 5 over Λ(e): d^N has no kernel vector of word length 2 or 3 in degrees 0..2
-    from dgres.cli import NO_NULLSPACE_VECTOR
+    from dgres.modules import NO_NULLSPACE_VECTOR
 
     path = tmp_path / "g5.dgres"
     path.write_text("field rationals\n[algebra]\next e 1\n[module N]\ngenerator g 5\n")
@@ -159,7 +159,7 @@ def test_lambda_splitting_fails_when_no_nullspace_vector_is_checked(tmp_path, ca
 
 def test_lift_checks_fail_on_a_module_without_generators(tmp_path, capsys):
     # β_N and ρ are checked generator by generator, so with none of them nothing is checked
-    from dgres.cli import NO_GENERATOR
+    from dgres.modules import NO_GENERATOR
 
     path = tmp_path / "empty.dgres"
     path.write_text("field rationals\n[algebra]\next e 1\n[module N]\n")
@@ -412,7 +412,7 @@ def _alpha_off_prefix_one(monkeypatch, change):
 
 
 def _fails_on_alpha_off_prefix_one(golden_dir, capsys, monkeypatch, name, change):
-    from dgres.cli import BAD_COLUMNS
+    from dgres.homology import BAD_COLUMNS
 
     args = ["semifree", str(golden_dir / f"{name}.dgres"), "--max-degree", "8"]
     code, out, err = run_cli(args, capsys)
@@ -445,7 +445,7 @@ def test_report_fails_on_a_flipped_closed_form_without_the_column_check(golden_d
     # a wrong 𝔻 let through the column check still breaks 𝔻² = 0, α∘𝔻 = d^B∘α
     # or the homotopy identity
     import dgres.homology as homology
-    from dgres.cli import BAD_COLUMNS
+    from dgres.homology import BAD_COLUMNS
 
     monkeypatch.setattr(homology, "checked_dd_columns", lambda alg, D: True)
     _flip_second_bar_term(monkeypatch)
@@ -467,7 +467,7 @@ def _count_ranks(monkeypatch) -> list:
 
 
 def test_semifree_skips_quasi_iso_ranks_after_a_failed_column_check(golden_dir, capsys, monkeypatch):
-    from dgres.cli import BAD_COLUMNS
+    from dgres.homology import BAD_COLUMNS
 
     ranked = _count_ranks(monkeypatch)
     args = ["semifree", str(golden_dir / "e3.dgres"), "--max-degree", "6"]

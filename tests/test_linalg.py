@@ -1,12 +1,15 @@
 import random
+import signal
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgres.algebra import DGAlgebra
 from dgres.bar import reduced_slice_matrix
-from dgres.linalg import InfeasibilityCertificate, SliceMatrix, identity_defect, solve_linear, verify_certificate
+from dgres.errors import DgresError
+from dgres.linalg import InfeasibilityCertificate, SliceMatrix, echelon, identity_defect, solve_linear, verify_certificate
 from dgres.scalars import Field
 
 from oracles import dense_nullspace_oracle, dense_rank_oracle, dense_rref_oracle, dense_solve_oracle
@@ -235,3 +238,20 @@ def test_exterior_reduced_bar_ranks_match_dense_oracle():
             assert M.rank() == dense_rank_oracle(_dense(M)), (n, d)
             total += M.rank()
     assert total > 0
+
+
+def test_echelon_fails_when_a_pivot_step_keeps_its_lead(monkeypatch):
+    # with neg returning its argument, row += c·piv doubles the lead instead of
+    # clearing it; echelon must raise within a second rather than loop forever
+    def too_slow(signum, frame):
+        raise TimeoutError("echelon ran past 1 s")
+
+    monkeypatch.setattr(Field, "neg", lambda self, a: a)
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(DgresError, match="left column 0 in place"):
+            echelon([{0: 1, 1: 2}, {0: 1, 1: 3}], Field.rationals())
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

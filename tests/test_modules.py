@@ -12,6 +12,9 @@ from dgres.modules import (
     alpha_N,
     bar_dN_any,
     beta_N,
+    check_beta,
+    check_lambda_splitting,
+    check_rho,
     dN,
     lambda_n,
     lemma_sign_check,
@@ -19,12 +22,11 @@ from dgres.modules import (
     mod_merge_at,
     mod_right_mult,
     modtensor_basis,
-    module_N_differential,
     module_differential,
     naive_lift_solve,
-    nt_right_mult,
     validate_module,
 )
+from dgres.probfile import parse_problem
 from dgres.scalars import Field
 from dgres.semifree import psi_sign
 from dgres.tensor import TensorElement
@@ -49,20 +51,6 @@ def nt_word(N, name, factors):
         flat._add_raw((alg.one_mono,) + w, alg.field.neg(c) if sign < 0 else c)
     comp = ModTensorElement(N, n + 2, {(N.index[name], w): c for w, c in flat.terms.items()})
     return NTElement(N, {n: comp})
-
-
-def beta_is_chain_map(N):
-    for name in N.names:
-        b = beta_N(N, name)
-        de = module_N_differential(mod_element(N, name))
-        lhs = NTElement(N)
-        for (i, w), c in de.terms.items():
-            lhs = lhs + nt_right_mult(beta_N(N, N.names[i]), N.alg.from_monomial(w[0], c))
-        if lhs != DN(b):
-            return False
-        if alpha_N(b) != mod_element(N, name):
-            return False
-    return True
 
 
 def test_validate_module_examples(E1, E2):
@@ -141,7 +129,7 @@ def test_beta_chain_and_identity_on_fixtures(E1, E2, E3, E3p):
     for N in (module_B(E1), module_B(E2), module_B(E3),
               koszul_K(E2), chain_N3(E1), extended_module(E3), extended_module(E3p)):
         validate_module(N)
-        assert beta_is_chain_map(N)
+        assert check_beta(N)[0].passed
 
 
 def test_beta_chain_on_odd_and_jump_modules():
@@ -159,7 +147,7 @@ def test_beta_chain_on_odd_and_jump_modules():
     ]
     for N in mods:
         assert validate_module(N).passed
-        assert beta_is_chain_map(N)
+        assert check_beta(N)[0].passed
 
 
 def test_beta_requires_valid_module(E2):
@@ -198,42 +186,10 @@ def test_lift_koszul_decided(E2):
     assert res.system_rows == 4 and res.system_cols == 2
 
 
-def test_rho_verification_and_lambda(fixture_algebras):
-    for alg in fixture_algebras.values():
-        for N in (module_B(alg), extended_module(alg)):
-            res = naive_lift_solve(N)
-            assert res.liftable
-            f = alg.field
-            for nm in N.names:
-                img = res.rho[nm]
-                assert mod_merge_at(img, 0) == mod_element(N, nm)
-                lhs = ModTensorElement(N, 2)
-                de = module_N_differential(mod_element(N, nm))
-                for (i, w), c in de.terms.items():
-                    lhs = lhs + mod_right_mult(res.rho[N.names[i]], alg.from_monomial(w[0], c))
-                assert lhs == module_differential(img)
-            for n in (2, 3):
-                for d in range(0, 7):
-                    basis = modtensor_basis(N, n, d)
-                    if not basis:
-                        continue
-                    tgt = {k: i for i, k in enumerate(modtensor_basis(N, n - 1, d))}
-                    M = SliceMatrix(f, len(tgt), len(basis))
-                    for j, key in enumerate(basis):
-                        for kk, c in bar_dN_any(ModTensorElement(N, n, {key: f.one})).terms.items():
-                            M.set(tgt[kk], j, c)
-                    for vec in M.nullspace():
-                        el = ModTensorElement(N, n)
-                        for j, c in enumerate(vec):
-                            if c != f.zero:
-                                el = el + ModTensorElement(N, n, {basis[j]: c})
-                        assert bar_dN_any(lambda_n(N, res.rho, n, el)) == el
-
-
 def test_split_check_agrees_with_solver(E1, E2, E3, fixture_algebras):
     # Theorem-equivalence consistency: the slicewise splitting path must
     # reach the same verdict as the basis-image solver.
-    from dgres.modules import nsex_split_check
+    from oracles import nsex_split_check
 
     battery = [module_B(E3), extended_module(E3), koszul_K(E2), chain_N3(E1)]
     for alg in fixture_algebras.values():
@@ -312,3 +268,32 @@ def test_module_differential_leibniz(E1, E3):
             assert lhs == rhs, (N, t, b)
             checked += 1
     assert checked > 400
+
+
+LIFT_MUTATIONS = {
+    # β's stored sign dropped: no chain of e1's modules needs it, C's 20-step chain does
+    "beta-chain-map": ("chain20.dgres", "C", "_beta_stored_sign", lambda real: lambda *args: 1),
+    "alphaN-betaN-identity": ("e1.dgres", "CB", "alpha_N", lambda real: lambda t: real(t).scale_int(2)),
+    "rho-splits-augmentation": ("e1.dgres", "CB", "mod_merge_at", lambda real: lambda t, i: real(t, i).scale_int(2)),
+    "rho-chain-map": ("e1.dgres", "CB", "mod_right_mult", lambda real: lambda t, u: real(t, u).scale_int(-1)),
+    "lambda-splitting-identities": ("e1.dgres", "CB", "lambda_n",
+                                    lambda real: lambda N, rho, n, t: real(N, rho, n, t).scale_int(-1 if n == 3 else 1)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(LIFT_MUTATIONS))
+def test_each_lift_check_fails_under_a_mutation(monkeypatch, golden_dir, check):
+    import dgres.modules as modules
+
+    path, module, name, mutate = LIFT_MUTATIONS[check]
+    N = parse_problem((golden_dir / path).read_text()).modules[module]
+    rho = naive_lift_solve(N).rho
+
+    def failed():
+        # C is not naively liftable, so it has no ρ to check
+        reps = [check_beta(N)[0]] + ([check_rho(N, rho)[0], check_lambda_splitting(N, rho, 8)] if rho else [])
+        return [c.name for rep in reps for c in rep.failures()]
+
+    assert failed() == []
+    monkeypatch.setattr(modules, name, mutate(getattr(modules, name)))
+    assert check in failed()

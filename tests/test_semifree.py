@@ -21,13 +21,12 @@ from dgres.semifree import (
     DD,
     alpha,
     bb_basis_element,
-    bb_from_be,
     bb_total_basis,
     bb_word,
+    check_frakD_T_linearity,
     check_semifree_triangular,
     dBB,
     dd_column,
-    dT,
     frakD,
     psi_sign,
     t_action,
@@ -48,15 +47,15 @@ def test_psi_sign_examples():
 
 
 def test_dT_examples(E1, E3):
-    assert dT(t_word(E1, [E1.gen("e")])).is_zero()
+    assert dBB(t_word(E1, [E1.gen("e")])).is_zero()
     # E3: the image -Σδ(y) vanishes because y lies in the base subalgebra
-    assert dT(t_word(E3, [E3.gen("e")])).is_zero()
+    assert dBB(t_word(E3, [E3.gen("e")])).is_zero()
     assert delta(E3.gen("y")).is_zero()
-    # nonzero witness: dw = v forces dT(Σδ(w)) = -Σδ(v)
+    # nonzero witness: dw = v forces dBB(Σδ(w)) = -Σδ(v)
     G = DGAlgebra(Field.rationals(), ext_gens=[("v", 2), ("w", 3)], diff_terms={"w": [(1, {"v": 1})]})
-    assert dT(t_word(G, [G.gen("w")])) == t_word(G, [G.gen("v")]).scale_int(-1)
+    assert dBB(t_word(G, [G.gen("w")])) == t_word(G, [G.gen("v")]).scale_int(-1)
     # length-2 word of cycles is a cycle
-    assert dT(t_word(G, [G.gen("v"), G.gen("v")])).is_zero()
+    assert dBB(t_word(G, [G.gen("v"), G.gen("v")])).is_zero()
 
 
 def test_dBB_examples(E1, E3):
@@ -67,17 +66,17 @@ def test_dBB_examples(E1, E3):
 
 def test_frakD_examples(E1):
     e = E1.gen("e")
-    assert frakD(bb_word(E1, E1.one(), [e])) == bb_from_be(delta(e))
+    assert frakD(bb_word(E1, E1.one(), [e])) == BBElement(E1, {0: delta(e)})
     assert frakD(bb_word(E1, e, [])).is_zero()
     # with the shuffle sign (-1)^{|e|}: 𝔇(e ⊗ Σδe) = -(e ⊗ e)
-    expected = bb_from_be(TensorElement.from_word(E1, (E1.mono({"e": 1}), E1.mono({"e": 1}))).scale_int(-1))
+    expected = BBElement(E1, {0: TensorElement.from_word(E1, (E1.mono({"e": 1}), E1.mono({"e": 1}))).scale_int(-1)})
     assert frakD(bb_word(E1, e, [e])) == expected
 
 
 def test_DD_and_alpha_examples(E1, E3):
     assert DD(BBElement.one(E3)).is_zero()
     e = E1.gen("e")
-    assert DD(bb_word(E1, E1.one(), [e])) == bb_from_be(delta(e))
+    assert DD(bb_word(E1, E1.one(), [e])) == BBElement(E1, {0: delta(e)})
     assert alpha(bb_word(E3, E3.gen("e"), [])) == E3.gen("e")
     assert alpha(bb_word(E1, E1.one(), [e])).is_zero()
     v = bb_word(E1, E1.one(), [e])
@@ -131,6 +130,16 @@ def test_frakD_T_linearity(fixture_algebras):
                 assert frakD(t_action(beta, s)) == t_action(frakD(beta), s)
 
 
+def test_frakD_T_linearity_check_fails_under_a_mutation(monkeypatch, E1):
+    # 𝔇 negated on word length 2 only: 𝔇(v·s) and 𝔇(v)·s differ for v of word length 1
+    import dgres.semifree as semifree
+
+    assert check_frakD_T_linearity(E1, 5).passed
+    real = semifree.frakD
+    monkeypatch.setattr(semifree, "frakD", lambda t: -real(t) if 2 in t.components else real(t))
+    assert [c.name for c in check_frakD_T_linearity(E1, 5).failures()] == ["frakD-T-linearity"]
+
+
 def test_DD_leibniz_over_action(fixture_algebras):
     for alg in fixture_algebras.values():
         gens = [alg.gen(g.name) for g in alg.gens]
@@ -143,7 +152,7 @@ def test_DD_leibniz_over_action(fixture_algebras):
                 td = beta.total_degree()
                 for s in words:
                     lhs = DD(t_action(beta, s))
-                    rhs = t_action(DD(beta), s) + t_action(beta, dT(s)).scale_int(-1 if td % 2 else 1)
+                    rhs = t_action(DD(beta), s) + t_action(beta, dBB(s)).scale_int(-1 if td % 2 else 1)
                     assert lhs == rhs
 
 
