@@ -49,6 +49,6 @@ print("𝔻² = 0 and 𝔇∂ = -∂𝔇 verified on all fixtures through total 
 # The payoff: α : (𝔹, 𝔻) -> B is a quasi-isomorphism.
 for name, alg in all_fixtures(include_prime=False).items():
     rep = quasi_iso_check(alg, 8)
-    hb = homology_dims(alg, "B", 8)
+    hb = homology_dims(alg, 8)
     print(f"{name}: quasi-isomorphism {'PASS' if rep.passed else 'FAIL'};",
           "H(B) dims:", [hb.homology(m) for m in range(8)])

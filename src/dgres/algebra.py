@@ -10,28 +10,39 @@ generators first, then ext generators, each group sorted by name).  The
 canonical monomial order is (total degree, exponent vector), a monomial's
 `sort_key`; it makes every basis, matrix, and report in the package
 deterministic.
+
+Every element in the package is one of two containers.  A `ScalarSum` is a
+finite sum Σ c·k over basis keys: `terms` maps each key k to its nonzero
+scalar c, and `add_term` is the one step that adds into such a dict and
+drops a key whose sum vanishes.  Its subclasses are `AlgElement` (keys are
+monomials) and `tensor.TensorElement` (keys are canonical words).  A
+`semifree.GradedElement` is a direct sum: it maps each key to a nonzero
+component (T, 𝔹, N ⊗_A T and `modules.ModTensorElement`).  Each container
+writes +, −, scaling, `is_zero`, `==`, `degrees` and `homogeneous_degree`
+once for all its subclasses.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, NamedTuple
 
-from .errors import DgresError, MismatchedAlgebra
+from .errors import DgresError, LengthMismatch, MismatchedAlgebra
 from .scalars import Field
 
 _MISS = object()  # cache sentinel: a vanishing product is memoized as None
 
 
-def _add_term(f: Field, terms: dict, m, c):
-    """terms[m] += c in the field f, dropping m when the sum vanishes."""
-    s = f.add(terms.get(m, 0), c)
+def add_term(f: Field, terms: dict, key, c, negate=False):
+    """terms[key] += -c if negate else c in the field f, dropping key when the sum vanishes."""
+    s = f.add(terms.get(key, 0), f.neg(c) if negate else c)
     if not s:
-        terms.pop(m, None)
+        terms.pop(key, None)
     else:
-        terms[m] = s
+        terms[key] = s
 
 
 class Generator(NamedTuple):
@@ -135,6 +146,7 @@ class DGAlgebra:
         self._split_cache: dict[Monomial, tuple[Monomial, Monomial]] = {}
         self._basis_cache: dict[tuple[str, int], tuple[Monomial, ...]] = {}
         self._repr_cache: dict[Monomial, str] = {}
+        self._memo_tables: defaultdict[str, dict] = defaultdict(dict)  # name -> table, for `tensor._memo`
         self.diff_images: dict[int, AlgElement] = {}
         diff_terms = diff_terms or {}
         for name in diff_terms:
@@ -241,7 +253,7 @@ class DGAlgebra:
         terms: dict[Monomial, object] = {}
         f = self.field
         for coeff, exps in raw_terms:
-            _add_term(f, terms, self.mono(exps), f.of_fraction(Fraction(coeff)))
+            add_term(f, terms, self.mono(exps), f.of_fraction(Fraction(coeff)))
         return AlgElement(self, terms)
 
     def from_monomial(self, m: Monomial, coeff=None) -> AlgElement:
@@ -282,7 +294,7 @@ class DGAlgebra:
                     if sm is not None:
                         v = f.mul(c, k)
                         flip = (sm[0] < 0) ^ (pre + t.degree * post) % 2
-                        _add_term(f, out, sm[1], f.neg(v) if flip else v)
+                        add_term(f, out, sm[1], v, flip)
             pre += e * dgi
         result = self._diff_cache[m] = AlgElement(self, out)
         return result
@@ -294,7 +306,7 @@ class DGAlgebra:
         out: dict[Monomial, object] = {}
         for m, c in u.terms.items():
             for mm, v in self.diff_mono(m).terms.items():
-                _add_term(f, out, mm, f.mul(v, c))
+                add_term(f, out, mm, f.mul(v, c))
         return AlgElement(self, out)
 
     # -- basis enumeration ---------------------------------------------------
@@ -342,55 +354,82 @@ class DGAlgebra:
         return f"DGAlgebra({self.field!r}; A=[{base}]; ext=[{ext}])"
 
 
-class AlgElement:
-    """Finite sum of scalar multiples of monomials; immutable by convention."""
+class ScalarSum:
+    """Finite sum Σ c·k of basis keys k with scalars c in `alg.field`; immutable by convention.
+
+    `terms` maps each key to its nonzero scalar.  A subclass gives only its
+    `shape` (None, or the word length), the degree `key_degree` and sort
+    key `key_order` of a key, `_like` when its constructor takes more than
+    (alg, terms), `__hash__`, `__repr__` and its products.  Sums of
+    different types, algebras or shapes raise instead of mixing.
+    """
 
     __slots__ = ("alg", "terms")
+    shape = None
 
     def __init__(self, alg: DGAlgebra, terms: dict):
         self.alg = alg
         self.terms = terms
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _like(self, terms: dict):
+        """A sum of the same type, algebra and shape with the given terms."""
+        return type(self)(self.alg, terms)
 
-    def homogeneous_degree(self):
-        degs = {m.degree for m in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise DgresError("element is not homogeneous")
-        return degs.pop()
-
-    def degrees(self) -> set[int]:
-        return {m.degree for m in self.terms}
-
-    def _check(self, other: AlgElement):
+    def _check(self, other):
         if self.alg is not other.alg:
             raise MismatchedAlgebra("elements of different algebras")
+        if type(other) is not type(self) or self.shape != other.shape:
+            raise LengthMismatch(f"elements of different shapes: lengths {self.shape} and {other.shape}")
 
-    def __add__(self, other: AlgElement) -> AlgElement:
+    def __add__(self, other):
         self._check(other)
         f = self.alg.field
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            _add_term(f, terms, m, c)
-        return AlgElement(self.alg, terms)
+        for k, c in other.terms.items():
+            add_term(f, terms, k, c)
+        return self._like(terms)
 
-    def __sub__(self, other: AlgElement) -> AlgElement:
+    def __sub__(self, other):
         return self + other.scale_int(-1)
 
-    def __neg__(self) -> AlgElement:
+    def __neg__(self):
         return self.scale_int(-1)
 
-    def scale(self, c) -> AlgElement:
+    def scale(self, c):
         f = self.alg.field
-        if c == f.zero:
-            return AlgElement(self.alg, {})
-        return AlgElement(self.alg, {m: f.mul(v, c) for m, v in self.terms.items()})
+        return self._like({} if c == f.zero else {k: f.mul(v, c) for k, v in self.terms.items()})
 
-    def scale_int(self, n: int) -> AlgElement:
+    def scale_int(self, n: int):
         return self.scale(self.alg.field.of_int(n))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.alg is other.alg and self.shape == other.shape and self.terms == other.terms
+
+    def degrees(self) -> set[int]:
+        return set(map(self.key_degree, self.terms))
+
+    def homogeneous_degree(self):
+        degs = self.degrees()
+        if len(degs) > 1:
+            raise DgresError("element is not homogeneous")
+        return degs.pop() if degs else None
+
+    def sorted_terms(self):
+        order = self.key_order
+        return sorted(self.terms.items(), key=lambda kc: order(kc[0]))
+
+
+class AlgElement(ScalarSum):
+    """Finite sum of scalar multiples of monomials."""
+
+    __slots__ = ()
+    key_degree = staticmethod(attrgetter("degree"))
+    key_order = staticmethod(attrgetter("sort_key"))
 
     def __mul__(self, other: AlgElement) -> AlgElement:
         self._check(other)
@@ -399,30 +438,13 @@ class AlgElement:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 sm = self.alg.mono_mul(m1, m2)
-                if sm is None:
-                    continue
-                sign, m = sm
-                c = f.mul(c1, c2)
-                if sign < 0:
-                    c = f.neg(c)
-                s = f.add(out.get(m, 0), c)
-                if not s:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+                if sm is not None:
+                    add_term(f, out, sm[1], f.mul(c1, c2), sm[0] < 0)
         return AlgElement(self.alg, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        return self.alg is other.alg and self.terms == other.terms
 
     def __hash__(self):
         # equal elements share their algebra, so the hash may leave it out
         return hash(tuple((m.sort_key, c) for m, c in self.sorted_terms()))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key)
 
     def __repr__(self):
         if not self.terms:

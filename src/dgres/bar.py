@@ -17,15 +17,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import AlgElement, DGAlgebra, Monomial, ValidationReport
+from .algebra import AlgElement, DGAlgebra, Monomial, ValidationReport, add_term
 from .errors import LengthMismatch, NotInDomain, NotInJn, NotLinear, ObstructionNonzero
 from .linalg import SliceMatrix, identity_defect, identity_defects
 from .sampling import random_scalar
 from .semifree import _add_to, dbar_column, defect_details, homotopy, pi_column, section
 from .tensor import (
     TensorElement,
-    _caches,
     _delta_factors,
+    _memo,
     _word_key,
     as_algebra_element,
     delta,
@@ -63,7 +63,7 @@ def bar_differential(t: TensorElement, n: int) -> TensorElement:
             if sm is None:
                 continue
             s, m = sm
-            out._add_canonical(w[:i] + (m,) + w[i + 2:], neg if (s < 0) != (i % 2 == 1) else c)
+            add_term(f, out.terms, w[:i] + (m,) + w[i + 2:], neg if (s < 0) != (i % 2 == 1) else c)
     return out
 
 
@@ -137,7 +137,7 @@ def bar_action(t: TensorElement, s: TensorElement) -> TensorElement:
                 c = f.mul(cw, cs)
                 if sign * s0 * s1 < 0:
                     c = f.neg(c)
-                out._add_canonical((m1,), c)
+                add_term(f, out.terms, (m1,), c)
                 continue
             sm = alg.mono_mul(w[0], mb)
             if sm is None:
@@ -203,7 +203,7 @@ def nJ_kernel_basis(alg: DGAlgebra, n: int, degree: int) -> list[TensorElement]:
         t = TensorElement(alg, n + 1)
         for j, c in enumerate(vec):
             if c != alg.field.zero:
-                t._add_canonical(src[j], c)
+                add_term(alg.field, t.terms, src[j], c)
         out.append(t)
     image_rank = bar_slice_matrix(alg, n, degree).rank()
     if image_rank != len(out):
@@ -569,15 +569,12 @@ def reduced_slice_matrix(alg: DGAlgebra, n: int, degree: int) -> SliceMatrix:
     only ones the checks read, are cached per algebra; a slice with n >= 3
     is built afresh on every call.
     """
-    cache = _caches(alg)["reduced_slice"]
-    got = cache.get((n, degree))
-    if got is None:
+    def build():
         labels = prefixed_basis_labels(alg, n, degree)
-        got = SliceMatrix.from_columns(alg.field, prefixed_basis_labels(alg, n - 1, degree), labels,
-                                       (dbar_column(alg, lb) for lb in labels))
-        if n <= 2:
-            cache[(n, degree)] = got
-    return got
+        return SliceMatrix.from_columns(alg.field, prefixed_basis_labels(alg, n - 1, degree), labels,
+                                        (dbar_column(alg, lb) for lb in labels))
+
+    return build() if n > 2 else _memo(alg, "reduced_slice", (n, degree), build)
 
 
 def _certify_reduced(alg: DGAlgebra, D: int) -> bool:
@@ -600,7 +597,7 @@ def _certify_reduced(alg: DGAlgebra, D: int) -> bool:
                     if te is None:
                         te = flat[lam] = prefixed_basis_element(alg, lam)
                     for w, cw in te.terms.items():
-                        image._add_canonical(w, f.mul(c, cw))
+                        add_term(f, image.terms, w, f.mul(c, cw))
                 if image != merge_at(prefixed_basis_element(alg, (b, m, ws)), 0):
                     return False
                 heads[(b, m, ws)] = col
@@ -634,11 +631,7 @@ def checked_reduced_columns(alg: DGAlgebra, D: int) -> bool:
     are built for the labels of n <= 1 only, and no slice and no label list
     with n >= 3 is built.
     """
-    cache = _caches(alg)["reduced_certificate"]
-    got = cache.get(D)
-    if got is None:
-        got = cache[D] = _certify_reduced(alg, D)
-    return got
+    return _memo(alg, "reduced_certificate", D, _certify_reduced, alg, D)
 
 
 def reduced_d_squared_zero(alg: DGAlgebra, D: int) -> bool:

@@ -22,7 +22,7 @@ from .bar import (
     derivation_space,
     reduced_d_squared_zero,
 )
-from .errors import DgresError, ParseError, UsageError
+from .errors import DgresError, UsageError
 from .homology import QuasiIsoReport, _window, homology_dims, quasi_iso_check, reduced_bar_table
 from .linalg import verify_certificate
 from .modules import check_beta, check_lambda_splitting, check_rho, lemma_sign_check, naive_lift_solve, validate_module
@@ -159,7 +159,7 @@ def cmd_homology(args, problem) -> Report:
         for name in ("homology-dimensions-match", "reduced-bar-acyclic"):
             rep.add_check(name, False, _window(D), INVALID_ALGEBRA)
         return rep
-    rep.tables["H(B)"] = head + homology_dims(alg, "B", D).rows()
+    rep.tables["H(B)"] = head + homology_dims(alg, D).rows()
     # the reduced bar is contracted on the slices of degrees 0..D-1, checked first
     ok_red = checked_reduced_columns(alg, D - 1)
     exact = check_reduced_exactness(alg, D - 1) if ok_red else None
@@ -275,9 +275,6 @@ def main(argv=None) -> int:
 
         problem = parse_problem(text)
         rep = COMMANDS[args.command](args, problem)
-    except (ParseError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DgresError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

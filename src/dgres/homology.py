@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import accumulate
 
-from .algebra import DGAlgebra
+from .algebra import DGAlgebra, add_term
 from .errors import DgresError, WindowIncomplete
 from .linalg import SliceMatrix, identity_defect
 from .semifree import (
     DD,
     BBElement,
-    add_term,
     alpha,
     dd_column,
     defect_details,
@@ -27,7 +26,7 @@ from .semifree import (
     prefix_one_labels,
     section,
 )
-from .tensor import TensorElement, _caches, prefixed_basis_dim, prefixed_basis_element
+from .tensor import TensorElement, _memo, prefixed_basis_dim, prefixed_basis_element
 
 BAD_COLUMNS = "a DD column differs from dv + Dv, the flat images of its basis element"
 
@@ -55,19 +54,10 @@ def _window(D: int) -> str:
     return f"degrees 0..{D - 1} (built through {D})"
 
 
-def _cached(alg: DGAlgebra, name: str, degree: int, build) -> SliceMatrix:
-    """The slice matrix `name` of one degree, built once per algebra (with its rank memo)."""
-    cache = _caches(alg)[name]
-    got = cache.get(degree)
-    if got is None:
-        got = cache[degree] = build()
-    return got
-
-
 def dB_matrix(alg: DGAlgebra, degree: int) -> SliceMatrix:
     """Matrix of d^B from the degree slice to the one below; cached per algebra."""
     src = alg.basis("B", degree)
-    return _cached(alg, "dB_matrix", degree, lambda: SliceMatrix.from_columns(
+    return _memo(alg, "dB_matrix", degree, lambda: SliceMatrix.from_columns(
         alg.field, alg.basis("B", degree - 1), src, (alg.diff_mono(m).terms for m in src)))
 
 
@@ -77,17 +67,17 @@ def bb_column(alg: DGAlgebra, label) -> tuple[dict, dict]:
     (n, (1, m, ws)).  Equal row labels are stored as one object, as the
     collector walks every tuple that holds a monomial.
     """
-    cache = _caches(alg)["bb_columns"]
-    got = cache.get(label)
-    if got is None:
-        n, (b, m, ws) = label
-        if b == alg.one_mono:
-            dd, al = dd_column(alg, label), ({} if n else pi_column(alg, label[1]))
-        else:
-            dd, al = prefix_image(alg, label, *bb_column(alg, (n, (alg.one_mono, m, ws))))
-        same = _caches(alg)["bb_labels"].setdefault
-        got = cache[label] = {same(row, row): c for row, c in dd.items()}, al
-    return got
+    return _memo(alg, "bb_columns", label, _bb_column, alg, label)
+
+
+def _bb_column(alg: DGAlgebra, label) -> tuple[dict, dict]:
+    n, (b, m, ws) = label
+    if b == alg.one_mono:
+        dd, al = dd_column(alg, label), ({} if n else pi_column(alg, label[1]))
+    else:
+        dd, al = prefix_image(alg, label, *bb_column(alg, (n, (alg.one_mono, m, ws))))
+    same = alg._memo_tables["bb_labels"].setdefault
+    return {same(row, row): c for row, c in dd.items()}, al
 
 
 def bb_dd_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
@@ -98,7 +88,7 @@ def bb_dd_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
     a product needs only these (`dd_square`).
     """
     cols = prefix_one_labels(alg, total_degree)
-    return _cached(alg, "dd_matrix", total_degree, lambda: SliceMatrix.from_columns(
+    return _memo(alg, "dd_matrix", total_degree, lambda: SliceMatrix.from_columns(
         alg.field, prefix_one_labels(alg, total_degree - 1), cols, (bb_column(alg, lb)[0] for lb in cols)))
 
 
@@ -109,7 +99,7 @@ def bb_alpha_matrix(alg: DGAlgebra, total_degree: int) -> SliceMatrix:
     every component n >= 1.
     """
     cols = prefix_one_labels(alg, total_degree)
-    return _cached(alg, "alpha_matrix", total_degree, lambda: SliceMatrix.from_columns(
+    return _memo(alg, "alpha_matrix", total_degree, lambda: SliceMatrix.from_columns(
         alg.field, alg.basis("B", total_degree), cols, (bb_column(alg, lb)[1] for lb in cols)))
 
 
@@ -262,7 +252,7 @@ def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
                     if acc is None:
                         acc = comps[k] = TensorElement(alg, k + 2)
                     for w, cw in flat_of(lab).terms.items():
-                        acc._add_canonical(w, f.mul(c, cw))
+                        add_term(f, acc.terms, w, f.mul(c, cw))
                 if BBElement(alg, comps) != DD(v) or alpha_col != alpha(v).terms:
                     return False
             certified[t].add(label)
@@ -306,41 +296,17 @@ def alpha_chain_map(alg: DGAlgebra, total_degree: int) -> bool:
     return lhs.entries == rhs.entries
 
 
-def homology_dims(alg: DGAlgebra, obj: str, D: int, max_n: int | None = None,
-                  module=None) -> HomologyTable:
-    """Per-degree homology dimensions of a complex, from the ranks of its maps.
+def homology_dims(alg: DGAlgebra, D: int) -> HomologyTable:
+    """H(B, d^B) in degrees 0..D-1 (the window rule), from the ranks of d^B.
 
-    obj = "B":            the algebra itself under d^B.
-    obj = "barN_complex": the augmented complex N ⊗_B (𝐁, 𝐝) with the word
-                          length capped at max_n; positions up to max_n - 1
-                          are boundary-complete and included.  `module`
-                          defaults to B itself.
-    Degrees reported: 0 .. D-1 (the window rule).
-
-    Each degree is a list of maps f_0, f_1, ..., f_k with f_i out of
-    position i: the positions are the sources of f_0..f_{k-1}, so the cycles
-    are Σ_{i<k} (dim - rank f_i) and the boundaries Σ_{i>0} rank f_i.  A
-    bottom position of an augmented complex gets a zero map with no rows.
+    Degree m has dim B_m − rank d^B_m cycles and rank d^B_{m+1} boundaries.
     """
     if D < 1:
         raise WindowIncomplete("need D >= 1")
-    f = alg.field
-    if obj == "B":
-        complexes = ([dB_matrix(alg, m), dB_matrix(alg, m + 1)] for m in range(D))
-    elif obj == "barN_complex":
-        if max_n is None:
-            raise WindowIncomplete("the classical bar complex needs a word-length cap max_n")
-        from .modules import SemifreeModule, dN_matrix, modtensor_basis
-
-        N = module if module is not None else SemifreeModule(alg, [("gen", 0)])
-        # N <- N ⊗ B^{⊗2} <- ...: position -1 is N itself, positions 0..max_n-1 follow
-        complexes = ([SliceMatrix(f, 0, len(modtensor_basis(N, 1, d)))]
-                     + [dN_matrix(N, L, d) for L in range(2, max_n + 3)] for d in range(D))
-    else:
-        raise DgresError(f"unknown homology object {obj!r}")
     table = HomologyTable(window=_window(D))
-    for m, maps in enumerate(complexes):
-        table.add(m, sum(M.ncols - M.rank() for M in maps[:-1]), sum(M.rank() for M in maps[1:]))
+    for m in range(D):
+        out_of, into = dB_matrix(alg, m), dB_matrix(alg, m + 1)
+        table.add(m, out_of.ncols - out_of.rank(), into.rank())
     return table
 
 
@@ -476,6 +442,6 @@ def quasi_iso_check(alg: DGAlgebra, D: int) -> QuasiIsoReport:
     details = defect_details(alg, bb_homotopy_defect(alg, D - 1))
     if details:
         return QuasiIsoReport(False, [], window, details, checks)
-    tb, tbb = homology_dims(alg, "B", D), bb_homology_table(alg, D)
+    tb, tbb = homology_dims(alg, D), bb_homology_table(alg, D)
     rows = [(m, tbb.homology(m), tb.homology(m), tb.homology(m)) for m in range(D)]
     return QuasiIsoReport(True, rows, window, "", checks, tbb)

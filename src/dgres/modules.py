@@ -9,10 +9,12 @@ kernel applied to each x_i: right multiplication, merges, ⊗_B-concatenation
 and the bar differential (whose i = 0 merge realizes x ⊗ b_1 ↦ x·b_1) keep
 the index, and the internal differential adds to (-1)^{|e_j|} times the
 slotwise differential of x_j the left multiples b_ij·x_j, moved to index i.
-`ModTensorElement.terms` is a flat read-only view keyed by (index, word).
+So `ModTensorElement` is the package's direct sum, `semifree.GradedElement`,
+keyed by generator index, each x_i a scalar sum (`tensor.TensorElement`);
+its `terms` is a flat read-only view keyed by (index, word).
 
-Elements of N ⊗_A T are `semifree.GradedElement`s like those of 𝔹, whose
-component n is an element of N ⊗_A B^{⊗_A (n+1)}, of word length n+2.
+Elements of N ⊗_A T are `GradedElement`s too, like those of 𝔹, keyed by word
+length: component n is an element of N ⊗_A B^{⊗_A (n+1)}, of word length n+2.
 """
 
 from __future__ import annotations
@@ -100,81 +102,53 @@ def validate_module(N: SemifreeModule) -> ValidationReport:
     return rep
 
 
-class ModTensorElement:
-    """Element Σ_i e_i ⊗ x_i of N ⊗_A B^{⊗_A (length-1)}; `parts` maps i -> x_i.
+class ModTensorElement(GradedElement):
+    """Element Σ_i e_i ⊗ x_i of N ⊗_A B^{⊗_A (length-1)}; `components` maps i -> x_i.
 
     Like `TensorElement`, the constructor takes nonzero terms
-    {(i, word): scalar} over canonical words.
+    {(i, word): scalar} over canonical words.  The key i has degree |e_i|.
     """
 
-    __slots__ = ("module", "length", "parts")
+    __slots__ = ("length",)
+    module = property(lambda self: self.owner)
+    shape = property(lambda self: self.length)
 
     def __init__(self, module: SemifreeModule, length: int, terms: dict | None = None):
-        self.module = module
+        self.owner = module
         self.length = length
         by_index: dict = {}
         for (i, w), c in (terms or {}).items():
             by_index.setdefault(i, {})[w] = c
-        self.parts = {i: TensorElement(module.alg, length, ws) for i, ws in by_index.items()}
+        self.components = {i: TensorElement(module.alg, length, ws) for i, ws in by_index.items()}
 
     @classmethod
     def _of_parts(cls, module: SemifreeModule, length: int, parts: dict) -> "ModTensorElement":
         out = cls(module, length)
-        out.parts = {i: x for i, x in parts.items() if not x.is_zero()}
+        out.components = {i: x for i, x in parts.items() if not x.is_zero()}
         return out
+
+    def _like(self, parts: dict) -> "ModTensorElement":
+        return ModTensorElement._of_parts(self.owner, self.length, parts)
+
+    def key_degree(self, i: int) -> int:
+        return self.owner.degrees[i]
 
     @property
     def terms(self) -> dict:
-        return {(i, w): c for i, x in self.parts.items() for w, c in x.terms.items()}
+        return {(i, w): c for i, x in self.components.items() for w, c in x.terms.items()}
 
     def _map(self, kernel, length: int) -> "ModTensorElement":
         """Apply a plain tensor kernel to every part, keeping its index."""
-        return ModTensorElement._of_parts(self.module, length, {i: kernel(x) for i, x in self.parts.items()})
-
-    def __add__(self, other):
-        if self.module is not other.module or self.length != other.length:
-            raise ShapeMismatch("module tensor elements of different shapes")
-        parts = dict(self.parts)
-        for i, x in other.parts.items():
-            _add_to(parts, i, x)
-        return ModTensorElement._of_parts(self.module, self.length, parts)
-
-    def __sub__(self, other):
-        return self + other.scale_int(-1)
-
-    def scale(self, c):
-        return self._map(lambda x: x.scale(c), self.length)
-
-    def scale_int(self, n: int):
-        return self.scale(self.module.alg.field.of_int(n))
-
-    def is_zero(self):
-        return not self.parts
-
-    def __eq__(self, other):
-        if not isinstance(other, ModTensorElement):
-            return NotImplemented
-        return self.module is other.module and self.length == other.length and self.parts == other.parts
-
-    def degrees(self):
-        return {self.module.degrees[i] + d for i, x in self.parts.items() for d in x.degrees()}
-
-    def homogeneous_degree(self):
-        degs = self.degrees()
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise DgresError("not homogeneous")
-        return degs.pop()
+        return ModTensorElement._of_parts(self.owner, length, {i: kernel(x) for i, x in self.components.items()})
 
     def __repr__(self):
-        if not self.parts:
+        if not self.components:
             return "0"
-        alg = self.module.alg
+        alg = self.owner.alg
         parts = []
-        for i in sorted(self.parts):
-            for w, c in self.parts[i].sorted_terms():
-                body = self.module.names[i] + "." + "(x)".join(alg.mono_repr(m) for m in w)
+        for i in sorted(self.components):
+            for w, c in self.components[i].sorted_terms():
+                body = self.owner.names[i] + "." + "(x)".join(alg.mono_repr(m) for m in w)
                 parts.append(f"{c}*{body}" if c != alg.field.one else body)
         return " + ".join(parts)
 
@@ -233,7 +207,7 @@ def module_differential(t: ModTensorElement) -> ModTensorElement:
     """
     mod = t.module
     parts: dict = {}
-    for j, x in t.parts.items():
+    for j, x in t.components.items():
         d = tensor_differential(x)
         _add_to(parts, j, -d if mod.degrees[j] % 2 else d)
         for i in range(j):
@@ -274,7 +248,7 @@ def DN(t: NTElement) -> NTElement:
     for n, te in t.components.items():
         same: dict = {}
         below: dict = {}
-        for j, x in te.parts.items():
+        for j, x in te.components.items():
             d = tensor_differential(x)
             _add_to(same, j, -d if (mod.degrees[j] + n) % 2 else d)
             for i in range(j):
@@ -580,7 +554,7 @@ def lambda_n(N: SemifreeModule, rho: dict, n: int, t: ModTensorElement) -> ModTe
     if t.length != n:
         raise ShapeMismatch(f"expected word length {n}, got {t.length}")
     out = ModTensorElement(N, n + 1)
-    for i, x in t.parts.items():
+    for i, x in t.components.items():
         out = out + mod_concat_B(rho[N.names[i]], x)
     return out
 

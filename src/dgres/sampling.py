@@ -4,7 +4,7 @@ The tensor samplers draw from a degree slice without enumerating it: the
 slice is a `Sequence` that counts its words and unranks the i-th one, in the
 order of `tensor_basis` and `modtensor_basis`, so `rng.sample` makes the
 same draws as it would from the enumerated basis.  Each slice is built once
-per algebra, length and degree, and cached with the algebra's tensor caches.
+per algebra, length and degree, and kept in the algebra's memo tables (`tensor._memo`).
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 
-from .algebra import AlgElement, DGAlgebra
+from .algebra import AlgElement, DGAlgebra, add_term
 from .scalars import q_ratio
-from .tensor import TensorElement, _caches
+from .tensor import TensorElement, _memo
 
 
 # the numerators of random ℚ scalars, in the order `rng.choice` indexes them
@@ -72,11 +72,7 @@ class TensorSlice(Sequence):
 
 def _tensor_slice(alg: DGAlgebra, length: int, degree: int) -> TensorSlice:
     """The cached `TensorSlice`; `rng.sample` only reads it, so sharing it changes no draw."""
-    cache = _caches(alg)["tensor_slice"]
-    got = cache.get((length, degree))
-    if got is None:
-        got = cache[(length, degree)] = TensorSlice(alg, length, degree)
-    return got
+    return _memo(alg, "tensor_slice", (length, degree), TensorSlice, alg, length, degree)
 
 
 class ModTensorSlice(Sequence):
@@ -117,7 +113,7 @@ def random_homogeneous_tensor(alg: DGAlgebra, rng: random.Random, length: int,
     if not words:
         return out
     for w in rng.sample(words, min(len(words), rng.randrange(1, max_terms + 1))):
-        out._add_canonical(w, random_scalar(alg.field, rng))
+        add_term(alg.field, out.terms, w, random_scalar(alg.field, rng))
     return out
 
 

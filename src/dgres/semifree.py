@@ -11,9 +11,13 @@ differential, and the bar part 𝔇 is exactly "merge slots 0 and 1".  Both
 identities 𝔇∂ = -∂𝔇 and 𝔻² = 0 are then forced by π_B being a chain map,
 and the complex (𝔹, 𝔇) is the reduced bar resolution on the nose.
 
-T, 𝔹 and N ⊗_A T (`modules.NTElement`) share one container,
-`GradedElement`: a subclass fixes only the word length of component n and
-its empty component, and ∂ of T and of 𝔹 is the one helper `dBB`.  Both
+`GradedElement` is the package's one direct sum: it maps each key to a
+nonzero component.  T and 𝔹 key it by word length with `TensorElement`
+components (scalar sums, `algebra.ScalarSum`), `modules.ModTensorElement`
+by module generator with `TensorElement` components, and N ⊗_A T
+(`modules.NTElement`) by word length with `ModTensorElement` components.
+A word-length subclass fixes only the word length of component n and its
+empty component.  ∂ of T and of 𝔹 is the one helper `dBB`.  Both
 T-concatenations, the product of T (`t_multiply`) and its right action on
 𝔹 (`t_action`), are `concat_B`(x', y) for x in component k and y in
 component m, where x' is x with each word w signed (-1)^{m·|w|}.
@@ -25,12 +29,12 @@ suite (anticommutation, 𝔻² = 0, T-linearity, reduced-bar recovery) pins it.
 
 from __future__ import annotations
 
-from .algebra import AlgElement, DGAlgebra, Monomial, ValidationReport
-from .errors import DgresError, LengthMismatch
+from .algebra import AlgElement, DGAlgebra, Monomial, ValidationReport, add_term
+from .errors import DgresError, LengthMismatch, MismatchedAlgebra
 from .tensor import (
     TensorElement,
-    _caches,
     _delta_factors,
+    _memo,
     _prefixed_labels,
     concat_B,
     delta,
@@ -57,15 +61,20 @@ def _add_to(parts: dict, key, x):
 
 
 class GradedElement:
-    """Sum of word-length components, no zero component stored.
+    """Direct sum Σ_k x_k of components, one per key k, no zero component stored.
 
-    The component n has word length n + `offset`; a subclass gives only that
-    offset and its empty component.  `owner` is the algebra (T, 𝔹) or the
-    module (N ⊗_A T) the components live over.
+    Here the key n is a word length: component n has word length n +
+    `offset`, and a subclass gives only that offset and its empty
+    component.  `owner` is the algebra (T, 𝔹) or the module (N ⊗_A T) the
+    components live over.  `modules.ModTensorElement` keys components by
+    module generator instead, and gives its own `shape` (the word length),
+    `key_degree` and `_like`.  Sums of different types, owners or shapes
+    raise instead of mixing.
     """
 
     __slots__ = ("owner", "components")
     offset = 0
+    shape = None
 
     def __init__(self, owner, components: dict | None = None):
         self.owner = owner
@@ -76,15 +85,26 @@ class GradedElement:
                     raise LengthMismatch(f"component {n} must have word length {n + self.offset}")
                 self.components[n] = t
 
+    def _like(self, components: dict):
+        """A direct sum of the same type, owner and shape; zero components are dropped."""
+        return type(self)(self.owner, components)
+
+    def key_degree(self, n: int) -> int:
+        return n
+
     def component(self, n: int):
         t = self.components.get(n)
         return self._empty(n + self.offset) if t is None else t
 
     def __add__(self, other):
+        if self.owner is not other.owner:
+            raise MismatchedAlgebra("elements over different algebras or modules")
+        if type(other) is not type(self) or self.shape != other.shape:
+            raise LengthMismatch(f"elements of different shapes: lengths {self.shape} and {other.shape}")
         comps = dict(self.components)
         for n, t in other.components.items():
             _add_to(comps, n, t)
-        return type(self)(self.owner, comps)
+        return self._like(comps)
 
     def __sub__(self, other):
         return self + other.scale_int(-1)
@@ -93,10 +113,10 @@ class GradedElement:
         return self.scale_int(-1)
 
     def scale(self, c):
-        return type(self)(self.owner, {n: t.scale(c) for n, t in self.components.items()})
+        return self._like({n: t.scale(c) for n, t in self.components.items()})
 
     def scale_int(self, k: int):
-        return type(self)(self.owner, {n: t.scale_int(k) for n, t in self.components.items()})
+        return self._like({n: t.scale_int(k) for n, t in self.components.items()})
 
     def is_zero(self) -> bool:
         return not self.components
@@ -104,18 +124,16 @@ class GradedElement:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.owner is other.owner and self.components == other.components
+        return self.owner is other.owner and self.shape == other.shape and self.components == other.components
 
-    def total_degrees(self) -> set[int]:
-        return {d + n for n, t in self.components.items() for d in t.degrees()}
+    def degrees(self) -> set[int]:
+        return {self.key_degree(n) + d for n, t in self.components.items() for d in t.degrees()}
 
-    def total_degree(self):
-        degs = self.total_degrees()
-        if not degs:
-            return None
+    def homogeneous_degree(self):
+        degs = self.degrees()
         if len(degs) > 1:
-            raise DgresError("element is not homogeneous in total degree")
-        return degs.pop()
+            raise DgresError("element is not homogeneous")
+        return degs.pop() if degs else None
 
     def __repr__(self):
         if not self.components:
@@ -276,40 +294,23 @@ def bb_total_basis(alg: DGAlgebra, total_degree: int):
     The labels of each component are generated, not cached a second time
     per n in `prefixed_basis_labels`.
     """
-    cache = _caches(alg)["bb_basis"]
-    got = cache.get(total_degree)
-    if got is not None:
-        return got
-    result = tuple((n, lb) for n in range(0, total_degree // 2 + 1)
-                   for lb in _prefixed_labels(alg, n, total_degree - n))
-    cache[total_degree] = result
-    return result
+    return _memo(alg, "bb_basis", total_degree, lambda: tuple(
+        (n, lb) for n in range(0, total_degree // 2 + 1) for lb in _prefixed_labels(alg, n, total_degree - n)))
 
 
 def prefix_one_labels(alg: DGAlgebra, total_degree: int) -> tuple:
     """The labels (n, (1, m, ws)) of one total degree, in `bb_total_basis` order: 𝔹 is
     free on them as a left B-module, (n, (b, m, ws)) being b·(n, (1, m, ws)).  Only
     they are listed, from the W-monomials m and the δ-words of `tensor._delta_factors`."""
-    cache, one, t = _caches(alg)["prefix_one"], alg.one_mono, total_degree
-    got = cache.get(t)
-    if got is None:
-        got = cache[t] = tuple((n, (one, m, ws)) for n in range(t // 2 + 1) for dm in range(t - n + 1)
-                               for m in alg.basis("W", dm) for ws in _delta_factors(alg, n, t - n - dm))
-    return got
+    one, t = alg.one_mono, total_degree
+    return _memo(alg, "prefix_one", t, lambda: tuple(
+        (n, (one, m, ws)) for n in range(t // 2 + 1) for dm in range(t - n + 1)
+        for m in alg.basis("W", dm) for ws in _delta_factors(alg, n, t - n - dm)))
 
 
 def bb_basis_element(alg: DGAlgebra, label) -> BBElement:
     n, lb = label
     return BBElement(alg, {n: prefixed_basis_element(alg, lb)})
-
-
-def add_term(f, out: dict, key, c, negate) -> None:
-    """out[key] += -c if negate else c over the field f; a zero sum drops the key."""
-    s = f.add(out.get(key, 0), f.neg(c) if negate else c)
-    if not s:
-        out.pop(key, None)
-    else:
-        out[key] = s
 
 
 def dd_column(alg: DGAlgebra, label) -> dict:

@@ -10,31 +10,43 @@ The subspaces J^{⊗_B n} ⊆ B^{⊗_A (n+1)} are handled through their left-B
 bases {δ(w_1) ⊗_B ... ⊗_B δ(w_n)} with w_i ranging over the nontrivial part
 of W; `delta_coords` extracts those coordinates exactly and certifies
 membership.
+
+A `TensorElement` is the package's scalar sum (`algebra.ScalarSum`) keyed by
+canonical words of one fixed length; it adds only its normal-form steps
+and its products.  Direct sums of them, graded by word length or indexed by
+module generators, are `semifree.GradedElement`s.  Per-algebra tables of
+bases, δ-words, columns and slice matrices are kept by `_memo`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgElement, DGAlgebra, Monomial
+from .algebra import AlgElement, DGAlgebra, Monomial, ScalarSum, add_term
 from .errors import DgresError, LengthMismatch, NotInJn
 
 Word = tuple  # tuple[Monomial, ...]
 
 
-def _caches(alg: DGAlgebra) -> dict:
-    c = getattr(alg, "_tensor_caches", None)
-    if c is None:
-        c = {"delta_word": {}, "tensor_basis": {}, "jn_basis": {}, "prefixed_basis": {}, "bb_basis": {},
-             "reduced_slice": {}, "delta_factors": {}, "dd_matrix": {}, "alpha_matrix": {}, "dB_matrix": {},
-             "bb_columns": {}, "bb_labels": {}, "prefix_one": {}, "reduced_certificate": {},
-             "label_counts": {}, "tensor_slice": {}}
-        alg._tensor_caches = c
-    return c
+def _memo(alg: DGAlgebra, table: str, key, build, *args):
+    """The value under key in alg's memo table `table`, stored as build(*args) on first use.
+
+    The tables are `alg._memo_tables` (name -> dict), each made when first
+    asked for.  A built value is never None.
+    """
+    t = alg._memo_tables[table]
+    got = t.get(key)
+    if got is None:
+        got = t[key] = build(*args)
+    return got
 
 
 def word_degree(w: Word) -> int:
     return sum(m.degree for m in w)
+
+
+def _word_key(w: Word):
+    return (word_degree(w), tuple(m.sort_key for m in w))
 
 
 def normalize_word(alg: DGAlgebra, word: Word):
@@ -68,10 +80,13 @@ def normalize_word(alg: DGAlgebra, word: Word):
     return sign, tuple(out)
 
 
-class TensorElement:
+class TensorElement(ScalarSum):
     """Finite sum of scalar multiples of canonical words of one fixed length."""
 
-    __slots__ = ("alg", "length", "terms")
+    __slots__ = ("length",)
+    key_degree = staticmethod(word_degree)
+    key_order = staticmethod(_word_key)
+    shape = property(lambda self: self.length)
 
     def __init__(self, alg: DGAlgebra, length: int, terms: dict | None = None):
         if length < 1:
@@ -79,6 +94,9 @@ class TensorElement:
         self.alg = alg
         self.length = length
         self.terms = terms or {}
+
+    def _like(self, terms: dict) -> "TensorElement":
+        return TensorElement(self.alg, self.length, terms)
 
     # -- construction helpers ----------------------------------------------
 
@@ -99,10 +117,8 @@ class TensorElement:
         if not coeff:
             return
         nw = normalize_word(self.alg, word)
-        if nw is None:
-            return
-        sign, w = nw
-        self._add_canonical(w, self.alg.field.neg(coeff) if sign < 0 else coeff)
+        if nw is not None:
+            add_term(self.alg.field, self.terms, nw[1], coeff, nw[0] < 0)
 
     def _add_at_slot(self, word: Word, i: int, coeff):
         """Accumulate coeff * word, where word is canonical except perhaps at slot i.
@@ -118,6 +134,7 @@ class TensorElement:
         need it; slot 0 holds any B-monomial, so i = 0 needs none.
         """
         alg = self.alg
+        s = 1
         if i:
             a, e = alg.mono_split(word[i])
             if a.degree:
@@ -128,73 +145,10 @@ class TensorElement:
                 if a.degree % 2 and sum(m.degree for m in word[1:i]) % 2:
                     s = -s
                 word = (m0,) + word[1:i] + (e,) + word[i + 1:]
-                if s < 0:
-                    coeff = alg.field.neg(coeff)
-        self._add_canonical(word, coeff)
-
-    def _add_canonical(self, word: Word, coeff):
-        if not coeff:
-            return
-        s = self.alg.field.add(self.terms.get(word, 0), coeff)
-        if not s:
-            self.terms.pop(word, None)
-        else:
-            self.terms[word] = s
-
-    # -- linear structure ----------------------------------------------------
-
-    def _check(self, other: "TensorElement"):
-        if self.alg is not other.alg:
-            raise DgresError("tensor elements over different algebras")
-        if self.length != other.length:
-            raise LengthMismatch(f"lengths {self.length} and {other.length}")
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        out = TensorElement(self.alg, self.length, dict(self.terms))
-        for w, c in other.terms.items():
-            out._add_canonical(w, c)
-        return out
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + other.scale_int(-1)
-
-    def __neg__(self) -> "TensorElement":
-        return self.scale_int(-1)
-
-    def scale(self, c) -> "TensorElement":
-        f = self.alg.field
-        if c == f.zero:
-            return TensorElement(self.alg, self.length)
-        return TensorElement(self.alg, self.length, {w: f.mul(v, c) for w, v in self.terms.items()})
-
-    def scale_int(self, n: int) -> "TensorElement":
-        return self.scale(self.alg.field.of_int(n))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.alg is other.alg and self.length == other.length and self.terms == other.terms
+        add_term(alg.field, self.terms, word, coeff, s < 0)
 
     def __hash__(self):
-        return hash((id(self.alg), self.length, tuple(sorted(self.terms.items(), key=lambda wc: _word_key(wc[0])))))
-
-    def degrees(self) -> set[int]:
-        return {word_degree(w) for w in self.terms}
-
-    def homogeneous_degree(self):
-        degs = self.degrees()
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise DgresError("tensor element is not homogeneous")
-        return degs.pop()
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda wc: _word_key(wc[0]))
+        return hash((id(self.alg), self.length, tuple(self.sorted_terms())))
 
     def __repr__(self):
         if not self.terms:
@@ -205,10 +159,6 @@ class TensorElement:
             body = "(x)".join(alg.mono_repr(m) for m in w)
             parts.append(f"{c}*{body}" if c != alg.field.one else body)
         return " + ".join(parts)
-
-
-def _word_key(w: Word):
-    return (word_degree(w), tuple(m.sort_key for m in w))
 
 
 # -- multiplicative structure -------------------------------------------------
@@ -261,13 +211,8 @@ def left_mult(u: AlgElement, t: TensorElement) -> TensorElement:
     for mu, cu in u.terms.items():
         for w, cw in t.terms.items():
             sm = alg.mono_mul(mu, w[0])
-            if sm is None:
-                continue
-            s, m0 = sm
-            c = f.mul(cu, cw)
-            if s < 0:
-                c = f.neg(c)
-            out._add_canonical((m0,) + w[1:], c)
+            if sm is not None:
+                add_term(f, out.terms, (sm[1],) + w[1:], f.mul(cu, cw), sm[0] < 0)
     return out
 
 
@@ -299,10 +244,8 @@ def merge_at(t: TensorElement, i: int) -> TensorElement:
     out = TensorElement(alg, t.length - 1)
     for w, c in t.terms.items():
         sm = alg.mono_mul(w[i], w[i + 1])
-        if sm is None:
-            continue
-        s, m = sm
-        out._add_canonical(w[:i] + (m,) + w[i + 2:], f.neg(c) if s < 0 else c)
+        if sm is not None:
+            add_term(f, out.terms, w[:i] + (sm[1],) + w[i + 2:], c, sm[0] < 0)
     return out
 
 
@@ -361,15 +304,12 @@ def pi_B(t: TensorElement) -> AlgElement:
     if t.length != 2:
         raise LengthMismatch("pi_B expects length-2 tensors")
     alg = t.alg
-    f = alg.field
-    out = alg.zero()
+    out: dict = {}
     for w, c in t.terms.items():
         sm = alg.mono_mul(w[0], w[1])
-        if sm is None:
-            continue
-        s, m = sm
-        out = out + alg.from_monomial(m, f.neg(c) if s < 0 else c)
-    return out
+        if sm is not None:
+            add_term(alg.field, out, sm[1], c, sm[0] < 0)
+    return AlgElement(alg, out)
 
 
 def as_algebra_element(t: TensorElement) -> AlgElement:
@@ -392,8 +332,8 @@ def delta(b: AlgElement) -> TensorElement:
         a, w = alg.mono_split(m)
         if not any(w.exps):
             continue  # δ vanishes on A
-        out._add_canonical((a, w), c)
-        out._add_canonical((m, one), alg.field.neg(c))
+        add_term(alg.field, out.terms, (a, w), c)
+        add_term(alg.field, out.terms, (m, one), c, True)
     return out
 
 
@@ -402,17 +342,15 @@ def delta(b: AlgElement) -> TensorElement:
 
 def delta_word(alg: DGAlgebra, ws: Word) -> TensorElement:
     """δ(w_1) ⊗_B ... ⊗_B δ(w_n) in flat coordinates (length n+1)."""
-    cache = _caches(alg)["delta_word"]
-    got = cache.get(ws)
-    if got is not None:
-        return got
+    return _memo(alg, "delta_word", ws, _delta_word, alg, ws)
+
+
+def _delta_word(alg: DGAlgebra, ws: Word) -> TensorElement:
     if not ws:
-        out = TensorElement.unit(alg, 1)
-    else:
-        out = delta(alg.from_monomial(ws[0]))
-        for w in ws[1:]:
-            out = concat_B(out, delta(alg.from_monomial(w)))
-    cache[ws] = out
+        return TensorElement.unit(alg, 1)
+    out = delta(alg.from_monomial(ws[0]))
+    for w in ws[1:]:
+        out = concat_B(out, delta(alg.from_monomial(w)))
     return out
 
 
@@ -434,14 +372,10 @@ def delta_coords(t: TensorElement, n: int, strict: bool = True):
     ones_part = TensorElement(alg, t.length - 1)
     for w, c in t.terms.items():
         last = w[-1]
-        if last == one:
-            ones_part._add_canonical(w[:-1], c)
-        else:
-            sub = groups.get(last)
-            if sub is None:
-                sub = TensorElement(alg, t.length - 1)
-                groups[last] = sub
-            sub._add_canonical(w[:-1], c)
+        sub = ones_part if last == one else groups.get(last)
+        if sub is None:
+            sub = groups[last] = TensorElement(alg, t.length - 1)
+        add_term(alg.field, sub.terms, w[:-1], c)
     out: dict[Word, TensorElement] = {}
     predicted = TensorElement(alg, t.length - 1)
     for wlast, sub in sorted(groups.items(), key=lambda kv: kv[0].sort_key):
@@ -512,11 +446,10 @@ def tensor_basis(alg: DGAlgebra, length: int, degree: int) -> tuple[Word, ...]:
     Each slot runs through its monomials by increasing (degree, exps), slot 0
     outermost, so the words come out sorted.
     """
-    key = (length, degree)
-    cache = _caches(alg)["tensor_basis"]
-    got = cache.get(key)
-    if got is not None:
-        return got
+    return _memo(alg, "tensor_basis", (length, degree), _tensor_basis, alg, length, degree)
+
+
+def _tensor_basis(alg: DGAlgebra, length: int, degree: int) -> tuple[Word, ...]:
     words: list[Word] = []
 
     def rec(prefix, slots_left, remaining):
@@ -533,9 +466,7 @@ def tensor_basis(alg: DGAlgebra, length: int, degree: int) -> tuple[Word, ...]:
     for d0 in range(degree + 1):
         for b in alg.basis("B", d0):
             rec([b], length - 1, degree - d0)
-    result = tuple(words)
-    cache[key] = result
-    return result
+    return tuple(words)
 
 
 def _delta_factors(alg: DGAlgebra, n: int, degree: int) -> list[Word]:
@@ -543,16 +474,11 @@ def _delta_factors(alg: DGAlgebra, n: int, degree: int) -> list[Word]:
 
     They come out sorted by their `sort_key`s, w_1 first; cached per algebra.
     """
-    cache = _caches(alg)["delta_factors"]
-    got = cache.get((n, degree))
-    if got is None:
-        if n == 0:
-            got = [()] if degree == 0 else []
-        else:
-            got = [(w,) + rest for d in range(1, degree - n + 2) for w in alg.basis("W", d)
-                   for rest in _delta_factors(alg, n - 1, degree - d)]
-        cache[(n, degree)] = got
-    return got
+    if n == 0:
+        return [()] if degree == 0 else []
+    return _memo(alg, "delta_factors", (n, degree), lambda: [
+        (w,) + rest for d in range(1, degree - n + 2) for w in alg.basis("W", d)
+        for rest in _delta_factors(alg, n - 1, degree - d)])
 
 
 def jn_basis_labels(alg: DGAlgebra, n: int, degree: int) -> tuple[tuple[Monomial, Word], ...]:
@@ -560,13 +486,8 @@ def jn_basis_labels(alg: DGAlgebra, n: int, degree: int) -> tuple[tuple[Monomial
 
     Sorted by b, then w_1..w_n, each by its `sort_key`.
     """
-    key = (n, degree)
-    cache = _caches(alg)["jn_basis"]
-    got = cache.get(key)
-    if got is None:
-        got = cache[key] = tuple((b, ws) for db in range(degree + 1) for b in alg.basis("B", db)
-                                 for ws in _delta_factors(alg, n, degree - db))
-    return got
+    return _memo(alg, "jn_basis", (n, degree), lambda: tuple(
+        (b, ws) for db in range(degree + 1) for b in alg.basis("B", db) for ws in _delta_factors(alg, n, degree - db)))
 
 
 def jn_basis_element(alg: DGAlgebra, label) -> TensorElement:
@@ -589,12 +510,7 @@ def prefixed_basis_labels(alg: DGAlgebra, n: int, degree: int):
     semifree basis of B over A.  Sorted by b, then m, then w_1..w_n, each by
     its `sort_key`.
     """
-    key = (n, degree)
-    cache = _caches(alg)["prefixed_basis"]
-    got = cache.get(key)
-    if got is None:
-        got = cache[key] = tuple(_prefixed_labels(alg, n, degree))
-    return got
+    return _memo(alg, "prefixed_basis", (n, degree), lambda: tuple(_prefixed_labels(alg, n, degree)))
 
 
 def prefixed_basis_dim(alg: DGAlgebra, n: int, degree: int) -> int:
@@ -605,16 +521,11 @@ def prefixed_basis_dim(alg: DGAlgebra, n: int, degree: int) -> int:
     pairs (b, m) of n = 0, dim(0, d) = Σ_e |B_{d−e}|·|W_e|.  Cached per
     algebra: one table serves the reduced bar and (𝔹, 𝔻) tables.
     """
-    cache = _caches(alg)["label_counts"]
-    got = cache.get((n, degree))
-    if got is None:
-        if n == 0:
-            got = sum(len(alg.basis("B", degree - e)) * len(alg.basis("W", e)) for e in range(degree + 1))
-        else:
-            got = sum(len(alg.basis("W", e)) * prefixed_basis_dim(alg, n - 1, degree - e)
-                      for e in range(1, degree - n + 2))
-        cache[(n, degree)] = got
-    return got
+    if n == 0:
+        return _memo(alg, "label_counts", (0, degree), lambda: sum(
+            len(alg.basis("B", degree - e)) * len(alg.basis("W", e)) for e in range(degree + 1)))
+    return _memo(alg, "label_counts", (n, degree), lambda: sum(
+        len(alg.basis("W", e)) * prefixed_basis_dim(alg, n - 1, degree - e) for e in range(1, degree - n + 2)))
 
 
 def prefixed_basis_element(alg: DGAlgebra, label) -> TensorElement:

@@ -215,6 +215,7 @@ def fraction_random_scalar(field, rng):
 
 def enumerating_random_tensor(alg, rng, length, degree, max_terms=3):
     """The tensor sampler as it was before slices were unranked: sample the enumerated basis."""
+    from dgres.algebra import add_term
     from dgres.tensor import TensorElement, tensor_basis
 
     basis = tensor_basis(alg, length, degree)
@@ -222,7 +223,7 @@ def enumerating_random_tensor(alg, rng, length, degree, max_terms=3):
     if not basis:
         return out
     for w in rng.sample(list(basis), min(len(basis), rng.randrange(1, max_terms + 1))):
-        out._add_canonical(w, fraction_random_scalar(alg.field, rng))
+        add_term(alg.field, out.terms, w, fraction_random_scalar(alg.field, rng))
     return out
 
 

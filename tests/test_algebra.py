@@ -341,3 +341,62 @@ def test_hash_and_order_of_elements_do_not_depend_on_codes():
     (codes1, rest1), (codes2, rest2) = runs
     assert codes1 != codes2 and rest1 == rest2
     assert rest1.startswith("5 + -3*e + x + 2*y*e ")
+
+
+def _linear_examples(kind: str):
+    """Five elements of one type: x and y, a sum of two degrees, an element over another
+    owner and one of another shape or type over x's owner.  The owners are E3 (d e = y)
+    and the module c0, c1 with d c1 = c0·y, each built twice."""
+    from dgres.fixtures import e3, extended_module
+    from dgres.modules import ModTensorElement, NTElement, beta_N, mod_element
+    from dgres.semifree import BBElement, TElement, bb_word, t_word
+    from dgres.tensor import TensorElement, delta
+
+    alg, other = e3(), e3()
+    e, y = alg.gen("e"), alg.gen("y")
+    N, N2 = extended_module(alg), extended_module(alg)
+    one, ym, em = alg.one_mono, alg.mono({"y": 1}), alg.mono({"e": 1})
+    if kind == "AlgElement":
+        return e * y, y * y + y.scale_int(3), e + y, other.gen("y"), TensorElement(alg, 1, {(ym,): 1})
+    if kind == "TensorElement":
+        return (delta(e), TensorElement.from_word(alg, (ym, em)), delta(e) + delta(y * e), delta(other.gen("e")),
+                TensorElement.unit(alg, 3))
+    if kind == "ModTensorElement":
+        return (mod_element(N, "c1"), ModTensorElement(N, 1, {(0, (ym,)): 2}), mod_element(N, "c0") + mod_element(N, "c1"),
+                mod_element(N2, "c1"), ModTensorElement(N, 2, {(0, (one, one)): 1}))
+    if kind == "TElement":
+        return (t_word(alg, [e]), t_word(alg, [y * e]), TElement.one(alg) + t_word(alg, [e]),
+                t_word(other, [other.gen("e")]), BBElement.one(alg))
+    if kind == "BBElement":
+        return (bb_word(alg, alg.one(), [e]), bb_word(alg, y, [e]), BBElement.one(alg) + bb_word(alg, alg.one(), [e]),
+                BBElement.one(other), TElement.one(alg))
+    unit = ModTensorElement(N, 2, {(0, (one, one)): 1})
+    return (beta_N(N, "c1"), NTElement(N, {0: unit}), beta_N(N, "c1") + NTElement(N, {0: unit}),
+            NTElement(N2, {0: ModTensorElement(N2, 2, {(0, (one, one)): 1})}), unit)
+
+
+@pytest.mark.parametrize("kind", ["AlgElement", "TensorElement", "ModTensorElement", "TElement", "BBElement", "NTElement"])
+def test_linear_laws_of_every_element_type(kind):
+    # the scalar sums (AlgElement, TensorElement) and the direct sums (the
+    # rest) each write their linear structure once; the laws hold on each type
+    from dgres.errors import LengthMismatch, MismatchedAlgebra
+
+    x, y, mixed, foreign, other_shape = _linear_examples(kind)
+    assert type(x).__name__ == kind and not x.is_zero() and not y.is_zero()
+    f = (x.alg if hasattr(x, "alg") else x.module.alg).field
+    assert (x + (-x)).is_zero() and (x - x).is_zero()
+    assert x - y == x + y.scale(f.of_int(-1)) == x + y.scale_int(-1)
+    assert x - y != x + y
+    zero = x.scale(f.zero)
+    assert type(zero) is type(x) and zero.is_zero() and zero == y.scale_int(0)
+    assert x.homogeneous_degree() is not None and zero.homogeneous_degree() is None
+    with pytest.raises(DgresError, match="not homogeneous"):
+        mixed.homogeneous_degree()
+    with pytest.raises(MismatchedAlgebra):
+        x + foreign
+    with pytest.raises(LengthMismatch):
+        x + other_shape
+    others = [_linear_examples(k)[0] for k in ("AlgElement", "TElement")]
+    for z in [other_shape] + others:
+        if type(z) is not type(x):
+            assert (x == z) is False and (x != z) is True

@@ -621,14 +621,13 @@ def test_reduced_bar_keeps_no_slice_or_label_list_from_n3(golden_dir, capsys, mo
     # a slice nor a label list with n >= 3 stays cached (Λ(a,b,c) has them
     # from degree 3)
     import dgres.probfile as probfile
-    from dgres.tensor import _caches
 
     seen = []
     real = probfile.parse_problem
     monkeypatch.setattr(probfile, "parse_problem", lambda text: seen.append(real(text)) or seen[-1])
     code, out, err = run_cli(command[:1] + [str(golden_dir / "lam3.dgres")] + command[1:], capsys)
     assert code == 0 and err == ""
-    caches = _caches(seen[0].algebra)
+    caches = seen[0].algebra._memo_tables
     assert {n for n, _ in caches["reduced_slice"]} == {1, 2}
     assert {n for n, _ in caches["prefixed_basis"]} <= {0, 1, 2}
 
@@ -639,7 +638,6 @@ def test_semifree_keeps_no_full_basis(golden_dir, capsys, monkeypatch):
     # on 𝔹 labels (n, λ) has prefix-1 columns only
     import dgres.probfile as probfile
     from dgres.linalg import SliceMatrix
-    from dgres.tensor import _caches
 
     seen = []
     real = probfile.parse_problem
@@ -648,8 +646,8 @@ def test_semifree_keeps_no_full_basis(golden_dir, capsys, monkeypatch):
         code, out, err = run_cli([command, str(golden_dir / "k3p.dgres"), "--max-degree", "10"], capsys)
         assert code == 0 and err == ""
         alg = seen[-1].algebra
-        caches = _caches(alg)
-        assert all(t <= 5 for t in caches["bb_basis"])
+        caches = alg._memo_tables
+        assert all(t <= 5 for t in caches.get("bb_basis", ()))  # a table is made on first use
         matrices = [M for cache in caches.values() for M in cache.values() if isinstance(M, SliceMatrix)]
         labels = [lb for M in matrices for lb in M.col_labels if isinstance(lb, tuple) and len(lb) == 2]
         assert labels and all(b == alg.one_mono for _, (b, _, _) in labels)

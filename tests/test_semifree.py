@@ -1,3 +1,4 @@
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -149,7 +150,7 @@ def test_DD_leibniz_over_action(fixture_algebras):
                 if label[0] < 1:
                     continue
                 beta = bb_basis_element(alg, label)
-                td = beta.total_degree()
+                td = beta.homogeneous_degree()
                 for s in words:
                     lhs = DD(t_action(beta, s))
                     rhs = t_action(DD(beta), s) + t_action(beta, dBB(s)).scale_int(-1 if td % 2 else 1)
@@ -192,7 +193,7 @@ def test_total_homology_matches_filtration_reading(fixture_algebras):
     # degenerate spectral reading: H(total) must equal H(B) degreewise; the
     # table from dimensions against the dense ranks of the 𝔻 slices
     for alg in fixture_algebras.values():
-        hB = homology_dims(alg, "B", 7)
+        hB = homology_dims(alg, 7)
         assert quasi_iso_check(alg, 7).passed
         oracle = bb_rank_table(alg, 7)
         assert bb_homology_table(alg, 7).rows() == oracle
@@ -240,7 +241,7 @@ def test_checked_columns_and_matrix_squares(fixture_algebras, odd_base, K3p, mon
         calls.clear()
         lemma.clear()
         tail.clear()
-        monkeypatch.setattr(alg, "_tensor_caches", None, raising=False)  # columns are memoised per algebra
+        monkeypatch.setattr(alg, "_memo_tables", defaultdict(dict))  # columns are memoised per algebra
         assert checked_dd_columns(alg, 6)
         one = alg.one_mono
         prefix_one = [lb for t in range(7) for lb in bb_total_basis(alg, t) if lb[1][0] == one]
@@ -362,7 +363,7 @@ def test_checked_columns_catch_a_wrong_closed_form(request, monkeypatch, mutatio
     alg = request.getfixturevalue(name)
     assert checked_dd_columns(alg, 8)
     # the mutated columns go to fresh caches, dropped again after the test
-    monkeypatch.setattr(alg, "_tensor_caches", None, raising=False)
+    monkeypatch.setattr(alg, "_memo_tables", defaultdict(dict))
     monkeypatch.setattr(homology, "dd_column", DD_MUTATIONS[mutation][0](homology.dd_column))
     assert not checked_dd_columns(alg, 8)
 
@@ -397,7 +398,7 @@ def test_checked_columns_reject_a_row_outside_the_basis(request, monkeypatch, ou
     assert checked_dd_columns(alg, 8)
     one, e = alg.one_mono, next(w for d in range(1, 4) for w in alg.basis("W", d))
     assert bb_basis_element(alg, (1, (one, e, (one,)))).is_zero()
-    monkeypatch.setattr(alg, "_tensor_caches", None, raising=False)
+    monkeypatch.setattr(alg, "_memo_tables", defaultdict(dict))
     monkeypatch.setattr(homology, "dd_column", mutated)
     assert not checked_dd_columns(alg, 8)
 
@@ -433,3 +434,20 @@ def test_t_concatenation_of_words(fixture_algebras):
                     assert t_action(bb_word(alg, b, us), t_word(alg, vs)) == bb_word(alg, b, us + vs), (b, us, vs)
                 cases += 1 + len(prefixes)
     assert cases >= 300
+
+
+def test_graded_sum_checks_its_owner():
+    # components in different word lengths never meet, so the owner is
+    # compared once, by the direct sum itself
+    from dgres.errors import MismatchedAlgebra
+    from dgres.fixtures import e1, e2, module_B
+    from dgres.modules import ModTensorElement, NTElement
+
+    E1, E2 = e1(), e2()
+    with pytest.raises(MismatchedAlgebra):
+        BBElement.one(E1) + bb_word(E2, E2.one(), [E2.gen("x")])
+    N1, N2 = module_B(E1), module_B(E1)
+    one, e = E1.one_mono, E1.mono({"e": 1})
+    with pytest.raises(MismatchedAlgebra):
+        NTElement(N1, {0: ModTensorElement(N1, 2, {(0, (one, one)): 1})}) + \
+            NTElement(N2, {1: ModTensorElement(N2, 3, {(0, (one, e, one)): 1})})

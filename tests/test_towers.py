@@ -188,7 +188,7 @@ def test_prefix_one_product_checks_match_the_full_columns(kind, field, data):
     assert prefix_one_checks(alg, D) == full_column_checks(alg, D) == (True, True, True, None)
     scale = alg.field.of_int(data.draw(st.sampled_from((-1, 2, 3))))
     dd = perturbed_dd(alg, D, data.draw(st.integers(0, 10**6)), scale)
-    alg._tensor_caches = None  # the columns are memoised with the closed form they read
+    alg._memo_tables.clear()  # the columns are memoised with the closed form they read
     with mock.patch.object(homology, "dd_column", dd):
         assert prefix_one_checks(alg, D) == full_column_checks(alg, D, dd)
 
@@ -246,7 +246,7 @@ def test_streamed_reduced_checks_match_every_slice(kind, field, data):
         == (True, [None] * (D + 1))
     mutations = homotopy_mutations(alg, D, data.draw(st.integers(0, 10**6)))
     name = data.draw(st.sampled_from(sorted(mutations)))
-    alg._tensor_caches = None  # the certificate is cached with the functions it read
+    alg._memo_tables.clear()  # the certificate is cached with the functions it read
     with mock.patch.object(bar, "homotopy", mutations[name]):
         assert checked_reduced_columns(alg, D)
         streamed = reduced_d_squared_zero(alg, D), reduced_homotopy_defects(alg, D)
