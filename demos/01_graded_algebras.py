@@ -3,7 +3,7 @@
 Run:  python demos/01_graded_algebras.py
 """
 
-from dgres import DGAlgebra, Field, basis_enumerate, validate_dg
+from dgres import DGAlgebra, Field, validate_dg
 
 # The running example: A = Q[y] with |y| = 2 and dy = 0, extended by an
 # exterior generator e with |e| = 3 and de = y.
@@ -24,7 +24,7 @@ print("d drops degree by one:              d(e) =", E3.d(e))
 print()
 print("basis slices are finite and canonical:")
 for d in range(7):
-    monos = basis_enumerate(E3, "B", d)
+    monos = E3.basis("B", d)
     print(f"  degree {d}: ", [E3.mono_repr(m) for m in monos])
 
 print()

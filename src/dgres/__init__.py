@@ -9,7 +9,6 @@ from .algebra import (
     Generator,
     Monomial,
     ValidationReport,
-    basis_enumerate,
     validate_dg,
 )
 from .bar import (

@@ -461,13 +461,6 @@ class AlgElement(ScalarSum):
         return " + ".join(parts)
 
 
-# -- named operation wrappers ------------------------------------------------
-
-
-def basis_enumerate(alg: DGAlgebra, which: str, degree: int) -> list[Monomial]:
-    return list(alg.basis(which, degree))
-
-
 def validate_dg(alg: DGAlgebra, max_degree: int) -> ValidationReport:
     """Check the DG axioms on every basis monomial of degree <= max_degree."""
     rep = ValidationReport()

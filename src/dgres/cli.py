@@ -14,9 +14,11 @@ import sys
 
 from .algebra import validate_dg
 from .bar import (
+    BAD_REDUCED_COLUMNS,
     be_linear_space,
     check_classical_bar,
     check_eta,
+    check_reduced_bar,
     check_reduced_exactness,
     checked_reduced_columns,
     derivation_space,
@@ -91,17 +93,7 @@ def cmd_bar(args, problem) -> Report:
     alg = problem.algebra
     D = _opt_int(problem, args, "max_degree", 6)
     if args.reduced:
-        window = f"degrees 0..{D}"
-        # d̄ columns are built on the δ-labels; once each is checked, exactness
-        # and d̄² = 0 are read off the slice matrices
-        ok_cols = checked_reduced_columns(alg, D)
-        if ok_cols:
-            rep.add_validation("reduced", check_reduced_exactness(alg, D), window)
-        else:
-            for d in range(D + 1):
-                rep.add_check(f"reduced:reduced-exactness@deg{d}", False, window, BAD_REDUCED_COLUMNS)
-        rep.add_check("reduced-d-squared-zero", ok_cols and reduced_d_squared_zero(alg, D), window,
-                      "" if ok_cols else BAD_REDUCED_COLUMNS)
+        rep.add_validation("", check_reduced_bar(alg, D), f"degrees 0..{D}")
         return rep
     N = _opt_int(problem, args, "max_n", None)
     if N is None:
@@ -110,7 +102,6 @@ def cmd_bar(args, problem) -> Report:
     return rep
 
 
-BAD_REDUCED_COLUMNS = "a reduced bar column differs from the flat merge of its basis element"
 INVALID_ALGEBRA = "the algebra fails its algebra:* checks, so no resolution of it is certified"
 NO_PRODUCT = "the window holds no product DD_{t-1}DD_t with t >= 2, so nothing was checked"
 

@@ -15,6 +15,9 @@ its `terms` is a flat read-only view keyed by (index, word).
 
 Elements of N ⊗_A T are `GradedElement`s too, like those of 𝔹, keyed by word
 length: component n is an element of N ⊗_A B^{⊗_A (n+1)}, of word length n+2.
+The part of the differential `DN` of N ⊗_A T that keeps the component is
+the internal differential twisted by n, and one helper, `_internal_part`,
+computes it; `module_differential` is its n = 0 case.
 """
 
 from __future__ import annotations
@@ -200,21 +203,35 @@ def dN_matrix(N: SemifreeModule, length: int, degree: int) -> SliceMatrix:
                                      for key in src))
 
 
-def module_differential(t: ModTensorElement) -> ModTensorElement:
-    """Internal DG differential of N ⊗_A B^{⊗_A m} (not the bar differential).
+def _internal_part(t: ModTensorElement, n: int) -> ModTensorElement:
+    """The part of the internal differential of N ⊗_A T that keeps component n, on t in it.
 
-    On e_j ⊗ x_j: (-1)^{|e_j|} e_j ⊗ d(x_j) plus e_i ⊗ b_ij·x_j for i < j.
+    On e_j ⊗ x_j: (-1)^{|e_j|+n} e_j ⊗ d(x_j) plus e_i ⊗ b'_ij·x_j for i < j,
+    where b'_ij is b_ij with each monomial b signed (-1)^{n|b|}.  The one
+    helper of `module_differential` (n = 0) and `DN`.
     """
     mod = t.module
+    f = mod.alg.field
     parts: dict = {}
     for j, x in t.components.items():
         d = tensor_differential(x)
-        _add_to(parts, j, -d if mod.degrees[j] % 2 else d)
+        _add_to(parts, j, -d if (mod.degrees[j] + n) % 2 else d)
         for i in range(j):
             b = mod.diff.get((i, j))
             if b is not None:
+                if n % 2:
+                    b = AlgElement(b.alg, {m: f.neg(c) if m.degree % 2 else c for m, c in b.terms.items()})
                 _add_to(parts, i, left_mult(b, x))
     return ModTensorElement._of_parts(mod, t.length, parts)
+
+
+def module_differential(t: ModTensorElement) -> ModTensorElement:
+    """Internal DG differential of N ⊗_A B^{⊗_A m} (not the bar differential).
+
+    On e_j ⊗ x_j: (-1)^{|e_j|} e_j ⊗ d(x_j) plus e_i ⊗ b_ij·x_j for i < j;
+    `_internal_part` on component 0.
+    """
+    return _internal_part(t, 0)
 
 
 # -- N (x) T and the beta splitting ----------------------------------------------
@@ -225,10 +242,8 @@ class NTElement(GradedElement):
 
     __slots__ = ()
     offset = 2
+    part = ModTensorElement
     module = property(lambda self: self.owner)
-
-    def _empty(self, length: int) -> ModTensorElement:
-        return ModTensorElement(self.owner, length)
 
 
 def nt_right_mult(t: NTElement, u: AlgElement) -> NTElement:
@@ -238,31 +253,16 @@ def nt_right_mult(t: NTElement, u: AlgElement) -> NTElement:
 def DN(t: NTElement) -> NTElement:
     """The differential of N ⊗_A T transported from N ⊗_B (𝔹, 𝔻).
 
-    On e_j ⊗ x_j in component n:  Σ_i e_i ⊗ b'_ij·x_j, where b'_ij is b_ij
-    with each monomial b signed (-1)^{n|b|}, plus (-1)^{|e_j|+n} e_j ⊗ d(x_j)
-    in component n and (-1)^{|e_j|} e_j ⊗ merge01(x_j) in component n-1.
+    On e_j ⊗ x_j in component n: `_internal_part`, which keeps component n,
+    plus (-1)^{|e_j|} e_j ⊗ merge01(x_j) in component n-1.
     """
     mod = t.module
-    f = mod.alg.field
     out = NTElement(mod)
     for n, te in t.components.items():
-        same: dict = {}
-        below: dict = {}
-        for j, x in te.components.items():
-            d = tensor_differential(x)
-            _add_to(same, j, -d if (mod.degrees[j] + n) % 2 else d)
-            for i in range(j):
-                b = mod.diff.get((i, j))
-                if b is not None:
-                    if n % 2:
-                        b = AlgElement(b.alg, {m: f.neg(c) if m.degree % 2 else c for m, c in b.terms.items()})
-                    _add_to(same, i, left_mult(b, x))
-            if n:
-                merged = merge_at(x, 0)
-                below[j] = -merged if mod.degrees[j] % 2 else merged
-        comps = {n: ModTensorElement._of_parts(mod, te.length, same)}
+        comps = {n: _internal_part(te, n)}
         if n:
-            comps[n - 1] = ModTensorElement._of_parts(mod, te.length - 1, below)
+            merged = mod_merge_at(te, 0)
+            comps[n - 1] = merged._like({j: -x if mod.degrees[j] % 2 else x for j, x in merged.components.items()})
         out = out + NTElement(mod, comps)
     return out
 
@@ -479,8 +479,11 @@ def check_rho(N: SemifreeModule, rho: dict) -> tuple[ValidationReport, list]:
     return rep, rows
 
 
-def lemma_sign_check(N: SemifreeModule, samples: int, seed: int,
-                     max_degree: int = 6, max_words: int = 4) -> ValidationReport:
+LEMMA_MAX_DEGREE = 6  # the sampled elements of `lemma_sign_check` have degree <= 6
+LEMMA_MAX_WORDS = 4   # and 1..4 tensor factors
+
+
+def lemma_sign_check(N: SemifreeModule, samples: int, seed: int) -> ValidationReport:
     """Bar-differential concatenation identities on random homogeneous elements.
 
     For β ∈ B^{⊗_A n}, β' ∈ B^{⊗_A m}, γ ∈ N ⊗_A B^{⊗_A n} (n, m >= 1):
@@ -506,10 +509,10 @@ def lemma_sign_check(N: SemifreeModule, samples: int, seed: int,
     bad1 = bad2 = None
     checked1 = checked2 = 0
     for _ in range(samples):
-        n = rng.randrange(1, max_words + 1)
-        m = rng.randrange(1, max_words + 1)
-        beta = random_homogeneous_tensor(alg, rng, n, rng.randrange(0, max_degree + 1))
-        betap = random_homogeneous_tensor(alg, rng, m, rng.randrange(0, max_degree + 1))
+        n = rng.randrange(1, LEMMA_MAX_WORDS + 1)
+        m = rng.randrange(1, LEMMA_MAX_WORDS + 1)
+        beta = random_homogeneous_tensor(alg, rng, n, rng.randrange(0, LEMMA_MAX_DEGREE + 1))
+        betap = random_homogeneous_tensor(alg, rng, m, rng.randrange(0, LEMMA_MAX_DEGREE + 1))
         # 𝐝(β'), read by both identities when m >= 2; it draws nothing from rng
         d_betap = bar_d(betap) if m >= 2 and not betap.is_zero() else None
         if n + m >= 3 and not beta.is_zero() and not betap.is_zero():
@@ -523,7 +526,7 @@ def lemma_sign_check(N: SemifreeModule, samples: int, seed: int,
                 rhs = rhs + (piece if (n + 1) % 2 == 0 else -piece)
             if lhs != rhs and bad1 is None:
                 bad1 = (beta, betap, lhs, rhs)
-        gamma = random_homogeneous_modtensor(N, rng, n + 1, rng.randrange(0, max_degree + 1))
+        gamma = random_homogeneous_modtensor(N, rng, n + 1, rng.randrange(0, LEMMA_MAX_DEGREE + 1))
         if gamma.is_zero() or betap.is_zero():
             continue
         checked2 += 1

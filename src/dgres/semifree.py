@@ -16,11 +16,13 @@ nonzero component.  T and 𝔹 key it by word length with `TensorElement`
 components (scalar sums, `algebra.ScalarSum`), `modules.ModTensorElement`
 by module generator with `TensorElement` components, and N ⊗_A T
 (`modules.NTElement`) by word length with `ModTensorElement` components.
-A word-length subclass fixes only the word length of component n and its
-empty component.  ∂ of T and of 𝔹 is the one helper `dBB`.  Both
-T-concatenations, the product of T (`t_multiply`) and its right action on
-𝔹 (`t_action`), are `concat_B`(x', y) for x in component k and y in
-component m, where x' is x with each word w signed (-1)^{m·|w|}.
+A word-length subclass fixes only the word length of component n and the
+type of its components.  `t_word` and `bb_word` build their δ-chains with
+the one builder `tensor.delta_chain`.  ∂ of T and of 𝔹 is the one helper
+`dBB`.  Both T-concatenations, the product of T (`t_multiply`) and its
+right action on 𝔹 (`t_action`), are the one junction product
+`tensor.concat_B`(x', y) for x in component k and y in component m, where
+x' is x with each word w signed (-1)^{m·|w|}.
 
 Suspension convention: (ΣM)_i = M_{i-1} with ∂(Σm) = -Σ∂(m).  This is the
 convention under which the stored formulas above hold; the invariant test
@@ -37,7 +39,7 @@ from .tensor import (
     _memo,
     _prefixed_labels,
     concat_B,
-    delta,
+    delta_chain,
     merge_at,
     pi_B,
     prefixed_basis_element,
@@ -64,8 +66,9 @@ class GradedElement:
     """Direct sum Σ_k x_k of components, one per key k, no zero component stored.
 
     Here the key n is a word length: component n has word length n +
-    `offset`, and a subclass gives only that offset and its empty
-    component.  `owner` is the algebra (T, 𝔹) or the module (N ⊗_A T) the
+    `offset`, and a subclass gives only that offset and `part`, the type
+    of its components, whose empty element `component` returns for a
+    missing key.  `owner` is the algebra (T, 𝔹) or the module (N ⊗_A T) the
     components live over.  `modules.ModTensorElement` keys components by
     module generator instead, and gives its own `shape` (the word length),
     `key_degree` and `_like`.  Sums of different types, owners or shapes
@@ -75,6 +78,7 @@ class GradedElement:
     __slots__ = ("owner", "components")
     offset = 0
     shape = None
+    part = TensorElement
 
     def __init__(self, owner, components: dict | None = None):
         self.owner = owner
@@ -94,7 +98,7 @@ class GradedElement:
 
     def component(self, n: int):
         t = self.components.get(n)
-        return self._empty(n + self.offset) if t is None else t
+        return self.part(self.owner, n + self.offset) if t is None else t
 
     def __add__(self, other):
         if self.owner is not other.owner:
@@ -148,9 +152,6 @@ class TElement(GradedElement):
     offset = 1
     alg = property(lambda self: self.owner)
 
-    def _empty(self, length: int) -> TensorElement:
-        return TensorElement(self.owner, length)
-
     @staticmethod
     def one(alg: DGAlgebra) -> "TElement":
         return TElement(alg, {0: TensorElement.unit(alg, 1)})
@@ -163,9 +164,6 @@ class BBElement(GradedElement):
     offset = 2
     alg = property(lambda self: self.owner)
 
-    def _empty(self, length: int) -> TensorElement:
-        return TensorElement(self.owner, length)
-
     @staticmethod
     def one(alg: DGAlgebra) -> "BBElement":
         return BBElement(alg, {0: TensorElement.unit(alg, 2)})
@@ -175,50 +173,29 @@ class BBElement(GradedElement):
 
 
 def t_word(alg: DGAlgebra, factors) -> TElement:
-    """Σδ(u_1) ⊗_B ... ⊗_B Σδ(u_n) for homogeneous u_i ∈ B, in stored form."""
-    us = [alg.from_monomial(u) if not isinstance(u, AlgElement) else u for u in factors]
-    n = len(us)
-    if n == 0:
-        return TElement.one(alg)
-    degs = []
-    for u in us:
-        d = u.homogeneous_degree()
-        if d is None:
-            return TElement(alg, {n: TensorElement(alg, n + 1)})
-        degs.append(d)
-    core = delta(us[0])
-    for u in us[1:]:
-        core = concat_B(core, delta(u))
-    return TElement(alg, {n: core.scale_int(psi_sign(n, 0, degs))})
+    """Σδ(u_1) ⊗_B ... ⊗_B Σδ(u_n) for homogeneous u_i ∈ B, in stored form: the
+    `tensor.delta_chain` of the u_i, signed psi_sign(n, 0, (|u_1|, ..., |u_n|))."""
+    us = [u if isinstance(u, AlgElement) else alg.from_monomial(u) for u in factors]
+    degs = [u.homogeneous_degree() for u in us]
+    if None in degs:
+        return TElement(alg)
+    return TElement(alg, {len(us): delta_chain(alg, us).scale_int(psi_sign(len(us), 0, degs))})
 
 
 def bb_word(alg: DGAlgebra, prefix: AlgElement, factors) -> BBElement:
     """b ⊗_A Σδ(u_1) ⊗_B ... ⊗_B Σδ(u_n) in stored coordinates.
 
-    The prefix may be inhomogeneous; the shuffle sign is applied per
-    homogeneous prefix term.
+    The prefix may be inhomogeneous.  As psi_sign(n, |b|, τ) =
+    (-1)^{n|b|}·psi_sign(n, 0, τ), each prefix monomial b is prepended to
+    component n of `t_word` with the sign (-1)^{n|b|}; a zero factor gives
+    zero, and an inhomogeneous one raises there.
     """
-    us = [alg.from_monomial(u) if not isinstance(u, AlgElement) else u for u in factors]
-    n = len(us)
-    degs = []
-    for u in us:
-        if u.is_zero():
-            return BBElement(alg)
-        d = u.homogeneous_degree()
-        if d is None:
-            raise DgresError("tensor factors must be homogeneous")
-        degs.append(d)
-    if n:
-        core = delta(us[0])
-        for u in us[1:]:
-            core = concat_B(core, delta(u))
-    else:
-        core = TensorElement.unit(alg, 1)
+    n = len(factors)
+    core = t_word(alg, factors).component(n)
     out = TensorElement(alg, n + 2)
     f = alg.field
     for bm, c in prefix.terms.items():
-        sign = psi_sign(n, bm.degree, degs)
-        cc = f.neg(c) if sign < 0 else c
+        cc = f.neg(c) if n * bm.degree % 2 else c
         for w, cw in core.terms.items():
             out._add_at_slot((bm,) + w, 1, f.mul(cc, cw))
     return BBElement(alg, {n: out})

@@ -13,9 +13,14 @@ membership.
 
 A `TensorElement` is the package's scalar sum (`algebra.ScalarSum`) keyed by
 canonical words of one fixed length; it adds only its normal-form steps
-and its products.  Direct sums of them, graded by word length or indexed by
-module generators, are `semifree.GradedElement`s.  Per-algebra tables of
-bases, δ-words, columns and slice matrices are kept by `_memo`.
+and its products.  `concat_B` is the one junction product: `left_mult` and
+`right_mult` are it with a one-slot factor on the left or right, and `pi_B`
+is `merge_at`(t, 0).  `delta_chain` is the one builder of δ-chains
+δ(u_1) ⊗_B ... ⊗_B δ(u_n), and `delta_coords` reads their coordinates off
+the words by a closed form.  Direct sums of tensor elements, graded by word
+length or indexed by module generators, are `semifree.GradedElement`s.
+Per-algebra tables of bases, δ-words, columns and slice matrices are kept
+by `_memo`.
 """
 
 from __future__ import annotations
@@ -203,38 +208,6 @@ def tensor_multiply(t1: TensorElement, t2: TensorElement) -> TensorElement:
     return out
 
 
-def left_mult(u: AlgElement, t: TensorElement) -> TensorElement:
-    """b·t: multiply into slot 0 (no crossing, no sign)."""
-    alg = t.alg
-    f = alg.field
-    out = TensorElement(alg, t.length)
-    for mu, cu in u.terms.items():
-        for w, cw in t.terms.items():
-            sm = alg.mono_mul(mu, w[0])
-            if sm is not None:
-                add_term(f, out.terms, (sm[1],) + w[1:], f.mul(cu, cw), sm[0] < 0)
-    return out
-
-
-def right_mult(t: TensorElement, u: AlgElement) -> TensorElement:
-    """t·b: multiply into the last slot (no crossing, no sign); only that slot is normalised."""
-    alg = t.alg
-    f = alg.field
-    out = TensorElement(alg, t.length)
-    last = t.length - 1
-    for w, cw in t.terms.items():
-        for mu, cu in u.terms.items():
-            sm = alg.mono_mul(w[-1], mu)
-            if sm is None:
-                continue
-            s, ml = sm
-            c = f.mul(cw, cu)
-            if s < 0:
-                c = f.neg(c)
-            out._add_at_slot(w[:-1] + (ml,), last, c)
-    return out
-
-
 def merge_at(t: TensorElement, i: int) -> TensorElement:
     """Multiply slots i and i+1 together (degree-0 chain map)."""
     alg = t.alg
@@ -275,6 +248,16 @@ def concat_B(t1: TensorElement, t2: TensorElement) -> TensorElement:
     return out
 
 
+def left_mult(u: AlgElement, t: TensorElement) -> TensorElement:
+    """b·t: `concat_B` with u as a one-slot left factor, so u multiplies slot 0."""
+    return concat_B(from_algebra_element(u), t)
+
+
+def right_mult(t: TensorElement, u: AlgElement) -> TensorElement:
+    """t·b: `concat_B` with u as a one-slot right factor, so u multiplies the last slot."""
+    return concat_B(t, from_algebra_element(u))
+
+
 def tensor_differential(t: TensorElement) -> TensorElement:
     """Slotwise differential with sign (-1)^{|u_1|+...+|u_{i-1}|}.
 
@@ -300,16 +283,10 @@ def tensor_differential(t: TensorElement) -> TensorElement:
 
 
 def pi_B(t: TensorElement) -> AlgElement:
-    """Multiplication map B ⊗_A B → B."""
+    """Multiplication map B ⊗_A B → B: `merge_at`(t, 0) read as an algebra element."""
     if t.length != 2:
         raise LengthMismatch("pi_B expects length-2 tensors")
-    alg = t.alg
-    out: dict = {}
-    for w, c in t.terms.items():
-        sm = alg.mono_mul(w[0], w[1])
-        if sm is not None:
-            add_term(alg.field, out, sm[1], c, sm[0] < 0)
-    return AlgElement(alg, out)
+    return as_algebra_element(merge_at(t, 0))
 
 
 def as_algebra_element(t: TensorElement) -> AlgElement:
@@ -340,58 +317,62 @@ def delta(b: AlgElement) -> TensorElement:
 # -- δ-basis machinery --------------------------------------------------------
 
 
-def delta_word(alg: DGAlgebra, ws: Word) -> TensorElement:
-    """δ(w_1) ⊗_B ... ⊗_B δ(w_n) in flat coordinates (length n+1)."""
-    return _memo(alg, "delta_word", ws, _delta_word, alg, ws)
+def delta_chain(alg: DGAlgebra, us) -> TensorElement:
+    """δ(u_1) ⊗_B ... ⊗_B δ(u_n) for u_i ∈ B, of length n+1; the unit of length 1 for n = 0.
 
-
-def _delta_word(alg: DGAlgebra, ws: Word) -> TensorElement:
-    if not ws:
-        return TensorElement.unit(alg, 1)
-    out = delta(alg.from_monomial(ws[0]))
-    for w in ws[1:]:
-        out = concat_B(out, delta(alg.from_monomial(w)))
+    The package's one builder of δ-chains: `delta_word`, `semifree.t_word`
+    and `semifree.bb_word` all read it.
+    """
+    out = TensorElement.unit(alg, 1)
+    for u in us:
+        out = concat_B(out, delta(u))
     return out
 
 
-def delta_coords(t: TensorElement, n: int, strict: bool = True):
-    """Left-B coordinates of t over the δ-words of length n.
+def delta_word(alg: DGAlgebra, ws: Word) -> TensorElement:
+    """δ(w_1) ⊗_B ... ⊗_B δ(w_n) of monomials, in flat coordinates (length n+1); cached per algebra."""
+    return _memo(alg, "delta_word", ws, lambda: delta_chain(alg, map(alg.from_monomial, ws)))
 
-    Peels the rightmost δ-factor n times.  Returns a dict mapping each tuple
-    of n ext monomials to its coefficient TensorElement of length
-    t.length - n, or None (strict=False) / NotInJn (strict=True) when t does
-    not lie in the span.
+
+def delta_coords(t: TensorElement, n: int) -> dict:
+    """Left coordinates of t over the δ-words of length n; NotInJn when t is outside their span.
+
+    Returns {ws: x_ws}, each x_ws of length k = t.length − n, with
+    t = Σ concat_B(x_ws, δ(w_1) ⊗_B ... ⊗_B δ(w_n)) and w_i nontrivial
+    W-monomials.
+
+    Lemma: of the words of concat_B(x, δ(w_1) ⊗_B ... ⊗_B δ(w_n)), only
+    u + ws, for the words u of x, has no 1 among its last n slots.
+
+    Proof, by induction down from the last slot.  δ(w_i) is 1⊗w_i − w_i⊗1,
+    so a word of the δ-chain picks one of the two for each i, and its slot
+    i is the second half of pick i times the first half of pick i + 1.  The
+    last slot is 1 unless pick n is 1⊗w_n; then slot n − 1 is the second
+    half of pick n − 1 times 1, which is 1 unless pick n − 1 is 1⊗w_{n−1},
+    and so on down: the one word without a 1 in slots 1..n is
+    (1, w_1, ..., w_n).  Concatenating x multiplies its slot 0 into the last
+    slot of each word u of x, which leaves the last n slots as they are
+    (only the junction slot k − 1 is normalised), and gives u + ws there.
+
+    So distinct (u, ws) give distinct words, no other word can cancel them,
+    and the coefficient of u in x_ws is that of the word u + ws in t, read
+    off the words of t whose last n slots hold no 1.  t lies in the span
+    exactly when it equals Σ concat_B(x_ws, δ(ws)) for the x_ws so read.
     """
     alg = t.alg
-    if n == 0:
-        return {(): t}
-    if t.length < n + 1:
+    k = t.length - n
+    if k < 1:
         raise LengthMismatch("word length too small for the requested δ-power")
     one = alg.one_mono
-    groups: dict[Monomial, TensorElement] = {}
-    ones_part = TensorElement(alg, t.length - 1)
+    coords: dict = {}
     for w, c in t.terms.items():
-        last = w[-1]
-        sub = ones_part if last == one else groups.get(last)
-        if sub is None:
-            sub = groups[last] = TensorElement(alg, t.length - 1)
-        add_term(alg.field, sub.terms, w[:-1], c)
-    out: dict[Word, TensorElement] = {}
-    predicted = TensorElement(alg, t.length - 1)
-    for wlast, sub in sorted(groups.items(), key=lambda kv: kv[0].sort_key):
-        subcoords = delta_coords(sub, n - 1, strict=strict)
-        if subcoords is None:
-            return None
-        for ws, val in subcoords.items():
-            out[ws + (wlast,)] = val
-        shifted = right_mult(sub, alg.from_monomial(wlast))
-        predicted = predicted + shifted
-    residual = ones_part + predicted
+        if one not in w[k:]:
+            coords.setdefault(w[k:], TensorElement(alg, k)).terms[w[:k]] = c
+    spanned = sum((concat_B(x, delta_word(alg, ws)) for ws, x in coords.items()), TensorElement(alg, t.length))
+    residual = t - spanned
     if not residual.is_zero():
-        if strict:
-            raise NotInJn(f"residual outside span: {residual!r}")
-        return None
-    return out
+        raise NotInJn(f"residual outside span: {residual!r}")
+    return coords
 
 
 @dataclass
@@ -407,7 +388,7 @@ def jn_membership(t: TensorElement, n: int):
     if t.length != n + 1:
         raise LengthMismatch(f"expected length {n + 1}, got {t.length}")
     try:
-        coords = delta_coords(t, n, strict=True)
+        coords = delta_coords(t, n)
     except NotInJn as exc:
         return False, str(exc)
     view = JnView(n, {ws: as_algebra_element(v) for ws, v in coords.items() if not v.is_zero()})
@@ -529,9 +510,6 @@ def prefixed_basis_dim(alg: DGAlgebra, n: int, degree: int) -> int:
 
 
 def prefixed_basis_element(alg: DGAlgebra, label) -> TensorElement:
-    """b ⊗_A m·δ(w_1) ⊗_B ... ⊗_B δ(w_n): prefixing b is injective on the canonical words of m·δ(ws)."""
+    """b ⊗_A m·δ(w_1) ⊗_B ... ⊗_B δ(w_n): the canonical word (b, m) ⊗_B-concatenated with the δ-word."""
     b, m, ws = label
-    core = delta_word(alg, ws)
-    if m != alg.one_mono:
-        core = left_mult(alg.from_monomial(m), core)
-    return TensorElement(alg, core.length + 1, {(b,) + w: c for w, c in core.terms.items()})
+    return concat_B(TensorElement(alg, 2, {(b, m): alg.field.one}), delta_word(alg, ws))

@@ -416,36 +416,26 @@ def reduced_full_checks(alg, D, homotopy=None):
     return square, firsts
 
 
-def prefixed_coords(t, n, strict=True):
-    """Coordinates of t ∈ B ⊗_A J^{⊗_B n} over `prefixed_basis_labels`, by peeling δ-factors.
+def prefixed_coords(t, n):
+    """Coordinates of t ∈ B ⊗_A J^{⊗_B n} over `prefixed_basis_labels`, from `delta_coords`.
 
-    Returns dict[(b, m, ws) -> scalar], or None / NotInJn when t is outside
+    Returns dict[(b, m, ws) -> scalar], or raises NotInJn when t is outside
     the subspace: the flat reference that the closed forms on labels are
     compared against.
     """
     from dgres.tensor import delta_coords
 
-    coords = delta_coords(t, n, strict=strict)
-    if coords is None:
-        return None
     out = {}
-    for ws, val in coords.items():
+    for ws, val in delta_coords(t, n).items():
         for w, c in val.terms.items():
             assert len(w) == 2, "prefixed coordinates expect length-2 residue"
             out[(w[0], w[1], ws)] = c
     return out
 
 
-def bb_coords(t, strict=True):
+def bb_coords(t):
     """Coordinates of a BBElement over the stored basis labels (n, (b, m, ws)), by `prefixed_coords`."""
-    out = {}
-    for n, te in t.components.items():
-        co = prefixed_coords(te, n, strict=strict)
-        if co is None:
-            return None
-        for lb, c in co.items():
-            out[(n, lb)] = c
-    return out
+    return {(n, lb): c for n, te in t.components.items() for lb, c in prefixed_coords(te, n).items()}
 
 
 def _sum(f, vecs):

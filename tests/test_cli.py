@@ -694,6 +694,22 @@ def test_semifree_fails_the_products_of_an_empty_window(tmp_path, capsys, D):
     assert "PASS  alpha-chain-map" in out and "PASS  quasi-isomorphism" in out and "table homology:" in out
 
 
+@pytest.mark.parametrize("fname, D, empty", [("e2.dgres", 3, True), ("e2.dgres", 4, False),
+                                           ("lam3.dgres", 1, True), ("lam3.dgres", 2, False)])
+def test_reduced_bar_fails_d_squared_zero_in_a_window_without_two_factor_labels(golden_dir, capsys, fname, D, empty):
+    # d̄² = 0 is read on the products d̄_1∘d̄_2: a label with two δ-factors has degree >= 2|x| = 4 on
+    # Q[x] and >= 2 on Λ(a,b,c), so below that the line has nothing to check, fails and says so;
+    # every exactness line rests on the homotopy identities and still passes
+    from dgres.bar import NO_TWO_FACTOR_LABEL
+
+    code, out, err = run_cli(["bar", str(golden_dir / fname), "--reduced", "--max-degree", str(D)], capsys)
+    assert code == (1 if empty else 0) and err == ""
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("  FAIL")]
+    assert failed == (["reduced-d-squared-zero"] if empty else [])
+    assert out.count(f"counterexample: {NO_TWO_FACTOR_LABEL}") == (1 if empty else 0)
+    assert out.count("PASS  reduced:reduced-exactness@deg") == D + 1
+
+
 def test_semifree_T_linearity_window_reaches_the_first_ext_label(tmp_path, capsys):
     # |e| = 5: no label of word length >= 1 has total degree <= 5, so the
     # window runs to 1 + |e| = 6 and the check passes on a valid algebra

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dgres.fixtures import all_fixtures, chain_N3, extended_module, module_B
-from dgres.modules import modtensor_basis
+from dgres.modules import LEMMA_MAX_DEGREE, LEMMA_MAX_WORDS, modtensor_basis
 from dgres.probfile import parse_problem
 from dgres.sampling import (ModTensorSlice, TensorSlice, random_homogeneous_modtensor,
                             random_homogeneous_tensor, random_scalar)
@@ -13,9 +13,9 @@ from dgres.scalars import Field
 from dgres.tensor import tensor_basis
 from oracles import enumerating_random_modtensor, enumerating_random_tensor, fraction_random_scalar
 
-# lemma_sign_check's defaults: tensors of 1..4 words and module tensors of
+# lemma_sign_check's bounds: tensors of 1..4 words and module tensors of
 # 2..5 words, in degrees 0..6
-MAX_DEGREE, MAX_WORDS = 6, 4
+MAX_DEGREE, MAX_WORDS = LEMMA_MAX_DEGREE, LEMMA_MAX_WORDS
 
 C9 = "\n".join(
     ["field rationals", "[algebra]", "ext a 1", "ext b 1", "ext c 1", "[module C9]"]

@@ -256,32 +256,44 @@ def test_jn_membership(E1, E2):
 
 def test_jn_membership_matches_linear_solve_oracle(fixture_algebras):
     # independent oracle: solve for coordinates over the expanded δ-basis
-    # with dense elimination, per degree slice
+    # with dense elimination, per degree slice, for n = 1 and n = 2, on
+    # random tensors and on random combinations of the basis; the δ-basis is
+    # free, so the dense solution is unique and the coordinates must match it
     import random
 
+    from dgres.sampling import random_scalar
     from oracles import dense_solve_oracle
 
     rng = random.Random(77)
     for alg in fixture_algebras.values():
         f = alg.field
-        for d in range(0, 6):
-            words = tensor_basis(alg, 2, d)
-            if not words:
-                continue
-            widx = {w: i for i, w in enumerate(words)}
-            labels = jn_basis_labels(alg, 1, d)
-            rows = [[f.zero] * len(labels) for _ in words]
-            for j, lb in enumerate(labels):
-                for w, c in jn_basis_element(alg, lb).terms.items():
-                    rows[widx[w]][j] = c
-            for _ in range(6):
-                t = random_homogeneous_tensor(alg, rng, 2, d)
-                b = [f.zero] * len(words)
-                for w, c in t.terms.items():
-                    b[widx[w]] = c
-                x, cert = dense_solve_oracle(rows, len(labels), b, f.p)
-                ok, _ = jn_membership(t, 1)
-                assert ok == (x is not None)
+        for n in (1, 2):
+            for d in range(0, 6):
+                words = tensor_basis(alg, n + 1, d)
+                if not words:
+                    continue
+                widx = {w: i for i, w in enumerate(words)}
+                labels = jn_basis_labels(alg, n, d)
+                basis = [jn_basis_element(alg, lb) for lb in labels]
+                rows = [[f.zero] * len(labels) for _ in words]
+                for j, el in enumerate(basis):
+                    for w, c in el.terms.items():
+                        rows[widx[w]][j] = c
+                samples = [random_homogeneous_tensor(alg, rng, n + 1, d) for _ in range(6)]
+                for _ in range(4 if labels else 0):
+                    picks = rng.sample(range(len(labels)), min(3, len(labels)))
+                    samples.append(sum((basis[j].scale(random_scalar(f, rng)) for j in picks),
+                                       TensorElement(alg, n + 1)))
+                for t in samples:
+                    b = [f.zero] * len(words)
+                    for w, c in t.terms.items():
+                        b[widx[w]] = c
+                    x, cert = dense_solve_oracle(rows, len(labels), b, f.p)
+                    ok, view = jn_membership(t, n)
+                    assert ok == (x is not None), (n, d, t)
+                    if ok:
+                        got = {(m, ws): c for ws, a in view.left_coords.items() for m, c in a.terms.items()}
+                        assert got == {lb: c for lb, c in zip(labels, x) if c != 0}, (n, d, t)
 
 
 def test_differential_preserves_diagonal_ideal(fixture_algebras):

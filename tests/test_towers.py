@@ -292,3 +292,78 @@ def test_monomial_kernels_match_their_oracles_on_random_towers(kind, field, data
         want = merge_sign_oracle(alg, m1, m2)
         got = alg.mono_mul(m1, m2)
         assert (got is None) if want is None else (got[0], got[1].exps) == want, (m1, m2)
+
+
+def render_expression(alg, el) -> str:
+    """An element of B as `.dgres` expression text: c*g^k*... terms joined by ' + '."""
+    def term(m, c):
+        powers = [g.name if k == 1 else f"{g.name}^{k}" for g, k in zip(alg.gens, m.exps) if k]
+        return "*".join([str(c)] + powers)
+    return " + ".join(term(m, c) for m, c in el.sorted_terms())
+
+
+def render_problem(alg, module=None) -> str:
+    """The `.dgres` text of a tower, and of one module [module M] over it given as (degrees, entries)."""
+    field = "field rationals" if alg.field.p is None else f"field prime {alg.field.p}"
+    lines = [field, "", "[algebra]"]
+    lines += [f"{'base' if i < alg.n_base else 'ext'} {g.name} {g.degree}" for i, g in enumerate(alg.gens)]
+    lines += [f"d {g.name} = {render_expression(alg, alg.diff_images[i])}"
+              for i, g in enumerate(alg.gens) if not alg.diff_images[i].is_zero()]
+    if module is not None:
+        degrees, entries = module
+        lines += ["", "[module M]"] + [f"generator g{i} {d}" for i, d in enumerate(degrees)]
+        lines += [f"entry g{j} g{i} = {render_expression(alg, b)}" for (i, j), b in entries.items()]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def triangular_modules(draw, alg):
+    """2-3 generators, each 1-4 degrees above the last, and random entries b_ij (i < j) of degree
+    |g_j| − |g_i| − 1; the module need not satisfy ∂² = 0, since `lift` must then fail its
+    checks, not the input."""
+    base, steps = draw(st.integers(0, 2)), draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    degrees = [base + sum(steps[:k]) for k in range(len(steps) + 1)]
+    entries = {}
+    for j in range(len(degrees)):
+        for i in range(j):
+            monos = alg.basis("B", degrees[j] - degrees[i] - 1)
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(monos), max_size=len(monos)))
+            b = alg.element([(c, {g.name: k for g, k in zip(alg.gens, m.exps) if k})
+                             for c, m in zip(coeffs, monos) if c])
+            if not b.is_zero():
+                entries[(i, j)] = b
+    return degrees, entries
+
+
+VALID_INPUT_RUNS = [["validate", "--max-degree", "4"], ["bar", "--reduced", "--max-degree", "4"],
+                    ["bar", "--max-n", "2", "--max-degree", "3"], ["semifree", "--max-degree", "4"],
+                    ["homology", "--max-degree", "4"], ["derivations", "--max-degree", "3", "--samples", "2"],
+                    ["lift", "--module", "M", "--max-degree", "3", "--samples", "5"]]
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_valid_random_inputs_round_trip_and_never_exit_2(tmp_path_factory, data):
+    # a tower rendered to text parses back to the same generators and
+    # differentials, and every command on it ends in a report: exit 0 or 1
+    from dgres.cli import main
+    from dgres.probfile import parse_problem
+
+    kind = data.draw(st.sampled_from(sorted(TOWERS)))
+    alg = data.draw(TOWERS[kind](data.draw(st.sampled_from(FIELDS))))
+    module = data.draw(triangular_modules(alg))
+    text = render_problem(alg, module)
+    back = parse_problem(text)
+    assert (back.algebra.gens, back.algebra.n_base, back.algebra.field.p) == (alg.gens, alg.n_base, alg.field.p)
+
+    def terms(b):
+        return [(m.exps, c) for m, c in b.sorted_terms()]
+    assert [terms(back.algebra.diff_images[i]) for i in range(len(alg.gens))] == \
+        [terms(alg.diff_images[i]) for i in range(len(alg.gens))], text
+    assert back.modules["M"].degrees == tuple(module[0])
+    assert {k: terms(b) for k, b in back.modules["M"].diff.items()} == {k: terms(b) for k, b in module[1].items()}, text
+    path = tmp_path_factory.mktemp("tower") / "tower.dgres"
+    path.write_text(text)
+    with mock.patch("sys.stdout"), mock.patch("sys.stderr"):
+        codes = [main([run[0], str(path)] + run[1:]) for run in VALID_INPUT_RUNS]
+    assert all(code in (0, 1) for code in codes), (codes, text)
