@@ -21,7 +21,6 @@ from .bar import (
     check_classical_bar,
     check_eta,
     check_reduced_exactness,
-    derivation_from_generator_images,
     derivation_space,
     eta,
     eta_inverse,
@@ -80,12 +79,8 @@ from .semifree import (
     t_word,
 )
 from .tensor import (
-    JnView,
     TensorElement,
     delta,
-    jn_membership,
-    kappa_n,
-    kappa_n_inverse,
     pi_B,
     tensor_differential,
     tensor_multiply,

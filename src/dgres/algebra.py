@@ -25,7 +25,6 @@ once for all its subclasses.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from operator import add, attrgetter
 from typing import Iterable, NamedTuple
@@ -88,16 +87,16 @@ class Monomial(int):
         return f"Monomial(exps={self.exps!r}, degree={self.degree!r})"
 
 
-@dataclass
 class CheckRecord:
-    name: str
-    status: str  # "PASS" | "FAIL"
-    details: str = ""
+    def __init__(self, name: str, status: str, details: str = ""):
+        self.name = name
+        self.status = status  # "PASS" | "FAIL"
+        self.details = details
 
 
-@dataclass
 class ValidationReport:
-    checks: list[CheckRecord] = dc_field(default_factory=list)
+    def __init__(self, checks: list[CheckRecord] | None = None):
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, ok: bool, details: str = ""):
         self.checks.append(CheckRecord(name, "PASS" if ok else "FAIL", details))

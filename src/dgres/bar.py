@@ -15,9 +15,8 @@ n <= 2 are built, and every check on longer words follows from them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .algebra import AlgElement, DGAlgebra, Monomial, ValidationReport, add_term
+from .algebra import AlgElement, DGAlgebra, ValidationReport, add_term
 from .errors import LengthMismatch, NotInDomain, NotInJn, NotLinear, ObstructionNonzero
 from .linalg import SliceMatrix, identity_defect, identity_defects
 from .sampling import random_scalar
@@ -211,13 +210,13 @@ def _in_window(cutoff: int, *factors) -> bool:
     return sum(x.degree for x in factors) <= cutoff
 
 
-@dataclass
 class DerivationTable:
     """An A-derivation B -> L ⊆ B^{⊗_A 2}, tabulated on basis monomials."""
 
-    alg: DGAlgebra
-    cutoff: int
-    images: dict  # Monomial -> TensorElement (length 2)
+    def __init__(self, alg: DGAlgebra, cutoff: int, images: dict):
+        self.alg = alg
+        self.cutoff = cutoff
+        self.images = images  # Monomial -> TensorElement (length 2)
 
     def apply(self, b: AlgElement) -> TensorElement:
         out = TensorElement(self.alg, 2)
@@ -253,40 +252,12 @@ class DerivationTable:
         return rep
 
 
-def derivation_from_generator_images(alg: DGAlgebra, gen_images: dict, cutoff: int) -> DerivationTable:
-    """Extend images of the generators to a derivation table by D(bb') = D(b)b' + bD(b')."""
-    images: dict[Monomial, TensorElement] = {alg.one_mono: TensorElement(alg, 2)}
-
-    def build(m: Monomial) -> TensorElement:
-        got = images.get(m)
-        if got is not None:
-            return got
-        for i, e in enumerate(m.exps):
-            if e == 0:
-                continue
-            g = alg.gens[i]
-            g_mono = alg.mono({g.name: 1})
-            rest_exps = tuple(m.exps[k] - (1 if k == i else 0) for k in range(len(alg.gens)))
-            rest = Monomial(rest_exps, m.degree - g.degree)
-            dg = gen_images.get(g.name, TensorElement(alg, 2))
-            # the split m = g * rest is canonical-order, so it carries sign +1
-            out = right_mult(dg, alg.from_monomial(rest)) + left_mult(alg.from_monomial(g_mono), build(rest))
-            images[m] = out
-            return out
-        return images[alg.one_mono]
-
-    for d in range(cutoff + 1):
-        for m in alg.basis("B", d):
-            build(m)
-    return DerivationTable(alg, cutoff, {m: t for m, t in images.items() if not t.is_zero()})
-
-
 class BeLinearMap:
     """A B^e-linear map J -> L ⊆ B^{⊗_A 2}, given on the δ-basis of J.
 
-    `images` maps jn_basis labels (b, (w,)) with b = 1 to image tensors; the
-    value on b·δ(w) follows by left-B-linearity, and right-linearity is what
-    `validate` spot-checks.
+    `images` maps the left-B basis labels (b, (w,)) of J with b = 1 to image
+    tensors; the value on b·δ(w) follows by left-B-linearity, and
+    right-linearity is what `validate` spot-checks.
     """
 
     def __init__(self, alg: DGAlgebra, cutoff: int, images: dict):

@@ -9,7 +9,6 @@ and of (𝔹, 𝔻) follow from dimensions once `semifree.homotopy` contracts th
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import accumulate
 
 from .algebra import DGAlgebra, add_term
@@ -31,12 +30,12 @@ from .tensor import TensorElement, _memo, prefixed_basis_dim, prefixed_basis_ele
 BAD_COLUMNS = "a DD column differs from dv + Dv, the flat images of its basis element"
 
 
-@dataclass
 class HomologyTable:
     """degree -> (dim cycles, dim boundaries, dim homology)."""
 
-    entries: dict = dc_field(default_factory=dict)
-    window: str = ""
+    def __init__(self, entries: dict | None = None, window: str = ""):
+        self.entries = {} if entries is None else entries
+        self.window = window
 
     def add(self, degree: int, cycles: int, boundaries: int):
         if boundaries > cycles:
@@ -381,16 +380,17 @@ def bb_homotopy_defect(alg: DGAlgebra, top: int):
     return None
 
 
-@dataclass
 class QuasiIsoReport:
     """The verdict of `quasi_iso_check`; `details` names its first failure."""
 
-    passed: bool
-    rows: list  # (degree, dim H(BB), dim H(B), induced rank)
-    window: str
-    details: str = ""
-    checks: dict = dc_field(default_factory=dict)  # report name -> verdict, once the columns are checked
-    table: HomologyTable | None = None  # H(𝔹, 𝔻), when passed
+    def __init__(self, passed: bool, rows: list, window: str, details: str = "",
+                 checks: dict | None = None, table: HomologyTable | None = None):
+        self.passed = passed
+        self.rows = rows  # (degree, dim H(BB), dim H(B), induced rank)
+        self.window = window
+        self.details = details
+        self.checks = {} if checks is None else checks  # report name -> verdict, once the columns are checked
+        self.table = table  # H(𝔹, 𝔻), when passed
 
 
 def quasi_iso_check(alg: DGAlgebra, D: int) -> QuasiIsoReport:

@@ -17,8 +17,6 @@ an update whose three values are ints is done inline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DgresError
 from .scalars import Field, canonical, q_add, q_mul
 
@@ -223,12 +221,12 @@ def identity_defect(products) -> int | None:
     return min(identity_defects(products), default=None)
 
 
-@dataclass
 class InfeasibilityCertificate:
     """A row combination λ with λᵀA = 0 but λᵀb ≠ 0, witnessing Ax = b has no solution."""
 
-    row_combination: dict  # original row index -> coefficient
-    first_row: int         # smallest original row index involved
+    def __init__(self, row_combination: dict, first_row: int):
+        self.row_combination = row_combination  # original row index -> coefficient
+        self.first_row = first_row              # smallest original row index involved
 
     def __repr__(self):
         return f"InfeasibilityCertificate(first_row={self.first_row}, rows={sorted(self.row_combination)})"

@@ -23,7 +23,6 @@ computes it; `module_differential` is its n = 0 case.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .algebra import AlgElement, DGAlgebra, ValidationReport
 from .bar import bar_differential, bar_homotopy
@@ -384,15 +383,16 @@ def check_beta(N: SemifreeModule) -> tuple[ValidationReport, list]:
 # -- naive lifting ----------------------------------------------------------------
 
 
-@dataclass
 class LiftResult:
-    liftable: bool
-    rho: dict | None                 # basis name -> ModTensorElement (length 2)
-    certificate: InfeasibilityCertificate | None
-    system_rows: int
-    system_cols: int
-    system: SliceMatrix | None = None  # A of the solved system A x = b
-    rhs: list | None = None            # b
+    def __init__(self, liftable: bool, rho: dict | None, certificate: InfeasibilityCertificate | None,
+                 system_rows: int, system_cols: int, system: SliceMatrix | None = None, rhs: list | None = None):
+        self.liftable = liftable
+        self.rho = rho                  # basis name -> ModTensorElement (length 2)
+        self.certificate = certificate
+        self.system_rows = system_rows
+        self.system_cols = system_cols
+        self.system = system            # A of the solved system A x = b
+        self.rhs = rhs                  # b
 
     def __repr__(self):
         tag = "Liftable" if self.liftable else "NotLiftable"

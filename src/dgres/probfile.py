@@ -27,7 +27,6 @@ or module, and a `d`, `entry` or option line may not repeat an earlier one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .algebra import DGAlgebra
@@ -133,13 +132,14 @@ def parse_expression(text: str, line_no: int = 0, col_offset: int = 0, field: Fi
 OPTION_KEYS = ("max-degree", "max-n", "samples", "seed")
 
 
-@dataclass
 class ProblemFile:
-    field: Field
-    algebra: DGAlgebra
-    modules: dict = dc_field(default_factory=dict)   # name -> SemifreeModule
-    options: dict = dc_field(default_factory=dict)
-    source_text: str = ""
+    def __init__(self, field: Field, algebra: DGAlgebra, modules: dict | None = None,
+                 options: dict | None = None, source_text: str = ""):
+        self.field = field
+        self.algebra = algebra
+        self.modules = {} if modules is None else modules  # name -> SemifreeModule
+        self.options = {} if options is None else options
+        self.source_text = source_text
 
 
 def parse_problem(text: str) -> ProblemFile:

@@ -7,20 +7,19 @@ same input yields byte-identical output in both formats.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field as dc_field
 
 VERSION = "0.1.0"
 
 
-@dataclass
 class Report:
-    command: str
-    input_sha256: str
-    options: dict = dc_field(default_factory=dict)
-    checks: list = dc_field(default_factory=list)   # dicts: name/status/window/counterexample
-    tables: dict = dc_field(default_factory=dict)   # name -> list of rows (tuples/lists)
-    version: str = VERSION
+    def __init__(self, command: str, input_sha256: str, options: dict | None = None,
+                 checks: list | None = None, tables: dict | None = None, version: str = VERSION):
+        self.command = command
+        self.input_sha256 = input_sha256
+        self.options = {} if options is None else options
+        self.checks = [] if checks is None else checks  # dicts: name/status/window/counterexample
+        self.tables = {} if tables is None else tables  # name -> list of rows (tuples/lists)
+        self.version = version
 
     def add_check(self, name: str, ok: bool, window: str = "", counterexample: str = ""):
         rec = {"name": name, "status": "PASS" if ok else "FAIL", "window": window}
@@ -43,6 +42,8 @@ def input_hash(text: str) -> str:
 
 
 def render_machine(report: Report) -> str:
+    import json  # only machine-format runs pay for it
+
     payload = {
         "version": report.version,
         "command": report.command,

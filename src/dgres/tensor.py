@@ -25,9 +25,7 @@ by `_memo`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import AlgElement, DGAlgebra, Monomial, ScalarSum, add_term
+from .algebra import AlgElement, DGAlgebra, ScalarSum, add_term
 from .errors import DgresError, LengthMismatch, NotInJn
 
 Word = tuple  # tuple[Monomial, ...]
@@ -375,49 +373,6 @@ def delta_coords(t: TensorElement, n: int) -> dict:
     return coords
 
 
-@dataclass
-class JnView:
-    """Coordinates of an element of J^{⊗_B n} over the standard left-B basis."""
-
-    n: int
-    left_coords: dict  # tuple[Monomial,...] -> AlgElement
-
-
-def jn_membership(t: TensorElement, n: int):
-    """Decide t ∈ J^{⊗_B n}; returns (bool, JnView | residual-info)."""
-    if t.length != n + 1:
-        raise LengthMismatch(f"expected length {n + 1}, got {t.length}")
-    try:
-        coords = delta_coords(t, n)
-    except NotInJn as exc:
-        return False, str(exc)
-    view = JnView(n, {ws: as_algebra_element(v) for ws, v in coords.items() if not v.is_zero()})
-    return True, view
-
-
-def kappa_n(alg: DGAlgebra, n: int, left_coords: dict) -> TensorElement:
-    """Left-B coordinates → flat element of J^{⊗_B n} ⊆ B^{⊗_A (n+1)}."""
-    out = TensorElement(alg, n + 1)
-    for ws, f in left_coords.items():
-        if len(ws) != n:
-            raise LengthMismatch("coordinate tuple of wrong length")
-        if isinstance(f, AlgElement):
-            coeff = f
-        elif isinstance(f, Monomial):
-            coeff = alg.from_monomial(f)
-        else:
-            coeff = alg.element([(f, {})])
-        out = out + left_mult(coeff, delta_word(alg, tuple(ws)))
-    return out
-
-
-def kappa_n_inverse(t: TensorElement, n: int) -> JnView:
-    ok, view = jn_membership(t, n)
-    if not ok:
-        raise NotInJn(view)
-    return view
-
-
 # -- slice bases --------------------------------------------------------------
 
 
@@ -460,20 +415,6 @@ def _delta_factors(alg: DGAlgebra, n: int, degree: int) -> list[Word]:
     return _memo(alg, "delta_factors", (n, degree), lambda: [
         (w,) + rest for d in range(1, degree - n + 2) for w in alg.basis("W", d)
         for rest in _delta_factors(alg, n - 1, degree - d)])
-
-
-def jn_basis_labels(alg: DGAlgebra, n: int, degree: int) -> tuple[tuple[Monomial, Word], ...]:
-    """Labels (b, (w_1..w_n)) of the left-B basis of the J^{⊗_B n} slice.
-
-    Sorted by b, then w_1..w_n, each by its `sort_key`.
-    """
-    return _memo(alg, "jn_basis", (n, degree), lambda: tuple(
-        (b, ws) for db in range(degree + 1) for b in alg.basis("B", db) for ws in _delta_factors(alg, n, degree - db)))
-
-
-def jn_basis_element(alg: DGAlgebra, label) -> TensorElement:
-    b, ws = label
-    return left_mult(alg.from_monomial(b), delta_word(alg, ws))
 
 
 def _prefixed_labels(alg: DGAlgebra, n: int, degree: int):

@@ -3,10 +3,13 @@
 Everything here deliberately avoids the package's own sign/elimination
 machinery: signs come from literal bubble-sort transposition counting, ranks
 from textbook dense elimination, and basis counts from exhaustive
-enumeration over exponent boxes.
+enumeration over exponent boxes.  The last section holds maps of the paper
+that no command runs, κ_n and its inverse among them; they are built from
+the package's kernel and serve the tests as constructions, not as oracles.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
 
 def sorted_letters(alg, mono):
@@ -622,3 +625,106 @@ def nsex_split_check(N, D):
     # consistent exactly when appending the right-hand side keeps the rank
     dense = [[cols.get(c, f.zero) for c in range(count)] for cols, _ in rows]
     return dense_rank_oracle(dense, f.p) == dense_rank_oracle([r + [rhs] for r, (_, rhs) in zip(dense, rows)], f.p)
+
+
+# -- maps of the paper that only the tests call ------------------------------------
+
+
+class JnView(NamedTuple):
+    """Coordinates of an element of J^{⊗_B n} over the standard left-B basis."""
+
+    n: int
+    left_coords: dict  # tuple[Monomial,...] -> AlgElement
+
+
+def jn_basis_labels(alg, n, degree):
+    """Labels (b, (w_1..w_n)) of the left-B basis of the J^{⊗_B n} slice.
+
+    Sorted by b, then w_1..w_n, each by its `sort_key`.
+    """
+    from dgres.tensor import _delta_factors
+
+    return tuple((b, ws) for db in range(degree + 1) for b in alg.basis("B", db)
+                 for ws in _delta_factors(alg, n, degree - db))
+
+
+def jn_basis_element(alg, label):
+    from dgres.tensor import delta_word, left_mult
+
+    b, ws = label
+    return left_mult(alg.from_monomial(b), delta_word(alg, ws))
+
+
+def jn_membership(t, n):
+    """Decide t ∈ J^{⊗_B n}; returns (bool, JnView | residual-info)."""
+    from dgres.errors import LengthMismatch, NotInJn
+    from dgres.tensor import as_algebra_element, delta_coords
+
+    if t.length != n + 1:
+        raise LengthMismatch(f"expected length {n + 1}, got {t.length}")
+    try:
+        coords = delta_coords(t, n)
+    except NotInJn as exc:
+        return False, str(exc)
+    return True, JnView(n, {ws: as_algebra_element(v) for ws, v in coords.items() if not v.is_zero()})
+
+
+def kappa_n(alg, n, left_coords):
+    """Left-B coordinates → flat element of J^{⊗_B n} ⊆ B^{⊗_A (n+1)}."""
+    from dgres.algebra import AlgElement, Monomial
+    from dgres.errors import LengthMismatch
+    from dgres.tensor import TensorElement, delta_word, left_mult
+
+    out = TensorElement(alg, n + 1)
+    for ws, f in left_coords.items():
+        if len(ws) != n:
+            raise LengthMismatch("coordinate tuple of wrong length")
+        if isinstance(f, AlgElement):
+            coeff = f
+        elif isinstance(f, Monomial):
+            coeff = alg.from_monomial(f)
+        else:
+            coeff = alg.element([(f, {})])
+        out = out + left_mult(coeff, delta_word(alg, tuple(ws)))
+    return out
+
+
+def kappa_n_inverse(t, n):
+    from dgres.errors import NotInJn
+
+    ok, view = jn_membership(t, n)
+    if not ok:
+        raise NotInJn(view)
+    return view
+
+
+def derivation_from_generator_images(alg, gen_images, cutoff):
+    """Extend images of the generators to a derivation table by D(bb') = D(b)b' + bD(b')."""
+    from dgres.algebra import Monomial
+    from dgres.bar import DerivationTable
+    from dgres.tensor import TensorElement, left_mult, right_mult
+
+    images = {alg.one_mono: TensorElement(alg, 2)}
+
+    def build(m):
+        got = images.get(m)
+        if got is not None:
+            return got
+        for i, e in enumerate(m.exps):
+            if e == 0:
+                continue
+            g = alg.gens[i]
+            g_mono = alg.mono({g.name: 1})
+            rest_exps = tuple(m.exps[k] - (1 if k == i else 0) for k in range(len(alg.gens)))
+            rest = Monomial(rest_exps, m.degree - g.degree)
+            dg = gen_images.get(g.name, TensorElement(alg, 2))
+            # the split m = g * rest is canonical-order, so it carries sign +1
+            out = right_mult(dg, alg.from_monomial(rest)) + left_mult(alg.from_monomial(g_mono), build(rest))
+            images[m] = out
+            return out
+        return images[alg.one_mono]
+
+    for d in range(cutoff + 1):
+        for m in alg.basis("B", d):
+            build(m)
+    return DerivationTable(alg, cutoff, {m: t for m, t in images.items() if not t.is_zero()})

@@ -18,7 +18,8 @@ from dgres.homology import quasi_iso_check
 from dgres.modules import check_beta, check_lambda_splitting, check_rho, lemma_sign_check, naive_lift_solve
 from dgres.sampling import random_homogeneous_element
 from dgres.semifree import DD, bb_basis_element, bb_total_basis, dBB, frakD
-from dgres.tensor import jn_basis_labels, jn_basis_element, kappa_n, kappa_n_inverse
+
+from oracles import jn_basis_element, jn_basis_labels, kappa_n, kappa_n_inverse
 
 FIXTURES = all_fixtures()
 

@@ -15,7 +15,6 @@ from dgres.bar import (
     check_eta,
     check_reduced_exactness,
     checked_reduced_columns,
-    derivation_from_generator_images,
     derivation_space,
     eta,
     eta_inverse,
@@ -40,7 +39,7 @@ from dgres.tensor import (
     tensor_differential,
     tensor_multiply,
 )
-from oracles import dense_rank_oracle
+from oracles import dense_rank_oracle, derivation_from_generator_images
 
 
 def W(alg, *exps):

@@ -245,6 +245,29 @@ def test_console_script_entry_point(golden_dir):
     assert "verdict: PASS" in proc.stdout
 
 
+_IMPORT_DIFF_SCRIPT = """
+import sys
+before = set(sys.modules)
+import dgres.cli
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_path_loads_no_unused_stdlib():
+    # every run pays for what `import dgres.cli` loads; the record classes need
+    # no dataclasses (nor its inspect), and only --format machine needs json.
+    # Diffing against the modules loaded before the import keeps a site hook
+    # that preloads one of them from deciding the test.
+    import os
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_DIFF_SCRIPT], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    added = set(proc.stdout.split())
+    assert "dgres.cli" in added
+    assert not added & {"dataclasses", "inspect", "json"}, sorted(added & {"dataclasses", "inspect", "json"})
+
+
 def test_lift_certificate_is_verified(golden_dir, capsys, monkeypatch):
     import dgres.cli as cli
 

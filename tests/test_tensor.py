@@ -14,11 +14,6 @@ from dgres.tensor import (
     delta,
     delta_word,
     from_algebra_element,
-    jn_basis_labels,
-    jn_basis_element,
-    jn_membership,
-    kappa_n,
-    kappa_n_inverse,
     left_mult,
     pi_B,
     prefixed_basis_dim,
@@ -33,6 +28,11 @@ from dgres.tensor import (
 
 from oracles import (
     alternating_merges,
+    jn_basis_element,
+    jn_basis_labels,
+    jn_membership,
+    kappa_n,
+    kappa_n_inverse,
     normalizing_bar_action,
     normalizing_bar_homotopy,
     normalizing_concat_B,

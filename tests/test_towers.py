@@ -316,6 +316,13 @@ def render_problem(alg, module=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def draw_element(draw, alg, which, degree, coeff=st.integers(-2, 2)):
+    """A random element of the degree slice of B or A ("B", "A"), one drawn coefficient per monomial."""
+    monos = alg.basis(which, degree)
+    coeffs = draw(st.lists(coeff, min_size=len(monos), max_size=len(monos)))
+    return alg.element([(c, {g.name: k for g, k in zip(alg.gens, m.exps) if k}) for c, m in zip(coeffs, monos) if c])
+
+
 @st.composite
 def triangular_modules(draw, alg):
     """2-3 generators, each 1-4 degrees above the last, and random entries b_ij (i < j) of degree
@@ -326,13 +333,50 @@ def triangular_modules(draw, alg):
     entries = {}
     for j in range(len(degrees)):
         for i in range(j):
-            monos = alg.basis("B", degrees[j] - degrees[i] - 1)
-            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(monos), max_size=len(monos)))
-            b = alg.element([(c, {g.name: k for g, k in zip(alg.gens, m.exps) if k})
-                             for c, m in zip(coeffs, monos) if c])
+            b = draw_element(draw, alg, "B", degrees[j] - degrees[i] - 1)
             if not b.is_zero():
                 entries[(i, j)] = b
     return degrees, entries
+
+
+NONZERO = st.sampled_from((-2, -1, 1, 2))
+
+
+@st.composite
+def closed_modules(draw, alg):
+    """Modules with ∂² = 0 by construction, as (degrees, entries) like `triangular_modules`.
+
+    The coefficient of g_i in ∂²g_j is Σ_k b_ik·b_kj + (−1)^|g_i|·d(b_ij).
+    - Triangle, on any tower: b_01 = c, a d-cycle of degree p, b_12 = d(y)
+      for y of degree q, and b_02 = −(−1)^(p + |g_0|)·c·y.  At (0, 1) and
+      (1, 2) the coefficient is d(c) = 0 and d²(y) = 0.  At (0, 2) it is
+      c·d(y) + (−1)^|g_0|·d(b_02), and d(c·y) = (−1)^p·c·d(y) since
+      d(c) = 0, so the two cancel.  c is a + d(x) for a in A, on which every
+      tower here has d = 0, or any element of B when d = 0 on all of B.
+    - Chain, on a tower with d = 0 and an odd generator u: g_0 → ... → g_k
+      with b_{i,i+1} = u·y_i and no other entry; consecutive entries multiply
+      to ±u²·y_i·y_{i+1} = 0.
+    Coefficients are nonzero and p runs over the degrees with a monomial of
+    B, so that most draws have an entry.
+    """
+    flat = alg.d_is_zero
+    odd = [g for g in alg.gens if g.degree % 2]
+    g0 = draw(st.integers(0, 2))
+    if flat and odd and draw(st.booleans()):
+        u = draw(st.sampled_from(odd))
+        degrees, entries = [g0], {}
+        for i, q in enumerate(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))):
+            degrees.append(degrees[-1] + 1 + u.degree + q)
+            entries[(i, i + 1)] = alg.gen(u.name) * draw_element(draw, alg, "B", q, NONZERO)
+    else:
+        p = draw(st.sampled_from([p for p in range(4) if alg.basis("B", p)]))
+        q = draw(st.integers(1, 3))
+        c = draw_element(draw, alg, "B", p, NONZERO) if flat else \
+            draw_element(draw, alg, "A", p, NONZERO) + alg.d(draw_element(draw, alg, "B", p + 1, NONZERO))
+        y = draw_element(draw, alg, "B", q, NONZERO)
+        degrees = [g0, g0 + 1 + p, g0 + 1 + p + q]
+        entries = {(0, 1): c, (1, 2): alg.d(y), (0, 2): (c * y).scale_int(-(-1) ** (p + g0))}
+    return degrees, {k: b for k, b in entries.items() if not b.is_zero()}
 
 
 VALID_INPUT_RUNS = [["validate", "--max-degree", "4"], ["bar", "--reduced", "--max-degree", "4"],
@@ -367,3 +411,30 @@ def test_valid_random_inputs_round_trip_and_never_exit_2(tmp_path_factory, data)
     with mock.patch("sys.stdout"), mock.patch("sys.stderr"):
         codes = [main([run[0], str(path)] + run[1:]) for run in VALID_INPUT_RUNS]
     assert all(code in (0, 1) for code in codes), (codes, text)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_lift_runs_past_validation_on_closed_modules(tmp_path_factory, data):
+    # modules with ∂² = 0 by construction pass `validate_module`, and the
+    # `lift` run of VALID_INPUT_RUNS on them reaches the β table and the
+    # naive lift instead of stopping at the module checks
+    import io
+    from contextlib import redirect_stdout
+
+    from dgres.cli import main
+    from dgres.modules import validate_module
+    from dgres.probfile import parse_problem
+
+    kind = data.draw(st.sampled_from(sorted(TOWERS)))
+    alg = data.draw(TOWERS[kind](data.draw(st.sampled_from(FIELDS))))
+    text = render_problem(alg, data.draw(closed_modules(alg)))
+    rep = validate_module(parse_problem(text).modules["M"])
+    assert rep.passed, ([c.details for c in rep.failures()], text)
+    path = tmp_path_factory.mktemp("closed") / "closed.dgres"
+    path.write_text(text)
+    run = VALID_INPUT_RUNS[-1]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main([run[0], str(path)] + run[1:])
+    assert code in (0, 1) and "table lift:" in out.getvalue(), (code, text)
