@@ -24,10 +24,10 @@ once for all its subclasses.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from operator import add, attrgetter
-from typing import Iterable, NamedTuple
 
 from .errors import DgresError, LengthMismatch, MismatchedAlgebra
 from .scalars import Field
@@ -44,9 +44,8 @@ def add_term(f: Field, terms: dict, key, c, negate=False):
         terms[key] = s
 
 
-class Generator(NamedTuple):
-    name: str
-    degree: int
+class Generator(namedtuple("Generator", "name degree")):
+    __slots__ = ()
 
     @property
     def parity(self) -> int:

@@ -16,20 +16,18 @@ from .algebra import validate_dg
 from .bar import (
     BAD_REDUCED_COLUMNS,
     be_linear_space,
+    certify_reduced_bar,
     check_classical_bar,
     check_eta,
     check_reduced_bar,
-    check_reduced_exactness,
-    checked_reduced_columns,
     derivation_space,
-    reduced_d_squared_zero,
 )
 from .errors import DgresError, UsageError
 from .homology import QuasiIsoReport, _window, homology_dims, quasi_iso_check, reduced_bar_table
 from .linalg import verify_certificate
 from .modules import check_beta, check_lambda_splitting, check_rho, lemma_sign_check, naive_lift_solve, validate_module
 from .report import Report, input_hash, render_machine, render_text
-from .semifree import check_frakD_T_linearity, check_semifree_triangular
+from .semifree import check_frakD_T_linearity, check_semifree_triangular, defect_details
 
 
 def _common_options(args, problem) -> dict:
@@ -151,10 +149,10 @@ def cmd_homology(args, problem) -> Report:
             rep.add_check(name, False, _window(D), INVALID_ALGEBRA)
         return rep
     rep.tables["H(B)"] = head + homology_dims(alg, D).rows()
-    # the reduced bar is contracted on the slices of degrees 0..D-1, checked first
-    ok_red = checked_reduced_columns(alg, D - 1)
-    exact = check_reduced_exactness(alg, D - 1) if ok_red else None
-    acyclic = ok_red and exact.passed and reduced_d_squared_zero(alg, D - 1)
+    # the reduced bar is certified and contracted on degrees 0..D-1, in one pass
+    cert = certify_reduced_bar(alg, D - 1)
+    first = cert and next((lb for lb in cert[0] if lb is not None), None)
+    acyclic = cert is not None and first is None and cert[1]
     if acyclic:
         rep.tables["H(reduced bar, augmented)"] = head + reduced_bar_table(alg, D).rows()
     # H(𝔹,𝔻) is read off the certificate shared with `semifree`
@@ -162,7 +160,7 @@ def cmd_homology(args, problem) -> Report:
     if qi.passed:
         rep.tables["H(BB,DD)"] = head + qi.table.rows()
     rep.add_check("homology-dimensions-match", qi.passed, qi.window, qi.details)
-    red_details = next((c.details for c in exact.failures()), "") if ok_red else BAD_REDUCED_COLUMNS
+    red_details = defect_details(alg, first) if cert else BAD_REDUCED_COLUMNS
     rep.add_check("reduced-bar-acyclic", acyclic, qi.window, red_details)
     return rep
 

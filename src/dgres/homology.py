@@ -177,7 +177,7 @@ def checked_dd_columns(alg: DGAlgebra, D: int) -> bool:
       of X to slot 0 costs (-1)^{|a||X|}; as the prefix of X is 1,
       a·X = ι_{n-1}(a, m, ws[:-1]);
     - 𝔇 = merge_at(·, 0) commutes with right concatenation, as in the head
-      lemma of `bar.checked_reduced_columns` (X has n + 1 >= 3 slots).
+      lemma of `bar.certify_reduced_bar` (X has n + 1 >= 3 slots).
     With ∂ = (-1)^k·d on component k this gives
         ∂ι_n = -concat_B(∂X, δw) + (-1)^{n+|X|}·concat_B(X, δ(dw)),
         𝔇ι_n = concat_B(𝔇X, δw),
@@ -312,8 +312,8 @@ def homology_dims(alg: DGAlgebra, D: int) -> HomologyTable:
 def reduced_bar_table(alg: DGAlgebra, D: int) -> HomologyTable:
     """H of the augmented reduced bar complex B ← C_0 ← ... ← C_d in degrees 0..D-1, from dimensions.
 
-    Sound once `bar.check_reduced_exactness` and `bar.reduced_d_squared_zero`
-    hold through D-1 (π∘d̄_1 = 0 then too: d̄_1 = d̄_1(d̄_2h_1 + h_0d̄_1) =
+    Sound once `bar.certify_reduced_bar` finds no defect and d̄² = 0
+    through D-1 (π∘d̄_1 = 0 then too: d̄_1 = d̄_1(d̄_2h_1 + h_0d̄_1) =
     (id − σπ)d̄_1, and σ is injective).  The complex is exact, so rank π =
     dim B_d, rank d̄_n = dim C_{n−1} − rank d̄_{n−1}, and the cycles and the
     boundaries both number Σ_n rank d̄_n, with d̄_0 = π.  dim C_n is

@@ -37,12 +37,12 @@ from .tensor import (
     TensorElement,
     _delta_factors,
     _memo,
-    _prefixed_labels,
     concat_B,
     delta_chain,
     merge_at,
     pi_B,
     prefixed_basis_element,
+    prefixed_basis_labels,
     tensor_differential,
     word_degree,
 )
@@ -268,11 +268,9 @@ def bb_total_basis(alg: DGAlgebra, total_degree: int):
 
     Each suspended δ-factor contributes its internal degree plus one, so
     components with n > total_degree/2 are empty and the slice is finite.
-    The labels of each component are generated, not cached a second time
-    per n in `prefixed_basis_labels`.
     """
     return _memo(alg, "bb_basis", total_degree, lambda: tuple(
-        (n, lb) for n in range(0, total_degree // 2 + 1) for lb in _prefixed_labels(alg, n, total_degree - n)))
+        (n, lb) for n in range(0, total_degree // 2 + 1) for lb in prefixed_basis_labels(alg, n, total_degree - n)))
 
 
 def prefix_one_labels(alg: DGAlgebra, total_degree: int) -> tuple:
@@ -334,7 +332,7 @@ def dd_column(alg: DGAlgebra, label) -> dict:
 def append_tail(col: dict, tail: tuple) -> dict:
     """The column col with the δ-factors tail appended to every row label: (b, m, ws) ↦ (b, m, ws + tail).
 
-    It is the λ ↦ λ + τ of the head lemma (`bar.checked_reduced_columns`):
+    It is the λ ↦ λ + τ of the head lemma (`bar.certify_reduced_bar`):
     `dbar_column` and `homotopy` compute the column of a label's head only
     and return it with the label's tail appended by this function.
     """

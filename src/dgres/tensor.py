@@ -417,22 +417,17 @@ def _delta_factors(alg: DGAlgebra, n: int, degree: int) -> list[Word]:
         for rest in _delta_factors(alg, n - 1, degree - d)])
 
 
-def _prefixed_labels(alg: DGAlgebra, n: int, degree: int):
-    """The labels of `prefixed_basis_labels`, in its order, generated one at a time and not cached."""
-    factors = [_delta_factors(alg, n, d) for d in range(degree + 1)]
-    return ((b, m, ws) for db in range(degree + 1) for b in alg.basis("B", db)
-            for dm in range(degree - db + 1) for m in alg.basis("W", dm) for ws in factors[degree - db - dm])
-
-
-def prefixed_basis_labels(alg: DGAlgebra, n: int, degree: int):
-    """Labels (b, m, (w_1..w_n)) of the slice basis of B ⊗_A J^{⊗_B n}.
+def prefixed_basis_labels(alg: DGAlgebra, n: int, degree: int) -> tuple:
+    """Labels (b, m, (w_1..w_n)) of the slice basis of B ⊗_A J^{⊗_B n}; not cached.
 
     b runs over all B-monomials (the ⊗_A prefix), m over ext-only monomials
     (the left-B coefficient inside J^{⊗_B n}), and w_i over the nontrivial
     semifree basis of B over A.  Sorted by b, then m, then w_1..w_n, each by
     its `sort_key`.
     """
-    return _memo(alg, "prefixed_basis", (n, degree), lambda: tuple(_prefixed_labels(alg, n, degree)))
+    factors = [_delta_factors(alg, n, d) for d in range(degree + 1)]
+    return tuple((b, m, ws) for db in range(degree + 1) for b in alg.basis("B", db)
+                 for dm in range(degree - db + 1) for m in alg.basis("W", dm) for ws in factors[degree - db - dm])
 
 
 def prefixed_basis_dim(alg: DGAlgebra, n: int, degree: int) -> int:

@@ -11,18 +11,17 @@ from dgres.bar import (
     bar_homotopy,
     bar_slice_matrix,
     be_linear_space,
+    certify_reduced_bar,
     check_classical_bar,
     check_eta,
+    check_reduced_bar,
     check_reduced_exactness,
-    checked_reduced_columns,
     derivation_space,
     eta,
     eta_inverse,
     nJ_kernel_basis,
     nu,
     reduced_bar_differential,
-    reduced_d_squared_zero,
-    reduced_homotopy_defects,
     reduced_slice_matrix,
 )
 from dgres.errors import NotInDomain, NotLinear, ObstructionNonzero
@@ -238,7 +237,7 @@ def test_each_eta_check_fails_under_a_mutation(monkeypatch, E2):
     dspace, bspace = derivation_space(E2, 5), be_linear_space(E2, 5)
     real_eta = bar.eta
 
-    def failed(name=None, mutated=None, bspace=bspace):
+    def failed(name=None, mutated=None, dspace=dspace, bspace=bspace):
         with monkeypatch.context() as m:
             if name is not None:
                 m.setattr(bar, name, mutated)
@@ -251,6 +250,10 @@ def test_each_eta_check_fails_under_a_mutation(monkeypatch, E2):
     # an η⁻¹ that checks nothing accepts the corrupted derivation
     unchecked = lambda D: BeLinearMap(E2, D.cutoff, {})
     assert failed("eta_inverse", unchecked)[-1] == "corrupted-derivation-rejected"
+    # a sample that is no derivation is rejected by η⁻¹, its one validation, and fails its line
+    x = E2.basis("B", 2)[0]
+    broken = DerivationTable(E2, 5, {**dspace[0].images, x: dspace[0].images[x] + W(E2, {}, {"x": 1})})
+    assert failed(dspace=[broken] + dspace[1:]) == ["eta-of-eta-inverse-identity"]
 
 
 def test_reduced_bar_examples(E1, E2):
@@ -359,9 +362,9 @@ def test_reduced_slice_columns_are_flat_merges(fixture_algebras, odd_base):
 
 
 def test_checked_reduced_columns_and_squares(fixture_algebras, odd_base):
+    # every column certified, d̄² = 0 and no homotopy defect in any degree
     for alg in list(fixture_algebras.values()) + [odd_base]:
-        assert checked_reduced_columns(alg, 7)
-        assert reduced_d_squared_zero(alg, 7)
+        assert certify_reduced_bar(alg, 7) == ([None] * 8, True)
 
 
 def _second_term_flipped(real):
@@ -416,24 +419,38 @@ def install_dbar_mutation(monkeypatch, mutation):
             monkeypatch.setattr(mod, name, mutated)
 
 
+# Λ(a,b,c) has n = 2 labels with distinct factors from degree 2; nothing of
+# the reduced bar is cached on an algebra, so every test below shares it
+LAM = DGAlgebra(Field.rationals(), ext_gens=[("a", 1), ("b", 1), ("c", 1)])
+
+
 @pytest.mark.parametrize("mutation", sorted(DBAR_MUTATIONS))
 def test_checked_reduced_columns_catch_a_wrong_closed_form(monkeypatch, mutation):
-    # a fresh algebra, since the slice matrices are cached on it; Λ(a,b,c)
-    # has n = 2 labels with distinct factors from degree 2
-    lam = DGAlgebra(Field.rationals(), ext_gens=[("a", 1), ("b", 1), ("c", 1)])
     install_dbar_mutation(monkeypatch, mutation)
-    assert not checked_reduced_columns(lam, 4)
+    assert certify_reduced_bar(LAM, 4) is None
+
+
+@pytest.mark.parametrize("mutation", sorted(DBAR_MUTATIONS))
+def test_wrong_closed_form_fails_after_a_clean_run_on_the_same_algebra(monkeypatch, mutation):
+    # no verdict outlives its pass: a mutation installed after the algebra
+    # passed once fails every line of the next report on it
+    assert check_reduced_bar(LAM, 4).passed
+    install_dbar_mutation(monkeypatch, mutation)
+    rep = check_reduced_bar(LAM, 4)
+    assert [c.status for c in rep.checks] == ["FAIL"] * 6 and not check_reduced_exactness(LAM, 4).passed
 
 
 def test_homotopy_identity_reads_the_tail_helper(monkeypatch):
     # the helper putting the tail in front, (b, m, tail + ws), leaves every d̄ column alone, as a
     # head column's rows have no δ-factor, but makes h(b, m, (w_1,)) = (b, 1, (w_1, m)): the
-    # identity on C_1 fails, though no C_1 label is evaluated with a tail of two factors
+    # identity on C_1 fails, though no C_1 label is evaluated with a tail of two factors, on a
+    # fresh algebra and on one that has passed once
     import dgres.semifree as semifree
 
-    lam = DGAlgebra(Field.rationals(), ext_gens=[("a", 1), ("b", 1), ("c", 1)])
+    fresh = DGAlgebra(Field.rationals(), ext_gens=[("a", 1), ("b", 1), ("c", 1)])
+    assert certify_reduced_bar(LAM, 4) == ([None] * 5, True)
     monkeypatch.setattr(semifree, "append_tail",
                         lambda col, tail: {(b, m, tail + ws): c for (b, m, ws), c in col.items()})
-    assert checked_reduced_columns(lam, 4) and reduced_d_squared_zero(lam, 4)
-    defects = reduced_homotopy_defects(lam, 4)
-    assert defects[:2] == [None, None] and all(lb is not None and len(lb[2]) == 1 for lb in defects[2:])
+    for alg in (fresh, LAM):
+        defects, square = certify_reduced_bar(alg, 4)
+        assert square and defects[:2] == [None, None] and all(lb is not None and len(lb[2]) == 1 for lb in defects[2:])

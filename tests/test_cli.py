@@ -257,15 +257,19 @@ def test_import_path_loads_no_unused_stdlib():
     # every run pays for what `import dgres.cli` loads; the record classes need
     # no dataclasses (nor its inspect), and only --format machine needs json.
     # Diffing against the modules loaded before the import keeps a site hook
-    # that preloads one of them from deciding the test.
+    # that preloads one of them from deciding the test.  Under -S no site hook
+    # loads typing either, so the import itself must not (Generator is a
+    # collections.namedtuple).
     import os
 
     src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_DIFF_SCRIPT], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, check=True)
-    added = set(proc.stdout.split())
-    assert "dgres.cli" in added
-    assert not added & {"dataclasses", "inspect", "json"}, sorted(added & {"dataclasses", "inspect", "json"})
+    unused = {"dataclasses", "inspect", "json"}
+    for flags, banned in (([], unused), (["-S"], unused | {"typing"})):
+        proc = subprocess.run([sys.executable, *flags, "-c", _IMPORT_DIFF_SCRIPT],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+        added = set(proc.stdout.split())
+        assert "dgres.cli" in added, flags
+        assert not added & banned, (flags, sorted(added & banned))
 
 
 def test_lift_certificate_is_verified(golden_dir, capsys, monkeypatch):
@@ -640,19 +644,40 @@ def test_homotopy_wrong_at_one_head_fails_at_the_labels_of_every_slice(golden_di
 
 @pytest.mark.parametrize("command", [["bar", "--reduced", "--max-degree", "6"], ["homology", "--max-degree", "8"]])
 def test_reduced_bar_keeps_no_slice_or_label_list_from_n3(golden_dir, capsys, monkeypatch, command):
-    # the reduced bar certificate reads the slices with n <= 2 only: neither
-    # a slice nor a label list with n >= 3 stays cached (Λ(a,b,c) has them
+    # the reduced bar certificate is one pass over the degrees 0..D (D - 1
+    # under homology): each degree lists the labels of n = 0, 1, 2 once and
+    # builds d̄_1 and d̄_2 once, and no slice, label list or verdict of the
+    # pass is left in the algebra's tables (Λ(a,b,c) has labels with n >= 3
     # from degree 3)
+    import dgres.bar as bar
+    import dgres.cli as cli
     import dgres.probfile as probfile
 
-    seen = []
+    seen, made, slices, lists = [], [], [], []
     real = probfile.parse_problem
     monkeypatch.setattr(probfile, "parse_problem", lambda text: seen.append(real(text)) or seen[-1])
+
+    def recorded(fn, calls):
+        def wrapper(alg, n, degree, *rest):
+            calls.append((n, degree))
+            made.append(fn(alg, n, degree, *rest))
+            return made[-1]
+        return wrapper
+
+    monkeypatch.setattr(bar, "reduced_slice_matrix", recorded(bar.reduced_slice_matrix, slices))
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("dgres.") and hasattr(mod, "prefixed_basis_labels"):
+            monkeypatch.setattr(mod, "prefixed_basis_labels", recorded(mod.prefixed_basis_labels, lists))
+    certify = bar.certify_reduced_bar
+    for mod in (bar, cli):
+        monkeypatch.setattr(mod, "certify_reduced_bar", lambda alg, D: made.append(certify(alg, D)) or made[-1])
     code, out, err = run_cli(command[:1] + [str(golden_dir / "lam3.dgres")] + command[1:], capsys)
     assert code == 0 and err == ""
-    caches = seen[0].algebra._memo_tables
-    assert {n for n, _ in caches["reduced_slice"]} == {1, 2}
-    assert {n for n, _ in caches["prefixed_basis"]} <= {0, 1, 2}
+    top = int(command[-1]) - (command[0] == "homology")
+    assert sorted(slices) == [(n, d) for n in (1, 2) for d in range(top + 1)]
+    assert sorted(lists) == [(n, d) for n in (0, 1, 2) for d in range(top + 1)]
+    cached = {id(value) for table in seen[0].algebra._memo_tables.values() for value in table.values()}
+    assert not cached & {id(x) for x in made if x}  # the empty tuple is one object, cached or not
 
 
 def test_semifree_keeps_no_full_basis(golden_dir, capsys, monkeypatch):
@@ -769,7 +794,7 @@ def test_invalid_algebra_gets_no_certificate(capsys, monkeypatch, command, lines
     def refuse(*args):
         raise AssertionError("a certificate ran on an invalid algebra")
 
-    for name in ("quasi_iso_check", "checked_reduced_columns", "check_reduced_exactness", "homology_dims"):
+    for name in ("quasi_iso_check", "certify_reduced_bar", "homology_dims"):
         monkeypatch.setattr(cli, name, refuse)
     path = Path(__file__).parent / "inputs" / "base_not_closed.dgres"
     code, out, err = run_cli([command, str(path), "--max-degree", "6"], capsys)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from dgres.algebra import DGAlgebra, validate_dg
 import dgres.bar as bar
-from dgres.bar import check_reduced_exactness, checked_reduced_columns, reduced_d_squared_zero, reduced_homotopy_defects
+from dgres.bar import certify_reduced_bar, check_reduced_exactness
 from dgres.cli import cmd_semifree
 import dgres.homology as homology
 from dgres.homology import (
@@ -128,7 +128,7 @@ def test_reduced_closed_form_matches_flat_oracle_on_random_towers(field, data):
     for d in range(8):
         for n in range(1, d + 1):
             assert_reduced_columns_are_flat_merges(alg, n, d)
-    assert checked_reduced_columns(alg, 7)
+    assert certify_reduced_bar(alg, 7) is not None
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -139,7 +139,7 @@ def test_homotopy_identities_and_dimension_tables_on_random_towers(kind, field, 
     # both contracting homotopy identities hold, and the tables they license
     # agree with dense ranks on a small window
     alg = data.draw(TOWERS[kind](field))
-    assert checked_reduced_columns(alg, 4) and check_reduced_exactness(alg, 4).passed
+    assert check_reduced_exactness(alg, 4).passed
     qi = quasi_iso_check(alg, 5)
     assert qi.passed, qi.details
     assert qi.table.rows() == bb_rank_table(alg, 5)
@@ -241,17 +241,14 @@ def test_streamed_reduced_checks_match_every_slice(kind, field, data):
     # appending its tails on every n), for the true homotopy and for wrong heads
     alg = data.draw(TOWERS[kind](field))
     D = 5
-    assert checked_reduced_columns(alg, D)
-    assert (reduced_d_squared_zero(alg, D), reduced_homotopy_defects(alg, D)) == reduced_full_checks(alg, D) \
-        == (True, [None] * (D + 1))
+    defects, square = certify_reduced_bar(alg, D)
+    assert (square, defects) == reduced_full_checks(alg, D) == (True, [None] * (D + 1))
     mutations = homotopy_mutations(alg, D, data.draw(st.integers(0, 10**6)))
     name = data.draw(st.sampled_from(sorted(mutations)))
-    alg._memo_tables.clear()  # the certificate is cached with the functions it read
     with mock.patch.object(bar, "homotopy", mutations[name]):
-        assert checked_reduced_columns(alg, D)
-        streamed = reduced_d_squared_zero(alg, D), reduced_homotopy_defects(alg, D)
-    assert streamed == reduced_full_checks(alg, D, homotopy=mutations[name]), name
-    assert name == "boundary" or any(streamed[1]), name  # "boundary" is h itself when y or (b1, m1) is missing
+        defects, square = certify_reduced_bar(alg, D)
+    assert (square, defects) == reduced_full_checks(alg, D, homotopy=mutations[name]), name
+    assert name == "boundary" or any(defects), name  # "boundary" is h itself when y or (b1, m1) is missing
 
 
 @pytest.mark.parametrize("kind", sorted(TOWERS))
