@@ -7,21 +7,19 @@ differential is exactly "merge slots 0 and 1", which composes to zero
 precisely because π_B kills the leading δ-factor.  On the δ-labels
 (b, m, ws) of its basis it is the two-term closed form
 `semifree.dbar_column`, the same formula as the bar part 𝔇 of the
-semifree resolution.  `certify_reduced_bar` certifies it on every label
-against the flat merge through the head lemma, in one pass over the degrees;
-only the slice matrices with n <= 2 are built, each once and dropped after
-its degree, and every check on longer words follows from them.
+semifree resolution.  The reduced bar never reads d, so it is (𝔹, 𝔻) of B
+with d forgotten, and `certify_reduced_bar` is the one certificate of
+(𝔹, 𝔻), `homology.certify_contraction`, on that algebra and the labels
+with n <= 2; every check on longer words follows from them.
 """
 
 from __future__ import annotations
 
-import random
-
 from .algebra import AlgElement, DGAlgebra, ValidationReport, add_term
 from .errors import LengthMismatch, NotInDomain, NotInJn, NotLinear, ObstructionNonzero
-from .linalg import SliceMatrix, identity_defect, identity_defects
-from .sampling import random_scalar
-from .semifree import _add_to, dbar_column, defect_details, homotopy, pi_column, section
+from .homology import certify_contraction
+from .linalg import SliceMatrix
+from .semifree import _add_to, dbar_column, defect_details
 from .tensor import (
     TensorElement,
     _delta_factors,
@@ -37,7 +35,6 @@ from .tensor import (
     pi_B,
     prefixed_basis_dim,
     prefixed_basis_labels,
-    prefixed_basis_element,
     right_mult,
     tensor_basis,
     tensor_differential,
@@ -354,47 +351,33 @@ def eta_inverse(D: DerivationTable) -> BeLinearMap:
     return BeLinearMap(alg, D.cutoff, images)
 
 
-NO_SAMPLE = "no sample was checked"
+EMPTY_BASIS = "the basis is empty, so nothing was checked"
 
 
-def check_eta(alg: DGAlgebra, dspace: list, bspace: list, samples: int, seed: int) -> ValidationReport:
+def check_eta(alg: DGAlgebra, dspace: list, bspace: list) -> ValidationReport:
     """η is a bijection Hom_{B^e}(J, B^e) ≅ Der_A(B, B^e) with inverse `eta_inverse`.
 
     `dspace` and `bspace` are the bases of `derivation_space` and
-    `be_linear_space` on one cutoff.  Their lengths must agree; on `samples`
-    seeded random combinations of each basis, η∘η⁻¹ and η⁻¹∘η are the
-    identity; and the first basis derivation, with a word of B^{⊗_A 2} added
-    to the image of a monomial of the same degree, is rejected by η⁻¹.  A
-    line that sampled nothing fails.
+    `be_linear_space` on one cutoff.  Their lengths must agree; η∘η⁻¹ = id
+    on each basis derivation and η⁻¹∘η = id on each basis map, which
+    decides both identities on the spans, as η and η⁻¹ are linear; and the
+    first basis derivation, with a word of B^{⊗_A 2} added to the image of a
+    monomial of the same degree, is rejected by η⁻¹.  Each map is
+    validated once, by the first of η⁻¹ and η it enters.  A line whose
+    basis is empty fails.
     """
-    rng = random.Random(seed)
     zero = TensorElement(alg, 2)
-
-    def sample(space):
-        images = {}
-        for tab in space:
-            c = random_scalar(alg.field, rng)
-            for k, t in tab.images.items():
-                images[k] = images.get(k, zero) + t.scale(c)
-        return type(space[0])(alg, space[0].cutoff, {k: t for k, t in images.items() if not t.is_zero()})
 
     def same(x, y) -> bool:
         return all(x.images.get(k, zero) == y.images.get(k, zero) for k in set(x.images) | set(y.images))
 
-    n_d = samples if dspace else 0
     ok_d = True
-    for _ in range(n_d):
-        Dt = sample(dspace)
-        try:  # eta_inverse validates the sample: one that is no derivation fails the line
+    for Dt in dspace:
+        try:  # eta_inverse validates Dt: one that is no derivation fails the line
             ok_d = same(Dt, eta(eta_inverse(Dt))) and ok_d
         except ObstructionNonzero:
             ok_d = False
-    n_f = samples if bspace else 0
-    ok_f = True
-    for _ in range(n_f):
-        fm = sample(bspace)
-        if not same(fm, eta_inverse(eta(fm))):
-            ok_f = False
+    ok_f = all(same(fm, eta_inverse(eta(fm))) for fm in bspace)
     ok_reject = None  # no corrupted derivation was checked
     cutoff = dspace[0].cutoff if dspace else 0
     for d in range(1, cutoff + 1):
@@ -411,9 +394,9 @@ def check_eta(alg: DGAlgebra, dspace: list, bspace: list, samples: int, seed: in
             break
     rep = ValidationReport()
     rep.add("derivation-hom-dim-match", len(dspace) == len(bspace))
-    rep.add("eta-of-eta-inverse-identity", ok_d and n_d > 0, "" if n_d else NO_SAMPLE)
-    rep.add("eta-inverse-of-eta-identity", ok_f and n_f > 0, "" if n_f else NO_SAMPLE)
-    rep.add("corrupted-derivation-rejected", bool(ok_reject), "" if ok_reject is not None else NO_SAMPLE)
+    rep.add("eta-of-eta-inverse-identity", ok_d and bool(dspace), "" if dspace else EMPTY_BASIS)
+    rep.add("eta-inverse-of-eta-identity", ok_f and bool(bspace), "" if bspace else EMPTY_BASIS)
+    rep.add("corrupted-derivation-rejected", bool(ok_reject), "" if ok_reject is not None else EMPTY_BASIS)
     return rep
 
 
@@ -523,28 +506,32 @@ def reduced_bar_differential(t: TensorElement, n: int) -> TensorElement:
     return merge_at(t, 0)
 
 
-def reduced_slice_matrix(alg: DGAlgebra, n: int, degree: int, rows: tuple | None = None) -> SliceMatrix:
-    """Matrix of d̄_n on the degree slice, over the δ-labels.
+def reduced_slice_matrix(alg: DGAlgebra, n: int, degree: int) -> SliceMatrix:
+    """Matrix of d̄_n on the degree slice, over the δ-labels: the reference the tests rank.
 
     Columns are the labels (b, m, ws) of B ⊗_A J^{⊗_B n}
-    (`prefixed_basis_labels`), rows the labels of n − 1 (`rows`, when the
-    caller has listed them already), and column j is `dbar_column` of label
-    j: the column of its head (b, m, (w_1,)) with ws[1:] appended
-    (`semifree.append_tail`).  The map ι_{n−1} taking a label to its flat
-    element of B^{⊗_A (n+1)} is injective, so the ranks are those of the
-    matrix of merge_at(·, 0) in ambient word coordinates.  A label outside
-    the rows gets an extra row (`SliceMatrix.from_columns`), which
-    `certify_reduced_bar` rejects.  Nothing is cached.
+    (`prefixed_basis_labels`), rows the labels of n − 1, and column j is
+    `dbar_column` of label j: the column of its head (b, m, (w_1,)) with
+    ws[1:] appended (`semifree.append_tail`).  The map ι_{n−1} taking a
+    label to its flat element of B^{⊗_A (n+1)} is injective, so the ranks
+    are those of the matrix of merge_at(·, 0) in ambient word coordinates.
+    A label outside the rows gets an extra row (`SliceMatrix.from_columns`).
+    Nothing is cached.
     """
     labels = prefixed_basis_labels(alg, n, degree)
-    if rows is None:
-        rows = prefixed_basis_labels(alg, n - 1, degree)
-    return SliceMatrix.from_columns(alg.field, rows, labels, (dbar_column(alg, lb) for lb in labels))
+    return SliceMatrix.from_columns(alg.field, prefixed_basis_labels(alg, n - 1, degree), labels,
+                                    (dbar_column(alg, lb) for lb in labels))
+
+
+def _label_key(label):
+    """The basis order of the labels (b, m, ws) of one C_n(d) (`prefixed_basis_labels`)."""
+    b, m, ws = label
+    return b.sort_key, m.sort_key, tuple(w.sort_key for w in ws)
 
 
 def _first_failing_tail(alg: DGAlgebra, failing: list, d: int):
     """The first label of C_2(d), C_3(d), ..., each in basis order, whose head (b, m, (w_1,)) is in `failing`."""
-    heads = sorted(failing, key=lambda lb: (lb[0].sort_key, lb[1].sort_key, lb[2][0].sort_key))
+    heads = sorted(failing, key=_label_key)
     for n in range(2, d + 1):
         for b, m, head in heads:
             tails = _delta_factors(alg, n - 1, d - b.degree - m.degree - head[0].degree)
@@ -554,41 +541,30 @@ def _first_failing_tail(alg: DGAlgebra, failing: list, d: int):
 
 
 def certify_reduced_bar(alg: DGAlgebra, D: int):
-    """The reduced bar resolution B ← C_0 ← C_1 ← ... in degrees 0..D, certified in one pass over the degrees.
+    """The reduced bar resolution B ← C_0 ← C_1 ← ... in degrees 0..D, certified as (𝔹, 𝔻) of B with d forgotten.
 
     Returns None when a d̄ column is not d̄ of its label.  Otherwise returns
     (defects, square): per degree d = 0..D the first label at which a
     contracting homotopy identity fails, or None, and whether
-    d̄_{n−1}∘d̄_n = 0 for every n >= 2.  In degree d the pass lists the
-    labels of C_0, C_1 and C_2 once, builds d̄_1 and d̄_2 once
-    (`reduced_slice_matrix`) and the matrices of π, σ, h_0 and h_1, and
-    then drops all of them; only the C_1 labels at which the identity
-    failed are kept for the higher degrees.  No slice and no label list
-    with n >= 3 is built.
+    d̄_{n−1}∘d̄_n = 0 for every n >= 2.  The certificate is
+    `homology.certify_contraction` on B♮, the algebra on the generators of
+    B with d = 0, and its labels (n, λ) with n <= 2 and |λ| <= D: there
+    (𝔹, 𝔻) is the augmented reduced bar of B on the same labels, component
+    n being C_n (the d = 0 argument in its docstring).  Monomials are
+    hash-consed, so its labels are those of B.  It lists no label with
+    n >= 3, and nothing of it is cached on alg.
 
     Head lemma: write ι_n(b, m, ws) = b ⊗_A m·δ(w_1) ⊗_B ... ⊗_B δ(w_n) for
     the flat element of a label and τ = δ(w_2) ⊗_B ... ⊗_B δ(w_n).  Then
     ι_n(b, m, ws) = concat_B(ι_1(b, m, (w_1,)), τ), and merging slots 0 and 1
     commutes with ⊗_B-concatenation on the right of a word of length >= 3.
-    So if d̄ of the head (b, m, (w_1,)) is Σ c_k·ι_0(λ_k), then
-    d̄ ι_n(b, m, ws) = Σ c_k·concat_B(ι_0(λ_k), τ) = Σ c_k·ι_{n−1}(λ_k + ws[1:]),
-    where λ + ws[1:] appends ws[1:] to the δ-factors of λ: the column of a
-    label is the column of its head with ws[1:] appended to every row label.
-
-    `dbar_column` computes the head's column only and appends ws[1:] with
-    `semifree.append_tail`, which is that tuple concatenation, so the
-    lemma holds for it by construction and every column is right once the
-    head columns are.  The columns are checked thus:
-    - every n = 1 column, a head column, is expanded over the flat elements
-      ι_0 of its rows, each built once in its degree, and the sum is
-      compared with merge_at(ι_1(label), 0) exactly; ι_0 is injective, so
-      equality certifies the column;
-    - every n = 2 column is compared, on labels, with `dbar_column` of its
-      head with (w_2,) appended here, not by `append_tail`: the head lies
-      in C_1 of a lower degree, certified there, and `dbar_column` is a
-      pure function, so this reads the output of `append_tail` on a
-      nonempty tail in every run.
-    A column with support outside the labels of n − 1 fails.
+    So the column of (b, m, ws) is the column of its head (b, m, (w_1,))
+    with ws[1:] appended to every row label.  `dbar_column` computes the
+    head's column only and appends ws[1:] with `semifree.append_tail`, so
+    every column is right once the columns with n <= 2 are: the
+    certificate compares each n = 2 column with its head's, w_2 appended
+    (its tail lemma on d = 0), and so reads `append_tail` on a nonempty
+    tail in every run.
 
     d̄² from n = 2: let λ = (b, m, (w_1, w_2)) and τ a tail, so every label
     with n >= 2 is λ + τ.  By the head lemma d̄(λ + τ) = d̄λ + τ, whose
@@ -600,9 +576,11 @@ def certify_reduced_bar(alg: DGAlgebra, D: int):
     The homotopy identities, with h_{−1} = σ (`semifree.homotopy`,
     `semifree.section`): πσ = id on B, d̄_1h_0 + σπ = id on C_0 and
     d̄_{n+1}h_n + h_{n−1}d̄_n = id on C_n.  In degree d the labels are taken
-    in the order B, C_0, C_1, ..., C_d, each in basis order.  The identities
-    on B, C_0 and C_1 are products of d̄_1, d̄_2 and the matrices of π, σ
-    and h.
+    in the order B, C_0, C_1, ..., C_d, each in basis order.  The
+    certificate checks πσ = id on every b, and the other identities on the
+    prefix-1 labels of C_0 and C_1; the identity fails at b·X exactly when
+    b times the defect at X is nonzero (its b·X failure rule), so the
+    failing labels of C_0 and C_1 of each degree follow.
 
     Tail lemma: let λ = (b, m, (w_1,)) and τ a nonempty tail.  h commutes
     with appending tails, h(κ + τ) = h(κ) + τ for every label κ, by
@@ -619,44 +597,31 @@ def certify_reduced_bar(alg: DGAlgebra, D: int):
     labels of C_n(d) with one head are consecutive, in the order of their
     tails, and the heads come in the order of (b, m, w_1).  So the first
     failing label of C_n(d), n >= 2, is the first kept head with a tail of
-    degree d − |λ| and length n − 1, followed by its first tail.  In the
-    lowest failing degree only B, C_0 or C_1 can fail, and every degree
-    names the label that multiplying the identity out on every C_n names.
+    degree d − |λ| and length n − 1, followed by its first tail
+    (`_first_failing_tail`).  In the lowest failing degree only B, C_0 or
+    C_1 can fail, and every degree names the label that multiplying the
+    identity out on every C_n names.
     """
-    f = alg.field
+    cert = certify_contraction(DGAlgebra(alg.field, alg.gens[:alg.n_base], alg.gens[alg.n_base:]), (D, D, D))
+    if cert is None:
+        return None
+    square, _, _, bad = cert
     failing: list = []  # the C_1 labels, of the degrees so far, at which the identity fails
-    defects, square = [], True
+    defects = []
     for d in range(D + 1):
-        B, c0 = alg.basis("B", d), prefixed_basis_labels(alg, 0, d)
-        d1 = reduced_slice_matrix(alg, 1, d, c0)
-        c1 = d1.col_labels
-        d2 = reduced_slice_matrix(alg, 2, d, c1)
-        if d1.nrows != len(c0) or d2.nrows != len(c1):
-            return None
-        flat: dict = {}  # C_0 label -> its flat element, built once in this degree
-        for label, col in zip(c1, d1.columns()):
-            image = TensorElement(alg, 2)
-            for lam, c in col.items():
-                te = flat.get(lam)
-                if te is None:
-                    te = flat[lam] = prefixed_basis_element(alg, lam)
-                for w, cw in te.terms.items():
-                    add_term(f, image.terms, w, f.mul(c, cw))
-            if image != merge_at(prefixed_basis_element(alg, label), 0):
-                return None
-        for (b, m, ws), col in zip(d2.col_labels, d2.columns()):
-            if col != {(b2, m2, ws2 + ws[1:]): c for (b2, m2, ws2), c in dbar_column(alg, (b, m, ws[:1])).items()}:
-                return None
-        square = square and d1.compose(d2).is_zero()
-        pi = SliceMatrix.from_columns(f, B, c0, (pi_column(alg, lb) for lb in c0))
-        sigma = SliceMatrix.from_columns(f, c0, B, (section(alg, b) for b in B))
-        h0 = SliceMatrix.from_columns(f, c1, c0, (homotopy(alg, v) for v in c0))
-        h1 = SliceMatrix.from_columns(f, d2.col_labels, c1, (homotopy(alg, v) for v in c1))
-        on_b, on_c0 = identity_defect([(pi, sigma)]), identity_defect([(d1, h0), (sigma, pi)])
-        on_c1 = identity_defects([(d2, h1), (h0, d1)])
-        defects.append(B[on_b] if on_b is not None else c0[on_c0] if on_c0 is not None
-                       else c1[on_c1[0]] if on_c1 else _first_failing_tail(alg, failing, d))
-        failing += [c1[j] for j in on_c1]
+        on_b, on_c = [], ([], [])  # the failing monomials of B and labels of C_0, C_1 in degree d
+        for x, defect in bad:
+            if not isinstance(x, tuple):
+                if x.degree == d:
+                    on_b.append(x)
+                continue
+            n, (_, m, ws) = x
+            for b in alg.basis("B", d - m.degree - sum(w.degree for w in ws)):
+                if any(alg.mono_mul(b, row[1][0]) for row in defect):
+                    on_c[n].append((b, m, ws))
+        firsts = [min(labels, key=_label_key) for labels in on_c if labels]
+        defects.append(on_b[0] if on_b else firsts[0] if firsts else _first_failing_tail(alg, failing, d))
+        failing += on_c[1]
     return defects, square
 
 

@@ -143,11 +143,25 @@ class SliceMatrix:
         return cols
 
     def compose(self, other: "SliceMatrix") -> "SliceMatrix":
-        """self ∘ other (matrix product self @ other)."""
+        """self ∘ other (matrix product self @ other).
+
+        Each entry is summed in plain ints or Fractions and reduced once,
+        mod p or to the canonical form, instead of after every term; only
+        the entries of self in a column that is a row of other are grouped.
+        """
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in compose")
+        rows = {k for k, _ in other.entries}
+        by_row: dict[int, list] = {}
+        for (i, k), v in self.entries.items():
+            if k in rows:
+                by_row.setdefault(k, []).append((i, v))
+        acc: dict = {}
+        get = acc.get
+        for (k, j), w in other.entries.items():
+            for i, v in by_row.get(k, ()):
+                acc[(i, j)] = get((i, j), 0) + v * w
         p = self.field.p
-        acc = _product_sums([(self, other)])
         entries = ({key: x % p for key, x in acc.items() if x % p} if p is not None
                    else {key: canonical(x) for key, x in acc.items() if x})
         return SliceMatrix(self.field, self.nrows, other.ncols, entries, self.row_labels, other.col_labels)
@@ -175,50 +189,6 @@ class SliceMatrix:
 
     def __repr__(self):
         return f"SliceMatrix({self.nrows}x{self.ncols}, {len(self.entries)} nonzero)"
-
-
-def _product_sums(pairs) -> dict:
-    """Σ P∘Q over the pairs: entry (i, j) -> its sum in plain ints or Fractions, not reduced.
-
-    Reducing each entry once, mod p or to the canonical form, instead of
-    after every term makes this the cheap inner loop of every product check.
-    Only the entries of P in a column k that is a row of Q are grouped.
-    """
-    acc: dict = {}
-    get = acc.get
-    for P, Q in pairs:
-        rows = {k for k, _ in Q.entries}
-        by_row: dict[int, list] = {}
-        for (i, k), v in P.entries.items():
-            if k in rows:
-                by_row.setdefault(k, []).append((i, v))
-        for (k, j), w in Q.entries.items():
-            for i, v in by_row.get(k, ()):
-                acc[(i, j)] = get((i, j), 0) + v * w
-    return acc
-
-
-def identity_defects(products) -> list[int]:
-    """The columns j, ascending, at which Σ P∘Q over the pairs (P, Q) is not the identity.
-
-    Column j of the identity is the unit vector of row j, so the rows of
-    every P∘Q must begin with the labels of its columns, in order; the sums
-    go by row index, so the row labels of each P must be a prefix of the
-    longest P's.  A row of Q beyond the columns of P, a label Q sends
-    outside the basis P is defined on, fails its column.
-    """
-    bad = {j for P, Q in products for (i, j) in Q.entries if i >= P.ncols}
-    acc = _product_sums(products)
-    for j in range(products[0][1].ncols):
-        acc[(j, j)] = acc.get((j, j), 0) - 1
-    p = products[0][1].field.p
-    bad.update(j for (i, j), x in acc.items() if (x % p if p is not None else x))
-    return sorted(bad)
-
-
-def identity_defect(products) -> int | None:
-    """The first column of `identity_defects`, else None."""
-    return min(identity_defects(products), default=None)
 
 
 class InfeasibilityCertificate:

@@ -273,14 +273,13 @@ def bb_total_basis(alg: DGAlgebra, total_degree: int):
         (n, lb) for n in range(0, total_degree // 2 + 1) for lb in prefixed_basis_labels(alg, n, total_degree - n)))
 
 
-def prefix_one_labels(alg: DGAlgebra, total_degree: int) -> tuple:
-    """The labels (n, (1, m, ws)) of one total degree, in `bb_total_basis` order: 𝔹 is
-    free on them as a left B-module, (n, (b, m, ws)) being b·(n, (1, m, ws)).  Only
-    they are listed, from the W-monomials m and the δ-words of `tensor._delta_factors`."""
-    one, t = alg.one_mono, total_degree
-    return _memo(alg, "prefix_one", t, lambda: tuple(
-        (n, (one, m, ws)) for n in range(t // 2 + 1) for dm in range(t - n + 1)
-        for m in alg.basis("W", dm) for ws in _delta_factors(alg, n, t - n - dm)))
+def prefix_one_labels(alg: DGAlgebra, n: int, degree: int) -> tuple:
+    """The labels (n, (1, m, ws)) of component n and internal degree `degree`, in `bb_total_basis`
+    order: 𝔹 is free on them as a left B-module, (n, (b, m, ws)) being b·(n, (1, m, ws)).  Only
+    they are listed, from the W-monomials m and the δ-words of `tensor._delta_factors`; not cached."""
+    one = alg.one_mono
+    return tuple((n, (one, m, ws)) for dm in range(degree + 1) for m in alg.basis("W", dm)
+                 for ws in _delta_factors(alg, n, degree - dm))
 
 
 def bb_basis_element(alg: DGAlgebra, label) -> BBElement:
@@ -296,10 +295,12 @@ def dd_column(alg: DGAlgebra, label) -> dict:
     term a·e of d(m) or d(w_i) moves into the prefix b (δ(a·e) = a·δ(e)),
     passing m and w_1..w_{i-1} with the sign (-1)^{|a|(|m| + Σ_{j<i}|w_j|)};
     a term of d(w_i) with e = 1 drops out, since δ vanishes on A.  𝔇 is
-    `dbar_column` on (b, m, ws), moved to component n − 1.  No flat element
-    is built and no δ-factor is peeled off.
+    `dbar_column` on (b, m, ws), moved to component n − 1: all of 𝔻 when
+    d = 0.  No flat element is built and no δ-factor is peeled off.
     """
     n, (b, m, ws) = label
+    if alg.d_is_zero:
+        return {(n - 1, lb): c for lb, c in dbar_column(alg, (b, m, ws)).items()} if n else {}
     f = alg.field
     out: dict = {}
     odd_n = n % 2
@@ -332,9 +333,10 @@ def dd_column(alg: DGAlgebra, label) -> dict:
 def append_tail(col: dict, tail: tuple) -> dict:
     """The column col with the δ-factors tail appended to every row label: (b, m, ws) ↦ (b, m, ws + tail).
 
-    It is the λ ↦ λ + τ of the head lemma (`bar.certify_reduced_bar`):
-    `dbar_column` and `homotopy` compute the column of a label's head only
-    and return it with the label's tail appended by this function.
+    It is the λ ↦ λ + τ of the head lemma (`bar.certify_reduced_bar`) and
+    of the tail lemma of `homology.certify_contraction`: `dbar_column` and
+    `homotopy` compute the column of a label's head only and return it with
+    the label's tail appended by this function.
     """
     return {(b, m, ws + tail): c for (b, m, ws), c in col.items()} if tail else col
 
@@ -350,8 +352,9 @@ def dbar_column(alg: DGAlgebra, label) -> dict:
     over the labels of n = 0, with s and s' the `mono_mul` signs of bm and
     bm·w_1; a vanishing product drops its term.  Only this head column is
     computed: the column of (b, m, ws) is it with ws[1:] appended
-    (`append_tail`).  This is the 𝔇 part of `dd_column` and every column of
-    `bar.reduced_slice_matrix`.
+    (`append_tail`).  This is the 𝔇 part of `dd_column`, all of it when
+    d = 0, so `bar.certify_reduced_bar` certifies d̄ as 𝔻 of B with d
+    forgotten.
     """
     b, m, ws = label
     sm = alg.mono_mul(b, m)
@@ -384,7 +387,8 @@ def homotopy(alg: DGAlgebra, label) -> dict:
 
     Only the head column h(b, m, ()) is written: h(b, m, ws) is it with ws
     appended (`append_tail`), so h commutes with appending δ-factors by
-    construction.
+    construction.  It reads b only to copy it, so it is left B-linear with
+    no sign, as the identity at b·X of `homology.certify_contraction` needs.
 
     Reduced bar: with s the `mono_mul` sign of b·m, `dbar_column` gives
     d̄h(b, m, ws) = (b, m, ws) − s·(bm, 1, ws) and hd̄(b, m, ws) = s·(bm, 1, ws)

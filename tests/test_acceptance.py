@@ -101,9 +101,9 @@ def test_criterion_6_quasi_isomorphism():
 
 
 def test_criterion_7_eta_round_trips():
-    with criterion(7, "eta/eta-inverse mutual inverses, 25 seeded samples each way, deg<=6"):
+    with criterion(7, "eta/eta-inverse mutual inverses on each basis element, each way, deg<=6"):
         for name, alg in FIXTURES.items():
-            rep = check_eta(alg, derivation_space(alg, 6), be_linear_space(alg, 6), 25, 700 + len(name))
+            rep = check_eta(alg, derivation_space(alg, 6), be_linear_space(alg, 6))
             assert rep.passed, (name, [c.name for c in rep.failures()])
 
 
@@ -144,7 +144,7 @@ GOLDEN_COMMANDS = [
     ["homology", "e3.dgres", "--max-degree", "6"],
     ["lift", "e2.dgres", "--module", "K"],
     ["lift", "e1.dgres", "--module", "CB"],
-    ["derivations", "e2.dgres", "--max-degree", "5", "--samples", "10", "--seed", "3"],
+    ["derivations", "e2.dgres", "--max-degree", "5"],
 ]
 
 

@@ -64,7 +64,7 @@ def test_derivations_window_without_odd_square(tmp_path, capsys, golden_dir, nam
     path = golden_dir / name if name else tmp_path / "lam.dgres"
     if name is None:
         path.write_text("field rationals\n\n[algebra]\next a 1\next b 1\next c 1\n")
-    code, out, err = run_cli(["derivations", str(path), "--max-degree", cutoff, "--samples", "3"], capsys)
+    code, out, err = run_cli(["derivations", str(path), "--max-degree", cutoff], capsys)
     assert code == 0 and "verdict: PASS" in out, err
 
 
@@ -90,7 +90,7 @@ def test_negative_window_option_is_usage_error(tmp_path, capsys, golden_dir, opt
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
-@pytest.mark.parametrize("command, args", [("lift", ["--module", "K"]), ("derivations", [])])
+@pytest.mark.parametrize("command, args", [("lift", ["--module", "K"])])
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_empty_sample_count_is_usage_error(tmp_path, capsys, golden_dir, value, command, args, source):
     # zero samples would print PASS over nothing
@@ -208,7 +208,7 @@ def test_commands_pass_on_fixtures(capsys, golden_dir):
         ["homology", str(golden_dir / "e3p.dgres"), "--max-degree", "6"],
         ["lift", str(golden_dir / "e1.dgres"), "--module", "CB"],
         ["lift", str(golden_dir / "e2.dgres"), "--module", "K"],
-        ["derivations", str(golden_dir / "e1.dgres"), "--max-degree", "5", "--samples", "5", "--seed", "1"],
+        ["derivations", str(golden_dir / "e1.dgres"), "--max-degree", "5"],
     ):
         code, out, err = run_cli(args, capsys)
         assert code == 0, (args, out, err)
@@ -470,12 +470,26 @@ def test_semifree_fails_on_an_alpha_matrix_wrong_off_prefix_one(golden_dir, caps
 def test_report_fails_on_a_flipped_closed_form_without_the_column_check(golden_dir, capsys, monkeypatch,
                                                                        command, failed):
     # a wrong 𝔻 let through the column check still breaks 𝔻² = 0, α∘𝔻 = d^B∘α
-    # or the homotopy identity
+    # or the homotopy identity: the flat 𝔻v and the tail lemma that the
+    # columns are compared with read the flipped closed form too, and the
+    # prefix lemma agrees with it on its own
     import dgres.homology as homology
     from dgres.homology import BAD_COLUMNS
+    from dgres.semifree import BBElement, bb_basis_element
+    from oracles import bb_coords
 
-    monkeypatch.setattr(homology, "checked_dd_columns", lambda alg, D: True)
     _flip_second_bar_term(monkeypatch)
+    flipped = homology.dd_column
+
+    def flat_dd(v):
+        (label,) = bb_coords(v)
+        out = BBElement(v.alg)
+        for row, c in flipped(v.alg, label).items():
+            out = out + bb_basis_element(v.alg, row).scale(c)
+        return out
+
+    monkeypatch.setattr(homology, "DD", flat_dd)
+    monkeypatch.setattr(homology, "tail_image", lambda alg, label, *cols: flipped(alg, label))
     code, out, err = run_cli([command, str(golden_dir / "e3.dgres"), "--max-degree", "6"], capsys)
     assert code == 1 and err == "" and BAD_COLUMNS not in out
     assert f"FAIL  {failed}" in out
@@ -570,12 +584,17 @@ def _h_drops_words(real):
 
 
 # wrong versions of the contracting homotopy: (name, mutation of the real
-# function, the modules whose lookup is patched)
+# function, the first degree at which the reduced bar identity fails), each
+# patched where the one certificate of the reduced bar and of 𝔹 looks it up
 HOMOTOPY_MUTATIONS = {
-    "h-signed": ("homotopy", _h_signed, ("bar", "homology")),
-    "h-drops-words": ("homotopy", _h_drops_words, ("bar", "homology")),
-    # σ only where 𝔹 looks it up: 𝔻h + h𝔻 = id without the σα term
-    "no-sigma-alpha": ("section", lambda real: lambda alg, b: {}, ("homology",)),
+    # from degree 2, the first with a label (b, m, (w,)) with m != 1
+    "h-signed": ("homotopy", _h_signed, 2),
+    "h-drops-words": ("homotopy", _h_drops_words, 2),
+    # h(b, m, ws) = (b, m, (m,) + ws), a label of too high a degree, from degree 1
+    "h-outside": ("homotopy", lambda real: lambda alg, label: {} if label[1] == alg.one_mono else
+                  {(label[0], label[1], (label[1],) + label[2]): alg.field.one}, 1),
+    # 𝔻h + h𝔻 = id without the σα term, and πσ = 0 on B in every degree
+    "no-sigma-alpha": ("section", lambda real: lambda alg, b: {}, 0),
 }
 
 
@@ -583,59 +602,59 @@ HOMOTOPY_MUTATIONS = {
 @pytest.mark.parametrize("command", ["bar", "semifree", "homology"])
 def test_wrong_homotopy_fails(golden_dir, capsys, monkeypatch, mutation, command):
     # each mutation fails every check that reads the identity it breaks, and
-    # nothing else; the reduced bar identity fails from degree 2, the first
-    # with a label (b, m, (w,)) with m != 1
-    import importlib
+    # nothing else
+    import dgres.homology as homology
 
-    name, mutate, where = HOMOTOPY_MUTATIONS[mutation]
-    for mod in where:
-        mod = importlib.import_module(f"dgres.{mod}")
-        monkeypatch.setattr(mod, name, mutate(getattr(mod, name)))
-    reduced = "bar" in where
+    name, mutate, first = HOMOTOPY_MUTATIONS[mutation]
+    monkeypatch.setattr(homology, name, mutate(getattr(homology, name)))
     args = [command, str(golden_dir / "odd_base.dgres"), "--max-degree", "5"]
     args += ["--reduced"] if command == "bar" else []
     failed = {
-        "bar": [f"reduced:reduced-exactness@deg{d}" for d in range(2, 6)] if reduced else [],
+        "bar": [f"reduced:reduced-exactness@deg{d}" for d in range(first, 6)],
         "semifree": ["quasi-isomorphism"],
-        "homology": ["homology-dimensions-match"] + (["reduced-bar-acyclic"] if reduced else []),
+        "homology": ["homology-dimensions-match", "reduced-bar-acyclic"],
     }[command]
     code, out, err = run_cli(args, capsys)
-    assert code == (1 if failed else 0) and err == ""
+    assert code == 1 and err == ""
     assert sorted(line.split()[1] for line in out.splitlines() if line.startswith("  FAIL")) == sorted(failed)
-    assert out.count("counterexample: the contracting homotopy identity fails at (") == len(failed)
+    assert out.count("counterexample: the contracting homotopy identity fails at ") == len(failed)
 
 
-def test_homotopy_wrong_at_one_head_fails_at_the_labels_of_every_slice(golden_dir, capsys, monkeypatch):
-    # a wrong head: h(1, m0, ()) gets d̄y added, y the first label of C_2 with d̄y != 0 and |m0| = |y|,
-    # and h(1, m0, ws) is that column with ws appended.  The identity fails at (1, 1, (m0,)) in C_1
-    # and, in every higher degree, only at labels (1, 1, (m0,) + τ) with n >= 2, which the tail lemma
-    # names from the failing C_1 label; every degree names the first bad label that the identity
-    # multiplied out on every slice names
-    import dgres.bar as bar
+def test_homotopy_wrong_at_one_head_fails_at_the_labels_of_every_slice(tmp_path, capsys, monkeypatch):
+    # a wrong head on B = Λ(g) ⊗ Q[x], |g| = 1, |x| = 2: h(b, m0, ()) gets d̄(b·g·y) added, y the
+    # first prefix-1 label of C_2 with d̄(g·y) != 0 and |m0| = 1 + |y|, and h(b, m0, ws) is that
+    # column with ws appended; h stays left B-linear.  The identity fails at (1, 1, (m0,)) in C_1,
+    # where the defect has prefix g, so g·(1, 1, (m0,)) does not fail: one degree up only its tail
+    # (1, 1, (m0, g)) in C_2 fails, which the tail lemma names.  Every degree names the first bad
+    # label that the identity multiplied out on every slice names
+    import dgres.homology as homology
     from dgres.semifree import append_tail, dbar_column, defect_details
     from dgres.tensor import prefixed_basis_labels
     from oracles import reduced_full_checks
 
-    path = golden_dir / "odd_base.dgres"
+    path = tmp_path / "gx.dgres"
+    path.write_text("field rationals\n[algebra]\next g 1\next x 2\n")
     alg = parse_problem(path.read_text()).algebra
-    f, one = alg.field, alg.one_mono
-    y = next(lb for d in range(2, 6) for lb in prefixed_basis_labels(alg, 2, d) if dbar_column(alg, lb))
-    m0 = alg.basis("W", sum(x.degree for x in y[:2] + y[2]))[0]
-    real = bar.homotopy
+    f, one, g = alg.field, alg.one_mono, alg.mono({"g": 1})
+    y = next(lb for d in range(2, 6) for lb in prefixed_basis_labels(alg, 2, d)
+             if lb[0] == one and dbar_column(alg, (g,) + lb[1:]))
+    m0 = alg.basis("W", 1 + y[1].degree + sum(w.degree for w in y[2]))[0]
+    real = homology.homotopy
 
     def mutated(alg, label):
         out = dict(real(alg, label))
-        if label[:2] == (one, m0):
-            for key, c in append_tail(dbar_column(alg, y), label[2]).items():
-                out[key] = f.add(out.get(key, f.zero), c)
+        sm = alg.mono_mul(label[0], g)
+        if label[1] == m0 and sm is not None:
+            for key, c in append_tail(dbar_column(alg, (sm[1],) + y[1:]), label[2]).items():
+                out[key] = f.add(out.get(key, f.zero), c if sm[0] > 0 else f.neg(c))
         return {key: c for key, c in out.items() if c != f.zero}
 
     square, firsts = reduced_full_checks(alg, 5, homotopy=mutated)
     expected = [(f"reduced:reduced-exactness@deg{d}", f"counterexample: {defect_details(alg, lb)}")
                 for d, lb in enumerate(firsts) if lb is not None]
     bad = [lb for lb in firsts if lb is not None]
-    assert square and len(bad) >= 2 and len(bad[0][2]) == 1 and all(len(lb[2]) >= 2 for lb in bad[1:])
-    monkeypatch.setattr(bar, "homotopy", mutated)
+    assert square and bad[:2] == [(one, one, (m0,)), (one, one, (m0, g))]
+    monkeypatch.setattr(homology, "homotopy", mutated)
     code, out, err = run_cli(["bar", str(path), "--reduced", "--max-degree", "5"], capsys)
     lines = out.splitlines()
     failed = [(line.split()[1], lines[k + 1].strip()) for k, line in enumerate(lines) if line.startswith("  FAIL")]
@@ -644,47 +663,44 @@ def test_homotopy_wrong_at_one_head_fails_at_the_labels_of_every_slice(golden_di
 
 @pytest.mark.parametrize("command", [["bar", "--reduced", "--max-degree", "6"], ["homology", "--max-degree", "8"]])
 def test_reduced_bar_keeps_no_slice_or_label_list_from_n3(golden_dir, capsys, monkeypatch, command):
-    # the reduced bar certificate is one pass over the degrees 0..D (D - 1
-    # under homology): each degree lists the labels of n = 0, 1, 2 once and
-    # builds d̄_1 and d̄_2 once, and no slice, label list or verdict of the
-    # pass is left in the algebra's tables (Λ(a,b,c) has labels with n >= 3
-    # from degree 3)
+    # the reduced bar certificate is one pass of `homology.certify_contraction`
+    # over the degrees 0..D (D - 1 under homology), on B with d forgotten: it
+    # lists the labels of n = 0, 1, 2 of each degree once and no label with
+    # n >= 3, and no verdict of it is left in the input algebra's tables
+    # (Λ(a,b,c) has labels with n >= 3 from degree 3)
     import dgres.bar as bar
     import dgres.cli as cli
+    import dgres.homology as homology
     import dgres.probfile as probfile
 
-    seen, made, slices, lists = [], [], [], []
+    seen, made, lists, slices = [], [], [], []
     real = probfile.parse_problem
     monkeypatch.setattr(probfile, "parse_problem", lambda text: seen.append(real(text)) or seen[-1])
-
-    def recorded(fn, calls):
-        def wrapper(alg, n, degree, *rest):
-            calls.append((n, degree))
-            made.append(fn(alg, n, degree, *rest))
-            return made[-1]
-        return wrapper
-
-    monkeypatch.setattr(bar, "reduced_slice_matrix", recorded(bar.reduced_slice_matrix, slices))
+    real_lists = homology.prefix_one_labels
+    monkeypatch.setattr(homology, "prefix_one_labels",
+                        lambda alg, n, degree: lists.append((alg, n, degree)) or real_lists(alg, n, degree))
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("dgres.") and hasattr(mod, "prefixed_basis_labels"):
-            monkeypatch.setattr(mod, "prefixed_basis_labels", recorded(mod.prefixed_basis_labels, lists))
+            monkeypatch.setattr(mod, "prefixed_basis_labels", lambda alg, n, degree: slices.append(n) or ())
     certify = bar.certify_reduced_bar
     for mod in (bar, cli):
         monkeypatch.setattr(mod, "certify_reduced_bar", lambda alg, D: made.append(certify(alg, D)) or made[-1])
     code, out, err = run_cli(command[:1] + [str(golden_dir / "lam3.dgres")] + command[1:], capsys)
-    assert code == 0 and err == ""
+    assert code == 0 and err == "" and slices == []
+    alg = seen[0].algebra
     top = int(command[-1]) - (command[0] == "homology")
-    assert sorted(slices) == [(n, d) for n in (1, 2) for d in range(top + 1)]
-    assert sorted(lists) == [(n, d) for n in (0, 1, 2) for d in range(top + 1)]
-    cached = {id(value) for table in seen[0].algebra._memo_tables.values() for value in table.values()}
+    assert sorted((n, d) for a, n, d in lists if a is not alg) == [(n, d) for n in (0, 1, 2) for d in range(top + 1)]
+    cached = {id(value) for table in alg._memo_tables.values() for value in table.values()}
     assert not cached & {id(x) for x in made if x}  # the empty tuple is one object, cached or not
 
 
 def test_semifree_keeps_no_full_basis(golden_dir, capsys, monkeypatch):
     # (𝔹, 𝔻) is certified on its B-basis: past the frakD-T-linearity window
-    # (total degree 5) no full label list is listed, and every cached matrix
-    # on 𝔹 labels (n, λ) has prefix-1 columns only
+    # (total degree 5) no full label list is listed, and no matrix on 𝔹
+    # labels (n, λ) is cached: the certificate reads the columns one by one,
+    # and only the d^B slices stay, for their ranks
     import dgres.probfile as probfile
+    from dgres.algebra import Monomial
     from dgres.linalg import SliceMatrix
 
     seen = []
@@ -697,8 +713,7 @@ def test_semifree_keeps_no_full_basis(golden_dir, capsys, monkeypatch):
         caches = alg._memo_tables
         assert all(t <= 5 for t in caches.get("bb_basis", ()))  # a table is made on first use
         matrices = [M for cache in caches.values() for M in cache.values() if isinstance(M, SliceMatrix)]
-        labels = [lb for M in matrices for lb in M.col_labels if isinstance(lb, tuple) and len(lb) == 2]
-        assert labels and all(b == alg.one_mono for _, (b, _, _) in labels)
+        assert matrices and all(isinstance(lb, Monomial) for M in matrices for lb in M.col_labels)
 
 
 E5 = "field rationals\n[algebra]\nbase x 2\next e 5\nd e = x^2\n"
@@ -769,15 +784,17 @@ def test_semifree_T_linearity_window_reaches_the_first_ext_label(tmp_path, capsy
 
 
 def test_derivations_fail_when_no_sample_is_checked(tmp_path, capsys):
-    # no ext generator: both spaces are 0, so no sample and no corrupted
-    # derivation can be checked
+    # no ext generator: both bases are empty, so no round trip and no
+    # corrupted derivation can be checked
+    from dgres.bar import EMPTY_BASIS
+
     path = tmp_path / "noext.dgres"
     path.write_text("field rationals\n[algebra]\nbase y 2\n")
-    code, out, err = run_cli(["derivations", str(path), "--max-degree", "4", "--samples", "5"], capsys)
+    code, out, err = run_cli(["derivations", str(path), "--max-degree", "4"], capsys)
     assert code == 1 and err == ""
     lines = out.splitlines()
     failed = [(line.split()[1], lines[k + 1].strip()) for k, line in enumerate(lines) if line.startswith("  FAIL")]
-    assert failed == [(name, "counterexample: no sample was checked") for name in
+    assert failed == [(name, f"counterexample: {EMPTY_BASIS}") for name in
                       ("eta-of-eta-inverse-identity", "eta-inverse-of-eta-identity", "corrupted-derivation-rejected")]
     assert "PASS  derivation-hom-dim-match" in out
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dgres.algebra import DGAlgebra
 from dgres.bar import reduced_slice_matrix
 from dgres.errors import DgresError
-from dgres.linalg import InfeasibilityCertificate, SliceMatrix, echelon, identity_defect, solve_linear, verify_certificate
+from dgres.linalg import InfeasibilityCertificate, SliceMatrix, echelon, solve_linear, verify_certificate
 from dgres.scalars import Field
 
 from oracles import dense_nullspace_oracle, dense_rank_oracle, dense_rref_oracle, dense_solve_oracle
@@ -201,10 +201,9 @@ def test_solve_matches_dense_oracle(system):
 
 @settings(max_examples=150, deadline=None)
 @given(systems())
-def test_compose_and_identity_defect_match_dense_products(system):
+def test_compose_matches_dense_products(system):
     # A∘Aᵀ summed in plain ints or Fractions and reduced once, against the
-    # textbook product; identity_defect names the first column of A∘Aᵀ − I
-    # that is not zero
+    # textbook product
     p, rows, ncols, _ = system
     f = _field(p)
     A = _from_rows(f, rows, ncols)
@@ -214,18 +213,6 @@ def test_compose_and_identity_defect_match_dense_products(system):
     dense = dense if p is None else [[v % p for v in row] for row in dense]
     assert _dense(P) == dense
     assert all(v and (v < p if p else type(v) is int or v.denominator != 1) for v in P.entries.values())
-    bad = [j for j in range(len(rows)) if any(dense[i][j] != (i == j) for i in range(len(rows)))]
-    assert identity_defect([(A, T)]) == min(bad, default=None)
-
-
-def test_identity_defect_rejects_a_label_outside_the_basis():
-    QQ = Field.rationals()
-    eye = SliceMatrix.from_columns(QQ, (0, 1, 2), (0, 1, 2), [{0: 1}, {1: 1}, {2: 1}])
-    # two columns into three rows: the identity on the first two
-    assert identity_defect([(eye, SliceMatrix.from_columns(QQ, (0, 1, 2), (0, 1), [{0: 1}, {1: 1}]))]) is None
-    assert identity_defect([(eye, SliceMatrix.from_columns(QQ, (0, 1, 2), (0, 2), [{0: 1}, {2: 1}]))]) == 1
-    outside = SliceMatrix.from_columns(QQ, (0, 1, 2), (0, 1), [{0: 1}, {3: 1}])
-    assert outside.nrows == 4 and identity_defect([(eye, outside)]) == 1
 
 
 def test_exterior_reduced_bar_ranks_match_dense_oracle():

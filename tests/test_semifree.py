@@ -1,4 +1,3 @@
-from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -8,11 +7,10 @@ from dgres.bar import reduced_slice_matrix
 from dgres.errors import DgresError
 from dgres.homology import (
     bb_alpha_matrix,
-    bb_column,
     bb_homology_table,
-    checked_dd_columns,
-    dd_square,
+    certify_contraction,
     homology_dims,
+    prefix_image,
     quasi_iso_check,
 )
 from dgres.probfile import parse_problem
@@ -29,6 +27,7 @@ from dgres.semifree import (
     dBB,
     dd_column,
     frakD,
+    pi_column,
     psi_sign,
     t_action,
     t_multiply,
@@ -38,6 +37,11 @@ from dgres.tensor import TensorElement, delta, prefixed_basis_element, tensor_ba
 from oracles import bb_coords, bb_rank_table, dense_rank_oracle, full_alpha_matrix, full_dd_matrix
 
 INPUTS = Path(__file__).parent / "inputs"
+
+
+def total_window(D):
+    """The window of `quasi_iso_check`: every label of total degree <= D."""
+    return tuple(D - n for n in range(D + 1))
 
 
 def test_psi_sign_examples():
@@ -228,7 +232,8 @@ def test_dd_column_example(E1):
 def test_checked_columns_and_matrix_squares(fixture_algebras, odd_base, K3p, monkeypatch):
     # every prefix-1 column of degrees 0..6 is compared: a flat 𝔻v for each
     # one with n <= 1, the tail lemma for the others; every label with
-    # b != 1 that they hit, and every σ-label, by the prefix lemma, once each
+    # b != 1 that they hit, and every σ-label that α∘σ reads (degrees
+    # 1..5), by the prefix lemma, once each
     import dgres.homology as homology
 
     calls, lemma, tail = [], [], []
@@ -241,26 +246,25 @@ def test_checked_columns_and_matrix_squares(fixture_algebras, odd_base, K3p, mon
         calls.clear()
         lemma.clear()
         tail.clear()
-        monkeypatch.setattr(alg, "_memo_tables", defaultdict(dict))  # columns are memoised per algebra
-        assert checked_dd_columns(alg, 6)
+        square, anti, chain, defects = certify_contraction(alg, total_window(6))
+        assert square and anti and chain and not defects
         one = alg.one_mono
         prefix_one = [lb for t in range(7) for lb in bb_total_basis(alg, t) if lb[1][0] == one]
         hit = {row for lb in prefix_one for row in dd_column(alg, lb) if row[1][0] != one}
-        hit |= {(0, (b, one, ())) for t in range(1, 7) for b in alg.basis("B", t)}
+        hit |= {(0, (b, one, ())) for t in range(1, 6) for b in alg.basis("B", t)}
         assert len(calls) == sum(1 for n, _ in prefix_one if n <= 1)
         assert len(tail) == sum(1 for n, _ in prefix_one if n >= 2)
         assert len(lemma) == len(hit) and set(lemma) == hit
-        for t in range(2, 7):
-            assert dd_square(alg, t) == (True, True)
 
 
 def test_dd_square_needs_d_squared_zero_on_B(monkeypatch):
     # d(d c) = a: every prefix-1 column of 𝔻² vanishes, the column of
-    # (0, (c, 1, ())) does not, and only the d^B clause of dd_square sees it
-    import dgres.homology as homology
+    # (0, (c, 1, ())) does not, and only the d^B clause of the certificate sees it
+    from dgres.linalg import SliceMatrix
 
     alg = parse_problem((INPUTS / "base_d_squared.dgres").read_text()).algebra
-    assert checked_dd_columns(alg, 6)
+    square, anti, chain, defects = certify_contraction(alg, total_window(6))
+    assert not square and anti and chain and not defects
     one, a, c = alg.one_mono, alg.mono({"a": 1}), alg.mono({"c": 1})
     full = [full_dd_matrix(alg, t) for t in range(7)]
 
@@ -276,12 +280,11 @@ def test_dd_square_needs_d_squared_zero_on_B(monkeypatch):
     qi = quasi_iso_check(alg, 6)
     assert not qi.checks["DD-squared-zero"] and qi.checks["anticommutation"] and not qi.passed
 
-    # without the clause every product check passes, and the certificate goes
-    # on to rank d^B, which is no differential
-    monkeypatch.setattr(homology, "dd_square", squares_on_prefix_one)
-    assert all(all(homology.dd_square(alg, t)) for t in range(2, 7))
-    assert all(homology.alpha_chain_map(alg, t) for t in range(1, 7))
-    assert homology.bb_homotopy_defect(alg, 5) is None
+    # without the clause, the certificate's one test of a matrix product for
+    # zero, every check passes, and the certificate goes on to rank d^B,
+    # which is no differential
+    monkeypatch.setattr(SliceMatrix, "is_zero", lambda M: True)
+    assert certify_contraction(alg, total_window(6))[:3] == (True, True, True)
     with pytest.raises(DgresError, match="boundaries exceed cycles"):
         quasi_iso_check(alg, 6)
 
@@ -294,7 +297,7 @@ def test_checked_columns_catch_a_wrong_differential(E3, monkeypatch):
         return BBElement(t.alg, {n: tensor_differential(te) for n, te in t.components.items()})
 
     monkeypatch.setattr(semifree, "dBB", unsigned)
-    assert not checked_dd_columns(E3, 8)
+    assert certify_contraction(E3, total_window(8)) is None
 
 
 def _drop_prefix_sign(real):
@@ -361,11 +364,9 @@ def test_checked_columns_catch_a_wrong_closed_form(request, monkeypatch, mutatio
     import dgres.homology as homology
 
     alg = request.getfixturevalue(name)
-    assert checked_dd_columns(alg, 8)
-    # the mutated columns go to fresh caches, dropped again after the test
-    monkeypatch.setattr(alg, "_memo_tables", defaultdict(dict))
+    assert certify_contraction(alg, total_window(8)) is not None
     monkeypatch.setattr(homology, "dd_column", DD_MUTATIONS[mutation][0](homology.dd_column))
-    assert not checked_dd_columns(alg, 8)
+    assert certify_contraction(alg, total_window(8)) is None
 
 
 # rows outside the basis, made from a row (k, (b, m, ws)) of a column: the
@@ -395,12 +396,11 @@ def test_checked_columns_reject_a_row_outside_the_basis(request, monkeypatch, ou
         k, (b, m, ws) = next(iter(col))
         return {**col, OUTSIDE_ROWS[outside](alg, k, b, m, ws): alg.field.one}
 
-    assert checked_dd_columns(alg, 8)
+    assert certify_contraction(alg, total_window(8)) is not None
     one, e = alg.one_mono, next(w for d in range(1, 4) for w in alg.basis("W", d))
     assert bb_basis_element(alg, (1, (one, e, (one,)))).is_zero()
-    monkeypatch.setattr(alg, "_memo_tables", defaultdict(dict))
     monkeypatch.setattr(homology, "dd_column", mutated)
-    assert not checked_dd_columns(alg, 8)
+    assert certify_contraction(alg, total_window(8)) is None
 
 
 def test_alpha_matrix_on_labels_matches_flat_alpha(fixture_algebras, K3p):
@@ -408,11 +408,15 @@ def test_alpha_matrix_on_labels_matches_flat_alpha(fixture_algebras, K3p):
     # flat α; the matrix holds the prefix-1 columns
     windows = [(alg, 8) for alg in fixture_algebras.values()] + [(K3p, 10)]
     for alg, D in windows:
+        one = alg.one_mono
         for t in range(D + 1):
             M = full_alpha_matrix(alg, t)
             want = {label: alpha(bb_basis_element(alg, label)).terms for label in M.col_labels}
             for label, col in zip(M.col_labels, M.columns()):
-                assert col == want[label] and bb_column(alg, label)[1] == want[label], label
+                n, (b, m, ws) = label
+                X = (n, (one, m, ws))
+                lemma = prefix_image(alg, label, dd_column(alg, X), {} if n else pi_column(alg, X[1]))[1]
+                assert col == want[label] and lemma == want[label], label
             P = bb_alpha_matrix(alg, t)
             assert P.columns() == [want[label] for label in P.col_labels]
             assert all(b == alg.one_mono for _, (b, _, _) in P.col_labels)

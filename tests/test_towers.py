@@ -15,22 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgres.algebra import DGAlgebra, validate_dg
-import dgres.bar as bar
 from dgres.bar import certify_reduced_bar, check_reduced_exactness
 from dgres.cli import cmd_semifree
 import dgres.homology as homology
-from dgres.homology import (
-    alpha_chain_map,
-    bb_homotopy_defect,
-    dd_square,
-    prefix_image,
-    quasi_iso_check,
-    reduced_bar_table,
-)
+from dgres.homology import certify_contraction, prefix_image, quasi_iso_check, reduced_bar_table
 from dgres.probfile import ProblemFile
 from dgres.sampling import random_homogeneous_element
 from dgres.scalars import Field
-from dgres.semifree import DD, append_tail, bb_basis_element, bb_total_basis, dbar_column, dd_column, homotopy
+from dgres.semifree import DD, BBElement, append_tail, bb_basis_element, bb_total_basis, dbar_column, dd_column, homotopy
 from dgres.tensor import prefixed_basis_dim, prefixed_basis_labels
 from oracles import (
     basis_oracle,
@@ -148,9 +140,8 @@ def test_homotopy_identities_and_dimension_tables_on_random_towers(kind, field, 
 
 def prefix_one_checks(alg, D):
     """The product checks of `quasi_iso_check`, on the prefix-1 columns, in the form of `full_column_checks`."""
-    squares = [dd_square(alg, t) for t in range(2, D + 1)]
-    return (all(s for s, _ in squares), all(a for _, a in squares),
-            all(alpha_chain_map(alg, t) for t in range(1, D + 1)), bb_homotopy_defect(alg, D - 1))
+    square, anti, chain, defects = certify_contraction(alg, tuple(D - n for n in range(D + 1)))
+    return square, anti, chain, defects[0][0] if defects else None
 
 
 def perturbed_dd(alg, D, pick, scale):
@@ -158,7 +149,7 @@ def perturbed_dd(alg, D, pick, scale):
 
     Every column with prefix b != 1 follows from its prefix-1 column by the
     prefix lemma (`prefix_image`), as in a certified 𝔻, so the product
-    lemma of `quasi_iso_check` applies to it.
+    lemma of `homology.certify_contraction` applies to it.
     """
     one = alg.one_mono
     targets = [(lb, key) for t in range(D + 1) for lb in bb_total_basis(alg, t) if lb[1][0] == one
@@ -179,8 +170,8 @@ def perturbed_dd(alg, D, pick, scale):
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_prefix_one_product_checks_match_the_full_columns(kind, field, data):
-    # dd_square, alpha_chain_map and bb_homotopy_defect read the right factor
-    # on its prefix-1 columns only; on the true 𝔻, and on a 𝔻 with one entry
+    # the certificate reads the products on the prefix-1 columns only; on the
+    # true 𝔻, and on a 𝔻 with one entry
     # scaled that keeps the prefix structure of a certified 𝔻, they decide
     # what the checks on every column decide, and name the same first label
     alg = data.draw(TOWERS[kind](field))
@@ -188,8 +179,17 @@ def test_prefix_one_product_checks_match_the_full_columns(kind, field, data):
     assert prefix_one_checks(alg, D) == full_column_checks(alg, D) == (True, True, True, None)
     scale = alg.field.of_int(data.draw(st.sampled_from((-1, 2, 3))))
     dd = perturbed_dd(alg, D, data.draw(st.integers(0, 10**6)), scale)
-    alg._memo_tables.clear()  # the columns are memoised with the closed form they read
-    with mock.patch.object(homology, "dd_column", dd):
+
+    def flat_dd(v):  # the flat 𝔻v that the column check compares with, read off dd
+        (label,) = bb_coords(v)
+        out = BBElement(v.alg)
+        for row, c in dd(v.alg, label).items():
+            out = out + bb_basis_element(v.alg, row).scale(c)
+        return out
+
+    # the column checks, made to accept dd: the flat 𝔻v and the tail lemma read it too
+    with mock.patch.object(homology, "dd_column", dd), mock.patch.object(homology, "DD", flat_dd), \
+            mock.patch.object(homology, "tail_image", lambda alg, label, *cols: dd(alg, label)):
         assert prefix_one_checks(alg, D) == full_column_checks(alg, D, dd)
 
 
@@ -197,36 +197,37 @@ def homotopy_mutations(alg, D, pick):
     """Wrong heads of `semifree.homotopy` on alg, each from one drawn choice.
 
     h is written on the heads (b, m, ()) and appends the label's δ-factors,
-    so a mutation that can be written changes the head's column and is
-    appended every tail alike.  "scaled" doubles h(b0, m0, ws), "dropped"
-    makes it zero and "outside" sends it to (b0, m0, (m0,) + ws), a label
-    of too high a degree; "boundary" adds d̄(y) + ws to h(b1, m1, ws) for a
-    label y of C_2 and a pair (b1, m1) of its degree.
+    and it copies b, so it is left B-linear.  A mutation that can be
+    written changes the heads of one m alike for every prefix b, and is
+    appended to every tail alike.  "scaled" doubles h(b, m0, ws), "dropped"
+    makes it zero and "outside" sends it to (b, m0, (m0,) + ws), a label of
+    too high a degree; "boundary" adds d̄(b·y) + ws to h(b, m1, ws) for a
+    prefix-1 label y of C_2 and an m1 of its degree.
     """
     f, one = alg.field, alg.one_mono
-    pairs = [(b, m) for d in range(1, D + 1) for b, m, _ in prefixed_basis_labels(alg, 0, d) if m != one]
-    b0, m0 = pairs[pick % len(pairs)]
-    c2 = [lb for d in range(2, D + 1) for lb in prefixed_basis_labels(alg, 2, d) if dbar_column(alg, lb)]
+    ms = [m for d in range(1, D + 1) for m in alg.basis("W", d)]
+    m0 = ms[pick % len(ms)]
+    c2 = [lb for d in range(2, D + 1) for lb in prefixed_basis_labels(alg, 2, d) if lb[0] == one and dbar_column(alg, lb)]
     y = c2[pick % len(c2)] if c2 else None
-    degree = None if y is None else y[0].degree + y[1].degree + sum(w.degree for w in y[2])
-    b1, m1 = next(((b, m) for b, m in pairs if b.degree + m.degree == degree), (None, None))
+    degree = None if y is None else y[1].degree + sum(w.degree for w in y[2])
+    m1 = next((m for m in ms if m.degree == degree), None)
 
-    def at_head(head, change):
+    def at(m, change):
         def mutated(alg, label):
-            return change(label) if label[:2] == head else homotopy(alg, label)
+            return change(label) if label[1] == m else homotopy(alg, label)
         return mutated
 
     def boundary(label):
         out = dict(homotopy(alg, label))
-        for key, c in append_tail(dbar_column(alg, y), label[2]).items():
+        for key, c in append_tail(dbar_column(alg, (label[0],) + y[1:]), label[2]).items():
             out[key] = f.add(out.get(key, f.zero), c)
         return {k: c for k, c in out.items() if c != f.zero}
 
     return {
-        "scaled": at_head((b0, m0), lambda label: {k: f.mul(c, f.of_int(2)) for k, c in homotopy(alg, label).items()}),
-        "dropped": at_head((b0, m0), lambda label: {}),
-        "outside": at_head((b0, m0), lambda label: {(b0, m0, (m0,) + label[2]): f.one}),
-        "boundary": at_head((b1, m1), boundary),
+        "scaled": at(m0, lambda label: {k: f.mul(c, f.of_int(2)) for k, c in homotopy(alg, label).items()}),
+        "dropped": at(m0, lambda label: {}),
+        "outside": at(m0, lambda label: {(label[0], m0, (m0,) + label[2]): f.one}),
+        "boundary": at(m1, boundary),
     }
 
 
@@ -245,10 +246,10 @@ def test_streamed_reduced_checks_match_every_slice(kind, field, data):
     assert (square, defects) == reduced_full_checks(alg, D) == (True, [None] * (D + 1))
     mutations = homotopy_mutations(alg, D, data.draw(st.integers(0, 10**6)))
     name = data.draw(st.sampled_from(sorted(mutations)))
-    with mock.patch.object(bar, "homotopy", mutations[name]):
+    with mock.patch.object(homology, "homotopy", mutations[name]):
         defects, square = certify_reduced_bar(alg, D)
     assert (square, defects) == reduced_full_checks(alg, D, homotopy=mutations[name]), name
-    assert name == "boundary" or any(defects), name  # "boundary" is h itself when y or (b1, m1) is missing
+    assert name == "boundary" or any(defects), name  # "boundary" is h itself when y or m1 is missing
 
 
 @pytest.mark.parametrize("kind", sorted(TOWERS))
