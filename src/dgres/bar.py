@@ -231,29 +231,39 @@ class DerivationTable:
         return out
 
     def validate(self) -> ValidationReport:
-        """Derivation law on all monomial products expressible within cutoff."""
-        rep = ValidationReport()
+        """D vanishes on A, and the derivation law holds on all monomial products within cutoff."""
         alg = self.alg
         bad = []
-        zero = TensorElement(alg, 2)
-        mono_range = [m for d in range(self.cutoff + 1) for m in alg.basis("B", d)]
-        for m1 in mono_range:
-            d1 = self.images.get(m1, zero)
-            for m2 in mono_range:
-                if not _in_window(self.cutoff, m1, m2):
-                    continue
-                d2 = self.images.get(m2, zero)
-                rhs = right_mult(d1, alg.from_monomial(m2)) + left_mult(alg.from_monomial(m1), d2)
-                sm = alg.mono_mul(m1, m2)
-                if sm is None:
-                    lhs = zero  # product vanishes (odd square), so D of it must too
-                else:
-                    sign, m = sm
-                    lhs = self.images.get(m, zero).scale_int(sign)
-                if lhs != rhs:
-                    bad.append((alg.mono_repr(m1), alg.mono_repr(m2)))
+        for row in _derivation_defect(alg, self.images, _law_pairs(alg, self.cutoff)):
+            at = (alg.mono_repr(row[1]),) if row[0] == "A" else (alg.mono_repr(row[0]), alg.mono_repr(row[1]))
+            if at not in bad:
+                bad.append(at)
+        rep = ValidationReport()
         rep.add("derivation-law", not bad, "" if not bad else f"fails at {bad[:3]}")
         return rep
+
+
+def _law_pairs(alg: DGAlgebra, cutoff: int) -> list:
+    """(m1, m2, m1·m2) for the monomial pairs of B with m1, m2 != 1 whose product
+    is within cutoff; the product is None where it vanishes (odd squares).  A
+    pair with a factor 1 would state D(1) = 0, which vanishing on A states."""
+    one = alg.one_mono
+    monos = [m for d in range(cutoff + 1) for m in alg.basis("B", d) if m != one]
+    return [(m1, m2, alg.mono_mul(m1, m2)) for m1 in monos for m2 in monos if _in_window(cutoff, m1, m2)]
+
+
+def _derivation_defect(alg: DGAlgebra, images: dict, pairs) -> dict:
+    """The failure of a table m ↦ D(m) to be an A-derivation: rows ("A", m, w)
+    hold the coordinates of D(m) for m in A, and rows (m1, m2, w) those of
+    D(m1 m2) − D(m1)·m2 − m1·D(m2) over `pairs` (from `_law_pairs`)."""
+    zero = TensorElement(alg, 2)
+    out = {("A", m, w): c for m, img in images.items() if alg.mono_in_A(m) for w, c in img.terms.items()}
+    for m1, m2, sm in pairs:
+        law = zero if sm is None else images.get(sm[1], zero).scale_int(sm[0])
+        law = law - right_mult(images.get(m1, zero), alg.from_monomial(m2)) \
+            - left_mult(alg.from_monomial(m1), images.get(m2, zero))
+        out.update(((m1, m2, w), c) for w, c in law.terms.items())
+    return out
 
 
 class BeLinearMap:
@@ -427,27 +437,15 @@ def derivation_space(alg: DGAlgebra, cutoff: int) -> list[DerivationTable]:
     vanishing odd squares).  Sampling from the nullspace yields genuine
     derivations.
     """
-    one = alg.one_mono
     monos = [m for d in range(cutoff + 1) for m in alg.basis("B", d)]
     touching: dict = {m: [] for m in monos}  # m -> the pairs whose law involves D(m)
-    for m1 in monos:
-        for m2 in monos:
-            if m1 != one and m2 != one and _in_window(cutoff, m1, m2):
-                sm = alg.mono_mul(m1, m2)
-                for m in {m1, m2} if sm is None else {m1, m2, sm[1]}:
-                    touching[m].append((m1, m2, sm))
+    for pair in _law_pairs(alg, cutoff):
+        m1, m2, sm = pair
+        for m in {m1, m2} if sm is None else {m1, m2, sm[1]}:
+            touching[m].append(pair)
 
     def column(m, w) -> dict:
-        word = TensorElement.from_word(alg, w)
-        col = {("A", m, w): alg.field.one} if alg.mono_in_A(m) else {}
-        for m1, m2, sm in touching[m]:
-            law = word.scale_int(sm[0]) if sm is not None and sm[1] == m else TensorElement(alg, 2)
-            if m1 == m:
-                law = law - right_mult(word, alg.from_monomial(m2))
-            if m2 == m:
-                law = law - left_mult(alg.from_monomial(m1), word)
-            col.update(((m1, m2, ww), c) for ww, c in law.terms.items())
-        return col
+        return _derivation_defect(alg, {m: TensorElement.from_word(alg, w)}, touching[m])
 
     cols = tuple((m, w) for m in monos for w in tensor_basis(alg, 2, m.degree))
     # rows in order of first appearance: the RREF, so the nullspace, does not depend on it

@@ -246,6 +246,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+FLAG_READER = {"samples": "lift", "seed": "lift", "module": "lift", "reduced": "bar", "max_n": "bar"}
+
+
+def _reject_unread_flags(args):
+    """A flag that the command (for --max-n, `bar` without --reduced) does not
+    read is a usage error, not an echo in the options header.  [options]
+    lines are not checked: one file serves many commands."""
+    for key, command in FLAG_READER.items():
+        val = getattr(args, key)
+        if val is not None and val is not False and (command != args.command or key == "max_n" and args.reduced):
+            shown = "bar --reduced" if args.reduced and args.command == "bar" else args.command
+            raise UsageError(f"{shown} does not read --{key.replace('_', '-')}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -253,17 +267,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         from .probfile import parse_problem
 
-        problem = parse_problem(text)
+        _reject_unread_flags(args)
+        with open(args.file, "r", encoding="utf-8") as fh:
+            problem = parse_problem(fh.read())
         rep = COMMANDS[args.command](args, problem)
-    except DgresError as exc:
+    except (DgresError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = render_machine(rep) if args.format == "machine" else render_text(rep)

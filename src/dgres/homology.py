@@ -38,9 +38,8 @@ BAD_COLUMNS = "a DD column differs from dv + Dv, the flat images of its basis el
 class HomologyTable:
     """degree -> (dim cycles, dim boundaries, dim homology)."""
 
-    def __init__(self, entries: dict | None = None, window: str = ""):
+    def __init__(self, entries: dict | None = None):
         self.entries = {} if entries is None else entries
-        self.window = window
 
     def add(self, degree: int, cycles: int, boundaries: int):
         if boundaries > cycles:
@@ -382,7 +381,7 @@ def homology_dims(alg: DGAlgebra, D: int) -> HomologyTable:
     """
     if D < 1:
         raise WindowIncomplete("need D >= 1")
-    table = HomologyTable(window=_window(D))
+    table = HomologyTable()
     for m in range(D):
         out_of, into = dB_matrix(alg, m), dB_matrix(alg, m + 1)
         table.add(m, out_of.ncols - out_of.rank(), into.rank())
@@ -399,7 +398,7 @@ def reduced_bar_table(alg: DGAlgebra, D: int) -> HomologyTable:
     boundaries both number Σ_n rank d̄_n, with d̄_0 = π.  dim C_n is
     `prefixed_basis_dim`, counted with no label or δ-word listed.
     """
-    table = HomologyTable(window=_window(D))
+    table = HomologyTable()
     for d in range(D):
         dims = [len(alg.basis("B", d))] + [prefixed_basis_dim(alg, n, d) for n in range(d)]
         rank = sum(accumulate(dims, lambda r, dim: dim - r))
@@ -421,7 +420,7 @@ def bb_homology_table(alg: DGAlgebra, D: int) -> HomologyTable:
     for m in range(D):
         r.append(dims[m] - len(alg.basis("B", m)) - r[m])
     ranks = [dB_matrix(alg, m).rank() + r[m] for m in range(D + 1)]
-    table = HomologyTable(window=_window(D))
+    table = HomologyTable()
     for m in range(D):
         table.add(m, dims[m] - ranks[m], ranks[m + 1])
     return table

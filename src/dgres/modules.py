@@ -17,7 +17,8 @@ Elements of N ⊗_A T are `GradedElement`s too, like those of 𝔹, keyed by wor
 length: component n is an element of N ⊗_A B^{⊗_A (n+1)}, of word length n+2.
 The part of the differential `DN` of N ⊗_A T that keeps the component is
 the internal differential twisted by n, and one helper, `_internal_part`,
-computes it; `module_differential` is its n = 0 case.
+computes it; `module_differential` is its n = 0 case.  The splitting β_N is
+built by its recursion, in one pass over the generators (`_beta_pass`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import random
 
 from .algebra import AlgElement, DGAlgebra, ValidationReport
-from .bar import bar_differential, bar_homotopy
+from .bar import bar_differential
 from .errors import DgresError, NotValidated, ShapeMismatch
 from .linalg import InfeasibilityCertificate, SliceMatrix, solve_linear
 from .sampling import random_homogeneous_modtensor, random_homogeneous_tensor
@@ -183,11 +184,16 @@ def dN(t: ModTensorElement, n: int) -> ModTensorElement:
     return t._map(lambda x: bar_differential(x, n), n + 1)
 
 
-def bar_dN_any(t: ModTensorElement) -> ModTensorElement:
-    """𝐝^N on any word length (zero on N itself where the index drops below -1)."""
+def _bar_d(t: TensorElement) -> TensorElement:
+    """𝐝 of the matching word length, zero below the augmentation (on word length 1)."""
     if t.length < 2:
-        return ModTensorElement(t.module, t.length)
-    return dN(t, t.length - 2)
+        return TensorElement(t.alg, t.length)
+    return bar_differential(t, t.length - 2)
+
+
+def bar_dN_any(t: ModTensorElement) -> ModTensorElement:
+    """𝐝^N on any word length: `_bar_d` on each part (zero on N itself)."""
+    return t._map(_bar_d, max(t.length - 1, 1))
 
 
 def dN_matrix(N: SemifreeModule, length: int, degree: int) -> SliceMatrix:
@@ -200,6 +206,11 @@ def dN_matrix(N: SemifreeModule, length: int, degree: int) -> SliceMatrix:
     return SliceMatrix.from_columns(f, tuple(modtensor_basis(N, length - 1, degree)), src,
                                     (bar_dN_any(ModTensorElement(N, length, {key: f.one})).terms
                                      for key in src))
+
+
+def _index_signed(t: ModTensorElement, n: int) -> ModTensorElement:
+    """t with its part at each index j signed (-1)^{|e_j|+n}."""
+    return t._like({j: -x if (t.owner.degrees[j] + n) % 2 else x for j, x in t.components.items()})
 
 
 def _internal_part(t: ModTensorElement, n: int) -> ModTensorElement:
@@ -260,8 +271,7 @@ def DN(t: NTElement) -> NTElement:
     for n, te in t.components.items():
         comps = {n: _internal_part(te, n)}
         if n:
-            merged = mod_merge_at(te, 0)
-            comps[n - 1] = merged._like({j: -x if mod.degrees[j] % 2 else x for j, x in merged.components.items()})
+            comps[n - 1] = _index_signed(mod_merge_at(te, 0), 0)
         out = out + NTElement(mod, comps)
     return out
 
@@ -275,69 +285,49 @@ def alpha_N(t: NTElement) -> ModTensorElement:
     return mod_merge_at(c0, 0)
 
 
-def _beta_stored_sign(m: int, mu_degree_sum: int, entry_degrees: list[int]) -> int:
-    """Stored-coordinate sign of a depth-m β-series term.
+def _beta_pass(N: SemifreeModule):
+    """(j, betas) for j = 0, 1, ..., with betas[j] = β_N(e_j), in one pass.
 
-    `mu_degree_sum` is Σ |e_{μ_j}| over the chain μ_m < ... < μ_1 < λ and
-    `entry_degrees` lists the coefficient degrees along the δ-word, leftmost
-    factor first (so entry_degrees[0] = |b_{μ_m μ_{m-1}}|).  The second sum
-    is the suspension-shuffle relabeling of the stored coordinates; the
-    first makes β a chain map for the transported differential.  Pinned by
-    exact solves over pure, jump, and mixed-parity chains.
-    """
-    shuffle = sum((m - i) * entry_degrees[i - 1] for i in range(1, m))
-    exp = mu_degree_sum + shuffle
-    return -1 if exp % 2 else 1
-
-
-def beta_N(N: SemifreeModule, lam: str) -> NTElement:
-    """The splitting series β_N(e_λ) = e_λ⊗1 + Σ e_μ ⊗ δ(b)-chains.
-
-    Depth-first over strictly decreasing chains below λ; δ-words are built
-    by extending memoized suffixes on the left.  The component of a chain is
-    `bar_homotopy` of its δ-word, scaled by the stored sign.
+    β_N(e_λ) = e_λ ⊗ 1 ⊗ 1 + Σ_{μ<λ, b_{μλ} ≠ 0} β_N(e_μ) ⊗_B δ(b_{μλ}), a
+    term at index h of component m of β_N(e_μ) moving to component m + 1
+    signed (-1)^{|e_h|+m}; `betas` keeps β_N(e_i) only while a later ∂e_k
+    has a term at e_i, all that this and a chain-map check at e_j read.
+    By induction on λ, this is the sum over the chains μ_m < ... < μ_1 < λ
+    of e_h ⊗ 1 ⊗ δ(b_1) ⊗_B ... ⊗_B δ(b_m), h = μ_m, b_1 = b_{μ_m μ_{m-1}},
+    b_m = b_{μ_1 λ}, signed (-1)^{Σ_j |e_{μ_j}| + Σ_{i<m} (m-i)|b_i|}: a
+    chain of λ is a chain of μ_1 (possibly empty) and the step μ_1 → λ,
+    appending δ(b_m) commutes with prepending the 1, and the two signs
+    differ by (-1)^{|e_{μ_1}| + Σ_{i<m} |b_i|} = (-1)^{|e_h| + m - 1}, as
+    |e_{μ_1}| = |e_h| + Σ_{i<m} |b_i| + m - 1 by homogeneity.
     """
     if N._validated is None:
         validate_module(N)
     if not N._validated:
         raise NotValidated("module failed validation")
     alg = N.alg
-    j = N.index[lam]
-    out = NTElement(N, {0: ModTensorElement(N, 2, {
-        (j, (alg.one_mono, alg.one_mono)): alg.field.one})})
-    memo: dict[tuple, TensorElement] = {}
+    unit = (alg.one_mono, alg.one_mono)
+    last_use = {i: k for i, k in sorted(N.diff)}
+    betas: dict = {}
+    for j in range(len(N.names)):
+        comps = {0: ModTensorElement(N, 2, {(j, unit): alg.field.one})}
+        for i in range(j):
+            b = N.diff.get((i, j))
+            if b is not None:
+                db = delta(b)
+                for m, x in betas[i].components.items():
+                    _add_to(comps, m + 1, _index_signed(mod_concat_B(x, db), m))
+        betas[j] = NTElement(N, comps)
+        yield j, betas
+        for i in [i for i in betas if last_use.get(i, -1) <= j]:
+            del betas[i]
 
-    def chain_word(chain: tuple[int, ...]) -> TensorElement:
-        # chain = (mu_m, ..., mu_1) indices descending towards lam at the right
-        got = memo.get(chain)
-        if got is not None:
-            return got
-        if len(chain) == 1:
-            w = delta(N.entry(chain[0], j))
-        else:
-            w = concat_B(delta(N.entry(chain[0], chain[1])), chain_word(chain[1:]))
-        memo[chain] = w
-        return w
 
-    def rec(chain: tuple[int, ...]):
-        nonlocal out
-        head = chain[0]
-        word = chain_word(chain)
-        if not word.is_zero():
-            m = len(chain)
-            full = chain + (j,)
-            entry_degs = [N.entry(a, b).homogeneous_degree() for a, b in zip(full, full[1:])]
-            sign = _beta_stored_sign(m, sum(N.degrees[i] for i in chain), entry_degs)
-            comp = ModTensorElement._of_parts(N, m + 2, {head: bar_homotopy(word).scale_int(sign)})
-            out = out + NTElement(N, {m: comp})
-        for i in range(head):
-            if (i, head) in N.diff:
-                rec((i,) + chain)
-
-    for i in range(j):
-        if (i, j) in N.diff:
-            rec((i,))
-    return out
+def beta_N(N: SemifreeModule, lam: str) -> NTElement:
+    """The splitting series β_N(e_λ) = e_λ⊗1 + Σ e_μ ⊗ δ(b)-chains, by `_beta_pass` up to λ."""
+    for j, betas in _beta_pass(N):
+        if N.names[j] == lam:
+            return betas[j]
+    raise KeyError(lam)
 
 
 NO_GENERATOR = "the module has no generator, so nothing was checked"
@@ -356,23 +346,21 @@ def _chain_map_at(N: SemifreeModule, j: int, image, right, d, zero) -> bool:
 def check_beta(N: SemifreeModule) -> tuple[ValidationReport, list]:
     """β_N is a chain map N → N ⊗_A T and α_N∘β_N = id_N, generator by generator.
 
-    Returns the report and the table rows (name, β_N(e_name)).  Each β_N(e_j)
-    is built once, and kept only while a later ∂e_k still has a term at e_j.
-    A module without generators fails both lines.
+    Returns the report and the table rows (name, β_N(e_name)).  The β's come
+    from one `_beta_pass`, which builds each β_N(e_j) once; the β's it keeps
+    at e_j are those the chain map at e_j reads.  A module without generators
+    fails both lines.
     """
-    last_use = {i: k for i, k in sorted(N.diff)}
-    betas = {}
     rows = []
     ok_chain = ok_id = True
-    for j, name in enumerate(N.names):
-        b = betas[j] = beta_N(N, name)
+    for j, betas in _beta_pass(N):
+        name = N.names[j]
+        b = betas[j]
         if alpha_N(b) != mod_element(N, name):
             ok_id = False
         if not _chain_map_at(N, j, betas.__getitem__, nt_right_mult, DN, NTElement(N)):
             ok_chain = False
         rows.append((name, repr(b)))
-        for i in [i for i in betas if last_use.get(i, -1) <= j]:
-            del betas[i]
     no_gen = "" if N.names else NO_GENERATOR
     rep = ValidationReport()
     rep.add("beta-chain-map", ok_chain and not no_gen, no_gen)
@@ -501,11 +489,6 @@ def lemma_sign_check(N: SemifreeModule, samples: int, seed: int) -> ValidationRe
     rng = random.Random(seed)
     rep = ValidationReport()
 
-    def bar_d(t: TensorElement) -> TensorElement:
-        if t.length < 2:
-            return TensorElement(alg, max(t.length - 1, 1))
-        return bar_differential(t, t.length - 2)
-
     bad1 = bad2 = None
     checked1 = checked2 = 0
     for _ in range(samples):
@@ -514,13 +497,13 @@ def lemma_sign_check(N: SemifreeModule, samples: int, seed: int) -> ValidationRe
         beta = random_homogeneous_tensor(alg, rng, n, rng.randrange(0, LEMMA_MAX_DEGREE + 1))
         betap = random_homogeneous_tensor(alg, rng, m, rng.randrange(0, LEMMA_MAX_DEGREE + 1))
         # 𝐝(β'), read by both identities when m >= 2; it draws nothing from rng
-        d_betap = bar_d(betap) if m >= 2 and not betap.is_zero() else None
+        d_betap = _bar_d(betap) if m >= 2 and not betap.is_zero() else None
         if n + m >= 3 and not beta.is_zero() and not betap.is_zero():
             checked1 += 1
-            lhs = bar_d(concat_B(beta, betap))
+            lhs = _bar_d(concat_B(beta, betap))
             rhs = TensorElement(alg, n + m - 2)
             if n >= 2:
-                rhs = rhs + concat_B(bar_d(beta), betap)
+                rhs = rhs + concat_B(_bar_d(beta), betap)
             if m >= 2:
                 piece = concat_B(beta, d_betap)
                 rhs = rhs + (piece if (n + 1) % 2 == 0 else -piece)

@@ -627,6 +627,78 @@ def nsex_split_check(N, D):
     return dense_rank_oracle(dense, f.p) == dense_rank_oracle([r + [rhs] for r, (_, rhs) in zip(dense, rows)], f.p)
 
 
+def _beta_stored_sign(m: int, mu_degree_sum: int, entry_degrees: list[int]) -> int:
+    """Stored-coordinate sign of a depth-m β-series term.
+
+    `mu_degree_sum` is Σ |e_{μ_j}| over the chain μ_m < ... < μ_1 < λ and
+    `entry_degrees` lists the coefficient degrees along the δ-word, leftmost
+    factor first (so entry_degrees[0] = |b_{μ_m μ_{m-1}}|).  The second sum
+    is the suspension-shuffle relabeling of the stored coordinates; the
+    first makes β a chain map for the transported differential.  Pinned by
+    exact solves over pure, jump, and mixed-parity chains.
+    """
+    shuffle = sum((m - i) * entry_degrees[i - 1] for i in range(1, m))
+    exp = mu_degree_sum + shuffle
+    return -1 if exp % 2 else 1
+
+
+def chain_walk_beta_N(N, lam: str):
+    """The splitting series β_N(e_λ) = e_λ⊗1 + Σ e_μ ⊗ δ(b)-chains.
+
+    Depth-first over strictly decreasing chains below λ; δ-words are built
+    by extending memoized suffixes on the left.  The component of a chain is
+    `bar_homotopy` of its δ-word, scaled by the stored sign.  The reference
+    that `modules.beta_N`, built by its recursion over the generators, is
+    checked against.
+    """
+    from dgres.bar import bar_homotopy
+    from dgres.errors import NotValidated
+    from dgres.modules import ModTensorElement, NTElement, validate_module
+    from dgres.tensor import TensorElement, concat_B, delta
+
+    if N._validated is None:
+        validate_module(N)
+    if not N._validated:
+        raise NotValidated("module failed validation")
+    alg = N.alg
+    j = N.index[lam]
+    out = NTElement(N, {0: ModTensorElement(N, 2, {
+        (j, (alg.one_mono, alg.one_mono)): alg.field.one})})
+    memo: dict[tuple, TensorElement] = {}
+
+    def chain_word(chain: tuple[int, ...]) -> TensorElement:
+        # chain = (mu_m, ..., mu_1) indices descending towards lam at the right
+        got = memo.get(chain)
+        if got is not None:
+            return got
+        if len(chain) == 1:
+            w = delta(N.entry(chain[0], j))
+        else:
+            w = concat_B(delta(N.entry(chain[0], chain[1])), chain_word(chain[1:]))
+        memo[chain] = w
+        return w
+
+    def rec(chain: tuple[int, ...]):
+        nonlocal out
+        head = chain[0]
+        word = chain_word(chain)
+        if not word.is_zero():
+            m = len(chain)
+            full = chain + (j,)
+            entry_degs = [N.entry(a, b).homogeneous_degree() for a, b in zip(full, full[1:])]
+            sign = _beta_stored_sign(m, sum(N.degrees[i] for i in chain), entry_degs)
+            comp = ModTensorElement._of_parts(N, m + 2, {head: bar_homotopy(word).scale_int(sign)})
+            out = out + NTElement(N, {m: comp})
+        for i in range(head):
+            if (i, head) in N.diff:
+                rec((i,) + chain)
+
+    for i in range(j):
+        if (i, j) in N.diff:
+            rec((i,))
+    return out
+
+
 # -- maps of the paper that only the tests call ------------------------------------
 
 

@@ -202,6 +202,20 @@ def test_eta_inverse_rejects_non_derivation(E2):
         eta_inverse(bad)
 
 
+@pytest.mark.parametrize("cutoff", [3, 4])
+def test_derivation_that_is_nonzero_on_A_is_rejected(E3, cutoff):
+    # y ↦ y ⊗ 1, e ↦ 0 extends to a table that satisfies the Leibniz law on
+    # every pair, but D(y) != 0 with y in A = Q[y]: no A-derivation, so
+    # validate and η⁻¹ reject it, as the rows ("A", m, w) of
+    # `derivation_space` exclude it from the solved basis
+    y_1 = TensorElement.from_word(E3, (E3.mono({"y": 1}), E3.one_mono))
+    table = derivation_from_generator_images(E3, {"y": y_1}, cutoff)
+    rep = table.validate()
+    assert not rep.passed and rep.failures()[0].details.startswith("fails at [('y',)")
+    with pytest.raises(ObstructionNonzero):
+        eta_inverse(table)
+
+
 def test_eta_rejects_non_linear_map(E2):
     # right-multiplication compatibility fails if δ(x^2) gets a junk image
     images = {E2.mono({"x": 1}): delta_word(E2, (E2.mono({"x": 1}),)),

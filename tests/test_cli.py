@@ -105,6 +105,27 @@ def test_empty_sample_count_is_usage_error(tmp_path, capsys, golden_dir, value, 
     assert code == 2 and out == "" and f"samples must be >= 1, got {value}" in err
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["derivations", "--samples", "0"], "samples"), (["derivations", "--seed", "1"], "seed"),
+    (["validate", "--module", "K"], "module"), (["semifree", "--reduced"], "reduced"),
+    (["homology", "--max-n", "2"], "max-n"), (["lift", "--module", "K", "--reduced"], "reduced"),
+    (["bar", "--max-n", "2", "--samples", "3"], "samples"), (["bar", "--reduced", "--seed", "0"], "seed"),
+    (["bar", "--reduced", "--module", "K"], "module"), (["bar", "--reduced", "--max-n", "3"], "max-n"),
+])
+def test_flag_the_command_does_not_read_is_usage_error(capsys, golden_dir, args, flag):
+    # an unread flag would only be echoed in the options header, as if it had acted
+    code, out, err = run_cli([args[0], str(golden_dir / "e2.dgres"), "--max-degree", "2"] + args[1:], capsys)
+    assert code == 2 and out == "" and f"does not read --{flag}" in err
+
+
+def test_option_lines_the_command_does_not_read_are_accepted(tmp_path, capsys, golden_dir):
+    # one file serves many commands, so its [options] may name what one command ignores
+    path = tmp_path / "opts.dgres"
+    path.write_text((golden_dir / "e2.dgres").read_text() + "\n[options]\nsamples = 2\nseed = 3\nmax-n = 2\n")
+    code, out, err = run_cli(["derivations", str(path), "--max-degree", "2"], capsys)
+    assert code == 0 and err == "" and "file:samples=2" in out
+
+
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_classical_bar_max_n_zero_is_usage_error(tmp_path, capsys, golden_dir, source):
     # the classical bar checks d² = 0 only for n >= 1, so max-n 0 would pass it vacuously
@@ -126,20 +147,31 @@ def test_lemma_sign_check_with_no_checked_pair_fails(capsys, golden_dir):
 
 
 def test_lift_builds_each_beta_once(capsys, golden_dir, monkeypatch):
-    # beta-chain-map, alphaN-betaN-identity and the beta table read one β_N per generator
+    # beta-chain-map, alphaN-betaN-identity and the beta table read one pass
+    # over the generators, which builds each β_N once, each from δ(b_{μλ})
+    # once per entry
     import dgres.modules as modules
 
-    calls = []
-    real = modules.beta_N
+    passes, deltas = [], []
+    real_pass, real_delta = modules._beta_pass, modules.delta
 
-    def counted(N, name):
-        calls.append(name)
-        return real(N, name)
+    def counted_pass(N):
+        passes.append([])
+        for j, betas in real_pass(N):
+            passes[-1].append(N.names[j])
+            yield j, betas
 
-    monkeypatch.setattr(modules, "beta_N", counted)
+    def counted_delta(b):
+        deltas.append(b)
+        return real_delta(b)
+
+    monkeypatch.setattr(modules, "_beta_pass", counted_pass)
+    monkeypatch.setattr(modules, "delta", counted_delta)
     code, out, err = run_cli(["lift", str(golden_dir / "chain20.dgres"), "--module", "C"], capsys)
     assert code == 0 and out == (golden_dir / "lift_chain20.txt").read_text()
-    assert calls == [f"f{i}" for i in range(20)]
+    assert passes == [[f"f{i}" for i in range(20)]]
+    N = parse_problem((golden_dir / "chain20.dgres").read_text()).modules["C"]
+    assert len(deltas) == len(N.diff)
 
 
 @pytest.mark.parametrize("D, failed", [(2, True), (8, False)])

@@ -271,8 +271,8 @@ def test_module_differential_leibniz(E1, E3):
 
 
 LIFT_MUTATIONS = {
-    # β's stored sign dropped: no chain of e1's modules needs it, C's 20-step chain does
-    "beta-chain-map": ("chain20.dgres", "C", "_beta_stored_sign", lambda real: lambda *args: 1),
+    # δ negated: every odd-depth term of β changes sign, which C's 20-step chain sees
+    "beta-chain-map": ("chain20.dgres", "C", "delta", lambda real: lambda b: -real(b)),
     "alphaN-betaN-identity": ("e1.dgres", "CB", "alpha_N", lambda real: lambda t: real(t).scale_int(2)),
     "rho-splits-augmentation": ("e1.dgres", "CB", "mod_merge_at", lambda real: lambda t, i: real(t, i).scale_int(2)),
     "rho-chain-map": ("e1.dgres", "CB", "mod_right_mult", lambda real: lambda t, u: real(t, u).scale_int(-1)),

@@ -19,6 +19,7 @@ from dgres.bar import certify_reduced_bar, check_reduced_exactness
 from dgres.cli import cmd_semifree
 import dgres.homology as homology
 from dgres.homology import certify_contraction, prefix_image, quasi_iso_check, reduced_bar_table
+from dgres.modules import SemifreeModule, beta_N, validate_module
 from dgres.probfile import ProblemFile
 from dgres.sampling import random_homogeneous_element
 from dgres.scalars import Field
@@ -28,6 +29,7 @@ from oracles import (
     basis_oracle,
     bb_coords,
     bb_rank_table,
+    chain_walk_beta_N,
     full_column_checks,
     merge_sign_oracle,
     recursive_diff_mono,
@@ -377,9 +379,26 @@ def closed_modules(draw, alg):
     return degrees, {k: b for k, b in entries.items() if not b.is_zero()}
 
 
+@pytest.mark.parametrize("kind", sorted(TOWERS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_beta_recursion_matches_the_chain_walk_on_closed_modules(kind, data):
+    # β_N built from the β_N(e_μ) of the entries equals the sum over chains
+    # with its stored signs, on every generator; the draws reach entries out
+    # of odd-degree generators, where the two signs (-1)^{|e_h|+m} and
+    # (-1)^{|e_μ|} part
+    alg = data.draw(TOWERS[kind](data.draw(st.sampled_from(FIELDS))))
+    degrees, entries = data.draw(closed_modules(alg))
+    N = SemifreeModule(alg, [(f"g{i}", d) for i, d in enumerate(degrees)],
+                       {(f"g{i}", f"g{j}"): b for (i, j), b in entries.items()})
+    assert validate_module(N).passed, (degrees, entries)
+    for name in N.names:
+        assert beta_N(N, name) == chain_walk_beta_N(N, name), (name, degrees, entries)
+
+
 VALID_INPUT_RUNS = [["validate", "--max-degree", "4"], ["bar", "--reduced", "--max-degree", "4"],
                     ["bar", "--max-n", "2", "--max-degree", "3"], ["semifree", "--max-degree", "4"],
-                    ["homology", "--max-degree", "4"], ["derivations", "--max-degree", "3", "--samples", "2"],
+                    ["homology", "--max-degree", "4"], ["derivations", "--max-degree", "3"],
                     ["lift", "--module", "M", "--max-degree", "3", "--samples", "5"]]
 
 
@@ -421,7 +440,6 @@ def test_lift_runs_past_validation_on_closed_modules(tmp_path_factory, data):
     from contextlib import redirect_stdout
 
     from dgres.cli import main
-    from dgres.modules import validate_module
     from dgres.probfile import parse_problem
 
     kind = data.draw(st.sampled_from(sorted(TOWERS)))
