@@ -54,7 +54,6 @@ from .modules import (
     check_beta,
     check_lambda_splitting,
     check_rho,
-    dN,
     DN,
     lambda_n,
     lemma_sign_check,

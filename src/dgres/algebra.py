@@ -400,6 +400,13 @@ class ScalarSum:
     def scale_int(self, n: int):
         return self.scale(self.alg.field.of_int(n))
 
+    def twisted(self, k: int):
+        """The Koszul twist: each term c·x signed (-1)^{k·|x|}; the sum itself for even k."""
+        if not k % 2:
+            return self
+        f, degree = self.alg.field, self.key_degree
+        return self._like({x: f.neg(c) if degree(x) % 2 else c for x, c in self.terms.items()})
+
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -26,6 +26,7 @@ from .tensor import (
     _memo,
     _word_key,
     as_algebra_element,
+    concat_B,
     delta,
     delta_coords,
     delta_word,
@@ -66,18 +67,13 @@ def bar_differential(t: TensorElement, n: int) -> TensorElement:
 
 
 def bar_homotopy(t) -> TensorElement:
-    """Prepend a 1-slot; the right-B-linear contracting homotopy.
+    """Prepend a 1-slot, concat_B(1 ⊗ 1, t); the right-B-linear contracting homotopy.
 
-    Only the new slot 1, the old slot 0, can be out of normal form.
+    The junction is the new slot 1, the old slot 0, and `concat_B` normalises it.
     """
     if isinstance(t, AlgElement):
         t = from_algebra_element(t)
-    alg = t.alg
-    out = TensorElement(alg, t.length + 1)
-    one = alg.one_mono
-    for w, c in t.terms.items():
-        out._add_at_slot((one,) + w, 1, c)
-    return out
+    return concat_B(TensorElement.unit(t.alg, 2), t)
 
 
 def check_classical_bar(alg: DGAlgebra, max_n: int, max_degree: int) -> ValidationReport:
@@ -110,43 +106,26 @@ def check_classical_bar(alg: DGAlgebra, max_n: int, max_degree: int) -> Validati
 
 
 def bar_action(t: TensorElement, s: TensorElement) -> TensorElement:
-    """Right B^e-action: b multiplies the first slot after crossing the rest,
-    b' multiplies the last slot; the crossing gives (-1)^{|b|(|w_2|+..+|w_m|)}.
-    On a word of length 1 the first slot is the last, so b' multiplies w_1·b.
+    """Right B^e-action: t·(b ⊗ b') = concat_B(concat_B(b, t'), b'), t' being t twisted by |b|.
+
+    b crosses t to multiply its first slot from the left (`left_mult`),
+    which costs (-1)^{|b||w|} on a word w; that junction is slot 0.  b'
+    then multiplies the last slot (`right_mult`), the junction that
+    `concat_B` normalises.  On a word of length 1 the first slot is the last.
     """
     if s.length != 2:
         raise LengthMismatch("action expects a length-2 (enveloping algebra) element")
     alg = t.alg
-    f = alg.field
-    out = TensorElement(alg, t.length)
-    for w, cw in t.terms.items():
-        tail_par = sum(m.degree for m in w[1:]) % 2
-        for (mb, mbp), cs in s.terms.items():
-            sign = -1 if (mb.degree % 2) and tail_par else 1
-            sm = alg.mono_mul(w[0], mb)
-            if sm is None:
-                continue
-            s0, first = sm
-            w1 = (first,) + w[1:]
-            sm2 = alg.mono_mul(w1[-1], mbp)
-            if sm2 is None:
-                continue
-            s1, last = sm2
-            c = f.mul(cw, cs)
-            if sign * s0 * s1 < 0:
-                c = f.neg(c)
-            out._add_at_slot(w1[:-1] + (last,), t.length - 1, c)
-    return out
+    return sum((right_mult(left_mult(alg.from_monomial(mb, c), t.twisted(mb.degree)), alg.from_monomial(mbp))
+                for (mb, mbp), c in s.terms.items()), TensorElement(alg, t.length))
 
 
 def nu(b: AlgElement) -> TensorElement:
-    """ν(b) = -(1 ⊗ b ⊗ 1); satisfies δ = 𝐝_0 ∘ ν."""
-    alg = b.alg
-    out = TensorElement(alg, 3)
-    one = alg.one_mono
-    for m, c in b.terms.items():
-        out._add_at_slot((one, m, one), 1, alg.field.neg(c))
-    return out
+    """ν(b) = -𝐡(b ⊗ 1) = -(1 ⊗ b ⊗ 1), b ⊗ 1 being concat_B(b, 1 ⊗ 1); satisfies δ = 𝐝_0 ∘ ν.
+
+    `bar_homotopy` normalises its junction, the slot of b.
+    """
+    return -bar_homotopy(left_mult(b, TensorElement.unit(b.alg, 2)))
 
 
 def matrix_of_map(alg, images: list[TensorElement], col_labels: tuple) -> SliceMatrix:

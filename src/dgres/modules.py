@@ -177,13 +177,6 @@ def mod_concat_B(t: ModTensorElement, s: TensorElement) -> ModTensorElement:
     return t._map(lambda x: concat_B(x, s), t.length + s.length - 1)
 
 
-def dN(t: ModTensorElement, n: int) -> ModTensorElement:
-    """Bar differential 𝐝^N_{n-1} on N ⊗_A B^{⊗_A n} ⊗_A B (word length n+2)."""
-    if t.length != n + 2:
-        raise ShapeMismatch(f"expected word length {n + 2}, got {t.length}")
-    return t._map(lambda x: bar_differential(x, n), n + 1)
-
-
 def _bar_d(t: TensorElement) -> TensorElement:
     """𝐝 of the matching word length, zero below the augmentation (on word length 1)."""
     if t.length < 2:
@@ -217,11 +210,10 @@ def _internal_part(t: ModTensorElement, n: int) -> ModTensorElement:
     """The part of the internal differential of N ⊗_A T that keeps component n, on t in it.
 
     On e_j ⊗ x_j: (-1)^{|e_j|+n} e_j ⊗ d(x_j) plus e_i ⊗ b'_ij·x_j for i < j,
-    where b'_ij is b_ij with each monomial b signed (-1)^{n|b|}.  The one
-    helper of `module_differential` (n = 0) and `DN`.
+    where b'_ij is b_ij twisted by n, each monomial b signed (-1)^{n|b|}.
+    The one helper of `module_differential` (n = 0) and `DN`.
     """
     mod = t.module
-    f = mod.alg.field
     parts: dict = {}
     for j, x in t.components.items():
         d = tensor_differential(x)
@@ -229,9 +221,7 @@ def _internal_part(t: ModTensorElement, n: int) -> ModTensorElement:
         for i in range(j):
             b = mod.diff.get((i, j))
             if b is not None:
-                if n % 2:
-                    b = AlgElement(b.alg, {m: f.neg(c) if m.degree % 2 else c for m, c in b.terms.items()})
-                _add_to(parts, i, left_mult(b, x))
+                _add_to(parts, i, left_mult(b.twisted(n), x))
     return ModTensorElement._of_parts(mod, t.length, parts)
 
 
@@ -336,10 +326,10 @@ NO_NULLSPACE_VECTOR = "no nullspace vector in the window, so nothing was checked
 
 def _chain_map_at(N: SemifreeModule, j: int, image, right, d, zero) -> bool:
     """Σ_i f(e_i)·b_ij = ∂f(e_j): a map f on the generators, `image(i)` = f(e_i),
-    commutes with the differentials at e_j.  `right` is the right B-action on
-    the values, `d` their differential and `zero` the zero value."""
-    de = module_differential(mod_element(N, N.names[j]))
-    lhs = sum((right(image(i), N.alg.from_monomial(w[0], c)) for (i, w), c in de.terms.items()), zero)
+    commutes with the differentials at e_j.  The b_ij are the entries of ∂e_j
+    in `N.diff`.  `right` is the right B-action on the values, linear in b,
+    `d` their differential and `zero` the zero value."""
+    lhs = sum((right(image(i), b) for (i, k), b in N.diff.items() if k == j), zero)
     return lhs == d(image(j))
 
 

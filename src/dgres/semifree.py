@@ -17,12 +17,13 @@ components (scalar sums, `algebra.ScalarSum`), `modules.ModTensorElement`
 by module generator with `TensorElement` components, and N ⊗_A T
 (`modules.NTElement`) by word length with `ModTensorElement` components.
 A word-length subclass fixes only the word length of component n and the
-type of its components.  `t_word` and `bb_word` build their δ-chains with
-the one builder `tensor.delta_chain`.  ∂ of T and of 𝔹 is the one helper
+type of its components.  `t_word` builds its δ-chain with the one builder
+`tensor.delta_chain`, and `bb_word` is concat_B(b' ⊗ 1, t_word), b' the
+prefix twisted by the word length n.  ∂ of T and of 𝔹 is the one helper
 `dBB`.  Both T-concatenations, the product of T (`t_multiply`) and its
 right action on 𝔹 (`t_action`), are the one junction product
-`tensor.concat_B`(x', y) for x in component k and y in component m, where
-x' is x with each word w signed (-1)^{m·|w|}.
+`tensor.concat_B`(x.twisted(m), y) for x in component k and y in
+component m: x with each word w signed (-1)^{m·|w|} (`ScalarSum.twisted`).
 
 Suspension convention: (ΣM)_i = M_{i-1} with ∂(Σm) = -Σ∂(m).  This is the
 convention under which the stored formulas above hold; the invariant test
@@ -39,12 +40,12 @@ from .tensor import (
     _memo,
     concat_B,
     delta_chain,
+    left_mult,
     merge_at,
     pi_B,
     prefixed_basis_element,
     prefixed_basis_labels,
     tensor_differential,
-    word_degree,
 )
 
 
@@ -186,19 +187,14 @@ def bb_word(alg: DGAlgebra, prefix: AlgElement, factors) -> BBElement:
     """b ⊗_A Σδ(u_1) ⊗_B ... ⊗_B Σδ(u_n) in stored coordinates.
 
     The prefix may be inhomogeneous.  As psi_sign(n, |b|, τ) =
-    (-1)^{n|b|}·psi_sign(n, 0, τ), each prefix monomial b is prepended to
-    component n of `t_word` with the sign (-1)^{n|b|}; a zero factor gives
-    zero, and an inhomogeneous one raises there.
+    (-1)^{n|b|}·psi_sign(n, 0, τ), it is concat_B(b' ⊗ 1, component n of
+    `t_word`), b' being the prefix twisted by n; the junction that
+    `concat_B` normalises is slot 1, the first slot of the δ-chain.  A zero
+    factor gives zero, and an inhomogeneous one raises in `t_word`.
     """
     n = len(factors)
-    core = t_word(alg, factors).component(n)
-    out = TensorElement(alg, n + 2)
-    f = alg.field
-    for bm, c in prefix.terms.items():
-        cc = f.neg(c) if n * bm.degree % 2 else c
-        for w, cw in core.terms.items():
-            out._add_at_slot((bm,) + w, 1, f.mul(cc, cw))
-    return BBElement(alg, {n: out})
+    head = left_mult(prefix.twisted(n), TensorElement.unit(alg, 2))
+    return BBElement(alg, {n: concat_B(head, t_word(alg, factors).component(n))})
 
 
 # -- differentials ---------------------------------------------------------------
@@ -237,16 +233,12 @@ def _concat_T(left, right):
 
     In stored coordinates a word w concatenated with a component y of T in
     word length m picks up (-1)^{m·|w|}, so the pair of components x, y
-    contributes concat_B(x', y), x' being x with each word w signed
-    (-1)^{m·|w|}.
+    contributes concat_B(x.twisted(m), y).
     """
-    f = left.owner.field
     comps = {}
     for k, x in left.components.items():
-        x_odd = TensorElement(x.alg, x.length, {w: f.neg(c) if word_degree(w) % 2 else c
-                                                for w, c in x.terms.items()})
         for m, y in right.components.items():
-            _add_to(comps, k + m, concat_B(x_odd if m % 2 else x, y))
+            _add_to(comps, k + m, concat_B(x.twisted(m), y))
     return type(left)(left.owner, comps)
 
 

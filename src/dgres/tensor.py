@@ -13,9 +13,12 @@ membership.
 
 A `TensorElement` is the package's scalar sum (`algebra.ScalarSum`) keyed by
 canonical words of one fixed length; it adds only its normal-form steps
-and its products.  `concat_B` is the one junction product: `left_mult` and
-`right_mult` are it with a one-slot factor on the left or right, and `pi_B`
-is `merge_at`(t, 0).  `delta_chain` is the one builder of δ-chains
+and its products.  `concat_B` is the one junction product, and the only
+one that knows which slot of a product leaves normal form: `left_mult` and
+`right_mult` are it with a one-slot factor on the left or right, δ is
+(1 ⊗ 1)·b − b·(1 ⊗ 1), and `bar.bar_homotopy`, `bar.nu`, `bar.bar_action`
+and `semifree.bb_word` are compositions of it with the unit 1 ⊗ 1 of B^e.
+`pi_B` is `merge_at`(t, 0).  `delta_chain` is the one builder of δ-chains
 δ(u_1) ⊗_B ... ⊗_B δ(u_n), and `delta_coords` reads their coordinates off
 the words by a closed form.  Direct sums of tensor elements, graded by word
 length or indexed by module generators, are `semifree.GradedElement`s.
@@ -57,9 +60,10 @@ def normalize_word(alg: DGAlgebra, word: Word):
 
     Every slot from 1 on is split and its base part moved into slot 0.  A
     product of canonical words is out of normal form in one slot at most,
-    and `TensorElement._add_at_slot` normalises that slot alone; this
-    function serves the words in which any slot may need it (`from_word`,
-    `tensor_multiply`).
+    and `TensorElement._add_at_slot` normalises that slot alone (the
+    junction of `concat_B`, or the differentiated slot of
+    `tensor_differential`); this function serves the words in which any
+    slot may need it (`from_word`, `tensor_multiply`).
     """
     if all(alg.mono_is_ext_only(m) for m in word[1:]):
         return 1, word
@@ -123,8 +127,8 @@ class TensorElement(ScalarSum):
         if nw is not None:
             add_term(self.alg.field, self.terms, nw[1], coeff, nw[0] < 0)
 
-    def _add_at_slot(self, word: Word, i: int, coeff):
-        """Accumulate coeff * word, where word is canonical except perhaps at slot i.
+    def _add_at_slot(self, word: Word, i: int, coeff, negate=False):
+        """Accumulate coeff * word, negated when `negate`, where word is canonical except perhaps at slot i.
 
         Split slot i as a·e, with a in A and e ext-only (a·e is the slot with
         sign +1).  Slots 1..i-1 are ext-only, so a reaches slot 0 by crossing
@@ -148,7 +152,7 @@ class TensorElement(ScalarSum):
                 if a.degree % 2 and sum(m.degree for m in word[1:i]) % 2:
                     s = -s
                 word = (m0,) + word[1:i] + (e,) + word[i + 1:]
-        add_term(alg.field, self.terms, word, coeff, s < 0)
+        add_term(alg.field, self.terms, word, coeff, (s < 0) != negate)
 
     def __hash__(self):
         return hash((id(self.alg), self.length, tuple(self.sorted_terms())))
@@ -230,19 +234,15 @@ def concat_B(t1: TensorElement, t2: TensorElement) -> TensorElement:
     if t1.alg is not t2.alg:
         raise DgresError("tensor elements over different algebras")
     alg = t1.alg
-    f = alg.field
+    f, mono_mul = alg.field, alg.mono_mul
     out = TensorElement(alg, t1.length + t2.length - 1)
     junction = t1.length - 1
     for w1, c1 in t1.terms.items():
+        head, last = w1[:-1], w1[-1]
         for w2, c2 in t2.terms.items():
-            sm = alg.mono_mul(w1[-1], w2[0])
-            if sm is None:
-                continue
-            s, m = sm
-            c = f.mul(c1, c2)
-            if s < 0:
-                c = f.neg(c)
-            out._add_at_slot(w1[:-1] + (m,) + w2[1:], junction, c)
+            sm = mono_mul(last, w2[0])
+            if sm is not None:
+                out._add_at_slot(head + (sm[1],) + w2[1:], junction, f.mul(c1, c2), sm[0] < 0)
     return out
 
 
@@ -299,17 +299,15 @@ def from_algebra_element(u: AlgElement) -> TensorElement:
 
 
 def delta(b: AlgElement) -> TensorElement:
-    """Universal derivation δ(b) = 1 ⊗_A b - b ⊗_A 1, an element of J."""
-    alg = b.alg
-    out = TensorElement(alg, 2)
-    one = alg.one_mono
-    for m, c in b.terms.items():
-        a, w = alg.mono_split(m)
-        if not any(w.exps):
-            continue  # δ vanishes on A
-        add_term(alg.field, out.terms, (a, w), c)
-        add_term(alg.field, out.terms, (m, one), c, True)
-    return out
+    """Universal derivation δ(b) = 1 ⊗_A b - b ⊗_A 1, an element of J.
+
+    Both terms are `concat_B`s with the unit 1 ⊗ 1 of B^e: (1 ⊗ 1)·b, whose
+    junction slot 1 holds b and is normalised, minus b·(1 ⊗ 1), whose
+    junction is slot 0.  δ vanishes on A by the normal form alone, as
+    1 ⊗_A a = a ⊗_A 1.
+    """
+    one = TensorElement.unit(b.alg, 2)
+    return right_mult(one, b) - left_mult(b, one)
 
 
 # -- δ-basis machinery --------------------------------------------------------

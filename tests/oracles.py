@@ -515,6 +515,41 @@ def normalizing_bar_action(t, s):
     return out
 
 
+def normalizing_delta(b):
+    """δ(b) = 1 ⊗ b − b ⊗ 1, each word of either term sent through `normalize_word`."""
+    from dgres.tensor import TensorElement
+
+    alg = b.alg
+    out = TensorElement(alg, 2)
+    for m, c in b.terms.items():
+        out._add_raw((alg.one_mono, m), c)
+        out._add_raw((m, alg.one_mono), alg.field.neg(c))
+    return out
+
+
+def normalizing_bb_word(alg, prefix, factors):
+    """`semifree.bb_word` built word by word: each prefix monomial b, signed (-1)^{n|b|}, is prepended
+    to each word of the δ-chain of the factors (`normalizing_concat_B` of `normalizing_delta`s, signed
+    psi_sign(n, 0, τ)), and the word goes through `normalize_word`."""
+    from dgres.semifree import BBElement, psi_sign
+    from dgres.tensor import TensorElement
+
+    f = alg.field
+    n = len(factors)
+    chain = TensorElement.unit(alg, 1)
+    for u in factors:
+        chain = normalizing_concat_B(chain, normalizing_delta(u))
+    if chain.is_zero():
+        return BBElement(alg)
+    sign = psi_sign(n, 0, [u.homogeneous_degree() for u in factors])
+    out = TensorElement(alg, n + 2)
+    for b, cb in prefix.terms.items():
+        for w, cw in chain.terms.items():
+            c = f.mul(cb, cw)
+            out._add_raw((b,) + w, f.neg(c) if sign * (-1) ** (n * b.degree) < 0 else c)
+    return BBElement(alg, {n: out})
+
+
 def alternating_merges(t, n):
     """The classical bar differential Σ_i (-1)^i merge_at(t, i), summed element by element."""
     from dgres.tensor import merge_at

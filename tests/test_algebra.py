@@ -400,3 +400,20 @@ def test_linear_laws_of_every_element_type(kind):
     for z in [other_shape] + others:
         if type(z) is not type(x):
             assert (x == z) is False and (x != z) is True
+
+
+@pytest.mark.parametrize("kind", ["AlgElement", "TensorElement"])
+def test_twisted_signs_exactly_the_odd_degree_keys(kind):
+    from dgres.tensor import TensorElement
+
+    x, y, mixed, _, _ = _linear_examples(kind)
+    even = x.alg.one() if kind == "AlgElement" else TensorElement.unit(x.alg, x.length)
+    s = x + y + mixed + even
+    assert {s.key_degree(k) % 2 for k in s.terms} == {0, 1}
+    for k in (0, 2, -4):
+        assert s.twisted(k) == s
+    neg = s.alg.field.neg
+    for k in (1, 3, -1):
+        t = s.twisted(k)
+        assert type(t) is type(s) and t.shape == s.shape
+        assert t.terms == {key: neg(c) if s.key_degree(key) % 2 else c for key, c in s.terms.items()}

@@ -9,6 +9,7 @@ COMMANDS = {
     "validate_e3.txt":      ["validate", "e3.dgres"],
     "validate_e3.json":     ["validate", "e3.dgres", "--format", "machine"],
     "bar_e1_classical.txt": ["bar", "e1.dgres", "--max-n", "3", "--max-degree", "5"],
+    "bar_odd_base_classical_d8.txt": ["bar", "odd_base.dgres", "--max-n", "3", "--max-degree", "8"],
     "bar_e2_reduced.txt":   ["bar", "e2.dgres", "--reduced", "--max-degree", "6"],
     "bar_lam3_reduced.txt": ["bar", "lam3.dgres", "--reduced", "--max-degree", "5"],
     "bar_e2_reduced_d24.txt": ["bar", "e2.dgres", "--reduced", "--max-degree", "24"],

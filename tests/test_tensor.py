@@ -8,6 +8,7 @@ from dgres.errors import NotInJn
 from dgres.probfile import parse_problem
 from dgres.scalars import Field
 from dgres.sampling import random_homogeneous_element, random_homogeneous_tensor
+from dgres.semifree import bb_word
 from dgres.tensor import (
     TensorElement,
     concat_B,
@@ -35,7 +36,9 @@ from oracles import (
     kappa_n_inverse,
     normalizing_bar_action,
     normalizing_bar_homotopy,
+    normalizing_bb_word,
     normalizing_concat_B,
+    normalizing_delta,
     normalizing_right_mult,
     prefixed_coords,
     tensor_sign_oracle,
@@ -366,7 +369,8 @@ def test_slot_local_examples(odd_base):
 
 @pytest.mark.parametrize("name", ["E1", "E2", "E3", "E3p", "odd_base", "K3p", "chain_frac"])
 def test_slot_local_products_match_normalizing_references(request, fixture_algebras, golden_dir, name):
-    """concat_B, right_mult, bar_homotopy, bar_action and nu normalise one slot; normalize_word is the oracle."""
+    """concat_B, right_mult, bar_homotopy, bar_action, nu, δ and bb_word normalise one slot;
+    normalize_word is the oracle."""
     if name in fixture_algebras:
         alg = fixture_algebras[name]
     elif name == "chain_frac":
@@ -374,6 +378,7 @@ def test_slot_local_products_match_normalizing_references(request, fixture_algeb
     else:
         alg = request.getfixturevalue(name)
     rng = random.Random(23)
+    rng_bb = random.Random(29)  # bb_word's inputs, on a stream of their own: the others stay as drawn
     moved = 0  # products whose disturbed slot carries a base part
     for _ in range(80):
         n, m = rng.randrange(1, 4), rng.randrange(1, 4)
@@ -389,6 +394,11 @@ def test_slot_local_products_match_normalizing_references(request, fixture_algeb
         for mono, c in u.terms.items():
             expected_nu = expected_nu + TensorElement.from_word(alg, (alg.one_mono, mono, alg.one_mono), alg.field.neg(c))
         assert nu(u) == expected_nu, u
+        assert delta(u) == normalizing_delta(u), u
+        prefix = u + random_homogeneous_element(alg, rng_bb, rng_bb.randrange(0, 5))
+        factors = [random_homogeneous_element(alg, rng_bb, rng_bb.randrange(1, 5))
+                   for _ in range(rng_bb.randrange(0, 3))]
+        assert bb_word(alg, prefix, factors) == normalizing_bb_word(alg, prefix, factors), (prefix, factors)
         moved += n > 1 and any(not alg.mono_is_ext_only(w[0]) for w in t2.terms)
     assert (moved > 0) == (alg.n_base > 0)
 
