@@ -250,7 +250,7 @@ class BeLinearMap:
 
     `images` maps the left-B basis labels (b, (w,)) of J with b = 1 to image
     tensors; the value on b·δ(w) follows by left-B-linearity, and
-    right-linearity is what `validate` spot-checks.
+    right-linearity is what `validate` checks.
     """
 
     def __init__(self, alg: DGAlgebra, cutoff: int, images: dict):
@@ -272,22 +272,42 @@ class BeLinearMap:
         return out
 
     def validate(self) -> ValidationReport:
-        """Spot-check B^e-linearity against the action of each generator."""
-        rep = ValidationReport()
+        """B^e-linearity within the window: the rows of `_right_linearity_defect`
+        vanish.  Left B-linearity needs no check, as `apply` is built left-linear."""
         alg = self.alg
-        bad = []
-        for g in alg.gens:
-            ge = alg.gen(g.name)
-            for w, img in self.images.items():
-                if not _in_window(self.cutoff, w, g):
-                    continue
-                j = delta_word(alg, (w,))
-                left_ok = self.apply(left_mult(ge, j)) == left_mult(ge, img)
-                right_ok = self.apply(right_mult(j, ge)) == right_mult(img, ge)
-                if not (left_ok and right_ok):
-                    bad.append((g.name, alg.mono_repr(w)))
+        rows = _right_linearity_defect(alg, self.images, self.cutoff, _right_shifts(alg, self.cutoff))
+        bad = list(dict.fromkeys((g, alg.mono_repr(w)) for w, g, _ in rows))
+        rep = ValidationReport()
         rep.add("Be-linearity", not bad, "" if not bad else f"fails at {bad[:3]}")
         return rep
+
+
+def _right_shifts(alg: DGAlgebra, cutoff: int) -> dict:
+    """w' -> the (w, g, b') with b'·δ(w') a term of δ(w)·g, over the W-monomials
+    w of degrees 1..cutoff and the generators g within the window."""
+    labels = [w for d in range(1, cutoff + 1) for w in alg.basis("W", d)]
+    shifts = {w: [] for w in labels}
+    for w in labels:
+        for g in alg.gens:
+            if _in_window(cutoff, w, g):
+                shifted = right_mult(delta_word(alg, (w,)), alg.gen(g.name))
+                for (wp,), coeff in delta_coords(shifted, 1).items():
+                    shifts[wp].append((w, g.name, as_algebra_element(coeff)))
+    return shifts
+
+
+def _right_linearity_defect(alg: DGAlgebra, images: dict, cutoff: int, shifts: dict) -> dict:
+    """The failure of a table w ↦ f(δ(w)) to be right B-linear: with δ(w)·g =
+    Σ b'·δ(w') (`_right_shifts`), the rows (w, g, ww) hold the coordinates of
+    f(δ(w))·g − Σ b'·f(δ(w')) for the generators g within the window."""
+    law: dict = {}
+    for w, t in images.items():
+        for g in alg.gens:
+            if _in_window(cutoff, w, g):
+                _add_to(law, (w, g.name), right_mult(t, alg.gen(g.name)))
+        for wv, g, b in shifts.get(w, ()):
+            _add_to(law, (wv, g), -left_mult(b, t))
+    return {(wv, g, ww): c for (wv, g), img in law.items() for ww, c in img.terms.items()}
 
 
 def eta(f: BeLinearMap) -> DerivationTable:
@@ -437,28 +457,18 @@ def be_linear_space(alg: DGAlgebra, cutoff: int) -> list[BeLinearMap]:
 
     Left-B-linearity is built into the representation; the solved constraint
     is compatibility with right multiplication by each algebra generator g,
-    within the degree window: with δ(w)·g = Σ b'·δ(w'), the rows (w, g, ww)
-    are the coordinates of f(δ(w))·g − Σ b'·f(δ(w')).  The unknowns are the
-    coordinates (w, word) of the images f(δ(w)); the δ-coordinates are
-    inverted once, so that the column of each unknown is built on its own.
+    within the degree window: the rows of `_right_linearity_defect`, which
+    `BeLinearMap.validate` reads too.  The unknowns are the coordinates
+    (w, word) of the images f(δ(w)); the δ-coordinates are inverted once
+    (`_right_shifts`), and the column of each unknown is the defect of the
+    one-entry table w ↦ word.
     """
-    labels = [w for d in range(1, cutoff + 1) for w in alg.basis("W", d)]
-    shifts = {w: [] for w in labels}  # w' -> (w, g, b') with b'·δ(w') a term of δ(w)·g
-    for w in labels:
-        for g in alg.gens:
-            if _in_window(cutoff, w, g):
-                shifted = right_mult(delta_word(alg, (w,)), alg.gen(g.name))
-                for (wp,), coeff in delta_coords(shifted, 1).items():
-                    shifts[wp].append((w, g.name, as_algebra_element(coeff)))
+    shifts = _right_shifts(alg, cutoff)
 
     def column(w, word) -> dict:
-        t = TensorElement.from_word(alg, word)
-        law = {(w, g.name): right_mult(t, alg.gen(g.name)) for g in alg.gens if _in_window(cutoff, w, g)}
-        for wv, g, b in shifts[w]:
-            _add_to(law, (wv, g), -left_mult(b, t))
-        return {(wv, g, ww): c for (wv, g), img in law.items() for ww, c in img.terms.items()}
+        return _right_linearity_defect(alg, {w: TensorElement.from_word(alg, word)}, cutoff, shifts)
 
-    cols = tuple((w, word) for w in labels for word in tensor_basis(alg, 2, w.degree))
+    cols = tuple((w, word) for w in shifts for word in tensor_basis(alg, 2, w.degree))
     # rows in order of first appearance, as in `derivation_space`
     M = SliceMatrix.from_columns(alg.field, (), cols, (column(w, word) for w, word in cols))
     return _nullspace_tables(alg, M, lambda images: BeLinearMap(alg, cutoff, images))

@@ -377,16 +377,13 @@ class LiftResult:
         return f"{tag}(system {self.system_rows}x{self.system_cols})"
 
 
-def modtensor_basis(N: SemifreeModule, length: int, degree: int):
-    """Canonical (idx, word) basis of the degree slice of N ⊗_A B^{⊗(length-1)}."""
-    out = []
-    for i, d in enumerate(N.degrees):
-        rem = degree - d
-        if rem < 0:
-            continue
-        for w in tensor_basis(N.alg, length, rem):
-            out.append((i, w))
-    return out
+def modtensor_basis(N: SemifreeModule, length: int, degree: int) -> list:
+    """Canonical (idx, word) basis of the degree slice of N ⊗_A B^{⊗(length-1)}.
+
+    Index first, in generator order (not by degree), then the words of the
+    cached `tensor_basis` slice of degree `degree` − |e_idx|.
+    """
+    return [(i, w) for i, d in enumerate(N.degrees) if d <= degree for w in tensor_basis(N.alg, length, degree - d)]
 
 
 def naive_lift_solve(N: SemifreeModule) -> LiftResult:

@@ -1,10 +1,12 @@
 """Seeded random homogeneous elements for property suites and report sampling.
 
-The tensor samplers draw from a degree slice without enumerating it: the
-slice is a `Sequence` that counts its words and unranks the i-th one, in the
-order of `tensor_basis` and `modtensor_basis`, so `rng.sample` makes the
-same draws as it would from the enumerated basis.  Each slice is built once
-per algebra, length and degree, and kept in the algebra's memo tables (`tensor._memo`).
+The tensor samplers draw from a degree slice without enumerating it: a
+`tensor.TensorSlice` counts its words and unranks the k-th word of its own
+iteration, which is `tensor_basis`, and a `ModTensorSlice` does the same for
+the index-first keys of `modtensor_basis`, so `rng.sample` makes the draws
+it would make from the enumerated basis.  Each tensor slice is built once
+per algebra, length and degree, and kept in the algebra's memo tables
+(`tensor._memo`).  All three samplers make one draw, `_draw`.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 
-from .algebra import AlgElement, DGAlgebra, add_term
+from .algebra import AlgElement, DGAlgebra
 from .scalars import q_ratio
-from .tensor import TensorElement, _memo
+from .tensor import TensorElement, TensorSlice, _memo
 
 
 # the numerators of random ℚ scalars, in the order `rng.choice` indexes them
@@ -29,45 +31,14 @@ def random_scalar(field, rng: random.Random):
     return q_ratio(num, rng.randrange(1, 5))
 
 
-class TensorSlice(Sequence):
-    """The words of `tensor_basis(alg, length, degree)`, unranked on demand.
-
-    Slot 0 holds a B-monomial and slots 1.. hold W-monomials.  `tensor_basis`
-    sorts words lexicographically by the `sort_key`s of their slots, which
-    put degree first, so the words are the choices of one candidate per
-    slot, taken in that product order, whose degrees add up to `degree`.
-    `counts[i][r]` is the number of ways slots i.. can fill degree r.
-    """
-
-    def __init__(self, alg: DGAlgebra, length: int, degree: int):
-        self.degree = degree
-        self.slots = [[alg.basis("B" if i == 0 else "W", d) for d in range(degree + 1)]
-                      for i in range(length)]
-        self.counts = [[1] + [0] * degree]
-        for by_degree in reversed(self.slots):
-            rest = self.counts[0]
-            self.counts.insert(0, [sum(len(by_degree[d]) * rest[r - d] for d in range(r + 1))
-                                   for r in range(degree + 1)])
-        self.size = self.counts[0][degree] if degree >= 0 else 0
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, k: int) -> tuple:
-        if not 0 <= k < self.size:
-            raise IndexError(k)
-        word = []
-        r = self.degree
-        for by_degree, rest in zip(self.slots, self.counts[1:]):
-            for d in range(r + 1):
-                block = len(by_degree[d]) * rest[r - d]
-                if k < block:
-                    q, k = divmod(k, rest[r - d])
-                    word.append(by_degree[d][q])
-                    r -= d
-                    break
-                k -= block
-        return tuple(word)
+def _draw(field, rng: random.Random, population: Sequence, max_terms: int) -> dict:
+    """{key: scalar} for min(len, rng.randrange(1, max_terms + 1)) keys sampled from
+    the population, then one `random_scalar` per key in sample order; {}
+    without a draw when the population is empty."""
+    if not population:
+        return {}
+    keys = rng.sample(population, min(len(population), rng.randrange(1, max_terms + 1)))
+    return {key: random_scalar(field, rng) for key in keys}
 
 
 def _tensor_slice(alg: DGAlgebra, length: int, degree: int) -> TensorSlice:
@@ -97,32 +68,16 @@ class ModTensorSlice(Sequence):
 
 def random_homogeneous_element(alg: DGAlgebra, rng: random.Random, degree: int,
                                which: str = "B", max_terms: int = 3) -> AlgElement:
-    basis = alg.basis(which, degree)
-    out = alg.zero()
-    if not basis:
-        return out
-    for m in rng.sample(list(basis), min(len(basis), rng.randrange(1, max_terms + 1))):
-        out = out + alg.from_monomial(m, random_scalar(alg.field, rng))
-    return out
+    return AlgElement(alg, _draw(alg.field, rng, alg.basis(which, degree), max_terms))
 
 
 def random_homogeneous_tensor(alg: DGAlgebra, rng: random.Random, length: int,
                               degree: int, max_terms: int = 3) -> TensorElement:
-    words = _tensor_slice(alg, length, degree)
-    out = TensorElement(alg, length)
-    if not words:
-        return out
-    for w in rng.sample(words, min(len(words), rng.randrange(1, max_terms + 1))):
-        add_term(alg.field, out.terms, w, random_scalar(alg.field, rng))
-    return out
+    return TensorElement(alg, length, _draw(alg.field, rng, _tensor_slice(alg, length, degree), max_terms))
 
 
 def random_homogeneous_modtensor(N: SemifreeModule, rng: random.Random, length: int,
                                  degree: int, max_terms: int = 3) -> ModTensorElement:
     from .modules import ModTensorElement  # deferred: modules imports this module
 
-    keys = ModTensorSlice(N, length, degree)
-    if not keys:
-        return ModTensorElement(N, length)
-    picked = rng.sample(keys, min(len(keys), rng.randrange(1, max_terms + 1)))
-    return ModTensorElement(N, length, {key: random_scalar(N.alg.field, rng) for key in picked})
+    return ModTensorElement(N, length, _draw(N.alg.field, rng, ModTensorSlice(N, length, degree), max_terms))

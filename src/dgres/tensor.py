@@ -22,11 +22,15 @@ and `semifree.bb_word` are compositions of it with the unit 1 ⊗ 1 of B^e.
 δ(u_1) ⊗_B ... ⊗_B δ(u_n), and `delta_coords` reads their coordinates off
 the words by a closed form.  Direct sums of tensor elements, graded by word
 length or indexed by module generators, are `semifree.GradedElement`s.
-Per-algebra tables of bases, δ-words, columns and slice matrices are kept
-by `_memo`.
+The canonical order of a degree slice's words is defined once, by
+`TensorSlice`, which counts, lists and unranks them; `tensor_basis` is its
+cached tuple.  Per-algebra tables of bases, δ-words, columns and slice
+matrices are kept by `_memo`.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from .algebra import AlgElement, DGAlgebra, ScalarSum, add_term
 from .errors import DgresError, LengthMismatch, NotInJn
@@ -374,33 +378,66 @@ def delta_coords(t: TensorElement, n: int) -> dict:
 # -- slice bases --------------------------------------------------------------
 
 
-def tensor_basis(alg: DGAlgebra, length: int, degree: int) -> tuple[Word, ...]:
-    """Canonical word basis of the degree slice of B^{⊗_A length}, in `_word_key` order.
+class TensorSlice(Sequence):
+    """The degree slice of B^{⊗_A length}: its words in `_word_key` order, counted, listed and unranked.
 
-    Each slot runs through its monomials by increasing (degree, exps), slot 0
-    outermost, so the words come out sorted.
+    Slot 0 holds a B-monomial and slots 1.. hold W-monomials, and words sort
+    by the `sort_key`s of their slots, degree first: they are the choices of
+    one candidate per slot, in that product order, whose degrees add up to
+    `degree`.  `counts[i][r]` is the number of ways slots i.. can fill degree
+    r, and `s[k]` is the k-th word of the iteration.
     """
-    return _memo(alg, "tensor_basis", (length, degree), _tensor_basis, alg, length, degree)
+
+    def __init__(self, alg: DGAlgebra, length: int, degree: int):
+        self.degree = degree
+        self.slots = [[alg.basis("B" if i == 0 else "W", d) for d in range(degree + 1)]
+                      for i in range(length)]
+        self.counts = [[1] + [0] * degree]
+        for by_degree in reversed(self.slots):
+            rest = self.counts[0]
+            self.counts.insert(0, [sum(len(by_degree[d]) * rest[r - d] for d in range(r + 1))
+                                   for r in range(degree + 1)])
+        self.size = self.counts[0][degree] if degree >= 0 else 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        # depth first, slot 0 outermost; degree d of slot i is entered only when slots i + 1.. can fill the rest
+        slots, counts = self.slots, self.counts
+
+        def walk(i, r, prefix):
+            if i == len(slots):
+                yield prefix
+                return
+            rest = counts[i + 1]
+            for d in range(r + 1):
+                if rest[r - d]:
+                    for m in slots[i][d]:
+                        yield from walk(i + 1, r - d, prefix + (m,))
+
+        return walk(0, self.degree, ())
+
+    def __getitem__(self, k: int) -> tuple:
+        if not 0 <= k < self.size:
+            raise IndexError(k)
+        word = []
+        r = self.degree
+        for by_degree, rest in zip(self.slots, self.counts[1:]):
+            for d in range(r + 1):
+                block = len(by_degree[d]) * rest[r - d]
+                if k < block:
+                    q, k = divmod(k, rest[r - d])
+                    word.append(by_degree[d][q])
+                    r -= d
+                    break
+                k -= block
+        return tuple(word)
 
 
-def _tensor_basis(alg: DGAlgebra, length: int, degree: int) -> tuple[Word, ...]:
-    words: list[Word] = []
-
-    def rec(prefix, slots_left, remaining):
-        if slots_left == 0:
-            if remaining == 0:
-                words.append(tuple(prefix))
-            return
-        for d in range(remaining + 1):
-            for w in alg.basis("W", d):
-                prefix.append(w)
-                rec(prefix, slots_left - 1, remaining - d)
-                prefix.pop()
-
-    for d0 in range(degree + 1):
-        for b in alg.basis("B", d0):
-            rec([b], length - 1, degree - d0)
-    return tuple(words)
+def tensor_basis(alg: DGAlgebra, length: int, degree: int) -> tuple[Word, ...]:
+    """Canonical word basis of the degree slice of B^{⊗_A length}: the words of its `TensorSlice`, cached."""
+    return _memo(alg, "tensor_basis", (length, degree), lambda: tuple(TensorSlice(alg, length, degree)))
 
 
 def _delta_factors(alg: DGAlgebra, n: int, degree: int) -> list[Word]:

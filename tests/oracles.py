@@ -65,6 +65,34 @@ def basis_oracle(alg, which, degree):
     return sorted(out)
 
 
+def word_basis_oracle(alg, length, degree):
+    """The words of the degree slice of B^{⊗_A length} as tuples of exponent vectors, in canonical order.
+
+    Every tuple of `basis_oracle` vectors, a B-vector in slot 0 and
+    W-vectors in the others, is tried; those whose degrees add up to
+    `degree` are sorted by the literal (degree, exponent vector) of each
+    slot in turn.  Independent of `tensor.TensorSlice`.
+    """
+    from itertools import product
+
+    def deg(exps):
+        return sum(e * d for e, d in zip(exps, alg.degvec))
+
+    slots = [[exps for d in range(degree + 1) for exps in basis_oracle(alg, "W" if i else "B", d)]
+             for i in range(length)]
+    words = [w for w in product(*slots) if sum(map(deg, w)) == degree]
+    return sorted(words, key=lambda w: [(deg(exps), exps) for exps in w])
+
+
+def modtensor_basis_oracle(N, length, degree):
+    """The keys (index, word) of the degree slice of N ⊗_A B^{⊗_A (length-1)}, index first.
+
+    Generators in their order in N (not by degree), each with the
+    `word_basis_oracle` words of the remaining degree.
+    """
+    return [(i, w) for i, d in enumerate(N.degrees) for w in word_basis_oracle(N.alg, length, degree - d)]
+
+
 def recursive_diff_mono(alg, m):
     """d m by peeling off the first generator present: d(g^k·rest) = d(g^k)·rest ± g^k·d(rest).
 

@@ -225,6 +225,18 @@ def test_eta_rejects_non_linear_map(E2):
         eta(f)
 
 
+def test_eta_rejects_map_that_fails_right_linearity_off_its_images(E2):
+    # f(δ(x²)) = δ(x²) and f(δx) = 0: δx·x = δ(x²) − x·δx, so f(δx·x) =
+    # 1⊗x² − x²⊗1 while f(δx)·x = 0.  The failing row is that of x, which
+    # has no image
+    x2 = E2.mono({"x": 2})
+    f = BeLinearMap(E2, 4, {x2: delta_word(E2, (x2,))})
+    rep = f.validate()
+    assert not rep.passed and rep.failures()[0].details == "fails at [('x', 'x')]"
+    with pytest.raises(NotLinear):
+        eta(f)
+
+
 def test_derivation_hom_spaces_match(fixture_algebras):
     for alg in fixture_algebras.values():
         assert len(derivation_space(alg, 5)) == len(be_linear_space(alg, 5))

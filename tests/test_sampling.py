@@ -1,17 +1,23 @@
-"""The samplers unrank slices in basis order, so they draw what enumeration drew."""
+"""One slice type lists and unranks the words of B^{⊗_A m}, and the samplers draw what enumeration drew.
+
+`tensor.TensorSlice` unranks the k-th word of its own iteration, so
+unranking matches enumeration by construction; `tests/oracles.py`'s
+`word_basis_oracle` and `modtensor_basis_oracle` pin the order itself.
+"""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from dgres.fixtures import all_fixtures, chain_N3, extended_module, module_B
 from dgres.modules import LEMMA_MAX_DEGREE, LEMMA_MAX_WORDS, modtensor_basis
 from dgres.probfile import parse_problem
-from dgres.sampling import (ModTensorSlice, TensorSlice, random_homogeneous_modtensor,
-                            random_homogeneous_tensor, random_scalar)
+from dgres.sampling import ModTensorSlice, random_homogeneous_modtensor, random_homogeneous_tensor, random_scalar
 from dgres.scalars import Field
-from dgres.tensor import tensor_basis
-from oracles import enumerating_random_modtensor, enumerating_random_tensor, fraction_random_scalar
+from dgres.tensor import TensorSlice, tensor_basis
+from oracles import (enumerating_random_modtensor, enumerating_random_tensor, fraction_random_scalar,
+                     modtensor_basis_oracle, word_basis_oracle)
 
 # lemma_sign_check's bounds: tensors of 1..4 words and module tensors of
 # 2..5 words, in degrees 0..6
@@ -31,10 +37,41 @@ def _modules():
         if name.startswith("E1"):
             out[f"{name}:N3"] = chain_N3(alg)
     out["C9"] = parse_problem(C9).modules["C9"]
+    # generators not in ascending degree: the keys stay in generator order
+    out["lam3:descending"] = parse_problem("\n".join(
+        ["field rationals", "[algebra]", "ext a 1", "ext b 1", "ext c 1", "[module D]",
+         "generator g 3", "generator h 0", "generator k 1", "entry k h = a"]) + "\n").modules["D"]
     return out
 
 
 MODULES = _modules()
+GOLDEN = Path(__file__).parent / "golden"
+ALGEBRAS = {**all_fixtures(), **{name: parse_problem((GOLDEN / f"{name}.dgres").read_text()).algebra
+                                 for name in ("lam3", "k3p")}}
+
+
+def _exps(word):
+    return tuple(m.exps for m in word)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_slices_list_words_in_oracle_order(name):
+    alg = ALGEBRAS[name]
+    for length in range(1, 6):
+        for degree in range(7):
+            words = TensorSlice(alg, length, degree)
+            want = word_basis_oracle(alg, length, degree)
+            assert [_exps(w) for w in tensor_basis(alg, length, degree)] == want, (length, degree)
+            assert [words[k] for k in range(len(words))] == list(words), (length, degree)
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_module_keys_are_index_first_in_oracle_order(name):
+    N = MODULES[name]
+    for length in range(1, 4):
+        for degree in range(-1, 6):
+            got = [(i, _exps(w)) for i, w in modtensor_basis(N, length, degree)]
+            assert got == modtensor_basis_oracle(N, length, degree), (length, degree)
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))
