@@ -1,10 +1,11 @@
 """Seeded random homogeneous elements for property suites and report sampling.
 
 The tensor samplers draw from a degree slice without enumerating it: a
-`tensor.TensorSlice` counts its words and unranks the k-th word of its own
-iteration, which is `tensor_basis`, and a `ModTensorSlice` does the same for
-the index-first keys of `modtensor_basis`, so `rng.sample` makes the draws
-it would make from the enumerated basis.  Each tensor slice is built once
+`tensor.TensorSlice` counts its words and unranks the k-th word of
+`tensor_basis` (which lists the slice by that unranking), and a
+`ModTensorSlice` does the same for the index-first keys of
+`modtensor_basis`, so `rng.sample` makes the draws it would make from the
+enumerated basis.  Each tensor slice is built once
 per algebra, length and degree, and kept in the algebra's memo tables
 (`tensor._memo`).  All three samplers make one draw, `_draw`.
 """

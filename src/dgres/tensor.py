@@ -23,9 +23,9 @@ and `semifree.bb_word` are compositions of it with the unit 1 ⊗ 1 of B^e.
 the words by a closed form.  Direct sums of tensor elements, graded by word
 length or indexed by module generators, are `semifree.GradedElement`s.
 The canonical order of a degree slice's words is defined once, by
-`TensorSlice`, which counts, lists and unranks them; `tensor_basis` is its
-cached tuple.  Per-algebra tables of bases, δ-words, columns and slice
-matrices are kept by `_memo`.
+`TensorSlice`, which counts and unranks them and lists them by unranking;
+`tensor_basis` is its cached tuple.  Per-algebra tables of bases, δ-words,
+columns and slice matrices are kept by `_memo`.
 """
 
 from __future__ import annotations
@@ -379,56 +379,43 @@ def delta_coords(t: TensorElement, n: int) -> dict:
 
 
 class TensorSlice(Sequence):
-    """The degree slice of B^{⊗_A length}: its words in `_word_key` order, counted, listed and unranked.
+    """The degree slice of B^{⊗_A length}: its words in `_word_key` order, counted and unranked.
 
     Slot 0 holds a B-monomial and slots 1.. hold W-monomials, and words sort
     by the `sort_key`s of their slots, degree first: they are the choices of
     one candidate per slot, in that product order, whose degrees add up to
-    `degree`.  `counts[i][r]` is the number of ways slots i.. can fill degree
-    r, and `s[k]` is the k-th word of the iteration.
+    `degree`.  `s[k]` unranks the k-th word by counting, and iterating a
+    slice is `Sequence`'s s[0], s[1], ..., so listing and unranking are one
+    algorithm.
     """
 
     def __init__(self, alg: DGAlgebra, length: int, degree: int):
+        slots = [[alg.basis("B" if i == 0 else "W", d) for d in range(degree + 1)] for i in range(length)]
+        counts = [[1] + [0] * degree]  # counts[i][r]: the ways slots i.. can fill degree r
+        for by_degree in reversed(slots):
+            rest = counts[0]
+            counts.insert(0, [sum(len(by_degree[d]) * rest[r - d] for d in range(r + 1)) for r in range(degree + 1)])
+        self.size = counts[0][degree] if degree >= 0 else 0
+        # blocks[i][r]: per degree d that slot i can take with r left, (d, its candidates, the ways
+        # slots i + 1.. fill r - d, the block of words they make), empty blocks left out
+        self.blocks = [[[(d, by_degree[d], rest[r - d], len(by_degree[d]) * rest[r - d])
+                         for d in range(r + 1) if by_degree[d] and rest[r - d]]
+                        for r in range(degree + 1)] for by_degree, rest in zip(slots, counts[1:])]
         self.degree = degree
-        self.slots = [[alg.basis("B" if i == 0 else "W", d) for d in range(degree + 1)]
-                      for i in range(length)]
-        self.counts = [[1] + [0] * degree]
-        for by_degree in reversed(self.slots):
-            rest = self.counts[0]
-            self.counts.insert(0, [sum(len(by_degree[d]) * rest[r - d] for d in range(r + 1))
-                                   for r in range(degree + 1)])
-        self.size = self.counts[0][degree] if degree >= 0 else 0
 
     def __len__(self) -> int:
         return self.size
-
-    def __iter__(self):
-        # depth first, slot 0 outermost; degree d of slot i is entered only when slots i + 1.. can fill the rest
-        slots, counts = self.slots, self.counts
-
-        def walk(i, r, prefix):
-            if i == len(slots):
-                yield prefix
-                return
-            rest = counts[i + 1]
-            for d in range(r + 1):
-                if rest[r - d]:
-                    for m in slots[i][d]:
-                        yield from walk(i + 1, r - d, prefix + (m,))
-
-        return walk(0, self.degree, ())
 
     def __getitem__(self, k: int) -> tuple:
         if not 0 <= k < self.size:
             raise IndexError(k)
         word = []
         r = self.degree
-        for by_degree, rest in zip(self.slots, self.counts[1:]):
-            for d in range(r + 1):
-                block = len(by_degree[d]) * rest[r - d]
+        for blocks in self.blocks:
+            for d, candidates, rest, block in blocks[r]:
                 if k < block:
-                    q, k = divmod(k, rest[r - d])
-                    word.append(by_degree[d][q])
+                    q, k = divmod(k, rest)
+                    word.append(candidates[q])
                     r -= d
                     break
                 k -= block
