@@ -17,7 +17,8 @@ scalar c, and `add_term` is the one step that adds into such a dict and
 drops a key whose sum vanishes.  Its subclasses are `AlgElement` (keys are
 monomials) and `tensor.TensorElement` (keys are canonical words).  A
 `semifree.GradedElement` is a direct sum: it maps each key to a nonzero
-component (T, 𝔹, N ⊗_A T and `modules.ModTensorElement`).  Each container
+component (T and 𝔹 by word length, `modules.ModTensorElement` and
+N ⊗_A T = N ⊗_B 𝔹 by module generator).  Each container
 writes +, −, scaling, `is_zero`, `==`, `degrees` and `homogeneous_degree`
 once for all its subclasses.
 """

@@ -13,12 +13,13 @@ So `ModTensorElement` is the package's direct sum, `semifree.GradedElement`,
 keyed by generator index, each x_i a scalar sum (`tensor.TensorElement`);
 its `terms` is a flat read-only view keyed by (index, word).
 
-Elements of N ⊗_A T are `GradedElement`s too, like those of 𝔹, keyed by word
-length: component n is an element of N ⊗_A B^{⊗_A (n+1)}, of word length n+2.
-The part of the differential `DN` of N ⊗_A T that keeps the component is
-the internal differential twisted by n, and one helper, `_internal_part`,
-computes it; `module_differential` is its n = 0 case.  The splitting β_N is
-built by its recursion, in one pass over the generators (`_beta_pass`).
+An element Σ_j e_j ⊗ y_j of N ⊗_A T = N ⊗_B 𝔹 is keyed by generator index
+too, each y_j a `semifree.BBElement`.  Both internal differentials are then
+d_N ⊗ 1 + (-1)^{|e|}·1 ⊗ d, one helper `_over_N`: `module_differential`
+with d slotwise, and `DN` with d = 𝔻, taken from `semifree.DD`.  The
+splitting β_N is built by its recursion, in one pass over the generators
+(`_beta_pass`); β_N and a naive lift ρ are sections of α_N and π_N,
+checked by one loop (`_section_checks`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .bar import bar_differential
 from .errors import DgresError, NotValidated, ShapeMismatch
 from .linalg import InfeasibilityCertificate, SliceMatrix, solve_linear
 from .sampling import random_homogeneous_modtensor, random_homogeneous_tensor
-from .semifree import GradedElement, _add_to
+from .semifree import BBElement, DD, GradedElement, _add_to
 from .tensor import (
     TensorElement,
     concat_B,
@@ -201,86 +202,82 @@ def dN_matrix(N: SemifreeModule, length: int, degree: int) -> SliceMatrix:
                                      for key in src))
 
 
-def _index_signed(t: ModTensorElement, n: int) -> ModTensorElement:
-    """t with its part at each index j signed (-1)^{|e_j|+n}."""
-    return t._like({j: -x if (t.owner.degrees[j] + n) % 2 else x for j, x in t.components.items()})
-
-
-def _internal_part(t: ModTensorElement, n: int) -> ModTensorElement:
-    """The part of the internal differential of N ⊗_A T that keeps component n, on t in it.
-
-    On e_j ⊗ x_j: (-1)^{|e_j|+n} e_j ⊗ d(x_j) plus e_i ⊗ b'_ij·x_j for i < j,
-    where b'_ij is b_ij twisted by n, each monomial b signed (-1)^{n|b|}.
-    The one helper of `module_differential` (n = 0) and `DN`.
-    """
-    mod = t.module
+def _over_N(t, d, act):
+    """d_N ⊗ 1 + (-1)^{|e|}·1 ⊗ d on t = Σ_j e_j ⊗ y_j: (-1)^{|e_j|} e_j ⊗ d(y_j)
+    plus e_i ⊗ act(b_ij, y_j) for i < j, `act` the left B-action on the y's."""
     parts: dict = {}
-    for j, x in t.components.items():
-        d = tensor_differential(x)
-        _add_to(parts, j, -d if (mod.degrees[j] + n) % 2 else d)
+    for j, y in t.components.items():
+        dy = d(y)
+        _add_to(parts, j, -dy if t.owner.degrees[j] % 2 else dy)
         for i in range(j):
-            b = mod.diff.get((i, j))
+            b = t.owner.diff.get((i, j))
             if b is not None:
-                _add_to(parts, i, left_mult(b.twisted(n), x))
-    return ModTensorElement._of_parts(mod, t.length, parts)
+                _add_to(parts, i, act(b, y))
+    return t._like(parts)
 
 
 def module_differential(t: ModTensorElement) -> ModTensorElement:
     """Internal DG differential of N ⊗_A B^{⊗_A m} (not the bar differential).
 
-    On e_j ⊗ x_j: (-1)^{|e_j|} e_j ⊗ d(x_j) plus e_i ⊗ b_ij·x_j for i < j;
-    `_internal_part` on component 0.
+    On e_j ⊗ x_j: (-1)^{|e_j|} e_j ⊗ d(x_j) plus e_i ⊗ b_ij·x_j for i < j.
     """
-    return _internal_part(t, 0)
+    return _over_N(t, tensor_differential, left_mult)
 
 
 # -- N (x) T and the beta splitting ----------------------------------------------
 
 
 class NTElement(GradedElement):
-    """Element of N ⊗_A T; component n is an element of N ⊗_A B^{⊗_A (n+1)}."""
+    """Element Σ_j e_j ⊗ y_j of N ⊗_A T = N ⊗_B 𝔹; `components` maps j -> y_j ∈ 𝔹.
+
+    It prints by word length n first, then as the `ModTensorElement` of component n of every y_j.
+    """
 
     __slots__ = ()
-    offset = 2
-    part = ModTensorElement
     module = property(lambda self: self.owner)
+
+    def __init__(self, module: SemifreeModule, components: dict | None = None):
+        self.owner = module
+        self.components = {j: y for j, y in (components or {}).items() if not y.is_zero()}
+
+    def key_degree(self, j: int) -> int:
+        return self.owner.degrees[j]
+
+    def __repr__(self):
+        by_length: dict = {}
+        for j, y in self.components.items():
+            for n, x in y.components.items():
+                by_length.setdefault(n, {})[j] = x
+        return " ++ ".join(f"[{n}] {ModTensorElement._of_parts(self.owner, n + 2, parts)!r}"
+                           for n, parts in sorted(by_length.items())) or "0"
 
 
 def nt_right_mult(t: NTElement, u: AlgElement) -> NTElement:
-    return NTElement(t.module, {n: mod_right_mult(c, u) for n, c in t.components.items()})
+    return t._like({j: y._like({n: right_mult(x, u) for n, x in y.components.items()})
+                    for j, y in t.components.items()})
+
+
+def _prefix_action(b: AlgElement, y: BBElement) -> BBElement:
+    """b·y on 𝔹: b twisted by n multiplies slot 0 of component n, passing its n suspended factors."""
+    return y._like({n: left_mult(b.twisted(n), x) for n, x in y.components.items()})
 
 
 def DN(t: NTElement) -> NTElement:
-    """The differential of N ⊗_A T transported from N ⊗_B (𝔹, 𝔻).
-
-    On e_j ⊗ x_j in component n: `_internal_part`, which keeps component n,
-    plus (-1)^{|e_j|} e_j ⊗ merge01(x_j) in component n-1.
-    """
-    mod = t.module
-    out = NTElement(mod)
-    for n, te in t.components.items():
-        comps = {n: _internal_part(te, n)}
-        if n:
-            comps[n - 1] = _index_signed(mod_merge_at(te, 0), 0)
-        out = out + NTElement(mod, comps)
-    return out
+    """The differential of N ⊗_A T = N ⊗_B 𝔹: `_over_N` with 𝔻 (`semifree.DD`)."""
+    return _over_N(t, DD, _prefix_action)
 
 
 def alpha_N(t: NTElement) -> ModTensorElement:
-    """id_N ⊗ α: multiply out the component of word length 0."""
-    mod = t.module
-    c0 = t.components.get(0)
-    if c0 is None:
-        return ModTensorElement(mod, 1)
-    return mod_merge_at(c0, 0)
+    """id_N ⊗ α: multiply out component 0 of each y_j."""
+    return ModTensorElement._of_parts(t.module, 1, {j: merge_at(y.component(0), 0) for j, y in t.components.items()})
 
 
 def _beta_pass(N: SemifreeModule):
     """(j, betas) for j = 0, 1, ..., with betas[j] = β_N(e_j), in one pass.
 
-    β_N(e_λ) = e_λ ⊗ 1 ⊗ 1 + Σ_{μ<λ, b_{μλ} ≠ 0} β_N(e_μ) ⊗_B δ(b_{μλ}), a
-    term at index h of component m of β_N(e_μ) moving to component m + 1
-    signed (-1)^{|e_h|+m}; `betas` keeps β_N(e_i) only while a later ∂e_k
+    β_N(e_λ) = e_λ ⊗ 1 ⊗ 1 + Σ_{μ<λ, b_{μλ} ≠ 0} β_N(e_μ) ⊗_B δ(b_{μλ}),
+    component m of y_h in β_N(e_μ) moving to component m + 1 of y_h signed
+    (-1)^{|e_h|+m}; `betas` keeps β_N(e_i) only while a later ∂e_k
     has a term at e_i, all that this and a chain-map check at e_j read.
     By induction on λ, this is the sum over the chains μ_m < ... < μ_1 < λ
     of e_h ⊗ 1 ⊗ δ(b_1) ⊗_B ... ⊗_B δ(b_m), h = μ_m, b_1 = b_{μ_m μ_{m-1}},
@@ -294,19 +291,18 @@ def _beta_pass(N: SemifreeModule):
         validate_module(N)
     if not N._validated:
         raise NotValidated("module failed validation")
-    alg = N.alg
-    unit = (alg.one_mono, alg.one_mono)
     last_use = {i: k for i, k in sorted(N.diff)}
     betas: dict = {}
     for j in range(len(N.names)):
-        comps = {0: ModTensorElement(N, 2, {(j, unit): alg.field.one})}
+        parts = {j: BBElement.one(N.alg)}
         for i in range(j):
             b = N.diff.get((i, j))
             if b is not None:
                 db = delta(b)
-                for m, x in betas[i].components.items():
-                    _add_to(comps, m + 1, _index_signed(mod_concat_B(x, db), m))
-        betas[j] = NTElement(N, comps)
+                for h, y in betas[i].components.items():
+                    _add_to(parts, h, y._like({m + 1: concat_B(x, (db, -db)[(N.degrees[h] + m) % 2])
+                                               for m, x in y.components.items()}))
+        betas[j] = NTElement(N, parts)
         yield j, betas
         for i in [i for i in betas if last_use.get(i, -1) <= j]:
             del betas[i]
@@ -324,13 +320,21 @@ NO_GENERATOR = "the module has no generator, so nothing was checked"
 NO_NULLSPACE_VECTOR = "no nullspace vector in the window, so nothing was checked"
 
 
-def _chain_map_at(N: SemifreeModule, j: int, image, right, d, zero) -> bool:
-    """Σ_i f(e_i)·b_ij = ∂f(e_j): a map f on the generators, `image(i)` = f(e_i),
-    commutes with the differentials at e_j.  The b_ij are the entries of ∂e_j
-    in `N.diff`.  `right` is the right B-action on the values, linear in b,
-    `d` their differential and `zero` the zero value."""
-    lhs = sum((right(image(i), b) for (i, k), b in N.diff.items() if k == j), zero)
-    return lhs == d(image(j))
+def _section_checks(N: SemifreeModule, images, aug, right, d, zero) -> tuple[list, bool, bool]:
+    """Rows (name, f(e_name)) and whether f is a chain map and a section of `aug`, generator by generator.
+
+    `images` yields (j, f) with f[i] = f(e_i) for i = j and each e_i in ∂e_j.
+    The chain map check is Σ_i f(e_i)·b_ij = d(f(e_j)), the b_ij the entries
+    of ∂e_j, `right` the right B-action (linear in b) and `zero` the zero
+    value.  Both verdicts fail on a module without generators.
+    """
+    rows, chain, split = [], True, True
+    for j, f in images:
+        name = N.names[j]
+        split = aug(f[j]) == mod_element(N, name) and split
+        chain = sum((right(f[i], b) for (i, k), b in N.diff.items() if k == j), zero) == d(f[j]) and chain
+        rows.append((name, repr(f[j])))
+    return rows, chain and bool(rows), split and bool(rows)
 
 
 def check_beta(N: SemifreeModule) -> tuple[ValidationReport, list]:
@@ -341,20 +345,11 @@ def check_beta(N: SemifreeModule) -> tuple[ValidationReport, list]:
     at e_j are those the chain map at e_j reads.  A module without generators
     fails both lines.
     """
-    rows = []
-    ok_chain = ok_id = True
-    for j, betas in _beta_pass(N):
-        name = N.names[j]
-        b = betas[j]
-        if alpha_N(b) != mod_element(N, name):
-            ok_id = False
-        if not _chain_map_at(N, j, betas.__getitem__, nt_right_mult, DN, NTElement(N)):
-            ok_chain = False
-        rows.append((name, repr(b)))
+    rows, chain, split = _section_checks(N, _beta_pass(N), alpha_N, nt_right_mult, DN, NTElement(N))
     no_gen = "" if N.names else NO_GENERATOR
     rep = ValidationReport()
-    rep.add("beta-chain-map", ok_chain and not no_gen, no_gen)
-    rep.add("alphaN-betaN-identity", ok_id and not no_gen, no_gen)
+    rep.add("beta-chain-map", chain, no_gen)
+    rep.add("alphaN-betaN-identity", split, no_gen)
     return rep, rows
 
 
@@ -438,19 +433,13 @@ def check_rho(N: SemifreeModule, rho: dict) -> tuple[ValidationReport, list]:
 
     Returns the report and the table rows (name, ρ(e_name)), as `check_beta` does.
     """
-    ok_pi = ok_chain = True
-    rows = []
-    for j, name in enumerate(N.names):
-        rows.append((name, repr(rho[name])))
-        if mod_merge_at(rho[name], 0) != mod_element(N, name):
-            ok_pi = False
-        if not _chain_map_at(N, j, lambda i: rho[N.names[i]], mod_right_mult, module_differential,
-                             ModTensorElement(N, 2)):
-            ok_chain = False
+    fs = [rho[name] for name in N.names]
+    rows, chain, split = _section_checks(N, ((j, fs) for j in range(len(fs))), lambda x: mod_merge_at(x, 0),
+                                         mod_right_mult, module_differential, ModTensorElement(N, 2))
     no_gen = "" if N.names else NO_GENERATOR
     rep = ValidationReport()
-    rep.add("rho-splits-augmentation", ok_pi and not no_gen, no_gen)
-    rep.add("rho-chain-map", ok_chain and not no_gen, no_gen)
+    rep.add("rho-splits-augmentation", split, no_gen)
+    rep.add("rho-chain-map", chain, no_gen)
     return rep, rows
 
 

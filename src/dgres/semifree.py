@@ -13,14 +13,14 @@ and the complex (𝔹, 𝔇) is the reduced bar resolution on the nose.
 
 `GradedElement` is the package's one direct sum: it maps each key to a
 nonzero component.  T and 𝔹 key it by word length with `TensorElement`
-components (scalar sums, `algebra.ScalarSum`), `modules.ModTensorElement`
-by module generator with `TensorElement` components, and N ⊗_A T
-(`modules.NTElement`) by word length with `ModTensorElement` components.
-A word-length subclass fixes only the word length of component n and the
-type of its components.  `t_word` builds its δ-chain with the one builder
-`tensor.delta_chain`, and `bb_word` is concat_B(b' ⊗ 1, t_word), b' the
-prefix twisted by the word length n.  ∂ of T and of 𝔹 is the one helper
-`dBB`.  Both T-concatenations, the product of T (`t_multiply`) and its
+components (scalar sums, `algebra.ScalarSum`), and `modules.ModTensorElement`
+and N ⊗_A T = N ⊗_B 𝔹 (`modules.NTElement`) by module generator, with
+`TensorElement` and `BBElement` components; `modules.DN` applies `DD` to
+each of the latter.  A word-length subclass fixes only the word length of
+component n and the type of its components.  `t_word` builds its δ-chain
+with the one builder `tensor.delta_chain`, and `bb_word` is
+concat_B(b' ⊗ 1, t_word), b' the prefix twisted by the word length n.
+∂ of T and of 𝔹 is the one helper `dBB`.  Both T-concatenations, the product of T (`t_multiply`) and its
 right action on 𝔹 (`t_action`), are the one junction product
 `tensor.concat_B`(x.twisted(m), y) for x in component k and y in
 component m: x with each word w signed (-1)^{m·|w|} (`ScalarSum.twisted`).
@@ -69,11 +69,11 @@ class GradedElement:
     Here the key n is a word length: component n has word length n +
     `offset`, and a subclass gives only that offset and `part`, the type
     of its components, whose empty element `component` returns for a
-    missing key.  `owner` is the algebra (T, 𝔹) or the module (N ⊗_A T) the
-    components live over.  `modules.ModTensorElement` keys components by
-    module generator instead, and gives its own `shape` (the word length),
-    `key_degree` and `_like`.  Sums of different types, owners or shapes
-    raise instead of mixing.
+    missing key.  `owner` is the algebra (T, 𝔹) or the module the
+    components live over.  `modules.ModTensorElement` and `NTElement` key
+    them by module generator, of degree `key_degree`, instead; the first
+    gives its own `shape` (the word length) and `_like`, the second its
+    own constructor.  Sums of different types, owners or shapes raise.
     """
 
     __slots__ = ("owner", "components")

@@ -705,6 +705,66 @@ def _beta_stored_sign(m: int, mu_degree_sum: int, entry_degrees: list[int]) -> i
     return -1 if exp % 2 else 1
 
 
+def nt_element(N, comps: dict):
+    """The element of N ⊗_A T = N ⊗_B 𝔹 whose component n, of word length n + 2,
+    is the `ModTensorElement` comps[n]: its y_j holds the part at e_j of
+    every comps[n] (`modules.NTElement` is keyed by generator)."""
+    from dgres.modules import NTElement
+    from dgres.semifree import BBElement
+
+    parts: dict = {}
+    for n, t in comps.items():
+        for j, x in t.components.items():
+            parts.setdefault(j, {})[n] = x
+    return NTElement(N, {j: BBElement(N.alg, ys) for j, ys in parts.items()})
+
+
+def _index_signed(t, n: int):
+    """t with its part at each index j signed (-1)^{|e_j|+n}."""
+    return t._like({j: -x if (t.owner.degrees[j] + n) % 2 else x for j, x in t.components.items()})
+
+
+def _internal_part(t, n: int):
+    """The part of the internal differential of N ⊗_A T that keeps component n, on t in it.
+
+    On e_j ⊗ x_j: (-1)^{|e_j|+n} e_j ⊗ d(x_j) plus e_i ⊗ b'_ij·x_j for i < j,
+    where b'_ij is b_ij twisted by n, each monomial b signed (-1)^{n|b|}.
+    """
+    from dgres.modules import ModTensorElement
+    from dgres.semifree import _add_to
+    from dgres.tensor import left_mult, tensor_differential
+
+    mod = t.module
+    parts: dict = {}
+    for j, x in t.components.items():
+        d = tensor_differential(x)
+        _add_to(parts, j, -d if (mod.degrees[j] + n) % 2 else d)
+        for i in range(j):
+            b = mod.diff.get((i, j))
+            if b is not None:
+                _add_to(parts, i, left_mult(b.twisted(n), x))
+    return ModTensorElement._of_parts(mod, t.length, parts)
+
+
+def dn_by_word_length(N, comps: dict) -> dict:
+    """The differential of N ⊗_A T written by word length, on {n: ModTensorElement}.
+
+    On e_j ⊗ x_j in component n: `_internal_part`, which keeps component n,
+    plus (-1)^{|e_j|} e_j ⊗ merge01(x_j) in component n-1.  The reference
+    that `modules.DN`, which applies `semifree.DD` to each y_j of
+    Σ_j e_j ⊗ y_j, is checked against (through `nt_element`).
+    """
+    from dgres.modules import mod_merge_at
+    from dgres.semifree import _add_to
+
+    out: dict = {}
+    for n, te in comps.items():
+        _add_to(out, n, _internal_part(te, n))
+        if n:
+            _add_to(out, n - 1, _index_signed(mod_merge_at(te, 0), 0))
+    return out
+
+
 def chain_walk_beta_N(N, lam: str):
     """The splitting series β_N(e_λ) = e_λ⊗1 + Σ e_μ ⊗ δ(b)-chains.
 
@@ -716,7 +776,7 @@ def chain_walk_beta_N(N, lam: str):
     """
     from dgres.bar import bar_homotopy
     from dgres.errors import NotValidated
-    from dgres.modules import ModTensorElement, NTElement, validate_module
+    from dgres.modules import ModTensorElement, validate_module
     from dgres.tensor import TensorElement, concat_B, delta
 
     if N._validated is None:
@@ -725,7 +785,7 @@ def chain_walk_beta_N(N, lam: str):
         raise NotValidated("module failed validation")
     alg = N.alg
     j = N.index[lam]
-    out = NTElement(N, {0: ModTensorElement(N, 2, {
+    out = nt_element(N, {0: ModTensorElement(N, 2, {
         (j, (alg.one_mono, alg.one_mono)): alg.field.one})})
     memo: dict[tuple, TensorElement] = {}
 
@@ -751,7 +811,7 @@ def chain_walk_beta_N(N, lam: str):
             entry_degs = [N.entry(a, b).homogeneous_degree() for a, b in zip(full, full[1:])]
             sign = _beta_stored_sign(m, sum(N.degrees[i] for i in chain), entry_degs)
             comp = ModTensorElement._of_parts(N, m + 2, {head: bar_homotopy(word).scale_int(sign)})
-            out = out + NTElement(N, {m: comp})
+            out = out + nt_element(N, {m: comp})
         for i in range(head):
             if (i, head) in N.diff:
                 rec((i,) + chain)

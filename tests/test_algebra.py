@@ -370,9 +370,9 @@ def _linear_examples(kind: str):
     if kind == "BBElement":
         return (bb_word(alg, alg.one(), [e]), bb_word(alg, y, [e]), BBElement.one(alg) + bb_word(alg, alg.one(), [e]),
                 BBElement.one(other), TElement.one(alg))
-    unit = ModTensorElement(N, 2, {(0, (one, one)): 1})
-    return (beta_N(N, "c1"), NTElement(N, {0: unit}), beta_N(N, "c1") + NTElement(N, {0: unit}),
-            NTElement(N2, {0: ModTensorElement(N2, 2, {(0, (one, one)): 1})}), unit)
+    e0 = NTElement(N, {0: BBElement.one(alg)})
+    return (beta_N(N, "c1"), e0, beta_N(N, "c1") + e0, NTElement(N2, {0: BBElement.one(alg)}),
+            ModTensorElement(N, 2, {(0, (one, one)): 1}))
 
 
 @pytest.mark.parametrize("kind", ["AlgElement", "TensorElement", "ModTensorElement", "TElement", "BBElement", "NTElement"])

@@ -28,6 +28,7 @@ COMMANDS = {
     "lift_e1_CB.json":      ["lift", "e1.dgres", "--module", "CB", "--format", "machine"],
     "lift_frac_C.txt":      ["lift", "chain_frac.dgres", "--module", "C"],
     "lift_frac_C.json":     ["lift", "chain_frac.dgres", "--module", "C", "--format", "machine"],
+    "lift_odd_D.txt":       ["lift", "odd_lift.dgres", "--module", "D"],
     "derivations_e2.txt":   ["derivations", "e2.dgres", "--max-degree", "5"],
     "derivations_k3p.txt":  ["derivations", "k3p.dgres", "--max-degree", "6"],
 }

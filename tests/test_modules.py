@@ -7,7 +7,6 @@ from dgres.linalg import SliceMatrix
 from dgres.modules import (
     DN,
     ModTensorElement,
-    NTElement,
     SemifreeModule,
     alpha_N,
     bar_dN_any,
@@ -29,6 +28,7 @@ from dgres.probfile import parse_problem
 from dgres.scalars import Field
 from dgres.semifree import psi_sign
 from dgres.tensor import TensorElement
+from oracles import dn_by_word_length, nt_element
 
 
 def nt_word(N, name, factors):
@@ -39,7 +39,7 @@ def nt_word(N, name, factors):
     us = [alg.gen(u) if isinstance(u, str) else u for u in factors]
     n = len(us)
     if n == 0:
-        return NTElement(N, {0: ModTensorElement(N, 2, {
+        return nt_element(N, {0: ModTensorElement(N, 2, {
             (N.index[name], (alg.one_mono, alg.one_mono)): alg.field.one})})
     core = delta(us[0])
     for u in us[1:]:
@@ -49,7 +49,7 @@ def nt_word(N, name, factors):
     for w, c in core.terms.items():
         flat._add_raw((alg.one_mono,) + w, alg.field.neg(c) if sign < 0 else c)
     comp = ModTensorElement(N, n + 2, {(N.index[name], w): c for w, c in flat.terms.items()})
-    return NTElement(N, {n: comp})
+    return nt_element(N, {n: comp})
 
 
 def test_validate_module_examples(E1, E2):
@@ -131,11 +131,12 @@ def test_beta_chain_and_identity_on_fixtures(E1, E2, E3, E3p):
         assert check_beta(N)[0].passed
 
 
-def test_beta_chain_on_odd_and_jump_modules():
+def odd_and_jump_modules():
+    """Modules with odd-degree generators, and entries out of them or in A, over Λ(e) and ℚ[u]⟨f⟩, d f = u²."""
     QQ = Field.rationals()
     E1 = DGAlgebra(QQ, ext_gens=[("e", 1)])
     MIX = DGAlgebra(QQ, ext_gens=[("u", 2), ("f", 5)], diff_terms={"f": [(1, {"u": 2})]})
-    mods = [
+    return [
         SemifreeModule(E1, [("a", 1), ("b", 3)], {("a", "b"): [(1, {"e": 1})]}),
         SemifreeModule(MIX, [("c0", 0), ("c1", 3), ("c2", 6)],
                        {("c0", "c1"): [(1, {"u": 1})], ("c1", "c2"): [(1, {"u": 1})],
@@ -144,7 +145,10 @@ def test_beta_chain_on_odd_and_jump_modules():
                        {("d0", "d1"): [(1, {"u": 1})], ("d1", "d2"): [(1, {"u": 1})],
                         ("d0", "d2"): [(1, {"f": 1})]}),
     ]
-    for N in mods:
+
+
+def test_beta_chain_on_odd_and_jump_modules():
+    for N in odd_and_jump_modules():
         assert validate_module(N).passed
         assert check_beta(N)[0].passed
 
@@ -218,6 +222,28 @@ def test_DN_squares_to_zero(E2, E1):
             assert DN(DN(beta_N(N, name))).is_zero()
 
 
+def test_DN_matches_the_word_length_reference(E1, E2, E3, E3p):
+    # DN, 𝔻 of `semifree` on each y_j of Σ_j e_j ⊗ y_j, against the
+    # differential written by word length on random elements of word lengths
+    # 0-3; the modules have generators and entries of both parities
+    import random
+
+    from dgres.sampling import random_homogeneous_modtensor
+
+    rng = random.Random(5)
+    checked = 0
+    for N in [module_B(E1), koszul_K(E2), chain_N3(E1), extended_module(E1), extended_module(E3),
+              extended_module(E3p)] + odd_and_jump_modules():
+        assert validate_module(N).passed
+        for _ in range(40):
+            comps = {n: random_homogeneous_modtensor(N, rng, n + 2, rng.randrange(0, 9))
+                     for n in rng.sample(range(4), rng.randrange(1, 5))}
+            t = nt_element(N, comps)
+            assert DN(t) == nt_element(N, dn_by_word_length(N, comps)), (N, t)
+            checked += not t.is_zero()
+    assert checked > 250
+
+
 def test_alpha_N_is_chain_map(E1, E2, E3):
     import random
 
@@ -230,7 +256,7 @@ def test_alpha_N_is_chain_map(E1, E2, E3):
         # word length 0: alpha_N is the multiplication, DN the module differential
         for _ in range(12):
             comp0 = random_homogeneous_modtensor(N, rng, 2, rng.randrange(0, 6))
-            t = NTElement(N, {0: comp0})
+            t = nt_element(N, {0: comp0})
             assert alpha_N(DN(t)) == module_differential(alpha_N(t))
         # word length 1: both sides vanish (the merge lands in the kernel of π)
         alg = N.alg
@@ -239,7 +265,7 @@ def test_alpha_N_is_chain_map(E1, E2, E3):
                 comp1 = ModTensorElement(N, 3)
                 for w, c in prefixed_basis_element(alg, lb).terms.items():
                     comp1 = comp1 + ModTensorElement(N, 3, {(0, w): c})
-                t = NTElement(N, {1: comp1})
+                t = nt_element(N, {1: comp1})
                 assert alpha_N(DN(t)).is_zero()
                 assert alpha_N(t).is_zero()
 

@@ -19,9 +19,9 @@ from dgres.bar import certify_reduced_bar, check_reduced_exactness
 from dgres.cli import cmd_semifree
 import dgres.homology as homology
 from dgres.homology import certify_contraction, prefix_image, quasi_iso_check, reduced_bar_table
-from dgres.modules import SemifreeModule, beta_N, validate_module
+from dgres.modules import DN, SemifreeModule, beta_N, validate_module
 from dgres.probfile import ProblemFile
-from dgres.sampling import random_homogeneous_element
+from dgres.sampling import random_homogeneous_element, random_homogeneous_modtensor
 from dgres.scalars import Field
 from dgres.semifree import DD, BBElement, append_tail, bb_basis_element, bb_total_basis, dbar_column, dd_column, homotopy
 from dgres.tensor import prefixed_basis_dim, prefixed_basis_labels
@@ -30,8 +30,10 @@ from oracles import (
     bb_coords,
     bb_rank_table,
     chain_walk_beta_N,
+    dn_by_word_length,
     full_column_checks,
     merge_sign_oracle,
+    nt_element,
     recursive_diff_mono,
     reduced_bar_rank_table,
     reduced_full_checks,
@@ -379,6 +381,16 @@ def closed_modules(draw, alg):
     return degrees, {k: b for k, b in entries.items() if not b.is_zero()}
 
 
+def draw_closed_module(data, kind):
+    """A valid module drawn by `closed_modules` over a random tower of the kind, generators g0, g1, ..."""
+    alg = data.draw(TOWERS[kind](data.draw(st.sampled_from(FIELDS))))
+    degrees, entries = data.draw(closed_modules(alg))
+    N = SemifreeModule(alg, [(f"g{i}", d) for i, d in enumerate(degrees)],
+                       {(f"g{i}", f"g{j}"): b for (i, j), b in entries.items()})
+    assert validate_module(N).passed, (degrees, entries)
+    return N
+
+
 @pytest.mark.parametrize("kind", sorted(TOWERS))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -387,13 +399,23 @@ def test_beta_recursion_matches_the_chain_walk_on_closed_modules(kind, data):
     # with its stored signs, on every generator; the draws reach entries out
     # of odd-degree generators, where the two signs (-1)^{|e_h|+m} and
     # (-1)^{|e_μ|} part
-    alg = data.draw(TOWERS[kind](data.draw(st.sampled_from(FIELDS))))
-    degrees, entries = data.draw(closed_modules(alg))
-    N = SemifreeModule(alg, [(f"g{i}", d) for i, d in enumerate(degrees)],
-                       {(f"g{i}", f"g{j}"): b for (i, j), b in entries.items()})
-    assert validate_module(N).passed, (degrees, entries)
+    N = draw_closed_module(data, kind)
     for name in N.names:
-        assert beta_N(N, name) == chain_walk_beta_N(N, name), (name, degrees, entries)
+        assert beta_N(N, name) == chain_walk_beta_N(N, name), (name, N)
+
+
+@pytest.mark.parametrize("kind", sorted(TOWERS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_DN_matches_the_word_length_reference_on_closed_modules(kind, data):
+    # DN, 𝔻 on each y_j, equals the differential written by word length on
+    # random elements of word lengths 0-3 of N ⊗_A T; the draws reach odd
+    # generators, where (-1)^{|e_j|} and the twist of b_ij by n part
+    N = draw_closed_module(data, kind)
+    rng = data.draw(st.randoms(use_true_random=False))
+    comps = {n: random_homogeneous_modtensor(N, rng, n + 2, data.draw(st.integers(0, 8)))
+             for n in data.draw(st.sets(st.integers(0, 3), min_size=1))}
+    assert DN(nt_element(N, comps)) == nt_element(N, dn_by_word_length(N, comps)), (N, comps)
 
 
 VALID_INPUT_RUNS = [["validate", "--max-degree", "4"], ["bar", "--reduced", "--max-degree", "4"],
