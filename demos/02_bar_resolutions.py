@@ -9,12 +9,12 @@ from dgres.bar import (
     bar_homotopy,
     check_classical_bar,
     check_reduced_exactness,
-    nJ_kernel_basis,
+    contracted_cycles,
     nu,
     reduced_bar_differential,
 )
 from dgres.fixtures import e1, e2
-from dgres.tensor import prefixed_basis_element
+from dgres.tensor import prefixed_basis_element, tensor_basis
 
 E1 = e1()
 e = E1.gen("e")
@@ -24,7 +24,9 @@ em = E1.mono({"e": 1})
 # The multiplication map B^e -> B and its kernel, the diagonal ideal J.
 print("pi(1⊗e) =", pi_B(TensorElement.from_word(E1, (one, em))))
 print("delta(e) =", delta(e), "   pi(delta(e)) =", pi_B(delta(e)))
-print("kernel slice of pi at degree 1:", nJ_kernel_basis(E1, 1, 1))
+# "Prepend 1" contracts pi, so the x - 1⊗pi(x) over the words x span its kernel.
+words = [TensorElement.from_word(E1, w) for w in tensor_basis(E1, 2, 1)]
+print("kernel slice of pi at degree 1:", contracted_cycles(words, pi_B, bar_homotopy))
 
 # The bar differential is the alternating sum of adjacent multiplications,
 # and "prepend 1" is a contracting homotopy.

@@ -24,7 +24,6 @@ from .bar import (
     derivation_space,
     eta,
     eta_inverse,
-    nJ_kernel_basis,
     nu,
     reduced_bar_differential,
 )

@@ -1,10 +1,11 @@
 """Classical and reduced bar complexes over the enveloping algebra.
 
 The classical bar complex lives on B^{⊗_A (n+2)} with the alternating sum of
-slot merges as differential and "prepend 1" as contracting homotopy.  The
-reduced complex lives on B ⊗_A J^{⊗_B n}; in flat coordinates its
-differential is exactly "merge slots 0 and 1", which composes to zero
-precisely because π_B kills the leading δ-factor.  On the δ-labels
+slot merges as differential and "prepend 1" as contracting homotopy, so
+`contracted_cycles` lists the cycles of a slice, ^2J among them, with no
+elimination.  The reduced complex lives on B ⊗_A J^{⊗_B n}; in flat
+coordinates its differential is exactly "merge slots 0 and 1", which
+composes to zero precisely because π_B kills the leading δ-factor.  On the δ-labels
 (b, m, ws) of its basis it is the two-term closed form
 `semifree.dbar_column`, the same formula as the bar part 𝔇 of the
 semifree resolution.  The reduced bar never reads d, so it is (𝔹, 𝔻) of B
@@ -19,12 +20,10 @@ from .algebra import AlgElement, DGAlgebra, ValidationReport, add_term
 from .errors import LengthMismatch, NotInDomain, NotInJn, NotLinear, ObstructionNonzero
 from .homology import certify_contraction
 from .linalg import SliceMatrix
-from .semifree import _add_to, dbar_column, defect_details
+from .semifree import _add_to, defect_details
 from .tensor import (
     TensorElement,
     _delta_factors,
-    _memo,
-    _word_key,
     as_algebra_element,
     concat_B,
     delta,
@@ -35,7 +34,6 @@ from .tensor import (
     merge_at,
     pi_B,
     prefixed_basis_dim,
-    prefixed_basis_labels,
     right_mult,
     tensor_basis,
     tensor_differential,
@@ -74,6 +72,26 @@ def bar_homotopy(t) -> TensorElement:
     if isinstance(t, AlgElement):
         t = from_algebra_element(t)
     return concat_B(TensorElement.unit(t.alg, 2), t)
+
+
+def contracted_cycles(xs, d, h) -> list | None:
+    """The nonzero y = x − h(dx) for the x of `xs`, a basis of a slice, or None when some dy ≠ 0.
+
+    These y span the cycles of the slice exactly, for any linear h: each is
+    certified a cycle, and a cycle z = Σ c_x·x has dz = 0, so by linearity
+    z = z − h(dz) = Σ c_x·(x − h(dx)).  A linear map therefore vanishes on
+    the cycles exactly when it vanishes on every y, and no elimination is
+    taken.  A contraction passes the certificate: when d² = 0 and
+    dh + hd = id on the slice below, d(hdx) = dx − h(ddx) = dx, so dy = 0.
+    """
+    out = []
+    for x in xs:
+        y = x - h(d(x))
+        if not y.is_zero():
+            if not d(y).is_zero():
+                return None
+            out.append(y)
+    return out
 
 
 def check_classical_bar(alg: DGAlgebra, max_n: int, max_degree: int) -> ValidationReport:
@@ -126,62 +144,6 @@ def nu(b: AlgElement) -> TensorElement:
     `bar_homotopy` normalises its junction, the slot of b.
     """
     return -bar_homotopy(left_mult(b, TensorElement.unit(b.alg, 2)))
-
-
-def matrix_of_map(alg, images: list[TensorElement], col_labels: tuple) -> SliceMatrix:
-    """Matrix of a linear map given by the images of an ordered source basis.
-
-    The rows are the distinct words of the images in canonical word order,
-    which is their relative order in the ambient word basis, and those words
-    become the row labels.
-    """
-    row_labels = tuple(sorted({w for img in images for w in img.terms}, key=_word_key))
-    return SliceMatrix.from_columns(alg.field, row_labels, col_labels, (img.terms for img in images))
-
-
-def bar_slice_matrix(alg: DGAlgebra, n: int, degree: int) -> SliceMatrix:
-    """Matrix of 𝐝_{n-1} on the degree slice.
-
-    Columns are the canonical word basis of B^{⊗_A (n+2)}; rows are the words
-    of B^{⊗_A (n+1)} that occur in the images (see `matrix_of_map`).
-    """
-    src = tensor_basis(alg, n + 2, degree)
-    images = [bar_differential(TensorElement.from_word(alg, w), n) for w in src]
-    return matrix_of_map(alg, images, src)
-
-
-def nJ_kernel_basis(alg: DGAlgebra, n: int, degree: int) -> list[TensorElement]:
-    """Exact basis of the degree slice of ^nJ = ker 𝐝_{n-2} ⊆ B^{⊗_A (n+1)}; cached per algebra.
-
-    Cross-checked against the image of 𝐝_{n-1} in the same slice: exactness
-    of the bar complex forces equal dimensions, and d² = 0 gives containment.
-    `eta_inverse` reads the slices of ^2J on every call, so each is built,
-    and cross-checked, once.
-    """
-    if n < 1:
-        raise NotInDomain("n must be >= 1 (with ^0J = B use the algebra basis)")
-    return _memo(alg, "nJ_kernel", (n, degree), _nJ_kernel_basis, alg, n, degree)
-
-
-def _nJ_kernel_basis(alg: DGAlgebra, n: int, degree: int) -> list[TensorElement]:
-    src = tensor_basis(alg, n + 1, degree)
-    if not src:
-        return []
-    M = bar_slice_matrix(alg, n - 1, degree)
-    out = []
-    for vec in M.nullspace():
-        t = TensorElement(alg, n + 1)
-        for j, c in enumerate(vec):
-            if c != alg.field.zero:
-                add_term(alg.field, t.terms, src[j], c)
-        out.append(t)
-    image_rank = bar_slice_matrix(alg, n, degree).rank()
-    if image_rank != len(out):
-        raise NotInDomain(
-            f"exactness cross-check failed at n={n}, degree={degree}: "
-            f"dim ker = {len(out)}, dim im = {image_rank}"
-        )
-    return out
 
 
 # -- derivations and the correspondence η --------------------------------------
@@ -329,7 +291,9 @@ def eta_inverse(D: DerivationTable) -> BeLinearMap:
     """The inverse correspondence D ↦ -ḡ with g = B ⊗ D ⊗ B.
 
     g vanishes on ^2J (checked; ObstructionNonzero otherwise), so it factors
-    through 𝐝_0 : B^{⊗3} → J, and a preimage of j is 𝐡_0(j) = 1 ⊗ j.
+    through 𝐝_0 : B^{⊗3} → J, and a preimage of j is 𝐡_0(j) = 1 ⊗ j.  ^2J
+    is read from "prepend 1" by `contracted_cycles`; when 𝐡 fails its
+    certificate, ^2J is not listed and ObstructionNonzero is raised too.
     """
     alg = D.alg
     check = D.validate()
@@ -347,9 +311,12 @@ def eta_inverse(D: DerivationTable) -> BeLinearMap:
         return out
 
     for d in range(D.cutoff + 1):
-        for ker_vec in nJ_kernel_basis(alg, 2, d):
-            if not g(ker_vec).is_zero():
-                raise ObstructionNonzero(f"g does not vanish on ^2J at degree {d}")
+        words = [TensorElement.from_word(alg, w) for w in tensor_basis(alg, 3, d)]
+        cycles = contracted_cycles(words, lambda x: bar_differential(x, 1), bar_homotopy)
+        if cycles is None:
+            raise ObstructionNonzero(f"prepending 1 does not contract B^{{⊗3}} at degree {d}")
+        if not all(g(y).is_zero() for y in cycles):
+            raise ObstructionNonzero(f"g does not vanish on ^2J at degree {d}")
 
     images = {}
     for d in range(1, D.cutoff + 1):
@@ -380,13 +347,14 @@ def check_eta(alg: DGAlgebra, dspace: list, bspace: list) -> ValidationReport:
     def same(x, y) -> bool:
         return all(x.images.get(k, zero) == y.images.get(k, zero) for k in set(x.images) | set(y.images))
 
-    ok_d = True
-    for Dt in dspace:
-        try:  # eta_inverse validates Dt: one that is no derivation fails the line
-            ok_d = same(Dt, eta(eta_inverse(Dt))) and ok_d
+    def round_trip(x, there, back) -> bool:
+        try:  # a derivation that η⁻¹ rejects, or an unlisted ^2J, fails the line
+            return same(x, back(there(x)))
         except ObstructionNonzero:
-            ok_d = False
-    ok_f = all(same(fm, eta_inverse(eta(fm))) for fm in bspace)
+            return False
+
+    ok_d = all(round_trip(Dt, eta_inverse, eta) for Dt in dspace)
+    ok_f = all(round_trip(fm, eta, eta_inverse) for fm in bspace)
     ok_reject = None  # no corrupted derivation was checked
     cutoff = dspace[0].cutoff if dspace else 0
     for d in range(1, cutoff + 1):
@@ -491,23 +459,6 @@ def reduced_bar_differential(t: TensorElement, n: int) -> TensorElement:
     except NotInJn as exc:
         raise NotInDomain(str(exc)) from exc
     return merge_at(t, 0)
-
-
-def reduced_slice_matrix(alg: DGAlgebra, n: int, degree: int) -> SliceMatrix:
-    """Matrix of d̄_n on the degree slice, over the δ-labels: the reference the tests rank.
-
-    Columns are the labels (b, m, ws) of B ⊗_A J^{⊗_B n}
-    (`prefixed_basis_labels`), rows the labels of n − 1, and column j is
-    `dbar_column` of label j: the column of its head (b, m, (w_1,)) with
-    ws[1:] appended (`semifree.append_tail`).  The map ι_{n−1} taking a
-    label to its flat element of B^{⊗_A (n+1)} is injective, so the ranks
-    are those of the matrix of merge_at(·, 0) in ambient word coordinates.
-    A label outside the rows gets an extra row (`SliceMatrix.from_columns`).
-    Nothing is cached.
-    """
-    labels = prefixed_basis_labels(alg, n, degree)
-    return SliceMatrix.from_columns(alg.field, prefixed_basis_labels(alg, n - 1, degree), labels,
-                                    (dbar_column(alg, lb) for lb in labels))
 
 
 def _label_key(label):

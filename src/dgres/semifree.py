@@ -71,9 +71,10 @@ class GradedElement:
     of its components, whose empty element `component` returns for a
     missing key.  `owner` is the algebra (T, 𝔹) or the module the
     components live over.  `modules.ModTensorElement` and `NTElement` key
-    them by module generator, of degree `key_degree`, instead; the first
-    gives its own `shape` (the word length) and `_like`, the second its
-    own constructor.  Sums of different types, owners or shapes raise.
+    them by module generator, of degree `key_degree`, instead, and each
+    gives its own `component`; the first gives its own `shape` (the word
+    length) and `_like`, the second its own constructor.  Sums of
+    different types, owners or shapes raise.
     """
 
     __slots__ = ("owner", "components")

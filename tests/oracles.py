@@ -3,9 +3,11 @@
 Everything here deliberately avoids the package's own sign/elimination
 machinery: signs come from literal bubble-sort transposition counting, ranks
 from textbook dense elimination, and basis counts from exhaustive
-enumeration over exponent boxes.  The last section holds maps of the paper
-that no command runs, κ_n and its inverse among them; they are built from
-the package's kernel and serve the tests as constructions, not as oracles.
+enumeration over exponent boxes.  The last two sections hold maps of the
+paper that no command runs, κ_n and its inverse among them, and the slice
+matrices of the bar differentials, whose ranks and nullspaces the tests
+read; they are built from the package's kernel and serve the tests as
+constructions and references.
 """
 
 from fractions import Fraction
@@ -299,7 +301,6 @@ def reduced_bar_rank_table(alg, D):
     π comes from the monomial products of the C_0 labels, d̄_n from
     `reduced_slice_matrix`.
     """
-    from dgres.bar import reduced_slice_matrix
     from dgres.tensor import prefixed_basis_labels
 
     degrees = []
@@ -410,7 +411,6 @@ def reduced_full_checks(alg, D, homotopy=None):
     are summed label by label from the matrix columns, with no matrix
     product.
     """
-    from dgres.bar import reduced_slice_matrix
     from dgres.semifree import homotopy as real_homotopy
     from dgres.semifree import pi_column, section
     from dgres.tensor import prefixed_basis_labels
@@ -923,3 +923,91 @@ def derivation_from_generator_images(alg, gen_images, cutoff):
         for m in alg.basis("B", d):
             build(m)
     return DerivationTable(alg, cutoff, {m: t for m, t in images.items() if not t.is_zero()})
+
+
+# -- slice matrices that only the tests read ----------------------------------------
+
+
+def matrix_of_map(alg, images, col_labels):
+    """Matrix of a linear map given by the images of an ordered source basis.
+
+    The rows are the distinct words of the images in canonical word order,
+    which is their relative order in the ambient word basis, and those words
+    become the row labels.
+    """
+    from dgres.linalg import SliceMatrix
+    from dgres.tensor import _word_key
+
+    row_labels = tuple(sorted({w for img in images for w in img.terms}, key=_word_key))
+    return SliceMatrix.from_columns(alg.field, row_labels, col_labels, (img.terms for img in images))
+
+
+def bar_slice_matrix(alg, n, degree):
+    """Matrix of 𝐝_{n-1} on the degree slice.
+
+    Columns are the canonical word basis of B^{⊗_A (n+2)}; rows are the words
+    of B^{⊗_A (n+1)} that occur in the images (see `matrix_of_map`).
+    """
+    from dgres.bar import bar_differential
+    from dgres.tensor import TensorElement, tensor_basis
+
+    src = tensor_basis(alg, n + 2, degree)
+    return matrix_of_map(alg, [bar_differential(TensorElement.from_word(alg, w), n) for w in src], src)
+
+
+def nJ_kernel_basis(alg, n, degree):
+    """Basis of the degree slice of ^nJ = ker 𝐝_{n-2} ⊆ B^{⊗_A (n+1)}: the nullspace of `bar_slice_matrix`.
+
+    The reference for the cycles that `bar.contracted_cycles` reads from "prepend 1".
+    """
+    from dgres.tensor import TensorElement, tensor_basis
+
+    src = tensor_basis(alg, n + 1, degree)
+    return [TensorElement(alg, n + 1, {w: c for w, c in zip(src, vec) if c != alg.field.zero})
+            for vec in (bar_slice_matrix(alg, n - 1, degree).nullspace() if src else ())]
+
+
+def reduced_slice_matrix(alg, n, degree):
+    """Matrix of d̄_n on the degree slice, over the δ-labels.
+
+    Columns are the labels (b, m, ws) of B ⊗_A J^{⊗_B n}
+    (`prefixed_basis_labels`), rows the labels of n − 1, and column j is
+    `dbar_column` of label j: the column of its head (b, m, (w_1,)) with
+    ws[1:] appended (`semifree.append_tail`).  The map ι_{n−1} taking a
+    label to its flat element of B^{⊗_A (n+1)} is injective, so the ranks
+    are those of the matrix of merge_at(·, 0) in ambient word coordinates.
+    A label outside the rows gets an extra row (`SliceMatrix.from_columns`).
+    """
+    from dgres.linalg import SliceMatrix
+    from dgres.semifree import dbar_column
+    from dgres.tensor import prefixed_basis_labels
+
+    labels = prefixed_basis_labels(alg, n, degree)
+    return SliceMatrix.from_columns(alg.field, prefixed_basis_labels(alg, n - 1, degree), labels,
+                                    (dbar_column(alg, lb) for lb in labels))
+
+
+def dN_matrix(N, length, degree):
+    """Matrix of 𝐝^N from the degree slice of word length `length` to length-1.
+
+    Columns and rows are the `modtensor_basis` labels of the two slices.
+    """
+    from dgres.linalg import SliceMatrix
+    from dgres.modules import ModTensorElement, bar_dN_any, modtensor_basis
+
+    f = N.alg.field
+    src = tuple(modtensor_basis(N, length, degree))
+    return SliceMatrix.from_columns(f, tuple(modtensor_basis(N, length - 1, degree)), src,
+                                    (bar_dN_any(ModTensorElement(N, length, {key: f.one})).terms
+                                     for key in src))
+
+
+def kernel_dim_oracle(M):
+    """dim ker M, from the dense rank of its entries."""
+    return M.ncols - dense_rank_oracle(dense_map(M)[1], M.field.p)
+
+
+def span_rank_oracle(elements, p=None):
+    """The dimension of the span of elements of one slice, by the dense rank of their coordinates."""
+    keys = list(dict.fromkeys(k for x in elements for k in x.terms))
+    return dense_rank_oracle([[x.terms.get(k, 0) for x in elements] for k in keys], p)

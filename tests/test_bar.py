@@ -9,20 +9,18 @@ from dgres.bar import (
     bar_action,
     bar_differential,
     bar_homotopy,
-    bar_slice_matrix,
     be_linear_space,
     certify_reduced_bar,
     check_classical_bar,
     check_eta,
     check_reduced_bar,
     check_reduced_exactness,
+    contracted_cycles,
     derivation_space,
     eta,
     eta_inverse,
-    nJ_kernel_basis,
     nu,
     reduced_bar_differential,
-    reduced_slice_matrix,
 )
 from dgres.errors import NotInDomain, NotLinear, ObstructionNonzero
 from dgres.scalars import Field
@@ -38,7 +36,8 @@ from dgres.tensor import (
     tensor_differential,
     tensor_multiply,
 )
-from oracles import dense_rank_oracle, derivation_from_generator_images
+from oracles import (bar_slice_matrix, dense_rank_oracle, derivation_from_generator_images, kernel_dim_oracle,
+                     nJ_kernel_basis, reduced_slice_matrix, span_rank_oracle)
 
 
 def W(alg, *exps):
@@ -146,17 +145,36 @@ def test_delta_factors_through_nu(fixture_algebras):
                 assert bar_differential(nu(b), 1) == delta(b)
 
 
+def nJ_cycles(alg, n, d):
+    """The x − 𝐡(𝐝x) over the words x of B^{⊗_A (n+1)} in degree d, which span ^nJ."""
+    words = [TensorElement.from_word(alg, w) for w in tensor_basis(alg, n + 1, d)]
+    return contracted_cycles(words, lambda x: bar_differential(x, n - 1), bar_homotopy)
+
+
+def assert_nJ_cycles_span_the_kernel(alg, top):
+    # ^nJ for n = 1, 2, 3 in degrees 0..top: the cycles read from "prepend 1"
+    # span a space of the dense oracle's kernel dimension, which exactness
+    # makes the rank of the slice above
+    for n in (1, 2, 3):
+        for d in range(top + 1):
+            kernel = kernel_dim_oracle(bar_slice_matrix(alg, n - 1, d))
+            assert span_rank_oracle(nJ_cycles(alg, n, d), alg.field.p) == kernel, (n, d)
+            assert bar_slice_matrix(alg, n, d).rank() == kernel, (n, d)
+
+
 def test_nJ_kernel_examples(E1, fixture_algebras):
     basis = nJ_kernel_basis(E1, 1, 1)
     assert len(basis) == 1
     v = basis[0]
     assert v == delta(E1.gen("e")) or v == delta(E1.gen("e")).scale_int(-1)
     assert nJ_kernel_basis(E1, 1, 0) == []
-    # kernel = image cross-check runs inside the call
+    assert nJ_cycles(E1, 1, 1) == [-delta(E1.gen("e"))] and nJ_cycles(E1, 1, 0) == []
+    lam = DGAlgebra(Field.rationals(), ext_gens=[("a", 1), ("b", 1), ("c", 1)])
     for alg in fixture_algebras.values():
-        for n in (1, 2):
-            for d in range(0, 5):
-                nJ_kernel_basis(alg, n, d)
+        assert_nJ_cycles_span_the_kernel(alg, 5)
+    # Λ(a,b,c) stops at degree 3: its B^{⊗_A 4} slice of degree 4 has 495
+    # words, and the dense rank of their cycles takes seconds
+    assert_nJ_cycles_span_the_kernel(lam, 3)
 
 
 def test_eta_special_cases(E2):
@@ -276,6 +294,13 @@ def test_each_eta_check_fails_under_a_mutation(monkeypatch, E2):
     # an η⁻¹ that checks nothing accepts the corrupted derivation
     unchecked = lambda D: BeLinearMap(E2, D.cutoff, {})
     assert failed("eta_inverse", unchecked)[-1] == "corrupted-derivation-rejected"
+    # an 𝐡 that does not contract lists no ^2J: η⁻¹ rejects every derivation, and both round trips fail
+    doubled_h = lambda t: bar_homotopy(t).scale_int(2)
+    assert failed("bar_homotopy", doubled_h) == ["eta-of-eta-inverse-identity", "eta-inverse-of-eta-identity"]
+    with monkeypatch.context() as m:
+        m.setattr(bar, "bar_homotopy", doubled_h)
+        with pytest.raises(ObstructionNonzero, match="does not contract"):
+            eta_inverse(dspace[0])
     # a sample that is no derivation is rejected by η⁻¹, its one validation, and fails its line
     x = E2.basis("B", 2)[0]
     broken = DerivationTable(E2, 5, {**dspace[0].images, x: dspace[0].images[x] + W(E2, {}, {"x": 1})})

@@ -189,6 +189,20 @@ def test_lambda_splitting_fails_when_no_nullspace_vector_is_checked(tmp_path, ca
     assert "verdict  Liftable" in out
 
 
+def test_lambda_splitting_fails_when_append_one_does_not_contract(capsys, golden_dir, monkeypatch):
+    # s with the wrong sign lists non-cycles, which its certificate refuses: a FAIL with exit 1, not a crash
+    import dgres.modules as modules
+    from dgres.modules import NOT_CONTRACTED
+
+    real = modules.dN_homotopy
+    monkeypatch.setattr(modules, "dN_homotopy", lambda t: -real(t))
+    code, out, err = run_cli(["lift", str(golden_dir / "e1.dgres"), "--module", "CB"], capsys)
+    assert code == 1 and err == ""
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("  FAIL")] == \
+        ["lambda-splitting-identities"]
+    assert out.count(f"counterexample: {NOT_CONTRACTED}") == 1
+
+
 def test_lift_checks_fail_on_a_module_without_generators(tmp_path, capsys):
     # β_N and ρ are checked generator by generator, so with none of them nothing is checked
     from dgres.modules import NO_GENERATOR

@@ -1,10 +1,10 @@
-from dgres.bar import bar_slice_matrix, certify_reduced_bar
+from dgres.bar import certify_reduced_bar
 from dgres.fixtures import koszul_K, module_B
 from dgres.homology import dB_matrix, homology_dims, quasi_iso_check, reduced_bar_table
-from dgres.modules import dN_matrix, modtensor_basis
+from dgres.modules import modtensor_basis
 from dgres.semifree import pi_column
 from dgres.tensor import prefixed_basis_labels, tensor_basis
-from oracles import full_dd_matrix, reduced_bar_rank_table
+from oracles import bar_slice_matrix, dN_matrix, full_dd_matrix, reduced_bar_rank_table
 
 
 def test_homology_of_B_examples(E1, E2, E3):

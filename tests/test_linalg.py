@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgres.algebra import DGAlgebra
-from dgres.bar import reduced_slice_matrix
 from dgres.errors import DgresError
 from dgres.linalg import InfeasibilityCertificate, SliceMatrix, echelon, solve_linear, verify_certificate
 from dgres.scalars import Field
 
-from oracles import dense_nullspace_oracle, dense_rank_oracle, dense_rref_oracle, dense_solve_oracle
+from oracles import (dense_nullspace_oracle, dense_rank_oracle, dense_rref_oracle, dense_solve_oracle,
+                     reduced_slice_matrix)
 
 
 def _from_rows(field, rows, ncols=None):

@@ -1,12 +1,14 @@
 import pytest
 
 from dgres.algebra import DGAlgebra
+from dgres.bar import contracted_cycles
 from dgres.errors import NotValidated
 from dgres.fixtures import chain_N3, extended_module, koszul_K, module_B
 from dgres.linalg import SliceMatrix
 from dgres.modules import (
     DN,
     ModTensorElement,
+    NTElement,
     SemifreeModule,
     alpha_N,
     bar_dN_any,
@@ -14,6 +16,7 @@ from dgres.modules import (
     check_beta,
     check_lambda_splitting,
     check_rho,
+    dN_homotopy,
     lambda_n,
     lemma_sign_check,
     mod_element,
@@ -26,9 +29,9 @@ from dgres.modules import (
 )
 from dgres.probfile import parse_problem
 from dgres.scalars import Field
-from dgres.semifree import psi_sign
+from dgres.semifree import BBElement, psi_sign
 from dgres.tensor import TensorElement
-from oracles import dn_by_word_length, nt_element
+from oracles import dN_matrix, dn_by_word_length, kernel_dim_oracle, nt_element, span_rank_oracle
 
 
 def nt_word(N, name, factors):
@@ -200,6 +203,44 @@ def test_split_check_agrees_with_solver(E1, E2, E3, fixture_algebras):
     for N in battery:
         res = naive_lift_solve(N)
         assert nsex_split_check(N, max(N.degrees) + 2) == res.liftable
+
+
+def dN_cycles(N, length, d):
+    """The x − s(𝐝^N x) over the basis of N ⊗_A B^{⊗_A (length-1)} in degree d, which span the 𝐝^N cycles."""
+    basis = [ModTensorElement(N, length, {key: N.alg.field.one}) for key in modtensor_basis(N, length, d)]
+    return contracted_cycles(basis, bar_dN_any, dN_homotopy)
+
+
+def assert_dN_cycles_span_the_kernel(N, top):
+    # word lengths 2 and 3, the cycles λ-splitting reads, in degrees 0..top
+    for length in (2, 3):
+        for d in range(top + 1):
+            assert span_rank_oracle(dN_cycles(N, length, d), N.alg.field.p) == \
+                kernel_dim_oracle(dN_matrix(N, length, d)), (N, length, d)
+
+
+def test_dN_homotopy_contracts(E1, E2, E3):
+    # 𝐝^N s + s 𝐝^N = id on every basis element of word lengths 2..4
+    for N in (module_B(E3), chain_N3(E1), koszul_K(E2)):
+        for length in range(2, 5):
+            for d in range(6):
+                for key in modtensor_basis(N, length, d):
+                    x = ModTensorElement(N, length, {key: N.alg.field.one})
+                    assert bar_dN_any(dN_homotopy(x)) + dN_homotopy(bar_dN_any(x)) == x, (N, length, key)
+
+
+def test_dN_cycles_match_the_dense_kernel(E1, E2, E3, fixture_algebras):
+    battery = [koszul_K(E2), chain_N3(E1), extended_module(E3), extended_module(E2)]
+    battery += [module_B(alg) for alg in fixture_algebras.values()]
+    for N in battery:
+        assert_dN_cycles_span_the_kernel(N, 5)
+
+
+def test_component_of_a_missing_generator_is_zero(E1):
+    # the zero part of the generator's type: a tensor of the element's word length, or an element of 𝔹
+    N = module_B(E1)
+    assert ModTensorElement(N, 2).component(0) == TensorElement(E1, 2)
+    assert NTElement(N).component(0) == BBElement(E1)
 
 
 def test_lambda_zero(E3):

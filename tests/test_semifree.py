@@ -3,7 +3,6 @@ from pathlib import Path
 import pytest
 
 from dgres.algebra import DGAlgebra
-from dgres.bar import reduced_slice_matrix
 from dgres.errors import DgresError
 from dgres.homology import (
     bb_alpha_matrix,
@@ -34,7 +33,8 @@ from dgres.semifree import (
     t_word,
 )
 from dgres.tensor import TensorElement, delta, prefixed_basis_element, tensor_basis, tensor_differential
-from oracles import bb_coords, bb_rank_table, dense_rank_oracle, full_alpha_matrix, full_dd_matrix
+from oracles import (bb_coords, bb_rank_table, dense_rank_oracle, full_alpha_matrix, full_dd_matrix,
+                     reduced_slice_matrix)
 
 INPUTS = Path(__file__).parent / "inputs"
 

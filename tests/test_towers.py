@@ -39,7 +39,8 @@ from oracles import (
     reduced_full_checks,
     summed_differential,
 )
-from test_bar import assert_reduced_columns_are_flat_merges
+from test_bar import assert_nJ_cycles_span_the_kernel, assert_reduced_columns_are_flat_merges
+from test_modules import assert_dN_cycles_span_the_kernel
 
 FIELDS = [Field.rationals(), Field.prime(101)]
 
@@ -416,6 +417,17 @@ def test_DN_matches_the_word_length_reference_on_closed_modules(kind, data):
     comps = {n: random_homogeneous_modtensor(N, rng, n + 2, data.draw(st.integers(0, 8)))
              for n in data.draw(st.sets(st.integers(0, 3), min_size=1))}
     assert DN(nt_element(N, comps)) == nt_element(N, dn_by_word_length(N, comps)), (N, comps)
+
+
+@pytest.mark.parametrize("kind", sorted(TOWERS))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_contracted_cycles_span_the_dense_kernels_on_random_towers(kind, data):
+    # ^nJ for n = 1, 2, 3 read from "prepend 1", and the 𝐝^N cycles of word
+    # lengths 2 and 3 read from "append 1", have the dense oracle's kernel dimension
+    N = draw_closed_module(data, kind)
+    assert_nJ_cycles_span_the_kernel(N.alg, 3)
+    assert_dN_cycles_span_the_kernel(N, 4)
 
 
 VALID_INPUT_RUNS = [["validate", "--max-degree", "4"], ["bar", "--reduced", "--max-degree", "4"],
