@@ -1,12 +1,15 @@
 """Deterministic report records with text and machine renderings.
 
 Reports never contain wall-clock data; rerunning the same command on the
-same input yields byte-identical output in both formats.
+same input yields byte-identical output in both formats.  Both renderers
+yield the report in pieces, so the caller writes it as it is rendered and
+never holds a second copy of the whole text.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 
 VERSION = "0.1.0"
 
@@ -41,7 +44,8 @@ def input_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def render_machine(report: Report) -> str:
+def render_machine(report: Report) -> Iterator[str]:
+    """Yield the machine report in pieces: one JSON object with sorted keys, then a newline."""
     import json  # only machine-format runs pay for it
 
     payload = {
@@ -53,31 +57,29 @@ def render_machine(report: Report) -> str:
         "tables": {k: report.tables[k] for k in sorted(report.tables)},
         "verdict": "PASS" if report.all_passed else "FAIL",
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True) + "\n"
+    yield from json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True).iterencode(payload)
+    yield "\n"
 
 
-def render_text(report: Report) -> str:
-    lines = []
-    lines.append(f"dgres {report.version}")
-    lines.append(f"command: {report.command}")
-    lines.append(f"input sha256: {report.input_sha256}")
+def render_text(report: Report) -> Iterator[str]:
+    """Yield the text report line by line, each line with its newline."""
+    yield f"dgres {report.version}\n"
+    yield f"command: {report.command}\n"
+    yield f"input sha256: {report.input_sha256}\n"
     if report.options:
         opts = " ".join(f"{k}={report.options[k]}" for k in sorted(report.options))
-        lines.append(f"options: {opts}")
-    lines.append("")
+        yield f"options: {opts}\n"
+    yield "\n"
     width = max((len(c["name"]) for c in report.checks), default=0)
     for c in report.checks:
         line = f"  {c['status']:<4}  {c['name']:<{width}}"
         if c.get("window"):
             line += f"  [{c['window']}]"
-        lines.append(line.rstrip())
+        yield line.rstrip() + "\n"
         if c.get("counterexample"):
-            lines.append(f"        counterexample: {c['counterexample']}")
+            yield f"        counterexample: {c['counterexample']}\n"
     for tname in sorted(report.tables):
-        lines.append("")
-        lines.append(f"table {tname}:")
+        yield f"\ntable {tname}:\n"
         for row in report.tables[tname]:
-            lines.append("  " + "  ".join(str(x) for x in row))
-    lines.append("")
-    lines.append(f"verdict: {'PASS' if report.all_passed else 'FAIL'}")
-    return "\n".join(lines) + "\n"
+            yield f"  {'  '.join(str(x) for x in row)}\n"
+    yield f"\nverdict: {'PASS' if report.all_passed else 'FAIL'}\n"

@@ -3,11 +3,13 @@
 Everything here deliberately avoids the package's own sign/elimination
 machinery: signs come from literal bubble-sort transposition counting, ranks
 from textbook dense elimination, and basis counts from exhaustive
-enumeration over exponent boxes.  The last two sections hold maps of the
+enumeration over exponent boxes.  Two later sections hold maps of the
 paper that no command runs, κ_n and its inverse among them, and the slice
 matrices of the bar differentials, whose ranks and nullspaces the tests
 read; they are built from the package's kernel and serve the tests as
-constructions and references.
+constructions and references.  The last holds the one-shot report
+renderers, which the streamed renderers of `dgres.report` must match byte
+for byte.
 """
 
 from fractions import Fraction
@@ -1011,3 +1013,50 @@ def span_rank_oracle(elements, p=None):
     """The dimension of the span of elements of one slice, by the dense rank of their coordinates."""
     keys = list(dict.fromkeys(k for x in elements for k in x.terms))
     return dense_rank_oracle([[x.terms.get(k, 0) for x in elements] for k in keys], p)
+
+
+# -- one-shot report renderers ------------------------------------------------------
+
+
+def render_machine(report) -> str:
+    """The machine report as one string: `json.dumps` of the payload, then a newline."""
+    import json
+
+    payload = {
+        "version": report.version,
+        "command": report.command,
+        "input_sha256": report.input_sha256,
+        "options": {k: report.options[k] for k in sorted(report.options)},
+        "checks": report.checks,
+        "tables": {k: report.tables[k] for k in sorted(report.tables)},
+        "verdict": "PASS" if report.all_passed else "FAIL",
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True) + "\n"
+
+
+def render_text(report) -> str:
+    """The text report as one string: every line collected in a list, then joined."""
+    lines = []
+    lines.append(f"dgres {report.version}")
+    lines.append(f"command: {report.command}")
+    lines.append(f"input sha256: {report.input_sha256}")
+    if report.options:
+        opts = " ".join(f"{k}={report.options[k]}" for k in sorted(report.options))
+        lines.append(f"options: {opts}")
+    lines.append("")
+    width = max((len(c["name"]) for c in report.checks), default=0)
+    for c in report.checks:
+        line = f"  {c['status']:<4}  {c['name']:<{width}}"
+        if c.get("window"):
+            line += f"  [{c['window']}]"
+        lines.append(line.rstrip())
+        if c.get("counterexample"):
+            lines.append(f"        counterexample: {c['counterexample']}")
+    for tname in sorted(report.tables):
+        lines.append("")
+        lines.append(f"table {tname}:")
+        for row in report.tables[tname]:
+            lines.append("  " + "  ".join(str(x) for x in row))
+    lines.append("")
+    lines.append(f"verdict: {'PASS' if report.all_passed else 'FAIL'}")
+    return "\n".join(lines) + "\n"

@@ -1,9 +1,11 @@
+import gc
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from dgres import cli
 from dgres.cli import main
 from dgres.errors import ParseError
 from dgres.probfile import parse_expression, parse_problem
@@ -935,3 +937,65 @@ def test_names_may_be_declared_after_use():
     alg = problem.algebra
     assert alg.d(alg.gen("e")) == alg.gen("y")
     assert problem.modules["M"].entry(0, 1) == alg.gen("e")
+
+
+CALLER_THRESHOLDS = (1234, 5, 6)  # neither CPython's default nor cli.GC_THRESHOLDS
+
+
+@pytest.fixture
+def caller_gc():
+    """A caller with its own collector thresholds; the test's settings come back afterwards."""
+    saved, enabled = gc.get_threshold(), gc.isenabled()
+    gc.set_threshold(*CALLER_THRESHOLDS)
+    try:
+        yield
+    finally:
+        gc.set_threshold(*saved)
+        (gc.enable if enabled else gc.disable)()
+
+
+def _bad_validate(tmp_path, golden_dir):
+    bad = tmp_path / "bad.dgres"
+    bad.write_text("field rationals\n\n[algebra]\nbase y 2\next e 2\nd e = y\n")
+    return ["validate", str(bad)]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (lambda tmp, gold: ["validate", str(gold / "e3.dgres")], 0),
+    (_bad_validate, 1),
+    (lambda tmp, gold: ["nocommand", str(gold / "e3.dgres")], 2),
+    (lambda tmp, gold: ["bar", str(gold / "e1.dgres")], 2),
+    (lambda tmp, gold: ["validate", str(tmp / "missing.dgres")], 2),
+], ids=["exit-0", "exit-1", "argparse", "usage-error", "missing-file"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_found_it(caller_gc, tmp_path, golden_dir, capsys, argv, code, enabled):
+    if not enabled:
+        gc.disable()
+    assert main(argv(tmp_path, golden_dir)) == code
+    assert gc.get_threshold() == CALLER_THRESHOLDS and gc.isenabled() == enabled
+
+
+def test_main_restores_the_collector_when_a_command_raises(caller_gc, golden_dir, monkeypatch):
+    def broken(args, problem):
+        raise RuntimeError("broken command")
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", broken)
+    with pytest.raises(RuntimeError, match="broken command"):
+        main(["validate", str(golden_dir / "e3.dgres")])
+    assert gc.get_threshold() == CALLER_THRESHOLDS and gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_commands_run_under_the_raised_thresholds(caller_gc, golden_dir, capsys, monkeypatch, enabled):
+    seen = []
+
+    def recording(args, problem):
+        seen.append((gc.get_threshold(), gc.isenabled()))
+        return cli.Report("validate", "0" * 64)
+
+    if not enabled:
+        gc.disable()
+    monkeypatch.setitem(cli.COMMANDS, "validate", recording)
+    assert main(["validate", str(golden_dir / "e3.dgres")]) == 0
+    assert seen == [(cli.GC_THRESHOLDS, enabled)]
+    assert gc.get_threshold() == CALLER_THRESHOLDS and gc.isenabled() == enabled
