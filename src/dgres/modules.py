@@ -16,10 +16,13 @@ its `terms` is a flat read-only view keyed by (index, word).
 An element Σ_j e_j ⊗ y_j of N ⊗_A T = N ⊗_B 𝔹 is keyed by generator index
 too, each y_j a `semifree.BBElement`.  Both internal differentials are then
 d_N ⊗ 1 + (-1)^{|e|}·1 ⊗ d, one helper `_over_N`: `module_differential`
-with d slotwise, and `DN` with d = 𝔻, taken from `semifree.DD`.  The
-splitting β_N is built by its recursion, in one pass over the generators
-(`_beta_pass`); β_N and a naive lift ρ are sections of α_N and π_N,
-checked by one loop (`_section_checks`).  "Append 1" (`dN_homotopy`)
+with d slotwise, and `DN` with d = 𝔻, taken from `semifree.DD`.  Its
+parts at one generator, `_over_e`, also give each column of the
+naive-lift system from the kernels on one word.  The splitting β_N is
+built by its recursion, in one pass over the generators (`_beta_pass`);
+β_N and a naive lift ρ are sections of α_N and π_N, checked by one loop
+(`_section_checks`), which renders its rows through one memo of word
+texts (`_render`).  "Append 1" (`dN_homotopy`)
 contracts the bar differential 𝐝^N, so the λ-identities read the cycles
 of 𝐝^N from it (`bar.contracted_cycles`), with no elimination.
 """
@@ -27,6 +30,7 @@ of 𝐝^N from it (`bar.contracted_cycles`), with no elimination.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 
 from .algebra import AlgElement, DGAlgebra, ValidationReport
 from .bar import bar_differential, contracted_cycles
@@ -52,6 +56,9 @@ class SemifreeModule:
     `basis` is a list of (name, degree); `diff_entries` maps (mu_name,
     lam_name) to the coefficient b_{μλ} ∈ B of e_μ in ∂(e_λ), raw-term data
     or AlgElement.  Only mu < lam entries are allowed (strict triangularity).
+    The nonzero entries b_ij are `diff[i, j]`, and by generator `into[j]`,
+    the (i, b_ij) of ∂e_j, and `out_of[i]`, the (j, b_ij) of the ∂e_j with a
+    term at e_i, each in ascending order.
     """
 
     def __init__(self, alg: DGAlgebra, basis, diff_entries=None):
@@ -70,10 +77,12 @@ class SemifreeModule:
             if i >= j:
                 raise DgresError(f"entry ({mu},{lam}) violates strict lower triangularity")
             self.diff[(i, j)] = el
+        self.into = [[] for _ in self.names]
+        self.out_of = [[] for _ in self.names]
+        for i, j in sorted(self.diff):
+            self.into[j].append((i, self.diff[i, j]))
+            self.out_of[i].append((j, self.diff[i, j]))
         self._validated = None
-
-    def entry(self, i: int, j: int) -> AlgElement:
-        return self.diff.get((i, j), self.alg.zero())
 
     def __repr__(self):
         gens = ", ".join(f"{n}:{d}" for n, d in zip(self.names, self.degrees))
@@ -91,18 +100,16 @@ def validate_module(N: SemifreeModule) -> ValidationReport:
             ok_deg.append(f"({N.names[i]},{N.names[j]}): degrees {sorted(degs)} != {want}")
     rep.add("entry-degrees", not ok_deg, "; ".join(ok_deg))
     rep.add("strict-triangularity", all(i < j for (i, j) in N.diff), "")
-    bad = []
-    for j in range(len(N.names)):
-        for i in range(j):
-            # coefficient of e_i in ∂²(e_j)
-            acc = alg.zero()
-            for k in range(i + 1, j):
-                acc = acc + N.entry(i, k) * N.entry(k, j)
-            d_entry = alg.d(N.entry(i, j))
-            sign = -1 if N.degrees[i] % 2 else 1
-            acc = acc + d_entry.scale_int(sign)
-            if not acc.is_zero():
-                bad.append(f"({N.names[i]},{N.names[j]})")
+    # the coefficient of e_i in ∂²(e_j) is Σ_k b_ik·b_kj + (-1)^{|e_i|}·d(b_ij):
+    # summed over the pairs of entries that share k, and over the entries
+    acc: dict = {}
+    for (i, k), b in N.diff.items():
+        for j, c in N.out_of[k]:
+            _add_to(acc, (i, j), b * c)
+    for (i, j), b in N.diff.items():
+        db = alg.d(b)
+        _add_to(acc, (i, j), -db if N.degrees[i] % 2 else db)
+    bad = [f"({N.names[i]},{N.names[j]})" for j, i in sorted((j, i) for i, j in acc) if not acc[i, j].is_zero()]
     rep.add("d-squared-zero", not bad, "" if not bad else "∂² != 0 at " + ", ".join(bad[:4]))
     N._validated = rep.passed
     return rep
@@ -152,15 +159,34 @@ class ModTensorElement(GradedElement):
         return ModTensorElement._of_parts(self.owner, length, {i: kernel(x) for i, x in self.components.items()})
 
     def __repr__(self):
-        if not self.components:
-            return "0"
-        alg = self.owner.alg
-        parts = []
-        for i in sorted(self.components):
-            for w, c in self.components[i].sorted_terms():
-                body = self.owner.names[i] + "." + "(x)".join(alg.mono_repr(m) for m in w)
-                parts.append(f"{c}*{body}" if c != alg.field.one else body)
-        return " + ".join(parts)
+        return self._text({})
+
+    def _text(self, memo: dict) -> str:
+        """The text of `__repr__`, each word keyed and spelt through `memo` (see `_render`)."""
+        return _render(self.owner, self.components, memo)
+
+
+def _render(N: SemifreeModule, parts: dict, memo: dict) -> str:
+    """Σ_i e_i ⊗ x_i as text: i ascending, then the words of x_i in `key_order`, "0" for no part.
+
+    `memo` maps each word met to its sort key and text, so that a caller
+    rendering many elements spells and keys each distinct word once; a
+    word's text depends on the algebra's generator names, so a memo must
+    not outlive the call that fills it.
+    """
+    one, mono_repr = N.alg.field.one, N.alg.mono_repr
+    out = []
+    for i in sorted(parts):
+        x, name = parts[i], N.names[i] + "."
+        keyed = []
+        for w, c in x.terms.items():
+            got = memo.get(w)
+            if got is None:
+                got = memo[w] = (x.key_order(w), "(x)".join(map(mono_repr, w)))
+            keyed.append((got, c))
+        keyed.sort(key=itemgetter(0))
+        out += [f"{c}*{name}{text}" if c != one else name + text for (_, text), c in keyed]
+    return " + ".join(out) or "0"
 
 
 def mod_element(module: SemifreeModule, name: str, coeff=None) -> ModTensorElement:
@@ -210,17 +236,21 @@ def dN_homotopy(t: ModTensorElement) -> ModTensorElement:
     return s if t.length % 2 else -s
 
 
+def _over_e(N: SemifreeModule, j: int, y, d, act):
+    """d_N ⊗ 1 + (-1)^{|e|}·1 ⊗ d on e_j ⊗ y, as (index, part) pairs: (j, (-1)^{|e_j|}·d(y)),
+    then (i, act(b_ij, y)) for the entries of ∂e_j, i ascending, `act` the left B-action on y."""
+    dy = d(y)
+    yield j, -dy if N.degrees[j] % 2 else dy
+    for i, b in N.into[j]:
+        yield i, act(b, y)
+
+
 def _over_N(t, d, act):
-    """d_N ⊗ 1 + (-1)^{|e|}·1 ⊗ d on t = Σ_j e_j ⊗ y_j: (-1)^{|e_j|} e_j ⊗ d(y_j)
-    plus e_i ⊗ act(b_ij, y_j) for i < j, `act` the left B-action on the y's."""
+    """d_N ⊗ 1 + (-1)^{|e|}·1 ⊗ d on t = Σ_j e_j ⊗ y_j: the parts of `_over_e` on each e_j ⊗ y_j, summed."""
     parts: dict = {}
     for j, y in t.components.items():
-        dy = d(y)
-        _add_to(parts, j, -dy if t.owner.degrees[j] % 2 else dy)
-        for i in range(j):
-            b = t.owner.diff.get((i, j))
-            if b is not None:
-                _add_to(parts, i, act(b, y))
+        for i, x in _over_e(t.owner, j, y, d, act):
+            _add_to(parts, i, x)
     return t._like(parts)
 
 
@@ -256,12 +286,15 @@ class NTElement(GradedElement):
         return BBElement(self.owner.alg) if y is None else y
 
     def __repr__(self):
+        return self._text({})
+
+    def _text(self, memo: dict) -> str:
+        """The text of `__repr__`, each word keyed and spelt through `memo` (see `_render`)."""
         by_length: dict = {}
         for j, y in self.components.items():
             for n, x in y.components.items():
                 by_length.setdefault(n, {})[j] = x
-        return " ++ ".join(f"[{n}] {ModTensorElement._of_parts(self.owner, n + 2, parts)!r}"
-                           for n, parts in sorted(by_length.items())) or "0"
+        return " ++ ".join(f"[{n}] {_render(self.owner, parts, memo)}" for n, parts in sorted(by_length.items())) or "0"
 
 
 def nt_right_mult(t: NTElement, u: AlgElement) -> NTElement:
@@ -307,13 +340,11 @@ def _beta_pass(N: SemifreeModule):
     betas: dict = {}
     for j in range(len(N.names)):
         parts = {j: BBElement.one(N.alg)}
-        for i in range(j):
-            b = N.diff.get((i, j))
-            if b is not None:
-                db = delta(b)
-                for h, y in betas[i].components.items():
-                    _add_to(parts, h, y._like({m + 1: concat_B(x, (db, -db)[(N.degrees[h] + m) % 2])
-                                               for m, x in y.components.items()}))
+        for i, b in N.into[j]:
+            db = delta(b)
+            for h, y in betas[i].components.items():
+                _add_to(parts, h, y._like({m + 1: concat_B(x, (db, -db)[(N.degrees[h] + m) % 2])
+                                           for m, x in y.components.items()}))
         betas[j] = NTElement(N, parts)
         yield j, betas
         for i in [i for i in betas if last_use.get(i, -1) <= j]:
@@ -339,14 +370,15 @@ def _section_checks(N: SemifreeModule, images, aug, right, d, zero) -> tuple[lis
     `images` yields (j, f) with f[i] = f(e_i) for i = j and each e_i in ∂e_j.
     The chain map check is Σ_i f(e_i)·b_ij = d(f(e_j)), the b_ij the entries
     of ∂e_j, `right` the right B-action (linear in b) and `zero` the zero
-    value.  Both verdicts fail on a module without generators.
+    value.  Both verdicts fail on a module without generators.  A row is
+    the `repr` of f(e_j), rendered through one memo for all the rows.
     """
-    rows, chain, split = [], True, True
+    rows, chain, split, memo = [], True, True, {}
     for j, f in images:
         name = N.names[j]
         split = aug(f[j]) == mod_element(N, name) and split
-        chain = sum((right(f[i], b) for (i, k), b in N.diff.items() if k == j), zero) == d(f[j]) and chain
-        rows.append((name, repr(f[j])))
+        chain = sum((right(f[i], b) for i, b in N.into[j]), zero) == d(f[j]) and chain
+        rows.append((name, f[j]._text(memo)))
     return rows, chain and bool(rows), split and bool(rows)
 
 
@@ -414,13 +446,14 @@ def naive_lift_solve(N: SemifreeModule) -> LiftResult:
     unit = (N.alg.one_mono,)
 
     def column(j: int, lab) -> dict:
-        el = ModTensorElement(N, 2, {lab: f.one})
-        col = {("pi", j, key): c for key, c in mod_merge_at(el, 0).terms.items()}
-        col.update((("chain", j, key), f.neg(c)) for key, c in module_differential(el).terms.items())
-        for i in range(j + 1, len(N.names)):
-            b = N.diff.get((j, i))
-            if b is not None:
-                col.update((("chain", i, key), c) for key, c in mod_right_mult(el, b).terms.items())
+        """The column of e_i ⊗ w in ρ(e_j), lab = (i, w): the kernels on the one word w, routed by index."""
+        i, w = lab
+        x = TensorElement(N.alg, 2, {w: f.one})
+        col = {("pi", j, (i, v)): c for v, c in merge_at(x, 0).terms.items()}
+        for k, y in _over_e(N, i, x, tensor_differential, left_mult):
+            col.update((("chain", j, (k, v)), f.neg(c)) for v, c in y.terms.items())
+        for k, b in N.out_of[j]:
+            col.update((("chain", k, (i, v)), c) for v, c in right_mult(x, b).terms.items())
         return col
 
     degrees = tuple(enumerate(N.degrees))

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the package's own sign/elimination
 machinery: signs come from literal bubble-sort transposition counting, ranks
 from textbook dense elimination, and basis counts from exhaustive
-enumeration over exponent boxes.  Two later sections hold maps of the
+enumeration over exponent boxes.  The module references keep the
+straightforward forms of three jobs of `modules`: ∂² of N multiplied out
+over every triple, the naive-lift system built from whole elements, and
+each element's text spelt term by term.  Two later sections hold maps of the
 paper that no command runs, κ_n and its inverse among them, and the slice
 matrices of the bar differentials, whose ranks and nullspaces the tests
 read; they are built from the package's kernel and serve the tests as
@@ -797,9 +800,9 @@ def chain_walk_beta_N(N, lam: str):
         if got is not None:
             return got
         if len(chain) == 1:
-            w = delta(N.entry(chain[0], j))
+            w = delta(N.diff[chain[0], j])
         else:
-            w = concat_B(delta(N.entry(chain[0], chain[1])), chain_word(chain[1:]))
+            w = concat_B(delta(N.diff[chain[0], chain[1]]), chain_word(chain[1:]))
         memo[chain] = w
         return w
 
@@ -810,7 +813,7 @@ def chain_walk_beta_N(N, lam: str):
         if not word.is_zero():
             m = len(chain)
             full = chain + (j,)
-            entry_degs = [N.entry(a, b).homogeneous_degree() for a, b in zip(full, full[1:])]
+            entry_degs = [N.diff[a, b].homogeneous_degree() for a, b in zip(full, full[1:])]
             sign = _beta_stored_sign(m, sum(N.degrees[i] for i in chain), entry_degs)
             comp = ModTensorElement._of_parts(N, m + 2, {head: bar_homotopy(word).scale_int(sign)})
             out = out + nt_element(N, {m: comp})
@@ -822,6 +825,113 @@ def chain_walk_beta_N(N, lam: str):
         if (i, j) in N.diff:
             rec((i,))
     return out
+
+
+def validate_module_oracle(N):
+    """The report of `modules.validate_module`, with ∂² read off every triple i < k < j.
+
+    The coefficient of e_i in ∂²(e_j) is Σ_{i<k<j} b_ik·b_kj plus
+    (-1)^{|e_i|}·d(b_ij), multiplied out for every pair i < j, zero entries
+    included; the bad pairs are listed j first, then i.  Unlike
+    `validate_module`, it does not mark N validated.
+    """
+    from dgres.algebra import ValidationReport
+
+    rep = ValidationReport()
+    alg = N.alg
+    ok_deg = []
+    for (i, j), b in N.diff.items():
+        want = N.degrees[j] - N.degrees[i] - 1
+        degs = b.degrees()
+        if degs != {want}:
+            ok_deg.append(f"({N.names[i]},{N.names[j]}): degrees {sorted(degs)} != {want}")
+    rep.add("entry-degrees", not ok_deg, "; ".join(ok_deg))
+    rep.add("strict-triangularity", all(i < j for (i, j) in N.diff), "")
+    bad = []
+    for j in range(len(N.names)):
+        for i in range(j):
+            acc = alg.zero()
+            for k in range(i + 1, j):
+                acc = acc + N.diff.get((i, k), alg.zero()) * N.diff.get((k, j), alg.zero())
+            sign = -1 if N.degrees[i] % 2 else 1
+            acc = acc + alg.d(N.diff.get((i, j), alg.zero())).scale_int(sign)
+            if not acc.is_zero():
+                bad.append(f"({N.names[i]},{N.names[j]})")
+    rep.add("d-squared-zero", not bad, "" if not bad else "∂² != 0 at " + ", ".join(bad[:4]))
+    return rep
+
+
+def naive_lift_solve_oracle(N):
+    """`modules.naive_lift_solve` with each column built from whole elements of N ⊗_A B.
+
+    The unknown (j, (i, w)) is the element e_i ⊗ w, and its column holds
+    its π_N image at the rows ("pi", j, ·), minus its module differential at
+    ("chain", j, ·), and its right multiple by b_jk at ("chain", k, ·) for
+    each k > j, each read off the `terms` of a `ModTensorElement`.  The
+    module differential is `_internal_part` on word length 2, written apart
+    from `modules._over_e`.  Rows, columns, right-hand side, solve and ρ are
+    as in `naive_lift_solve`.
+    """
+    from dgres.linalg import SliceMatrix, solve_linear
+    from dgres.modules import LiftResult, ModTensorElement, mod_merge_at, mod_right_mult, modtensor_basis
+
+    f = N.alg.field
+    unit = (N.alg.one_mono,)
+
+    def column(j: int, lab) -> dict:
+        el = ModTensorElement(N, 2, {lab: f.one})
+        col = {("pi", j, key): c for key, c in mod_merge_at(el, 0).terms.items()}
+        col.update((("chain", j, key), f.neg(c)) for key, c in _internal_part(el, 0).terms.items())
+        for i in range(j + 1, len(N.names)):
+            b = N.diff.get((j, i))
+            if b is not None:
+                col.update((("chain", i, key), c) for key, c in mod_right_mult(el, b).terms.items())
+        return col
+
+    degrees = tuple(enumerate(N.degrees))
+    cols = tuple((j, lab) for j, d in degrees for lab in modtensor_basis(N, 2, d))
+    rows = tuple([("pi", j, key) for j, d in degrees for key in modtensor_basis(N, 1, d)]
+                 + [("chain", j, key) for j, d in degrees for key in modtensor_basis(N, 2, d - 1)])
+    A = SliceMatrix.from_columns(f, rows, cols, (column(j, lab) for j, lab in cols))
+    rhs = [f.one if kind == "pi" and key == (j, unit) else f.zero for kind, j, key in rows]
+    x, cert = solve_linear(A, rhs)
+    if x is None:
+        return LiftResult(False, None, cert, A.nrows, A.ncols, A, rhs)
+    parts: dict = {j: {} for j in range(len(N.names))}
+    for (j, lab), c in zip(cols, x):
+        if c != f.zero:
+            parts[j][lab] = c
+    rho = {name: ModTensorElement(N, 2, parts[j]) for j, name in enumerate(N.names)}
+    return LiftResult(True, rho, None, A.nrows, A.ncols, A, rhs)
+
+
+def modtensor_repr_oracle(t) -> str:
+    """The text of a `ModTensorElement`, each term keyed and spelt on its own.
+
+    Index ascending, then the words of each part by `sorted_terms`; a term
+    is name.m_0(x)m_1(x)..., prefixed c* unless c is 1.
+    """
+    if not t.components:
+        return "0"
+    alg = t.owner.alg
+    parts = []
+    for i in sorted(t.components):
+        for w, c in t.components[i].sorted_terms():
+            body = t.owner.names[i] + "." + "(x)".join(alg.mono_repr(m) for m in w)
+            parts.append(f"{c}*{body}" if c != alg.field.one else body)
+    return " + ".join(parts)
+
+
+def nt_repr_oracle(t) -> str:
+    """The text of an `NTElement`: by word length n, "[n] " and the `modtensor_repr_oracle` of component n."""
+    from dgres.modules import ModTensorElement
+
+    by_length: dict = {}
+    for j, y in t.components.items():
+        for n, x in y.components.items():
+            by_length.setdefault(n, {})[j] = x
+    return " ++ ".join(f"[{n}] {modtensor_repr_oracle(ModTensorElement._of_parts(t.owner, n + 2, parts))}"
+                       for n, parts in sorted(by_length.items())) or "0"
 
 
 # -- maps of the paper that only the tests call ------------------------------------

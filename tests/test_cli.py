@@ -936,7 +936,7 @@ def test_names_may_be_declared_after_use():
                             "[module M]\nentry f1 f0 = e\ngenerator f0 0\ngenerator f1 4\n")
     alg = problem.algebra
     assert alg.d(alg.gen("e")) == alg.gen("y")
-    assert problem.modules["M"].entry(0, 1) == alg.gen("e")
+    assert problem.modules["M"].diff[0, 1] == alg.gen("e")
 
 
 CALLER_THRESHOLDS = (1234, 5, 6)  # neither CPython's default nor cli.GC_THRESHOLDS

@@ -1,7 +1,10 @@
 """Bit-exact golden reports: any byte drift in report output fails here."""
 
+import hashlib
+import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,3 +45,19 @@ def test_golden_output(fname, golden_dir):
     assert proc.returncode == 0
     expected = (golden_dir / fname).read_bytes()
     assert proc.stdout == expected
+
+
+def test_lift_ladder_writes_the_chain_goldens(golden_dir, capsys):
+    # the C_K of scripts/lift_ladder.py is the rule of chain20.dgres and
+    # chain40.dgres, byte for byte, and its `lift` run on C_20 reports the
+    # sha256 of lift_chain20.txt
+    path = Path(__file__).resolve().parent.parent / "scripts" / "lift_ladder.py"
+    spec = importlib.util.spec_from_file_location("lift_ladder", path)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    for k in (20, 40):
+        assert ladder.chain_text(k).encode() == (golden_dir / f"chain{k}.dgres").read_bytes()
+    assert ladder.main(["20"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("lift C_20: exit 0, ")
+    assert hashlib.sha256((golden_dir / "lift_chain20.txt").read_bytes()).hexdigest() in out

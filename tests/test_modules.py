@@ -31,7 +31,16 @@ from dgres.probfile import parse_problem
 from dgres.scalars import Field
 from dgres.semifree import BBElement, psi_sign
 from dgres.tensor import TensorElement
-from oracles import dN_matrix, dn_by_word_length, kernel_dim_oracle, nt_element, span_rank_oracle
+from oracles import (
+    dN_matrix,
+    dn_by_word_length,
+    kernel_dim_oracle,
+    modtensor_repr_oracle,
+    nt_element,
+    nt_repr_oracle,
+    span_rank_oracle,
+    validate_module_oracle,
+)
 
 
 def nt_word(N, name, factors):
@@ -71,6 +80,42 @@ def test_validate_detects_d_squared(E2):
                        {("e0", "e1"): [(1, {"x": 1})], ("e1", "e2"): [(1, {"x": 1})]})
     rep = validate_module(N)
     assert not rep.passed
+
+
+def report_lines(rep):
+    return [(c.name, c.status, c.details) for c in rep.checks]
+
+
+def failing_modules(E2, odd_base):
+    """Modules whose ∂² fails through paths i < k < j, through d(b_ij), or at more pairs than the
+    details list, and one whose path and d-term cancel."""
+    return [
+        SemifreeModule(E2, [("e0", 0), ("e1", 3), ("e2", 6)],
+                       {("e0", "e1"): [(1, {"x": 1})], ("e1", "e2"): [(1, {"x": 1})]}),
+        # over ℚ[x], |x| = 2: b_ij = x^k wherever j − i is odd, so the six pairs with j − i even fail
+        SemifreeModule(E2, [(f"e{i}", 3 * i) for i in range(6)],
+                       {(f"e{i}", f"e{j}"): [(1, {"x": (3 * (j - i) - 1) // 2})]
+                        for j in range(6) for i in range(j) if (j - i) % 2}),
+        # over odd_base, d e = a: d(b_01) and d(b_12) are nonzero, and b_01·b_12 = e² is too
+        SemifreeModule(odd_base, [("g0", 0), ("g1", 3), ("g2", 6)],
+                       {("g0", "g1"): [(1, {"e": 1})], ("g1", "g2"): [(1, {"e": 1})]}),
+        # f·a + d(f·e) = f·a − f·a: the path and the d-term cancel at (g0, g2)
+        SemifreeModule(odd_base, [("g0", 0), ("g1", 2), ("g2", 4)],
+                       {("g0", "g1"): [(1, {"f": 1})], ("g1", "g2"): [(1, {"a": 1})],
+                        ("g0", "g2"): [(1, {"f": 1, "e": 1})]}),
+    ]
+
+
+def test_validate_module_matches_the_triple_loop(E2, odd_base):
+    # validate_module sums ∂² over the pairs of entries that share k; the
+    # oracle multiplies out every triple, and both list the bad pairs j first
+    lines = []
+    for N in failing_modules(E2, odd_base):
+        lines.append(report_lines(validate_module(N)))
+        assert lines[-1] == report_lines(validate_module_oracle(N)), N
+    assert [line[2][2] for line in lines] == [
+        "∂² != 0 at (e0,e2)", "∂² != 0 at (e0,e2), (e1,e3), (e0,e4), (e2,e4)",
+        "∂² != 0 at (g0,g1), (g0,g2), (g1,g2)", ""]
 
 
 def test_dN_examples(E2):
@@ -167,6 +212,40 @@ def test_alpha_N_examples(E2):
     b = beta_N(K, "e1")
     assert alpha_N(b) == mod_element(K, "e1")
     assert alpha_N(nt_word(K, "e0", ["x"])).is_zero()
+
+
+SECTION_MODULES = [("chain20.dgres", "C"), ("chain_frac.dgres", "C"), ("e1.dgres", "CB"), ("e1.dgres", "N3"),
+                   ("odd_lift.dgres", "D"), ("e2.dgres", "K"), ("e3.dgres", "K")]
+
+
+def section_rows(N):
+    """The β rows, and the ρ rows when N is naively liftable, of one call of each check."""
+    rho = naive_lift_solve(N).rho
+    return check_beta(N)[1], check_rho(N, rho)[1] if rho is not None else None
+
+
+@pytest.mark.parametrize("path, module", SECTION_MODULES)
+def test_section_rows_are_the_text_of_each_image(golden_dir, path, module):
+    # the rows of a call render through one memo; each equals the repr of
+    # its β_N(e_j) or ρ(e_j), rendered through a fresh memo, and the text
+    # spelt term by term, and a second call gives the same rows.  Then the
+    # same module over its algebra with the generators renamed: equal
+    # monomials are one object in every algebra, so a memo kept from the
+    # first module's calls would spell the renamed words with the old names
+    import re
+
+    text = (golden_dir / path).read_text()
+    parse = parse_problem(text)
+    rename = rf"\b({'|'.join(g.name for g in parse.algebra.gens)})\b"
+    for N in (parse.modules[module], parse_problem(re.sub(rename, r"\1z", text)).modules[module]):
+        beta_rows, rho_rows = section_rows(N)
+        assert beta_rows == [(name, repr(beta_N(N, name))) for name in N.names]
+        assert beta_rows == [(name, nt_repr_oracle(beta_N(N, name))) for name in N.names]
+        rho = naive_lift_solve(N).rho
+        if rho is not None:
+            assert rho_rows == [(name, repr(rho[name])) for name in N.names]
+            assert rho_rows == [(name, modtensor_repr_oracle(rho[name])) for name in N.names]
+        assert section_rows(N) == (beta_rows, rho_rows)
 
 
 def test_lift_B_and_extended(fixture_algebras):

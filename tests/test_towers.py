@@ -9,6 +9,7 @@ base generators cross in products and d(u^k) = k·u^(k-1)·du reaches k ≡ 0
 
 import argparse
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -19,8 +20,8 @@ from dgres.bar import certify_reduced_bar, check_reduced_exactness
 from dgres.cli import cmd_semifree
 import dgres.homology as homology
 from dgres.homology import certify_contraction, prefix_image, quasi_iso_check, reduced_bar_table
-from dgres.modules import DN, SemifreeModule, beta_N, validate_module
-from dgres.probfile import ProblemFile
+from dgres.modules import DN, SemifreeModule, beta_N, check_rho, naive_lift_solve, validate_module
+from dgres.probfile import ProblemFile, parse_problem
 from dgres.sampling import random_homogeneous_element, random_homogeneous_modtensor
 from dgres.scalars import Field
 from dgres.semifree import DD, BBElement, append_tail, bb_basis_element, bb_total_basis, dbar_column, dd_column, homotopy
@@ -33,14 +34,17 @@ from oracles import (
     dn_by_word_length,
     full_column_checks,
     merge_sign_oracle,
+    modtensor_repr_oracle,
+    naive_lift_solve_oracle,
     nt_element,
     recursive_diff_mono,
     reduced_bar_rank_table,
     reduced_full_checks,
     summed_differential,
+    validate_module_oracle,
 )
 from test_bar import assert_nJ_cycles_span_the_kernel, assert_reduced_columns_are_flat_merges
-from test_modules import assert_dN_cycles_span_the_kernel
+from test_modules import assert_dN_cycles_span_the_kernel, report_lines
 
 FIELDS = [Field.rationals(), Field.prime(101)]
 
@@ -327,11 +331,11 @@ def draw_element(draw, alg, which, degree, coeff=st.integers(-2, 2)):
 
 
 @st.composite
-def triangular_modules(draw, alg):
-    """2-3 generators, each 1-4 degrees above the last, and random entries b_ij (i < j) of degree
-    |g_j| − |g_i| − 1; the module need not satisfy ∂² = 0, since `lift` must then fail its
-    checks, not the input."""
-    base, steps = draw(st.integers(0, 2)), draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+def triangular_modules(draw, alg, max_steps=2):
+    """2 to max_steps + 1 generators, each 1-4 degrees above the last, and random entries b_ij
+    (i < j) of degree |g_j| − |g_i| − 1; the module need not satisfy ∂² = 0, since `lift` must
+    then fail its checks, not the input."""
+    base, steps = draw(st.integers(0, 2)), draw(st.lists(st.integers(1, 4), min_size=1, max_size=max_steps))
     degrees = [base + sum(steps[:k]) for k in range(len(steps) + 1)]
     entries = {}
     for j in range(len(degrees)):
@@ -382,14 +386,55 @@ def closed_modules(draw, alg):
     return degrees, {k: b for k, b in entries.items() if not b.is_zero()}
 
 
+def as_module(alg, drawn):
+    """The module of drawn = (degrees, entries) over alg, generators g0, g1, ..."""
+    degrees, entries = drawn
+    return SemifreeModule(alg, [(f"g{i}", d) for i, d in enumerate(degrees)],
+                          {(f"g{i}", f"g{j}"): b for (i, j), b in entries.items()})
+
+
 def draw_closed_module(data, kind):
-    """A valid module drawn by `closed_modules` over a random tower of the kind, generators g0, g1, ..."""
+    """A valid module drawn by `closed_modules` over a random tower of the kind."""
     alg = data.draw(TOWERS[kind](data.draw(st.sampled_from(FIELDS))))
-    degrees, entries = data.draw(closed_modules(alg))
-    N = SemifreeModule(alg, [(f"g{i}", d) for i, d in enumerate(degrees)],
-                       {(f"g{i}", f"g{j}"): b for (i, j), b in entries.items()})
-    assert validate_module(N).passed, (degrees, entries)
+    N = as_module(alg, data.draw(closed_modules(alg)))
+    assert validate_module(N).passed, N
     return N
+
+
+# E1 = Λ(e) and E2 = ℚ[x] with d = 0, E3 = ℚ[y]⟨e⟩ with d e = y, odd_base, with an odd base
+# generator in its differentials, and Λ(a,b,c) with d = 0
+NAMED_TOWERS = {name: parse_problem((Path(__file__).parent / "golden" / f"{name}.dgres").read_text()).algebra
+                for name in ("e1", "e2", "e3", "odd_base", "lam3")}
+
+
+@pytest.mark.parametrize("name", ["e1", "e2", "odd_base", "lam3"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_validate_module_matches_the_triple_loop_on_drawn_modules(name, data):
+    # 2-5 generators with random entries, most of which fail ∂² through a path
+    # i < k < j or, over odd_base, through d(b_ij): the three lines, and the
+    # details up to the 4-pair cut, equal the triple loop's
+    N = as_module(NAMED_TOWERS[name], data.draw(triangular_modules(NAMED_TOWERS[name], max_steps=4)))
+    assert report_lines(validate_module(N)) == report_lines(validate_module_oracle(N)), N
+
+
+@pytest.mark.parametrize("name", ["e3", "odd_base", "lam3", "koszul"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_lift_system_matches_the_element_columns_on_closed_modules(name, data):
+    # the columns built from the tensor kernels on one word, routed by index,
+    # against those read off whole elements of N ⊗_A B: the same rows, columns
+    # and entries in the same order, right-hand side, verdict, certificate and
+    # ρ; over e3, odd_base and the Koszul towers d ≠ 0 reaches the ∂ part
+    alg = NAMED_TOWERS.get(name) or data.draw(koszul_towers(data.draw(st.sampled_from(FIELDS))))
+    N = as_module(alg, data.draw(closed_modules(alg)))
+    got, want = naive_lift_solve(N), naive_lift_solve_oracle(N)
+    for res in (got, want):
+        res.system = (res.system.row_labels, res.system.col_labels, list(res.system.entries.items()))
+        res.certificate = res.certificate and (res.certificate.row_combination, res.certificate.first_row)
+    assert vars(got) == vars(want), N
+    if got.liftable:
+        assert check_rho(N, got.rho)[1] == [(g, modtensor_repr_oracle(got.rho[g])) for g in N.names]
 
 
 @pytest.mark.parametrize("kind", sorted(TOWERS))
