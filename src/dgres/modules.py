@@ -21,8 +21,8 @@ parts at one generator, `_over_e`, also give each column of the
 naive-lift system from the kernels on one word.  The splitting β_N is
 built by its recursion, in one pass over the generators (`_beta_pass`);
 β_N and a naive lift ρ are sections of α_N and π_N, checked by one loop
-(`_section_checks`), which renders its rows through one memo of word
-texts (`_render`).  "Append 1" (`dN_homotopy`)
+(`_section_checks`); its rows are spelt per generator by `tensor._spell_terms`
+through one memo of word texts (`_render`).  "Append 1" (`dN_homotopy`)
 contracts the bar differential 𝐝^N, so the λ-identities read the cycles
 of 𝐝^N from it (`bar.contracted_cycles`), with no elimination.
 """
@@ -30,7 +30,6 @@ of 𝐝^N from it (`bar.contracted_cycles`), with no elimination.
 from __future__ import annotations
 
 import random
-from operator import itemgetter
 
 from .algebra import AlgElement, DGAlgebra, ValidationReport
 from .bar import bar_differential, contracted_cycles
@@ -47,6 +46,7 @@ from .tensor import (
     right_mult,
     tensor_basis,
     tensor_differential,
+    _spell_terms,
 )
 
 
@@ -167,25 +167,13 @@ class ModTensorElement(GradedElement):
 
 
 def _render(N: SemifreeModule, parts: dict, memo: dict) -> str:
-    """Σ_i e_i ⊗ x_i as text: i ascending, then the words of x_i in `key_order`, "0" for no part.
+    """Σ_i e_i ⊗ x_i as text: i ascending, the terms of x_i by `_spell_terms` after "e_i.", "0" for no part.
 
-    `memo` maps each word met to its sort key and text, so that a caller
-    rendering many elements spells and keys each distinct word once; a
-    word's text depends on the algebra's generator names, so a memo must
-    not outlive the call that fills it.
+    `memo` is `_spell_terms`' memo, shared by all the parts and elements a caller renders.
     """
-    one, mono_repr = N.alg.field.one, N.alg.mono_repr
     out = []
     for i in sorted(parts):
-        x, name = parts[i], N.names[i] + "."
-        keyed = []
-        for w, c in x.terms.items():
-            got = memo.get(w)
-            if got is None:
-                got = memo[w] = (x.key_order(w), "(x)".join(map(mono_repr, w)))
-            keyed.append((got, c))
-        keyed.sort(key=itemgetter(0))
-        out += [f"{c}*{name}{text}" if c != one else name + text for (_, text), c in keyed]
+        out += _spell_terms(parts[i], memo, N.names[i] + ".")
     return " + ".join(out) or "0"
 
 

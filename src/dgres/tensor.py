@@ -5,6 +5,8 @@ normal form: in every stored word, slots 1..m-1 hold ext-only monomials (the
 semifree basis W of B over A), while slot 0 carries the full B-coefficient.
 Moving a base-generator part from slot i to slot 0 crosses the ext parts in
 between, which is where the Koszul signs of the normal form come from.
+That move is one step, `_normal_at`, which `normalize_word` takes at every
+slot and `TensorElement._add_at_slot` at the one slot a product disturbs.
 
 The subspaces J^{⊗_B n} ⊆ B^{⊗_A (n+1)} are handled through their left-B
 bases {δ(w_1) ⊗_B ... ⊗_B δ(w_n)} with w_i ranging over the nontrivial part
@@ -12,12 +14,13 @@ of W; `delta_coords` extracts those coordinates exactly and certifies
 membership.
 
 A `TensorElement` is the package's scalar sum (`algebra.ScalarSum`) keyed by
-canonical words of one fixed length; it adds only its normal-form steps
-and its products.  `concat_B` is the one junction product, and the only
-one that knows which slot of a product leaves normal form: `left_mult` and
-`right_mult` are it with a one-slot factor on the left or right, δ is
-(1 ⊗ 1)·b − b·(1 ⊗ 1), and `bar.bar_homotopy`, `bar.nu`, `bar.bar_action`
-and `semifree.bb_word` are compositions of it with the unit 1 ⊗ 1 of B^e.
+canonical words of one fixed length; it adds only its normal form, its
+text (`_spell_terms`, which `modules` spells with too) and its products.
+`concat_B` is the one junction product, and the only one that knows which
+slot of a product leaves normal form: `left_mult` and `right_mult` are it
+with a one-slot factor on the left or right, δ is (1 ⊗ 1)·b − b·(1 ⊗ 1),
+and `bar.bar_homotopy`, `bar.nu`, `bar.bar_action` and `semifree.bb_word`
+are compositions of it with the unit 1 ⊗ 1 of B^e.
 `pi_B` is `merge_at`(t, 0).  `delta_chain` is the one builder of δ-chains
 δ(u_1) ⊗_B ... ⊗_B δ(u_n), and `delta_coords` reads their coordinates off
 the words by a closed form.  Direct sums of tensor elements, graded by word
@@ -31,6 +34,7 @@ columns and slice matrices are kept by `_memo`.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import itemgetter
 
 from .algebra import AlgElement, DGAlgebra, ScalarSum, add_term
 from .errors import DgresError, LengthMismatch, NotInJn
@@ -59,36 +63,63 @@ def _word_key(w: Word):
     return (word_degree(w), tuple(m.sort_key for m in w))
 
 
+def _normal_at(alg: DGAlgebra, word: Word, i: int):
+    """The normal-form step at slot i: (sign, word) with the base part of slot i in slot 0, or None.
+
+    Split slot i as a·e, with a in A and e ext-only (a·e is the slot with sign +1).
+    Slots 1..i-1 are ext-only, so a reaches slot 0 by crossing w_{i-1}, ..., w_1 one at
+    a time; it passes each ⊗_A because a ∈ A, and each crossing costs (-1)^{|a||w_k|},
+    so (-1)^{|a|·(|w_1|+...+|w_{i-1}|)} in all.  There it multiplies slot 0 from the
+    right with the `mono_mul` sign, and the word vanishes (None) with that product.
+    Slot 0 holds any B-monomial, so i = 0 needs no step.
+    """
+    if i:
+        a, e = alg.mono_split(word[i])
+        if a.degree:
+            sm = alg.mono_mul(word[0], a)
+            if sm is None:
+                return None
+            s, m0 = sm
+            if a.degree % 2 and sum(m.degree for m in word[1:i]) % 2:
+                s = -s
+            return s, (m0,) + word[1:i] + (e,) + word[i + 1:]
+    return 1, word
+
+
 def normalize_word(alg: DGAlgebra, word: Word):
     """Canonical form of a raw word: (sign, word) or None if it vanishes.
 
-    Every slot from 1 on is split and its base part moved into slot 0.  A
-    product of canonical words is out of normal form in one slot at most,
-    and `TensorElement._add_at_slot` normalises that slot alone (the
-    junction of `concat_B`, or the differentiated slot of
-    `tensor_differential`); this function serves the words in which any
-    slot may need it (`from_word`, `tensor_multiply`).
+    `_normal_at` at slots 1, 2, ... in turn.  A product of canonical words
+    is out of normal form in one slot at most, where `_add_at_slot` takes
+    the step alone; this serves the words in which any slot may need it
+    (`from_word`, `tensor_multiply`).
     """
-    if all(alg.mono_is_ext_only(m) for m in word[1:]):
-        return 1, word
-    slot0 = word[0]
     sign = 1
-    ext_parity = 0  # parity of w_1 ... w_{i-1} accumulated so far
-    out = [None] * len(word)
-    for i, u in enumerate(word[1:], start=1):
-        a, w = alg.mono_split(u)
-        if any(a.exps):
-            if (a.degree % 2) and (ext_parity % 2):
-                sign = -sign
-            sm = alg.mono_mul(slot0, a)
-            if sm is None:
-                return None
-            s, slot0 = sm
-            sign *= s
-        out[i] = w
-        ext_parity += w.degree
-    out[0] = slot0
-    return sign, tuple(out)
+    for i in range(1, len(word)):
+        nw = _normal_at(alg, word, i)
+        if nw is None:
+            return None
+        s, word = nw
+        sign *= s
+    return sign, word
+
+
+def _spell_terms(x: TensorElement, memo: dict, prefix: str = "") -> list[str]:
+    """The terms of the word sum x as text in `key_order`: "c*" unless c is 1, then prefix and word.
+
+    `memo` maps each word met to its sort key and text, so that a caller spelling
+    many sums keys and spells each distinct word once; as a word's text depends on
+    the algebra's generator names, a memo must not outlive the call that fills it.
+    """
+    one, mono_repr, order = x.alg.field.one, x.alg.mono_repr, x.key_order
+    keyed = []
+    for w, c in x.terms.items():
+        got = memo.get(w)
+        if got is None:
+            got = memo[w] = (order(w), "(x)".join(map(mono_repr, w)))
+        keyed.append((got, c))
+    keyed.sort(key=itemgetter(0))
+    return [f"{c}*{prefix}{text}" if c != one else prefix + text for (_, text), c in keyed]
 
 
 class TensorElement(ScalarSum):
@@ -134,42 +165,17 @@ class TensorElement(ScalarSum):
     def _add_at_slot(self, word: Word, i: int, coeff, negate=False):
         """Accumulate coeff * word, negated when `negate`, where word is canonical except perhaps at slot i.
 
-        Split slot i as a·e, with a in A and e ext-only (a·e is the slot with
-        sign +1).  Slots 1..i-1 are ext-only, so a reaches slot 0 by crossing
-        w_{i-1}, ..., w_1 one at a time; it passes each ⊗_A because a ∈ A,
-        and each crossing costs (-1)^{|a||w_k|}, so (-1)^{|a|·(|w_1|+...+|w_{i-1}|)}
-        in all.  There it multiplies slot 0 from the right with the `mono_mul`
-        sign, and the word vanishes with that product.  Slots after i are
-        ext-only already, so the result is canonical.  This is the step that
-        `normalize_word` takes at each slot, taken at the one slot that can
-        need it; slot 0 holds any B-monomial, so i = 0 needs none.
+        The step `_normal_at` at slot i makes it canonical: slots after i are ext-only already.
         """
-        alg = self.alg
-        s = 1
-        if i:
-            a, e = alg.mono_split(word[i])
-            if a.degree:
-                sm = alg.mono_mul(word[0], a)
-                if sm is None:
-                    return
-                s, m0 = sm
-                if a.degree % 2 and sum(m.degree for m in word[1:i]) % 2:
-                    s = -s
-                word = (m0,) + word[1:i] + (e,) + word[i + 1:]
-        add_term(alg.field, self.terms, word, coeff, (s < 0) != negate)
+        nw = _normal_at(self.alg, word, i)
+        if nw is not None:
+            add_term(self.alg.field, self.terms, nw[1], coeff, (nw[0] < 0) != negate)
 
     def __hash__(self):
         return hash((id(self.alg), self.length, tuple(self.sorted_terms())))
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        alg = self.alg
-        parts = []
-        for w, c in self.sorted_terms():
-            body = "(x)".join(alg.mono_repr(m) for m in w)
-            parts.append(f"{c}*{body}" if c != alg.field.one else body)
-        return " + ".join(parts)
+        return " + ".join(_spell_terms(self, {})) or "0"
 
 
 # -- multiplicative structure -------------------------------------------------
@@ -390,17 +396,22 @@ class TensorSlice(Sequence):
     """
 
     def __init__(self, alg: DGAlgebra, length: int, degree: int):
-        slots = [[alg.basis("B" if i == 0 else "W", d) for d in range(degree + 1)] for i in range(length)]
-        counts = [[1] + [0] * degree]  # counts[i][r]: the ways slots i.. can fill degree r
-        for by_degree in reversed(slots):
-            rest = counts[0]
-            counts.insert(0, [sum(len(by_degree[d]) * rest[r - d] for d in range(r + 1)) for r in range(degree + 1)])
-        self.size = counts[0][degree] if degree >= 0 else 0
-        # blocks[i][r]: per degree d that slot i can take with r left, (d, its candidates, the ways
-        # slots i + 1.. fill r - d, the block of words they make), empty blocks left out
-        self.blocks = [[[(d, by_degree[d], rest[r - d], len(by_degree[d]) * rest[r - d])
-                         for d in range(r + 1) if by_degree[d] and rest[r - d]]
-                        for r in range(degree + 1)] for by_degree, rest in zip(slots, counts[1:])]
+        # held[k]: (d, the candidates of degree d) for the degrees d <= degree that a slot of kind k holds,
+        # which a finite B bounds by its top degree
+        held = {k: [(d, c) for d in range(degree + 1) if (c := alg.basis(k, d))] for k in "BW"}
+        rest = [1] + [0] * degree  # rest[r]: the ways slots i + 1.. can fill degree r
+        self.blocks = []
+        for i in reversed(range(length)):
+            # blocks[r]: per degree d that slot i can take with r left, (d, its candidates, the ways
+            # slots i + 1.. fill r - d, the block of words they make), empty blocks left out
+            blocks = [[] for _ in range(degree + 1)]
+            for d, c in held["W" if i else "B"]:
+                for r in range(d, degree + 1):
+                    if rest[r - d]:
+                        blocks[r].append((d, c, rest[r - d], len(c) * rest[r - d]))
+            self.blocks.insert(0, blocks)
+            rest = [sum(block[3] for block in by_r) for by_r in blocks]
+        self.size = rest[degree] if degree >= 0 else 0
         self.degree = degree
 
     def __len__(self) -> int:

@@ -6,7 +6,9 @@ from textbook dense elimination, and basis counts from exhaustive
 enumeration over exponent boxes.  The module references keep the
 straightforward forms of three jobs of `modules`: ∂² of N multiplied out
 over every triple, the naive-lift system built from whole elements, and
-each element's text spelt term by term.  Two later sections hold maps of the
+each element's text spelt term by term; the tensor references keep the
+normaliser that splits every slot in one loop, and the plain text of a
+tensor element.  Two later sections hold maps of the
 paper that no command runs, κ_n and its inverse among them, and the slice
 matrices of the bar differentials, whose ranks and nullspaces the tests
 read; they are built from the package's kernel and serve the tests as
@@ -483,8 +485,46 @@ def _sum(f, vecs):
     return {lb: v for lb, v in out.items() if v != f.zero}
 
 
+def normalize_word_oracle(alg, word):
+    """`tensor.normalize_word` as it was before the normal-form step was written once.
+
+    Canonical form of a raw word, (sign, word) or None if it vanishes: every
+    slot from 1 on is split, and its base part moves into slot 0 across the
+    ext parts before it, with the parity of those parts kept as it goes.
+    """
+    if all(alg.mono_is_ext_only(m) for m in word[1:]):
+        return 1, word
+    slot0 = word[0]
+    sign = 1
+    ext_parity = 0  # parity of w_1 ... w_{i-1} accumulated so far
+    out = [None] * len(word)
+    for i, u in enumerate(word[1:], start=1):
+        a, w = alg.mono_split(u)
+        if any(a.exps):
+            if (a.degree % 2) and (ext_parity % 2):
+                sign = -sign
+            sm = alg.mono_mul(slot0, a)
+            if sm is None:
+                return None
+            s, slot0 = sm
+            sign *= s
+        out[i] = w
+        ext_parity += w.degree
+    out[0] = slot0
+    return sign, tuple(out)
+
+
+def add_normalized(t, word, coeff):
+    """Accumulate coeff * word into the tensor element t after `normalize_word_oracle`."""
+    from dgres.algebra import add_term
+
+    nw = normalize_word_oracle(t.alg, word)
+    if coeff and nw is not None:
+        add_term(t.alg.field, t.terms, nw[1], coeff, nw[0] < 0)
+
+
 def normalizing_concat_B(t1, t2):
-    """`concat_B` as it was before it normalised the junction slot alone: every product word goes through `normalize_word`."""
+    """`concat_B` as it was before it normalised the junction slot alone: every product word goes through `normalize_word_oracle`."""
     from dgres.tensor import TensorElement
 
     alg = t1.alg
@@ -495,12 +535,12 @@ def normalizing_concat_B(t1, t2):
             sm = alg.mono_mul(w1[-1], w2[0])
             if sm is not None:
                 c = f.mul(c1, c2)
-                out._add_raw(w1[:-1] + (sm[1],) + w2[1:], f.neg(c) if sm[0] < 0 else c)
+                add_normalized(out, w1[:-1] + (sm[1],) + w2[1:], f.neg(c) if sm[0] < 0 else c)
     return out
 
 
 def normalizing_right_mult(t, u):
-    """`right_mult` with every product word sent through `normalize_word`."""
+    """`right_mult` with every product word sent through `normalize_word_oracle`."""
     from dgres.tensor import TensorElement
 
     alg = t.alg
@@ -511,22 +551,22 @@ def normalizing_right_mult(t, u):
             sm = alg.mono_mul(w[-1], mu)
             if sm is not None:
                 c = f.mul(cw, cu)
-                out._add_raw(w[:-1] + (sm[1],), f.neg(c) if sm[0] < 0 else c)
+                add_normalized(out, w[:-1] + (sm[1],), f.neg(c) if sm[0] < 0 else c)
     return out
 
 
 def normalizing_bar_homotopy(t):
-    """`bar_homotopy` (prepend a 1-slot) with every word sent through `normalize_word`."""
+    """`bar_homotopy` (prepend a 1-slot) with every word sent through `normalize_word_oracle`."""
     from dgres.tensor import TensorElement
 
     out = TensorElement(t.alg, t.length + 1)
     for w, c in t.terms.items():
-        out._add_raw((t.alg.one_mono,) + w, c)
+        add_normalized(out, (t.alg.one_mono,) + w, c)
     return out
 
 
 def normalizing_bar_action(t, s):
-    """`bar_action` with every word sent through `normalize_word`: b into the first slot across the rest, b' into the last."""
+    """`bar_action` with every word sent through `normalize_word_oracle`: b into the first slot across the rest, b' into the last."""
     from dgres.tensor import TensorElement
 
     alg = t.alg
@@ -544,26 +584,26 @@ def normalizing_bar_action(t, s):
                 continue
             word = (last[1],) if t.length == 1 else (first[1],) + w[1:-1] + (last[1],)
             c = f.mul(cw, cs)
-            out._add_raw(word, f.neg(c) if sign * first[0] * last[0] < 0 else c)
+            add_normalized(out, word, f.neg(c) if sign * first[0] * last[0] < 0 else c)
     return out
 
 
 def normalizing_delta(b):
-    """δ(b) = 1 ⊗ b − b ⊗ 1, each word of either term sent through `normalize_word`."""
+    """δ(b) = 1 ⊗ b − b ⊗ 1, each word of either term sent through `normalize_word_oracle`."""
     from dgres.tensor import TensorElement
 
     alg = b.alg
     out = TensorElement(alg, 2)
     for m, c in b.terms.items():
-        out._add_raw((alg.one_mono, m), c)
-        out._add_raw((m, alg.one_mono), alg.field.neg(c))
+        add_normalized(out, (alg.one_mono, m), c)
+        add_normalized(out, (m, alg.one_mono), alg.field.neg(c))
     return out
 
 
 def normalizing_bb_word(alg, prefix, factors):
     """`semifree.bb_word` built word by word: each prefix monomial b, signed (-1)^{n|b|}, is prepended
     to each word of the δ-chain of the factors (`normalizing_concat_B` of `normalizing_delta`s, signed
-    psi_sign(n, 0, τ)), and the word goes through `normalize_word`."""
+    psi_sign(n, 0, τ)), and the word goes through `normalize_word_oracle`."""
     from dgres.semifree import BBElement, psi_sign
     from dgres.tensor import TensorElement
 
@@ -579,7 +619,7 @@ def normalizing_bb_word(alg, prefix, factors):
     for b, cb in prefix.terms.items():
         for w, cw in chain.terms.items():
             c = f.mul(cb, cw)
-            out._add_raw((b,) + w, f.neg(c) if sign * (-1) ** (n * b.degree) < 0 else c)
+            add_normalized(out, (b,) + w, f.neg(c) if sign * (-1) ** (n * b.degree) < 0 else c)
     return BBElement(alg, {n: out})
 
 
@@ -903,6 +943,22 @@ def naive_lift_solve_oracle(N):
             parts[j][lab] = c
     rho = {name: ModTensorElement(N, 2, parts[j]) for j, name in enumerate(N.names)}
     return LiftResult(True, rho, None, A.nrows, A.ncols, A, rhs)
+
+
+def tensor_repr_oracle(t) -> str:
+    """The text of a `TensorElement`, each term keyed and spelt on its own.
+
+    The words by `sorted_terms`; a term is m_0(x)m_1(x)..., prefixed c*
+    unless c is 1; "0" for no term.
+    """
+    if not t.terms:
+        return "0"
+    alg = t.alg
+    parts = []
+    for w, c in t.sorted_terms():
+        body = "(x)".join(alg.mono_repr(m) for m in w)
+        parts.append(f"{c}*{body}" if c != alg.field.one else body)
+    return " + ".join(parts)
 
 
 def modtensor_repr_oracle(t) -> str:

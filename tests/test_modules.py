@@ -32,6 +32,7 @@ from dgres.scalars import Field
 from dgres.semifree import BBElement, psi_sign
 from dgres.tensor import TensorElement
 from oracles import (
+    add_normalized,
     dN_matrix,
     dn_by_word_length,
     kernel_dim_oracle,
@@ -59,7 +60,7 @@ def nt_word(N, name, factors):
     sign = psi_sign(n, 0, [u.homogeneous_degree() for u in us])
     flat = TensorElement(alg, n + 2)
     for w, c in core.terms.items():
-        flat._add_raw((alg.one_mono,) + w, alg.field.neg(c) if sign < 0 else c)
+        add_normalized(flat, (alg.one_mono,) + w, alg.field.neg(c) if sign < 0 else c)
     comp = ModTensorElement(N, n + 2, {(N.index[name], w): c for w, c in flat.terms.items()})
     return nt_element(N, {n: comp})
 

@@ -47,7 +47,7 @@ def _modules():
 MODULES = _modules()
 GOLDEN = Path(__file__).parent / "golden"
 ALGEBRAS = {**all_fixtures(), **{name: parse_problem((GOLDEN / f"{name}.dgres").read_text()).algebra
-                                 for name in ("lam3", "k3p")}}
+                                 for name in ("lam3", "k3p", "odd_base")}}
 
 
 def _exps(word):
@@ -56,9 +56,10 @@ def _exps(word):
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_slices_list_words_in_oracle_order(name):
+    """Up to degree 12 for lengths 1..3, past the top degrees of the finite B (Λ(e) and Λ(a,b,c))."""
     alg = ALGEBRAS[name]
     for length in range(1, 6):
-        for degree in range(7):
+        for degree in range(13 if length <= 3 else 7):
             want = word_basis_oracle(alg, length, degree)
             assert [_exps(w) for w in tensor_basis(alg, length, degree)] == want, (length, degree)
 

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgres.algebra import DGAlgebra
 from dgres.bar import bar_action, bar_differential, bar_homotopy, nu
@@ -8,7 +11,7 @@ from dgres.errors import NotInJn
 from dgres.probfile import parse_problem
 from dgres.scalars import Field
 from dgres.sampling import random_homogeneous_element, random_homogeneous_tensor
-from dgres.semifree import bb_word
+from dgres.semifree import BBElement, TElement, bb_word
 from dgres.tensor import (
     TensorElement,
     concat_B,
@@ -16,6 +19,7 @@ from dgres.tensor import (
     delta_word,
     from_algebra_element,
     left_mult,
+    normalize_word,
     pi_B,
     prefixed_basis_dim,
     prefixed_basis_element,
@@ -28,7 +32,9 @@ from dgres.tensor import (
 )
 
 from oracles import (
+    add_normalized,
     alternating_merges,
+    enumerating_random_tensor,
     jn_basis_element,
     jn_basis_labels,
     jn_membership,
@@ -40,7 +46,9 @@ from oracles import (
     normalizing_concat_B,
     normalizing_delta,
     normalizing_right_mult,
+    normalize_word_oracle,
     prefixed_coords,
+    tensor_repr_oracle,
     tensor_sign_oracle,
 )
 
@@ -91,7 +99,7 @@ def test_tensor_differential_squares_to_zero(fixture_algebras):
 
 
 def _tensor_differential_reference(t):
-    """The slotwise differential with every image word sent through `normalize_word`."""
+    """The slotwise differential with every image word sent through `normalize_word_oracle`."""
     alg = t.alg
     f = alg.field
     out = TensorElement(alg, t.length)
@@ -100,7 +108,7 @@ def _tensor_differential_reference(t):
         for i, m in enumerate(w):
             cc = f.neg(c) if prefix % 2 else c
             for mm, cm in alg.diff_mono(m).terms.items():
-                out._add_raw(w[:i] + (mm,) + w[i + 1:], f.mul(cc, cm))
+                add_normalized(out, w[:i] + (mm,) + w[i + 1:], f.mul(cc, cm))
             prefix += m.degree
     return out
 
@@ -367,16 +375,20 @@ def test_slot_local_examples(odd_base):
     assert concat_B(TensorElement.from_word(odd_base, (a, one)), TensorElement.from_word(odd_base, (a, one))).is_zero()
 
 
+def _named_algebra(request, fixture_algebras, golden_dir, name):
+    """A fixture algebra, a conftest fixture, or the algebra of `chain_frac.dgres`."""
+    if name in fixture_algebras:
+        return fixture_algebras[name]
+    if name == "chain_frac":
+        return parse_problem((golden_dir / "chain_frac.dgres").read_text()).algebra
+    return request.getfixturevalue(name)
+
+
 @pytest.mark.parametrize("name", ["E1", "E2", "E3", "E3p", "odd_base", "K3p", "chain_frac"])
 def test_slot_local_products_match_normalizing_references(request, fixture_algebras, golden_dir, name):
     """concat_B, right_mult, bar_homotopy, bar_action, nu, δ and bb_word normalise one slot;
-    normalize_word is the oracle."""
-    if name in fixture_algebras:
-        alg = fixture_algebras[name]
-    elif name == "chain_frac":
-        alg = parse_problem((golden_dir / "chain_frac.dgres").read_text()).algebra
-    else:
-        alg = request.getfixturevalue(name)
+    normalize_word_oracle is the oracle."""
+    alg = _named_algebra(request, fixture_algebras, golden_dir, name)
     rng = random.Random(23)
     rng_bb = random.Random(29)  # bb_word's inputs, on a stream of their own: the others stay as drawn
     moved = 0  # products whose disturbed slot carries a base part
@@ -401,6 +413,58 @@ def test_slot_local_products_match_normalizing_references(request, fixture_algeb
         assert bb_word(alg, prefix, factors) == normalizing_bb_word(alg, prefix, factors), (prefix, factors)
         moved += n > 1 and any(not alg.mono_is_ext_only(w[0]) for w in t2.terms)
     assert (moved > 0) == (alg.n_base > 0)
+
+
+def test_normalize_word_examples(odd_base, K3p):
+    a, e, f, one = (odd_base.mono({"a": 1}), odd_base.mono({"e": 1}), odd_base.mono({"f": 1}),
+                    odd_base.one_mono)
+    af = odd_base.mono({"a": 1, "f": 1})
+    # a in slot 2 crosses the odd f of slot 1: (-1)^{|a||f|} = -1
+    assert normalize_word(odd_base, (one, f, a)) == (-1, (a, f, one))
+    # slot 0 f times a is -a·f; the a of slot 2 crosses e, of even degree
+    assert normalize_word(odd_base, (f, e, a)) == (-1, (af, e, one))
+    # base parts in two slots: the second a meets the first in slot 0, and a·a = 0
+    assert normalize_word(odd_base, (one, af, a)) is None
+    # even base parts cross freely and multiply in slot 0
+    x, y, one_k = K3p.mono({"x": 1}), K3p.mono({"y": 1}), K3p.one_mono
+    xy, xe, e = K3p.mono({"x": 1, "y": 1}), K3p.mono({"x": 1, "e": 1}), K3p.mono({"e": 1})
+    assert normalize_word(K3p, (one_k, xe, y)) == (1, (xy, e, one_k))
+    assert normalize_word(K3p, (x, one_k, one_k)) == (1, (x, one_k, one_k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_normalize_word_matches_the_reference_normalizer(E1, E2, E3, odd_base, K3p, data):
+    """Raw words with base parts in any slots: the step `_normal_at` at every slot is the one-loop reference."""
+    alg = data.draw(st.sampled_from([E1, E2, E3, odd_base, K3p]), label="algebra")
+    length = data.draw(st.integers(1, 5), label="length")
+    word = tuple(data.draw(st.sampled_from(alg.basis("B", d) or (alg.one_mono,)))
+                 for d in data.draw(st.lists(st.integers(0, 6), min_size=length, max_size=length), label="degrees"))
+    got = normalize_word(alg, word)
+    assert got == normalize_word_oracle(alg, word)
+    assert got is None or all(alg.mono_is_ext_only(m) for m in got[1][1:])
+
+
+@pytest.mark.parametrize("name", ["E1", "E2", "E3", "E3p", "odd_base", "K3p", "chain_frac"])
+def test_repr_spells_each_term_as_the_reference(request, fixture_algebras, golden_dir, name):
+    """`repr` of a tensor element, and of 𝔹 and T elements through it, is the term-by-term text."""
+    alg = _named_algebra(request, fixture_algebras, golden_dir, name)
+    assert repr(TensorElement(alg, 2)) == tensor_repr_oracle(TensorElement(alg, 2)) == "0"
+    assert repr(BBElement(alg)) == repr(TElement(alg)) == "0"
+    rng = random.Random(37)
+    fractions = 0
+    for _ in range(60):
+        length, degree = rng.randrange(1, 4), rng.randrange(0, 7)
+        for t in (random_homogeneous_tensor(alg, rng, length, degree, 4),
+                  enumerating_random_tensor(alg, rng, length, degree, 4)):
+            assert repr(t) == tensor_repr_oracle(t), t.terms
+            fractions += sum(type(c) is Fraction for c in t.terms.values())
+        for graded, offset in ((BBElement, 2), (TElement, 1)):
+            parts = {n: random_homogeneous_tensor(alg, rng, n + offset, rng.randrange(0, 6)) for n in range(3)}
+            x = graded(alg, {n: t for n, t in parts.items() if not t.is_zero()})
+            want = " ++ ".join(f"[{n}] {tensor_repr_oracle(t)}" for n, t in sorted(x.components.items()))
+            assert repr(x) == (want or "0")
+    assert (fractions > 0) == (not alg.field.is_prime_field)
 
 
 @pytest.mark.parametrize("name", ["E1", "E2", "E3", "E3p", "odd_base", "K3p"])
