@@ -4,11 +4,9 @@ tensor resolution (𝔹, 𝔻) with its splitting β, and naive-lifting decision
 
 from .algebra import (
     AlgElement,
-    CheckRecord,
     DGAlgebra,
     Generator,
     Monomial,
-    ValidationReport,
     validate_dg,
 )
 from .bar import (
@@ -60,6 +58,7 @@ from .modules import (
     naive_lift_solve,
     validate_module,
 )
+from .report import CheckRecord, ValidationReport
 from .scalars import Field
 from .semifree import (
     BBElement,

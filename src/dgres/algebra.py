@@ -31,6 +31,7 @@ from fractions import Fraction
 from operator import add, attrgetter
 
 from .errors import DgresError, LengthMismatch, MismatchedAlgebra
+from .report import ValidationReport
 from .scalars import Field
 
 _MISS = object()  # cache sentinel: a vanishing product is memoized as None
@@ -85,28 +86,6 @@ class Monomial(int):
 
     def __repr__(self):
         return f"Monomial(exps={self.exps!r}, degree={self.degree!r})"
-
-
-class CheckRecord:
-    def __init__(self, name: str, status: str, details: str = ""):
-        self.name = name
-        self.status = status  # "PASS" | "FAIL"
-        self.details = details
-
-
-class ValidationReport:
-    def __init__(self, checks: list[CheckRecord] | None = None):
-        self.checks = [] if checks is None else checks
-
-    def add(self, name: str, ok: bool, details: str = ""):
-        self.checks.append(CheckRecord(name, "PASS" if ok else "FAIL", details))
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status == "PASS" for c in self.checks)
-
-    def failures(self) -> list[CheckRecord]:
-        return [c for c in self.checks if c.status != "PASS"]
 
 
 class DGAlgebra:
@@ -218,9 +197,6 @@ class DGAlgebra:
         result = Monomial(base, db), Monomial(ext, m.degree - db)
         self._split_cache[m] = result
         return result
-
-    def mono_is_ext_only(self, m: Monomial) -> bool:
-        return not any(m.exps[: self.n_base])
 
     def mono_in_A(self, m: Monomial) -> bool:
         return not any(m.exps[self.n_base:])

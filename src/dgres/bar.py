@@ -16,10 +16,11 @@ with n <= 2; every check on longer words follows from them.
 
 from __future__ import annotations
 
-from .algebra import AlgElement, DGAlgebra, ValidationReport, add_term
+from .algebra import AlgElement, DGAlgebra, add_term
 from .errors import LengthMismatch, NotInDomain, NotInJn, NotLinear, ObstructionNonzero
 from .homology import certify_contraction
 from .linalg import SliceMatrix
+from .report import ValidationReport
 from .semifree import _add_to, defect_details
 from .tensor import (
     TensorElement,

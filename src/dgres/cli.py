@@ -3,8 +3,10 @@
 The CLI only parses and formats: it reads options and windows, gates the
 certificates on a valid algebra or module, and renders the `ValidationReport`s
 of the library checks (`bar.check_classical_bar`, `modules.check_beta`, ...)
-and their tables.  Exit codes: 0 all checks pass, 1 at least one check fails,
-2 usage or parse error.  Reports are byte-identical across reruns.
+and their tables.  `main` builds the report with its header, and each
+command adds its checks, in their windows, and its tables.  Exit codes: 0
+all checks pass, 1 at least one check fails, 2 usage or parse error.
+Reports are byte-identical across reruns.
 While a command runs, `main` raises the cyclic collector's thresholds
 (`GC_THRESHOLDS`) and restores the caller's on return; library calls are not
 affected.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import sys
 
 from .algebra import validate_dg
@@ -30,8 +33,12 @@ from .errors import DgresError, UsageError
 from .homology import QuasiIsoReport, _window, homology_dims, quasi_iso_check, reduced_bar_table
 from .linalg import verify_certificate
 from .modules import check_beta, check_lambda_splitting, check_rho, lemma_sign_check, naive_lift_solve, validate_module
-from .report import Report, input_hash, render_machine, render_text
+from .report import Report, render_machine, render_text
 from .semifree import check_frakD_T_linearity, check_semifree_triangular, defect_details
+
+
+def input_hash(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _common_options(args, problem) -> dict:
@@ -80,36 +87,31 @@ def _homology_window(problem, args) -> int:
     return D
 
 
-def cmd_validate(args, problem) -> Report:
-    rep = Report("validate", input_hash(problem.source_text), _common_options(args, problem))
+def cmd_validate(rep: Report, args, problem) -> None:
     D = _opt_int(problem, args, "max_degree", 8)
     window = f"degrees 0..{D}"
     rep.add_validation("algebra", validate_dg(problem.algebra, D), window)
     for name in sorted(problem.modules):
         rep.add_validation(f"module[{name}]", validate_module(problem.modules[name]), window)
-    return rep
 
 
-def cmd_bar(args, problem) -> Report:
-    rep = Report("bar", input_hash(problem.source_text), _common_options(args, problem))
+def cmd_bar(rep: Report, args, problem) -> None:
     alg = problem.algebra
     D = _opt_int(problem, args, "max_degree", 6)
     if args.reduced:
         rep.add_validation("", check_reduced_bar(alg, D), f"degrees 0..{D}")
-        return rep
+        return
     N = _opt_int(problem, args, "max_n", None)
     if N is None:
         raise UsageError("classical bar requires --max-n (word lengths are not degree-bounded)")
     rep.add_validation("", check_classical_bar(alg, N, D), f"n 0..{N}, degrees 0..{D}")
-    return rep
 
 
 INVALID_ALGEBRA = "the algebra fails its algebra:* checks, so no resolution of it is certified"
 NO_PRODUCT = "the window holds no product DD_{t-1}DD_t with t >= 2, so nothing was checked"
 
 
-def cmd_semifree(args, problem) -> Report:
-    rep = Report("semifree", input_hash(problem.source_text), _common_options(args, problem))
+def cmd_semifree(rep: Report, args, problem) -> None:
     alg = problem.algebra
     D = _homology_window(problem, args)
     window = f"total degrees 0..{D}"
@@ -128,20 +130,18 @@ def cmd_semifree(args, problem) -> Report:
     for name in ("DD-squared-zero", "anticommutation", "alpha-chain-map"):
         # 𝔻² and 𝔇∂ + ∂𝔇 are read on the products 𝔻_{t-1}∘𝔻_t, t = 2..D: none below D = 2
         empty = bool(qi.checks) and D < 2 and name != "alpha-chain-map"
-        rep.add_check(name, qi.checks.get(name, False) and not empty, window,
-                      NO_PRODUCT if empty else "" if qi.checks else qi.details)
+        rep.add(name, qi.checks.get(name, False) and not empty,
+                NO_PRODUCT if empty else "" if qi.checks else qi.details, window)
     # the window reaches (1, (1, 1, (e,))), of total degree 1 + |e|, the first label of word length >= 1
     top = min(D, max(5, 1 + min(alg.degvec[alg.n_base:], default=0)))
     rep.add_validation("", check_frakD_T_linearity(alg, top), f"total degrees 0..{top}, word length >= 1")
     rep.add_validation("semifree", check_semifree_triangular(alg, D), window)
-    rep.add_check("quasi-isomorphism", qi.passed, qi.window, qi.details)
+    rep.add("quasi-isomorphism", qi.passed, qi.details, qi.window)
     if qi.passed:
         rep.tables["homology"] = [("degree", "dim H(BB)", "dim H(B)", "induced rank")] + qi.rows
-    return rep
 
 
-def cmd_homology(args, problem) -> Report:
-    rep = Report("homology", input_hash(problem.source_text), _common_options(args, problem))
+def cmd_homology(rep: Report, args, problem) -> None:
     alg = problem.algebra
     D = _homology_window(problem, args)
     head = [("degree", "cycles", "boundaries", "homology")]
@@ -151,8 +151,8 @@ def cmd_homology(args, problem) -> Report:
         # is undefined, and neither resolution is certified
         rep.add_validation("algebra", valid, f"degrees 0..{D}")
         for name in ("homology-dimensions-match", "reduced-bar-acyclic"):
-            rep.add_check(name, False, _window(D), INVALID_ALGEBRA)
-        return rep
+            rep.add(name, False, INVALID_ALGEBRA, _window(D))
+        return
     rep.tables["H(B)"] = head + homology_dims(alg, D).rows()
     # the reduced bar is certified and contracted on degrees 0..D-1, in one
     # pass of the certificate of (𝔹, 𝔻) on B with d forgotten
@@ -165,14 +165,12 @@ def cmd_homology(args, problem) -> Report:
     qi = quasi_iso_check(alg, D)
     if qi.passed:
         rep.tables["H(BB,DD)"] = head + qi.table.rows()
-    rep.add_check("homology-dimensions-match", qi.passed, qi.window, qi.details)
+    rep.add("homology-dimensions-match", qi.passed, qi.details, qi.window)
     red_details = defect_details(alg, first) if cert else BAD_REDUCED_COLUMNS
-    rep.add_check("reduced-bar-acyclic", acyclic, qi.window, red_details)
-    return rep
+    rep.add("reduced-bar-acyclic", acyclic, red_details, qi.window)
 
 
-def cmd_lift(args, problem) -> Report:
-    rep = Report("lift", input_hash(problem.source_text), _common_options(args, problem))
+def cmd_lift(rep: Report, args, problem) -> None:
     if not args.module:
         raise UsageError("lift requires --module NAME")
     if args.module not in problem.modules:
@@ -182,11 +180,10 @@ def cmd_lift(args, problem) -> Report:
     seed = _opt_int(problem, args, "seed", 0)
     samples = _opt_int(problem, args, "samples", 100)
     module_rep = validate_module(N)
-    rep.add_validation(f"module[{args.module}]", module_rep, "")
+    rep.add_validation(f"module[{args.module}]", module_rep)
     if module_rep.passed:
         _lift_checks(rep, N, D)
     rep.add_validation("concat-sign-lemma", lemma_sign_check(N, samples, seed), f"{samples} samples, seed {seed}")
-    return rep
 
 
 def _lift_checks(rep: Report, N, D: int):
@@ -203,24 +200,22 @@ def _lift_checks(rep: Report, N, D: int):
     else:
         cert = res.certificate
         if cert is None:
-            rep.add_check("infeasibility-certificate", False, "", "solver returned no certificate")
+            rep.add("infeasibility-certificate", False, "solver returned no certificate")
         else:
             ok_cert = verify_certificate(res.system, res.rhs, cert)
-            rep.add_check("infeasibility-certificate", ok_cert, "",
-                          "" if ok_cert else "certificate fails lambda^T A = 0, lambda^T b != 0")
+            rep.add("infeasibility-certificate", ok_cert,
+                    "" if ok_cert else "certificate fails lambda^T A = 0, lambda^T b != 0")
             rep.tables["certificate"] = [("first-row", cert.first_row),
                                          ("rows", ",".join(str(r) for r in sorted(cert.row_combination)))]
 
 
-def cmd_derivations(args, problem) -> Report:
-    rep = Report("derivations", input_hash(problem.source_text), _common_options(args, problem))
+def cmd_derivations(rep: Report, args, problem) -> None:
     alg = problem.algebra
     D = _opt_int(problem, args, "max_degree", 6)
     dspace = derivation_space(alg, D)
     bspace = be_linear_space(alg, D)
     rep.tables["dimensions"] = [("Der_A(B, B^e)", len(dspace)), ("Hom_Be(J, B^e)", len(bspace))]
     rep.add_validation("", check_eta(alg, dspace, bspace), f"degrees 0..{D}")
-    return rep
 
 
 COMMANDS = {
@@ -306,12 +301,13 @@ def main(argv=None) -> int:
             _reject_unread_flags(args)
             with open(args.file, "r", encoding="utf-8") as fh:
                 problem = parse_problem(fh.read())
-            rep = COMMANDS[args.command](args, problem)
+            rep = Report(args.command, input_hash(problem.source_text), _common_options(args, problem))
+            COMMANDS[args.command](rep, args, problem)
         except (DgresError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         _write(render_machine(rep) if args.format == "machine" else render_text(rep), sys.stdout)
-        return 0 if rep.all_passed else 1
+        return 0 if rep.passed else 1
     finally:
         gc.set_threshold(*saved)
 

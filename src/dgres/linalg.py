@@ -18,7 +18,7 @@ an update whose three values are ints is done inline.
 from __future__ import annotations
 
 from .errors import DgresError
-from .scalars import Field, canonical, q_add, q_mul
+from .scalars import Field, q_add, q_mul
 
 
 def _axpy(row: dict, c, piv: dict, p: int | None) -> None:
@@ -119,55 +119,12 @@ class SliceMatrix:
             row_labels = tuple(index)
         return cls(field, len(index), len(col_labels), entries, row_labels, col_labels)
 
-    def set(self, i: int, j: int, value):
-        if value == self.field.zero:
-            self.entries.pop((i, j), None)
-        else:
-            self.entries[(i, j)] = value
-
-    def get(self, i: int, j: int):
-        return self.entries.get((i, j), self.field.zero)
-
     def rows(self) -> dict:
         """Row index -> {column: value}, for the nonzero rows only."""
         out: dict = {}
         for (i, j), v in self.entries.items():
             out.setdefault(i, {})[j] = v
         return out
-
-    def columns(self) -> list[dict]:
-        """Column j as {row label: value}, for every column."""
-        cols: list = [{} for _ in range(self.ncols)]
-        for (i, j), v in self.entries.items():
-            cols[j][self.row_labels[i]] = v
-        return cols
-
-    def compose(self, other: "SliceMatrix") -> "SliceMatrix":
-        """self ∘ other (matrix product self @ other).
-
-        Each entry is summed in plain ints or Fractions and reduced once,
-        mod p or to the canonical form, instead of after every term; only
-        the entries of self in a column that is a row of other are grouped.
-        """
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch in compose")
-        rows = {k for k, _ in other.entries}
-        by_row: dict[int, list] = {}
-        for (i, k), v in self.entries.items():
-            if k in rows:
-                by_row.setdefault(k, []).append((i, v))
-        acc: dict = {}
-        get = acc.get
-        for (k, j), w in other.entries.items():
-            for i, v in by_row.get(k, ()):
-                acc[(i, j)] = get((i, j), 0) + v * w
-        p = self.field.p
-        entries = ({key: x % p for key, x in acc.items() if x % p} if p is not None
-                   else {key: canonical(x) for key, x in acc.items() if x})
-        return SliceMatrix(self.field, self.nrows, other.ncols, entries, self.row_labels, other.col_labels)
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def rank(self) -> int:
         if self._rank is None:

@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import random
 
-from .algebra import AlgElement, DGAlgebra, ValidationReport
+from .algebra import AlgElement, DGAlgebra
 from .bar import bar_differential, contracted_cycles
 from .errors import DgresError, NotValidated, ShapeMismatch
 from .linalg import InfeasibilityCertificate, SliceMatrix, solve_linear
+from .report import ValidationReport
 from .sampling import random_homogeneous_modtensor, random_homogeneous_tensor
 from .semifree import BBElement, DD, GradedElement, _add_to
 from .tensor import (

@@ -1,4 +1,11 @@
-"""Deterministic report records with text and machine renderings.
+"""Check records, and the deterministic report with its text and machine renderings.
+
+A `CheckRecord` is one check's verdict: its name, PASS or FAIL, a
+counterexample in `details` when it fails, and the `window` it covers.  The
+library checks return them in a `ValidationReport`, and the CLI's `Report`
+is a `ValidationReport` too, with the header of a run and its tables: a
+library check reaches the report as the same kind of record, and the
+renderers read the records' attributes.
 
 Reports never contain wall-clock data; rerunning the same command on the
 same input yields byte-identical output in both formats.  Both renderers
@@ -8,40 +15,57 @@ never holds a second copy of the whole text.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterator
 
 VERSION = "0.1.0"
 
 
-class Report:
-    def __init__(self, command: str, input_sha256: str, options: dict | None = None,
-                 checks: list | None = None, tables: dict | None = None, version: str = VERSION):
+class CheckRecord:
+    def __init__(self, name: str, status: str, details: str = "", window: str = ""):
+        self.name = name
+        self.status = status  # "PASS" | "FAIL"
+        self.details = details  # the counterexample of a failure, or ""
+        self.window = window  # the degrees the check covers, or ""
+
+
+class ValidationReport:
+    def __init__(self):
+        self.checks: list[CheckRecord] = []
+
+    def add(self, name: str, ok: bool, details: str = "", window: str = ""):
+        self.checks.append(CheckRecord(name, "PASS" if ok else "FAIL", details, window))
+
+    @property
+    def passed(self) -> bool:
+        return all(c.status == "PASS" for c in self.checks)
+
+    def failures(self) -> list[CheckRecord]:
+        return [c for c in self.checks if c.status != "PASS"]
+
+
+class Report(ValidationReport):
+    """The checks of one CLI run, with its header (command, input hash, options) and its tables."""
+
+    def __init__(self, command: str, input_sha256: str, options: dict | None = None):
+        super().__init__()
         self.command = command
         self.input_sha256 = input_sha256
         self.options = {} if options is None else options
-        self.checks = [] if checks is None else checks  # dicts: name/status/window/counterexample
-        self.tables = {} if tables is None else tables  # name -> list of rows (tuples/lists)
-        self.version = version
+        self.tables: dict = {}  # name -> list of rows (tuples/lists)
+        self.version = VERSION
 
-    def add_check(self, name: str, ok: bool, window: str = "", counterexample: str = ""):
-        rec = {"name": name, "status": "PASS" if ok else "FAIL", "window": window}
-        if counterexample:
-            rec["counterexample"] = counterexample
-        self.checks.append(rec)
-
-    def add_validation(self, prefix: str, validation, window: str = ""):
-        """One record per check of a `ValidationReport`, named `prefix:name`, or `name` when prefix is ""."""
+    def add_validation(self, prefix: str, validation: ValidationReport, window: str = ""):
+        """Each check of `validation` in `window`, named `prefix:name`, or `name` when prefix is ""."""
         for c in validation.checks:
-            self.add_check(f"{prefix}:{c.name}" if prefix else c.name, c.status == "PASS", window, c.details)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c["status"] == "PASS" for c in self.checks)
+            self.add(f"{prefix}:{c.name}" if prefix else c.name, c.status == "PASS", c.details, window)
 
 
-def input_hash(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _record(c: CheckRecord) -> dict:
+    """A check as a JSON object: name, status and window, and its counterexample when it has one."""
+    rec = {"name": c.name, "status": c.status, "window": c.window}
+    if c.details:
+        rec["counterexample"] = c.details
+    return rec
 
 
 def render_machine(report: Report) -> Iterator[str]:
@@ -53,9 +77,9 @@ def render_machine(report: Report) -> Iterator[str]:
         "command": report.command,
         "input_sha256": report.input_sha256,
         "options": {k: report.options[k] for k in sorted(report.options)},
-        "checks": report.checks,
+        "checks": [_record(c) for c in report.checks],
         "tables": {k: report.tables[k] for k in sorted(report.tables)},
-        "verdict": "PASS" if report.all_passed else "FAIL",
+        "verdict": "PASS" if report.passed else "FAIL",
     }
     yield from json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True).iterencode(payload)
     yield "\n"
@@ -70,16 +94,16 @@ def render_text(report: Report) -> Iterator[str]:
         opts = " ".join(f"{k}={report.options[k]}" for k in sorted(report.options))
         yield f"options: {opts}\n"
     yield "\n"
-    width = max((len(c["name"]) for c in report.checks), default=0)
+    width = max((len(c.name) for c in report.checks), default=0)
     for c in report.checks:
-        line = f"  {c['status']:<4}  {c['name']:<{width}}"
-        if c.get("window"):
-            line += f"  [{c['window']}]"
+        line = f"  {c.status:<4}  {c.name:<{width}}"
+        if c.window:
+            line += f"  [{c.window}]"
         yield line.rstrip() + "\n"
-        if c.get("counterexample"):
-            yield f"        counterexample: {c['counterexample']}\n"
+        if c.details:
+            yield f"        counterexample: {c.details}\n"
     for tname in sorted(report.tables):
         yield f"\ntable {tname}:\n"
         for row in report.tables[tname]:
             yield f"  {'  '.join(str(x) for x in row)}\n"
-    yield f"\nverdict: {'PASS' if report.all_passed else 'FAIL'}\n"
+    yield f"\nverdict: {'PASS' if report.passed else 'FAIL'}\n"

@@ -116,13 +116,6 @@ def q_inv(a):
     return _reduced(d, n) if n > 0 else _reduced(-d, -n)
 
 
-def canonical(q):
-    """The canonical form of a rational q: its int value when q is integral, else q itself."""
-    if type(q) is int or q.denominator != 1:
-        return q
-    return q.numerator
-
-
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False

@@ -32,8 +32,9 @@ suite (anticommutation, 𝔻² = 0, T-linearity, reduced-bar recovery) pins it.
 
 from __future__ import annotations
 
-from .algebra import AlgElement, DGAlgebra, Monomial, ValidationReport, add_term
+from .algebra import AlgElement, DGAlgebra, Monomial, add_term
 from .errors import DgresError, LengthMismatch, MismatchedAlgebra
+from .report import ValidationReport
 from .tensor import (
     TensorElement,
     _delta_factors,

@@ -18,6 +18,7 @@ for byte.
 """
 
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple
 
 
@@ -286,6 +287,23 @@ def dense_map(M):
     return M.ncols, rows
 
 
+def dense_product(M, N):
+    """The dense rows of M∘N, the textbook product of the `dense_map` rows, in the field of M."""
+    f = M.field
+    (inner, left), (ncols, right) = dense_map(M), dense_map(N)
+    assert inner == N.nrows
+    return [[reduce(f.add, (f.mul(a, right[k][j]) for k, a in enumerate(row) if a), f.zero)
+             for j in range(ncols)] for row in left]
+
+
+def matrix_columns(M):
+    """A SliceMatrix as {column label: {row label: value}}, every column, read from its entries."""
+    cols = {lb: {} for lb in M.col_labels}
+    for (i, j), v in M.entries.items():
+        cols[M.col_labels[j]][M.row_labels[i]] = v
+    return cols
+
+
 def complex_table_oracle(degrees, p=None):
     """Rows (degree, cycles, boundaries, homology) of a complex, with dense ranks.
 
@@ -367,15 +385,12 @@ def full_column_checks(alg, D, dd_col=None):
 
     f = alg.field
 
-    def cols(M):
-        return dict(zip(M.col_labels, M.columns()))
-
     def apply(columns, vec):
         return _sum(f, [{row: f.mul(c, v) for row, v in columns[lb].items()} for lb, c in vec.items()])
 
-    dd = {t: cols(full_dd_matrix(alg, t, dd_col)) for t in range(D + 1)}
-    al = {t: cols(full_alpha_matrix(alg, t)) for t in range(D + 1)}
-    dB = {t: cols(dB_matrix(alg, t)) for t in range(D + 1)}
+    dd = {t: matrix_columns(full_dd_matrix(alg, t, dd_col)) for t in range(D + 1)}
+    al = {t: matrix_columns(full_alpha_matrix(alg, t)) for t in range(D + 1)}
+    dB = {t: matrix_columns(dB_matrix(alg, t)) for t in range(D + 1)}
     square = anti = True
     for t in range(2, D + 1):
         for (n, _), col in dd[t].items():
@@ -425,13 +440,10 @@ def reduced_full_checks(alg, D, homotopy=None):
     f = alg.field
     h = homotopy or real_homotopy
 
-    def cols(M):
-        return dict(zip(M.col_labels, M.columns()))
-
     def apply(columns, vec):
         return _sum(f, [{row: f.mul(c, v) for row, v in columns[lb].items()} for lb, c in vec.items()])
 
-    dbar = {(n, d): cols(reduced_slice_matrix(alg, n, d)) for d in range(D + 1) for n in range(1, d + 2)}
+    dbar = {(n, d): matrix_columns(reduced_slice_matrix(alg, n, d)) for d in range(D + 1) for n in range(1, d + 2)}
     square = all(not apply(dbar[(n - 1, d)], col) for d in range(D + 1) for n in range(2, d + 1)
                  for col in dbar[(n, d)].values())
     firsts = []
@@ -492,7 +504,7 @@ def normalize_word_oracle(alg, word):
     slot from 1 on is split, and its base part moves into slot 0 across the
     ext parts before it, with the parity of those parts kept as it goes.
     """
-    if all(alg.mono_is_ext_only(m) for m in word[1:]):
+    if all(not any(m.exps[:alg.n_base]) for m in word[1:]):
         return 1, word
     slot0 = word[0]
     sign = 1
@@ -875,7 +887,7 @@ def validate_module_oracle(N):
     included; the bad pairs are listed j first, then i.  Unlike
     `validate_module`, it does not mark N validated.
     """
-    from dgres.algebra import ValidationReport
+    from dgres.report import ValidationReport
 
     rep = ValidationReport()
     alg = N.alg
@@ -1193,9 +1205,10 @@ def render_machine(report) -> str:
         "command": report.command,
         "input_sha256": report.input_sha256,
         "options": {k: report.options[k] for k in sorted(report.options)},
-        "checks": report.checks,
+        "checks": [{"name": c.name, "status": c.status, "window": c.window,
+                    **({"counterexample": c.details} if c.details else {})} for c in report.checks],
         "tables": {k: report.tables[k] for k in sorted(report.tables)},
-        "verdict": "PASS" if report.all_passed else "FAIL",
+        "verdict": "PASS" if report.passed else "FAIL",
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True) + "\n"
 
@@ -1210,19 +1223,19 @@ def render_text(report) -> str:
         opts = " ".join(f"{k}={report.options[k]}" for k in sorted(report.options))
         lines.append(f"options: {opts}")
     lines.append("")
-    width = max((len(c["name"]) for c in report.checks), default=0)
+    width = max((len(c.name) for c in report.checks), default=0)
     for c in report.checks:
-        line = f"  {c['status']:<4}  {c['name']:<{width}}"
-        if c.get("window"):
-            line += f"  [{c['window']}]"
+        line = f"  {c.status:<4}  {c.name:<{width}}"
+        if c.window:
+            line += f"  [{c.window}]"
         lines.append(line.rstrip())
-        if c.get("counterexample"):
-            lines.append(f"        counterexample: {c['counterexample']}")
+        if c.details:
+            lines.append(f"        counterexample: {c.details}")
     for tname in sorted(report.tables):
         lines.append("")
         lines.append(f"table {tname}:")
         for row in report.tables[tname]:
             lines.append("  " + "  ".join(str(x) for x in row))
     lines.append("")
-    lines.append(f"verdict: {'PASS' if report.all_passed else 'FAIL'}")
+    lines.append(f"verdict: {'PASS' if report.passed else 'FAIL'}")
     return "\n".join(lines) + "\n"

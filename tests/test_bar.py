@@ -36,8 +36,8 @@ from dgres.tensor import (
     tensor_differential,
     tensor_multiply,
 )
-from oracles import (bar_slice_matrix, dense_rank_oracle, derivation_from_generator_images, kernel_dim_oracle,
-                     nJ_kernel_basis, reduced_slice_matrix, span_rank_oracle)
+from oracles import (bar_slice_matrix, dense_map, dense_rank_oracle, derivation_from_generator_images,
+                     kernel_dim_oracle, nJ_kernel_basis, reduced_slice_matrix, span_rank_oracle)
 
 
 def W(alg, *exps):
@@ -358,9 +358,10 @@ def _assert_rows_are_hit_words(M, images, ambient):
     assert M.nrows == len(M.row_labels) and M.ncols == len(images)
     row_of = {w: i for i, w in enumerate(M.row_labels)}
     dense = [[img.terms.get(w, f.zero) for img in images] for w in ambient]
+    _, rows = dense_map(M)
     for w, row in zip(ambient, dense):
         if w in row_of:
-            assert row == [M.get(row_of[w], j) for j in range(M.ncols)]
+            assert row == rows[row_of[w]]
         else:
             assert not any(row)
     assert M.rank() == dense_rank_oracle(dense, f.p)

@@ -976,7 +976,7 @@ def test_main_leaves_the_collector_as_it_found_it(caller_gc, tmp_path, golden_di
 
 
 def test_main_restores_the_collector_when_a_command_raises(caller_gc, golden_dir, monkeypatch):
-    def broken(args, problem):
+    def broken(rep, args, problem):
         raise RuntimeError("broken command")
 
     monkeypatch.setitem(cli.COMMANDS, "validate", broken)
@@ -989,13 +989,12 @@ def test_main_restores_the_collector_when_a_command_raises(caller_gc, golden_dir
 def test_commands_run_under_the_raised_thresholds(caller_gc, golden_dir, capsys, monkeypatch, enabled):
     seen = []
 
-    def recording(args, problem):
-        seen.append((gc.get_threshold(), gc.isenabled()))
-        return cli.Report("validate", "0" * 64)
+    def recording(rep, args, problem):
+        seen.append((gc.get_threshold(), gc.isenabled(), rep.command, rep.checks))
 
     if not enabled:
         gc.disable()
     monkeypatch.setitem(cli.COMMANDS, "validate", recording)
     assert main(["validate", str(golden_dir / "e3.dgres")]) == 0
-    assert seen == [(cli.GC_THRESHOLDS, enabled)]
+    assert seen == [(cli.GC_THRESHOLDS, enabled, "validate", [])]
     assert gc.get_threshold() == CALLER_THRESHOLDS and gc.isenabled() == enabled

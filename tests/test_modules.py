@@ -149,18 +149,12 @@ def test_dN_squares_to_zero_and_exactness(E2):
     # exactness of N ⊗ (bar) on slices: dim ker = dim im
     for L in (2, 3):
         for d in range(0, 7):
-            src = modtensor_basis(K, L, d)
-            tgt = {k: i for i, k in enumerate(modtensor_basis(K, L - 1, d))}
-            M = SliceMatrix(f, len(tgt), len(src))
-            for j, key in enumerate(src):
-                for kk, c in bar_dN_any(ModTensorElement(K, L, {key: f.one})).terms.items():
-                    M.set(tgt[kk], j, c)
-            up = modtensor_basis(K, L + 1, d)
-            tgt2 = {k: i for i, k in enumerate(src)}
-            M2 = SliceMatrix(f, len(src), len(up))
-            for j, key in enumerate(up):
-                for kk, c in bar_dN_any(ModTensorElement(K, L + 1, {key: f.one})).terms.items():
-                    M2.set(tgt2[kk], j, c)
+            src, up = modtensor_basis(K, L, d), modtensor_basis(K, L + 1, d)
+            M = SliceMatrix.from_columns(f, modtensor_basis(K, L - 1, d), src, (
+                bar_dN_any(ModTensorElement(K, L, {key: f.one})).terms for key in src))
+            M2 = SliceMatrix.from_columns(f, src, up, (
+                bar_dN_any(ModTensorElement(K, L + 1, {key: f.one})).terms for key in up))
+            assert (M.nrows, M2.nrows) == (len(modtensor_basis(K, L - 1, d)), len(src))
             assert M.ncols - M.rank() == M2.rank()
 
 

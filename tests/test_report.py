@@ -18,7 +18,9 @@ def golden_report(golden_dir, fname):
     argv = COMMANDS[fname]
     args = cli.build_parser().parse_args([argv[0], str(golden_dir / argv[1])] + argv[2:])
     problem = parse_problem((golden_dir / argv[1]).read_text(encoding="utf-8"))
-    return args.format, cli.COMMANDS[args.command](args, problem)
+    rep = Report(args.command, cli.input_hash(problem.source_text), cli._common_options(args, problem))
+    cli.COMMANDS[args.command](rep, args, problem)
+    return args.format, rep
 
 
 def assert_streams_one_shot(rep):
@@ -45,7 +47,7 @@ def reports(draw):
     rep = Report(draw(TEXT), draw(st.text("0123456789abcdef", min_size=64, max_size=64)),
                  draw(st.dictionaries(TEXT, st.one_of(TEXT, st.integers(), st.booleans()), max_size=3)))
     for name, ok, window, counterexample in draw(st.lists(st.tuples(TEXT, st.booleans(), TEXT, TEXT), max_size=5)):
-        rep.add_check(name, ok, window, counterexample)
+        rep.add(name, ok, counterexample, window)
     # a table may be empty, and a row may be empty
     rep.tables = draw(st.dictionaries(TEXT, st.lists(st.lists(CELL, max_size=4).map(tuple), max_size=4), max_size=3))
     return rep

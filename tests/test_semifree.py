@@ -33,8 +33,8 @@ from dgres.semifree import (
     t_word,
 )
 from dgres.tensor import TensorElement, delta, prefixed_basis_element, tensor_basis, tensor_differential
-from oracles import (bb_coords, bb_rank_table, dense_rank_oracle, full_alpha_matrix, full_dd_matrix,
-                     reduced_slice_matrix)
+from oracles import (bb_coords, bb_rank_table, dense_product, dense_rank_oracle, full_alpha_matrix,
+                     full_dd_matrix, matrix_columns, reduced_slice_matrix)
 
 INPUTS = Path(__file__).parent / "inputs"
 
@@ -260,30 +260,26 @@ def test_checked_columns_and_matrix_squares(fixture_algebras, odd_base, K3p, mon
 def test_dd_square_needs_d_squared_zero_on_B(monkeypatch):
     # d(d c) = a: every prefix-1 column of 𝔻² vanishes, the column of
     # (0, (c, 1, ())) does not, and only the d^B clause of the certificate sees it
-    from dgres.linalg import SliceMatrix
-
     alg = parse_problem((INPUTS / "base_d_squared.dgres").read_text()).algebra
     square, anti, chain, defects = certify_contraction(alg, total_window(6))
     assert not square and anti and chain and not defects
     one, a, c = alg.one_mono, alg.mono({"a": 1}), alg.mono({"c": 1})
     full = [full_dd_matrix(alg, t) for t in range(7)]
 
-    def squares_on_prefix_one(alg, t):
-        P = full[t - 1].compose(full[t])
-        entries = [(P.row_labels[i], P.col_labels[j]) for i, j in P.entries if P.col_labels[j][1][0] == one]
-        return not entries, all(row[0] != col[0] - 1 for row, col in entries)
+    def square_entries(t):
+        rows, cols = full[t - 1].row_labels, full[t].col_labels
+        return [(rows[i], cols[j], v) for i, row in enumerate(dense_product(full[t - 1], full[t]))
+                for j, v in enumerate(row) if v]
 
-    assert all(squares_on_prefix_one(alg, t) == (True, True) for t in range(2, 7))
-    square = full[2].compose(full[3])
-    j = square.col_labels.index((0, (c, one, ())))
-    assert {square.row_labels[i]: v for (i, k), v in square.entries.items() if k == j} == {(0, (a, one, ())): 1}
+    assert all(col[1][0] != one for t in range(2, 7) for _, col, _ in square_entries(t))
+    assert [(row, v) for row, col, v in square_entries(3) if col == (0, (c, one, ()))] == [((0, (a, one, ())), 1)]
     qi = quasi_iso_check(alg, 6)
     assert not qi.checks["DD-squared-zero"] and qi.checks["anticommutation"] and not qi.passed
 
-    # without the clause, the certificate's one test of a matrix product for
-    # zero, every check passes, and the certificate goes on to rank d^B,
-    # which is no differential
-    monkeypatch.setattr(SliceMatrix, "is_zero", lambda M: True)
+    # without the clause, which applies d^B to d^B of each monomial, every
+    # check passes, and the certificate goes on to rank d^B, which is no
+    # differential
+    monkeypatch.setattr(alg, "d", lambda u: alg.zero())
     assert certify_contraction(alg, total_window(6))[:3] == (True, True, True)
     with pytest.raises(DgresError, match="boundaries exceed cycles"):
         quasi_iso_check(alg, 6)
@@ -412,13 +408,13 @@ def test_alpha_matrix_on_labels_matches_flat_alpha(fixture_algebras, K3p):
         for t in range(D + 1):
             M = full_alpha_matrix(alg, t)
             want = {label: alpha(bb_basis_element(alg, label)).terms for label in M.col_labels}
-            for label, col in zip(M.col_labels, M.columns()):
+            for label, col in matrix_columns(M).items():
                 n, (b, m, ws) = label
                 X = (n, (one, m, ws))
                 lemma = prefix_image(alg, label, dd_column(alg, X), {} if n else pi_column(alg, X[1]))[1]
                 assert col == want[label] and lemma == want[label], label
             P = bb_alpha_matrix(alg, t)
-            assert P.columns() == [want[label] for label in P.col_labels]
+            assert matrix_columns(P) == {label: want[label] for label in P.col_labels}
             assert all(b == alg.one_mono for _, (b, _, _) in P.col_labels)
 
 

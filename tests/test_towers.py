@@ -22,6 +22,7 @@ import dgres.homology as homology
 from dgres.homology import certify_contraction, prefix_image, quasi_iso_check, reduced_bar_table
 from dgres.modules import DN, SemifreeModule, beta_N, check_rho, naive_lift_solve, validate_module
 from dgres.probfile import ProblemFile, parse_problem
+from dgres.report import Report
 from dgres.sampling import random_homogeneous_element, random_homogeneous_modtensor
 from dgres.scalars import Field
 from dgres.semifree import DD, BBElement, append_tail, bb_basis_element, bb_total_basis, dbar_column, dd_column, homotopy
@@ -115,9 +116,10 @@ def test_closed_form_matches_flat_oracle_on_random_towers(field, data):
 def test_semifree_passes_on_random_towers(field, data):
     alg = data.draw(koszul_towers(field))
     problem = ProblemFile(alg.field, alg)
-    rep = cmd_semifree(argparse.Namespace(max_degree=6), problem)
-    assert rep.all_passed, [c for c in rep.checks if c["status"] != "PASS"]
-    names = {c["name"] for c in rep.checks}
+    rep = Report("semifree", "")
+    cmd_semifree(rep, argparse.Namespace(max_degree=6), problem)
+    assert rep.passed, [(c.name, c.details) for c in rep.failures()]
+    names = {c.name for c in rep.checks}
     assert {"DD-squared-zero", "anticommutation", "alpha-chain-map", "quasi-isomorphism"} <= names
 
 
